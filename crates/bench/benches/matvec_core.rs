@@ -315,13 +315,12 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Transpose/scatter-direction benches for the `parallel` feature (ISSUE
-/// 2): a striped union (per-worker accumulators with deterministic merge)
-/// and a large Kronecker (row- then column-chunked stages). Built without
-/// the feature these measure the serial planned engine — the committed
-/// `BENCH_matvec_core.json` is produced with `--features parallel`, and
-/// the `serial_blocks` reference is computed per block (below the work
-/// threshold) so it stays single-threaded in both configurations.
+/// Transpose/scatter-direction benches for the threaded engine: a striped
+/// union (per-worker accumulators with deterministic merge) and a large
+/// Kronecker (row- then column-chunked stages). Under
+/// `EKTELO_POOL_WORKERS=1` these measure the serial planned engine; the
+/// `serial_blocks` reference is computed per block (below the work
+/// threshold) so it stays single-threaded at every pool size.
 fn bench_parallel_rmatvec(c: &mut Criterion) {
     let n = 1usize << 16;
     let stripes = 64;
@@ -482,12 +481,11 @@ fn bench_plan_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// ISSUE 3 arena-pool benches: warm threaded evaluation drawing worker
-/// scratch/accumulators/panels from the workspace pool. Committed numbers
-/// are produced with `--features parallel` (serial builds measure the
-/// serial planned engine — still pool-free by construction). Tracked
-/// cross-PR against the PR 2 `parallel_rmatvec` entries, whose workers
-/// allocated per call.
+/// Arena-pool benches: warm threaded evaluation drawing worker
+/// scratch/accumulators/panels from the workspace pool (under
+/// `EKTELO_POOL_WORKERS=1` they measure the serial planned engine — still
+/// pool-free by construction). Tracked against the `parallel_rmatvec`
+/// entries, whose workers once allocated per call.
 fn bench_arena_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_pool");
     group.sample_size(30);

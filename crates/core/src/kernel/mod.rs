@@ -507,7 +507,7 @@ impl ProtectedKernel {
         stability: f64,
     ) -> Result<SourceVar> {
         // Zero-copy snapshot under the lock; the matvec — the expensive
-        // part, threaded under the `parallel` feature — runs outside it.
+        // part, threaded on the pool for large trees — runs outside it.
         // Sound because node data is immutable and nodes are never
         // removed, so `sv` and its metadata cannot change in between.
         let (x, base, lineage) = {
@@ -675,12 +675,13 @@ impl ProtectedKernel {
     /// as a sequential loop of [`ProtectedKernel::vector_laplace`] calls
     /// would — same budget charges, same measurement history, and **the
     /// same noise draws in the same order**, so the answers are
-    /// bit-identical to the sequential loop regardless of the `parallel`
-    /// feature. What the batch form buys is that the exact (pre-noise)
-    /// answers, which depend only on the data and not on the privacy RNG,
-    /// are computed outside the sequential section — with the `parallel`
-    /// feature they evaluate on worker threads. This is the engine behind
-    /// the striped plans of §9.2: hundreds of per-stripe measurements
+    /// bit-identical to the sequential loop for every pool size. What the
+    /// batch form buys is that the exact (pre-noise) answers, which depend
+    /// only on the data and not on the privacy RNG, are computed outside
+    /// the sequential section, in chunks on the pool's worker threads
+    /// (one chunk, on the caller, when `configured_parallelism()` is 1 or
+    /// the batch is small). This is the engine behind the striped plans
+    /// of §9.2: hundreds of per-stripe measurements
     /// whose matvec work parallelizes while privacy randomness stays
     /// ordered.
     ///
@@ -755,46 +756,54 @@ impl ProtectedKernel {
         };
 
         // Phase 2 (pure compute, outside the lock): the exact answers.
-        // Each entry is independent, so with the `parallel` feature the
-        // valid requests evaluate on scoped worker threads. Every worker
-        // (and the serial path) reuses one Workspace across its requests,
-        // so same-shaped stripe strategies share a single evaluation plan
-        // instead of re-planning per stripe.
+        // Each entry is independent, so chunks of valid requests evaluate
+        // on the pool. Chunk geometry comes from the process-constant
+        // configured parallelism, not the executor's current worker count,
+        // and every request fills its own slot — so the answers are
+        // bit-identical however many pool workers run the chunks, and
+        // regardless of whether a chunk is slot-dispatched, queued on a
+        // worker deque, stolen by a sibling, or (pool size 0) run inline
+        // on the caller.
         let mut exacts: Vec<Option<Vec<f64>>> = snapshots
             .iter()
             .map(|s| s.as_ref().ok().map(|_| Vec::new()))
             .collect();
-        #[cfg(feature = "parallel")]
-        {
-            // Chunk geometry comes from the process-constant configured
-            // parallelism, not the executor's current worker count, and
-            // every request fills its own slot — so the answers are
-            // bit-identical however many pool workers run the chunks, and
-            // regardless of whether a chunk is slot-dispatched, queued on
-            // a worker deque, stolen by a sibling, or (pool size 0) run
-            // inline on the caller.
-            let nthreads = ektelo_matrix::pool::configured_parallelism();
-            let total_cells: usize = snapshots
-                .iter()
-                .filter_map(|s| s.as_ref().ok().map(|(x, _)| x.len()))
-                .sum();
-            if reqs.len() >= 2 && nthreads >= 2 && total_cells >= 4096 {
-                let chunk = reqs.len().div_ceil(nthreads);
-                let pool = &self.ws_pool;
-                ektelo_matrix::pool::scope(|scope| {
-                    for (echunk, (rchunk, schunk)) in exacts
-                        .chunks_mut(chunk)
-                        .zip(reqs.chunks(chunk).zip(snapshots.chunks(chunk)))
-                    {
-                        scope.spawn(move || fill_exact_answers(rchunk, schunk, echunk, pool));
-                    }
-                });
-            } else {
-                fill_exact_answers(reqs, &snapshots, &mut exacts, &self.ws_pool);
-            }
+        let nthreads = ektelo_matrix::pool::configured_parallelism();
+        let total_cells: usize = snapshots
+            .iter()
+            .filter_map(|s| s.as_ref().ok().map(|(x, _)| x.len()))
+            .sum();
+        let threaded = reqs.len() >= 2 && nthreads >= 2 && total_cells >= 4096;
+        let chunk = if threaded {
+            reqs.len().div_ceil(nthreads)
+        } else {
+            reqs.len().max(1)
+        };
+        // Each chunk reuses one Workspace across its requests, so
+        // same-shaped stripe strategies share a single evaluation plan.
+        // The workspaces are checked out here, before dispatch, and
+        // restored in reverse chunk order after the join: the next batch's
+        // pops then hand every chunk the same warm workspace, and the
+        // pool's idle count equals the chunk count on every schedule.
+        let mut wss: Vec<Workspace> = (0..reqs.len().div_ceil(chunk).max(1))
+            .map(|_| self.ws_pool.checkout())
+            .collect();
+        if threaded {
+            ektelo_matrix::pool::scope(|scope| {
+                for ((echunk, ws), (rchunk, schunk)) in exacts
+                    .chunks_mut(chunk)
+                    .zip(wss.iter_mut())
+                    .zip(reqs.chunks(chunk).zip(snapshots.chunks(chunk)))
+                {
+                    scope.spawn(move || fill_exact_answers(rchunk, schunk, echunk, ws));
+                }
+            });
+        } else {
+            fill_exact_answers(reqs, &snapshots, &mut exacts, &mut wss[0]);
         }
-        #[cfg(not(feature = "parallel"))]
-        fill_exact_answers(reqs, &snapshots, &mut exacts, &self.ws_pool);
+        for ws in wss.into_iter().rev() {
+            self.ws_pool.restore(ws);
+        }
 
         // Phase 3 (sequential, under the lock): charge budgets, draw noise
         // in request order, record history — the privacy-ordered section.
@@ -1088,34 +1097,32 @@ impl Drop for BudgetReservation<'_> {
 /// (phase-1 output of [`ProtectedKernel::vector_laplace_batch`]).
 type Snapshot = Result<(Arc<Vec<f64>>, f64)>;
 
-/// Fills the exact (pre-noise) answer for every valid request slot:
-/// `exacts[i] = reqs[i].matrix · snapshots[i].vector`. Shared by the
-/// serial and per-worker parallel paths of
-/// [`ProtectedKernel::vector_laplace_batch`]; one reused [`Workspace`]
-/// means same-shaped strategies (every stripe of HB-Striped) plan once.
-/// The workspace comes from the kernel's pool and goes back afterwards,
-/// so *across* batch calls the arena and plan fast path stay warm too —
-/// a second call with the same strategies allocates no scratch at all.
+/// Fills the exact (pre-noise) answer for every valid request slot of one
+/// chunk: `exacts[i] = reqs[i].matrix · snapshots[i].vector`. One reused
+/// [`Workspace`] means same-shaped strategies (every stripe of
+/// HB-Striped) plan once. The caller checks the workspace out of the
+/// kernel's pool and restores it afterwards, so *across* batch calls the
+/// arena and plan fast path stay warm too — a second call with the same
+/// strategies allocates no scratch at all.
 fn fill_exact_answers(
     reqs: &[(SourceVar, &Matrix, f64)],
     snapshots: &[Snapshot],
     exacts: &mut [Option<Vec<f64>>],
-    pool: &WorkspacePool,
+    ws: &mut Workspace,
 ) {
-    let mut ws = pool.checkout();
     for (e, (&(_, m, _), snap)) in exacts.iter_mut().zip(reqs.iter().zip(snapshots)) {
         if let (Some(slot), Ok((x, _))) = (e.as_mut(), snap.as_ref()) {
-            // Injected crash in the exact-answer phase: under `parallel`
-            // this runs inside a pool job (the panic is deferred until
-            // sibling jobs finish), serially it unwinds directly — either
-            // way the batch dies before any charge is issued.
+            // Injected crash in the exact-answer phase: in a threaded
+            // batch this runs inside a pool job (the panic is deferred
+            // until sibling jobs finish), in a single-chunk batch it
+            // unwinds directly — either way the batch dies before any
+            // charge is issued.
             failpoints::panic_if("kernel::batch_exact");
             let mut out = vec![0.0; m.rows()];
-            m.matvec_into(x, &mut out, &mut ws);
+            m.matvec_into(x, &mut out, ws);
             *slot = out;
         }
     }
-    pool.restore(ws);
 }
 
 /// Extracts per-group cell lists from a partition matrix: group g holds the

@@ -80,9 +80,9 @@ pub fn dawa_partition(
 /// substream seed as `splitmix64(base, i)` — a pure function of (base,
 /// counter) — and runs the noisy-histogram + segmentation computation on
 /// an independent RNG. Each stripe's output is therefore independent of
-/// scheduling, so under the `parallel` feature stripes compute on worker
-/// threads **bit-identically** to a sequential loop over the same
-/// substreams (pinned by a regression test). Budget-wise this is exactly
+/// scheduling, so stripes compute on the pool's worker threads
+/// **bit-identically** to a sequential loop over the same substreams
+/// (pinned by a regression test). Budget-wise this is exactly
 /// the sequential loop: same charges, same order, same parallel
 /// composition across sibling stripes.
 ///
@@ -132,7 +132,9 @@ fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> M
 }
 
 /// Serial reference: stripe `i` computed in order from substream `i`.
-/// Also the comparison arm of the bit-identity regression test.
+/// The threaded path's fallback below two stripes or at
+/// `configured_parallelism() == 1`, and the comparison arm of the
+/// bit-identity regression test.
 fn fill_partitions_serial(
     snaps: &[std::sync::Arc<Vec<f64>>],
     base: u64,
@@ -145,14 +147,10 @@ fn fill_partitions_serial(
     }
 }
 
-#[cfg(not(feature = "parallel"))]
-use fill_partitions_serial as fill_partitions;
-
-/// Threaded variant: chunks of stripes compute on the persistent
-/// pool executor; each stripe's output depends only on (snapshot, base,
-/// stripe index), so the results are written into per-stripe slots
-/// bit-identically to [`fill_partitions_serial`] — for any pool size.
-#[cfg(feature = "parallel")]
+/// Chunks of stripes compute on the persistent pool executor; each
+/// stripe's output depends only on (snapshot, base, stripe index), so the
+/// results are written into per-stripe slots bit-identically to
+/// [`fill_partitions_serial`] — for any pool size.
 fn fill_partitions(
     snaps: &[std::sync::Arc<Vec<f64>>],
     base: u64,
@@ -286,13 +284,12 @@ mod tests {
         assert_eq!(labels, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// ISSUE 3 satellite: the (optionally threaded) batch must be
-    /// **bit-identical** to an explicit sequential loop over the same
-    /// counter-based substreams — charge order, base draw, per-stripe
-    /// partitions and total budget all agree. Run under
-    /// `--features parallel` this pins the threaded path against the
-    /// serial reference; without the feature both arms are serial and the
-    /// test pins the substream protocol itself.
+    /// The threaded batch must be **bit-identical** to an explicit
+    /// sequential loop over the same counter-based substreams — charge
+    /// order, base draw, per-stripe partitions and total budget all agree.
+    /// With `configured_parallelism() >= 2` this pins the threaded path
+    /// against the serial reference; at `EKTELO_POOL_WORKERS=1` both arms
+    /// are serial and the test pins the substream protocol itself.
     #[test]
     fn batch_is_bit_identical_to_sequential_substream_loop() {
         use ektelo_matrix::partition_from_labels as labels_p;

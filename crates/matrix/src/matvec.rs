@@ -12,9 +12,9 @@
 //! the hot working set. [`Matrix::matvec`] / [`Matrix::rmatvec`] remain as
 //! thin allocating wrappers with unchanged semantics.
 //!
-//! With the `parallel` feature enabled, plan-time chunk decisions drive
-//! multi-threaded evaluation in **both** directions: `Union` blocks and
-//! Kronecker row-chunks in the forward direction; `Union` scatter-adds
+//! Plan-time chunk decisions drive multi-threaded evaluation in **both**
+//! directions: `Union` blocks and Kronecker row-chunks in the forward
+//! direction; `Union` scatter-adds
 //! (per-worker accumulators merged in fixed chunk order at the barrier)
 //! and Kronecker column-chunks in the transpose direction. Chunk counts
 //! are fixed when the plan is built, so threaded results are deterministic
@@ -129,7 +129,6 @@ impl Matrix {
         match (self, plan) {
             (m, NodePlan::Leaf) => m.matvec_rec(x, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
-                #[cfg(feature = "parallel")]
                 if up.par_fwd_chunk > 0 && !pool.is_nested() {
                     parallel::union_matvec(blocks, up, x, out, pool);
                     return;
@@ -172,13 +171,11 @@ impl Matrix {
             (m, NodePlan::Leaf) => m.rmatvec_rec(y, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
                 // Unionᵀ is a horizontal stack: contributions accumulate.
-                #[cfg(feature = "parallel")]
+                out.fill(0.0);
                 if up.par_bwd_chunk > 0 && !pool.is_nested() {
-                    out.fill(0.0);
                     parallel::union_rmatvec_add(blocks, up, y, out, pool);
                     return;
                 }
-                out.fill(0.0);
                 let mut offset = 0;
                 for ((b, bp), &m) in blocks.iter().zip(&up.blocks).zip(&up.block_rows) {
                     b.rmatvec_add_plan(&bp.root, &y[offset..offset + m], out, scratch, pool);
@@ -216,7 +213,6 @@ impl Matrix {
         match (self, plan) {
             (m, NodePlan::Leaf) => m.rmatvec_add_rec(y, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
-                #[cfg(feature = "parallel")]
                 if up.par_bwd_chunk > 0 && !pool.is_nested() {
                     parallel::union_rmatvec_add(blocks, up, y, out, pool);
                     return;
@@ -548,14 +544,9 @@ fn kron_matvec_plan(
 ) {
     let (ma, na, mb, nb) = (kp.a_rows, kp.a_cols, kp.b_rows, kp.b_cols);
     let (t, rest) = scratch.split_at_mut(na * mb);
-    #[cfg(feature = "parallel")]
-    let stage1_done = kp.par_fwd_rows > 0 && !pool.is_nested() && {
+    if kp.par_fwd_rows > 0 && !pool.is_nested() {
         parallel::kron_apply_rows(b, kp, x, t, nb, mb, pool);
-        true
-    };
-    #[cfg(not(feature = "parallel"))]
-    let stage1_done = false;
-    if !stage1_done {
+    } else {
         for i in 0..na {
             b.matvec_plan(
                 &kp.b,
@@ -628,14 +619,9 @@ fn kron_rmatvec_plan(
 ) {
     let (ma, na, mb, nb) = (kp.a_rows, kp.a_cols, kp.b_rows, kp.b_cols);
     let (t, rest) = scratch.split_at_mut(ma * nb);
-    #[cfg(feature = "parallel")]
-    let stage1_done = kp.par_bwd_rows > 0 && !pool.is_nested() && {
+    if kp.par_bwd_rows > 0 && !pool.is_nested() {
         parallel::kron_apply_rows_t(b, kp, y, t, mb, nb, pool);
-        true
-    };
-    #[cfg(not(feature = "parallel"))]
-    let stage1_done = false;
-    if !stage1_done {
+    } else {
         for p in 0..ma {
             b.rmatvec_plan(
                 &kp.b,
@@ -646,7 +632,6 @@ fn kron_rmatvec_plan(
             );
         }
     }
-    #[cfg(feature = "parallel")]
     if kp.par_bwd_cols > 0 && !pool.is_nested() {
         parallel::kron_scatter_cols(a, kp, t, out, ma, na, nb, pool);
         return;
@@ -736,9 +721,9 @@ fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mu
     }
 }
 
-/// Multi-threaded evaluation of independent sub-products, behind the
-/// `parallel` feature. Built on the persistent [`crate::pool`] executor
-/// (the offline build environment cannot vendor rayon): chunk sizes are
+/// Multi-threaded evaluation of independent sub-products, built on the
+/// persistent [`crate::pool`] executor (the offline build environment
+/// cannot vendor rayon): chunk sizes are
 /// fixed in the evaluation plan, so results are deterministic run-to-run
 /// — and bit-identical for every pool size, since the pool only decides
 /// *where* each fixed chunk runs. Workers borrow their scratch — and, in
@@ -752,8 +737,9 @@ fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mu
 /// node under a pooled chunk worker (e.g. the large-union factor of an
 /// `hdmm_kron` strategy) evaluates serially instead of spawning nested
 /// regions and allocating fresh arenas — the outer region already
-/// saturates the machine (gated by `alloc_parallel.rs`).
-#[cfg(feature = "parallel")]
+/// saturates the machine (gated by `alloc_parallel.rs`). At
+/// `configured_parallelism() == 1` the plan records no chunks and these
+/// paths never engage.
 mod parallel {
     use super::ArenaPool;
     use crate::plan::{KronPlan, UnionPlan};
@@ -1154,9 +1140,9 @@ mod tests {
     }
 
     /// The parallel paths only engage above the plan-time work threshold;
-    /// these cases are sized past it so `--features parallel` actually
-    /// executes the threaded chunking (below-threshold evaluation stays
-    /// serial and serves as the reference).
+    /// these cases are sized past it so the threaded chunking actually
+    /// executes whenever `configured_parallelism() >= 2` (below-threshold
+    /// evaluation stays serial and serves as the reference).
     #[test]
     fn large_union_matches_per_block_evaluation() {
         let n = 1usize << 13;

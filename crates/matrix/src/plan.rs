@@ -10,10 +10,10 @@
 //! * the total **scratch requirement** of all three product directions
 //!   (`matvec`, `rmatvec`, `rmatvec_add`), so the arena is reserved in full
 //!   up front and never grows mid-evaluation,
-//! * plan-time **parallel-chunk decisions** for the `parallel` feature
-//!   (thread counts and chunk sizes are fixed when the plan is built, which
-//!   is what makes threaded evaluation deterministic), together with the
-//!   **worker-pool requirement** — how many per-worker arenas of what size
+//! * plan-time **parallel-chunk decisions** (thread counts and chunk
+//!   sizes are fixed when the plan is built, which is what makes threaded
+//!   evaluation deterministic), together with the **worker-pool
+//!   requirement** — how many per-worker arenas of what size
 //!   threaded evaluation borrows from the [`crate::Workspace`] pool — and
 //! * a **ping-pong buffer assignment** for right-nested `Product` chains:
 //!   a chain of `k` products needs only `min(k, 2)` intermediate buffers
@@ -59,14 +59,12 @@ pub fn plan_builds() -> u64 {
 
 /// Work threshold below which parallel evaluation is never chosen (scalar
 /// ops; spinning up threads costs more than this much arithmetic).
-#[cfg(feature = "parallel")]
 const MIN_PAR_WORK: usize = 1 << 14;
 
 /// The process-constant parallelism chunk decisions are built from —
 /// [`crate::pool::configured_parallelism`], *not* the pool's current
 /// worker count: plans are cached process-wide and results must be
 /// bit-identical however many pool workers end up executing the chunks.
-#[cfg(feature = "parallel")]
 fn threads() -> usize {
     crate::pool::configured_parallelism()
 }
@@ -219,8 +217,6 @@ impl NodePlan {
 /// Plan records for one `Union` node. Block sub-plans are `Arc`-shared
 /// through the process-wide cache, so two spines stacking the same block
 /// shapes hold the *same* block plans.
-// The chunk-decision fields are only read by the threaded evaluators.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 #[derive(Debug)]
 pub(crate) struct UnionPlan {
     /// Rows of each block, in order (the split offsets of the stacked
@@ -261,8 +257,6 @@ pub(crate) struct ChainPlan {
 }
 
 /// Plan records for one `Kronecker` node `A ⊗ B`.
-// The chunk-decision fields are only read by the threaded evaluators.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 #[derive(Debug)]
 pub(crate) struct KronPlan {
     /// Shape of `A`.
@@ -378,41 +372,33 @@ fn plan_union(blocks: &[Matrix]) -> (NodePlan, Info) {
     let cols = built.first().map_or(0, |p| p.cols);
     let block_mv = built.iter().map(|p| p.mv_scratch).max().unwrap_or(0);
     let block_rmva = built.iter().map(|p| p.rmva_scratch).max().unwrap_or(0);
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
     let mut pool_workers = built.iter().map(|p| p.pool_workers).max().unwrap_or(0);
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
     let mut pool_arena = built.iter().map(|p| p.pool_arena).max().unwrap_or(0);
 
-    #[cfg(feature = "parallel")]
-    let (par_fwd_chunk, par_bwd_chunk) = {
-        let nthreads = threads().min(blocks.len());
-        let fwd = if nthreads >= 2 && rows * 2 + cols >= MIN_PAR_WORK {
-            blocks.len().div_ceil(nthreads)
-        } else {
-            0
-        };
-        // The scatter direction pays an extra `threads · cols` for the
-        // per-worker accumulators and their merge, so it needs the stacked
-        // row count itself to clear the threshold.
-        let bwd = if nthreads >= 2 && rows >= MIN_PAR_WORK && rows >= cols {
-            blocks.len().div_ceil(nthreads)
-        } else {
-            0
-        };
-        if fwd > 0 {
-            pool_workers = pool_workers.max(blocks.len().div_ceil(fwd));
-            pool_arena = pool_arena.max(block_mv);
-        }
-        if bwd > 0 {
-            pool_workers = pool_workers.max(blocks.len().div_ceil(bwd));
-            // Scatter workers carve a full-width accumulator plus block
-            // scratch out of one arena.
-            pool_arena = pool_arena.max(cols + block_rmva);
-        }
-        (fwd, bwd)
+    let nthreads = threads().min(blocks.len());
+    let par_fwd_chunk = if nthreads >= 2 && rows * 2 + cols >= MIN_PAR_WORK {
+        blocks.len().div_ceil(nthreads)
+    } else {
+        0
     };
-    #[cfg(not(feature = "parallel"))]
-    let (par_fwd_chunk, par_bwd_chunk) = (0, 0);
+    // The scatter direction pays an extra `threads · cols` for the
+    // per-worker accumulators and their merge, so it needs the stacked
+    // row count itself to clear the threshold.
+    let par_bwd_chunk = if nthreads >= 2 && rows >= MIN_PAR_WORK && rows >= cols {
+        blocks.len().div_ceil(nthreads)
+    } else {
+        0
+    };
+    if par_fwd_chunk > 0 {
+        pool_workers = pool_workers.max(blocks.len().div_ceil(par_fwd_chunk));
+        pool_arena = pool_arena.max(block_mv);
+    }
+    if par_bwd_chunk > 0 {
+        pool_workers = pool_workers.max(blocks.len().div_ceil(par_bwd_chunk));
+        // Scatter workers carve a full-width accumulator plus block
+        // scratch out of one arena.
+        pool_arena = pool_arena.max(cols + block_rmva);
+    }
 
     let info = Info {
         rows,
@@ -491,47 +477,39 @@ fn plan_kron(a: &Matrix, b: &Matrix) -> (NodePlan, Info) {
     let (bp, bi) = plan_node(b);
     let (ma, na) = (ai.rows, ai.cols);
     let (mb, nb) = (bi.rows, bi.cols);
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
     let mut pool_workers = ai.pool_workers.max(bi.pool_workers);
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
     let mut pool_arena = ai.pool_arena.max(bi.pool_arena);
 
-    #[cfg(feature = "parallel")]
-    let (par_fwd_rows, par_bwd_rows, par_bwd_cols) = {
-        let nt = threads();
-        let fwd = if nt.min(na) >= 2 && na * (nb + mb) >= MIN_PAR_WORK {
-            na.div_ceil(nt.min(na))
-        } else {
-            0
-        };
-        let bwd = if nt.min(ma) >= 2 && ma * (nb + mb) >= MIN_PAR_WORK {
-            ma.div_ceil(nt.min(ma))
-        } else {
-            0
-        };
-        let bwd_cols = if nt.min(nb) >= 2 && nb * (ma + na) >= MIN_PAR_WORK {
-            nb.div_ceil(nt.min(nb))
-        } else {
-            0
-        };
-        if fwd > 0 {
-            pool_workers = pool_workers.max(na.div_ceil(fwd));
-            pool_arena = pool_arena.max(bi.mv);
-        }
-        if bwd > 0 {
-            pool_workers = pool_workers.max(ma.div_ceil(bwd));
-            pool_arena = pool_arena.max(bi.rmv);
-        }
-        if bwd_cols > 0 {
-            pool_workers = pool_workers.max(nb.div_ceil(bwd_cols));
-            // Stage-2 workers carve an na×w output panel, a gather column,
-            // an output column and A's scratch out of one arena.
-            pool_arena = pool_arena.max(na * bwd_cols + ma + na + ai.rmv);
-        }
-        (fwd, bwd, bwd_cols)
+    let nt = threads();
+    let par_fwd_rows = if nt.min(na) >= 2 && na * (nb + mb) >= MIN_PAR_WORK {
+        na.div_ceil(nt.min(na))
+    } else {
+        0
     };
-    #[cfg(not(feature = "parallel"))]
-    let (par_fwd_rows, par_bwd_rows, par_bwd_cols) = (0, 0, 0);
+    let par_bwd_rows = if nt.min(ma) >= 2 && ma * (nb + mb) >= MIN_PAR_WORK {
+        ma.div_ceil(nt.min(ma))
+    } else {
+        0
+    };
+    let par_bwd_cols = if nt.min(nb) >= 2 && nb * (ma + na) >= MIN_PAR_WORK {
+        nb.div_ceil(nt.min(nb))
+    } else {
+        0
+    };
+    if par_fwd_rows > 0 {
+        pool_workers = pool_workers.max(na.div_ceil(par_fwd_rows));
+        pool_arena = pool_arena.max(bi.mv);
+    }
+    if par_bwd_rows > 0 {
+        pool_workers = pool_workers.max(ma.div_ceil(par_bwd_rows));
+        pool_arena = pool_arena.max(bi.rmv);
+    }
+    if par_bwd_cols > 0 {
+        pool_workers = pool_workers.max(nb.div_ceil(par_bwd_cols));
+        // Stage-2 workers carve an na×w output panel, a gather column,
+        // an output column and A's scratch out of one arena.
+        pool_arena = pool_arena.max(na * par_bwd_cols + ma + na + ai.rmv);
+    }
 
     // Serial stage 2 carves its gather/output column buffers off the
     // scratch arena. Under `simd` those buffers are KRON_PANEL columns

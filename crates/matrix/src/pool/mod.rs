@@ -1,6 +1,6 @@
 //! Process-wide persistent worker-pool executor for every threaded path.
 //!
-//! Until this module existed, each `parallel`-feature region paid
+//! Until this module existed, each threaded region paid
 //! `std::thread::scope` per call: ~10µs of OS thread spawn/join per worker
 //! plus the spawn harness's per-thread bookkeeping allocations (closure
 //! box, join packet). That tax dominated threaded-small-tree latency and
@@ -70,9 +70,10 @@
 //! `std::thread::available_parallelism()`. `EKTELO_POOL_WORKERS=0`
 //! disables dispatch entirely (every region runs inline);
 //! `EKTELO_POOL_WORKERS=1` fixes the geometry to a single chunk, making
-//! threaded builds execute serially — the CI pool-determinism job runs
-//! the threaded suites under `1`, `4` and the default to pin that the
-//! answers never move.
+//! every threaded path execute serially. Threading is always compiled;
+//! this pool size is the only switch. The CI pool-determinism job runs
+//! the suites under `1`, `4` and the default to pin that the answers
+//! never move.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -671,7 +672,7 @@ unsafe fn erase<F: FnOnce()>(f: F, state: &ScopeState) -> Job {
 /// Runs `f` with a [`Scope`] whose spawned jobs execute on the persistent
 /// worker pool, returning `f`'s result after **every** spawned job has
 /// finished — the drop-in replacement for `std::thread::scope` in all
-/// `parallel`-feature regions.
+/// threaded regions.
 ///
 /// Guarantees, in the image of `std::thread::scope`:
 ///

@@ -10,11 +10,10 @@
 //! sized by a one-time *planning pass* over the combinator tree
 //! ([`Matrix::matvec_scratch`] / [`Matrix::rmatvec_scratch`]); evaluation
 //! then carves disjoint sub-slices off that arena with `split_at_mut` as it
-//! recurses, so the steady state performs **zero heap allocations**. With
-//! the `parallel` feature the workspace additionally owns a pool of
-//! per-worker arenas (sized at plan time) that threaded chunk workers
-//! borrow instead of allocating, extending the same guarantee to the
-//! threaded paths.
+//! recurses, so the steady state performs **zero heap allocations**. The
+//! workspace additionally owns a pool of per-worker arenas (sized at plan
+//! time) that threaded chunk workers borrow instead of allocating,
+//! extending the same guarantee to the threaded paths.
 //!
 //! ```
 //! use ektelo_matrix::{Matrix, Workspace};
@@ -52,14 +51,12 @@ pub(crate) struct ArenaPool {
     /// spawns, no per-call worker allocations — the shapes that hit this,
     /// e.g. Kronecker-of-large-Union strategies, already saturate the
     /// machine with the outer region's workers).
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     nested: bool,
 }
 
 impl ArenaPool {
     /// The pool a chunk worker carries: empty, and marked nested so any
     /// parallel region below it falls back to the serial path.
-    #[cfg(feature = "parallel")]
     pub(crate) fn for_worker() -> Self {
         ArenaPool {
             arenas: Vec::new(),
@@ -68,10 +65,10 @@ impl ArenaPool {
     }
 
     /// True inside a pooled chunk worker (see `for_worker`).
-    #[cfg(feature = "parallel")]
     pub(crate) fn is_nested(&self) -> bool {
         self.nested
     }
+
     /// Grows the pool to at least `workers` arenas of at least `len`
     /// scalars each. A no-op once the pool has reached the plan-recorded
     /// requirement.
@@ -93,7 +90,6 @@ impl ArenaPool {
     /// net; a correctly planned pool never grows). Workers index disjoint
     /// elements, and callers may re-read the arenas after the thread scope
     /// ends (the deterministic fixed-order merges do exactly that).
-    #[cfg(feature = "parallel")]
     pub(crate) fn arenas(&mut self, workers: usize, len: usize) -> &mut [Vec<f64>] {
         self.ensure(workers, len);
         &mut self.arenas[..workers]
@@ -158,9 +154,9 @@ impl Workspace {
 
     /// A workspace pre-planned and pre-sized for every product direction of
     /// `m` (`m·x`, `mᵀ·y` and the accumulating scatter) — the one-time
-    /// setup of iterative solvers. The per-worker arena pool of the
-    /// `parallel` feature is also filled here, so threaded steady-state
-    /// evaluation performs no allocations either.
+    /// setup of iterative solvers. The per-worker arena pool is also
+    /// filled here, so threaded steady-state evaluation performs no
+    /// allocations either.
     pub fn for_matrix(m: &Matrix) -> Self {
         let mut ws = Workspace::new();
         let plan = ws.plan_for(m);

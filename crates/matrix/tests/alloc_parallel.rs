@@ -17,15 +17,18 @@
 //! every `alloc`/`realloc` from every thread, and the warm windows must
 //! not move it at all.
 //!
-//! The suite passes with and without `--features parallel` (without the
-//! feature the serial engine is trivially allocation-free too); CI runs
-//! it under the feature — and under `EKTELO_POOL_WORKERS=1` and `=4` —
-//! where the sizes below engage every threaded region.
+//! Threading is always compiled, and the sizes below engage every
+//! threaded region whenever `configured_parallelism() >= 2`. The suite
+//! cannot pass vacuously there: each warm window must also move
+//! `pool::stats().completed`, so a threaded path that silently stopped
+//! dispatching fails it. At `EKTELO_POOL_WORKERS=1` (serial geometry) the
+//! same windows gate the serial engine instead; CI runs the suite at the
+//! default pool size and under `EKTELO_POOL_WORKERS=1` and `=4`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ektelo_matrix::{plan_builds, Matrix, Workspace};
+use ektelo_matrix::{plan_builds, pool, Matrix, Workspace};
 
 struct CountingAllocator;
 
@@ -73,12 +76,21 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
 
 /// Minimum count of `f` over a few repetitions (sibling-thread noise is
 /// additive; a genuine steady-state allocation shows up in every rep).
+/// When the configured geometry is threaded, the windows must also have
+/// run pool jobs: otherwise this gate would be measuring a serial path.
 fn count_allocations<F: FnMut()>(mut f: F) -> u64 {
+    let jobs_before = pool::stats().completed;
     let mut best = u64::MAX;
     for _ in 0..3 {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         f();
         best = best.min(ALLOCATIONS.load(Ordering::Relaxed) - before);
+    }
+    if pool::configured_parallelism() >= 2 {
+        assert!(
+            pool::stats().completed > jobs_before,
+            "threaded geometry configured, but the warm windows ran no pool jobs"
+        );
     }
     best
 }
@@ -214,10 +226,10 @@ fn pooled_evaluation_bit_identical_across_pool_sizes() {
     u.matvec_into(&x, &mut out, &mut ws);
     u.rmatvec_into(&y, &mut back, &mut ws);
     let (ref_out, ref_back) = (out.clone(), back.clone());
-    let full = ektelo_matrix::pool::stats().spawned;
-    let prev = ektelo_matrix::pool::workers();
+    let full = pool::stats().spawned;
+    let prev = pool::workers();
     for size in [1usize, 2, full] {
-        ektelo_matrix::pool::set_workers(size);
+        pool::set_workers(size);
         let allocations = count_allocations(|| {
             u.matvec_into(&x, &mut out, &mut ws);
             u.rmatvec_into(&y, &mut back, &mut ws);
@@ -226,5 +238,5 @@ fn pooled_evaluation_bit_identical_across_pool_sizes() {
         assert_eq!(back, ref_back, "pool size {size} changed the scatter");
         assert_eq!(allocations, 0, "pool size {size} allocated when warm");
     }
-    ektelo_matrix::pool::set_workers(prev);
+    pool::set_workers(prev);
 }

@@ -73,9 +73,9 @@ fn count<F: FnMut()>(mut f: F) -> u64 {
     best
 }
 
-/// Sizes stay far below the parallel work threshold on purpose: the serial
-/// paths carry the allocation-free guarantee, and this test must hold with
-/// and without `--features parallel`.
+/// Sizes stay far below the parallel work threshold on purpose: this test
+/// gates the serial paths' allocation-free guarantee at every pool size
+/// (`alloc_parallel.rs` gates the threaded ones).
 fn big() -> Matrix {
     let n = 96;
     Matrix::vstack(vec![

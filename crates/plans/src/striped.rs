@@ -17,13 +17,13 @@
 //! The budget composes in parallel across stripes, and so does the
 //! *compute*: per-stripe measurements go through the kernel's batched
 //! `vector_laplace_batch`, which evaluates the exact per-stripe answers on
-//! worker threads (with the `parallel` feature) while drawing noise
-//! sequentially in stripe order — so the *measurements* are bit-identical
-//! with the feature on or off, and plan outputs are deterministic
-//! run-to-run given the kernel seed. (The final `x_hat` may differ from a
-//! serial build in the last ulps: the solver's threaded Unionᵀ scatter
-//! regroups f64 sums at merge points.) DAWA-Striped
-//! additionally builds its per-stripe Greedy-H strategies (pure public
+//! the pool's worker threads while drawing noise sequentially in stripe
+//! order — so the *measurements* are bit-identical for every pool size,
+//! and plan outputs are deterministic run-to-run given the kernel seed.
+//! (The final `x_hat` depends on `configured_parallelism()` in the last
+//! ulps: the solver's threaded Unionᵀ scatter regroups f64 sums at merge
+//! points.) DAWA-Striped additionally builds its per-stripe Greedy-H
+//! strategies (pure public
 //! compute, the dominant per-stripe cost) on worker threads, and its
 //! data-adaptive stage-1 partition selection threads too: the kernel
 //! charges stripes in order and derives counter-based per-stripe RNG
@@ -55,8 +55,8 @@ fn hb_striped_spec(sizes: &[usize], attr: usize, eps: f64) -> PlanSpec {
 ///
 /// All stripes share one data-independent HB strategy, so the whole
 /// measurement phase is a single batched call: exact answers evaluate in
-/// parallel (under the `parallel` feature), noise is drawn in stripe
-/// order — bit-identical to the old sequential loop.
+/// parallel on the pool, noise is drawn in stripe order — bit-identical
+/// to the old sequential loop.
 pub fn plan_hb_striped(
     kernel: &ProtectedKernel,
     x: SourceVar,
@@ -207,9 +207,8 @@ mod tests {
     }
 
     /// The threaded measurement phase must not introduce nondeterminism:
-    /// identical seeds give identical estimates, run to run, with or
-    /// without the `parallel` feature (noise is drawn sequentially in
-    /// stripe order either way).
+    /// identical seeds give identical estimates, run to run, at any pool
+    /// size (noise is drawn sequentially in stripe order either way).
     #[test]
     fn striped_plans_are_deterministic_given_seed() {
         let run_hb = || {

@@ -12,7 +12,7 @@
 //! each fixed chunk executes, never what it computes. A regression in any
 //! of those invariants shows up here as a diverging bit.
 //!
-//! CI runs this suite under `--features parallel` with the default
+//! Threading is always compiled; CI runs this suite with the default
 //! worker count and under `EKTELO_POOL_WORKERS=1` / `=4`, so the sweep
 //! below exercises real multi-worker dispatch wherever the machine (or
 //! the env override) provides it. The forced-steal sweep (ISSUE 10)

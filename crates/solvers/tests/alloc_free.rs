@@ -10,25 +10,46 @@
 //! Verified with a counting global allocator plus the engine's
 //! planning-pass counter: both are sampled around a short solve and a long
 //! solve on the same system; the differences must be exactly zero.
+//!
+//! Allocations are counted **per thread**, on the test thread only, so the
+//! harness's own threads (spawning the next test, printing results) can
+//! never land inside a counting window. That count is complete only if
+//! the solve never leaves the test thread; these systems (n ≤ 256) sit
+//! below every pool threshold, and each window asserts that
+//! `pool::stats().completed` did not move, which proves it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use ektelo_matrix::{plan_builds, Matrix};
+use ektelo_matrix::{plan_builds, pool, Matrix};
 use ektelo_solvers::{cgls, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+std::thread_local! {
+    /// Allocations and reallocations made by the current thread. A const
+    /// initializer and no destructor: touching it from inside the
+    /// allocator never allocates or registers anything.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed atomic counter —
+fn note_allocation() {
+    // `try_with`: a thread past its TLS teardown may still allocate.
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter —
 // every layout/pointer contract required of a `GlobalAlloc` is upheld by
 // forwarding the arguments unchanged, and the counter has no effect on
 // allocation behavior.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; forwarded verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: same layout the caller passed in.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract; forwarded verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
         // the caller's requested size, unmodified.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,37 +92,35 @@ fn rhs(rows: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The allocation counter and planning counter are process-global, but the
-/// test harness runs `#[test]` fns on concurrent threads — a sibling
-/// test's setup allocations would land inside this test's counting window
-/// and flake the exact-equality assertions. Every counting test holds this
-/// gate for its whole body so windows never overlap.
+/// The planning counter and the pool's job counter are process-global,
+/// and the harness runs `#[test]` fns on concurrent threads. Every
+/// counting test holds this gate for its whole body so those windows
+/// never overlap.
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn serialized() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` several times and returns the minimum `(allocations, planning
-/// passes)` observed over the repetitions. The gate above serializes test
-/// bodies, but the harness's own bookkeeping (spawning the next blocked
-/// test thread, printing results) can still allocate on other threads
-/// mid-window; that noise is strictly additive, so the minimum of a few
-/// repetitions is the true count of `f` itself — while a genuine
-/// per-iteration allocation inflates *every* repetition and still fails
-/// the equality assertions.
-fn count_both<F: FnMut()>(mut f: F) -> (u64, u64) {
-    let mut best = (u64::MAX, u64::MAX);
-    for _ in 0..3 {
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let plans_before = plan_builds();
-        f();
-        best.0 = best
-            .0
-            .min(ALLOCATIONS.load(Ordering::Relaxed) - allocs_before);
-        best.1 = best.1.min(plan_builds() - plans_before);
-    }
-    best
+/// Runs `f` once and returns the `(allocations, planning passes)` it
+/// made. The allocation count is the test thread's own, so it is exact;
+/// the assertion that no pool job completed in the window proves that
+/// `f` did all its work on this thread, so nothing escaped the count.
+fn count_both<F: FnOnce()>(f: F) -> (u64, u64) {
+    let jobs_before = pool::stats().completed;
+    let allocs_before = thread_allocations();
+    let plans_before = plan_builds();
+    f();
+    let counts = (
+        thread_allocations() - allocs_before,
+        plan_builds() - plans_before,
+    );
+    assert_eq!(
+        pool::stats().completed,
+        jobs_before,
+        "the solve ran pool jobs, so a per-thread count would miss their allocations"
+    );
+    counts
 }
 
 #[test]

@@ -31,13 +31,7 @@ fn assert_clean(report: &xlint::Report, leg: &str) {
 #[test]
 fn workspace_lints_clean_across_cfg_matrix() {
     let analysis = analysis();
-    let legs: &[&[&str]] = &[
-        &[],
-        &["simd"],
-        &["parallel"],
-        &["failpoints"],
-        &["simd", "parallel", "failpoints"],
-    ];
+    let legs: &[&[&str]] = &[&[], &["simd"], &["failpoints"], &["simd", "failpoints"]];
     for leg in legs {
         let config = xlint::Config::with_features(leg.iter().copied());
         let report = analysis.lint(&config);

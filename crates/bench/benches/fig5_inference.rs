@@ -9,7 +9,8 @@ use ektelo_core::ops::inference::{
 use ektelo_core::ops::selection::h2;
 use ektelo_core::{MeasuredQuery, ProtectedKernel};
 use ektelo_data::generators::{shape_1d, Shape1D};
-use ektelo_matrix::{Repr, Workspace};
+use ektelo_matrix::{partition_from_labels, Matrix, Repr, Workspace};
+use ektelo_solvers::{lsqr, LsqrOptions};
 use std::hint::black_box;
 
 fn h2_measurement(n: usize, repr: Repr) -> MeasuredQuery {
@@ -71,7 +72,54 @@ fn bench_ls_engines(c: &mut Criterion) {
             ))
         })
     });
+
+    // The striped plans' stacked system: 280 interleaved stripes of 64
+    // cells, each measured through its reduce∘split lineage
+    // `Scaled(w, Product(S, Product(P, Sel)))`. `lsqr` splits it into one
+    // column component per stripe.
+    let (a, y) = striped_union(280, 64);
+    let opts = LsqrOptions::default();
+    group.bench_function(BenchmarkId::new("striped_union_lsqr", a.cols()), |b| {
+        b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
+    });
     group.finish();
+}
+
+/// A `stripes × width`-cell selector-lineage union: stripe `s` holds
+/// cells `s, s + stripes, …`, reduced by a partition merging cell pairs
+/// and measured with unit plus nested ranges over the reduced domain.
+fn striped_union(stripes: usize, width: usize) -> (Matrix, Vec<f64>) {
+    let n = stripes * width;
+    let groups = width / 2;
+    let labels: Vec<usize> = (0..width).map(|i| i / 2).collect();
+    let blocks = (0..stripes)
+        .map(|s| {
+            let cells: Vec<usize> = (0..width).map(|i| s + i * stripes).collect();
+            let lineage = Matrix::product(
+                partition_from_labels(groups, &labels),
+                Matrix::select_rows(n, &cells),
+            );
+            let nested = (0..groups.trailing_zeros())
+                .flat_map(|l| {
+                    let len = groups >> l;
+                    (0..1 << l).map(move |j| (j * len, (j + 1) * len))
+                })
+                .collect();
+            let strategy = Matrix::vstack(vec![
+                Matrix::range_queries(groups, (0..groups).map(|i| (i, i + 1)).collect()),
+                Matrix::scaled(0.5, Matrix::range_queries(groups, nested)),
+            ]);
+            Matrix::scaled(
+                1.0 + (s % 7) as f64 * 0.1,
+                Matrix::product(strategy, lineage),
+            )
+        })
+        .collect();
+    let a = Matrix::vstack(blocks);
+    let y = (0..a.rows())
+        .map(|i| ((i * 7919) % 101) as f64 - 20.0)
+        .collect();
+    (a, y)
 }
 
 fn bench_nnls_and_tree(c: &mut Criterion) {

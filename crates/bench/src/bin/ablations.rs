@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out:
+//! Ablation benches for four design choices of this reproduction:
 //!
 //! 1. **DAWA cost debiasing** — subtracting the stage-1 noise variance
 //!    from bucket deviation costs vs the naive biased cost;

@@ -1,5 +1,6 @@
 //! Shared harness utilities for the experiment binaries and criterion
-//! benches that regenerate the paper's tables and figures (DESIGN.md §4).
+//! benches that regenerate the paper's tables and figures (the README's
+//! "Running things" section lists them).
 
 use std::time::{Duration, Instant};
 

@@ -5,8 +5,9 @@
 //! data). Each generator here produces a synthetic stand-in matching the
 //! schema, scale, and the *distributional features that drive
 //! data-dependent algorithms* — sparsity, skew, clustering, and attribute
-//! correlation. DESIGN.md §2 documents why each substitution preserves the
-//! behaviour the experiments measure.
+//! correlation. Each submodule's documentation names the dataset it stands
+//! in for, the features it reproduces, and why those are the features the
+//! corresponding experiment measures.
 //!
 //! All generators are deterministic given a seed.
 

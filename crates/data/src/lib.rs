@@ -15,7 +15,7 @@
 //! * [`vectorize()`] — `T-Vectorize`: table → data vector (paper §5.1);
 //! * [`generators`] — synthetic datasets standing in for the paper's
 //!   evaluation data (DPBench 1-D suite, CPS Census, Credit Default —
-//!   see DESIGN.md §2 for the substitution rationale);
+//!   each generator module documents its substitution rationale);
 //! * [`workloads`] — the workload matrices used across the evaluation.
 
 pub mod generators;

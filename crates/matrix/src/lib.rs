@@ -28,7 +28,8 @@
 //!   ([`Matrix::product`]), element-wise absolute value ([`Matrix::abs`])
 //!   and element-wise square ([`Matrix::sqr`]); and derived computations:
 //!   exact L1/L2 sensitivity, Gram matrices, row indexing and
-//!   materialization (paper Table 1).
+//!   materialization (paper Table 1), plus the split of a column-separable
+//!   union into independent sub-systems ([`Matrix::column_components`]).
 //!
 //! ```
 //! use ektelo_matrix::Matrix;
@@ -42,6 +43,7 @@
 //! ```
 
 mod combine;
+mod components;
 mod dense;
 pub mod failpoints;
 pub mod kernels;
@@ -59,6 +61,7 @@ mod wavelet;
 mod workspace;
 
 pub use combine::partition_from_labels;
+pub use components::ColumnComponent;
 pub use dense::DenseMatrix;
 pub use materialize::Repr;
 pub use plan::plan_builds;

@@ -167,6 +167,35 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c as usize, v))
     }
 
+    /// The same entries with every column `c` renamed to `local[c]`, over
+    /// `width` columns. `local` must be increasing on the columns each row
+    /// touches, so renamed rows keep their sorted order.
+    pub(crate) fn remap_columns(&self, local: &[u32], width: usize) -> CsrMatrix {
+        let indices: Vec<u32> = self.indices.iter().map(|&c| local[c as usize]).collect();
+        debug_assert!(indices.iter().all(|&c| (c as usize) < width));
+        CsrMatrix {
+            rows: self.rows,
+            cols: width,
+            indptr: self.indptr.clone(),
+            indices,
+            data: self.data.clone(),
+        }
+    }
+
+    /// True when `self` is exactly the square identity: one stored `1.0`
+    /// per row, on the diagonal.
+    pub(crate) fn is_identity(&self) -> bool {
+        self.rows == self.cols
+            && self.nnz() == self.rows
+            && self.indptr.iter().enumerate().all(|(i, &p)| p == i)
+            && self
+                .indices
+                .iter()
+                .enumerate()
+                .all(|(i, &c)| c as usize == i)
+            && self.data.iter().all(|&v| v == 1.0)
+    }
+
     /// `out = self · x`.
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");

@@ -20,9 +20,15 @@
 //! the pool's worker threads while drawing noise sequentially in stripe
 //! order — so the *measurements* are bit-identical for every pool size,
 //! and plan outputs are deterministic run-to-run given the kernel seed.
-//! (The final `x_hat` depends on `configured_parallelism()` in the last
-//! ulps: the solver's threaded Unionᵀ scatter regroups f64 sums at merge
-//! points.) DAWA-Striped additionally builds its per-stripe Greedy-H
+//! Inference is per stripe as well: every stacked measurement ends in its
+//! stripe's selector, so the system splits into one column component per
+//! stripe ([`ektelo_matrix::Matrix::column_components`]) and `lsqr`
+//! solves the stripes one after another. A stripe's system is small, so
+//! its solve runs serially on the calling thread and `x_hat` does not
+//! depend on `configured_parallelism()`; only a stripe large enough to
+//! cross the pool's threading thresholds (thousands of cells) is
+//! evaluated in chunks, whose merge points can move the last ulps.
+//! DAWA-Striped additionally builds its per-stripe Greedy-H
 //! strategies (pure public
 //! compute, the dominant per-stripe cost) on worker threads, and its
 //! data-adaptive stage-1 partition selection threads too: the kernel

@@ -13,7 +13,10 @@
 //!
 //! * [`lsqr()`] — Paige–Saunders LSQR, the default iterative least-squares
 //!   solver (the paper uses the closely related LSMR; both are Golub–Kahan
-//!   Krylov methods on the normal equations — see DESIGN.md);
+//!   Krylov methods on the normal equations — the [`lsqr` module
+//!   docs](mod@crate::lsqr) give the substitution note). Block-separable
+//!   systems, such as the striped plans' stacked measurements, are solved
+//!   one column component at a time;
 //! * [`cgls()`] — conjugate gradient on the normal equations, a second
 //!   independent iterative LS implementation used for cross-checking;
 //! * [`nnls()`] — FISTA-accelerated projected gradient for least squares with

@@ -3,9 +3,11 @@
 //!
 //! Solves `min_x ‖A x − b‖₂` touching `A` only through `matvec` and
 //! `rmatvec`, so it runs unchanged on implicit matrices. The paper's
-//! reference implementation uses LSMR (Fong & Saunders 2011); both methods
+//! reference implementation uses LSMR (Fong & Saunders 2011). Both methods
 //! build the same Krylov space and share the `O(k · Time(A))` complexity
-//! that Fig. 5 measures (see DESIGN.md for the substitution note).
+//! that Fig. 5 measures. Started from `x₀ = 0` both converge to the same
+//! minimum-norm least-squares solution, so the substitution changes when
+//! the iteration stops, not what it converges to.
 
 use ektelo_matrix::{Matrix, Workspace};
 
@@ -14,10 +16,13 @@ use crate::util::{axpy, norm2, scale, xpay};
 /// Stopping parameters for [`lsqr`].
 #[derive(Clone, Debug)]
 pub struct LsqrOptions {
-    /// Hard iteration cap. The paper observes convergence in far fewer than
-    /// n iterations for well-conditioned strategies.
+    /// Hard iteration cap, applied to each column component separately
+    /// when [`lsqr`] splits a separable system. The paper observes
+    /// convergence in far fewer than n iterations for well-conditioned
+    /// strategies.
     pub max_iters: usize,
-    /// Relative tolerance on the normal-equation residual `‖Aᵀr‖`.
+    /// Relative tolerance on the normal-equation residual `‖Aᵀr‖` (per
+    /// component, relative to that component's norms, when split).
     pub atol: f64,
 }
 
@@ -35,13 +40,27 @@ impl Default for LsqrOptions {
 pub struct LsqrResult {
     /// The least-squares solution estimate.
     pub x: Vec<f64>,
-    /// Number of iterations performed.
+    /// Number of bidiagonalization steps performed. For a system solved
+    /// one column component at a time (see [`lsqr`]) this is the sum of
+    /// the components' steps, each of which touches only that component.
     pub iterations: usize,
-    /// Final residual norm estimate `‖Ax − b‖₂`.
+    /// Final residual norm estimate `‖Ax − b‖₂`. For a system solved one
+    /// column component at a time this is `√(Σ φ̄ₖ²)` over the components'
+    /// estimates φ̄ₖ: their row sets partition the rows of `A`.
     pub residual_norm: f64,
 }
 
 /// Solves `min_x ‖Ax − b‖₂` with LSQR.
+///
+/// A block-separable system — a union whose blocks fall into several
+/// column-disjoint groups ([`Matrix::column_components`]), the shape of
+/// the striped plans' stacked lineage — is solved one component at a
+/// time, in ascending first-column order, and each component's solution
+/// is scattered into `x`. From `x₀ = 0` LSQR converges to the
+/// minimum-norm least-squares solution, and for a separable system that
+/// is exactly the concatenation of the per-component ones; columns no
+/// block touches stay 0. Every other system, including a separable one
+/// with a single component, runs one LSQR over the whole matrix.
 ///
 /// ```
 /// use ektelo_matrix::Matrix;
@@ -57,11 +76,57 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     assert_eq!(b.len(), m, "lsqr: rhs length mismatch");
 
     let mut x = vec![0.0; n];
+    let Some(components) = a.column_components() else {
+        let (iterations, residual_norm) =
+            lsqr_into(a, b, &mut x, &mut Workspace::for_matrix(a), opts);
+        return LsqrResult {
+            x,
+            iterations,
+            residual_norm,
+        };
+    };
 
-    // One workspace + fixed iteration buffers: the inner loop below
-    // performs zero heap allocations (the paper's `O(k · Time(M))`
+    // One workspace for every component: its arena grows to the largest
+    // component's requirement on first use.
+    let mut ws = Workspace::new();
+    let mut iterations = 0;
+    let mut residual_sq = 0.0;
+    for c in &components {
+        let bc: Vec<f64> = c
+            .row_spans
+            .iter()
+            .flat_map(|r| b[r.clone()].iter().copied())
+            .collect();
+        let mut xc = vec![0.0; c.cols.len()];
+        let (it, phibar) = lsqr_into(&c.matrix, &bc, &mut xc, &mut ws, opts);
+        for (&j, &v) in c.cols.iter().zip(&xc) {
+            x[j] = v;
+        }
+        iterations += it;
+        residual_sq += phibar * phibar;
+    }
+    LsqrResult {
+        x,
+        iterations,
+        residual_norm: residual_sq.sqrt(),
+    }
+}
+
+/// The LSQR loop on one system: solves `min ‖Ax − b‖` into `x` (which
+/// must be zero on entry) and returns `(iterations, φ̄)`, φ̄ being the
+/// final residual-norm estimate.
+fn lsqr_into(
+    a: &Matrix,
+    b: &[f64],
+    x: &mut [f64],
+    ws: &mut Workspace,
+    opts: &LsqrOptions,
+) -> (usize, f64) {
+    let (m, n) = a.shape();
+
+    // Fixed iteration buffers plus the caller's workspace: the inner loop
+    // below performs zero heap allocations (the paper's `O(k · Time(M))`
     // inference depends on the matvec being the only per-iteration cost).
-    let mut ws = Workspace::for_matrix(a);
     let mut av = vec![0.0; m];
     let mut atu = vec![0.0; n];
 
@@ -69,24 +134,16 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let mut u = b.to_vec();
     let mut beta = norm2(&u);
     if beta == 0.0 {
-        return LsqrResult {
-            x,
-            iterations: 0,
-            residual_norm: 0.0,
-        };
+        return (0, 0.0);
     }
     scale(&mut u, 1.0 / beta);
 
     // α₁ v₁ = Aᵀ u₁
     let mut v = vec![0.0; n];
-    a.rmatvec_into(&u, &mut v, &mut ws);
+    a.rmatvec_into(&u, &mut v, ws);
     let mut alpha = norm2(&v);
     if alpha == 0.0 {
-        return LsqrResult {
-            x,
-            iterations: 0,
-            residual_norm: beta,
-        };
+        return (0, beta);
     }
     scale(&mut v, 1.0 / alpha);
 
@@ -104,13 +161,13 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
 
         // Continue the bidiagonalization:
         //   β u = A v − α u ;  α v = Aᵀ u − β v
-        a.matvec_into(&v, &mut av, &mut ws);
+        a.matvec_into(&v, &mut av, ws);
         xpay(&mut u, -alpha, &av);
         beta = norm2(&u);
         if beta > 0.0 {
             scale(&mut u, 1.0 / beta);
         }
-        a.rmatvec_into(&u, &mut atu, &mut ws);
+        a.rmatvec_into(&u, &mut atu, ws);
         xpay(&mut v, -beta, &atu);
         alpha = norm2(&v);
         if alpha > 0.0 {
@@ -131,7 +188,7 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
         let t1 = phi / rho;
         let t2 = -theta / rho;
         // x must read w before xpay rewrites it in place.
-        axpy(&mut x, t1, &w);
+        axpy(x, t1, &w);
         xpay(&mut w, t2, &v);
 
         // ‖Aᵀ r‖ estimate = φ̄ · α · |c|; stop when it is small relative to
@@ -142,11 +199,7 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
         }
     }
 
-    LsqrResult {
-        x,
-        iterations,
-        residual_norm: phibar,
-    }
+    (iterations, phibar)
 }
 
 /// Weighted least squares: scales each row i of `A` and entry of `b` by

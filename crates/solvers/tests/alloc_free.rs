@@ -21,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ektelo_matrix::{plan_builds, pool, Matrix};
+use ektelo_matrix::{partition_from_labels, plan_builds, pool, Matrix};
 use ektelo_solvers::{cgls, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions};
 
 struct CountingAllocator;
@@ -171,6 +171,62 @@ fn lsqr_inner_loop_is_allocation_free() {
         long_plans, 0,
         "warm solves must share the process-wide plans, not rebuild them"
     );
+}
+
+/// A block-separable system in the striped plans' lineage shape: 16
+/// stripes of 16 interleaved cells, each measured as
+/// `Scaled(w, Product(Union(Scaled Range…), Product(P, Sel)))` with its
+/// own pair-merging partition `P`.
+fn striped_system() -> Matrix {
+    let (stripes, k) = (16, 16);
+    let n = stripes * k;
+    Matrix::vstack(
+        (0..stripes)
+            .map(|s| {
+                let cells: Vec<usize> = (0..k).map(|i| s + i * stripes).collect();
+                let labels: Vec<usize> = (0..k).map(|i| i / 2).collect();
+                let lineage = Matrix::product(
+                    partition_from_labels(k / 2, &labels),
+                    Matrix::select_rows(n, &cells),
+                );
+                let strategy = Matrix::vstack(vec![
+                    Matrix::range_queries(k / 2, (0..k / 2).map(|i| (i, i + 1)).collect()),
+                    Matrix::scaled(
+                        0.5,
+                        Matrix::range_queries(k / 2, vec![(0, k / 2), (s % 4, k / 2)]),
+                    ),
+                ]);
+                Matrix::scaled(1.0 + s as f64, Matrix::product(strategy, lineage))
+            })
+            .collect(),
+    )
+}
+
+/// The split solve's setup — component extraction, per-component
+/// right-hand sides, buffers and the shared workspace — is fixed per
+/// solve; the per-component loops allocate nothing more.
+#[test]
+fn lsqr_separable_inner_loop_is_allocation_free() {
+    let _serial = serialized();
+    let a = striped_system();
+    assert_eq!(a.column_components().map(|c| c.len()), Some(16));
+    let b = rhs(a.rows());
+    let opts = |max_iters| LsqrOptions {
+        max_iters,
+        atol: 0.0,
+    };
+    // Warm up once so the component shapes are planned.
+    let _ = lsqr(&a, &b, &opts(2));
+    let (short, short_plans) = count_both(|| {
+        lsqr(&a, &b, &opts(5));
+    });
+    let (long, long_plans) = count_both(|| {
+        lsqr(&a, &b, &opts(50));
+    });
+    assert_eq!(short, long, "separable lsqr allocates per iteration");
+    assert!(long > 0, "setup should allocate the components once");
+    assert_eq!(short_plans, 0, "warm separable solves must not re-plan");
+    assert_eq!(long_plans, 0, "warm separable solves must not re-plan");
 }
 
 #[test]

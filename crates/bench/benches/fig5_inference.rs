@@ -9,8 +9,8 @@ use ektelo_core::ops::inference::{
 use ektelo_core::ops::selection::h2;
 use ektelo_core::{MeasuredQuery, ProtectedKernel};
 use ektelo_data::generators::{shape_1d, Shape1D};
-use ektelo_matrix::{partition_from_labels, Matrix, Repr, Workspace};
-use ektelo_solvers::{lsqr, LsqrOptions};
+use ektelo_matrix::{partition_from_labels, CsrMatrix, Matrix, Repr, Workspace};
+use ektelo_solvers::{lsqr, mult_weights, LsqrOptions, MwOptions};
 use std::hint::black_box;
 
 fn h2_measurement(n: usize, repr: Repr) -> MeasuredQuery {
@@ -137,6 +137,42 @@ fn bench_nnls_and_tree(c: &mut Criterion) {
     let answers = m_implicit.answers.clone();
     group.bench_function(BenchmarkId::new("tree_based", n), |b| {
         b.iter(|| black_box(tree_based_h2(n, &answers)))
+    });
+    group.finish();
+}
+
+/// Multiplicative weights on MWEM's last round: 20 one-row measurements
+/// of a range query each, as one-row sparse blocks over 4096 cells, and
+/// 30 passes. `mult_weights` runs them over the columns' classes (at most
+/// 41 here), not over every cell.
+fn bench_mult_weights(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig5_mw");
+    group.sample_size(20);
+    let n = 4096;
+    let x = shape_1d(Shape1D::IncomeLike, n, 1e5, 3);
+    let rows: Vec<Matrix> = (0..20)
+        .map(|r| {
+            let lo = (r * 1543) % (n - 64);
+            let hi = lo + 64 + (r * 977) % (n - 64 - lo);
+            let ones: Vec<(usize, usize, f64)> = (lo..hi).map(|c| (0, c, 1.0)).collect();
+            Matrix::sparse(CsrMatrix::from_triplets(1, n, &ones))
+        })
+        .collect();
+    let m = Matrix::vstack(rows);
+    let y: Vec<f64> = m
+        .matvec(&x)
+        .iter()
+        .enumerate()
+        .map(|(i, v)| v + ((i * 7919) % 101) as f64 - 50.0)
+        .collect();
+    let total: f64 = x.iter().sum();
+    let x0 = vec![total / n as f64; n];
+    let opts = MwOptions {
+        iterations: 30,
+        total,
+    };
+    group.bench_function(BenchmarkId::new("mw_mwem_union", n), |b| {
+        b.iter(|| black_box(mult_weights(&m, &y, &x0, &opts)[0]))
     });
     group.finish();
 }
@@ -292,6 +328,7 @@ criterion_group!(
     benches,
     bench_ls_engines,
     bench_nnls_and_tree,
+    bench_mult_weights,
     bench_solver_iteration_products,
     bench_batched_measurement
 );

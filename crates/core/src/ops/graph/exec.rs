@@ -431,8 +431,8 @@ impl<'k> Run<'_, 'k> {
                 }
                 MwemRoundInference::NnlsKnownTotal => {
                     let cols = measurements[0].query.cols();
-                    let mut ms = measurements.to_vec();
                     let scale = relative_total_scale(&measurements);
+                    let mut ms = measurements;
                     ms.push(known_total_measurement(
                         cols,
                         op.total,

@@ -94,8 +94,9 @@ pub fn mult_weights_inference(
         .iter()
         .flat_map(|m| m.answers.iter().copied())
         .collect();
-    let uniform = vec![total / n as f64; n];
-    let x0 = x0.map(<[f64]>::to_vec).unwrap_or(uniform);
+    let x0 = x0
+        .map(<[f64]>::to_vec)
+        .unwrap_or_else(|| vec![total / n as f64; n]);
     mult_weights(&m, &y, &x0, &MwOptions { iterations, total })
 }
 

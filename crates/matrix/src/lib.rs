@@ -29,7 +29,9 @@
 //!   and element-wise square ([`Matrix::sqr`]); and derived computations:
 //!   exact L1/L2 sensitivity, Gram matrices, row indexing and
 //!   materialization (paper Table 1), plus the split of a column-separable
-//!   union into independent sub-systems ([`Matrix::column_components`]).
+//!   union into independent sub-systems ([`Matrix::column_components`])
+//!   and the merge of identical columns into one reduced-domain cell
+//!   ([`Matrix::column_classes`], paper §8).
 //!
 //! ```
 //! use ektelo_matrix::Matrix;
@@ -42,6 +44,7 @@
 //! assert_eq!(w.l1_sensitivity(), 5.0);
 //! ```
 
+mod classes;
 mod combine;
 mod components;
 mod dense;
@@ -60,6 +63,7 @@ mod sparse;
 mod wavelet;
 mod workspace;
 
+pub use classes::ColumnClasses;
 pub use combine::partition_from_labels;
 pub use components::ColumnComponent;
 pub use dense::DenseMatrix;

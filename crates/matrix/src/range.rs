@@ -52,6 +52,12 @@ impl RangeQueries {
             .map(|&(lo, hi)| (lo as usize, hi as usize))
     }
 
+    /// The half-open interval of query `k`.
+    pub(crate) fn range(&self, k: usize) -> (usize, usize) {
+        let (lo, hi) = self.ranges[k];
+        (lo as usize, hi as usize)
+    }
+
     /// Scratch scalars needed by the product kernels: one prefix-sum or
     /// difference array of `n + 1` entries.
     pub(crate) fn scratch_len(&self) -> usize {

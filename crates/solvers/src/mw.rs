@@ -6,10 +6,35 @@
 //! assumed total `N` (Hardt, Ligett & McSherry 2012; paper Table 1 gives
 //! the batched gradient form). Closely related to maximum-entropy
 //! inference; effective when measurements are incomplete (paper §5.5).
+//!
+//! # Column classes
+//!
+//! MW is a maximum-entropy update: a cell changes only through the
+//! exponent `(Mᵀ r)_j / (2N)`, which depends on the cell only through its
+//! column `M_{:,j}`. Cells with identical columns and bit-identical start
+//! values therefore receive the same exponent in every pass and stay
+//! equal forever — the lossless domain reduction of paper §8
+//! (Prop. 8.3 / Thm. 8.4). [`mult_weights`] uses this: it groups the
+//! cells into classes with [`Matrix::column_classes_by`] (identical
+//! columns, split by the bit pattern of the normalized start), runs the
+//! passes on one value `u_G` per class over the representative columns —
+//! `M x = M_red (sizes ⊙ u)`, mass `Σ sizes·u` — and expands `x_i =
+//! u_{label(i)}` at the end. A pass then costs `O(nnz(M_red) + classes)`
+//! instead of `O(nnz(M) + n)` with one `exp` per cell; MWEM's `T` one-row
+//! range measurements split a domain into at most `2T + 1` classes.
+//!
+//! The reduction applies to a `Sparse` or `Range` leaf, optionally under
+//! `Scaled`, and to a `Union` of such blocks (MWEM's one-row strategies
+//! and variant b's range augmentation). Other shapes, and systems whose
+//! columns are all distinct, take the full-domain loop; it is the same
+//! loop run with unit sizes and its results are bit-identical to a
+//! per-cell update. The reduced results differ from it only by the
+//! rounding of reordered sums; `tests/mw_classes.rs` gates them at 1e-12
+//! relative.
 
 use ektelo_matrix::{Matrix, Workspace};
 
-use crate::util::{normalize_mass, rsub};
+use crate::util::{normalize_class_mass, rsub};
 
 /// Options for [`mult_weights`].
 #[derive(Clone, Debug)]
@@ -33,6 +58,10 @@ impl Default for MwOptions {
 /// Runs multiplicative-weights updates for measurements `M x ≈ y`, starting
 /// from `x0` (commonly uniform with mass `opts.total`). Returns the refined
 /// estimate.
+///
+/// The passes run over the column classes of `M` (see the module docs);
+/// when every column is its own class, or `M` has another shape, they
+/// run over every cell.
 pub fn mult_weights(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<f64> {
     let (rows, n) = m.shape();
     assert_eq!(y.len(), rows, "mw: measurement count mismatch");
@@ -40,28 +69,63 @@ pub fn mult_weights(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<
     assert!(opts.total > 0.0, "mw: total must be positive");
 
     let mut x = x0.to_vec();
-    normalize_mass(&mut x, opts.total);
+    normalize_class_mass(&mut x, None, opts.total, n);
+    let Some(classes) = m.column_classes_by(&x) else {
+        mw_passes(m, None, n, y, &mut x, opts);
+        return x;
+    };
+    let sizes: Vec<f64> = classes.sizes.iter().map(|&s| s as f64).collect();
+    let mut u = vec![0.0; sizes.len()];
+    for (&l, &xi) in classes.labels.iter().zip(&x) {
+        u[l as usize] = xi;
+    }
+    mw_passes(&classes.matrix, Some(&sizes), n, y, &mut u, opts);
+    for (xi, &l) in x.iter_mut().zip(&classes.labels) {
+        *xi = u[l as usize];
+    }
+    x
+}
 
+/// `opts.iterations` MW passes on `u`, one value per column of `m`, over
+/// an `n`-cell domain. Column `j` stands for `sizes[j]` cells, or one cell
+/// when `sizes` is `None`.
+fn mw_passes(
+    m: &Matrix,
+    sizes: Option<&[f64]>,
+    n: usize,
+    y: &[f64],
+    u: &mut [f64],
+    opts: &MwOptions,
+) {
     // One workspace + fixed buffers: each MW pass is allocation-free (MWEM
     // re-runs this loop every round, so the savings compound).
     let mut ws = Workspace::for_matrix(m);
-    let mut err = vec![0.0; rows];
-    let mut g = vec![0.0; n];
+    let mut err = vec![0.0; m.rows()];
+    let mut g = vec![0.0; u.len()];
+    // The cell mass of each class, `sizes ⊙ u`: what `m` multiplies.
+    let mut mass = vec![0.0; sizes.map_or(0, <[f64]>::len)];
 
     for _ in 0..opts.iterations {
         // Batched update (paper Table 1): g = Mᵀ(y − M x̂) scaled by 1/(2N).
-        m.matvec_into(&x, &mut err, &mut ws);
+        match sizes {
+            None => m.matvec_into(u, &mut err, &mut ws),
+            Some(s) => {
+                for ((mi, &si), &ui) in mass.iter_mut().zip(s).zip(u.iter()) {
+                    *mi = si * ui;
+                }
+                m.matvec_into(&mass, &mut err, &mut ws);
+            }
+        }
         rsub(&mut err, y);
         m.rmatvec_into(&err, &mut g, &mut ws);
-        for (xi, &gi) in x.iter_mut().zip(&g) {
+        for (ui, &gi) in u.iter_mut().zip(&g) {
             // Clamp the exponent for numerical robustness on extreme
             // residuals (matches practical MWEM implementations).
             let e = (gi / (2.0 * opts.total)).clamp(-50.0, 50.0);
-            *xi *= e.exp();
+            *ui *= e.exp();
         }
-        normalize_mass(&mut x, opts.total);
+        normalize_class_mass(u, sizes, opts.total, n);
     }
-    x
 }
 
 #[cfg(test)]

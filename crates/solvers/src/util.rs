@@ -56,15 +56,19 @@ pub fn normalize_l2(v: &mut [f64]) -> f64 {
     norm
 }
 
-/// Normalizes `x` to sum to `total` in place; resets to uniform mass when
-/// the current sum is non-positive (the multiplicative-weights convention).
-pub fn normalize_mass(x: &mut [f64], total: f64) {
-    let sum = kernels::sum(x);
-    if sum > 0.0 {
-        scale(x, total / sum);
+/// Normalizes class values `u` over an `n`-cell domain to total mass
+/// `total` in place, where class `k` holds `sizes[k]` cells (one cell per
+/// value when `None`). Resets every cell to `total / n` when the current
+/// mass is non-positive (the multiplicative-weights convention).
+pub fn normalize_class_mass(u: &mut [f64], sizes: Option<&[f64]>, total: f64, n: usize) {
+    let mass = match sizes {
+        None => kernels::sum(u),
+        Some(s) => dot(s, u),
+    };
+    if mass > 0.0 {
+        scale(u, total / mass);
     } else {
-        let uniform = total / x.len() as f64;
-        x.fill(uniform);
+        u.fill(total / n as f64);
     }
 }
 
@@ -91,10 +95,21 @@ mod tests {
     #[test]
     fn normalize_mass_resets_on_zero() {
         let mut x = vec![0.0; 4];
-        normalize_mass(&mut x, 8.0);
+        normalize_class_mass(&mut x, None, 8.0, 4);
         assert_eq!(x, vec![2.0; 4]);
         let mut y = vec![1.0, 3.0];
-        normalize_mass(&mut y, 8.0);
+        normalize_class_mass(&mut y, None, 8.0, 2);
         assert_eq!(y, vec![2.0, 6.0]);
+    }
+
+    #[test]
+    fn class_mass_weights_by_size_and_resets_per_cell() {
+        // Classes of 1 and 3 cells: mass 1·1 + 3·1 = 4.
+        let mut u = vec![1.0, 1.0];
+        normalize_class_mass(&mut u, Some(&[1.0, 3.0]), 8.0, 4);
+        assert_eq!(u, vec![2.0, 2.0]);
+        let mut z = vec![0.0, -1.0];
+        normalize_class_mass(&mut z, Some(&[1.0, 3.0]), 8.0, 4);
+        assert_eq!(z, vec![2.0, 2.0]);
     }
 }

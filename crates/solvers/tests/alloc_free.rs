@@ -21,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ektelo_matrix::{partition_from_labels, plan_builds, pool, Matrix};
+use ektelo_matrix::{partition_from_labels, plan_builds, pool, CsrMatrix, Matrix};
 use ektelo_solvers::{cgls, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions};
 
 struct CountingAllocator;
@@ -344,6 +344,52 @@ fn mult_weights_inner_loop_is_allocation_free() {
     assert_eq!(
         short_plans, long_plans,
         "mult_weights re-plans per iteration"
+    );
+}
+
+/// MWEM's measurement history: one one-row sparse block per round, each
+/// an interval of ones, so the columns fall into a few classes.
+fn mwem_union(n: usize, rounds: usize) -> Matrix {
+    Matrix::vstack(
+        (0..rounds)
+            .map(|r| {
+                let lo = (r * 37) % (n / 2);
+                let hi = lo + n / 4 + (r * 11) % (n / 4);
+                let row: Vec<(usize, usize, f64)> = (lo..hi).map(|c| (0, c, 1.0)).collect();
+                Matrix::sparse(CsrMatrix::from_triplets(1, n, &row))
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn mult_weights_reduced_inner_loop_is_allocation_free() {
+    let _serial = serialized();
+    let m = mwem_union(256, 8);
+    assert!(
+        m.column_classes().is_some(),
+        "the union must take the column-class path"
+    );
+    let y = rhs(m.rows());
+    let x0 = vec![1.0; 256];
+    let run = |iterations| {
+        mult_weights(
+            &m,
+            &y,
+            &x0,
+            &MwOptions {
+                iterations,
+                total: 256.0,
+            },
+        );
+    };
+    run(2);
+    let (short, short_plans) = count_both(|| run(5));
+    let (long, long_plans) = count_both(|| run(50));
+    assert_eq!(short, long, "reduced mult_weights allocates per iteration");
+    assert_eq!(
+        short_plans, long_plans,
+        "reduced mult_weights re-plans per iteration"
     );
 }
 

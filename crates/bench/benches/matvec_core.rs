@@ -4,6 +4,8 @@
 //! (Kronecker) matrices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ektelo_core::kernel::ProtectedKernel;
+use ektelo_core::ops::partition::stripe_partition;
 use ektelo_matrix::{pool, Matrix, Repr, Workspace};
 use std::hint::black_box;
 
@@ -877,6 +879,26 @@ fn bench_many_sessions_contention(c: &mut Criterion) {
     group.finish();
 }
 
+/// The stripe transforms of HB-Striped (paper §9.2, Algorithm 5) on the
+/// 357×5×7×4×2 census domain: build the 280-group stripe partition along
+/// the first attribute, then split the data vector by it (children,
+/// selectors and lineage). Every sample adds 281 nodes to one kernel.
+fn bench_stripe_split(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stripe_transforms");
+    group.sample_size(20);
+    let sizes = [357usize, 5, 7, 4, 2];
+    let n: usize = sizes.iter().product();
+    let x: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+    let kernel = ProtectedKernel::init_from_vector(x, 1.0, 1);
+    group.bench_function(BenchmarkId::new("stripe_split", n), |b| {
+        b.iter(|| {
+            let p = stripe_partition(&sizes, 0);
+            black_box(kernel.split_by_partition(kernel.root(), &p).unwrap())
+        })
+    });
+    group.finish();
+}
+
 // `bench_workspace_reuse` must run first: the seed engine's dominant cost
 // is mmap/munmap churn on its large per-node temporaries (glibc unmaps
 // >128 KiB frees while the dynamic mmap threshold is cold — exactly the
@@ -893,6 +915,7 @@ criterion_group!(
     bench_core_matrices,
     bench_kron,
     bench_sensitivity,
-    bench_simd_kernels
+    bench_simd_kernels,
+    bench_stripe_split
 );
 criterion_main!(benches);

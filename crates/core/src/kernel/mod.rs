@@ -14,10 +14,11 @@ mod state;
 pub use error::{EktError, Result};
 pub use state::MeasuredQuery;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use ektelo_data::{vectorize as t_vectorize, Predicate, Schema, Table};
-use ektelo_matrix::{failpoints, Matrix, Workspace};
+use ektelo_matrix::{failpoints, CsrMatrix, Matrix, Workspace};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -549,7 +550,11 @@ impl ProtectedKernel {
                 p.shape()
             )));
         }
-        let groups = partition_groups(p);
+        // Group g's cells are row g's column indices, ascending.
+        let groups = match p {
+            Matrix::Sparse(s) => Cow::Borrowed(&**s),
+            other => Cow::Owned(other.to_sparse()),
+        };
         // Zero-copy snapshot under a short lock; node data is immutable
         // and nodes are never removed, so the snapshot stays valid after
         // release and the per-group payloads build outside the critical
@@ -567,15 +572,24 @@ impl ProtectedKernel {
             (x, st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone())
         };
         let n = x.len();
-        let mut children = Vec::with_capacity(groups.len());
-        for cells in &groups {
-            let selector = Matrix::select_rows(n, cells);
-            let data: Vec<f64> = cells.iter().map(|&c| x[c]).collect();
-            let lineage = parent_lineage
-                .as_ref()
-                .map(|l| Matrix::product(selector, l.clone()));
-            children.push((NodeData::Vector(Arc::new(data)), lineage));
-        }
+        let cells = |g: usize| &groups.indices()[groups.indptr()[g]..groups.indptr()[g + 1]];
+        // Lineages first, then data: keeping each kind of allocation together
+        // measured a lower peak RSS on the striped benchmark than interleaving.
+        let lineages: Vec<Option<Matrix>> = (0..groups.rows())
+            .map(|g| {
+                let l = parent_lineage.as_ref()?;
+                let selector = Matrix::sparse(CsrMatrix::selector(n, cells(g)));
+                Some(Matrix::product(selector, l.clone()))
+            })
+            .collect();
+        let children: Vec<_> = lineages
+            .into_iter()
+            .enumerate()
+            .map(|(g, lineage)| {
+                let data: Vec<f64> = cells(g).iter().map(|&c| x[c as usize]).collect();
+                (NodeData::Vector(Arc::new(data)), lineage)
+            })
+            .collect();
         let mut out = Vec::with_capacity(children.len());
         // Commit under one lock acquisition: registration only, every
         // payload was built above.
@@ -1125,20 +1139,6 @@ fn fill_exact_answers(
     }
 }
 
-/// Extracts per-group cell lists from a partition matrix: group g holds the
-/// columns j with `P[g, j] = 1`.
-pub(crate) fn partition_groups(p: &Matrix) -> Vec<Vec<usize>> {
-    let sp = p.to_sparse();
-    let mut groups = vec![Vec::new(); sp.rows()];
-    for (g, group) in groups.iter_mut().enumerate() {
-        for (c, v) in sp.row_entries(g) {
-            debug_assert_eq!(v, 1.0);
-            group.push(c);
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1211,6 +1211,89 @@ mod tests {
         // All four recorded measurements map back to the 8-cell base.
         for m in k.measurements() {
             assert_eq!(m.query.cols(), 8);
+        }
+    }
+
+    /// The group path the CSR walk replaced: materialize the partition,
+    /// collect every row's cells, build each selector from triplets.
+    fn groups_by_materializing(p: &Matrix) -> Vec<Vec<usize>> {
+        let sp = p.to_sparse();
+        (0..sp.rows())
+            .map(|g| sp.row_entries(g).map(|(c, _)| c).collect())
+            .collect()
+    }
+
+    fn selector_by_triplets(n: usize, cells: &[usize]) -> Matrix {
+        let t: Vec<(usize, usize, f64)> = cells
+            .iter()
+            .enumerate()
+            .map(|(r, &c)| (r, c, 1.0))
+            .collect();
+        Matrix::sparse(CsrMatrix::from_triplets(cells.len(), n, &t))
+    }
+
+    #[test]
+    fn split_children_match_the_group_path() {
+        let n = 120;
+        let stripes = crate::ops::partition::stripe_partition(&[6, 5, 4], 1);
+        // Groups 0..5 with group 2 never used.
+        let with_empty: Vec<usize> = (0..n)
+            .map(|j| match (j * 7) % 5 {
+                2 => 0,
+                g => g,
+            })
+            .collect();
+        let dense: Vec<Vec<f64>> = (0..3)
+            .map(|g| (0..n).map(|j| f64::from(u8::from(j % 3 == g))).collect())
+            .collect();
+        let halves = partition_from_labels(2, &(0..n).map(|j| j / 60).collect::<Vec<_>>());
+        for p in [
+            stripes,
+            partition_from_labels(6, &with_empty),
+            Matrix::identity(n),
+            Matrix::from_rows(dense),
+        ] {
+            let groups = groups_by_materializing(&p);
+            let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64).collect();
+            let probe: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.5).collect();
+            // Split the root (identity lineage) and a reduced-then-expanded
+            // node (a real lineage product).
+            let k = ProtectedKernel::init_from_vector(x.clone(), 1.0, 3);
+            let lifted = Matrix::product(halves.transpose(), halves.clone());
+            let source = k.transform_linear(k.root(), &lifted).unwrap();
+            for sv in [k.root(), source] {
+                let (parent_x, parent_lineage) = {
+                    let st = k.state.lock();
+                    (
+                        st.vector_arc(sv.0).unwrap(),
+                        st.nodes[sv.0].lineage.clone().unwrap(),
+                    )
+                };
+                let before = k.state.lock().nodes.len();
+                let parts = k.split_by_partition(sv, &p).unwrap();
+                let st = k.state.lock();
+                assert_eq!(st.nodes.len(), before + 1 + groups.len());
+                assert_eq!(parts.len(), groups.len());
+                for (&part, cells) in parts.iter().zip(&groups) {
+                    let want: Vec<f64> = cells.iter().map(|&c| parent_x[c]).collect();
+                    assert_eq!(*st.vector(part.0).unwrap(), want);
+                    let old =
+                        Matrix::product(selector_by_triplets(n, cells), parent_lineage.clone());
+                    let lineage = st.nodes[part.0].lineage.as_ref().unwrap();
+                    assert_eq!(lineage.matvec(&probe), old.matvec(&probe));
+                    assert_eq!(lineage.to_sparse(), old.to_sparse());
+                }
+            }
+            // Siblings compose in parallel: one ε per split, not per child.
+            let k = ProtectedKernel::init_from_vector(x, 1.0, 3);
+            let parts = k.split_by_partition(k.root(), &p).unwrap();
+            for (&part, cells) in parts.iter().zip(&groups) {
+                if !cells.is_empty() {
+                    k.vector_laplace(part, &Matrix::identity(cells.len()), 0.5)
+                        .unwrap();
+                }
+            }
+            assert!((k.budget_spent() - 0.5).abs() < 1e-12);
         }
     }
 

@@ -146,24 +146,35 @@ fn sources(vals: &[ShadowVal], id: usize) -> Result<Vec<usize>> {
 /// pre-accountable).
 fn static_groups(spec: &PlanSpec, partition: usize) -> Result<usize> {
     match &spec.nodes[partition] {
-        NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => {
-            if *attr >= sizes.len() {
-                return Err(EktError::InvalidPlan(format!(
-                    "stripe attribute {attr} out of range for {} attributes",
-                    sizes.len()
-                )));
-            }
-            Ok(sizes
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != *attr)
-                .map(|(_, &s)| s)
-                .product::<usize>()
-                .max(1))
-        }
+        NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => stripe_groups(sizes, *attr),
         NodeKind::Partition(PartitionOp::Fixed { matrix }) => Ok(matrix.rows()),
         other => Err(EktError::InvalidPlan(format!(
             "split consumes node #{partition}, which is not a static partition ({other:?})"
+        ))),
+    }
+}
+
+/// Validates a `Stripe(attr)` node; returns `max(1, ∏_{i≠attr} sizes[i])`.
+/// The products are checked: a wrapped or beyond-`u32` (CSR column) count
+/// would reach the executor as an absurd allocation or a CSR panic.
+fn stripe_groups(sizes: &[usize], attr: usize) -> Result<usize> {
+    if attr >= sizes.len() {
+        return Err(EktError::InvalidPlan(format!(
+            "stripe attribute {attr} out of range for {} attributes",
+            sizes.len()
+        )));
+    }
+    let product = |skip: usize| {
+        let mut kept = sizes.iter().enumerate().filter(|&(i, _)| i != skip);
+        kept.try_fold(1usize, |p, (_, &s)| {
+            p.checked_mul(s).filter(|&p| p <= u32::MAX as usize)
+        })
+    };
+    match (product(usize::MAX), product(attr)) {
+        (Some(_), Some(groups)) => Ok(groups.max(1)),
+        _ => Err(EktError::InvalidPlan(format!(
+            "stripe domain {sizes:?} exceeds the CSR limit of {} cells",
+            u32::MAX
         ))),
     }
 }
@@ -300,12 +311,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 // Validated here (not only when a Split consumes it) so a
                 // malformed node surfaces as a typed error instead of an
                 // execution-time panic in `stripe_partition`.
-                if *attr >= sizes.len() {
-                    return Err(EktError::InvalidPlan(format!(
-                        "stripe attribute {attr} out of range for {} attributes",
-                        sizes.len()
-                    )));
-                }
+                stripe_groups(sizes, *attr)?;
                 ShadowVal::None
             }
             NodeKind::Partition(_) | NodeKind::Select(_) => ShadowVal::None,
@@ -528,6 +534,33 @@ mod tests {
             b.finish(e).pre_account(),
             Err(EktError::InvalidPlan(_))
         ));
+    }
+
+    #[test]
+    fn oversized_stripe_domain_rejected_statically() {
+        // ∏ sizes = 2⁸¹ overflows usize; a wrapped product would reach the
+        // executor as a bogus group count. Rejected both as a dangling
+        // node and as a Split's partition.
+        let huge = [1usize << 40, 1 << 40, 2];
+        for split in [false, true] {
+            let mut b = PlanBuilder::new();
+            let x = b.input();
+            let p = b.partition_stripes(&huge, 0);
+            if split {
+                b.transform_split(x, p);
+            }
+            let s = b.select_identity(x);
+            b.measure_laplace(x, s, 0.1);
+            let e = b.infer_least_squares(LsSolver::Iterative);
+            assert!(matches!(
+                b.finish(e).pre_account(),
+                Err(EktError::InvalidPlan(msg)) if msg.contains("CSR limit")
+            ));
+        }
+        // Fits usize but not the u32 column index.
+        assert!(stripe_groups(&[1 << 16, 1 << 16, 2], 2).is_err());
+        assert_eq!(stripe_groups(&[357, 5, 7, 4, 2], 0).unwrap(), 280);
+        assert_eq!(stripe_groups(&[5], 0).unwrap(), 1);
     }
 
     #[test]

@@ -13,25 +13,14 @@ use ektelo_matrix::{partition_from_labels, Matrix};
 pub fn stripe_partition_labels(sizes: &[usize], attr: usize) -> Vec<usize> {
     assert!(attr < sizes.len(), "stripe attribute out of range");
     let n: usize = sizes.iter().product();
-    let mut labels = Vec::with_capacity(n);
-    for cell in 0..n {
-        // Decode mixed-radix coordinates (first attribute most
-        // significant, matching `Schema::cell_index`).
-        let mut rest = cell;
-        let mut coords = vec![0usize; sizes.len()];
-        for i in (0..sizes.len()).rev() {
-            coords[i] = rest % sizes[i];
-            rest /= sizes[i];
-        }
-        let mut label = 0usize;
-        for i in 0..sizes.len() {
-            if i != attr {
-                label = label * sizes[i] + coords[i];
-            }
-        }
-        labels.push(label);
-    }
-    labels
+    // Cells are mixed-radix with the first attribute most significant
+    // (`Schema::cell_index`), so `cell = (outer·sizes[attr] + a)·inner + i`
+    // with `inner = ∏_{j>attr} sizes[j]`; the label drops the digit `a`.
+    let inner: usize = sizes[attr + 1..].iter().product();
+    let span = sizes[attr] * inner;
+    (0..n)
+        .map(|cell| (cell / span) * inner + cell % inner)
+        .collect()
 }
 
 /// The stripe partition matrix: `(∏_{i≠attr} sizes[i]) × ∏ sizes[i]`.
@@ -48,6 +37,47 @@ pub fn stripe_partition(sizes: &[usize], attr: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The mixed-radix decode the arithmetic labels replaced: decode every
+    /// coordinate, then re-encode all but `attr`.
+    fn labels_by_decode(sizes: &[usize], attr: usize) -> Vec<usize> {
+        let n: usize = sizes.iter().product();
+        let mut labels = Vec::with_capacity(n);
+        for cell in 0..n {
+            let mut rest = cell;
+            let mut coords = vec![0usize; sizes.len()];
+            for i in (0..sizes.len()).rev() {
+                coords[i] = rest % sizes[i];
+                rest /= sizes[i];
+            }
+            let mut label = 0usize;
+            for i in 0..sizes.len() {
+                if i != attr {
+                    label = label * sizes[i] + coords[i];
+                }
+            }
+            labels.push(label);
+        }
+        labels
+    }
+
+    #[test]
+    fn labels_match_the_mixed_radix_decode() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for _ in 0..200 {
+            let dims = rng.random_range(1..6);
+            let sizes: Vec<usize> = (0..dims).map(|_| rng.random_range(1..8)).collect();
+            for attr in 0..dims {
+                assert_eq!(
+                    stripe_partition_labels(&sizes, attr),
+                    labels_by_decode(&sizes, attr),
+                    "sizes {sizes:?}, attr {attr}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn stripe_counts_and_validity() {

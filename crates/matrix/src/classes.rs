@@ -424,10 +424,9 @@ mod tests {
 
     #[test]
     fn unsorted_sparse_rows_are_unsupported() {
-        let a = Matrix::sparse(CsrMatrix::from_row_entries(
-            4,
-            vec![vec![(1, 1.0), (1, 2.0)]],
-        ));
+        // One row storing column 1 twice.
+        let dup = || [(0, 1, 1.0), (0, 1, 2.0)].into_iter();
+        let a = Matrix::sparse(CsrMatrix::bucket_rows(1, 4, dup));
         assert!(a.column_classes().is_none());
     }
 

@@ -156,19 +156,17 @@ impl Matrix {
             self.is_partition(),
             "partition_pinv requires a partition matrix"
         );
-        let sizes = self.abs_col_sums_of_transpose();
+        let sizes = self.abs_row_sums();
         let inv: Vec<f64> = sizes.iter().map(|&s| 1.0 / s).collect();
         Matrix::product(self.transpose(), Matrix::diagonal(inv))
-    }
-
-    /// Row sums, used for partition group sizes.
-    fn abs_col_sums_of_transpose(&self) -> Vec<f64> {
-        self.abs_row_sums()
     }
 
     /// True when the matrix is a valid partition of the domain: binary,
     /// and every column has exactly one nonzero entry.
     pub fn is_partition(&self) -> bool {
+        if let Matrix::Sparse(s) = self {
+            return s.is_partition();
+        }
         if !self.is_nonneg() {
             return false;
         }
@@ -188,19 +186,12 @@ impl Matrix {
 /// Builds a partition matrix from per-cell group labels `0..p`.
 /// `labels[j] = g` places cell `j` in group `g`.
 pub fn partition_from_labels(num_groups: usize, labels: &[usize]) -> Matrix {
-    let triplets: Vec<(usize, usize, f64)> = labels
-        .iter()
-        .enumerate()
-        .map(|(j, &g)| {
-            assert!(g < num_groups, "group label {g} out of range");
-            (g, j, 1.0)
-        })
-        .collect();
-    Matrix::sparse(CsrMatrix::from_triplets(
-        num_groups,
-        labels.len(),
-        &triplets,
-    ))
+    assert!(
+        labels.iter().all(|&g| g < num_groups),
+        "group label out of range for {num_groups} groups"
+    );
+    let entries = || labels.iter().enumerate().map(|(j, &g)| (g, j as u32, 1.0));
+    Matrix::sparse(CsrMatrix::bucket_rows(num_groups, labels.len(), entries))
 }
 
 #[cfg(test)]

@@ -224,22 +224,20 @@ impl Matrix {
 
     /// A 1×n indicator query counting the single cell `i`.
     pub fn unit(n: usize, i: usize) -> Self {
-        assert!(i < n, "unit query index {i} out of range for domain {n}");
-        Matrix::sparse(CsrMatrix::from_triplets(1, n, &[(0, i, 1.0)]))
+        Matrix::select_rows(n, &[i])
     }
 
     /// A row-selection matrix keeping `indices` (in order); `select · x`
     /// extracts those coordinates.
     pub fn select_rows(n: usize, indices: &[usize]) -> Self {
-        let triplets: Vec<(usize, usize, f64)> = indices
+        let picks: Vec<u32> = indices
             .iter()
-            .enumerate()
-            .map(|(r, &c)| {
+            .map(|&c| {
                 assert!(c < n, "selector index {c} out of range for domain {n}");
-                (r, c, 1.0)
+                c as u32
             })
             .collect();
-        Matrix::sparse(CsrMatrix::from_triplets(indices.len(), n, &triplets))
+        Matrix::sparse(CsrMatrix::selector(n, &picks))
     }
 
     // ---------------------------------------------------------------------

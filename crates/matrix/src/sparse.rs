@@ -77,54 +77,28 @@ impl CsrMatrix {
         }
     }
 
-    /// Builds from per-row `(col, value)` lists (columns need not be sorted).
-    pub fn from_row_entries(cols: usize, rows: Vec<Vec<(usize, f64)>>) -> Self {
-        let nrows = rows.len();
-        let mut indptr = Vec::with_capacity(nrows + 1);
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
-        indptr.push(0);
-        for mut row in rows {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            for (c, v) in row {
-                assert!(c < cols, "column {c} out of bounds");
-                if v != 0.0 {
-                    indices.push(c as u32);
-                    data.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: nrows,
-            cols,
-            indptr,
-            indices,
-            data,
-        }
+    /// The `picks.len() × cols` row selector: row `r` holds one `1.0` at
+    /// column `picks[r]`, so `selector · x` gathers `x[picks[r]]`.
+    pub fn selector(cols: usize, picks: &[u32]) -> Self {
+        assert!(
+            picks.iter().all(|&c| (c as usize) < cols),
+            "selector index out of range for domain {cols}"
+        );
+        let entries = || picks.iter().enumerate().map(|(r, &c)| (r, c, 1.0));
+        CsrMatrix::bucket_rows(picks.len(), cols, entries)
     }
 
     /// The n×n sparse identity.
     pub fn identity(n: usize) -> Self {
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n as u32).collect(),
-            data: vec![1.0; n],
-        }
+        let diagonal: Vec<u32> = (0..n as u32).collect();
+        Self::selector(n, &diagonal)
     }
 
     /// A square diagonal matrix from its diagonal.
     pub fn diag(d: &[f64]) -> Self {
-        let n = d.len();
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n as u32).collect(),
-            data: d.to_vec(),
-        }
+        let mut m = Self::identity(d.len());
+        m.data.copy_from_slice(d);
+        m
     }
 
     /// Number of rows.
@@ -230,29 +204,46 @@ impl CsrMatrix {
 
     /// The transpose in CSR form (a CSC view of `self`).
     pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            counts[c as usize + 1] += 1;
+        let entries = || {
+            (0..self.rows).flat_map(move |i| {
+                let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
+                (lo..hi).map(move |k| (self.indices[k] as usize, i as u32, self.data[k]))
+            })
+        };
+        CsrMatrix::bucket_rows(self.cols, self.rows, entries)
+    }
+
+    /// Counting sort of entries `(row, col, value)` into CSR: one pass
+    /// over `entries()` counts the rows, a second scatters; rows keep
+    /// arrival order, so entries in ascending `col` give sorted rows.
+    pub(crate) fn bucket_rows<I: Iterator<Item = (usize, u32, f64)>>(
+        rows: usize,
+        cols: usize,
+        entries: impl Fn() -> I,
+    ) -> Self {
+        assert!(cols <= u32::MAX as usize, "CSR column indices are u32");
+        let mut indptr = vec![0usize; rows + 1];
+        for (r, _, _) in entries() {
+            indptr[r + 1] += 1;
         }
-        for j in 0..self.cols {
-            counts[j + 1] += counts[j];
+        for r in 0..rows {
+            indptr[r + 1] += indptr[r];
         }
-        let indptr = counts.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut data = vec![0.0; self.nnz()];
-        let mut next = counts;
-        for i in 0..self.rows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let c = self.indices[k] as usize;
-                let pos = next[c];
-                next[c] += 1;
-                indices[pos] = i as u32;
-                data[pos] = self.data[k];
-            }
+        // `indptr[r]` is row r's write cursor; it ends at row r + 1's start,
+        // so shifting the array by one restores the row starts.
+        let mut indices = vec![0u32; indptr[rows]];
+        let mut data = vec![0.0; indptr[rows]];
+        for (r, c, v) in entries() {
+            let at = &mut indptr[r];
+            indices[*at] = c;
+            data[*at] = v;
+            *at += 1;
         }
+        indptr.copy_within(0..rows, 1);
+        indptr[0] = 0;
         CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
+            rows,
+            cols,
             indptr,
             indices,
             data,
@@ -389,6 +380,23 @@ impl CsrMatrix {
             };
         }
         sums
+    }
+
+    /// [`crate::Matrix::is_partition`] in one pass: the same |v| and v²
+    /// column sums, accumulated in the same order, so the same verdict.
+    pub(crate) fn is_partition(&self) -> bool {
+        let mut abs = vec![0.0; self.cols];
+        let mut sq = vec![0.0; self.cols];
+        for (&c, &v) in self.indices.iter().zip(&self.data) {
+            if v.is_nan() || v < 0.0 {
+                return false;
+            }
+            abs[c as usize] += v.abs();
+            sq[c as usize] += v * v;
+        }
+        abs.iter()
+            .zip(&sq)
+            .all(|(&a, &s)| a == 1.0 && (a - s).abs() < 1e-12)
     }
 
     /// Converts to dense form.

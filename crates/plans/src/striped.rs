@@ -14,6 +14,11 @@
 //! the parallel composition exactly — N stripes at ε cost ε — before any
 //! kernel call.
 //!
+//! The stripe transforms are linear in the domain: each cell's stripe
+//! label is computed arithmetically, the partition's CSR is built by
+//! counting sort, and `split_by_partition` reads each stripe's cells from
+//! the borrowed CSR rows — a few allocations per stripe, none per cell.
+//!
 //! The budget composes in parallel across stripes, and so does the
 //! *compute*: per-stripe measurements go through the kernel's batched
 //! `vector_laplace_batch`, which evaluates the exact per-stripe answers on

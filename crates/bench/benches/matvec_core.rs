@@ -73,6 +73,22 @@ fn bench_kron(c: &mut Criterion) {
             b.iter(|| black_box(m.matvec(&x)))
         });
     }
+    // The 5-factor census `Prefix(Income)` workload (257,040 × 99,960)
+    // into a warm workspace: one panel-kernel pass per mode.
+    let census = ektelo_data::workloads::census_prefix_income(&[357, 5, 7, 4, 2]);
+    let x: Vec<f64> = (0..census.cols()).map(|i| (i % 7) as f64 - 3.0).collect();
+    let y: Vec<f64> = (0..census.rows()).map(|i| (i % 5) as f64 - 2.0).collect();
+    let mut ws = Workspace::for_matrix(&census);
+    let mut out = vec![0.0; census.rows()];
+    let mut back = vec![0.0; census.cols()];
+    let id = |dir| BenchmarkId::new(format!("census_prefix_income/{}", census.cols()), dir);
+    group.bench_function(id("matvec_into"), |b| {
+        b.iter(|| census.matvec_into(black_box(&x), &mut out, &mut ws))
+    });
+    group.bench_function(id("rmatvec_into"), |b| {
+        b.iter(|| census.rmatvec_into(black_box(&y), &mut back, &mut ws))
+    });
+    black_box((&out, &back));
     group.finish();
 }
 
@@ -715,8 +731,8 @@ fn bench_simd_kernels(c: &mut Criterion) {
         })
     });
 
-    // Kron stage-2 data movement: KRON_PANEL-wide gather/scatter panels
-    // vs the column-at-a-time walk the scalar leg performs.
+    // Kron fiber-walk data movement: KRON_PANEL-wide gather/scatter
+    // panels vs a column-at-a-time walk.
     let rows = 256usize;
     let stride = 256usize;
     let t: Vec<f64> = (0..rows * stride).map(|i| (i % 17) as f64).collect();

@@ -70,7 +70,23 @@ impl Matrix {
     /// assert_eq!(w.shape(), (2, 6));
     /// assert_eq!(w.matvec(&[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]), vec![3.0, 6.0]);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// If the product's row or column count overflows `usize`. Such a
+    /// shape cannot be evaluated or even indexed; rejecting it here keeps
+    /// [`Matrix::rows`] / [`Matrix::cols`] from wrapping silently.
     pub fn kron(a: Matrix, b: Matrix) -> Matrix {
+        let fits =
+            a.rows().checked_mul(b.rows()).is_some() && a.cols().checked_mul(b.cols()).is_some();
+        if !fits {
+            // xlint: allow(panic-policy, reason = "documented # Panics contract: an overflowing Kronecker shape has no representable row/column count, so no later operation on it could be correct")
+            panic!(
+                "Kronecker product of {:?} and {:?} overflows usize",
+                a.shape(),
+                b.shape()
+            );
+        }
         Matrix::Kronecker(Box::new(a), Box::new(b))
     }
 

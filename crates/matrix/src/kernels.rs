@@ -50,7 +50,8 @@ use crate::pool;
 /// kernel is written for).
 pub const LANES: usize = 4;
 
-/// Columns gathered per pass by the Kronecker stage-2 panel kernels.
+/// Columns gathered per pass by the Kronecker fiber walk (the per-fiber
+/// evaluation of factors that have no panel kernel).
 pub const KRON_PANEL: usize = 4;
 
 /// Reductions run two independent [`LANES`]-wide accumulators.
@@ -457,7 +458,7 @@ pub fn suffix_sum_into(out: &mut [f64], x: &[f64]) {
 /// (column `j` of the panel occupies `panel[j·rows ..][.. rows]`).
 ///
 /// One pass over `t` reads four adjacent entries per row instead of one,
-/// amortizing the strided cache-line traffic of the Kronecker stage-2
+/// amortizing the strided cache-line traffic of the Kronecker fiber-walk
 /// gather fourfold. Pure data movement: bit-identical to four
 /// single-column gathers.
 ///

@@ -50,6 +50,7 @@ mod components;
 mod dense;
 pub mod failpoints;
 pub mod kernels;
+mod kron;
 mod materialize;
 mod matvec;
 mod plan;
@@ -369,6 +370,12 @@ mod tests {
         assert_eq!(p.shape(), (1, 4));
         assert_eq!(a.transpose().shape(), (4, 4));
         assert_eq!(Matrix::prefix(5).transpose().shape(), (5, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn kron_rejects_overflowing_shapes() {
+        let _ = Matrix::kron(Matrix::identity(1 << 33), Matrix::identity(1 << 33));
     }
 
     #[test]

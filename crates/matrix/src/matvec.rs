@@ -9,14 +9,17 @@
 //! `rows()`/scratch recomputation, no arena growth, no allocator traffic.
 //! Right-nested `Product` chains (transformation lineages) evaluate through
 //! two ping-pong buffers instead of one intermediate per product, shrinking
-//! the hot working set. [`Matrix::matvec`] / [`Matrix::rmatvec`] remain as
-//! thin allocating wrappers with unchanged semantics.
+//! the hot working set, and chains of nested `Kronecker` nodes evaluate as
+//! one N-ary node, mode by mode ([`crate::kron`]). [`Matrix::matvec`] /
+//! [`Matrix::rmatvec`] remain as thin allocating wrappers with unchanged
+//! semantics.
 //!
 //! Plan-time chunk decisions drive multi-threaded evaluation in **both**
-//! directions: `Union` blocks and Kronecker row-chunks in the forward
-//! direction; `Union` scatter-adds
-//! (per-worker accumulators merged in fixed chunk order at the barrier)
-//! and Kronecker column-chunks in the transpose direction. Chunk counts
+//! directions: `Union` blocks in the forward direction and `Union`
+//! scatter-adds in the transpose direction (per-worker accumulators
+//! merged in fixed chunk order at the barrier), plus each Kronecker mode,
+//! split over its outer blocks or inner column ranges in either
+//! direction. Chunk counts
 //! are fixed when the plan is built, so threaded results are deterministic
 //! run-to-run. Chunks execute on the persistent [`crate::pool`] executor
 //! (parked workers, preallocated job slots; the offline build environment
@@ -26,7 +29,8 @@
 //! threaded paths perform zero allocations *and* zero thread creation.
 
 use crate::kernels;
-use crate::plan::{ChainPlan, KronPlan, NodePlan};
+use crate::kron::{kron_apply, Dir};
+use crate::plan::{ChainPlan, NodePlan};
 use crate::wavelet::{wavelet_matvec, wavelet_rmatvec};
 use crate::workspace::ArenaPool;
 use crate::{Matrix, Workspace};
@@ -142,8 +146,8 @@ impl Matrix {
             (m @ Matrix::Product(..), NodePlan::Chain(cp)) => {
                 chain_matvec(m, cp, x, out, scratch, pool)
             }
-            (Matrix::Kronecker(a, b), NodePlan::Kron(kp)) => {
-                kron_matvec_plan(a, b, kp, x, out, scratch, pool)
+            (m @ Matrix::Kronecker(..), NodePlan::Kron(kp)) => {
+                kron_apply(m, kp, Dir::Fwd, x, out, scratch, pool)
             }
             (Matrix::Scaled(c, a), NodePlan::Scaled { child, .. }) => {
                 a.matvec_plan(child, x, out, scratch, pool);
@@ -185,8 +189,8 @@ impl Matrix {
             (m @ Matrix::Product(..), NodePlan::Chain(cp)) => {
                 chain_bwd(m, cp, y, out, scratch, pool, false)
             }
-            (Matrix::Kronecker(a, b), NodePlan::Kron(kp)) => {
-                kron_rmatvec_plan(a, b, kp, y, out, scratch, pool)
+            (m @ Matrix::Kronecker(..), NodePlan::Kron(kp)) => {
+                kron_apply(m, kp, Dir::Bwd, y, out, scratch, pool)
             }
             (Matrix::Scaled(c, a), NodePlan::Scaled { child, .. }) => {
                 a.rmatvec_plan(child, y, out, scratch, pool);
@@ -238,12 +242,8 @@ impl Matrix {
                 a.matvec_plan(child, y, t, rest, pool);
                 kernels::add_assign(out, t);
             }
-            // Kronecker scatter-adds through a dense temporary of the full
-            // output width (it touches all of `out` anyway).
-            (m @ Matrix::Kronecker(..), kp @ NodePlan::Kron(..)) => {
-                let (tmp, rest) = scratch.split_at_mut(out.len());
-                m.rmatvec_plan(kp, y, tmp, rest, pool);
-                kernels::add_assign(out, tmp);
+            (m @ Matrix::Kronecker(..), NodePlan::Kron(kp)) => {
+                kron_apply(m, kp, Dir::BwdAdd, y, out, scratch, pool)
             }
             _ => unreachable!(
                 "evaluation plan does not match matrix structure (shape-fingerprint collision)"
@@ -525,161 +525,13 @@ fn chain_bwd(
 }
 
 // ---------------------------------------------------------------------
-// Kronecker: planned vec-trick with optional stage parallelism
+// Kronecker: the unplanned reference engine (planned: `crate::kron`)
 // ---------------------------------------------------------------------
 
-/// `out = (A ⊗ B) x` using the vec-trick: reshape x as an `nA×nB` matrix X,
-/// compute `T = X·Bᵀ` (apply B to every row), then `out = A·T` columnwise.
-/// Cost: `nA·Time(B) + mB·Time(A)` (paper Table 3). All temporaries come
-/// out of `scratch`; shapes and chunk decisions come from the plan.
-#[allow(clippy::too_many_arguments)]
-fn kron_matvec_plan(
-    a: &Matrix,
-    b: &Matrix,
-    kp: &KronPlan,
-    x: &[f64],
-    out: &mut [f64],
-    scratch: &mut [f64],
-    pool: &mut ArenaPool,
-) {
-    let (ma, na, mb, nb) = (kp.a_rows, kp.a_cols, kp.b_rows, kp.b_cols);
-    let (t, rest) = scratch.split_at_mut(na * mb);
-    if kp.par_fwd_rows > 0 && !pool.is_nested() {
-        parallel::kron_apply_rows(b, kp, x, t, nb, mb, pool);
-    } else {
-        for i in 0..na {
-            b.matvec_plan(
-                &kp.b,
-                &x[i * nb..(i + 1) * nb],
-                &mut t[i * mb..(i + 1) * mb],
-                rest,
-                pool,
-            );
-        }
-    }
-    // Stage 2 walks columns of T (stride mb). Under `simd` it processes
-    // KRON_PANEL columns per pass: one strided sweep gathers four adjacent
-    // entries per row (amortizing the cache-line traffic fourfold), A is
-    // applied to each gathered column exactly as before, and one sweep
-    // scatters the four results back. Pure data-movement blocking —
-    // bit-identical to the single-column walk, which the scalar leg (and
-    // the unplanned reference engine) still uses.
-    #[cfg(feature = "simd")]
-    {
-        use crate::kernels::KRON_PANEL;
-        let (cols, rest) = rest.split_at_mut(KRON_PANEL * na);
-        let (ocols, rest) = rest.split_at_mut(KRON_PANEL * ma);
-        let mut q = 0;
-        while q + KRON_PANEL <= mb {
-            kernels::gather_panel(t, mb, q, na, cols);
-            for (colj, ocolj) in cols.chunks_exact(na).zip(ocols.chunks_exact_mut(ma)) {
-                a.matvec_plan(&kp.a, colj, ocolj, rest, pool);
-            }
-            kernels::scatter_panel(ocols, ma, out, mb, q);
-            q += KRON_PANEL;
-        }
-        for q in q..mb {
-            let col = &mut cols[..na];
-            for (i, c) in col.iter_mut().enumerate() {
-                *c = t[i * mb + q];
-            }
-            a.matvec_plan(&kp.a, &cols[..na], &mut ocols[..ma], rest, pool);
-            for (p, &v) in ocols[..ma].iter().enumerate() {
-                out[p * mb + q] = v;
-            }
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let (col, rest) = rest.split_at_mut(na);
-        let (ocol, rest) = rest.split_at_mut(ma);
-        for q in 0..mb {
-            for i in 0..na {
-                col[i] = t[i * mb + q];
-            }
-            a.matvec_plan(&kp.a, col, ocol, rest, pool);
-            for p in 0..ma {
-                out[p * mb + q] = ocol[p];
-            }
-        }
-    }
-}
-
-/// `out = (A ⊗ B)ᵀ y = (Aᵀ ⊗ Bᵀ) y`; mirror of [`kron_matvec_plan`] with
-/// both stages parallelizable (stage 2 over output column chunks).
-#[allow(clippy::too_many_arguments)]
-fn kron_rmatvec_plan(
-    a: &Matrix,
-    b: &Matrix,
-    kp: &KronPlan,
-    y: &[f64],
-    out: &mut [f64],
-    scratch: &mut [f64],
-    pool: &mut ArenaPool,
-) {
-    let (ma, na, mb, nb) = (kp.a_rows, kp.a_cols, kp.b_rows, kp.b_cols);
-    let (t, rest) = scratch.split_at_mut(ma * nb);
-    if kp.par_bwd_rows > 0 && !pool.is_nested() {
-        parallel::kron_apply_rows_t(b, kp, y, t, mb, nb, pool);
-    } else {
-        for p in 0..ma {
-            b.rmatvec_plan(
-                &kp.b,
-                &y[p * mb..(p + 1) * mb],
-                &mut t[p * nb..(p + 1) * nb],
-                rest,
-                pool,
-            );
-        }
-    }
-    if kp.par_bwd_cols > 0 && !pool.is_nested() {
-        parallel::kron_scatter_cols(a, kp, t, out, ma, na, nb, pool);
-        return;
-    }
-    // Panel-blocked stage 2, mirror of the forward direction: T is ma×nb
-    // (stride nb), gathered columns have length ma, outputs length na.
-    #[cfg(feature = "simd")]
-    {
-        use crate::kernels::KRON_PANEL;
-        let (cols, rest) = rest.split_at_mut(KRON_PANEL * ma);
-        let (ocols, rest) = rest.split_at_mut(KRON_PANEL * na);
-        let mut j = 0;
-        while j + KRON_PANEL <= nb {
-            kernels::gather_panel(t, nb, j, ma, cols);
-            for (colp, ocolp) in cols.chunks_exact(ma).zip(ocols.chunks_exact_mut(na)) {
-                a.rmatvec_plan(&kp.a, colp, ocolp, rest, pool);
-            }
-            kernels::scatter_panel(ocols, na, out, nb, j);
-            j += KRON_PANEL;
-        }
-        for j in j..nb {
-            let col = &mut cols[..ma];
-            for (p, c) in col.iter_mut().enumerate() {
-                *c = t[p * nb + j];
-            }
-            a.rmatvec_plan(&kp.a, &cols[..ma], &mut ocols[..na], rest, pool);
-            for (i, &v) in ocols[..na].iter().enumerate() {
-                out[i * nb + j] = v;
-            }
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let (col, rest) = rest.split_at_mut(ma);
-        let (ocol, rest) = rest.split_at_mut(na);
-        for j in 0..nb {
-            for p in 0..ma {
-                col[p] = t[p * nb + j];
-            }
-            a.rmatvec_plan(&kp.a, col, ocol, rest, pool);
-            for i in 0..na {
-                out[i * nb + j] = ocol[i];
-            }
-        }
-    }
-}
-
-/// Unplanned serial Kronecker forward product (reference engine).
+/// Unplanned serial Kronecker forward product (reference engine): the
+/// vec-trick, reshaping `x` as an `nA×nB` matrix `X`, applying `B` to every
+/// row (`T = X·Bᵀ`), then `A` to every column of `T`. Cost
+/// `nA·Time(B) + mB·Time(A)` (paper Table 3).
 fn kron_matvec(a: &Matrix, b: &Matrix, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
     let (ma, na) = a.shape();
     let (mb, nb) = b.shape();
@@ -721,7 +573,7 @@ fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mu
     }
 }
 
-/// Multi-threaded evaluation of independent sub-products, built on the
+/// Multi-threaded `Union` evaluation, built on the
 /// persistent [`crate::pool`] executor (the offline build environment
 /// cannot vendor rayon): chunk sizes are
 /// fixed in the evaluation plan, so results are deterministic run-to-run
@@ -742,7 +594,7 @@ fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mu
 /// paths never engage.
 mod parallel {
     use super::ArenaPool;
-    use crate::plan::{KronPlan, UnionPlan};
+    use crate::plan::UnionPlan;
     use crate::pool;
     use crate::Matrix;
 
@@ -828,118 +680,6 @@ mod parallel {
         // the scalar loop in both feature legs).
         for arena in arenas.iter().take(nchunks) {
             crate::kernels::add_assign(out, &arena[..cols]);
-        }
-    }
-
-    /// Stage 1 of the Kronecker forward vec-trick — applying `B` to each of
-    /// the `na` rows of the reshaped input — parallelized over plan-time
-    /// row chunks. Rows write disjoint spans of `t`: bit-identical.
-    pub(super) fn kron_apply_rows(
-        b: &Matrix,
-        kp: &KronPlan,
-        x: &[f64],
-        t: &mut [f64],
-        nb: usize,
-        mb: usize,
-        pool: &mut ArenaPool,
-    ) {
-        let rows_per = kp.par_fwd_rows;
-        let nchunks = t.len().div_ceil(rows_per * mb);
-        let arenas = pool.arenas(nchunks, kp.b_mv_scratch);
-        pool::scope(|s| {
-            for ((c, tchunk), arena) in t.chunks_mut(rows_per * mb).enumerate().zip(arenas) {
-                let x = &x[c * rows_per * nb..];
-                s.spawn(move || {
-                    let scratch = &mut arena[..kp.b_mv_scratch];
-                    let mut wpool = ArenaPool::for_worker();
-                    for (i, trow) in tchunk.chunks_mut(mb).enumerate() {
-                        b.matvec_plan(&kp.b, &x[i * nb..(i + 1) * nb], trow, scratch, &mut wpool);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Transpose-direction mirror of [`kron_apply_rows`] (stage 1 of the
-    /// scatter vec-trick).
-    pub(super) fn kron_apply_rows_t(
-        b: &Matrix,
-        kp: &KronPlan,
-        y: &[f64],
-        t: &mut [f64],
-        mb: usize,
-        nb: usize,
-        pool: &mut ArenaPool,
-    ) {
-        let rows_per = kp.par_bwd_rows;
-        let nchunks = t.len().div_ceil(rows_per * nb);
-        let arenas = pool.arenas(nchunks, kp.b_rmv_scratch);
-        pool::scope(|s| {
-            for ((c, tchunk), arena) in t.chunks_mut(rows_per * nb).enumerate().zip(arenas) {
-                let y = &y[c * rows_per * mb..];
-                s.spawn(move || {
-                    let scratch = &mut arena[..kp.b_rmv_scratch];
-                    let mut wpool = ArenaPool::for_worker();
-                    for (p, trow) in tchunk.chunks_mut(nb).enumerate() {
-                        b.rmatvec_plan(&kp.b, &y[p * mb..(p + 1) * mb], trow, scratch, &mut wpool);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Stage 2 of the Kronecker transpose product parallelized over
-    /// **output column chunks**: worker `c` computes `Aᵀ` applied to
-    /// columns `[c·w, (c+1)·w)` of the stage-1 partials into a private
-    /// panel carved from its pool arena; the panels are copied into `out`
-    /// in chunk order after the barrier. Every output cell is produced by
-    /// exactly one worker, so this is bit-identical to the serial stage 2.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn kron_scatter_cols(
-        a: &Matrix,
-        kp: &KronPlan,
-        t: &[f64],
-        out: &mut [f64],
-        ma: usize,
-        na: usize,
-        nb: usize,
-        pool: &mut ArenaPool,
-    ) {
-        let cols_per = kp.par_bwd_cols;
-        let nchunks = nb.div_ceil(cols_per);
-        // Per-worker arena layout: [na·w panel | ma gather col | na out col
-        // | A's rmatvec scratch].
-        let per = na * cols_per + ma + na + kp.a_rmv_scratch;
-        let arenas = pool.arenas(nchunks, per);
-        pool::scope(|s| {
-            for (c, arena) in arenas.iter_mut().enumerate() {
-                let j0 = c * cols_per;
-                let j1 = (j0 + cols_per).min(nb);
-                s.spawn(move || {
-                    let w = j1 - j0;
-                    let (buf, rest) = arena[..per].split_at_mut(na * cols_per);
-                    let (col, rest) = rest.split_at_mut(ma);
-                    let (ocol, scratch) = rest.split_at_mut(na);
-                    let mut wpool = ArenaPool::for_worker();
-                    for j in j0..j1 {
-                        for (p, cp) in col.iter_mut().enumerate() {
-                            *cp = t[p * nb + j];
-                        }
-                        a.rmatvec_plan(&kp.a, col, ocol, scratch, &mut wpool);
-                        for (i, &o) in ocol.iter().enumerate() {
-                            buf[i * w + (j - j0)] = o;
-                        }
-                    }
-                });
-            }
-        });
-        for (c, arena) in arenas.iter().enumerate() {
-            let j0 = c * cols_per;
-            let w = ((j0 + cols_per).min(nb)) - j0;
-            let buf = &arena[..na * cols_per];
-            for i in 0..na {
-                out[i * nb + j0..i * nb + j0 + w].copy_from_slice(&buf[i * w..i * w + w]);
-            }
         }
     }
 }
@@ -1201,10 +941,49 @@ mod tests {
         assert_eq!(got, out, "pool reuse changed the scatter result");
     }
 
+    /// The mode-by-mode engine reproduces the unplanned binary recursion
+    /// (`kron_matvec` / `kron_rmatvec`) bit for bit on the census
+    /// `Prefix(Income)` workload, whose `Ones` rows follow the scalar sum
+    /// order (under `simd` the reference sums through the pinned tree, so
+    /// the legs agree to `O(n·ε)`).
+    #[test]
+    fn census_kron_matches_reference_engine() {
+        let tot_id = |n| Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)]);
+        let k = Matrix::kron_list(vec![
+            Matrix::prefix(357),
+            tot_id(5),
+            tot_id(7),
+            tot_id(4),
+            tot_id(2),
+        ]);
+        let x: Vec<f64> = (0..k.cols())
+            .map(|i| ((i * 37) % 41) as f64 - 20.5)
+            .collect();
+        let y: Vec<f64> = (0..k.rows())
+            .map(|i| ((i * 13) % 29) as f64 - 14.0)
+            .collect();
+        let mut want = vec![0.0; k.rows()];
+        k.matvec_rec(&x, &mut want, &mut vec![0.0; k.matvec_scratch()]);
+        let mut want_t = vec![0.0; k.cols()];
+        k.rmatvec_rec(&y, &mut want_t, &mut vec![0.0; k.rmatvec_scratch()]);
+        let close = |a: &[f64], b: &[f64]| {
+            a.iter().zip(b).all(|(p, q)| {
+                if cfg!(feature = "simd") {
+                    (p - q).abs() <= 1e-12 * q.abs().max(1.0)
+                } else {
+                    p.to_bits() == q.to_bits()
+                }
+            })
+        };
+        assert!(close(&k.matvec(&x), &want), "census matvec diverged");
+        assert!(close(&k.rmatvec(&y), &want_t), "census rmatvec diverged");
+    }
+
     #[test]
     fn large_kron_matches_materialized() {
-        // na*(nb+mb) = 128*256 exceeds the parallel threshold in both
-        // directions (and nb*(ma+na) the stage-2 column threshold).
+        // 128×128 factors put both modes above the threading threshold:
+        // the wavelet mode runs the fiber walk in block chunks, the prefix
+        // mode its panel kernel in column chunks.
         let a = Matrix::prefix(128);
         let b = Matrix::wavelet(128);
         let k = Matrix::kron(a, b);
@@ -1227,7 +1006,7 @@ mod tests {
         }
         let got_t2 = k.rmatvec(&y);
         assert_eq!(got_t, got_t2, "threaded kron rmatvec is nondeterministic");
-        // Pool-warm reuse must match too (stage-2 panels live in arenas).
+        // Pool-warm reuse must match too (fiber-walk chunks use arenas).
         let mut ws = Workspace::for_matrix(&k);
         let mut out = vec![0.0; k.cols()];
         k.rmatvec_into(&y, &mut out, &mut ws);

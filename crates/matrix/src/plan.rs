@@ -5,8 +5,13 @@
 //! offsets and shapes — on every `matvec_into` call. An [`EvalPlan`] runs
 //! that pass **once** and records everything evaluation needs:
 //!
-//! * per-node **split offsets** (block row ranges of a `Union`, factor
-//!   shapes of a `Kronecker`, intermediate lengths of a `Product` chain),
+//! * per-node **split offsets** (block row ranges of a `Union`,
+//!   intermediate lengths of a `Product` chain),
+//! * for a chain of nested `Kronecker` nodes — flattened into **one N-ary
+//!   node** whatever its nesting — the factor shapes, how each factor is
+//!   applied (skipped identity, panel kernel or per-fiber walk), and per
+//!   direction each mode's `outer × n × inner` geometry, its ping-pong
+//!   buffer and its pool chunking ([`crate::kron`]),
 //! * the total **scratch requirement** of all three product directions
 //!   (`matvec`, `rmatvec`, `rmatvec_add`), so the arena is reserved in full
 //!   up front and never grows mid-evaluation,
@@ -34,6 +39,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::kron::{self, Apply, ModeFactor, ModesPlan, Slot, Step, Sweep};
 use crate::plan_cache;
 use crate::Matrix;
 
@@ -172,8 +178,9 @@ pub(crate) enum NodePlan {
     Union(UnionPlan),
     /// A maximal right-nested `Product` chain with ping-pong buffers.
     Chain(ChainPlan),
-    /// `Kronecker` with both factor shapes and stage chunk decisions.
-    Kron(KronPlan),
+    /// A chain of nested `Kronecker` nodes, flattened into its factors and
+    /// evaluated mode by mode ([`crate::kron`]).
+    Kron(ModesPlan),
     /// `Scaled`; `rows` feeds the `rmatvec_add` temporary.
     Scaled {
         /// Rows of the scaled matrix.
@@ -206,7 +213,21 @@ impl NodePlan {
                 c.factors.capacity() * std::mem::size_of::<Arc<EvalPlan>>()
                     + c.rows.capacity() * std::mem::size_of::<usize>()
             }
-            NodePlan::Kron(k) => 2 * node + k.a.direct_bytes() + k.b.direct_bytes(),
+            NodePlan::Kron(k) => {
+                let sweeps = [&k.fwd, &k.bwd, &k.bwd_add];
+                k.factors.capacity() * std::mem::size_of::<ModeFactor>()
+                    + sweeps
+                        .iter()
+                        .map(|s| s.steps.capacity() * std::mem::size_of::<Step>())
+                        .sum::<usize>()
+                    + k.factors
+                        .iter()
+                        .map(|f| match &f.apply {
+                            Apply::Fiber { plan, .. } => plan.direct_bytes(),
+                            _ => 0,
+                        })
+                        .sum::<usize>()
+            }
             NodePlan::Scaled { child, .. } | NodePlan::Transpose { child, .. } => {
                 node + child.direct_bytes()
             }
@@ -256,36 +277,6 @@ pub(crate) struct ChainPlan {
     pub bufs: usize,
 }
 
-/// Plan records for one `Kronecker` node `A ⊗ B`.
-#[derive(Debug)]
-pub(crate) struct KronPlan {
-    /// Shape of `A`.
-    pub a_rows: usize,
-    /// See `a_rows`.
-    pub a_cols: usize,
-    /// Shape of `B`.
-    pub b_rows: usize,
-    /// See `b_rows`.
-    pub b_cols: usize,
-    /// Sub-plan of `A`.
-    pub a: Box<NodePlan>,
-    /// Sub-plan of `B`.
-    pub b: Box<NodePlan>,
-    /// Stage-1 rows per worker, forward direction; `0` = serial.
-    pub par_fwd_rows: usize,
-    /// Stage-1 rows per worker, transpose direction; `0` = serial.
-    pub par_bwd_rows: usize,
-    /// Stage-2 output columns per worker, transpose direction; `0` =
-    /// serial. (The "Kronecker column-chunk" parallel scatter path.)
-    pub par_bwd_cols: usize,
-    /// `matvec` scratch of `B` (sizes per-worker arenas in stage 1).
-    pub b_mv_scratch: usize,
-    /// `rmatvec` scratch of `B`.
-    pub b_rmv_scratch: usize,
-    /// `rmatvec` scratch of `A` (sizes per-worker arenas in stage 2).
-    pub a_rmv_scratch: usize,
-}
-
 /// Planning facts about one subtree.
 #[derive(Clone, Copy, Debug)]
 struct Info {
@@ -330,7 +321,7 @@ fn plan_node(m: &Matrix) -> (NodePlan, Info) {
         ),
         Matrix::Union(blocks) => plan_union(blocks),
         Matrix::Product(..) => plan_chain(m),
-        Matrix::Kronecker(a, b) => plan_kron(a, b),
+        Matrix::Kronecker(..) => plan_modes(m),
         Matrix::Scaled(_, a) => {
             let (child, ci) = plan_node(a);
             let info = Info {
@@ -472,82 +463,178 @@ fn plan_chain(m: &Matrix) -> (NodePlan, Info) {
     )
 }
 
-fn plan_kron(a: &Matrix, b: &Matrix) -> (NodePlan, Info) {
-    let (ap, ai) = plan_node(a);
-    let (bp, bi) = plan_node(b);
-    let (ma, na) = (ai.rows, ai.cols);
-    let (mb, nb) = (bi.rows, bi.cols);
-    let mut pool_workers = ai.pool_workers.max(bi.pool_workers);
-    let mut pool_arena = ai.pool_arena.max(bi.pool_arena);
+/// `a · b` for a Kronecker shape product. `Matrix::kron` rejects shapes
+/// whose products overflow, so this only fires on trees built around it.
+fn shape_mul(a: usize, b: usize) -> usize {
+    // xlint: allow(panic-policy, reason = "Matrix::kron rejects overflowing shapes; a tree built from the raw enum that overflows has no valid shape, and a clear panic beats a wrapped, out-of-bounds one")
+    a.checked_mul(b).expect("Kronecker shape overflows usize")
+}
 
-    let nt = threads();
-    let par_fwd_rows = if nt.min(na) >= 2 && na * (nb + mb) >= MIN_PAR_WORK {
-        na.div_ceil(nt.min(na))
-    } else {
-        0
-    };
-    let par_bwd_rows = if nt.min(ma) >= 2 && ma * (nb + mb) >= MIN_PAR_WORK {
-        ma.div_ceil(nt.min(ma))
-    } else {
-        0
-    };
-    let par_bwd_cols = if nt.min(nb) >= 2 && nb * (ma + na) >= MIN_PAR_WORK {
-        nb.div_ceil(nt.min(nb))
-    } else {
-        0
-    };
-    if par_fwd_rows > 0 {
-        pool_workers = pool_workers.max(na.div_ceil(par_fwd_rows));
-        pool_arena = pool_arena.max(bi.mv);
+/// Plans a chain of nested `Kronecker` nodes as one N-ary node: flattens
+/// the factors (whatever the nesting), decides how each is applied, and
+/// lays out one sweep per product direction.
+fn plan_modes(m: &Matrix) -> (NodePlan, Info) {
+    let mut leaves = Vec::new();
+    kron::collect_factors(m, &mut leaves);
+    let mut pool_workers = 0;
+    let mut pool_arena = 0;
+    let factors: Vec<ModeFactor> = leaves
+        .iter()
+        .map(|&f| {
+            let apply = if matches!(f, Matrix::Identity { .. }) {
+                Apply::Skip
+            } else if kron::is_panel(f) {
+                Apply::Panel
+            } else {
+                let (plan, info) = plan_node(f);
+                pool_workers = pool_workers.max(info.pool_workers);
+                pool_arena = pool_arena.max(info.pool_arena);
+                Apply::Fiber {
+                    plan,
+                    mv: info.mv,
+                    rmv: info.rmv,
+                }
+            };
+            ModeFactor {
+                rows: f.rows(),
+                cols: f.cols(),
+                apply,
+            }
+        })
+        .collect();
+    let fwd = plan_sweep(&factors, false, true);
+    let bwd = plan_sweep(&factors, true, true);
+    let bwd_add = plan_sweep(&factors, true, false);
+    // Fiber-walk chunks borrow one worker arena each.
+    for sweep in [&fwd, &bwd] {
+        for step in sweep.steps.iter().filter(|s| s.chunk > 0 && s.extra > 0) {
+            let total = if step.outer == 1 {
+                step.inner
+            } else {
+                step.outer
+            };
+            pool_workers = pool_workers.max(total.div_ceil(step.chunk));
+            pool_arena = pool_arena.max(step.extra);
+        }
     }
-    if par_bwd_rows > 0 {
-        pool_workers = pool_workers.max(ma.div_ceil(par_bwd_rows));
-        pool_arena = pool_arena.max(bi.rmv);
-    }
-    if par_bwd_cols > 0 {
-        pool_workers = pool_workers.max(nb.div_ceil(par_bwd_cols));
-        // Stage-2 workers carve an na×w output panel, a gather column,
-        // an output column and A's scratch out of one arena.
-        pool_arena = pool_arena.max(na * par_bwd_cols + ma + na + ai.rmv);
-    }
-
-    // Serial stage 2 carves its gather/output column buffers off the
-    // scratch arena. Under `simd` those buffers are KRON_PANEL columns
-    // wide (the panel-blocked walk in `kron_matvec_plan`); the scalar leg
-    // keeps the single-column sizing. Plans and evaluation compile into
-    // the same binary, so the selection is consistent by construction.
-    #[cfg(feature = "simd")]
-    const PANEL: usize = crate::kernels::KRON_PANEL;
-    #[cfg(not(feature = "simd"))]
-    const PANEL: usize = 1;
     let info = Info {
-        rows: ma * mb,
-        cols: na * nb,
-        mv: na * mb + bi.mv.max(PANEL * (na + ma) + ai.mv),
-        rmv: ma * nb + bi.rmv.max(PANEL * (ma + na) + ai.rmv),
-        // Kronecker scatter-adds through a dense temporary of the full
-        // output width (same policy as the unplanned recursion).
-        rmva: na * nb + ma * nb + bi.rmv.max(PANEL * (ma + na) + ai.rmv),
+        rows: factors.iter().fold(1, |p, f| shape_mul(p, f.rows)),
+        cols: factors.iter().fold(1, |p, f| shape_mul(p, f.cols)),
+        mv: fwd.scratch,
+        rmv: bwd.scratch,
+        rmva: bwd_add.scratch,
         pool_workers,
         pool_arena,
     };
     (
-        NodePlan::Kron(KronPlan {
-            a_rows: ma,
-            a_cols: na,
-            b_rows: mb,
-            b_cols: nb,
-            a: Box::new(ap),
-            b: Box::new(bp),
-            par_fwd_rows,
-            par_bwd_rows,
-            par_bwd_cols,
-            b_mv_scratch: bi.mv,
-            b_rmv_scratch: bi.rmv,
-            a_rmv_scratch: ai.rmv,
+        NodePlan::Kron(ModesPlan {
+            factors,
+            fwd,
+            bwd,
+            bwd_add,
         }),
         info,
     )
+}
+
+/// Lays out one direction of an N-ary Kronecker evaluation: each factor's
+/// mode geometry (factors apply last to first, so mode `k` sees input
+/// dimensions before it and output dimensions after it), a ping-pong slot
+/// per applied mode, and its pool chunking. With `to_out` the last mode
+/// writes the caller's `out`, and earlier modes use `out` too whenever
+/// their result fits and the next mode does not read from it; otherwise
+/// the modes alternate between two scratch buffers.
+fn plan_sweep(factors: &[ModeFactor], t: bool, to_out: bool) -> Sweep {
+    let nf = factors.len();
+    let dims: Vec<(usize, usize)> = factors
+        .iter()
+        .map(|f| {
+            if t {
+                (f.rows, f.cols)
+            } else {
+                (f.cols, f.rows)
+            }
+        })
+        .collect();
+    let mut outer = vec![1; nf];
+    for k in 1..nf {
+        outer[k] = shape_mul(outer[k - 1], dims[k - 1].0);
+    }
+    let mut inner = vec![1; nf];
+    for k in (0..nf.saturating_sub(1)).rev() {
+        inner[k] = shape_mul(inner[k + 1], dims[k + 1].1);
+    }
+    let out_total = shape_mul(inner[0], dims[0].1);
+    let nt = threads();
+    let mut steps: Vec<Step> = (0..nf)
+        .map(|k| {
+            let (n_in, n_out) = dims[k];
+            let (outer, inner) = (outer[k], inner[k]);
+            // Every intermediate length must fit in `usize` (evaluation
+            // multiplies these unchecked).
+            shape_mul(shape_mul(outer, n_in.max(n_out)), inner);
+            let work = outer.saturating_mul(n_in + n_out).saturating_mul(inner);
+            let chunk = if nt < 2 || work < MIN_PAR_WORK {
+                0
+            } else if outer >= 2 {
+                outer.div_ceil(nt.min(outer))
+            } else if inner >= 2 {
+                inner.div_ceil(nt.min(inner))
+            } else {
+                0
+            };
+            let extra = match factors[k].apply {
+                Apply::Fiber { mv, rmv, .. } => {
+                    let gather = if inner > 1 {
+                        crate::kernels::KRON_PANEL * (n_in + n_out)
+                    } else {
+                        0
+                    };
+                    gather + if t { rmv } else { mv }
+                }
+                _ => 0,
+            };
+            Step {
+                outer,
+                inner,
+                n_in,
+                n_out,
+                slot: Slot::Out,
+                chunk,
+                extra,
+            }
+        })
+        .collect();
+    // Slots, assigned backwards along the application order (descending
+    // factor index): a mode never writes the buffer the next mode reads.
+    let applied: Vec<usize> = (0..nf)
+        .rev()
+        .filter(|&k| !matches!(factors[k].apply, Apply::Skip))
+        .collect();
+    let (mut a_len, mut b_len, mut extra) = (0, 0, 0);
+    let mut next: Option<Slot> = None;
+    for (i, &k) in applied.iter().enumerate().rev() {
+        let last = i + 1 == applied.len();
+        let len = steps[k].out_len();
+        let slot = if to_out && (last || (next != Some(Slot::Out) && len <= out_total)) {
+            Slot::Out
+        } else if next != Some(Slot::A) {
+            a_len = a_len.max(len);
+            Slot::A
+        } else {
+            b_len = b_len.max(len);
+            Slot::B
+        };
+        steps[k].slot = slot;
+        extra = extra.max(steps[k].extra);
+        next = Some(slot);
+    }
+    Sweep {
+        steps,
+        a_len,
+        b_len,
+        scratch: a_len + b_len + extra,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -739,6 +826,65 @@ mod tests {
         // only this shape's contribution is pinned: re-lookup adds none.
         let _ = EvalPlan::cached(&m.clone());
         assert!(plan_builds() >= after_first);
+    }
+
+    fn tot_id(n: usize) -> Matrix {
+        Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)])
+    }
+
+    /// The census `Prefix(Income)` workload (`Prefix(357) ⊗ [T;I](5) ⊗
+    /// [T;I](7) ⊗ [T;I](4) ⊗ [T;I](2)`, 257,040 × 99,960).
+    fn census() -> Matrix {
+        Matrix::kron_list(vec![
+            Matrix::prefix(357),
+            tot_id(5),
+            tot_id(7),
+            tot_id(4),
+            tot_id(2),
+        ])
+    }
+
+    #[test]
+    fn nested_krons_flatten_into_one_node_whatever_the_nesting() {
+        let (a, b, c) = (Matrix::prefix(29), tot_id(3), Matrix::wavelet(5));
+        let right = Matrix::kron(a.clone(), Matrix::kron(b.clone(), c.clone()));
+        let left = Matrix::kron(Matrix::kron(a, b), c);
+        for m in [&right, &left] {
+            let plan = EvalPlan::cached(m);
+            let NodePlan::Kron(kp) = &plan.root else {
+                panic!("expected one Kronecker node");
+            };
+            let shapes: Vec<(usize, usize)> = kp.factors.iter().map(|f| (f.rows, f.cols)).collect();
+            assert_eq!(shapes, vec![(29, 29), (4, 3), (5, 5)]);
+            assert!(matches!(kp.factors[0].apply, Apply::Panel));
+            assert!(matches!(kp.factors[1].apply, Apply::Panel));
+            assert!(matches!(kp.factors[2].apply, Apply::Fiber { .. }));
+        }
+    }
+
+    #[test]
+    fn census_scratch_fits_the_binary_plans_footprint() {
+        let m = census();
+        let plan = EvalPlan::cached(&m);
+        // `out` is the forward ping-pong partner: one 257,040 buffer (the
+        // binary recursion carved 257,766).
+        assert_eq!(plan.mv_scratch, 257_040);
+        // Transpose intermediates of 171,360 and 137,088 scalars; the
+        // accumulating direction reuses them for its final temporary.
+        assert_eq!(plan.rmv_scratch, 171_360 + 137_088);
+        assert_eq!(plan.rmva_scratch, plan.rmv_scratch);
+        assert!(crate::Workspace::for_matrix(&m).capacity() <= 320_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn planner_rejects_overflowing_raw_kron() {
+        // Built from the raw enum, bypassing `Matrix::kron`'s check.
+        let m = Matrix::Kronecker(
+            Box::new(Matrix::identity(1 << 33)),
+            Box::new(Matrix::prefix(1 << 33)),
+        );
+        let _ = EvalPlan::cached(&m);
     }
 
     /// Spine reassembly over cached blocks increments the shared-subplan

@@ -271,10 +271,11 @@ impl Workspace {
 
 impl Matrix {
     /// Scalars of scratch space the *unplanned serial recursion* needs for
-    /// `A·x` — `O(tree size)` to compute. The planned engine
-    /// (the private `plan` module) needs at most this much and strictly less on
-    /// product chains; these functions remain the sizing authority for
-    /// leaf nodes and for sub-evaluations that run without a plan.
+    /// `A·x` — `O(tree size)` to compute. The planned engine (the private
+    /// `plan` module) sizes its own buffers: less on product chains, and
+    /// Kronecker chains ping-pong between the output and at most two
+    /// buffers. These functions remain the sizing authority for leaf nodes
+    /// and for sub-evaluations that run without a plan.
     pub fn matvec_scratch(&self) -> usize {
         match self {
             Matrix::Dense(..)

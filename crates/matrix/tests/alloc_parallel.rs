@@ -240,3 +240,53 @@ fn pooled_evaluation_bit_identical_across_pool_sizes() {
     }
     pool::set_workers(prev);
 }
+
+/// The 5-factor census `Prefix(Income)` workload (`Prefix(357) ⊗ [T;I](5)
+/// ⊗ [T;I](7) ⊗ [T;I](4) ⊗ [T;I](2)`): its flattened mode-by-mode
+/// evaluation, with every mode above the threading threshold, makes zero
+/// allocations when warm in both directions at pool sizes 1 and 4, and
+/// the pool size changes no bit.
+#[test]
+fn census_kron_zero_allocations_at_pool_sizes_1_and_4() {
+    let _serial = serialized();
+    let tot_id = |n| Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)]);
+    let k = Matrix::kron_list(vec![
+        Matrix::prefix(357),
+        tot_id(5),
+        tot_id(7),
+        tot_id(4),
+        tot_id(2),
+    ]);
+    let mut ws = Workspace::for_matrix(&k);
+    let x: Vec<f64> = (0..k.cols())
+        .map(|i| ((i * 29) % 31) as f64 - 15.0)
+        .collect();
+    let y: Vec<f64> = (0..k.rows())
+        .map(|i| ((i * 17) % 19) as f64 - 9.0)
+        .collect();
+    let mut out = vec![0.0; k.rows()];
+    let mut back = vec![0.0; k.cols()];
+    k.matvec_into(&x, &mut out, &mut ws);
+    k.rmatvec_into(&y, &mut back, &mut ws);
+    let (ref_out, ref_back) = (out.clone(), back.clone());
+    let builds = plan_builds();
+    let prev = pool::workers();
+    for size in [1usize, 4] {
+        pool::set_workers(size);
+        let allocations = count_allocations(|| {
+            k.matvec_into(&x, &mut out, &mut ws);
+            k.rmatvec_into(&y, &mut back, &mut ws);
+        });
+        assert_eq!(
+            allocations, 0,
+            "pool size {size}: warm census evaluation allocated"
+        );
+        assert_eq!(out, ref_out, "pool size {size} changed the census matvec");
+        assert_eq!(
+            back, ref_back,
+            "pool size {size} changed the census rmatvec"
+        );
+    }
+    pool::set_workers(prev);
+    assert_eq!(plan_builds(), builds, "steady state must not re-plan");
+}

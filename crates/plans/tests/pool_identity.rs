@@ -1,5 +1,6 @@
 //! Bit-identity of full plans across pool-executor sizes (ISSUE 5
-//! acceptance): the striped and MWEM plans, run end to end on equally
+//! acceptance): the striped, MWEM and Kronecker-strategy plans (plan #16
+//! HB-Striped_kron and HDMM's `OPT_⊗`), run end to end on equally
 //! seeded kernels, must produce **bit-identical** estimates whether the
 //! persistent pool executes their threaded regions with 1 worker, 2
 //! workers, or every worker it has — including fully inline (0).
@@ -21,8 +22,9 @@
 //! bit-identity bar applies.
 
 use ektelo_matrix::pool;
+use ektelo_plans::baseline::plan_hdmm_kron;
 use ektelo_plans::mwem::{plan_mwem, plan_mwem_variant_b, MwemOptions};
-use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped};
+use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped, plan_hb_striped_kron};
 use ektelo_plans::util::kernel_for_histogram;
 
 /// Runs the full plan family on freshly seeded kernels and returns every
@@ -56,6 +58,35 @@ fn run_plan_family() -> Vec<f64> {
 
     let (k, root) = kernel_for_histogram(&x, eps, 44);
     all.extend(plan_mwem_variant_b(&k, root, &w, eps, &opts).unwrap().x_hat);
+
+    // Multi-factor Kronecker strategies, on a domain large enough that
+    // their mode-by-mode evaluation crosses the threading threshold: the
+    // HB mode splits by columns (panel kernels), the HDMM factors run the
+    // fiber walk in pool chunks.
+    let sizes = [64usize, 16, 8];
+    let n: usize = sizes.iter().product();
+    let x: Vec<f64> = (0..n).map(|i| ((i * 17) % 29) as f64 + 1.0).collect();
+    let (k, root) = kernel_for_histogram(&x, eps, 45);
+    all.extend(
+        plan_hb_striped_kron(&k, root, &sizes, 0, eps)
+            .unwrap()
+            .x_hat,
+    );
+
+    // HDMM's per-factor optimization dominates its cost, so it gets the
+    // smallest domain whose strategy modes still cross the threshold.
+    let sizes = [24usize, 16, 4];
+    let n: usize = sizes.iter().product();
+    let factors = [
+        ektelo_matrix::Matrix::prefix(sizes[0]),
+        ektelo_matrix::Matrix::vstack(vec![
+            ektelo_matrix::Matrix::total(sizes[1]),
+            ektelo_matrix::Matrix::identity(sizes[1]),
+        ]),
+        ektelo_matrix::Matrix::prefix(sizes[2]),
+    ];
+    let (k, root) = kernel_for_histogram(&x[..n], eps, 46);
+    all.extend(plan_hdmm_kron(&k, root, &factors, eps).unwrap().x_hat);
 
     all
 }

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ektelo_core::kernel::ProtectedKernel;
 use ektelo_core::ops::partition::stripe_partition;
-use ektelo_matrix::{pool, Matrix, Repr, Workspace};
+use ektelo_matrix::{Matrix, Repr, Workspace};
 use std::hint::black_box;
 
 fn bench_core_matrices(c: &mut Criterion) {
@@ -766,135 +766,6 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// ISSUE 10 service-concurrency bench: N independent sessions, each
-/// executing a mixed plan sequence (HB-Striped, DAWA-Striped, MWEM) on
-/// its own equally-sized kernel, all contending for the one shared
-/// process pool. Measured before the scheduler was built (the ISSUE's
-/// "measure first" gate) and kept as the standing baseline arm:
-///
-/// * `linear_scan` — what a naive service does today: one OS thread per
-///   session, every session's parallel regions hammering the pool's
-///   linear slot scan with inline fallback. At N sessions this pays N
-///   thread spawns per batch plus scheduler thrash, and a long session
-///   can monopolize the workers it wins.
-/// * `bucketed` — sessions become typed work packets on the two-tier
-///   scheduler (`pool::bucket`): per-worker deques absorb the burst,
-///   idle workers steal, and round-robin release keeps sessions fair.
-///   No OS threads are created per batch.
-///
-/// The acceptance bar: `bucketed` no worse at N=1, measurably faster at
-/// N ≥ 16.
-fn bench_many_sessions_contention(c: &mut Criterion) {
-    use ektelo_plans::mwem::{plan_mwem, MwemOptions};
-    use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped};
-    use ektelo_plans::util::kernel_for_histogram;
-
-    let mut group = c.benchmark_group("many_sessions_contention");
-    group.sample_size(10);
-
-    let sizes = [32usize, 3, 2];
-    let n: usize = sizes.iter().product();
-    let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 23) as f64 + 1.0).collect();
-    let eps = 0.8;
-    let workload = Matrix::prefix(n);
-    let opts = MwemOptions {
-        rounds: 2,
-        total: x.iter().sum(),
-        mw_iterations: 8,
-    };
-
-    // One session's plan mix. Fresh kernels per run (seeded per session)
-    // so sessions are independent; the checksum keeps the work honest.
-    let run_session = |session: u64| -> f64 {
-        let (k, root) = kernel_for_histogram(&x, eps, 100 + session);
-        let mut acc: f64 = plan_hb_striped(&k, root, &sizes, 0, eps)
-            .unwrap()
-            .x_hat
-            .iter()
-            .sum();
-        let (k, root) = kernel_for_histogram(&x, eps, 200 + session);
-        acc += plan_dawa_striped(&k, root, &sizes, 0, &[(0, 16)], eps, 0.25)
-            .unwrap()
-            .x_hat
-            .iter()
-            .sum::<f64>();
-        let (k, root) = kernel_for_histogram(&x, eps, 300 + session);
-        acc += plan_mwem(&k, root, &workload, eps, &opts)
-            .unwrap()
-            .x_hat
-            .iter()
-            .sum::<f64>();
-        acc
-    };
-
-    for &nsessions in &[1usize, 4, 16, 64] {
-        let mut acc = vec![0.0f64; nsessions];
-        group.bench_function(BenchmarkId::new("linear_scan", nsessions), |b| {
-            b.iter(|| {
-                // xlint: allow(determinism-thread, reason = "intentional baseline arm: one OS thread per session is what a service without the bucketed scheduler pays; results are checksummed and discarded")
-                std::thread::scope(|s| {
-                    for (i, slot) in acc.iter_mut().enumerate() {
-                        let run_session = &run_session;
-                        s.spawn(move || *slot = run_session(i as u64));
-                    }
-                });
-                black_box(acc[0])
-            })
-        });
-
-        // The bucketed arm: each session's HB and DAWA plans are Measure
-        // packets (independent kernels, free to run concurrently), its
-        // MWEM plan an Infer packet the open condition holds back until
-        // the session's measurements finish. No OS threads per batch —
-        // packets ride the persistent pool's per-worker deques, and the
-        // round-robin release keeps N sessions fair.
-        let mut out = vec![0.0f64; nsessions * 3];
-        group.bench_function(BenchmarkId::new("bucketed", nsessions), |b| {
-            b.iter(|| {
-                let mut set = pool::bucket::SessionSet::new();
-                {
-                    let mut slots = out.iter_mut();
-                    let (x, sizes, workload, opts) = (&x, &sizes, &workload, &opts);
-                    for i in 0..nsessions {
-                        let session = i as u64;
-                        let sid = set.session();
-                        let hb = slots.next().unwrap();
-                        set.submit(sid, pool::bucket::Stage::Measure, move || {
-                            let (k, root) = kernel_for_histogram(x, eps, 100 + session);
-                            *hb = plan_hb_striped(&k, root, sizes, 0, eps)
-                                .unwrap()
-                                .x_hat
-                                .iter()
-                                .sum();
-                        });
-                        let dawa = slots.next().unwrap();
-                        set.submit(sid, pool::bucket::Stage::Measure, move || {
-                            let (k, root) = kernel_for_histogram(x, eps, 200 + session);
-                            *dawa = plan_dawa_striped(&k, root, sizes, 0, &[(0, 16)], eps, 0.25)
-                                .unwrap()
-                                .x_hat
-                                .iter()
-                                .sum();
-                        });
-                        let mwem = slots.next().unwrap();
-                        set.submit(sid, pool::bucket::Stage::Infer, move || {
-                            let (k, root) = kernel_for_histogram(x, eps, 300 + session);
-                            *mwem = plan_mwem(&k, root, workload, eps, opts)
-                                .unwrap()
-                                .x_hat
-                                .iter()
-                                .sum();
-                        });
-                    }
-                }
-                set.run();
-                black_box(out[0])
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The stripe transforms of HB-Striped (paper §9.2, Algorithm 5) on the
 /// 357×5×7×4×2 census domain: build the 280-group stripe partition along
 /// the first attribute, then split the data vector by it (children,
@@ -927,7 +798,6 @@ criterion_group!(
     bench_plan_cache,
     bench_arena_pool,
     bench_pool_executor,
-    bench_many_sessions_contention,
     bench_core_matrices,
     bench_kron,
     bench_sensitivity,

@@ -507,19 +507,19 @@ const PAR_DOT_MIN: usize = 1 << 15;
 ///
 /// The vector is split into [`pool::configured_parallelism`] fixed chunks
 /// (a process constant — **not** the live worker count), each chunk's
-/// partial is computed with the selected [`dot`] kernel through the typed
-/// [`pool::typed_scope`] executor, and the partials are summed on the
-/// caller in fixed chunk order. Changing [`pool::set_workers`] therefore
-/// never changes the result: it is bit-identical for every pool size,
+/// partial is computed with the selected [`dot`] kernel by one
+/// [`pool::scope`] job writing its own slot of a stack partials array,
+/// and the partials are summed on the caller in fixed chunk order.
+/// Changing [`pool::set_workers`] therefore never changes the result: it is bit-identical for every pool size,
 /// including 0 (everything inline), and for every steal interleaving —
 /// when all workers are busy, spawns queue on per-worker deques and may
 /// execute via work stealing, which moves chunks but never reorders the
 /// caller-side sum. Short vectors skip the pool entirely and return
 /// `dot(a, b)`. Allocation-free: partials live in a stack array and the
-/// typed scope's result slots are preallocated.
+/// pool copies each job into a preallocated slot.
 ///
 /// WARM: allocation-free by contract — partials live in a stack array and
-/// the typed scope preallocates its result slots (xlint `warm-path-alloc`).
+/// pool dispatch is allocation-free (xlint `warm-path-alloc`).
 ///
 /// CLASS: reassociating
 pub fn par_dot(a: &[f64], b: &[f64]) -> f64 {
@@ -532,20 +532,12 @@ pub fn par_dot(a: &[f64], b: &[f64]) -> f64 {
     let chunk = n.div_ceil(k);
     let nchunks = n.div_ceil(chunk);
     let mut partials = [0.0f64; pool::MAX_WORKERS];
-    pool::typed_scope(|ts| {
-        let mut handles: [Option<pool::TypedHandle<'_, f64>>; pool::MAX_WORKERS] =
-            [const { None }; pool::MAX_WORKERS];
-        for (c, h) in handles.iter_mut().take(nchunks).enumerate() {
+    pool::scope(|s| {
+        for (c, p) in partials.iter_mut().take(nchunks).enumerate() {
             let lo = c * chunk;
             let hi = ((c + 1) * chunk).min(n);
             let (ac, bc) = (&a[lo..hi], &b[lo..hi]);
-            *h = Some(ts.spawn(move || dot(ac, bc)));
-        }
-        ts.join();
-        for (p, h) in partials.iter_mut().zip(handles.iter_mut()) {
-            if let Some(h) = h.take() {
-                *p = h.take();
-            }
+            s.spawn(move || *p = dot(ac, bc));
         }
     });
     // Fixed-order sequential merge of the fixed-geometry partials.

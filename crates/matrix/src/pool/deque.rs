@@ -1,11 +1,11 @@
-//! Per-worker bounded work deques for the two-tier scheduler.
+//! Per-worker bounded work deques for the pool's queueing fallback.
 //!
 //! Each pool worker owns one [`BoundedDeque`]: the owner pushes and pops
 //! at the **tail** (LIFO — newest first, which keeps a worker's own
 //! nested spawns cache-hot), while idle workers and joining callers steal
 //! from the **head** (FIFO — oldest first, which is what makes queueing
-//! fair: work that has waited longest runs next, so one session's burst
-//! cannot indefinitely delay another's earlier packets).
+//! fair: work that has waited longest runs next, so one caller's burst
+//! cannot indefinitely delay another's earlier jobs).
 //!
 //! The ring is **preallocated at construction** and never grows: a push
 //! onto a full deque fails and hands the job back to the dispatcher

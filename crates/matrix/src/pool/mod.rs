@@ -25,7 +25,7 @@
 //!   **queued** on a per-worker bounded deque (`deque.rs`) instead of
 //!   running inline: the owner pushes and pops LIFO at the tail, idle
 //!   workers and joining callers steal FIFO from the head, so an
-//!   oversubscribed burst from one session can no longer monopolize the
+//!   oversubscribed burst from one region can no longer monopolize the
 //!   caller while siblings starve — the oldest queued work runs next,
 //!   whoever is free. Inline execution remains the final fallback (a
 //!   pool deliberately sized to 0, or every deque full) and the
@@ -35,17 +35,14 @@
 //!   always be executed by the waiter itself, and a slot job is still
 //!   only ever armed on a worker that is parked in its dispatch loop.
 //!
-//! This module is the **packet layer** of the two-tier scheduler; the
-//! **bucket layer** ([`bucket`]) adds stage ordering within a plan
-//! (measure-before-infer) and round-robin fairness across concurrent
-//! sessions on top of these deques. Counters for both layers are
+//! [`scope`] is the only way work enters the pool. Its counters are
 //! exposed through [`stats`] (see [`PoolStats`] for the precise
 //! claimed-vs-completed semantics of each counter).
 //!
 //! # Determinism
 //!
-//! The scheduler (both tiers) decides **where** and **in what order**
-//! fixed chunks run, never **what** the work is.
+//! The scheduler decides **where** and **in what order** fixed chunks
+//! run, never **what** the work is.
 //! Chunk geometry is fixed before dispatch — at plan time for matrix
 //! evaluation ([`crate::Workspace`] plans record chunk sizes built from
 //! [`configured_parallelism`], a process constant), and per call from the
@@ -73,7 +70,10 @@
 //! every threaded path execute serially. Threading is always compiled;
 //! this pool size is the only switch. The CI pool-determinism job runs
 //! the suites under `1`, `4` and the default to pin that the answers
-//! never move.
+//! never move. A value that is not a non-negative integer (`"four"`,
+//! `"-1"`, `"4x"`, empty) is a configuration error: the first pool use
+//! panics with a message naming the variable and its value, rather than
+//! silently falling back to the default geometry.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -84,11 +84,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::thread::Thread;
 
-pub mod bucket;
 mod deque;
 mod stats;
 
-pub use stats::{stats, worker_stats, PoolStats, WorkerStats};
+pub use stats::{stats, PoolStats};
 
 use deque::BoundedDeque;
 
@@ -110,7 +109,7 @@ const SPAWN_FLOOR: usize = 4;
 /// Capacity of each per-worker deque, preallocated at pool construction.
 /// Far above any chunk count a single region produces
 /// (≤ [`MAX_WORKERS`]), and deep enough that dozens of concurrent
-/// sessions queue without hitting the inline fallback.
+/// regions queue without hitting the inline fallback.
 const DEQUE_CAP: usize = 256;
 
 // Worker slot states. IDLE workers are parked in their dispatch loop
@@ -145,10 +144,6 @@ struct Worker {
     /// This worker's bounded deque: the worker pushes/pops LIFO at the
     /// tail; idle siblings and joining callers steal FIFO from the head.
     deque: BoundedDeque<Job>,
-    /// Slot jobs this worker ran (its side of `dispatched` handoffs).
-    ran_slot: AtomicU64,
-    /// Jobs this worker stole from siblings' deque heads.
-    stole: AtomicU64,
 }
 
 // SAFETY: `slot` is only written by a dispatcher that won the IDLE→CLAIMED
@@ -217,13 +212,25 @@ pub fn set_force_steal(on: bool) {
     FORCE_STEAL.store(on, Ordering::Relaxed);
 }
 
-/// `EKTELO_POOL_WORKERS`, parsed once for the process lifetime.
+/// Parses an `EKTELO_POOL_WORKERS` value: a non-negative integer,
+/// surrounding whitespace ignored. Anything else is an error.
+fn parse_workers(raw: &str) -> Result<usize, std::num::ParseIntError> {
+    raw.trim().parse()
+}
+
+/// `EKTELO_POOL_WORKERS`, parsed once for the process lifetime; `None`
+/// when unset. Panics when it is set to anything [`parse_workers`]
+/// rejects: a typo must not silently run the default geometry.
 fn env_workers() -> Option<usize> {
     static V: OnceLock<Option<usize>> = OnceLock::new();
     *V.get_or_init(|| {
-        std::env::var("EKTELO_POOL_WORKERS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
+        let raw = std::env::var_os("EKTELO_POOL_WORKERS")?;
+        let raw = raw.to_string_lossy();
+        match parse_workers(&raw) {
+            Ok(n) => Some(n),
+            // xlint: allow(panic-policy, reason = "one-time process configuration: a malformed worker count has no sane reading, and falling back to the default geometry would hide the typo from the determinism legs that set it")
+            Err(e) => panic!("EKTELO_POOL_WORKERS={raw:?} is not a worker count: {e}"),
+        }
     })
 }
 
@@ -236,6 +243,12 @@ fn env_workers() -> Option<usize> {
 /// constant for cached plans to stay meaningful and for results to be
 /// bit-identical across runtime [`set_workers`] changes, whereas the
 /// effective worker count only steers where fixed chunks execute.
+///
+/// # Panics
+///
+/// Panics on first use when `EKTELO_POOL_WORKERS` is set to something
+/// other than a non-negative integer (see the module docs). Every other
+/// pool entry point reads the variable through the same check.
 pub fn configured_parallelism() -> usize {
     static P: OnceLock<usize> = OnceLock::new();
     *P.get_or_init(|| match env_workers() {
@@ -269,8 +282,6 @@ fn pool() -> &'static Pool {
                     // xlint: allow(warm-path-alloc, reason = "one-time pool construction inside the OnceLock initializer; Thread::clone is an Arc refcount bump")
                     thread: handle.thread().clone(),
                     deque: BoundedDeque::new(DEQUE_CAP),
-                    ran_slot: AtomicU64::new(0),
-                    stole: AtomicU64::new(0),
                 }
             })
             // xlint: allow(warm-path-alloc, reason = "one-time pool construction inside the OnceLock initializer; the warm path only ever re-reads the initialized pool")
@@ -308,7 +319,6 @@ fn worker_main(index: usize) {
                 // exactly once.
                 let job = unsafe { (*w.slot.get()).assume_init_read() };
                 run_job(job, false);
-                w.ran_slot.fetch_add(1, Ordering::Relaxed);
                 w.state.store(IDLE, Ordering::Release);
                 continue;
             }
@@ -344,7 +354,7 @@ fn worker_main(index: usize) {
 /// over every sibling. Returns whether anything ran. Under the
 /// forced-steal schedule the order inverts (steal siblings first) and
 /// even the own deque is taken from the steal end, so every queued job
-/// deterministically runs as a stolen packet.
+/// deterministically runs as a stolen job.
 fn drain_queue_work(index: usize) -> bool {
     let p = pool();
     let w = &p.workers[index];
@@ -357,7 +367,6 @@ fn drain_queue_work(index: usize) -> bool {
             }
             if let Some(job) = w.deque.steal_head() {
                 p.stolen.fetch_add(1, Ordering::Relaxed);
-                w.stole.fetch_add(1, Ordering::Relaxed);
                 run_job(job, true);
                 did = true;
                 continue;
@@ -390,9 +399,6 @@ fn steal_one(p: &Pool, thief: Option<usize>) -> bool {
         }
         if let Some(job) = p.workers[idx].deque.steal_head() {
             p.stolen.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = thief {
-                p.workers[t].stole.fetch_add(1, Ordering::Relaxed);
-            }
             run_job(job, true);
             return true;
         }
@@ -406,7 +412,7 @@ fn steal_one(p: &Pool, thief: Option<usize>) -> bool {
 /// this before parking, which is what makes queueing deadlock-free: the
 /// job a join is waiting on can always be executed by the waiter itself
 /// (including nested scopes running on workers).
-pub(crate) fn help_queue_work() -> bool {
+fn help_queue_work() -> bool {
     let p = pool();
     let own = WORKER_INDEX.get();
     if own != usize::MAX {
@@ -414,7 +420,6 @@ pub(crate) fn help_queue_work() -> bool {
         if force_steal() {
             if let Some(job) = w.deque.steal_head() {
                 p.stolen.fetch_add(1, Ordering::Relaxed);
-                w.stole.fetch_add(1, Ordering::Relaxed);
                 run_job(job, true);
                 return true;
             }
@@ -436,7 +441,7 @@ fn run_job(mut job: Job, stolen: bool) {
     let result = catch_unwind(AssertUnwindSafe(|| {
         if stolen {
             // The steal path's own audited fault site: a chaos schedule
-            // can kill specifically a stolen packet and assert the budget
+            // can kill specifically a stolen job and assert the budget
             // ledger survives (`fault_injection.rs` sweeps it). Inside
             // the catch for the same reason as `pool::job` below.
             crate::failpoints::panic_if("pool::steal");
@@ -560,7 +565,7 @@ fn try_enqueue(mut job: Job) -> Option<Job> {
         }
     }
     // Non-workers (and a worker whose own deque is full) spread across
-    // the active deques round-robin, so concurrent sessions interleave
+    // the active deques round-robin, so concurrent callers interleave
     // instead of piling onto worker 0.
     let start = p.rr.fetch_add(1, Ordering::Relaxed);
     for k in 0..n {
@@ -588,9 +593,10 @@ fn try_enqueue(mut job: Job) -> Option<Job> {
 
 /// Submission chokepoint for every sized job: an idle worker's slot if
 /// one exists, else a worker deque (oversubscription **queues** instead
-/// of running inline — the cross-session fairness rule), else inline on
-/// the caller as the final fallback. Under the forced-steal schedule the
-/// slot fast path is skipped so every job travels through a deque.
+/// of running inline — the fairness rule across concurrent callers),
+/// else inline on the caller as the final fallback. Under the
+/// forced-steal schedule the slot fast path is skipped so every job
+/// travels through a deque.
 fn submit_job(state: &ScopeState, job: Job) {
     let job = if force_steal() {
         Some(job)
@@ -715,230 +721,6 @@ where
     // park protocol makes the final wait race-free: a completion that
     // lands between the check and the park leaves a token that makes the
     // park return immediately.
-    while state.pending.load(Ordering::Acquire) != 0 {
-        if !help_queue_work() {
-            std::thread::park();
-        }
-    }
-    let job_panic = state.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-    match result {
-        Err(body_panic) => resume_unwind(body_panic),
-        Ok(value) => {
-            if let Some(payload) = job_panic {
-                resume_unwind(payload);
-            }
-            value
-        }
-    }
-}
-
-// Result-slot protocol states for the typed scope. A slot starts EMPTY,
-// the job's single Release store publishes READY, and `TypedHandle::take`
-// claims it with a READY→TAKEN CAS — so a take before `join`, or after a
-// panicked job, fails loudly instead of reading uninitialized memory.
-const SLOT_EMPTY: u8 = 0;
-const SLOT_READY: u8 = 1;
-const SLOT_TAKEN: u8 = 2;
-
-/// A preallocated landing slot for one typed job's return value.
-///
-/// [`typed_scope`] keeps a fixed array of these on the caller's stack —
-/// one per possible spawn — so returning a value from a pool job costs no
-/// allocation and no locking: the job writes the value and flips the
-/// slot's state with one Release store.
-pub struct ResultSlot<T> {
-    state: AtomicU8,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-// SAFETY: the slot protocol gives exclusive access by construction — the
-// value cell is written only by the one job that owns the slot (before
-// its READY store) and read only by the one `take` that wins the
-// READY→TAKEN CAS (after it). `T: Send` is required because the value
-// crosses from a worker thread back to the caller.
-unsafe impl<T: Send> Sync for ResultSlot<T> {}
-
-impl<T> ResultSlot<T> {
-    fn new() -> Self {
-        ResultSlot {
-            state: AtomicU8::new(SLOT_EMPTY),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
-}
-
-impl<T> Drop for ResultSlot<T> {
-    fn drop(&mut self) {
-        // A READY value whose handle was never consumed still gets
-        // dropped (we have `&mut self`, so the scope has already joined).
-        // SAFETY: READY means the owning job's Release store published a
-        // fully written value, and no `take` claimed it (state ≠ TAKEN).
-        if *self.state.get_mut() == SLOT_READY {
-            unsafe { self.value.get_mut().assume_init_drop() };
-        }
-    }
-}
-
-/// The receipt for one typed job: redeem it with [`TypedHandle::take`]
-/// after [`TypedScope::join`] to get the job's return value.
-pub struct TypedHandle<'scope, T> {
-    slot: &'scope ResultSlot<T>,
-}
-
-impl<T> TypedHandle<'_, T> {
-    /// Whether the job has finished and its value is still unclaimed.
-    pub fn is_ready(&self) -> bool {
-        self.slot.state.load(Ordering::Acquire) == SLOT_READY
-    }
-
-    /// Consumes the handle and returns the job's value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not ready — taking before
-    /// [`TypedScope::join`], or taking the handle of a job that panicked
-    /// (the job's own panic also resurfaces when the scope closes).
-    pub fn take(self) -> T {
-        match self.slot.state.compare_exchange(
-            SLOT_READY,
-            SLOT_TAKEN,
-            Ordering::Acquire,
-            Ordering::Acquire,
-        ) {
-            // SAFETY: winning the READY→TAKEN CAS proves the owning job
-            // wrote the value (Release/Acquire paired) and grants this
-            // call exclusive right to read it, exactly once.
-            Ok(_) => unsafe { (*self.slot.value.get()).assume_init_read() },
-            // xlint: allow(panic-policy, reason = "documented API contract (see the Panics section): taking before join, or taking a panicked job's handle, is a caller bug")
-            Err(_) => panic!(
-                "TypedHandle::take: value not ready (take() before join(), \
-                 or the job panicked)"
-            ),
-        }
-    }
-}
-
-/// A dispatch handle into one [`typed_scope`] region: like [`Scope`], but
-/// spawned closures **return values**, redeemed through
-/// [`TypedHandle`]s after an explicit [`TypedScope::join`]. All jobs in
-/// one region return the same type `T` (they land in a homogeneous
-/// preallocated slot array).
-pub struct TypedScope<'scope, 'env: 'scope, T: Send> {
-    state: &'scope ScopeState,
-    /// Last spawned job, run by the caller at `join` — same single-chunk
-    /// degradation as [`Scope`].
-    stash: &'scope UnsafeCell<Option<Job>>,
-    slots: &'scope [ResultSlot<T>; MAX_WORKERS],
-    /// Next unclaimed slot index (slots are claimed in spawn order, which
-    /// is what makes fixed-order merges of the results trivial).
-    next: &'scope std::cell::Cell<usize>,
-    _scope: PhantomData<&'scope mut &'scope ()>,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env, T: Send> TypedScope<'scope, 'env, T> {
-    /// Submits `f` to the pool and returns the handle that will hold its
-    /// value. Placement mirrors [`Scope::spawn`] exactly (worker, inline
-    /// fallback, caller-run stash tail, oversized-capture inline path) —
-    /// none of which affects the value produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region spawns more than [`MAX_WORKERS`] jobs (the
-    /// preallocated slot array is full; chunk counts are bounded by
-    /// [`configured_parallelism`], which is far below this).
-    pub fn spawn<F>(&self, f: F) -> TypedHandle<'scope, T>
-    where
-        F: FnOnce() -> T + Send + 'scope,
-    {
-        let idx = self.next.get();
-        assert!(
-            idx < MAX_WORKERS,
-            "typed_scope: spawned more jobs than preallocated result slots"
-        );
-        self.next.set(idx + 1);
-        let slot = &self.slots[idx];
-        debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_EMPTY);
-        let task = move || {
-            let v = f();
-            // SAFETY: this job is the slot's unique owner; the Release
-            // store below is what publishes the write to `take`.
-            unsafe { (*slot.value.get()).write(v) };
-            slot.state.store(SLOT_READY, Ordering::Release);
-        };
-        if std::mem::size_of_val(&task) <= std::mem::size_of::<TaskData>()
-            && std::mem::align_of_val(&task) <= std::mem::align_of::<usize>()
-        {
-            // SAFETY: the wrapper is `Send + 'scope` (it captures `f` and
-            // a `'scope` slot reference), and `typed_scope` cannot return
-            // before the erased bytes are consumed exactly once.
-            let job = unsafe { erase(task, self.state) };
-            let prev = unsafe { &mut *self.stash.get() }.replace(job);
-            if let Some(prev) = prev {
-                submit_job(self.state, prev);
-            }
-        } else {
-            run_oversized(self.state, task);
-        }
-        TypedHandle { slot }
-    }
-
-    /// Blocks until every job spawned so far has finished (running the
-    /// stashed tail job on the calling thread first). After `join`
-    /// returns, every handle spawned before it is ready. Callable
-    /// repeatedly; spawning again after a `join` starts a new batch.
-    pub fn join(&self) {
-        // SAFETY: `TypedScope` is `!Sync` (Cell fields), so `join` and
-        // `spawn` are serialized on the one caller thread that owns the
-        // stash; workers never touch it.
-        if let Some(job) = unsafe { &mut *self.stash.get() }.take() {
-            run_inline(self.state, job);
-        }
-        while self.state.pending.load(Ordering::Acquire) != 0 {
-            if !help_queue_work() {
-                std::thread::park();
-            }
-        }
-    }
-}
-
-/// Runs `f` with a [`TypedScope`]: the value-returning variant of
-/// [`scope`], built for chunked reductions — spawn one job per fixed
-/// chunk, [`TypedScope::join`], then merge the [`TypedHandle`] values in
-/// spawn order on the caller. The result slots live in this call's stack
-/// frame, so the whole round trip (dispatch, return, merge) allocates
-/// nothing.
-///
-/// Joins all jobs before returning even if `f` panics or forgets to call
-/// `join`; job panics resurface here after every job has completed, with
-/// a body panic taking precedence — the same contract as [`scope`].
-pub fn typed_scope<'env, T, R, F>(f: F) -> R
-where
-    T: Send,
-    F: for<'scope> FnOnce(&'scope TypedScope<'scope, 'env, T>) -> R,
-{
-    let state = ScopeState {
-        pending: AtomicUsize::new(0),
-        caller: std::thread::current(),
-        panic: Mutex::new(None),
-    };
-    let stash = UnsafeCell::new(None);
-    let slots: [ResultSlot<T>; MAX_WORKERS] = std::array::from_fn(|_| ResultSlot::new());
-    let next = std::cell::Cell::new(0);
-    let ts = TypedScope {
-        state: &state,
-        stash: &stash,
-        slots: &slots,
-        next: &next,
-        _scope: PhantomData,
-        _env: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| f(&ts)));
-    // SAFETY: `f` has returned, so no `TypedScope::spawn`/`join` can touch
-    // the stash concurrently; the caller is its only remaining accessor.
-    if let Some(job) = unsafe { &mut *stash.get() }.take() {
-        run_inline(&state, job);
-    }
     while state.pending.load(Ordering::Acquire) != 0 {
         if !help_queue_work() {
             std::thread::park();
@@ -1245,125 +1027,19 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_align_with_pool() {
-        let ws = worker_stats();
-        let ps = stats();
-        assert_eq!(ws.len(), ps.spawned);
-        for (i, w) in ws.iter().enumerate() {
-            assert_eq!(w.index, i);
-        }
-        let per_worker: u64 = ws.iter().map(|w| w.stolen).sum();
-        assert!(
-            per_worker <= ps.stolen,
-            "worker steals ({per_worker}) cannot exceed pool steals ({})",
-            ps.stolen
-        );
-    }
-
-    #[test]
     fn configured_parallelism_is_positive_and_bounded() {
         let p = configured_parallelism();
         assert!((1..=MAX_WORKERS).contains(&p));
     }
 
     #[test]
-    fn typed_scope_returns_values_in_spawn_order() {
-        let _serial = resize_lock();
-        let data: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let got = typed_scope(|ts| {
-            let handles: Vec<_> = data
-                .chunks(16)
-                .map(|c| ts.spawn(move || c.iter().sum::<f64>()))
-                .collect();
-            ts.join();
-            handles
-                .into_iter()
-                .map(TypedHandle::take)
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(got, vec![120.0, 376.0, 632.0, 888.0]);
-    }
-
-    #[test]
-    fn typed_scope_results_identical_across_pool_sizes_including_zero() {
-        let _serial = resize_lock();
-        let prev = workers();
-        let run = || {
-            typed_scope(|ts| {
-                let handles: Vec<_> = (0..8)
-                    .map(|i| {
-                        ts.spawn(move || {
-                            (0..100).map(|k| ((i * 100 + k) as f64).sqrt()).sum::<f64>()
-                        })
-                    })
-                    .collect();
-                ts.join();
-                handles.into_iter().map(TypedHandle::take).sum::<f64>()
-            })
-        };
-        let reference = run();
-        for size in [0, 1, 2, MAX_WORKERS] {
-            set_workers(size);
-            assert_eq!(
-                run().to_bits(),
-                reference.to_bits(),
-                "pool size {size} changed typed reduction"
-            );
+    fn parse_workers_accepts_counts_and_rejects_everything_else() {
+        assert_eq!(parse_workers("4"), Ok(4));
+        assert_eq!(parse_workers("0"), Ok(0));
+        assert_eq!(parse_workers(" 4\n"), Ok(4));
+        assert_eq!(parse_workers("\t16 "), Ok(16));
+        for bad in ["", "   ", "four", "-1", "4x", "4 4", "+-4", "1.5"] {
+            assert!(parse_workers(bad).is_err(), "{bad:?} must be rejected");
         }
-        set_workers(prev);
-    }
-
-    #[test]
-    fn typed_take_before_join_panics_cleanly() {
-        let _serial = resize_lock();
-        typed_scope(|ts| {
-            // A single spawned job sits in the stash until join runs it,
-            // so its handle is guaranteed not-ready here.
-            let h = ts.spawn(|| 1.0f64);
-            assert!(!h.is_ready());
-            let r = catch_unwind(AssertUnwindSafe(|| h.take()));
-            assert!(r.is_err(), "take() before join() must panic");
-            ts.join();
-        });
-    }
-
-    #[test]
-    fn typed_job_panic_propagates_from_scope() {
-        let _serial = resize_lock();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            typed_scope(|ts| {
-                let _h = ts.spawn(|| -> f64 { panic!("typed boom") });
-                ts.join();
-            });
-        }));
-        assert!(result.is_err(), "a typed job panic must surface");
-    }
-
-    #[test]
-    fn typed_unconsumed_values_are_dropped() {
-        let _serial = resize_lock();
-        // Heap-owning values left unclaimed must still be freed by the
-        // slot's Drop when the scope closes.
-        typed_scope(|ts| {
-            for i in 0..6 {
-                let _ = ts.spawn(move || vec![i; 100]);
-            }
-            ts.join();
-        });
-    }
-
-    #[test]
-    fn typed_scope_joins_all_jobs_even_without_explicit_join() {
-        let _serial = resize_lock();
-        let counter = AtomicUsize::new(0);
-        typed_scope(|ts: &TypedScope<'_, '_, ()>| {
-            for _ in 0..8 {
-                let _ = ts.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // No join(): the scope epilogue must still drain everything.
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
     }
 }

@@ -1,4 +1,4 @@
-//! Observability counters for the two-tier scheduler.
+//! Observability counters for the worker pool.
 //!
 //! Everything here is monotonic process-lifetime counting — tests and
 //! benches diff two snapshots to prove a path actually engaged (pooled
@@ -16,8 +16,6 @@
 //!   `run_job` / `run_inline`, which is where the increment lives.
 
 use std::sync::atomic::Ordering;
-
-use super::bucket;
 
 /// A snapshot of the pool's lifetime counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,30 +41,11 @@ pub struct PoolStats {
     pub completed: u64,
     /// High-water mark of any single worker deque's depth.
     pub queue_depth_max: usize,
-    /// Bucket-layer packets submitted, indexed by
-    /// [`bucket::Stage`] (`Transform`/`Measure`/`Infer`).
-    pub packets_submitted: [u64; bucket::STAGES],
-    /// Bucket-layer packets completed (or cancelled after a session
-    /// fault), same indexing.
-    pub packets_completed: [u64; bucket::STAGES],
     /// Workers currently accepting dispatch.
     pub workers: usize,
     /// Worker threads parked in the pool (the cap for
     /// [`super::set_workers`]).
     pub spawned: usize,
-}
-
-/// One worker's share of the counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Position in the pool (also its deque's identity for stealing).
-    pub index: usize,
-    /// Slot jobs this worker ran (its side of the `dispatched` handoffs).
-    pub dispatched: u64,
-    /// Jobs this worker stole from siblings' deque heads.
-    pub stolen: u64,
-    /// High-water mark of this worker's own deque depth.
-    pub queue_depth_max: usize,
 }
 
 /// Current pool counters; tests and benches diff two snapshots to prove
@@ -86,25 +65,7 @@ pub fn stats() -> PoolStats {
         inline: p.inline.load(Ordering::Relaxed),
         completed: p.completed.load(Ordering::Relaxed),
         queue_depth_max,
-        packets_submitted: bucket::packets_submitted(),
-        packets_completed: bucket::packets_completed(),
         workers: super::workers(),
         spawned: p.workers.len(),
     }
-}
-
-/// Per-worker counter snapshots, in worker order. Cold diagnostics
-/// surface (allocates a Vec); the warm paths never call it.
-pub fn worker_stats() -> Vec<WorkerStats> {
-    let p = super::pool();
-    p.workers
-        .iter()
-        .enumerate()
-        .map(|(index, w)| WorkerStats {
-            index,
-            dispatched: w.ran_slot.load(Ordering::Relaxed),
-            stolen: w.stole.load(Ordering::Relaxed),
-            queue_depth_max: w.deque.depth_max(),
-        })
-        .collect()
 }

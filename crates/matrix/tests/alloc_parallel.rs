@@ -28,7 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ektelo_matrix::{plan_builds, pool, Matrix, Workspace};
+use ektelo_matrix::{kernels, plan_builds, pool, Matrix, Workspace};
 
 struct CountingAllocator;
 
@@ -289,4 +289,38 @@ fn census_kron_zero_allocations_at_pool_sizes_1_and_4() {
     }
     pool::set_workers(prev);
     assert_eq!(plan_builds(), builds, "steady state must not re-plan");
+}
+
+/// `par_dot` (a `WARM:` root, called by CGLS every iteration) on a vector
+/// long enough to take its pooled branch makes zero allocations when warm
+/// at pool sizes 1 and 4, and the pool size changes no bit. Under
+/// `EKTELO_POOL_FORCE_STEAL=1` every chunk runs through the steal path.
+#[test]
+fn par_dot_pooled_zero_allocations_at_pool_sizes_1_and_4() {
+    let _serial = serialized();
+    let n = (1usize << 16) + 7;
+    let a: Vec<f64> = (0..n)
+        .map(|i| ((i * 37) % 19) as f64 * 0.31 - 2.7)
+        .collect();
+    let b: Vec<f64> = (0..n)
+        .map(|i| ((i * 53) % 23) as f64 * 0.17 - 1.9)
+        .collect();
+    let reference = kernels::par_dot(&a, &b);
+    let prev = pool::workers();
+    for size in [1usize, 4] {
+        pool::set_workers(size);
+        let mut got = 0.0;
+        let allocations = count_allocations(|| {
+            for _ in 0..10 {
+                got = kernels::par_dot(&a, &b);
+            }
+        });
+        assert_eq!(allocations, 0, "pool size {size}: warm par_dot allocated");
+        assert_eq!(
+            got.to_bits(),
+            reference.to_bits(),
+            "pool size {size} changed par_dot"
+        );
+    }
+    pool::set_workers(prev);
 }

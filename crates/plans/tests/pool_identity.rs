@@ -147,15 +147,15 @@ fn repeated_runs_are_bit_identical() {
     assert!(a == b, "seeded plans must be deterministic run-to-run");
 }
 
-/// ISSUE 6: the typed `spawn -> handle` reduction API obeys the same
-/// invariant as full plans — chunk geometry from the process-constant
-/// configured parallelism, partials merged in fixed spawn order — so both
-/// a hand-built typed-scope reduction and the `par_dot` kernel built on
-/// it must be bit-identical at pool sizes 0, 1, 2 and full.
+/// Chunked reductions obey the same invariant as full plans — chunk
+/// geometry from the process-constant configured parallelism, each
+/// chunk's partial written to its own slot of a stack array, partials
+/// merged in fixed chunk order — so both a hand-built `pool::scope`
+/// reduction and the `par_dot` kernel built the same way must be
+/// bit-identical at pool sizes 0, 1, 2 and full.
 #[test]
-fn typed_reductions_bit_identical_across_pool_sizes() {
+fn chunked_reductions_bit_identical_across_pool_sizes() {
     use ektelo_matrix::kernels;
-    use ektelo_matrix::pool::{typed_scope, TypedHandle};
 
     // Long enough that par_dot engages its pool path (threshold 1<<15).
     let n = (1usize << 15) + 33;
@@ -169,22 +169,20 @@ fn typed_reductions_bit_identical_across_pool_sizes() {
     let run = || {
         let k = pool::configured_parallelism().max(1);
         let chunk = n.div_ceil(k);
-        let manual = typed_scope(|ts| {
-            let handles: Vec<_> = (0..n.div_ceil(chunk))
-                .map(|c| {
-                    let lo = c * chunk;
-                    let hi = ((c + 1) * chunk).min(n);
-                    let (ac, bc) = (&a[lo..hi], &b[lo..hi]);
-                    ts.spawn(move || kernels::dot(ac, bc))
-                })
-                .collect();
-            ts.join();
-            let mut s = 0.0;
-            for h in handles {
-                s += TypedHandle::take(h);
+        let nchunks = n.div_ceil(chunk);
+        let mut partials = [0.0f64; pool::MAX_WORKERS];
+        pool::scope(|s| {
+            for (c, p) in partials.iter_mut().take(nchunks).enumerate() {
+                let lo = c * chunk;
+                let hi = ((c + 1) * chunk).min(n);
+                let (ac, bc) = (&a[lo..hi], &b[lo..hi]);
+                s.spawn(move || *p = kernels::dot(ac, bc));
             }
-            s
         });
+        let mut manual = 0.0;
+        for &p in &partials[..nchunks] {
+            manual += p;
+        }
         (manual, kernels::par_dot(&a, &b))
     };
 
@@ -198,7 +196,7 @@ fn typed_reductions_bit_identical_across_pool_sizes() {
         assert_eq!(
             manual.to_bits(),
             manual_ref.to_bits(),
-            "pool size {size} changed the typed-scope reduction"
+            "pool size {size} changed the chunked reduction"
         );
         assert_eq!(
             par.to_bits(),

@@ -5,10 +5,10 @@
 //!
 //! * **`lock-discipline`** — inside a live `KernelState` / pool-slots
 //!   guard region (the hottest multi-tenant critical sections), forbid:
-//!   allocation, `pool::scope` / `pool::typed_scope` dispatch, solver
-//!   entry points, reentrant calls into same-lock methods (`parking_lot`
-//!   mutexes are not reentrant — that is a deadlock, not a slowdown),
-//!   and panics without a justification annotation.
+//!   allocation, `pool::scope` dispatch, solver entry points, reentrant
+//!   calls into same-lock methods (`parking_lot` mutexes are not
+//!   reentrant — that is a deadlock, not a slowdown), and panics without
+//!   a justification annotation.
 //! * **`warm-path-alloc`** — functions tagged `// WARM:` must have an
 //!   allocation-free *transitive* call closure. An
 //!   `xlint: allow(warm-path-alloc, ...)` on a call line severs that
@@ -336,9 +336,8 @@ fn lock_discipline(files: &[AnalyzedFile], idx: &Index, config: &Config, report:
                         continue;
                     }
                     let name = c.name();
-                    let pool_dispatch = matches!(name, "scope" | "typed_scope")
-                        && c.path.len() >= 2
-                        && c.path[c.path.len() - 2] == "pool";
+                    let pool_dispatch =
+                        name == "scope" && c.path.len() >= 2 && c.path[c.path.len() - 2] == "pool";
                     if pool_dispatch {
                         let allowed = af.ctx.allowed(c.line, "lock-discipline");
                         events.push(event("pool-dispatch", name, c.line, allowed));

@@ -63,9 +63,9 @@
 //!
 //! * `lock-discipline` — inside a live `KernelState` / pool-slots guard
 //!   region (from `.lock()` to `drop`/end of scope), forbid allocation,
-//!   `pool::scope`/`pool::typed_scope` dispatch, solver entry points,
-//!   reentrant same-lock method calls (parking_lot mutexes are not
-//!   reentrant: that is a deadlock), and panics without a justification.
+//!   `pool::scope` dispatch, solver entry points, reentrant same-lock
+//!   method calls (parking_lot mutexes are not reentrant: that is a
+//!   deadlock), and panics without a justification.
 //!   *Fix* by shrinking the guard region (bind the lock in an inner
 //!   block, copy scalars out); *allow* only when the operation is
 //!   inherently part of the atomic section (e.g. the redemption

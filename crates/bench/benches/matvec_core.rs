@@ -674,71 +674,19 @@ fn bench_pool_executor(c: &mut Criterion) {
     group.finish();
 }
 
-/// ISSUE 6 kernel micro-benches: scalar-vs-simd pairs measured in the same
-/// run (same-run reference entries, following the `pr1_workspace_engine`
-/// precedent). Both kernel modules are always compiled, so the pairs are
-/// honest in every build — the `simd` feature only selects which leg the
-/// engine paths call.
-fn bench_simd_kernels(c: &mut Criterion) {
+/// Kronecker fiber-walk data movement, measured both ways in one run:
+/// a column-at-a-time walk against the `KRON_PANEL`-wide
+/// `gather_panel`/`scatter_panel` pair the engine uses.
+fn bench_kron_panel(c: &mut Criterion) {
     use ektelo_matrix::kernels;
-    let mut group = c.benchmark_group("simd_kernels");
+    let mut group = c.benchmark_group("kron_fiber_walk");
     group.sample_size(40);
-    let n = 1usize << 16;
-    let a: Vec<f64> = (0..n)
-        .map(|i| ((i * 37) % 19) as f64 * 0.31 - 2.7)
-        .collect();
-    let b: Vec<f64> = (0..n)
-        .map(|i| ((i * 53) % 23) as f64 * 0.17 - 1.9)
-        .collect();
-
-    // dot: the scalar sum is a sequential dependency chain the optimizer
-    // must not reassociate, so this pair shows the full lane-width win.
-    group.bench_function(BenchmarkId::new("dot_scalar", n), |bch| {
-        bch.iter(|| black_box(kernels::scalar::dot(black_box(&a), black_box(&b))))
-    });
-    group.bench_function(BenchmarkId::new("dot_simd", n), |bch| {
-        bch.iter(|| black_box(kernels::simd::dot(black_box(&a), black_box(&b))))
-    });
-
-    let mut y = vec![0.0; n];
-    group.bench_function(BenchmarkId::new("axpy_scalar", n), |bch| {
-        bch.iter(|| {
-            kernels::scalar::axpy(&mut y, 1.0009, black_box(&a));
-            black_box(y[0])
-        })
-    });
-    y.fill(0.0);
-    group.bench_function(BenchmarkId::new("axpy_simd", n), |bch| {
-        bch.iter(|| {
-            kernels::simd::axpy(&mut y, 1.0009, black_box(&a));
-            black_box(y[0])
-        })
-    });
-
-    // scatter_add = the Union transpose merge (`add_assign`).
-    y.fill(0.0);
-    group.bench_function(BenchmarkId::new("scatter_add_scalar", n), |bch| {
-        bch.iter(|| {
-            kernels::scalar::add_assign(&mut y, black_box(&b));
-            black_box(y[0])
-        })
-    });
-    y.fill(0.0);
-    group.bench_function(BenchmarkId::new("scatter_add_simd", n), |bch| {
-        bch.iter(|| {
-            kernels::simd::add_assign(&mut y, black_box(&b));
-            black_box(y[0])
-        })
-    });
-
-    // Kron fiber-walk data movement: KRON_PANEL-wide gather/scatter
-    // panels vs a column-at-a-time walk.
     let rows = 256usize;
     let stride = 256usize;
     let t: Vec<f64> = (0..rows * stride).map(|i| (i % 17) as f64).collect();
     let mut panel = vec![0.0; kernels::KRON_PANEL * rows];
     let mut outm = vec![0.0; rows * stride];
-    group.bench_function(BenchmarkId::new("kron_panel_scalar", rows), |bch| {
+    group.bench_function(BenchmarkId::new("kron_panel/column_walk", rows), |bch| {
         bch.iter(|| {
             for q in 0..stride {
                 let j = q % kernels::KRON_PANEL;
@@ -752,7 +700,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
             black_box(outm[0])
         })
     });
-    group.bench_function(BenchmarkId::new("kron_panel_simd", rows), |bch| {
+    group.bench_function(BenchmarkId::new("kron_panel/gather_panel", rows), |bch| {
         bch.iter(|| {
             let mut q = 0;
             while q + kernels::KRON_PANEL <= stride {
@@ -801,7 +749,7 @@ criterion_group!(
     bench_core_matrices,
     bench_kron,
     bench_sensitivity,
-    bench_simd_kernels,
+    bench_kron_panel,
     bench_stripe_split
 );
 criterion_main!(benches);

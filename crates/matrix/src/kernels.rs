@@ -4,416 +4,154 @@
 //! primitives (`dot`/`axpy`/`scale`/`norm2`), the leaf accumulations of
 //! [`crate::Matrix`] evaluation (prefix/suffix sums, diagonal products,
 //! union scatter-adds) and the dense row blocks — lives here, exactly
-//! once. Two implementations exist side by side:
+//! once, as one plain sequential loop. The optimizer may vectorize the
+//! element-wise loops, but it never reorders a floating-point reduction,
+//! so every kernel's result is a fixed function of its inputs.
 //!
-//! * [`scalar`] — plain sequential reference loops, always compiled;
-//! * [`simd`] — portable 4-lane blocked versions (`[f64; 4]` blocks the
-//!   optimizer lowers to vector instructions; no intrinsics, no runtime
-//!   detection), always compiled so tests and benches can compare the two
-//!   in one build.
+//! # Kernel classes
 //!
-//! The module's top-level re-exports select one of them at **compile
-//! time**: the `simd` feature picks [`simd`], otherwise the scalar
-//! fallback is used. The default build therefore runs the reference
-//! loops, and CI keeps both legs green.
-//!
-//! # Bit-identity vs documented tolerance
-//!
-//! Kernels fall into two classes, and the distinction is load-bearing for
-//! the engine's determinism gates:
+//! Every public kernel declares one of two classes (xlint `kernel-class`),
+//! and the distinction is load-bearing for the engine's determinism gates:
 //!
 //! * **Order-preserving** kernels ([`axpy`], [`xpay`], [`scale`],
 //!   [`scale_into`], [`add_assign`], [`mul_into`], [`mul_add_assign`],
 //!   [`rsub`], the panel gather/scatters and the prefix/suffix sums)
-//!   perform the identical per-element arithmetic in the identical order
-//!   as the scalar reference — blocking only changes how the loop is
-//!   *written*, never which operation produces which element. Their
-//!   results are **bit-identical** to scalar (no fused multiply-add: FMA's
-//!   single rounding would differ from scalar mul-then-add), so they join
-//!   the existing bit-identity determinism suites unchanged.
-//! * **Reassociating** reductions ([`dot`], [`sum`], [`sumsq`], and
-//!   [`norm2`] built on them) sum in a *pinned* fixed tree under `simd`:
-//!   two independent 4-lane accumulators over 8-element blocks, reduced
-//!   lane-wise (`acc0 + acc1`), then as `(v0 + v1) + (v2 + v3)`, then a
-//!   sequential scalar tail. That order differs from the scalar
-//!   left-to-right sum, so the two legs agree only to rounding (relative
-//!   error `O(n·ε)`, tolerance-tested in `proptest_kernels.rs`) — but the
-//!   tree is a compile-time constant, so each leg is fully deterministic.
-//!   [`par_dot`] extends the same policy across threads: chunk geometry
-//!   comes from [`crate::pool::configured_parallelism`] (a process
-//!   constant) and partials merge in fixed chunk order, so its result is
-//!   bit-identical for every pool size, including 0.
+//!   compute each output element by a fixed sequence of operations, with
+//!   no fused multiply-add (FMA's single rounding would differ from
+//!   mul-then-add). Any other loop that performs the same per-element
+//!   sequence — such as the N-ary Kronecker panel kernels in `kron.rs` —
+//!   is **bit-identical** to them.
+//! * **Reassociating** reductions ([`dot`], [`sum`], [`sumsq`], [`norm2`]
+//!   built on them, and [`par_dot`]) produce a result that depends on the
+//!   summation order. The first four sum left to right. [`par_dot`] sums
+//!   fixed chunks and merges the partials in chunk order, so it agrees
+//!   with [`dot`] only to rounding (relative error `O(n·ε)`). Its chunk
+//!   geometry comes from [`crate::pool::configured_parallelism`] (a
+//!   process constant), so it is still bit-identical for every pool size,
+//!   including 0. Changing any reduction's order is a tolerance change:
+//!   declare it here and test it in `proptest_kernels.rs`.
 
 use crate::pool;
-
-/// f64 lanes per SIMD block (the portable vector width every blocked
-/// kernel is written for).
-pub const LANES: usize = 4;
 
 /// Columns gathered per pass by the Kronecker fiber walk (the per-fiber
 /// evaluation of factors that have no panel kernel).
 pub const KRON_PANEL: usize = 4;
 
-/// Reductions run two independent [`LANES`]-wide accumulators.
-const UNROLL: usize = 2 * LANES;
+/// Inner product `⟨a, b⟩`, summed left to right.
+///
+/// CLASS: reassociating
+#[inline]
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
+}
 
-/// Sequential reference implementations — the scalar fallback leg, and
-/// the yardstick every blocked kernel is tested against.
-pub mod scalar {
-    /// Inner product `⟨a, b⟩`, summed left to right.
-    ///
-    /// CLASS: reassociating
-    #[inline]
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-    }
+/// Sum of all entries, left to right.
+///
+/// CLASS: reassociating
+#[inline]
+pub fn sum(v: &[f64]) -> f64 {
+    v.iter().sum()
+}
 
-    /// Sum of all entries, left to right.
-    ///
-    /// CLASS: reassociating
-    #[inline]
-    pub fn sum(v: &[f64]) -> f64 {
-        v.iter().sum()
-    }
+/// Sum of squares, left to right.
+///
+/// CLASS: reassociating
+#[inline]
+pub fn sumsq(v: &[f64]) -> f64 {
+    v.iter().map(|&x| x * x).sum()
+}
 
-    /// Sum of squares, left to right.
-    ///
-    /// CLASS: reassociating
-    #[inline]
-    pub fn sumsq(v: &[f64]) -> f64 {
-        v.iter().map(|&x| x * x).sum()
-    }
-
-    /// `y ← y + a·x`, element-wise in order.
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        debug_assert_eq!(y.len(), x.len());
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
-
-    /// `y ← x + b·y`, element-wise in order.
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn xpay(y: &mut [f64], b: f64, x: &[f64]) {
-        debug_assert_eq!(y.len(), x.len());
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi = xi + b * *yi;
-        }
-    }
-
-    /// `v ← c·v`, element-wise in order.
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn scale(v: &mut [f64], c: f64) {
-        for x in v {
-            *x *= c;
-        }
-    }
-
-    /// `out ← c·x`, element-wise in order.
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn scale_into(out: &mut [f64], c: f64, x: &[f64]) {
-        debug_assert_eq!(out.len(), x.len());
-        for (o, &xi) in out.iter_mut().zip(x) {
-            *o = c * xi;
-        }
-    }
-
-    /// `out ← out + x` — the scatter-add merge.
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn add_assign(out: &mut [f64], x: &[f64]) {
-        debug_assert_eq!(out.len(), x.len());
-        for (o, &xi) in out.iter_mut().zip(x) {
-            *o += xi;
-        }
-    }
-
-    /// `out ← d ⊙ x` (diagonal product).
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn mul_into(out: &mut [f64], d: &[f64], x: &[f64]) {
-        debug_assert_eq!(out.len(), d.len());
-        debug_assert_eq!(out.len(), x.len());
-        for ((o, &di), &xi) in out.iter_mut().zip(d).zip(x) {
-            *o = di * xi;
-        }
-    }
-
-    /// `out ← out + d ⊙ x` (accumulating diagonal product).
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn mul_add_assign(out: &mut [f64], d: &[f64], x: &[f64]) {
-        debug_assert_eq!(out.len(), d.len());
-        debug_assert_eq!(out.len(), x.len());
-        for ((o, &di), &xi) in out.iter_mut().zip(d).zip(x) {
-            *o += di * xi;
-        }
-    }
-
-    /// `e ← y − e` (residual reversal, the multiplicative-weights update).
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn rsub(e: &mut [f64], y: &[f64]) {
-        debug_assert_eq!(e.len(), y.len());
-        for (ei, &yi) in e.iter_mut().zip(y) {
-            *ei = yi - *ei;
-        }
+/// `y ← y + a·x`, element-wise in order.
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += a * xi;
     }
 }
 
-/// Portable 4-lane blocked implementations, selected by the `simd`
-/// feature. Order-preserving kernels are bit-identical to [`scalar`];
-/// reductions use the pinned fixed tree documented at module level.
-pub mod simd {
-    use super::{LANES, UNROLL};
-
-    /// Folds the pinned reduction state (two 4-lane accumulators) and the
-    /// sequential tail into the final scalar: lane-wise `acc0 + acc1`,
-    /// then `(v0 + v1) + (v2 + v3)`, then the remainder left to right.
-    #[inline]
-    fn reduce(acc0: [f64; LANES], acc1: [f64; LANES], tail: impl Iterator<Item = f64>) -> f64 {
-        let v = [
-            acc0[0] + acc1[0],
-            acc0[1] + acc1[1],
-            acc0[2] + acc1[2],
-            acc0[3] + acc1[3],
-        ];
-        let mut s = (v[0] + v[1]) + (v[2] + v[3]);
-        for t in tail {
-            s += t;
-        }
-        s
-    }
-
-    /// Inner product `⟨a, b⟩` over the pinned fixed reduction tree.
-    ///
-    /// CLASS: reassociating
-    #[inline]
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut ca = a.chunks_exact(UNROLL);
-        let mut cb = b.chunks_exact(UNROLL);
-        let mut acc0 = [0.0; LANES];
-        let mut acc1 = [0.0; LANES];
-        for (pa, pb) in (&mut ca).zip(&mut cb) {
-            for l in 0..LANES {
-                acc0[l] += pa[l] * pb[l];
-                acc1[l] += pa[LANES + l] * pb[LANES + l];
-            }
-        }
-        let tail = ca.remainder().iter().zip(cb.remainder());
-        reduce(acc0, acc1, tail.map(|(&x, &y)| x * y))
-    }
-
-    /// Sum of all entries over the pinned fixed reduction tree.
-    ///
-    /// CLASS: reassociating
-    #[inline]
-    pub fn sum(v: &[f64]) -> f64 {
-        let mut cv = v.chunks_exact(UNROLL);
-        let mut acc0 = [0.0; LANES];
-        let mut acc1 = [0.0; LANES];
-        for p in &mut cv {
-            for l in 0..LANES {
-                acc0[l] += p[l];
-                acc1[l] += p[LANES + l];
-            }
-        }
-        reduce(acc0, acc1, cv.remainder().iter().copied())
-    }
-
-    /// Sum of squares over the pinned fixed reduction tree.
-    ///
-    /// CLASS: reassociating
-    #[inline]
-    pub fn sumsq(v: &[f64]) -> f64 {
-        let mut cv = v.chunks_exact(UNROLL);
-        let mut acc0 = [0.0; LANES];
-        let mut acc1 = [0.0; LANES];
-        for p in &mut cv {
-            for l in 0..LANES {
-                acc0[l] += p[l] * p[l];
-                acc1[l] += p[LANES + l] * p[LANES + l];
-            }
-        }
-        reduce(acc0, acc1, cv.remainder().iter().map(|&x| x * x))
-    }
-
-    /// `y ← y + a·x`; bit-identical to [`super::scalar::axpy`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        debug_assert_eq!(y.len(), x.len());
-        let mut cy = y.chunks_exact_mut(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for (py, px) in (&mut cy).zip(&mut cx) {
-            for l in 0..LANES {
-                py[l] += a * px[l];
-            }
-        }
-        for (yi, &xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-            *yi += a * xi;
-        }
-    }
-
-    /// `y ← x + b·y`; bit-identical to [`super::scalar::xpay`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn xpay(y: &mut [f64], b: f64, x: &[f64]) {
-        debug_assert_eq!(y.len(), x.len());
-        let mut cy = y.chunks_exact_mut(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for (py, px) in (&mut cy).zip(&mut cx) {
-            for l in 0..LANES {
-                py[l] = px[l] + b * py[l];
-            }
-        }
-        for (yi, &xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-            *yi = xi + b * *yi;
-        }
-    }
-
-    /// `v ← c·v`; bit-identical to [`super::scalar::scale`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn scale(v: &mut [f64], c: f64) {
-        let mut cv = v.chunks_exact_mut(LANES);
-        for p in &mut cv {
-            for x in p.iter_mut() {
-                *x *= c;
-            }
-        }
-        for x in cv.into_remainder() {
-            *x *= c;
-        }
-    }
-
-    /// `out ← c·x`; bit-identical to [`super::scalar::scale_into`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn scale_into(out: &mut [f64], c: f64, x: &[f64]) {
-        debug_assert_eq!(out.len(), x.len());
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for (po, px) in (&mut co).zip(&mut cx) {
-            for l in 0..LANES {
-                po[l] = c * px[l];
-            }
-        }
-        for (o, &xi) in co.into_remainder().iter_mut().zip(cx.remainder()) {
-            *o = c * xi;
-        }
-    }
-
-    /// `out ← out + x`; bit-identical to [`super::scalar::add_assign`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn add_assign(out: &mut [f64], x: &[f64]) {
-        debug_assert_eq!(out.len(), x.len());
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for (po, px) in (&mut co).zip(&mut cx) {
-            for l in 0..LANES {
-                po[l] += px[l];
-            }
-        }
-        for (o, &xi) in co.into_remainder().iter_mut().zip(cx.remainder()) {
-            *o += xi;
-        }
-    }
-
-    /// `out ← d ⊙ x`; bit-identical to [`super::scalar::mul_into`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn mul_into(out: &mut [f64], d: &[f64], x: &[f64]) {
-        debug_assert_eq!(out.len(), d.len());
-        debug_assert_eq!(out.len(), x.len());
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cd = d.chunks_exact(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for ((po, pd), px) in (&mut co).zip(&mut cd).zip(&mut cx) {
-            for l in 0..LANES {
-                po[l] = pd[l] * px[l];
-            }
-        }
-        let tail = cd.remainder().iter().zip(cx.remainder());
-        for (o, (&di, &xi)) in co.into_remainder().iter_mut().zip(tail) {
-            *o = di * xi;
-        }
-    }
-
-    /// `out ← out + d ⊙ x`; bit-identical to
-    /// [`super::scalar::mul_add_assign`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn mul_add_assign(out: &mut [f64], d: &[f64], x: &[f64]) {
-        debug_assert_eq!(out.len(), d.len());
-        debug_assert_eq!(out.len(), x.len());
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cd = d.chunks_exact(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for ((po, pd), px) in (&mut co).zip(&mut cd).zip(&mut cx) {
-            for l in 0..LANES {
-                po[l] += pd[l] * px[l];
-            }
-        }
-        let tail = cd.remainder().iter().zip(cx.remainder());
-        for (o, (&di, &xi)) in co.into_remainder().iter_mut().zip(tail) {
-            *o += di * xi;
-        }
-    }
-
-    /// `e ← y − e`; bit-identical to [`super::scalar::rsub`].
-    ///
-    /// CLASS: order-preserving
-    #[inline]
-    pub fn rsub(e: &mut [f64], y: &[f64]) {
-        debug_assert_eq!(e.len(), y.len());
-        let mut ce = e.chunks_exact_mut(LANES);
-        let mut cy = y.chunks_exact(LANES);
-        for (pe, py) in (&mut ce).zip(&mut cy) {
-            for l in 0..LANES {
-                pe[l] = py[l] - pe[l];
-            }
-        }
-        for (ei, &yi) in ce.into_remainder().iter_mut().zip(cy.remainder()) {
-            *ei = yi - *ei;
-        }
+/// `y ← x + b·y`, element-wise in order.
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn xpay(y: &mut [f64], b: f64, x: &[f64]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi = xi + b * *yi;
     }
 }
 
-#[cfg(not(feature = "simd"))]
-pub use scalar::{
-    add_assign, axpy, dot, mul_add_assign, mul_into, rsub, scale, scale_into, sum, sumsq, xpay,
-};
-#[cfg(feature = "simd")]
-pub use simd::{
-    add_assign, axpy, dot, mul_add_assign, mul_into, rsub, scale, scale_into, sum, sumsq, xpay,
-};
+/// `v ← c·v`, element-wise in order.
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn scale(v: &mut [f64], c: f64) {
+    for x in v {
+        *x *= c;
+    }
+}
 
-/// Euclidean norm `‖v‖₂` (built on the selected [`sumsq`], so it inherits
-/// the reassociating-reduction tolerance policy under `simd`).
+/// `out ← c·x`, element-wise in order.
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn scale_into(out: &mut [f64], c: f64, x: &[f64]) {
+    debug_assert_eq!(out.len(), x.len());
+    for (o, &xi) in out.iter_mut().zip(x) {
+        *o = c * xi;
+    }
+}
+
+/// `out ← out + x` — the scatter-add merge.
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn add_assign(out: &mut [f64], x: &[f64]) {
+    debug_assert_eq!(out.len(), x.len());
+    for (o, &xi) in out.iter_mut().zip(x) {
+        *o += xi;
+    }
+}
+
+/// `out ← d ⊙ x` (diagonal product).
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn mul_into(out: &mut [f64], d: &[f64], x: &[f64]) {
+    debug_assert_eq!(out.len(), d.len());
+    debug_assert_eq!(out.len(), x.len());
+    for ((o, &di), &xi) in out.iter_mut().zip(d).zip(x) {
+        *o = di * xi;
+    }
+}
+
+/// `out ← out + d ⊙ x` (accumulating diagonal product).
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn mul_add_assign(out: &mut [f64], d: &[f64], x: &[f64]) {
+    debug_assert_eq!(out.len(), d.len());
+    debug_assert_eq!(out.len(), x.len());
+    for ((o, &di), &xi) in out.iter_mut().zip(d).zip(x) {
+        *o += di * xi;
+    }
+}
+
+/// `e ← y − e` (residual reversal, the multiplicative-weights update).
+///
+/// CLASS: order-preserving
+#[inline]
+pub fn rsub(e: &mut [f64], y: &[f64]) {
+    debug_assert_eq!(e.len(), y.len());
+    for (ei, &yi) in e.iter_mut().zip(y) {
+        *ei = yi - *ei;
+    }
+}
+
+/// Euclidean norm `‖v‖₂`, the square root of [`sumsq`].
 ///
 /// CLASS: reassociating
 #[inline]
@@ -423,10 +161,9 @@ pub fn norm2(v: &[f64]) -> f64 {
 
 /// Running prefix sum: `out[i] = x[0] + … + x[i]`.
 ///
-/// Deliberately **not** blocked: a vectorized prefix scan reassociates the
+/// Sequential on purpose: a vectorized prefix scan reassociates the
 /// chain, and the prefix/suffix leaves are order-preserving kernels under
-/// the engine's determinism policy. Both feature legs share this single
-/// sequential implementation.
+/// the engine's determinism policy.
 ///
 /// CLASS: order-preserving
 #[inline]
@@ -507,7 +244,7 @@ const PAR_DOT_MIN: usize = 1 << 15;
 ///
 /// The vector is split into [`pool::configured_parallelism`] fixed chunks
 /// (a process constant — **not** the live worker count), each chunk's
-/// partial is computed with the selected [`dot`] kernel by one
+/// partial is computed with [`dot`] by one
 /// [`pool::scope`] job writing its own slot of a stack partials array,
 /// and the partials are summed on the caller in fixed chunk order.
 /// Changing [`pool::set_workers`] therefore never changes the result: it is bit-identical for every pool size,
@@ -562,51 +299,66 @@ mod tests {
         (a, b)
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Each order-preserving kernel against the per-element expression it
+    /// is documented to compute, written out here as a plain map.
     #[test]
-    fn order_preserving_kernels_bit_match_scalar_at_odd_lengths() {
+    fn order_preserving_kernels_match_inline_loops_at_odd_lengths() {
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100, 1023] {
             let (x, d) = data(n);
-            let mut ys = x.clone();
-            let mut yv = x.clone();
-            scalar::axpy(&mut ys, 1.3, &d);
-            simd::axpy(&mut yv, 1.3, &d);
-            assert_eq!(ys, yv, "axpy n={n}");
-            scalar::xpay(&mut ys, -0.7, &d);
-            simd::xpay(&mut yv, -0.7, &d);
-            assert_eq!(ys, yv, "xpay n={n}");
-            scalar::scale(&mut ys, 1.0 / 3.0);
-            simd::scale(&mut yv, 1.0 / 3.0);
-            assert_eq!(ys, yv, "scale n={n}");
-            scalar::add_assign(&mut ys, &x);
-            simd::add_assign(&mut yv, &x);
-            assert_eq!(ys, yv, "add_assign n={n}");
-            scalar::mul_into(&mut ys, &d, &x);
-            simd::mul_into(&mut yv, &d, &x);
-            assert_eq!(ys, yv, "mul_into n={n}");
-            scalar::mul_add_assign(&mut ys, &d, &x);
-            simd::mul_add_assign(&mut yv, &d, &x);
-            assert_eq!(ys, yv, "mul_add_assign n={n}");
-            scalar::rsub(&mut ys, &d);
-            simd::rsub(&mut yv, &d);
-            assert_eq!(ys, yv, "rsub n={n}");
-            scalar::scale_into(&mut ys, 0.9, &x);
-            simd::scale_into(&mut yv, 0.9, &x);
-            assert_eq!(ys, yv, "scale_into n={n}");
+            let check = |what: &str, got: &[f64], want: Vec<f64>| {
+                assert_eq!(bits(got), bits(&want), "{what} n={n}");
+            };
+            let mut y = x.clone();
+            let want = y.iter().zip(&d).map(|(&yi, &di)| yi + 1.3 * di).collect();
+            axpy(&mut y, 1.3, &d);
+            check("axpy", &y, want);
+            let want = y.iter().zip(&d).map(|(&yi, &di)| di + -0.7 * yi).collect();
+            xpay(&mut y, -0.7, &d);
+            check("xpay", &y, want);
+            let want = y.iter().map(|&yi| yi * (1.0 / 3.0)).collect();
+            scale(&mut y, 1.0 / 3.0);
+            check("scale", &y, want);
+            let want = y.iter().zip(&x).map(|(&yi, &xi)| yi + xi).collect();
+            add_assign(&mut y, &x);
+            check("add_assign", &y, want);
+            let want = d.iter().zip(&x).map(|(&di, &xi)| di * xi).collect();
+            mul_into(&mut y, &d, &x);
+            check("mul_into", &y, want);
+            let want = y
+                .iter()
+                .zip(d.iter().zip(&x))
+                .map(|(&yi, (&di, &xi))| yi + di * xi)
+                .collect();
+            mul_add_assign(&mut y, &d, &x);
+            check("mul_add_assign", &y, want);
+            let want = y.iter().zip(&d).map(|(&yi, &di)| di - yi).collect();
+            rsub(&mut y, &d);
+            check("rsub", &y, want);
+            let want = x.iter().map(|&xi| 0.9 * xi).collect();
+            scale_into(&mut y, 0.9, &x);
+            check("scale_into", &y, want);
         }
     }
 
+    /// The reductions against a left-to-right fold. The fold starts at
+    /// `-0.0`, the exact additive identity (and std's `Sum` start), so an
+    /// empty input gives the same zero as the kernel.
     #[test]
-    fn reductions_agree_within_tolerance_and_are_deterministic() {
+    fn reductions_match_left_to_right_fold() {
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
             let (a, b) = data(n);
-            let (ds, dv) = (scalar::dot(&a, &b), simd::dot(&a, &b));
-            let bound = 1e-12 * (1.0 + ds.abs()) * (n as f64 + 1.0);
-            assert!((ds - dv).abs() <= bound, "dot n={n}: {ds} vs {dv}");
-            assert_eq!(dv.to_bits(), simd::dot(&a, &b).to_bits());
-            let (ss, sv) = (scalar::sum(&a), simd::sum(&a));
-            assert!((ss - sv).abs() <= bound, "sum n={n}: {ss} vs {sv}");
-            let (qs, qv) = (scalar::sumsq(&a), simd::sumsq(&a));
-            assert!((qs - qv).abs() <= bound, "sumsq n={n}: {qs} vs {qv}");
+            let fold = |it: &mut dyn Iterator<Item = f64>| it.fold(-0.0, |s, t| s + t);
+            let want_dot = fold(&mut a.iter().zip(&b).map(|(&x, &y)| x * y));
+            assert_eq!(dot(&a, &b).to_bits(), want_dot.to_bits(), "dot n={n}");
+            let want_sum = fold(&mut a.iter().copied());
+            assert_eq!(sum(&a).to_bits(), want_sum.to_bits(), "sum n={n}");
+            let want_sq = fold(&mut a.iter().map(|&x| x * x));
+            assert_eq!(sumsq(&a).to_bits(), want_sq.to_bits(), "sumsq n={n}");
+            assert_eq!(norm2(&a).to_bits(), want_sq.sqrt().to_bits(), "norm2 n={n}");
         }
     }
 

@@ -613,8 +613,8 @@ fn tiles(width: usize) -> impl Iterator<Item = (usize, usize)> {
         .map(move |t0| (t0, (t0 + TILE).min(width)))
 }
 
-/// The initial accumulator of `Iterator::sum` over `f64`, which the
-/// scalar `kernels::sum` and `kernels::dot` start from.
+/// The initial accumulator of `Iterator::sum` over `f64`, which
+/// `kernels::sum` and `kernels::dot` start from.
 #[inline]
 fn sum_init() -> f64 {
     std::iter::empty::<f64>().sum()
@@ -637,9 +637,8 @@ fn pre(c: Option<f64>, v: f64) -> f64 {
 /// `dst = f · src` per column: each factor kind runs its vector kernel's
 /// operation sequence on every column at once.
 ///
-/// CLASS: order-preserving, except `Ones` and `Dense` rows, which follow
-/// the scalar `sum`/`dot` order (reassociating relative to the pinned
-/// `simd` tree; bit-identical on the default leg)
+/// CLASS: order-preserving (`Ones` and `Dense` rows follow the `sum`/`dot`
+/// order, so every kind is bit-identical to its vector kernel)
 fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
     match f {
         Matrix::Identity { .. } => copy(src, dst),
@@ -677,7 +676,7 @@ fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
 
 /// `dst = fᵀ · src` per column, mirroring `rmatvec_rec`.
 ///
-/// CLASS: order-preserving, except `Ones` rows (scalar `sum` order, as in
+/// CLASS: order-preserving (`Ones` rows follow the `sum` order, as in
 /// [`panel_fwd`])
 fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
     match f {
@@ -839,8 +838,7 @@ fn copy(src: Src<'_>, mut dst: Dst<'_>) {
 }
 
 /// Every output row is the column sum of the input rows, accumulated in
-/// row 0 from `Iterator::sum`'s initial value like the scalar
-/// `kernels::sum`.
+/// row 0 from `Iterator::sum`'s initial value like `kernels::sum`.
 fn ones(src: Src<'_>, mut dst: Dst<'_>) {
     if dst.rows == 0 {
         return;
@@ -898,7 +896,7 @@ fn diag_rows(d: &[f64], src: Src<'_>, mut dst: Dst<'_>) {
 }
 
 /// Row `i` is `Σ_k D[i,k]·x_k`, accumulated from `Iterator::sum`'s initial
-/// value in `k` order like the scalar `kernels::dot`.
+/// value in `k` order like `kernels::dot`.
 fn dense_fwd(d: &DenseMatrix, src: Src<'_>, mut dst: Dst<'_>) {
     for o in 0..src.blocks {
         for i in 0..dst.rows {

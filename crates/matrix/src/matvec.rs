@@ -676,8 +676,7 @@ mod parallel {
             }
         });
         // Deterministic fixed-order merge of the per-worker accumulators
-        // (the scatter-add kernel is order-preserving: bit-identical to
-        // the scalar loop in both feature legs).
+        // (the scatter-add kernel is order-preserving).
         for arena in arenas.iter().take(nchunks) {
             crate::kernels::add_assign(out, &arena[..cols]);
         }
@@ -943,9 +942,7 @@ mod tests {
 
     /// The mode-by-mode engine reproduces the unplanned binary recursion
     /// (`kron_matvec` / `kron_rmatvec`) bit for bit on the census
-    /// `Prefix(Income)` workload, whose `Ones` rows follow the scalar sum
-    /// order (under `simd` the reference sums through the pinned tree, so
-    /// the legs agree to `O(n·ε)`).
+    /// `Prefix(Income)` workload, whose `Ones` rows follow the `sum` order.
     #[test]
     fn census_kron_matches_reference_engine() {
         let tot_id = |n| Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)]);
@@ -966,17 +963,9 @@ mod tests {
         k.matvec_rec(&x, &mut want, &mut vec![0.0; k.matvec_scratch()]);
         let mut want_t = vec![0.0; k.cols()];
         k.rmatvec_rec(&y, &mut want_t, &mut vec![0.0; k.rmatvec_scratch()]);
-        let close = |a: &[f64], b: &[f64]| {
-            a.iter().zip(b).all(|(p, q)| {
-                if cfg!(feature = "simd") {
-                    (p - q).abs() <= 1e-12 * q.abs().max(1.0)
-                } else {
-                    p.to_bits() == q.to_bits()
-                }
-            })
-        };
-        assert!(close(&k.matvec(&x), &want), "census matvec diverged");
-        assert!(close(&k.rmatvec(&y), &want_t), "census rmatvec diverged");
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(same(&k.matvec(&x), &want), "census matvec diverged");
+        assert!(same(&k.rmatvec(&y), &want_t), "census rmatvec diverged");
     }
 
     #[test]

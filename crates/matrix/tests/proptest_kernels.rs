@@ -1,25 +1,26 @@
-//! Property tests for the compute-kernel layer (ISSUE 6).
+//! Property tests for the compute-kernel layer.
 //!
-//! Both kernel legs are always compiled, so these properties compare
-//! `kernels::simd::*` against `kernels::scalar::*` directly in every
-//! build:
+//! Every kernel is checked against an independent oracle written out in
+//! this file, never against another kernel:
 //!
-//! * order-preserving kernels must match **bit-exactly** at odd lengths
-//!   and misaligned sub-slice offsets (remainder-lane handling);
-//! * reassociating reductions (`dot`, `sum`, `sumsq`) must agree within
-//!   the documented `O(n·ε)` tolerance and be deterministic per leg;
+//! * order-preserving kernels must equal the per-element expression they
+//!   document **bit-exactly**, at odd lengths and misaligned sub-slice
+//!   offsets;
+//! * the reductions (`dot`, `sum`, `sumsq`, `norm2`) must equal a
+//!   left-to-right fold bit-exactly, and the prefix/suffix sums a running
+//!   accumulator;
 //! * the panel gather/scatter pair must round-trip and match the
 //!   column-at-a-time reference exactly (pure data movement);
 //! * `par_dot` must equal the fixed-chunk serial reference bit-exactly
 //!   (its geometry comes from `configured_parallelism`, not the live
 //!   worker count).
 
-use ektelo_matrix::kernels::{self, scalar, simd, KRON_PANEL};
+use ektelo_matrix::kernels::{self, KRON_PANEL};
 use proptest::prelude::*;
 
-/// Vectors with lengths straddling the 4-lane blocks (0..=67 covers
-/// empty, sub-block, exact-block and every remainder size), plus an
-/// offset in 0..4 so sub-slices start off the original allocation head.
+/// Vectors with lengths 0..=66 (empty, short and every remainder modulo
+/// any small block width), plus an offset in 0..4 so sub-slices start
+/// off the original allocation head.
 fn vec_and_offset() -> BoxedStrategy<(Vec<f64>, usize)> {
     (prop::collection::vec(-4.0f64..4.0, 0..67), 0usize..4)
         .prop_map(|(v, off)| {
@@ -29,6 +30,20 @@ fn vec_and_offset() -> BoxedStrategy<(Vec<f64>, usize)> {
         .boxed()
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Left-to-right sum from `-0.0`, the exact additive identity (and the
+/// start of std's `Sum` for `f64`).
+fn fold(it: impl Iterator<Item = f64>) -> f64 {
+    let mut s = -0.0;
+    for t in it {
+        s += t;
+    }
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -36,66 +51,58 @@ proptest! {
     fn order_preserving_kernels_bit_exact((x, off) in vec_and_offset(), c in -3.0f64..3.0) {
         let x = &x[off..];
         let d: Vec<f64> = x.iter().map(|v| v * 0.7 - 0.3).collect();
-        let base: Vec<f64> = x.iter().map(|v| v * 1.3 + 0.1).collect();
+        let mut y: Vec<f64> = x.iter().map(|v| v * 1.3 + 0.1).collect();
 
-        let mut ys = base.clone();
-        let mut yv = base.clone();
-        scalar::axpy(&mut ys, c, x);
-        simd::axpy(&mut yv, c, x);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = y.iter().zip(x).map(|(&yi, &xi)| yi + c * xi).collect();
+        kernels::axpy(&mut y, c, x);
+        prop_assert_eq!(bits(&y), bits(&want), "axpy");
 
-        scalar::xpay(&mut ys, c, &d);
-        simd::xpay(&mut yv, c, &d);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = y.iter().zip(&d).map(|(&yi, &di)| di + c * yi).collect();
+        kernels::xpay(&mut y, c, &d);
+        prop_assert_eq!(bits(&y), bits(&want), "xpay");
 
-        scalar::scale(&mut ys, c);
-        simd::scale(&mut yv, c);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = y.iter().map(|&yi| yi * c).collect();
+        kernels::scale(&mut y, c);
+        prop_assert_eq!(bits(&y), bits(&want), "scale");
 
-        scalar::add_assign(&mut ys, x);
-        simd::add_assign(&mut yv, x);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = y.iter().zip(x).map(|(&yi, &xi)| yi + xi).collect();
+        kernels::add_assign(&mut y, x);
+        prop_assert_eq!(bits(&y), bits(&want), "add_assign");
 
-        scalar::mul_into(&mut ys, &d, x);
-        simd::mul_into(&mut yv, &d, x);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = d.iter().zip(x).map(|(&di, &xi)| di * xi).collect();
+        kernels::mul_into(&mut y, &d, x);
+        prop_assert_eq!(bits(&y), bits(&want), "mul_into");
 
-        scalar::mul_add_assign(&mut ys, &d, x);
-        simd::mul_add_assign(&mut yv, &d, x);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = y
+            .iter()
+            .zip(d.iter().zip(x))
+            .map(|(&yi, (&di, &xi))| yi + di * xi)
+            .collect();
+        kernels::mul_add_assign(&mut y, &d, x);
+        prop_assert_eq!(bits(&y), bits(&want), "mul_add_assign");
 
-        scalar::rsub(&mut ys, &d);
-        simd::rsub(&mut yv, &d);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = y.iter().zip(&d).map(|(&yi, &di)| di - yi).collect();
+        kernels::rsub(&mut y, &d);
+        prop_assert_eq!(bits(&y), bits(&want), "rsub");
 
-        scalar::scale_into(&mut ys, c, x);
-        simd::scale_into(&mut yv, c, x);
-        prop_assert_eq!(&ys, &yv);
+        let want: Vec<f64> = x.iter().map(|&xi| c * xi).collect();
+        kernels::scale_into(&mut y, c, x);
+        prop_assert_eq!(bits(&y), bits(&want), "scale_into");
     }
 
     #[test]
-    fn reassociating_reductions_within_tolerance((a, off) in vec_and_offset()) {
+    fn reductions_equal_left_to_right_fold((a, off) in vec_and_offset()) {
         let a = &a[off..];
         let b: Vec<f64> = a.iter().map(|v| v * 0.9 - 0.2).collect();
-        let n = a.len() as f64;
 
-        // Documented tolerance for the pinned-tree reductions: relative
-        // O(n·ε) against the scalar left-to-right reference.
-        let tol = |reference: f64| 1e-13 * (n + 1.0) * (1.0 + reference.abs());
+        let want = fold(a.iter().zip(&b).map(|(&x, &y)| x * y));
+        prop_assert_eq!(kernels::dot(a, &b).to_bits(), want.to_bits(), "dot");
 
-        let (ds, dv) = (scalar::dot(a, &b), simd::dot(a, &b));
-        prop_assert!((ds - dv).abs() <= tol(ds), "dot: {} vs {}", ds, dv);
-        // Deterministic per leg: the reduction tree is a compile-time
-        // constant, so repeat evaluations are bit-identical.
-        prop_assert_eq!(dv.to_bits(), simd::dot(a, &b).to_bits());
+        let want = fold(a.iter().copied());
+        prop_assert_eq!(kernels::sum(a).to_bits(), want.to_bits(), "sum");
 
-        let (ss, sv) = (scalar::sum(a), simd::sum(a));
-        prop_assert!((ss - sv).abs() <= tol(ss), "sum: {} vs {}", ss, sv);
-        prop_assert_eq!(sv.to_bits(), simd::sum(a).to_bits());
-
-        let (qs, qv) = (scalar::sumsq(a), simd::sumsq(a));
-        prop_assert!((qs - qv).abs() <= tol(qs), "sumsq: {} vs {}", qs, qv);
-        prop_assert_eq!(qv.to_bits(), simd::sumsq(a).to_bits());
+        let want = fold(a.iter().map(|&x| x * x));
+        prop_assert_eq!(kernels::sumsq(a).to_bits(), want.to_bits(), "sumsq");
     }
 
     #[test]
@@ -103,9 +110,8 @@ proptest! {
         let x = &x[off..];
         let n = x.len();
 
-        // prefix_sum_into / suffix_sum_into are order-preserving (single
-        // shared sequential implementation): exact against a running
-        // accumulator walked in the same order.
+        // prefix_sum_into / suffix_sum_into are order-preserving: exact
+        // against a running accumulator walked in the same order.
         let mut p = vec![0.0; n];
         kernels::prefix_sum_into(&mut p, x);
         let mut acc = 0.0;
@@ -121,14 +127,8 @@ proptest! {
             prop_assert_eq!(si.to_bits(), acc.to_bits());
         }
 
-        // norm2 is sqrt of the selected sumsq, so it inherits the
-        // reassociating-reduction policy: deterministic per leg, within
-        // tolerance of the scalar reference.
-        let got = kernels::norm2(x);
-        prop_assert_eq!(got.to_bits(), kernels::norm2(x).to_bits());
-        let reference = scalar::sumsq(x).sqrt();
-        let tol = 1e-13 * (n as f64 + 1.0) * (1.0 + reference.abs());
-        prop_assert!((got - reference).abs() <= tol, "norm2: {} vs {}", got, reference);
+        let want = fold(x.iter().map(|&v| v * v)).sqrt();
+        prop_assert_eq!(kernels::norm2(x).to_bits(), want.to_bits(), "norm2");
     }
 
     #[test]
@@ -170,15 +170,16 @@ proptest! {
         let b: Vec<f64> = (0..n).map(|i| ((i * 53) % 23) as f64 * 0.17 - 1.9).collect();
         let k = ektelo_matrix::pool::configured_parallelism();
         let got = kernels::par_dot(&a, &b);
+        let dot = |lo: usize, hi: usize| fold((lo..hi).map(|i| a[i] * b[i]));
         let expect = if k < 2 {
-            kernels::dot(&a, &b)
+            dot(0, n)
         } else {
             let chunk = n.div_ceil(k);
             let mut s = 0.0;
             let mut lo = 0;
             while lo < n {
                 let hi = (lo + chunk).min(n);
-                s += kernels::dot(&a[lo..hi], &b[lo..hi]);
+                s += dot(lo, hi);
                 lo = hi;
             }
             s

@@ -1,10 +1,8 @@
 //! Small dense-vector kernels shared by every solver.
 //!
 //! These are thin re-export wrappers over [`ektelo_matrix::kernels`] — the
-//! single home of every hot vector loop. The `simd` feature of
-//! `ektelo-matrix` selects the blocked implementations; see that module's
-//! docs for the bit-identity vs documented-tolerance policy (`dot`/`norm2`
-//! reassociate under `simd`, the element-wise ops never do).
+//! single home of every hot vector loop; see that module's docs for the
+//! order-preserving vs reassociating kernel classes.
 
 use ektelo_matrix::kernels;
 

@@ -21,12 +21,10 @@
 //!   kernels), not just in the three hot files the line rule watches.
 //!   The pool executor file is the sanctioned thread owner and is
 //!   excluded from traversal.
-//! * **`cfg-parity`** — every `feature = "simd"`-gated item needs a
-//!   same-kind, same-name (and for fns same-signature) `not(simd)`
-//!   counterpart; `scalar`/`simd` twin modules must export matching
-//!   public fn surfaces; and every failpoint name used at a
+//! * **`cfg-parity`** — every failpoint name used at a
 //!   `triggered`/`panic_if` call site must be declared in
-//!   `failpoints.rs`'s `SITES` list and vice versa.
+//!   `failpoints.rs`'s `SITES` list and vice versa (the `failpoints`
+//!   feature compiles the sites in; the default build stubs them).
 //!
 //! # Soundness of the approximations
 //!
@@ -292,7 +290,7 @@ pub(crate) fn run(files: &[AnalyzedFile], config: &Config, report: &mut Report) 
     lock_discipline(files, &idx, config, report);
     warm_path(files, &idx, config, report);
     determinism_transitive(files, &idx, config, report);
-    cfg_parity(files, report);
+    failpoint_parity(files, report);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,262 +621,6 @@ fn determinism_transitive(
 // ---------------------------------------------------------------------------
 // cfg-parity.
 // ---------------------------------------------------------------------------
-
-fn simd_atom(atoms: &[CfgAtom]) -> Option<bool> {
-    atoms.iter().find(|a| a.feature == "simd").map(|a| a.on)
-}
-
-fn cfg_parity(files: &[AnalyzedFile], report: &mut Report) {
-    for af in files {
-        if !is_lib_src(&af.ctx.rel) {
-            continue;
-        }
-        twin_module_parity(af, report);
-        gated_item_parity(af, report);
-    }
-    failpoint_parity(files, report);
-}
-
-/// `scalar` / `simd` twin modules must export matching public fn
-/// surfaces with identical signatures.
-fn twin_module_parity(af: &AnalyzedFile, report: &mut Report) {
-    let has = |m: &str| {
-        af.facts
-            .fns
-            .iter()
-            .any(|f| f.module.last().map(String::as_str) == Some(m))
-    };
-    if !has("scalar") || !has("simd") {
-        return;
-    }
-    let surface = |m: &str| -> BTreeMap<&str, &FnFact> {
-        af.facts
-            .fns
-            .iter()
-            .filter(|f| f.is_pub && !f.in_test && f.module.last().map(String::as_str) == Some(m))
-            .map(|f| (f.name.as_str(), f))
-            .collect()
-    };
-    let scalar = surface("scalar");
-    let simd = surface("simd");
-    for (name, f) in &simd {
-        match scalar.get(name) {
-            None => push_flow(
-                report,
-                af,
-                f.line,
-                "cfg-parity",
-                format!(
-                    "`simd::{name}` has no `scalar` counterpart: every simd kernel needs a \
-                     same-signature scalar twin (the scalar leg is the always-compiled \
-                     reference)"
-                ),
-            ),
-            Some(s) if s.sig != f.sig => push_flow(
-                report,
-                af,
-                f.line,
-                "cfg-parity",
-                format!(
-                    "`simd::{name}` and `scalar::{name}` signatures differ (`{}` vs `{}`): \
-                     the legs must be drop-in interchangeable",
-                    f.sig, s.sig
-                ),
-            ),
-            Some(_) => report.cfg_pairs.push(crate::CfgPairInfo {
-                file: af.ctx.rel.clone(),
-                name: format!("scalar/simd fn {name}"),
-                kind: "kernel-twin",
-            }),
-        }
-    }
-    for (name, f) in &scalar {
-        if !simd.contains_key(name) {
-            push_flow(
-                report,
-                af,
-                f.line,
-                "cfg-parity",
-                format!(
-                    "`scalar::{name}` has no `simd` counterpart: the simd module must \
-                     cover the full scalar surface (or the kernel belongs outside the \
-                     twin modules)"
-                ),
-            );
-        }
-    }
-}
-
-/// Items gated on `feature = "simd"` need a `not(simd)` counterpart of
-/// the same kind and name (same-signature for fns; same re-export name
-/// set for `use` groups).
-fn gated_item_parity(af: &AnalyzedFile, report: &mut Report) {
-    // fns, keyed by (module, name).
-    let mut fns: BTreeMap<(String, &str), Vec<(&FnFact, bool)>> = BTreeMap::new();
-    for f in &af.facts.fns {
-        if f.in_test {
-            continue;
-        }
-        if let Some(on) = simd_atom(&f.cfg) {
-            fns.entry((f.module.join("::"), f.name.as_str()))
-                .or_default()
-                .push((f, on));
-        }
-    }
-    for ((_, name), legs) in &fns {
-        let on = legs.iter().find(|(_, o)| *o);
-        let off = legs.iter().find(|(_, o)| !*o);
-        match (on, off) {
-            (Some((f, _)), None) => push_flow(
-                report,
-                af,
-                f.line,
-                "cfg-parity",
-                format!(
-                    "fn `{name}` is gated on `feature = \"simd\"` with no \
-                     `#[cfg(not(feature = \"simd\"))]` counterpart: default builds lose \
-                     the symbol"
-                ),
-            ),
-            (None, Some((f, _))) => push_flow(
-                report,
-                af,
-                f.line,
-                "cfg-parity",
-                format!(
-                    "fn `{name}` is gated on `not(feature = \"simd\")` with no simd \
-                     counterpart: simd builds lose the symbol"
-                ),
-            ),
-            (Some((a, _)), Some((b, _))) => {
-                if a.sig != b.sig {
-                    push_flow(
-                        report,
-                        af,
-                        a.line,
-                        "cfg-parity",
-                        format!(
-                            "cfg-paired fn `{name}` differs between legs (`{}` vs `{}`)",
-                            a.sig, b.sig
-                        ),
-                    );
-                } else {
-                    report.cfg_pairs.push(crate::CfgPairInfo {
-                        file: af.ctx.rel.clone(),
-                        name: format!("fn {name}"),
-                        kind: "cfg-pair",
-                    });
-                }
-            }
-            (None, None) => {}
-        }
-    }
-    // consts, keyed by (module, enclosing fn, name); value = the first
-    // line seen per (simd-on, simd-off) leg.
-    type ConstLegs<'a> = BTreeMap<(String, String, &'a str), (Option<usize>, Option<usize>)>;
-    let mut consts: ConstLegs = BTreeMap::new();
-    for c in &af.facts.consts {
-        if let Some(on) = simd_atom(&c.cfg) {
-            let key = (
-                c.module.join("::"),
-                c.in_fn.clone().unwrap_or_default(),
-                c.name.as_str(),
-            );
-            let slot = consts.entry(key).or_default();
-            if on {
-                slot.0.get_or_insert(c.line);
-            } else {
-                slot.1.get_or_insert(c.line);
-            }
-        }
-    }
-    for ((_, _, name), (on, off)) in &consts {
-        match (on, off) {
-            (Some(line), None) => push_flow(
-                report,
-                af,
-                *line,
-                "cfg-parity",
-                format!(
-                    "const `{name}` is gated on `feature = \"simd\"` with no `not(simd)` \
-                     counterpart"
-                ),
-            ),
-            (None, Some(line)) => push_flow(
-                report,
-                af,
-                *line,
-                "cfg-parity",
-                format!(
-                    "const `{name}` is gated on `not(feature = \"simd\")` with no simd \
-                     counterpart"
-                ),
-            ),
-            (Some(_), Some(_)) => report.cfg_pairs.push(crate::CfgPairInfo {
-                file: af.ctx.rel.clone(),
-                name: format!("const {name}"),
-                kind: "cfg-pair",
-            }),
-            (None, None) => {}
-        }
-    }
-    // use re-exports, compared as name sets per module.
-    let mut on_names: BTreeMap<String, Vec<(&str, usize)>> = BTreeMap::new();
-    let mut off_names: BTreeMap<String, Vec<(&str, usize)>> = BTreeMap::new();
-    for u in &af.facts.uses {
-        if let Some(on) = simd_atom(&u.cfg) {
-            let bucket = if on { &mut on_names } else { &mut off_names };
-            let entry = bucket.entry(u.module.join("::")).or_default();
-            for n in &u.names {
-                if n != "*" {
-                    entry.push((n.as_str(), u.line));
-                }
-            }
-        }
-    }
-    let modules: BTreeSet<&String> = on_names.keys().chain(off_names.keys()).collect();
-    for m in modules {
-        let empty = Vec::new();
-        let on = on_names.get(m.as_str()).unwrap_or(&empty);
-        let off = off_names.get(m.as_str()).unwrap_or(&empty);
-        let on_set: BTreeMap<&str, usize> = on.iter().copied().collect();
-        let off_set: BTreeMap<&str, usize> = off.iter().copied().collect();
-        for (n, line) in &on_set {
-            if !off_set.contains_key(n) {
-                push_flow(
-                    report,
-                    af,
-                    *line,
-                    "cfg-parity",
-                    format!(
-                        "re-export `{n}` is gated on `feature = \"simd\"` with no \
-                         `not(simd)` counterpart: the default build loses the name"
-                    ),
-                );
-            } else {
-                report.cfg_pairs.push(crate::CfgPairInfo {
-                    file: af.ctx.rel.clone(),
-                    name: format!("use {n}"),
-                    kind: "cfg-pair",
-                });
-            }
-        }
-        for (n, line) in &off_set {
-            if !on_set.contains_key(n) {
-                push_flow(
-                    report,
-                    af,
-                    *line,
-                    "cfg-parity",
-                    format!(
-                        "re-export `{n}` is gated on `not(feature = \"simd\")` with no \
-                         simd counterpart: simd builds lose the name"
-                    ),
-                );
-            }
-        }
-    }
-}
 
 /// Failpoint site names: every literal used at a `triggered`/`panic_if`
 /// call site must be declared in `failpoints.rs`'s `SITES` list, and

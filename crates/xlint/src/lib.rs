@@ -84,13 +84,11 @@
 //!   `available_parallelism` are forbidden anywhere in their call
 //!   closure, not just in the three hot files. The pool executor file
 //!   is the sanctioned thread owner and is excluded from traversal.
-//! * `cfg-parity` — every `feature = "simd"`-gated fn/const/re-export
-//!   needs a `not(simd)` counterpart of the same kind and name (fns:
-//!   same signature); `scalar`/`simd` twin modules must export matching
-//!   public surfaces; and every failpoint name used at a `triggered` /
-//!   `panic_if` site must be declared in `failpoints.rs`'s `SITES`
-//!   list and vice versa (an orphaned declaration is a chaos schedule
-//!   that silently arms nothing).
+//! * `cfg-parity` — every failpoint name used at a `triggered` /
+//!   `panic_if` site (compiled in by the `failpoints` feature) must be
+//!   declared in `failpoints.rs`'s `SITES` list and vice versa (an
+//!   orphaned declaration is a chaos schedule that silently arms
+//!   nothing).
 //!
 //! # Known approximations
 //!
@@ -145,8 +143,8 @@ pub mod parse;
 
 /// Analyzer configuration: the cargo features assumed active when
 /// evaluating `#[cfg(feature = "...")]` gates in the flow rules. The
-/// default is the default build (no features). CI runs the matrix
-/// (default, `simd`, `failpoints`) over one shared [`Analysis`].
+/// default is the default build (no features). CI runs both legs
+/// (default and `failpoints`) over one shared [`Analysis`].
 #[derive(Debug, Default, Clone)]
 pub struct Config {
     pub features: BTreeSet<String>,
@@ -247,7 +245,8 @@ pub struct WarmRootInfo {
 pub struct CfgPairInfo {
     pub file: String,
     pub name: String,
-    /// `"kernel-twin"`, `"cfg-pair"` or `"failpoint-site"`.
+    /// The pairing checked: `"failpoint-site"`, a declared `SITES` entry
+    /// that some audited site uses.
     pub kind: &'static str,
 }
 
@@ -1186,7 +1185,7 @@ fn lint_kernel_classes(ctx: &FileCtx, proptest_src: Option<&str>, report: &mut R
                 "kernel-class",
                 format!(
                     "public kernel `{name}` is not exercised from {KERNELS_TESTS} (every \
-                     kernel must be covered by the bit-identity / tolerance proptests)"
+                     kernel must be covered by the bit-exact oracle proptests)"
                 ),
             );
         }
@@ -1200,7 +1199,12 @@ fn lint_kernel_classes(ctx: &FileCtx, proptest_src: Option<&str>, report: &mut R
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "xlint", "related"];
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
+/// Collects every `.rs` file and every `Cargo.toml` under `dir`.
+fn collect_files(
+    dir: &Path,
+    rs: &mut Vec<std::path::PathBuf>,
+    manifests: &mut Vec<std::path::PathBuf>,
+) -> io::Result<()> {
     let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<io::Result<_>>()?;
     entries.sort_by_key(|e| e.file_name());
     for entry in entries {
@@ -1210,12 +1214,31 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result
             if SKIP_DIRS.contains(&name.as_str()) {
                 continue;
             }
-            collect_rs_files(&path, out)?;
+            collect_files(&path, rs, manifests)?;
         } else if name.ends_with(".rs") {
-            out.push(path);
+            rs.push(path);
+        } else if name == "Cargo.toml" {
+            manifests.push(path);
         }
     }
     Ok(())
+}
+
+/// Feature names declared under `[features]` in one `Cargo.toml`
+/// (`name = ...` lines; array continuation lines carry no `=`).
+fn manifest_features(toml: &str) -> Vec<String> {
+    let mut in_features = false;
+    let mut out = Vec::new();
+    for line in toml.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_features = line == "[features]";
+        } else if in_features && !line.starts_with('#') {
+            if let Some((name, _)) = line.split_once('=') {
+                out.push(name.trim().trim_matches('"').to_string());
+            }
+        }
+    }
+    out
 }
 
 /// One file, lexed and parsed once; shared by every rule and every cfg
@@ -1232,14 +1255,21 @@ pub(crate) struct AnalyzedFile {
 pub struct Analysis {
     files: Vec<AnalyzedFile>,
     proptest_src: Option<String>,
+    features: BTreeSet<String>,
 }
 
 impl Analysis {
     /// Loads every `.rs` file under `root` (the workspace root, or a
-    /// fixture tree shaped like one), in sorted order.
+    /// fixture tree shaped like one), in sorted order, and the feature
+    /// names its `Cargo.toml` files declare.
     pub fn load(root: &Path) -> io::Result<Analysis> {
         let mut paths = Vec::new();
-        collect_rs_files(root, &mut paths)?;
+        let mut manifests = Vec::new();
+        collect_files(root, &mut paths, &mut manifests)?;
+        let mut features = BTreeSet::new();
+        for path in &manifests {
+            features.extend(manifest_features(&fs::read_to_string(path)?));
+        }
         let mut files = Vec::new();
         for path in &paths {
             let rel = path
@@ -1258,7 +1288,14 @@ impl Analysis {
         Ok(Analysis {
             files,
             proptest_src,
+            features,
         })
+    }
+
+    /// Every feature declared under `[features]` in a `Cargo.toml` of the
+    /// scanned tree: the names a [`Config`] may meaningfully enable.
+    pub fn declared_features(&self) -> &BTreeSet<String> {
+        &self.features
     }
 
     /// Runs every rule (line-local and flow) under `config`.
@@ -1418,6 +1455,26 @@ pub fn to_json(report: &Report, inventory: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn manifest_features_reads_only_the_features_table() {
+        let toml = r#"
+[package]
+name = "x"
+
+[features]
+# a comment = not a feature
+failpoints = []
+"quoted" = ["dep/a"]
+multi = [
+    "dep/b",
+]
+
+[dependencies]
+dep = { path = "../dep" }
+"#;
+        assert_eq!(manifest_features(toml), ["failpoints", "quoted", "multi"]);
+    }
 
     #[test]
     fn lexer_strips_comments_strings_and_chars() {

@@ -5,7 +5,8 @@
 //! cargo run -p xlint -- --json           # machine-readable report
 //! cargo run -p xlint -- --inventory      # also list unsafe sites, lock regions,
 //!                                        # WARM roots and cfg-parity pairs
-//! cargo run -p xlint -- --features simd  # evaluate #[cfg] gates with features on
+//! cargo run -p xlint -- --features failpoints  # evaluate #[cfg] gates with
+//!                                              # declared features on
 //! cargo run -p xlint -- --root PATH      # lint a different tree (default: workspace root)
 //! ```
 
@@ -85,6 +86,26 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A name no manifest declares would lint a build that cannot exist
+    // (a stale leg) while reporting it clean.
+    let unknown: Vec<&str> = features
+        .iter()
+        .filter(|f| !analysis.declared_features().contains(*f))
+        .map(String::as_str)
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "xlint: --features names undeclared feature(s) `{}`; declared: {}",
+            unknown.join(", "),
+            analysis
+                .declared_features()
+                .iter()
+                .map(String::as_str)
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        return ExitCode::from(2);
+    }
     let config = xlint::Config::with_features(features);
     let report = analysis.lint(&config);
 

@@ -246,7 +246,7 @@ pub struct BanSite {
 #[derive(Debug, Clone)]
 pub struct FnFact {
     pub name: String,
-    /// In-file module path (`["simd"]` for `mod simd { fn ... }`).
+    /// In-file module path (`["inner"]` for `mod inner { fn ... }`).
     pub module: Vec<String>,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
@@ -260,8 +260,6 @@ pub struct FnFact {
     pub cfg: Vec<CfgAtom>,
     /// Tagged `// WARM:` in the doc block above.
     pub warm: bool,
-    /// Normalized signature text (token-joined, `fn` through body `{`).
-    pub sig: String,
     pub calls: Vec<CallSite>,
     pub allocs: Vec<AllocSite>,
     pub panics: Vec<PanicSite>,
@@ -269,37 +267,10 @@ pub struct FnFact {
     pub bans: Vec<BanSite>,
 }
 
-/// A `use` item (for cfg-parity over `pub use` re-export pairs).
-#[derive(Debug, Clone)]
-pub struct UseItem {
-    /// Path segments before the final name / group.
-    pub leading: Vec<String>,
-    /// Imported visible names (`"*"` for globs).
-    pub names: Vec<String>,
-    pub cfg: Vec<CfgAtom>,
-    pub line: usize,
-    pub is_pub: bool,
-    pub module: Vec<String>,
-}
-
-/// A `const` / `static` item (module-level or function-local; the
-/// latter is how `plan.rs` pins cfg-paired tuning constants).
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    pub name: String,
-    pub cfg: Vec<CfgAtom>,
-    pub line: usize,
-    pub module: Vec<String>,
-    /// Name of the enclosing function for function-local consts.
-    pub in_fn: Option<String>,
-}
-
 /// Per-file parse result.
 #[derive(Debug, Clone, Default)]
 pub struct FileFacts {
     pub fns: Vec<FnFact>,
-    pub uses: Vec<UseItem>,
-    pub consts: Vec<ConstItem>,
 }
 
 /// Parses one stripped file into facts. Never fails: unparseable
@@ -312,7 +283,6 @@ pub fn parse_file(lines: &[Line]) -> FileFacts {
         lines,
         i: 0,
         out: FileFacts::default(),
-        pending_body_consts: Vec::new(),
     };
     let mut module = Vec::new();
     p.parse_items(&mut module, &[], false, false);
@@ -335,9 +305,6 @@ struct Parser<'a> {
     lines: &'a [Line],
     i: usize,
     out: FileFacts,
-    /// Function-local `const` items found by the body walker; drained
-    /// by `parse_fn` once the enclosing function's name is known.
-    pending_body_consts: Vec<ConstItem>,
 }
 
 impl<'a> Parser<'a> {
@@ -540,29 +507,13 @@ impl<'a> Parser<'a> {
                         }
                     }
                     // Modifier: keep `pending`, keep scanning. `is_pub`
-                    // is re-derived by lookback in parse_fn/const/use.
+                    // is re-derived by lookback in parse_fn.
                     continue;
                 }
                 "const" | "static" => {
                     if self.ident_at(self.i + 1) == Some("fn") {
                         self.i += 1; // `const fn`: treat as modifier
                         continue;
-                    }
-                    self.i += 1;
-                    if self.ident_at(self.i) == Some("mut") {
-                        self.i += 1;
-                    }
-                    let line = self.line(self.i);
-                    if let Some(name) = self.ident_at(self.i).map(str::to_string) {
-                        let mut atoms = cfg.to_vec();
-                        atoms.extend(pending.atoms.iter().cloned());
-                        self.out.consts.push(ConstItem {
-                            name,
-                            cfg: atoms,
-                            line,
-                            module: module.clone(),
-                            in_fn: None,
-                        });
                     }
                     self.skip_to_semi();
                     pending = AttrInfo::default();
@@ -621,9 +572,7 @@ impl<'a> Parser<'a> {
                     pending = AttrInfo::default();
                 }
                 "use" => {
-                    let mut atoms = cfg.to_vec();
-                    atoms.extend(pending.atoms.iter().cloned());
-                    self.parse_use(module, atoms);
+                    self.skip_to_semi();
                     pending = AttrInfo::default();
                 }
                 "struct" | "enum" | "union" | "type" => {
@@ -700,83 +649,6 @@ impl<'a> Parser<'a> {
         false
     }
 
-    /// Parses a `use` item; `self.i` is at the `use` keyword.
-    fn parse_use(&mut self, module: &[String], cfg: Vec<CfgAtom>) {
-        let is_pub = self.pub_lookback(self.i);
-        let line = self.line(self.i);
-        self.i += 1;
-        let start = self.i;
-        self.skip_to_semi();
-        let body = &self.toks[start..self.i.saturating_sub(1)];
-        let mut names: Vec<String> = Vec::new();
-        let mut k = 0usize;
-        // Leading path: idents separated by `::` until `{`, `*`, or end.
-        let mut segs: Vec<String> = Vec::new();
-        while k < body.len() {
-            match &body[k].kind {
-                Tok::Ident(s) if s != "as" => segs.push(s.clone()),
-                Tok::Ident(_) => {
-                    // `use a::b as c;` — the rename is the visible name.
-                    if let Some(Tok::Ident(n)) = body.get(k + 1).map(|t| &t.kind) {
-                        segs.push(n.clone());
-                        k += 1;
-                    }
-                }
-                Tok::Punct(':') => {}
-                Tok::Punct('*') => {
-                    names.push("*".to_string());
-                    break;
-                }
-                Tok::Punct('{') => {
-                    // Group: each top-level comma-separated entry's last
-                    // ident is the visible name.
-                    let mut depth = 0i64;
-                    let mut last: Option<String> = None;
-                    while k < body.len() {
-                        match &body[k].kind {
-                            Tok::Punct('{') => depth += 1,
-                            Tok::Punct('}') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            Tok::Punct(',') if depth == 1 => {
-                                if let Some(n) = last.take() {
-                                    names.push(n);
-                                }
-                            }
-                            Tok::Punct('*') => last = Some("*".to_string()),
-                            Tok::Ident(s) if s != "as" => last = Some(s.clone()),
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    if let Some(n) = last.take() {
-                        names.push(n);
-                    }
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if names.is_empty() {
-            if let Some(last) = segs.pop() {
-                names.push(last);
-            }
-        }
-        let leading = segs;
-        self.out.uses.push(UseItem {
-            leading,
-            names,
-            cfg,
-            line,
-            is_pub,
-            module: module.to_vec(),
-        });
-    }
-
     /// Collects `// WARM:` from the contiguous comment/attribute block
     /// directly above `fn_line`.
     fn warm_tag_above(&self, fn_line: usize) -> bool {
@@ -802,26 +674,18 @@ impl<'a> Parser<'a> {
     fn parse_fn(&mut self, module: &[String], cfg: Vec<CfgAtom>, in_test: bool) {
         let is_pub = self.pub_lookback(self.i);
         let fn_line = self.line(self.i);
-        let mut sig = String::from("fn");
         self.i += 1;
         let name = self
             .ident_at(self.i)
             .map(str::to_string)
             .unwrap_or_default();
-        // Signature: token-joined text from the name through to the body
-        // `{` or declaration `;` (generics are angle-skipped as a unit so
-        // a `>` never terminates early).
+        // Signature: scan from the name to the body `{` or declaration
+        // `;` (generics are angle-skipped as a unit so a `>` never
+        // terminates early).
         let mut body_start: Option<usize> = None;
         while self.i < self.toks.len() {
             match self.kind(self.i) {
-                Some(Tok::Punct('<')) => {
-                    let s = self.i;
-                    self.skip_angles();
-                    for t in &self.toks[s..self.i] {
-                        push_sig(&mut sig, &t.kind);
-                    }
-                    continue;
-                }
+                Some(Tok::Punct('<')) => self.skip_angles(),
                 Some(Tok::Punct('{')) => {
                     body_start = Some(self.i);
                     break;
@@ -830,10 +694,7 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                     break;
                 }
-                Some(k) => {
-                    push_sig(&mut sig, k);
-                    self.i += 1;
-                }
+                Some(_) => self.i += 1,
                 None => break,
             }
         }
@@ -846,7 +707,6 @@ impl<'a> Parser<'a> {
             in_test,
             cfg,
             warm: self.warm_tag_above(fn_line),
-            sig,
             calls: Vec::new(),
             allocs: Vec::new(),
             panics: Vec::new(),
@@ -857,39 +717,11 @@ impl<'a> Parser<'a> {
             self.i += 1; // consume body '{'
             self.parse_body(&mut fact);
         }
-        self.out.consts.extend(
-            std::mem::take(&mut self.pending_body_consts)
-                .into_iter()
-                .map(|mut c| {
-                    c.in_fn = Some(fact.name.clone());
-                    c.module = module.to_vec();
-                    // Item-level gates on the fn also gate its consts.
-                    let mut cfg = fact.cfg.clone();
-                    cfg.extend(c.cfg);
-                    c.cfg = cfg;
-                    c
-                }),
-        );
         self.out.fns.push(fact);
     }
 
     fn parse_body(&mut self, fact: &mut FnFact) {
         BodyWalker::walk(self, fact);
-    }
-}
-
-/// Appends one token's text to a signature string.
-fn push_sig(sig: &mut String, kind: &Tok) {
-    match kind {
-        Tok::Ident(s) => {
-            sig.push(' ');
-            sig.push_str(s);
-        }
-        Tok::Punct(c) => {
-            sig.push(' ');
-            sig.push(*c);
-        }
-        Tok::Str(_) => sig.push_str(" \"\""),
     }
 }
 
@@ -1093,23 +925,11 @@ impl BodyWalker {
                 return;
             }
             "const" | "static" => {
-                // Function-local item: `const PANEL: usize = 4;` (the
-                // cfg-paired tuning-constant shape). `*const T` pointer
-                // casts fail the `name :` check and fall through.
+                // A function-local item or a `*const T` cast: skip the
+                // keyword (and `mut`) so neither reads as a binding.
                 p.i += 1;
                 if p.ident_at(p.i) == Some("mut") {
                     p.i += 1;
-                }
-                if let Some(name) = p.ident_at(p.i).map(str::to_string) {
-                    if p.is_punct(p.i + 1, ':') && !p.path_sep(p.i + 1) {
-                        p.pending_body_consts.push(ConstItem {
-                            name,
-                            cfg: gates.iter().flat_map(|g| g.atoms.iter().cloned()).collect(),
-                            line: p.line(p.i),
-                            module: Vec::new(),
-                            in_fn: None,
-                        });
-                    }
                 }
                 return;
             }
@@ -1517,79 +1337,84 @@ fn m(&self) -> f64 {
     #[test]
     fn cfg_atoms_on_items_and_body_consts() {
         let src = r#"
-#[cfg(feature = "simd")]
-pub fn fast() {}
-#[cfg(not(feature = "simd"))]
-pub fn slow() {}
+#[cfg(feature = "failpoints")]
+pub fn armed() {}
+#[cfg(not(feature = "failpoints"))]
+pub fn stub() {}
 fn host() {
-    #[cfg(feature = "simd")]
+    #[cfg(feature = "failpoints")]
     const PANEL: usize = 4;
-    #[cfg(not(feature = "simd"))]
-    const PANEL: usize = 1;
-    let _ = PANEL;
+    static mut SEEN: usize = 0;
+    let n = PANEL;
+    after(n)
 }
 "#;
         let facts = parse(src);
-        let fast = facts.fns.iter().find(|f| f.name == "fast").unwrap();
+        let armed = facts.fns.iter().find(|f| f.name == "armed").unwrap();
         assert_eq!(
-            fast.cfg,
+            armed.cfg,
             vec![CfgAtom {
-                feature: "simd".to_string(),
+                feature: "failpoints".to_string(),
                 on: true
             }]
         );
-        let slow = facts.fns.iter().find(|f| f.name == "slow").unwrap();
+        let stub = facts.fns.iter().find(|f| f.name == "stub").unwrap();
         assert_eq!(
-            slow.cfg,
+            stub.cfg,
             vec![CfgAtom {
-                feature: "simd".to_string(),
+                feature: "failpoints".to_string(),
                 on: false
             }]
         );
-        let panels: Vec<_> = facts.consts.iter().filter(|c| c.name == "PANEL").collect();
-        assert_eq!(panels.len(), 2);
-        assert!(panels.iter().all(|c| c.in_fn.as_deref() == Some("host")));
-        assert_ne!(panels[0].cfg, panels[1].cfg);
+        // Body items are skipped without ending the fn or hiding calls.
+        let host = facts.fns.iter().find(|f| f.name == "host").unwrap();
+        assert_eq!(host.end_line, 11);
+        assert!(host.calls.iter().any(|c| c.name() == "after"));
     }
 
     #[test]
     fn warm_tag_and_modules_and_sig() {
         let src = r#"
-pub mod scalar {
+pub mod outer {
     /// Dot product.
     // WARM: zero-alloc entry
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 { 0.0 }
+    pub fn dot<T: Into<f64>>(a: &[T]) -> f64 where T: Copy { first(a) }
 }
-pub mod simd {
+pub mod inner {
     pub fn dot(a: &[f64], b: &[f64]) -> f64 { 0.0 }
 }
 "#;
         let facts = parse(src);
         assert_eq!(facts.fns.len(), 2);
-        let s = facts.fns.iter().find(|f| f.module == ["scalar"]).unwrap();
-        let v = facts.fns.iter().find(|f| f.module == ["simd"]).unwrap();
+        let s = facts.fns.iter().find(|f| f.module == ["outer"]).unwrap();
+        let v = facts.fns.iter().find(|f| f.module == ["inner"]).unwrap();
         assert!(s.warm);
         assert!(!v.warm);
-        assert_eq!(s.sig, v.sig, "{} vs {}", s.sig, v.sig);
+        // The signature scan steps over generics, `->` and `where` to
+        // the body, so the body's call is attributed to the fn.
+        assert!(s.calls.iter().any(|c| c.name() == "first"));
     }
 
     #[test]
     fn use_groups_and_bans() {
         let src = r#"
-#[cfg(feature = "simd")]
-pub use simd::{dot, axpy};
-#[cfg(not(feature = "simd"))]
-pub use scalar::{dot, axpy};
+#[cfg(feature = "failpoints")]
+pub use inner::{dot, axpy};
+use std::collections::{BTreeMap as Map, HashSet};
 fn bad() {
     let m: HashMap<u32, u32> = make();
     std::thread::spawn(|| {});
 }
 "#;
         let facts = parse(src);
-        assert_eq!(facts.uses.len(), 2);
-        assert_eq!(facts.uses[0].names, vec!["dot", "axpy"]);
-        assert!(facts.uses.iter().all(|u| u.is_pub));
-        let bad = facts.fns.iter().find(|f| f.name == "bad").unwrap();
+        let names: Vec<&str> = facts.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["bad"], "use groups must be skipped whole");
+        let bad = &facts.fns[0];
+        assert!(
+            bad.cfg.is_empty(),
+            "a `use` attribute leaked: {:?}",
+            bad.cfg
+        );
         let bans: Vec<&str> = bad.bans.iter().map(|b| b.what.as_str()).collect();
         assert!(bans.contains(&"HashMap"), "{bans:?}");
         assert!(bans.contains(&"thread::spawn"), "{bans:?}");

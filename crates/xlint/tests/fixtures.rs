@@ -76,10 +76,6 @@ fn violations_are_detected_at_exact_lines() {
         ("crates/matrix/src/matvec.rs", 4, "determinism-parallelism"),
         ("crates/matrix/src/matvec.rs", 5, "determinism-hash-iter"),
         ("crates/matrix/src/matvec.rs", 7, "determinism-thread"),
-        // simdkern.rs: simd-gated fn without a scalar leg; twin modules
-        // with a scalar-only export.
-        ("crates/matrix/src/simdkern.rs", 4, "cfg-parity"),
-        ("crates/matrix/src/simdkern.rs", 12, "cfg-parity"),
         // warm.rs: allocation in the transitive closure of a WARM root.
         ("crates/matrix/src/warm.rs", 10, "warm-path-alloc"),
     ]
@@ -137,10 +133,6 @@ fn violations_are_detected_at_exact_lines() {
         .find(|w| w.name == "accumulate")
         .expect("WARM root inventoried");
     assert!(root.closure >= 2 && root.alloc_sites >= 1);
-    assert!(report
-        .cfg_pairs
-        .iter()
-        .any(|p| p.kind == "kernel-twin" && p.name.contains("dot")));
     assert!(report
         .cfg_pairs
         .iter()

@@ -31,8 +31,13 @@ fn assert_clean(report: &xlint::Report, leg: &str) {
 #[test]
 fn workspace_lints_clean_across_cfg_matrix() {
     let analysis = analysis();
-    let legs: &[&[&str]] = &[&[], &["simd"], &["failpoints"], &["simd", "failpoints"]];
+    let legs: &[&[&str]] = &[&[], &["failpoints"]];
     for leg in legs {
+        assert!(
+            leg.iter()
+                .all(|f| analysis.declared_features().contains(*f)),
+            "leg {leg:?} names a feature no manifest declares"
+        );
         let config = xlint::Config::with_features(leg.iter().copied());
         let report = analysis.lint(&config);
         assert_clean(&report, &leg.join(","));

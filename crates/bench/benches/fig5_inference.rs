@@ -144,7 +144,8 @@ fn bench_nnls_and_tree(c: &mut Criterion) {
 /// Multiplicative weights on MWEM's last round: 20 one-row measurements
 /// of a range query each, as one-row sparse blocks over 4096 cells, and
 /// 30 passes. `mult_weights` runs them over the columns' classes (at most
-/// 41 here), not over every cell.
+/// 41 here), not over every cell. `column_classes_history` times the
+/// class refinement of that history on its own.
 fn bench_mult_weights(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_mw");
     group.sample_size(20);
@@ -173,6 +174,11 @@ fn bench_mult_weights(c: &mut Criterion) {
     };
     group.bench_function(BenchmarkId::new("mw_mwem_union", n), |b| {
         b.iter(|| black_box(mult_weights(&m, &y, &x0, &opts)[0]))
+    });
+    // The class refinement alone, as `mult_weights` calls it: keyed by
+    // the uniform start, over the whole 20-row history.
+    group.bench_function(BenchmarkId::new("column_classes_history", n), |b| {
+        b.iter(|| black_box(m.column_classes_by(&x0).map(|c| c.sizes.len())))
     });
     group.finish();
 }

@@ -363,6 +363,17 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 // does not depend on whether the node happens to run).
                 positive_eps(op.eps_select)?;
                 positive_eps(op.eps_measure)?;
+                // The total seeds the uniform start `total / n` and is
+                // the mass multiplicative weights normalizes to: a
+                // non-positive one panics inside inference after the
+                // first round is charged, and a NaN or ∞ one turns the
+                // selection scores into NaN.
+                if !op.total.is_finite() || op.total <= 0.0 {
+                    return Err(EktError::InvalidArgument(format!(
+                        "MWEM total must be a positive finite number, got {}",
+                        op.total
+                    )));
+                }
                 if op.workload.rows() == 0 {
                     return Err(EktError::InvalidArgument("empty workload".into()));
                 }

@@ -133,13 +133,16 @@ impl<'k> PlanExecutor<'k> {
             reservation,
             start: self.kernel.measurement_count(),
         };
-        // AssertUnwindSafe is sound here: every panicking site runs
-        // outside the kernel's state lock (worker jobs in a batch's
-        // compute phase, solver iterations during inference), the lock
-        // shim does not poison, and each lock acquisition's mutations
-        // are transactional — so after an unwind the kernel `run`
-        // borrows is consistent, and `run` itself is dropped below
-        // without being touched again.
+        // AssertUnwindSafe rests on where the panic happens. Worker jobs
+        // in a batch's compute phase and solver iterations during
+        // inference run outside the kernel's state lock, so they leave it
+        // unpoisoned, and each lock acquisition's mutations are
+        // transactional: after such an unwind the kernel `run` borrows is
+        // consistent, and `run` itself is dropped below without being
+        // touched again. A panic inside a `with_vector` closure runs with
+        // the lock held and does poison it; the lock shim then turns
+        // every later acquisition into a panic (ROADMAP item 8).
+        // `pre_account` rejects the inputs known to reach such a panic.
         let outcome = catch_unwind(AssertUnwindSafe(|| run.execute(input)));
         let x_hat = match outcome {
             Ok(result) => result?,
@@ -148,7 +151,7 @@ impl<'k> PlanExecutor<'k> {
                 // the caller observes a clean ledger from the error
                 // handler onwards.
                 drop(run);
-                return Err(EktError::ExecutionPanic(panic_message(&payload)));
+                return Err(EktError::ExecutionPanic(panic_message(&*payload)));
             }
         };
         let eps_charged = match &run.reservation {
@@ -456,13 +459,8 @@ impl<'k> Run<'_, 'k> {
 /// The single-row strategy MWEM measures in a round: workload row `row`
 /// as a `1 × n` sparse matrix.
 pub fn mwem_row_strategy(n: usize, row: &[f64]) -> Matrix {
-    let triplets: Vec<(usize, usize, f64)> = row
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| v != 0.0)
-        .map(|(j, &v)| (0, j, v))
-        .collect();
-    Matrix::sparse(CsrMatrix::from_triplets(1, n, &triplets))
+    assert_eq!(row.len(), n, "workload row length must equal the domain");
+    Matrix::sparse(CsrMatrix::from_row(row))
 }
 
 /// MWEM variant b's augmentation: in round `r`, add all dyadic intervals
@@ -566,6 +564,111 @@ mod tests {
             .run(&spec, k.root())
             .unwrap_err();
         assert!(matches!(err, EktError::BudgetExceeded { .. }));
+    }
+
+    #[test]
+    fn execution_panic_reports_the_panic_message() {
+        // A hand-built product whose inner dimensions disagree (4 vs 5)
+        // passes every shape check on its outer shape, then panics in
+        // the engine when MWEM's selection evaluates it on the estimate,
+        // outside the kernel lock.
+        let workload = Matrix::Product(
+            Box::new(Matrix::from_rows(vec![vec![1.0; 5]; 3])),
+            Box::new(Matrix::ones(4, 16)),
+        );
+        let mut b = PlanBuilder::new();
+        let x = b.input();
+        let e = b.mwem_loop(MwemLoopOp {
+            input: x,
+            workload,
+            rounds: 1,
+            eps_select: 0.1,
+            eps_measure: 0.1,
+            augment: false,
+            inference: MwemRoundInference::MultWeights,
+            total: 160.0,
+            mw_iterations: 5,
+        });
+        let spec = b.finish(e);
+        let k = ProtectedKernel::init_from_vector(vec![10.0; 16], 1.0, 9);
+        let err = PlanExecutor::new(&k).run(&spec, k.root()).unwrap_err();
+        let EktError::ExecutionPanic(msg) = err else {
+            panic!("expected ExecutionPanic, got {err:?}");
+        };
+        assert!(
+            msg.contains("matvec dimension mismatch"),
+            "panic text lost: {msg:?}"
+        );
+        assert_eq!(k.budget_reserved(), 0.0);
+    }
+
+    #[test]
+    fn invalid_mwem_totals_are_rejected_before_any_charge() {
+        let k = ProtectedKernel::init_from_vector(vec![10.0; 16], 1.0, 9);
+        let mwem = |total, inference| {
+            let mut b = PlanBuilder::new();
+            let x = b.input();
+            let e = b.mwem_loop(MwemLoopOp {
+                input: x,
+                workload: Matrix::prefix(16),
+                rounds: 2,
+                eps_select: 0.1,
+                eps_measure: 0.1,
+                augment: false,
+                inference,
+                total,
+                mw_iterations: 5,
+            });
+            b.finish(e)
+        };
+        let inferences = [
+            MwemRoundInference::MultWeights,
+            MwemRoundInference::NnlsKnownTotal,
+        ];
+        for total in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            for inference in inferences {
+                let err = PlanExecutor::new(&k)
+                    .run(&mwem(total, inference), k.root())
+                    .unwrap_err();
+                assert!(
+                    matches!(err, EktError::InvalidArgument(_)),
+                    "total {total} with {inference:?}: {err:?}"
+                );
+                assert_eq!(k.budget_spent(), 0.0, "total {total} was charged");
+                assert_eq!(k.budget_reserved(), 0.0);
+                assert_eq!(k.measurement_count(), 0, "total {total} measured");
+            }
+        }
+        // The kernel is untouched: a valid loop runs and charges in full.
+        for inference in inferences {
+            let report = PlanExecutor::new(&k)
+                .run(&mwem(160.0, inference), k.root())
+                .unwrap();
+            assert_eq!(report.eps_charged, report.eps_pre_accounted);
+        }
+        assert_eq!(k.measurement_count(), 4);
+    }
+
+    #[test]
+    fn mwem_row_strategy_equals_the_triplet_build() {
+        let rows = [
+            vec![0.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+            vec![-0.0, 2.5, 0.0, -3.0, 0.0, 1.0],
+            vec![0.0; 6],
+            vec![1.0; 6],
+        ];
+        for row in rows {
+            let triplets: Vec<(usize, usize, f64)> = row
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(j, &v)| (0, j, v))
+                .collect();
+            let Matrix::Sparse(built) = mwem_row_strategy(6, &row) else {
+                panic!("the row strategy is sparse");
+            };
+            assert_eq!(*built, CsrMatrix::from_triplets(1, 6, &triplets));
+        }
     }
 
     #[test]

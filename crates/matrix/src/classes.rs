@@ -6,12 +6,23 @@
 //! [`Matrix::column_classes`] finds those groups of identical columns
 //! and returns the matrix over one representative column per group.
 //!
-//! The classes come from partition refinement over the rows: all columns
-//! start in one class, and each row splits every class it touches by the
-//! row's value in each member column. Refinement holds one label per
-//! column and one row's entries at a time — never a per-column
-//! signature. A row holding one value (a range, or MWEM's rows of ones)
-//! splits by counting; only rows with several values are sorted.
+//! The classes come from partition refinement over **segments**, the
+//! maximal runs of columns that no row boundary cuts. Each row is first
+//! classified by one scan of its stored entries: an *interval* holds one
+//! value on a contiguous run of columns (a range, or a sparse row whose
+//! stored entries share one bit pattern on contiguous columns, as MWEM's
+//! one-row strategies of ones do), an *empty* row holds no non-zero
+//! entry, and a *scattered* row is anything else. The cut points are the
+//! ends of the intervals and both sides of every scattered entry, so the
+//! columns of a segment agree on every row. All segments start in one
+//! class; an interval splits the classes of the segments it spans by
+//! counting, and a scattered row sorts its entries to split by value. A
+//! column key (MWEM's start vector) also cuts wherever its bit pattern
+//! changes, so the key split and the numbering by first column run per
+//! segment too, and the labels are expanded to columns once, at the end.
+//! A history of `t` intervals under a uniform key therefore refines over
+//! at most `2t + 1` segments, whatever their length, instead of touching
+//! a label per stored entry.
 
 use crate::{CsrMatrix, Matrix, RangeQueries};
 
@@ -38,9 +49,14 @@ impl Matrix {
     /// Applies to a [`Matrix::Sparse`] or [`Matrix::Range`] leaf,
     /// optionally under [`Matrix::Scaled`], and to a [`Matrix::Union`] of
     /// such blocks — the shapes of MWEM's measurement history. Explicit
-    /// zero entries count as absent. Runs in `O(Σ nnz · log(row nnz) + n)`
-    /// time (a range row counts its length as its `nnz`) and
-    /// `O(n + classes + max row nnz)` memory.
+    /// zero entries count as absent.
+    ///
+    /// One sequential pass reads every stored entry to classify the
+    /// rows. With `t` interval rows, `q` non-zero entries in scattered
+    /// rows and `s ≤ 2(t + q) + 1` segments (plus one per change of the
+    /// key in [`Matrix::column_classes_by`]), the refinement then costs
+    /// `O((t + q) log(t + q) + t·s + n)` time, and `O(n + s + rows)`
+    /// memory beyond the reduced matrix.
     ///
     /// Returns `None` for any other shape, for a sparse row whose column
     /// indices are not strictly increasing, and when every column is its
@@ -65,7 +81,9 @@ impl Matrix {
     /// bit pattern of `key` (one entry per column), so members of a class
     /// also agree exactly on `key`. Returns `None` where
     /// [`Matrix::column_classes`] does, and when the split leaves every
-    /// column in its own class.
+    /// column in its own class. The key adds one `O(n)` scan that cuts a
+    /// segment wherever the key's bit pattern changes; a key that is then
+    /// constant on every class, as a uniform start is, adds no sort.
     pub fn column_classes_by(&self, key: &[f64]) -> Option<ColumnClasses> {
         assert_eq!(key.len(), self.cols(), "column key length mismatch");
         self.classes_keyed(Some(key))
@@ -75,29 +93,53 @@ impl Matrix {
         let mut leaves = Vec::new();
         collect_leaves(self, 1.0, &mut leaves)?;
         let n = self.cols();
-        let mut refiner = Refiner::new(n);
+        let mut rows = Vec::with_capacity(self.rows());
         for leaf in &leaves {
-            for r in 0..leaf.rows() {
-                leaf.refine(r, &mut refiner)?;
+            leaf.classify(&mut rows)?;
+        }
+
+        // Segment `s` is the columns `cuts[s]..cuts[s + 1]`. The key cuts
+        // wherever its bit pattern changes, so it is constant on every
+        // segment too.
+        let mut cuts = vec![0, n];
+        for row in &rows {
+            match *row {
+                Row::Interval { lo, hi, .. } => cuts.extend([lo, hi]),
+                Row::Scattered(row) => cuts.extend(row.nonzeros().flat_map(|(c, _)| [c, c + 1])),
+                Row::Empty => {}
             }
         }
         if let Some(key) = key {
-            refiner.split_by_key(key);
+            cuts.extend((1..n).filter(|&c| key[c].to_bits() != key[c - 1].to_bits()));
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        let segment = |c: usize| cuts.partition_point(|&x| x < c);
+
+        let mut refiner = Refiner::new(cuts.len() - 1);
+        for row in &rows {
+            match *row {
+                Row::Interval { lo, hi, .. } => refiner.split_uniform(segment(lo)..segment(hi)),
+                Row::Scattered(row) => {
+                    refiner.scratch.clear();
+                    let labels = &refiner.labels;
+                    refiner.scratch.extend(row.nonzeros().map(|(c, v)| {
+                        let s = segment(c);
+                        (labels[s], v.to_bits(), s as u32)
+                    }));
+                    refiner.split_sorted();
+                }
+                Row::Empty => {}
+            }
+        }
+        if let Some(key) = key {
+            refiner.split_by_key(|s| key[cuts[s]]);
         }
         if refiner.sizes.len() == n {
             return None;
         }
-        let (labels, sizes, reps) = refiner.canonical();
-
-        let mut triplets = Vec::new();
-        let mut row = 0;
-        for leaf in &leaves {
-            for r in 0..leaf.rows() {
-                leaf.reduced_row(r, row, &labels, &reps, &mut triplets);
-                row += 1;
-            }
-        }
-        let matrix = Matrix::sparse(CsrMatrix::from_triplets(row, sizes.len(), &triplets));
+        let (labels, sizes, reps) = refiner.canonical(&cuts, n);
+        let matrix = Matrix::sparse(reduced_rows(&rows, &labels, &reps));
         Some(ColumnClasses {
             labels,
             sizes,
@@ -129,98 +171,150 @@ fn collect_leaves<'a>(m: &'a Matrix, scale: f64, out: &mut Vec<Leaf<'a>>) -> Opt
     Some(())
 }
 
-impl Leaf<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Leaf::Sparse(_, s) => s.rows(),
-            Leaf::Range(_, r) => r.num_queries(),
-        }
-    }
-
-    /// Row `r` of a sparse leaf: its columns and unscaled values.
-    fn sparse_row(s: &CsrMatrix, r: usize) -> (&[u32], &[f64]) {
-        let span = s.indptr()[r]..s.indptr()[r + 1];
-        (&s.indices()[span.clone()], &s.values()[span])
-    }
-
-    /// Refines `refiner`'s classes by row `r`. `None` when a sparse row's
-    /// columns are not strictly increasing.
-    fn refine(&self, r: usize, refiner: &mut Refiner) -> Option<()> {
+impl<'a> Leaf<'a> {
+    /// Appends the kind of each of the leaf's rows to `out`. `None` when
+    /// a sparse row's columns are not strictly increasing.
+    fn classify(&self, out: &mut Vec<Row<'a>>) -> Option<()> {
         match *self {
-            Leaf::Range(scale, q) => {
-                if scale != 0.0 {
-                    let (lo, hi) = q.range(r);
-                    refiner.split_uniform(lo..hi);
-                }
-            }
-            Leaf::Sparse(scale, s) => {
-                let (cols, values) = Self::sparse_row(s, r);
-                if cols.windows(2).any(|w| w[0] >= w[1]) {
-                    return None;
-                }
-                let nonzero = cols
-                    .iter()
-                    .zip(values)
-                    .map(move |(&c, &v)| (c, scale * v))
-                    .filter(|&(_, v)| v != 0.0);
-                let mut bits = nonzero.clone().map(|(_, v)| v.to_bits());
-                let first = bits.next();
-                if bits.all(|b| Some(b) == first) {
-                    // One value (MWEM's rows of ones): no sort needed.
-                    refiner.split_uniform(nonzero.map(|(c, _)| c as usize));
+            Leaf::Range(scale, q) => out.extend((0..q.num_queries()).map(|r| {
+                if scale == 0.0 {
+                    Row::Empty
                 } else {
-                    refiner.scratch.clear();
-                    let labels = &refiner.labels;
-                    refiner
-                        .scratch
-                        .extend(nonzero.map(|(c, v)| (labels[c as usize], v.to_bits(), c)));
-                    refiner.split_sorted();
+                    let (lo, hi) = q.range(r);
+                    Row::Interval {
+                        lo,
+                        hi,
+                        value: scale,
+                    }
+                }
+            })),
+            Leaf::Sparse(scale, s) => {
+                for r in 0..s.rows() {
+                    let span = s.indptr()[r]..s.indptr()[r + 1];
+                    let row = SparseRow {
+                        scale,
+                        cols: &s.indices()[span.clone()],
+                        values: &s.values()[span],
+                    };
+                    out.push(row.classify()?);
                 }
             }
         }
         Some(())
     }
+}
 
-    /// Appends row `r`'s entries in the representative columns `reps` as
-    /// `(row, class, value)` triplets.
-    fn reduced_row(
-        &self,
-        r: usize,
-        row: usize,
-        labels: &[u32],
-        reps: &[u32],
-        out: &mut Vec<(usize, usize, f64)>,
-    ) {
-        match *self {
-            Leaf::Range(scale, q) => {
-                // Representatives ascend, so those inside the range are
-                // one run of classes.
-                let (lo, hi) = q.range(r);
-                let first = reps.partition_point(|&c| (c as usize) < lo);
-                let end = reps.partition_point(|&c| (c as usize) < hi);
-                out.extend((first..end).map(|k| (row, k, scale)));
-            }
-            Leaf::Sparse(scale, s) => {
-                let (cols, values) = Self::sparse_row(s, r);
-                for (&c, &v) in cols.iter().zip(values) {
-                    let k = labels[c as usize] as usize;
-                    if reps[k] == c {
-                        out.push((row, k, scale * v));
-                    }
-                }
-            }
+/// What refinement needs to know about one row.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    /// No non-zero entry.
+    Empty,
+    /// `value` on each column of `lo..hi`, zero elsewhere.
+    Interval { lo: usize, hi: usize, value: f64 },
+    /// Any other row, refined and reduced entry by entry.
+    Scattered(SparseRow<'a>),
+}
+
+/// A stored sparse row under the product of the scales above it.
+#[derive(Clone, Copy)]
+struct SparseRow<'a> {
+    scale: f64,
+    cols: &'a [u32],
+    values: &'a [f64],
+}
+
+impl<'a> SparseRow<'a> {
+    /// The scaled non-zero entries as `(column, value)`.
+    fn nonzeros(self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let scale = self.scale;
+        self.cols
+            .iter()
+            .zip(self.values)
+            .map(move |(&c, &v)| (c as usize, scale * v))
+            .filter(|&(_, v)| v != 0.0)
+    }
+
+    /// The row's kind, or `None` when its columns do not ascend strictly.
+    ///
+    /// One branch-free pass over the stored entries checks the column
+    /// order and whether the entries hold one bit pattern on contiguous
+    /// columns, as MWEM's rows of ones do; such a row is an interval, or
+    /// empty when its value scales to zero. Every other row is scattered,
+    /// and its entries that scale to zero are dropped where it is read.
+    /// A scattered row whose non-zero entries happen to form an interval
+    /// refines and reduces exactly as the interval would, over more
+    /// segments.
+    fn classify(self) -> Option<Row<'a>> {
+        let (Some(&lo), Some(&v0)) = (self.cols.first(), self.values.first()) else {
+            return Some(Row::Empty);
+        };
+        let bits = v0.to_bits();
+        let (mut ascending, mut interval) = (true, true);
+        for ((&a, &b), &v) in self.cols.iter().zip(&self.cols[1..]).zip(&self.values[1..]) {
+            ascending &= a < b;
+            interval &= (b == a.wrapping_add(1)) & (v.to_bits() == bits);
         }
+        if !ascending {
+            return None;
+        }
+        let value = self.scale * v0;
+        Some(if !interval {
+            Row::Scattered(self)
+        } else if value == 0.0 {
+            Row::Empty
+        } else {
+            Row::Interval {
+                lo: lo as usize,
+                hi: lo as usize + self.cols.len(),
+                value,
+            }
+        })
     }
 }
 
-/// Partition refinement state: a label per column, a size per class, and
-/// scratch for one row.
+/// The rows over the classes with representative columns `reps`: an
+/// interval holds its value on the run of classes whose representatives
+/// fall inside it, and a scattered row keeps its entries in
+/// representative columns. Both come out in ascending class order,
+/// because classes are numbered by first column.
+fn reduced_rows(rows: &[Row], labels: &[u32], reps: &[u32]) -> CsrMatrix {
+    let mut indptr = Vec::with_capacity(rows.len() + 1);
+    let mut indices = Vec::new();
+    let mut data = Vec::new();
+    indptr.push(0);
+    for row in rows {
+        match *row {
+            Row::Interval { lo, hi, value } => {
+                let first = reps.partition_point(|&c| (c as usize) < lo);
+                let end = reps.partition_point(|&c| (c as usize) < hi);
+                indices.extend(first as u32..end as u32);
+                data.resize(indices.len(), value);
+            }
+            Row::Scattered(row) => {
+                for (c, v) in row.nonzeros() {
+                    let k = labels[c];
+                    if reps[k as usize] as usize == c {
+                        indices.push(k);
+                        data.push(v);
+                    }
+                }
+            }
+            Row::Empty => {}
+        }
+        indptr.push(indices.len());
+    }
+    CsrMatrix::from_parts(reps.len(), indptr, indices, data)
+}
+
+/// Partition refinement state: a label per segment, a size per class in
+/// segments, and scratch for one row.
 struct Refiner {
     labels: Vec<u32>,
     sizes: Vec<usize>,
-    /// A multi-valued row's entries as `(label, value bits, column)`.
+    /// One row's entries as `(label, value bits, segment)`: a scattered
+    /// row's segments, or the key's.
     scratch: Vec<(u32, u64, u32)>,
-    /// Per class: columns the current row touches, then the class they
+    /// Per class: segments the current row touches, then the class they
     /// move to. Zero between rows.
     count: Vec<u32>,
     target: Vec<u32>,
@@ -228,22 +322,27 @@ struct Refiner {
 }
 
 impl Refiner {
-    fn new(n: usize) -> Self {
+    /// All `segments` segments in one class.
+    fn new(segments: usize) -> Self {
         Refiner {
-            labels: vec![0; n],
-            sizes: if n == 0 { Vec::new() } else { vec![n] },
+            labels: vec![0; segments],
+            sizes: if segments == 0 {
+                Vec::new()
+            } else {
+                vec![segments]
+            },
             scratch: Vec::new(),
-            count: vec![0; n],
-            target: vec![0; n],
+            count: vec![0; segments],
+            target: vec![0; segments],
             touched: Vec::new(),
         }
     }
 
-    /// Splits every class by whether `cols` (distinct columns sharing one
-    /// value) touch each member: the touched part of a class the row
+    /// Splits every class by whether `segments` (distinct segments
+    /// sharing one value) touch each member: the touched part of a class the row
     /// covers only partly becomes a new class.
-    fn split_uniform(&mut self, cols: impl Iterator<Item = usize> + Clone) {
-        for c in cols.clone() {
+    fn split_uniform(&mut self, segments: impl Iterator<Item = usize> + Clone) {
+        for c in segments.clone() {
             let l = self.labels[c] as usize;
             if self.count[l] == 0 {
                 self.touched.push(l as u32);
@@ -263,7 +362,7 @@ impl Refiner {
             };
         }
         self.touched.clear();
-        for c in cols {
+        for c in segments {
             self.labels[c] = self.target[self.labels[c] as usize];
         }
     }
@@ -297,43 +396,47 @@ impl Refiner {
         }
     }
 
-    /// Splits the classes by the bit pattern of `key`. A key that is
-    /// already constant on every class — a uniform start vector — costs
-    /// one pass and no sort.
-    fn split_by_key(&mut self, key: &[f64]) {
+    /// Splits the classes by the bit pattern of `key(segment)`. A key that
+    /// is already constant on every class — a uniform start vector —
+    /// costs one pass and no sort.
+    fn split_by_key(&mut self, key: impl Fn(usize) -> f64) {
         let mut first: Vec<Option<u64>> = vec![None; self.sizes.len()];
-        let constant = self.labels.iter().zip(key).all(|(&l, v)| {
-            let seen = first[l as usize].get_or_insert(v.to_bits());
-            *seen == v.to_bits()
+        let constant = self.labels.iter().enumerate().all(|(s, &l)| {
+            let bits = key(s).to_bits();
+            *first[l as usize].get_or_insert(bits) == bits
         });
         if constant {
             return;
         }
         self.scratch.clear();
         self.scratch.extend(
-            key.iter()
-                .zip(&self.labels)
+            self.labels
+                .iter()
                 .enumerate()
-                .map(|(c, (v, &l))| (l, v.to_bits(), c as u32)),
+                .map(|(s, &l)| (l, key(s).to_bits(), s as u32)),
         );
         self.split_sorted();
     }
 
-    /// Renumbers the classes by first column. Returns the labels, the
-    /// sizes and each class's first column.
-    fn canonical(self) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    /// Renumbers the classes by first column and expands them to the `n`
+    /// columns, segment `s` standing for the columns `cuts[s]..cuts[s + 1]`.
+    /// Returns the column labels, the class sizes in columns and each
+    /// class's first column.
+    fn canonical(self, cuts: &[usize], n: usize) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
         let mut renumber = vec![u32::MAX; self.sizes.len()];
         let mut sizes = Vec::with_capacity(self.sizes.len());
         let mut reps = Vec::with_capacity(self.sizes.len());
-        let mut labels = self.labels;
-        for (c, l) in labels.iter_mut().enumerate() {
-            let k = &mut renumber[*l as usize];
+        let mut labels = Vec::with_capacity(n);
+        for (&l, span) in self.labels.iter().zip(cuts.windows(2)) {
+            let k = &mut renumber[l as usize];
             if *k == u32::MAX {
                 *k = reps.len() as u32;
-                reps.push(c as u32);
-                sizes.push(self.sizes[*l as usize]);
+                reps.push(span[0] as u32);
+                sizes.push(0);
             }
-            *l = *k;
+            let len = span[1] - span[0];
+            sizes[*k as usize] += len;
+            labels.resize(labels.len() + len, *k);
         }
         (labels, sizes, reps)
     }

@@ -88,6 +88,39 @@ impl CsrMatrix {
         CsrMatrix::bucket_rows(picks.len(), cols, entries)
     }
 
+    /// The `1 × row.len()` matrix of `row`'s non-zero entries: equal to
+    /// [`CsrMatrix::from_triplets`] over them, built by one counting pass
+    /// and one fill, without a sort.
+    pub fn from_row(row: &[f64]) -> Self {
+        let nonzeros = || {
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(c, &v)| (0, c as u32, v))
+        };
+        CsrMatrix::bucket_rows(1, row.len(), nonzeros)
+    }
+
+    /// Assembles a matrix from CSR arrays that already hold sorted,
+    /// distinct columns per row.
+    pub(crate) fn from_parts(
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        data: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(indptr.last(), Some(&indices.len()));
+        debug_assert_eq!(indices.len(), data.len());
+        debug_assert!(indices.iter().all(|&c| (c as usize) < cols));
+        CsrMatrix {
+            rows: indptr.len() - 1,
+            cols,
+            indptr,
+            indices,
+            data,
+        }
+    }
+
     /// The n×n sparse identity.
     pub fn identity(n: usize) -> Self {
         let diagonal: Vec<u32> = (0..n as u32).collect();

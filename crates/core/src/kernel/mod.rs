@@ -775,8 +775,7 @@ impl ProtectedKernel {
         // configured parallelism, not the executor's current worker count,
         // and every request fills its own slot — so the answers are
         // bit-identical however many pool workers run the chunks, and
-        // regardless of whether a chunk is slot-dispatched, queued on a
-        // worker deque, stolen by a sibling, or (pool size 0) run inline
+        // regardless of whether a chunk is slot-dispatched or run inline
         // on the caller.
         let mut exacts: Vec<Option<Vec<f64>>> = snapshots
             .iter()

@@ -494,9 +494,9 @@ pub fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: 
 /// Stripes are independent and `greedy_h` is pure, so chunks of stripes
 /// build on the persistent pool executor; results are written into
 /// per-stripe slots, so the output order (and every matrix in it) is
-/// identical to a serial build — for any pool size and any steal schedule
-/// (oversubscribed spawns queue on worker deques and may be stolen; the
-/// per-stripe slots don't care which thread filled them).
+/// identical to a serial build — for any pool size, whichever chunks run
+/// on workers or inline (the per-stripe slots don't care which thread
+/// filled them).
 fn build_greedy_strategies(inputs: &[(usize, Vec<(usize, usize)>)]) -> Vec<Matrix> {
     let nthreads = ektelo_matrix::pool::configured_parallelism();
     if inputs.len() < 2 || nthreads < 2 {

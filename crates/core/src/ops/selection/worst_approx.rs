@@ -37,6 +37,19 @@ pub fn worst_approx(
             found: workload.cols(),
         });
     }
+    // The exponential mechanism asserts on these, and it runs under the
+    // kernel's state lock: a panic there would poison the kernel. Reject
+    // them before anything is charged.
+    if !score_sensitivity.is_finite() || score_sensitivity <= 0.0 {
+        return Err(EktError::InvalidArgument(format!(
+            "score sensitivity must be positive and finite, got {score_sensitivity}"
+        )));
+    }
+    if let Some(v) = x_hat.iter().find(|v| !v.is_finite()) {
+        return Err(EktError::InvalidArgument(format!(
+            "x_hat must be finite, got an entry {v}"
+        )));
+    }
     kernel.charge_in(sv, eps, res)?;
     // Surface a wrong source type *before* checking a workspace out of
     // the pool: the closure below moves the workspace, so an error from

@@ -34,7 +34,7 @@ use ektelo_core::ops::graph::{
 };
 use ektelo_core::ops::inference::LsSolver;
 use ektelo_core::ops::partition::DawaOptions;
-use ektelo_matrix::{failpoints, pool, Matrix};
+use ektelo_matrix::{failpoints, Matrix};
 
 /// The failpoint registry is process-global; tests in this binary must
 /// not interleave their schedules.
@@ -52,7 +52,6 @@ const SITES: &[&str] = &[
     "kernel::batch_stripe",
     "kernel::batch_exact",
     "pool::job",
-    "pool::steal",
     "solver::iteration",
 ];
 
@@ -291,59 +290,6 @@ fn batch_worker_panic_mid_stripe_leaves_ledger_consistent() {
     assert_eq!(out.len(), svs.len());
     assert!(k.budget_spent() > 0.0);
     assert_eq!(k.measurement_count(), svs.len());
-}
-
-#[test]
-fn faults_in_stolen_packets_obey_the_ledger_contract() {
-    // ISSUE 10: with the forced-steal hook on, every pool dispatch queues
-    // on a per-worker deque and every execution goes through the thief
-    // path, so `pool::steal` is passed exactly once per queued job — a
-    // deterministic count, like `pool::job`. A fault fired inside a
-    // *stolen* packet must satisfy the same transactional contract as one
-    // fired in a slot-dispatched or inline job: typed error, conserved
-    // ledger, functional kernel.
-    let _guard = serial();
-    pool::set_force_steal(true);
-    let mut swept = 0u64;
-    let mut any_pool_jobs = false;
-    for (name, spec) in plans() {
-        let hits = baseline_hits(&spec, true);
-        let jobs = hits
-            .iter()
-            .find_map(|&(s, h)| (s == "pool::job").then_some(h))
-            .unwrap_or(0);
-        any_pool_jobs |= jobs > 0;
-        let h = hits
-            .iter()
-            .find_map(|&(s, h)| (s == "pool::steal").then_some(h))
-            .unwrap_or(0);
-        if h == 0 {
-            continue; // pool path not engaged in this configuration
-        }
-        let mut ks = vec![1, h];
-        ks.dedup();
-        for nth in ks {
-            failpoints::clear();
-            failpoints::arm("pool::steal", nth);
-            let k = kernel();
-            let err = PlanExecutor::new(&k)
-                .run(&spec, k.root())
-                .expect_err("an armed stolen-packet site must fail the plan");
-            assert_fault_contract(name, "pool::steal", nth, &k, err);
-            swept += 1;
-        }
-    }
-    pool::set_force_steal(false);
-    failpoints::clear();
-    // Cross-check the hook itself: if plans dispatched pool jobs and live
-    // workers exist, forced stealing must have routed packets through the
-    // thief path (a silent 0-steal sweep would gut this test).
-    if any_pool_jobs && pool::workers() > 0 {
-        assert!(
-            swept > 0,
-            "forced-steal sweep ran no stolen-packet faults despite live workers"
-        );
-    }
 }
 
 #[test]

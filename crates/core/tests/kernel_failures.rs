@@ -112,6 +112,36 @@ fn worst_approx_on_empty_workload_fails() {
 }
 
 #[test]
+fn worst_approx_rejects_bad_public_input_before_charging() {
+    let k = ProtectedKernel::init_from_vector(vec![1.0; 4], 1.0, 0);
+    let w = Matrix::identity(4);
+    for sens in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(
+            matches!(
+                worst_approx(&k, k.root(), &w, &[0.0; 4], sens, 0.1, None),
+                Err(EktError::InvalidArgument(_))
+            ),
+            "score sensitivity {sens} must be rejected"
+        );
+    }
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let x_hat = [0.0, bad, 0.0, 0.0];
+        assert!(
+            matches!(
+                worst_approx(&k, k.root(), &w, &x_hat, 1.0, 0.1, None),
+                Err(EktError::InvalidArgument(_))
+            ),
+            "x_hat entry {bad} must be rejected"
+        );
+    }
+    assert_eq!(k.budget_spent(), 0.0, "a rejected call must charge nothing");
+    // The state lock is not poisoned: the kernel still answers.
+    k.vector_laplace(k.root(), &Matrix::identity(4), 0.5)
+        .unwrap();
+    assert_eq!(k.budget_spent(), 0.5);
+}
+
+#[test]
 fn errors_are_displayable_and_stable() {
     // Error messages are part of the public API surface (plans report
     // them); keep them informative.

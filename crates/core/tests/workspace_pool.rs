@@ -19,8 +19,7 @@
 //! workspace per chunk before dispatch and restores them in reverse chunk
 //! order after the join, so the idle count after a batch is exactly the
 //! chunk count, and each chunk gets the same warm workspace back next
-//! time, however the chunks overlapped in time (or were stolen, or ran
-//! inline).
+//! time, however the chunks overlapped in time (or ran inline).
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
 use ektelo_matrix::{partition_from_labels, pool, Matrix};

@@ -50,7 +50,6 @@ pub const SITES: &[&str] = &[
     "kernel::batch_stripe",
     "kernel::batch_exact",
     "pool::job",
-    "pool::steal",
     "solver::iteration",
 ];
 

@@ -248,9 +248,8 @@ const PAR_DOT_MIN: usize = 1 << 15;
 /// [`pool::scope`] job writing its own slot of a stack partials array,
 /// and the partials are summed on the caller in fixed chunk order.
 /// Changing [`pool::set_workers`] therefore never changes the result: it is bit-identical for every pool size,
-/// including 0 (everything inline), and for every steal interleaving —
-/// when all workers are busy, spawns queue on per-worker deques and may
-/// execute via work stealing, which moves chunks but never reorders the
+/// including 0 (everything inline), and whichever chunks overflow inline
+/// when no worker is idle — that moves chunks but never reorders the
 /// caller-side sum. Short vectors skip the pool entirely and return
 /// `dot(a, b)`. Allocation-free: partials live in a stack array and the
 /// pool copies each job into a preallocated slot.

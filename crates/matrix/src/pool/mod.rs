@@ -21,23 +21,15 @@
 //!   single-chunk region therefore degrades to plain inline execution
 //!   (no handoff at all), and a k-chunk region costs k−1 handoffs while
 //!   the caller does the last chunk instead of parking.
-//! * When no worker is idle (pool exhausted, nested regions) a job is
-//!   **queued** on a per-worker bounded deque (`deque.rs`) instead of
-//!   running inline: the owner pushes and pops LIFO at the tail, idle
-//!   workers and joining callers steal FIFO from the head, so an
-//!   oversubscribed burst from one region can no longer monopolize the
-//!   caller while siblings starve — the oldest queued work runs next,
-//!   whoever is free. Inline execution remains the final fallback (a
-//!   pool deliberately sized to 0, or every deque full) and the
-//!   stash-tail path below. Deadlock freedom now rests on **help-first
-//!   joining**: every join loop runs queued jobs (own deque first, then
-//!   stealing) instead of blind-parking, so the job a join waits on can
-//!   always be executed by the waiter itself, and a slot job is still
-//!   only ever armed on a worker that is parked in its dispatch loop.
+//! * When no worker is idle (pool exhausted, nested regions, pool size 0)
+//!   the job runs **inline on the caller**, right away. There is no queue:
+//!   a job is handed over only to a worker parked in its dispatch loop, so
+//!   an armed job always starts without waiting on anyone, and a join can
+//!   simply park until its jobs drain. That is the whole deadlock-freedom
+//!   argument, nested regions on workers included.
 //!
 //! [`scope`] is the only way work enters the pool. Its counters are
-//! exposed through [`stats`] (see [`PoolStats`] for the precise
-//! claimed-vs-completed semantics of each counter).
+//! exposed through [`stats`] (see [`PoolStats`]).
 //!
 //! # Determinism
 //!
@@ -49,15 +41,11 @@
 //! same constant for the kernel batch paths — and every order-sensitive
 //! combine (scatter merges, noise draws) happens sequentially on the
 //! caller after the scope closes, in fixed chunk order. Running a chunk
-//! on worker 3, worker 0 or inline on the caller — or queueing it and
-//! having a thief steal it — executes the identical arithmetic on the
-//! identical slice, so results are **bit-identical for every pool size
-//! and every steal interleaving**, including 0. [`set_workers`] can be
-//! changed at any time (benchmarks and the pool-size identity suites do)
-//! without affecting any result, and the forced-steal hook
-//! ([`set_force_steal`], env `EKTELO_POOL_FORCE_STEAL=1`) routes every
-//! job through the steal path so the identity suites can pin the claim
-//! for stealing specifically.
+//! on worker 3, worker 0 or inline on the caller executes the identical
+//! arithmetic on the identical slice, so results are **bit-identical for
+//! every pool size**, including 0. [`set_workers`] can be changed at any
+//! time (benchmarks and the pool-size identity suites do) without
+//! affecting any result.
 //!
 //! # Configuration
 //!
@@ -80,16 +68,13 @@ use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::thread::Thread;
 
-mod deque;
 mod stats;
 
 pub use stats::{stats, PoolStats};
-
-use deque::BoundedDeque;
 
 /// Hard upper bound on pool worker threads (and on
 /// [`configured_parallelism`]); far above any realistic chunk count.
@@ -105,12 +90,6 @@ const TASK_WORDS: usize = 24;
 /// pool-size bit-identity suites do this on small machines). Parked
 /// threads cost a stack apiece and no CPU.
 const SPAWN_FLOOR: usize = 4;
-
-/// Capacity of each per-worker deque, preallocated at pool construction.
-/// Far above any chunk count a single region produces
-/// (≤ [`MAX_WORKERS`]), and deep enough that dozens of concurrent
-/// regions queue without hitting the inline fallback.
-const DEQUE_CAP: usize = 256;
 
 // Worker slot states. IDLE workers are parked in their dispatch loop
 // (never blocked inside a job), which is the deadlock-freedom invariant:
@@ -141,9 +120,6 @@ struct Worker {
     state: AtomicU8,
     slot: UnsafeCell<MaybeUninit<Job>>,
     thread: Thread,
-    /// This worker's bounded deque: the worker pushes/pops LIFO at the
-    /// tail; idle siblings and joining callers steal FIFO from the head.
-    deque: BoundedDeque<Job>,
 }
 
 // SAFETY: `slot` is only written by a dispatcher that won the IDLE→CLAIMED
@@ -163,54 +139,14 @@ struct ScopeState {
 
 struct Pool {
     workers: Box<[Worker]>,
-    /// Workers `0..effective` accept dispatch; the rest stay parked
-    /// (their deques remain valid steal targets, so shrinking can never
-    /// strand queued work).
+    /// Workers `0..effective` accept dispatch; the rest stay parked.
     effective: AtomicUsize,
-    /// Slot handoffs (claims), not completions — see [`PoolStats`].
-    dispatched: AtomicU64,
     inline: AtomicU64,
-    /// Jobs placed on a deque (the oversubscription path).
-    queued: AtomicU64,
-    /// Jobs taken from a deque head by a non-owner.
-    stolen: AtomicU64,
     /// Jobs finished on any path — the only safe "work done" counter.
     completed: AtomicU64,
-    /// Round-robin cursor spreading non-worker enqueues across deques.
-    rr: AtomicUsize,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
-
-std::thread_local! {
-    /// This thread's pool-worker index, or `usize::MAX` on non-workers.
-    /// Lets dispatch prefer the own deque (LIFO locality) and join loops
-    /// pop their own work before stealing.
-    static WORKER_INDEX: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-/// Test-only forced-steal hook, also reachable via
-/// `EKTELO_POOL_FORCE_STEAL=1`: dispatch skips the worker slots so every
-/// job queues, and every dequeue goes through the steal end (workers
-/// sweep siblings before their own deque). Results are bit-identical
-/// either way — the identity suites run with this on to prove it.
-static FORCE_STEAL: AtomicBool = AtomicBool::new(false);
-
-fn env_force_steal() -> bool {
-    static V: OnceLock<bool> = OnceLock::new();
-    *V.get_or_init(|| std::env::var("EKTELO_POOL_FORCE_STEAL").is_ok_and(|s| s.trim() == "1"))
-}
-
-fn force_steal() -> bool {
-    env_force_steal() || FORCE_STEAL.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the forced-steal schedule (see the module docs).
-/// Testing surface: never changes results, only where and via which end
-/// of the deques jobs execute.
-pub fn set_force_steal(on: bool) {
-    FORCE_STEAL.store(on, Ordering::Relaxed);
-}
 
 /// Parses an `EKTELO_POOL_WORKERS` value: a non-negative integer,
 /// surrounding whitespace ignored. Anything else is an error.
@@ -281,171 +217,46 @@ fn pool() -> &'static Pool {
                     slot: UnsafeCell::new(MaybeUninit::uninit()),
                     // xlint: allow(warm-path-alloc, reason = "one-time pool construction inside the OnceLock initializer; Thread::clone is an Arc refcount bump")
                     thread: handle.thread().clone(),
-                    deque: BoundedDeque::new(DEQUE_CAP),
                 }
             })
             // xlint: allow(warm-path-alloc, reason = "one-time pool construction inside the OnceLock initializer; the warm path only ever re-reads the initialized pool")
             .collect();
-        // Resolve the forced-steal env flag here so its one-time read
-        // (which allocates) never lands inside a counting-allocator gate.
-        let _ = env_force_steal();
         Pool {
             workers,
             effective: AtomicUsize::new(effective),
-            dispatched: AtomicU64::new(0),
             inline: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            rr: AtomicUsize::new(0),
         }
     })
 }
 
-/// A worker's main loop: run whatever its slot was armed with, then
-/// drain queued work (own deque first, stealing second), then park.
+/// A worker's main loop: run whatever its slot was armed with, else park.
 /// Workers never exit; they die with the process like any detached
 /// thread.
 fn worker_main(index: usize) {
-    WORKER_INDEX.set(index);
     // Blocks until `pool()` finishes initializing, then never locks again.
     let w = &pool().workers[index];
     loop {
-        match w.state.load(Ordering::Acquire) {
-            ARMED => {
-                w.state.store(RUNNING, Ordering::Relaxed);
-                // SAFETY: ARMED (Acquire) pairs with the dispatcher's
-                // Release store after writing the slot; the job is read
-                // exactly once.
-                let job = unsafe { (*w.slot.get()).assume_init_read() };
-                run_job(job, false);
-                w.state.store(IDLE, Ordering::Release);
-                continue;
-            }
-            IDLE => {
-                // Claim RUNNING before touching queued work: a dispatcher
-                // must never arm the slot of a worker that is busy inside
-                // a (possibly joining) queued job — the deadlock-freedom
-                // invariant is that an ARMED job only ever lands on a
-                // worker parked in this dispatch loop.
-                if w.state
-                    .compare_exchange(IDLE, RUNNING, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    let did = drain_queue_work(index);
-                    w.state.store(IDLE, Ordering::Release);
-                    if did {
-                        continue;
-                    }
-                } else {
-                    // Lost the slot to a dispatcher mid-claim; loop to
-                    // observe the ARMED store (or park on its unpark).
-                    continue;
-                }
-            }
-            _ => {}
+        if w.state.load(Ordering::Acquire) == ARMED {
+            w.state.store(RUNNING, Ordering::Relaxed);
+            // SAFETY: ARMED (Acquire) pairs with the dispatcher's Release
+            // store after writing the slot; the job is read exactly once.
+            let job = unsafe { (*w.slot.get()).assume_init_read() };
+            run_job(job);
+            w.state.store(IDLE, Ordering::Release);
+            continue;
         }
+        // IDLE, or CLAIMED by a dispatcher still writing the slot: its
+        // `unpark` after the ARMED store wakes this park.
         std::thread::park();
     }
 }
 
-/// Runs queued jobs from worker `index`'s position: its own deque first
-/// (newest-first — nested spawns stay cache-hot), then one steal sweep
-/// over every sibling. Returns whether anything ran. Under the
-/// forced-steal schedule the order inverts (steal siblings first) and
-/// even the own deque is taken from the steal end, so every queued job
-/// deterministically runs as a stolen job.
-fn drain_queue_work(index: usize) -> bool {
-    let p = pool();
-    let w = &p.workers[index];
-    let mut did = false;
-    loop {
-        if force_steal() {
-            if steal_one(p, Some(index)) {
-                did = true;
-                continue;
-            }
-            if let Some(job) = w.deque.steal_head() {
-                p.stolen.fetch_add(1, Ordering::Relaxed);
-                run_job(job, true);
-                did = true;
-                continue;
-            }
-            return did;
-        }
-        if let Some(job) = w.deque.pop_tail() {
-            run_job(job, false);
-            did = true;
-            continue;
-        }
-        if steal_one(p, Some(index)) {
-            did = true;
-            continue;
-        }
-        return did;
-    }
-}
-
-/// One steal attempt across every sibling deque — all spawned workers,
-/// not just the active ones, so a [`set_workers`] shrink can never strand
-/// queued jobs. Takes the oldest job (FIFO head) and runs it.
-fn steal_one(p: &Pool, thief: Option<usize>) -> bool {
-    let n = p.workers.len();
-    let base = thief.map_or(0, |t| t + 1);
-    for k in 0..n {
-        let idx = (base + k) % n;
-        if Some(idx) == thief {
-            continue;
-        }
-        if let Some(job) = p.workers[idx].deque.steal_head() {
-            p.stolen.fetch_add(1, Ordering::Relaxed);
-            run_job(job, true);
-            return true;
-        }
-    }
-    false
-}
-
-/// Help-first joining: runs one queued job on the current thread — the
-/// own deque when the caller is a pool worker, else stealing the oldest
-/// job from any deque. Returns whether a job ran. Every join loop calls
-/// this before parking, which is what makes queueing deadlock-free: the
-/// job a join is waiting on can always be executed by the waiter itself
-/// (including nested scopes running on workers).
-fn help_queue_work() -> bool {
-    let p = pool();
-    let own = WORKER_INDEX.get();
-    if own != usize::MAX {
-        let w = &p.workers[own];
-        if force_steal() {
-            if let Some(job) = w.deque.steal_head() {
-                p.stolen.fetch_add(1, Ordering::Relaxed);
-                run_job(job, true);
-                return true;
-            }
-        } else if let Some(job) = w.deque.pop_tail() {
-            run_job(job, false);
-            return true;
-        }
-        return steal_one(p, Some(own));
-    }
-    steal_one(p, None)
-}
-
-/// Runs a job and signals its scope; `stolen` marks jobs taken from a
-/// deque by a non-owner (and, under the forced-steal schedule, every
-/// deque-sourced job). Panics are caught and deferred to the scope's
-/// caller.
-fn run_job(mut job: Job, stolen: bool) {
+/// Runs a slot-dispatched job on a worker and signals its scope. Panics
+/// are caught and deferred to the scope's caller.
+fn run_job(mut job: Job) {
     let scope = job.scope;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if stolen {
-            // The steal path's own audited fault site: a chaos schedule
-            // can kill specifically a stolen job and assert the budget
-            // ledger survives (`fault_injection.rs` sweeps it). Inside
-            // the catch for the same reason as `pool::job` below.
-            crate::failpoints::panic_if("pool::steal");
-        }
         // Injected pool-job fault (counted before the closure runs, so an
         // armed hit skips the job entirely — its captured bytes are never
         // consumed, which is fine: engine closures capture only references
@@ -531,82 +342,17 @@ fn try_dispatch(job: Job) -> Option<Job> {
             unsafe { (*w.slot.get()).write(job) };
             w.state.store(ARMED, Ordering::Release);
             w.thread.unpark();
-            p.dispatched.fetch_add(1, Ordering::Relaxed);
             return None;
         }
     }
     Some(job)
 }
 
-/// Tries to place `job` on a worker deque. Returns the job back when the
-/// pool is sized to 0 or every deque is full; never waits.
-fn try_enqueue(mut job: Job) -> Option<Job> {
-    let p = pool();
-    let n = p.effective.load(Ordering::Relaxed).min(p.workers.len());
-    if n == 0 {
-        return Some(job);
-    }
-    // Count the job into its scope BEFORE it becomes visible in any
-    // deque: a thief could otherwise run it and drive `pending` below
-    // zero.
-    // SAFETY: the scope outlives its jobs — every join loop parks until
-    // `pending` drains, and a queued job was counted here first.
-    unsafe { (*job.scope).pending.fetch_add(1, Ordering::Relaxed) };
-    // A worker queues to its own deque first: LIFO pops serve its nested
-    // spawns next, cache-hot, without a handoff.
-    let own = WORKER_INDEX.get();
-    if own != usize::MAX && own < p.workers.len() {
-        match p.workers[own].deque.push_tail(job) {
-            Ok(()) => {
-                p.queued.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            Err(back) => job = back,
-        }
-    }
-    // Non-workers (and a worker whose own deque is full) spread across
-    // the active deques round-robin, so concurrent callers interleave
-    // instead of piling onto worker 0.
-    let start = p.rr.fetch_add(1, Ordering::Relaxed);
-    for k in 0..n {
-        let idx = (start + k) % n;
-        if idx == own {
-            continue;
-        }
-        match p.workers[idx].deque.push_tail(job) {
-            Ok(()) => {
-                p.queued.fetch_add(1, Ordering::Relaxed);
-                p.workers[idx].thread.unpark();
-                return None;
-            }
-            Err(back) => job = back,
-        }
-    }
-    // Every deque full: the job never became visible — take the count
-    // back and let the caller run it inline. (The transient nonzero
-    // `pending` is harmless: only this thread joins on the scope, and it
-    // is here, not parked.)
-    // SAFETY: as above.
-    unsafe { (*job.scope).pending.fetch_sub(1, Ordering::Relaxed) };
-    Some(job)
-}
-
 /// Submission chokepoint for every sized job: an idle worker's slot if
-/// one exists, else a worker deque (oversubscription **queues** instead
-/// of running inline — the fairness rule across concurrent callers),
-/// else inline on the caller as the final fallback. Under the
-/// forced-steal schedule the slot fast path is skipped so every job
-/// travels through a deque.
+/// one exists, else inline on the caller.
 fn submit_job(state: &ScopeState, job: Job) {
-    let job = if force_steal() {
-        Some(job)
-    } else {
-        try_dispatch(job)
-    };
-    if let Some(job) = job {
-        if let Some(job) = try_enqueue(job) {
-            run_inline(state, job);
-        }
+    if let Some(job) = try_dispatch(job) {
+        run_inline(state, job);
     }
 }
 
@@ -626,13 +372,11 @@ pub struct Scope<'scope, 'env: 'scope> {
 
 impl<'scope, 'env> Scope<'scope, 'env> {
     /// Submits `f` to the pool. The closure runs on a parked worker when
-    /// one is idle; otherwise it is **queued** on a worker deque (run
-    /// later by that worker, a stealing sibling, or this caller helping
-    /// at join). It runs inline on the caller only when it is the
-    /// region's only job, when the pool is sized to 0 or every deque is
-    /// full, or when its captures exceed the preallocated slot — in
-    /// every case before [`scope`] returns, with no heap allocation on
-    /// any path, and with no effect on the computed result.
+    /// one is idle. It runs inline on the caller when no worker is idle
+    /// (including pool size 0), when it is the region's last job, or when
+    /// its captures exceed the preallocated slot — in every case before
+    /// [`scope`] returns, with no heap allocation on any path, and with no
+    /// effect on the computed result.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
@@ -715,16 +459,13 @@ where
     if let Some(job) = unsafe { &mut *stash.get() }.take() {
         run_inline(&state, job);
     }
-    // …then joins help-first: queued jobs (its own, or anyone's) run on
-    // this thread instead of blind-parking, which is both the fairness
-    // mechanism and what keeps queueing deadlock-free. The token-based
-    // park protocol makes the final wait race-free: a completion that
-    // lands between the check and the park leaves a token that makes the
-    // park return immediately.
+    // …then parks until the dispatched jobs drain. Every one of them was
+    // armed on a parked worker, so it is already running and waits on
+    // nobody. The token-based park protocol makes the wait race-free: a
+    // completion that lands between the check and the park leaves a
+    // token that makes the park return immediately.
     while state.pending.load(Ordering::Acquire) != 0 {
-        if !help_queue_work() {
-            std::thread::park();
-        }
+        std::thread::park();
     }
     let job_panic = state.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
     match result {
@@ -841,25 +582,51 @@ mod tests {
     #[test]
     fn nested_scopes_on_workers_complete() {
         let _serial = resize_lock();
-        let mut outer = [0usize; 6];
-        scope(|s| {
-            for (i, slot) in outer.iter_mut().enumerate() {
-                s.spawn(move || {
-                    // A nested region inside a pool job: dispatch falls
-                    // back to idle workers or inline, never deadlocks.
-                    let mut inner = [0usize; 4];
-                    scope(|s2| {
-                        for (j, islot) in inner.iter_mut().enumerate() {
-                            s2.spawn(move || *islot = j + 1);
-                        }
+        let prev = workers();
+        // More outer jobs than the pool has threads, so some of them find
+        // no idle worker and overflow inline on the caller, while the
+        // dispatched ones open nested regions of their own on workers.
+        let full = pool().workers.len();
+        let outer_jobs = full + 3;
+        const INNER: usize = 4;
+        let reference: Vec<usize> = (0..outer_jobs)
+            .map(|i| i + (1..=INNER).sum::<usize>())
+            .collect();
+        for size in [0, 1, 2, full] {
+            set_workers(size);
+            let before = stats();
+            let mut outer = vec![0usize; outer_jobs];
+            scope(|s| {
+                for (i, slot) in outer.iter_mut().enumerate() {
+                    s.spawn(move || {
+                        // A nested region inside a pool job: dispatch goes
+                        // to an idle worker or inline, never deadlocks.
+                        let mut inner = [0usize; INNER];
+                        scope(|s2| {
+                            for (j, islot) in inner.iter_mut().enumerate() {
+                                s2.spawn(move || *islot = j + 1);
+                            }
+                        });
+                        *slot = i + inner.iter().sum::<usize>();
                     });
-                    *slot = i + inner.iter().sum::<usize>();
-                });
-            }
-        });
-        for (i, v) in outer.iter().enumerate() {
-            assert_eq!(*v, i + 10);
+                }
+            });
+            let after = stats();
+            assert_eq!(outer, reference, "pool size {size} changed results");
+            // Every region runs its last job on the caller, and at size 0
+            // every job overflows inline. Other tests run concurrently, so
+            // only lower bounds are exact.
+            let regions = 1 + outer_jobs as u64;
+            let jobs = (outer_jobs * (1 + INNER)) as u64;
+            let min_inline = if size == 0 { jobs } else { regions };
+            assert!(
+                after.inline >= before.inline + min_inline,
+                "pool size {size}: inline rose by {}, expected at least {min_inline}",
+                after.inline - before.inline
+            );
+            assert!(after.completed >= before.completed + jobs);
         }
+        set_workers(prev);
     }
 
     #[test]
@@ -885,51 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_stolen_packet_propagates_after_siblings_complete() {
-        // The scope() panic contract must hold on the thief path too:
-        // with forced stealing every spawned job queues and executes via
-        // a deque steal, and a panicking stolen packet still surfaces
-        // from scope() only after every sibling packet has run.
-        let _serial = resize_lock();
-        let prev = workers();
-        set_workers(pool().workers.len().max(1));
-        set_force_steal(true);
-        let finished = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                s.spawn(|| panic!("stolen boom"));
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        set_force_steal(false);
-        set_workers(prev);
-        assert!(
-            result.is_err(),
-            "a stolen packet's panic must surface from scope()"
-        );
-        assert_eq!(
-            finished.load(Ordering::Relaxed),
-            4,
-            "sibling packets must complete before the panic propagates"
-        );
-        // The pool is not wedged: a fresh region still runs to completion.
-        let sum = AtomicUsize::new(0);
-        scope(|s| {
-            for i in 0..4 {
-                let sum = &sum;
-                s.spawn(move || {
-                    sum.fetch_add(i + 1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
     fn oversized_captures_run_inline() {
         let _serial = resize_lock();
         let out = AtomicUsize::new(0);
@@ -944,61 +666,6 @@ mod tests {
             }
         });
         assert_eq!(out.load(Ordering::Relaxed), 1024);
-    }
-
-    #[test]
-    fn forced_steal_queues_and_steals_with_identical_results() {
-        let _serial = resize_lock();
-        let prev = workers();
-        set_workers(pool().workers.len());
-        let run = || {
-            let mut slots = vec![0.0f64; 12];
-            scope(|s| {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    s.spawn(move || *slot = (0..200).map(|k| ((i * 37 + k) as f64).sqrt()).sum());
-                }
-            });
-            slots
-        };
-        let reference = run();
-        let before = stats();
-        set_force_steal(true);
-        let forced = run();
-        set_force_steal(false);
-        let after = stats();
-        set_workers(prev);
-        assert_eq!(forced, reference, "forced stealing changed results");
-        assert!(
-            after.queued > before.queued,
-            "forced-steal spawns must queue"
-        );
-        assert!(after.stolen > before.stolen, "queued jobs must run stolen");
-        assert!(after.completed > before.completed);
-        assert!(after.queue_depth_max >= 1);
-    }
-
-    #[test]
-    fn nested_scopes_complete_under_forced_steal() {
-        let _serial = resize_lock();
-        set_force_steal(true);
-        let mut outer = [0usize; 4];
-        scope(|s| {
-            for (i, slot) in outer.iter_mut().enumerate() {
-                s.spawn(move || {
-                    let mut inner = [0usize; 3];
-                    scope(|s2| {
-                        for (j, islot) in inner.iter_mut().enumerate() {
-                            s2.spawn(move || *islot = j + 1);
-                        }
-                    });
-                    *slot = i + inner.iter().sum::<usize>();
-                });
-            }
-        });
-        set_force_steal(false);
-        for (i, v) in outer.iter().enumerate() {
-            assert_eq!(*v, i + 6);
-        }
     }
 
     #[test]

@@ -293,8 +293,7 @@ fn census_kron_zero_allocations_at_pool_sizes_1_and_4() {
 
 /// `par_dot` (a `WARM:` root, called by CGLS every iteration) on a vector
 /// long enough to take its pooled branch makes zero allocations when warm
-/// at pool sizes 1 and 4, and the pool size changes no bit. Under
-/// `EKTELO_POOL_FORCE_STEAL=1` every chunk runs through the steal path.
+/// at pool sizes 1 and 4, and the pool size changes no bit.
 #[test]
 fn par_dot_pooled_zero_allocations_at_pool_sizes_1_and_4() {
     let _serial = serialized();

@@ -16,10 +16,7 @@
 //! Threading is always compiled; CI runs this suite with the default
 //! worker count and under `EKTELO_POOL_WORKERS=1` / `=4`, so the sweep
 //! below exercises real multi-worker dispatch wherever the machine (or
-//! the env override) provides it. The forced-steal sweep (ISSUE 10)
-//! additionally pins the work-stealing thief path: with the hook on,
-//! every dispatch queues and every execution is a steal, and the same
-//! bit-identity bar applies.
+//! the env override) provides it.
 
 use ektelo_matrix::pool;
 use ektelo_plans::baseline::plan_hdmm_kron;
@@ -108,31 +105,6 @@ fn striped_and_mwem_plans_bit_identical_across_pool_sizes() {
             "pool size {size} changed a plan output bit"
         );
     }
-    pool::set_workers(prev);
-}
-
-/// ISSUE 10: the forced-steal hook routes **every** dispatch through the
-/// per-worker deques (no inline fast path, no slot handoff) and makes each
-/// worker — worker 0 included — steal from siblings before taking its own
-/// queue, so every packet executes via the thief path. Because the
-/// scheduler only decides *where* fixed chunks run, the full plan family
-/// must stay bit-identical to the normal-dispatch reference at pool sizes
-/// 1, 2 and 4.
-#[test]
-fn plans_bit_identical_under_forced_stealing() {
-    let full = pool::stats().spawned;
-    let prev = pool::workers();
-    let reference = run_plan_family();
-    pool::set_force_steal(true);
-    for size in [1usize, 2, 4] {
-        let applied = pool::set_workers(size.min(full.max(1)));
-        let got = run_plan_family();
-        assert!(
-            got == reference,
-            "forced stealing at pool size {applied} changed a plan output bit"
-        );
-    }
-    pool::set_force_steal(false);
     pool::set_workers(prev);
 }
 

@@ -495,9 +495,16 @@ impl ProtectedKernel {
     }
 
     /// General linear vector transformation `x' = M x`. Stability is the
-    /// maximum L1 column norm of `M` (paper §5.1).
+    /// maximum L1 column norm of `M` (paper §5.1). A NaN or infinite
+    /// stability (from a NaN or infinite entry of `M`) is rejected with
+    /// [`EktError::InvalidArgument`] before any node is added.
     pub fn transform_linear(&self, sv: SourceVar, m: &Matrix) -> Result<SourceVar> {
-        let stability = m.l1_sensitivity_cached();
+        let stability = m.l1_sensitivity();
+        if !stability.is_finite() {
+            return Err(EktError::InvalidArgument(format!(
+                "transform matrix has non-finite stability {stability}"
+            )));
+        }
         self.transform_linear_unchecked(sv, m, stability)
     }
 
@@ -623,81 +630,32 @@ impl ProtectedKernel {
     /// `Vector Laplace` (paper §5.2): answers the query set `M` on vector
     /// source `sv` with noise scale `‖M‖₁ / ε` per answer, charging ε to
     /// the source (Algorithm 2 scales it through the lineage). The
-    /// measurement is recorded for inference.
+    /// measurement is recorded for inference. A batch of one: see
+    /// [`ProtectedKernel::vector_laplace_batch`] for the phases and the
+    /// failure semantics.
     pub fn vector_laplace(&self, sv: SourceVar, m: &Matrix, eps: f64) -> Result<Vec<f64>> {
-        self.vector_laplace_in(sv, m, eps, None)
-    }
-
-    /// [`ProtectedKernel::vector_laplace`] with the charge attributed to
-    /// (and redeemed from) `res` when given — the reservation-aware charge
-    /// pathway the plan executor uses, committing hold consumption and the
-    /// root charge under one state lock.
-    pub(crate) fn vector_laplace_in(
-        &self,
-        sv: SourceVar,
-        m: &Matrix,
-        eps: f64,
-        res: Option<&BudgetReservation<'_>>,
-    ) -> Result<Vec<f64>> {
-        let res = self.res_slot(res)?;
-        validate_eps(eps)?;
-        let mut st = self.state.lock();
-        {
-            let x = st.vector(sv.0)?;
-            if m.cols() != x.len() {
-                return Err(EktError::ShapeMismatch {
-                    expected: x.len(),
-                    found: m.cols(),
-                });
-            }
-        }
-        let sensitivity = m.l1_sensitivity_cached();
-        if sensitivity == 0.0 {
-            return Err(EktError::InvalidArgument(
-                "measurement matrix has zero sensitivity (no queries touch the data)".into(),
-            ));
-        }
-        st.request(sv.0, eps, None, res)?;
-        let scale = sensitivity / eps;
-        let exact = m.matvec(st.vector(sv.0)?);
-        let answers: Vec<f64> = exact
-            .into_iter()
-            .map(|v| v + noise::laplace(&mut st.rng, scale))
-            // xlint: allow(lock-discipline, reason = "privacy-ordered section: the noise draws consume the kernel RNG and must commit atomically with the charge under one lock (Algorithm 2 ordering)")
-            .collect();
-        // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation); the node's lineage is only readable under the lock")
-        if let (Some(base), Some(lineage)) = (st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone()) {
-            let effective = match &lineage {
-                // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation) for the recorded effective query")
-                Matrix::Identity { .. } => m.clone(),
-                // xlint: allow(lock-discipline, reason = "structural Matrix clones (shared representation) composing the recorded effective query")
-                _ => Matrix::product(m.clone(), lineage),
-            };
-            // xlint: allow(lock-discipline, reason = "the measurement record must append atomically with the charge and the noise draws; splitting the lock would let a concurrent session interleave between charge and history")
-            st.history.push(MeasuredQuery {
-                base: SourceVar(base),
-                query: effective,
-                // xlint: allow(lock-discipline, reason = "the history record and the caller's return value are independent owners of the answers; the copy is inherent to recording the measurement")
-                answers: answers.clone(),
-                noise_scale: scale,
-            });
-        }
-        Ok(answers)
+        self.vector_laplace_batch_in(&[(sv, m, eps)], None)
+            .map(sole_answer)
     }
 
     /// Batched `Vector Laplace`: answers one query set per source, exactly
     /// as a sequential loop of [`ProtectedKernel::vector_laplace`] calls
     /// would — same budget charges, same measurement history, and **the
     /// same noise draws in the same order**, so the answers are
-    /// bit-identical to the sequential loop for every pool size. What the
-    /// batch form buys is that the exact (pre-noise) answers, which depend
-    /// only on the data and not on the privacy RNG, are computed outside
-    /// the sequential section, in chunks on the pool's worker threads
-    /// (one chunk, on the caller, when `configured_parallelism()` is 1 or
-    /// the batch is small). This is the engine behind the striped plans
-    /// of §9.2: hundreds of per-stripe measurements
-    /// whose matvec work parallelizes while privacy randomness stays
-    /// ordered.
+    /// bit-identical to the sequential loop for every pool size. This is
+    /// the kernel's one Laplace measurement path (a single measurement is
+    /// a batch of one). Only the charges, the noise draws and the history
+    /// records run under the state lock; the sensitivities, which depend
+    /// only on the public matrices, are computed before it, and the exact
+    /// (pre-noise) answers, which depend only on the data and not on the
+    /// privacy RNG, after the snapshot, in chunks on the pool's worker
+    /// threads (one chunk, on the caller, when `configured_parallelism()`
+    /// is 1 or the batch is small). This is the engine behind the striped
+    /// plans of §9.2: hundreds of per-stripe measurements whose matvec
+    /// work parallelizes while privacy randomness stays ordered.
+    ///
+    /// A matrix whose sensitivity is zero, NaN or infinite is rejected
+    /// with [`EktError::InvalidArgument`] before anything is charged.
     ///
     /// Failure semantics: requests are validated and charged in order; if
     /// request `k` fails, requests `0..k` have been charged and recorded
@@ -723,23 +681,40 @@ impl ProtectedKernel {
         res: Option<&BudgetReservation<'_>>,
     ) -> Result<Vec<Vec<f64>>> {
         let res = self.res_slot(res)?;
+        // Phase 0 (public, no lock): each request's sensitivity, a pure
+        // function of its public matrix, memoized per distinct matrix
+        // reference: striped plans pass one shared strategy for every
+        // stripe, so the column-norm pass runs once per batch instead of
+        // once per stripe. A zero, NaN or infinite sensitivity becomes the
+        // request's error here, before any charge and before a NaN scale
+        // could reach `noise::laplace`.
+        let mut sens_memo: Vec<(*const Matrix, f64)> = Vec::new();
+        let sensitivities: Vec<Result<f64>> = reqs
+            .iter()
+            .map(|&(_, m, _)| {
+                let s = match sens_memo.iter().find(|&&(p, _)| std::ptr::eq(p, m)) {
+                    Some(&(_, s)) => s,
+                    None => {
+                        let s = m.l1_sensitivity();
+                        sens_memo.push((m as *const Matrix, s));
+                        s
+                    }
+                };
+                measurement_sensitivity(s)
+            })
+            .collect();
+
         // Phase 1 (no privacy side effects): snapshot each source vector —
         // a refcount bump, not a deep clone; node data is immutable, so the
-        // snapshot stays valid after the lock is dropped — and compute
-        // sensitivities, memoized per distinct matrix reference: striped
-        // plans pass one shared strategy for every stripe, so the
-        // `O(cols)` column-norm computation runs once per batch instead of
-        // once per stripe. (Arc-backed strategies additionally hit the
-        // process-wide identity cache behind `l1_sensitivity_cached`, which
-        // spans batches; the per-batch memo still covers implicit variants
-        // like `Ones`/`Prefix` that the cache bypasses.) Invalid requests
-        // surface here only if phase 2 reaches them, mirroring the
-        // sequential loop's ordering.
+        // snapshot stays valid after the lock is dropped. A request's
+        // errors surface in the order the checks name them (ε, source,
+        // shape, sensitivity), and only if phase 3 reaches the request,
+        // mirroring the sequential loop.
         let snapshots: Vec<Snapshot> = {
             let st = self.state.lock();
-            let mut sens_memo: Vec<(*const Matrix, f64)> = Vec::new();
             reqs.iter()
-                .map(|&(sv, m, eps)| {
+                .zip(sensitivities)
+                .map(|(&(sv, m, eps), sensitivity)| {
                     validate_eps(eps)?;
                     let x = st.vector_arc(sv.0)?;
                     if m.cols() != x.len() {
@@ -748,22 +723,7 @@ impl ProtectedKernel {
                             found: m.cols(),
                         });
                     }
-                    let sensitivity = match sens_memo.iter().find(|&&(p, _)| std::ptr::eq(p, m)) {
-                        Some(&(_, s)) => s,
-                        None => {
-                            let s = m.l1_sensitivity_cached();
-                            // xlint: allow(lock-discipline, reason = "memo of one entry per distinct strategy matrix (striped plans share one), bounded by the request list; the sensitivities must be read under the same snapshot lock")
-                            sens_memo.push((m as *const Matrix, s));
-                            s
-                        }
-                    };
-                    if sensitivity == 0.0 {
-                        return Err(EktError::InvalidArgument(
-                            "measurement matrix has zero sensitivity (no queries touch the data)"
-                                .into(),
-                        ));
-                    }
-                    Ok((x, sensitivity))
+                    Ok((x, sensitivity?))
                 })
                 // xlint: allow(lock-discipline, reason = "snapshot phase: one result vec sized by the request list, filled with refcount bumps — the sources are only readable under the lock")
                 .collect()
@@ -1083,7 +1043,9 @@ impl BudgetReservation<'_> {
     /// [`ProtectedKernel::vector_laplace`] with the charge redeemed from
     /// this reservation's hold (atomically with the root charge).
     pub fn vector_laplace(&self, sv: SourceVar, m: &Matrix, eps: f64) -> Result<Vec<f64>> {
-        self.kernel.vector_laplace_in(sv, m, eps, Some(self))
+        self.kernel
+            .vector_laplace_batch_in(&[(sv, m, eps)], Some(self))
+            .map(sole_answer)
     }
 
     /// [`ProtectedKernel::vector_laplace_batch`] with every charge
@@ -1109,6 +1071,30 @@ impl Drop for BudgetReservation<'_> {
 /// A zero-copy data snapshot paired with the query's sensitivity
 /// (phase-1 output of [`ProtectedKernel::vector_laplace_batch`]).
 type Snapshot = Result<(Arc<Vec<f64>>, f64)>;
+
+/// Checks a measurement matrix's L1 sensitivity: zero means no query
+/// touches the data, and a NaN or infinite value cannot calibrate noise
+/// (a NaN entry would otherwise hide the true sensitivity, see
+/// [`Matrix::l1_sensitivity`]).
+fn measurement_sensitivity(s: f64) -> Result<f64> {
+    if s == 0.0 {
+        return Err(EktError::InvalidArgument(
+            "measurement matrix has zero sensitivity (no queries touch the data)".into(),
+        ));
+    }
+    if !s.is_finite() {
+        return Err(EktError::InvalidArgument(format!(
+            "measurement matrix has non-finite sensitivity {s}"
+        )));
+    }
+    Ok(s)
+}
+
+/// The answers of a batch of one. A batch that returns `Ok` answers every
+/// request, so the vector holds exactly one entry.
+fn sole_answer(mut answers: Vec<Vec<f64>>) -> Vec<f64> {
+    answers.pop().unwrap_or_default()
+}
 
 /// Fills the exact (pre-noise) answer for every valid request slot of one
 /// chunk: `exacts[i] = reqs[i].matrix · snapshots[i].vector`. One reused
@@ -1360,26 +1346,54 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn batch_is_bit_identical_to_sequential_loop() {
-        let p = partition_from_labels(4, &[0, 0, 1, 1, 2, 2, 3, 3]);
-        let strategy = Matrix::vstack(vec![Matrix::identity(2), Matrix::total(2)]);
+    /// Reference for the batch: one measurement with the charge, the
+    /// exact answer by `Matrix::matvec`, the noise draws in order and the
+    /// history record all under one state lock.
+    fn sequential_oracle(k: &ProtectedKernel, sv: SourceVar, m: &Matrix, eps: f64) -> Vec<f64> {
+        let sensitivity = m.l1_sensitivity();
+        let mut st = k.state.lock();
+        st.request(sv.0, eps, None, None).unwrap();
+        let scale = sensitivity / eps;
+        let exact = m.matvec(st.vector(sv.0).unwrap());
+        let answers: Vec<f64> = exact
+            .into_iter()
+            .map(|v| v + noise::laplace(&mut st.rng, scale))
+            .collect();
+        if let (Some(base), Some(lineage)) = (st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone()) {
+            let effective = match &lineage {
+                Matrix::Identity { .. } => m.clone(),
+                _ => Matrix::product(m.clone(), lineage),
+            };
+            st.history.push(MeasuredQuery {
+                base: SourceVar(base),
+                query: effective,
+                answers: answers.clone(),
+                noise_scale: scale,
+            });
+        }
+        answers
+    }
 
-        // Sequential reference.
-        let k1 = simple_kernel(1.0);
-        let x1 = k1.vectorize(k1.root()).unwrap();
-        let parts1 = k1.split_by_partition(x1, &p).unwrap();
+    /// Splits an `n`-cell vector into `stripes` equal stripes, measures
+    /// every stripe with `strategy` through the oracle on one kernel and
+    /// through one batch on an identically seeded twin, and asserts the
+    /// two agree bit for bit: answers, charges and history.
+    fn assert_batch_matches_oracle(n: usize, stripes: usize, strategy: &Matrix) {
+        let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64).collect();
+        let labels: Vec<usize> = (0..n).map(|i| i * stripes / n).collect();
+        let p = partition_from_labels(stripes, &labels);
+
+        let k1 = ProtectedKernel::init_from_vector(x.clone(), 1.0, 11);
+        let parts1 = k1.split_by_partition(k1.root(), &p).unwrap();
         let seq: Vec<Vec<f64>> = parts1
             .iter()
-            .map(|&s| k1.vector_laplace(s, &strategy, 0.5).unwrap())
+            .map(|&s| sequential_oracle(&k1, s, strategy, 0.5))
             .collect();
 
-        // Batched run on an identically seeded kernel.
-        let k2 = simple_kernel(1.0);
-        let x2 = k2.vectorize(k2.root()).unwrap();
-        let parts2 = k2.split_by_partition(x2, &p).unwrap();
+        let k2 = ProtectedKernel::init_from_vector(x, 1.0, 11);
+        let parts2 = k2.split_by_partition(k2.root(), &p).unwrap();
         let reqs: Vec<(SourceVar, &Matrix, f64)> =
-            parts2.iter().map(|&s| (s, &strategy, 0.5)).collect();
+            parts2.iter().map(|&s| (s, strategy, 0.5)).collect();
         let batch = k2.vector_laplace_batch(&reqs).unwrap();
 
         assert_eq!(seq, batch, "batch must reproduce the sequential draws");
@@ -1391,7 +1405,62 @@ mod tests {
             assert_eq!(a.answers, b.answers);
             assert_eq!(a.noise_scale, b.noise_scale);
             assert_eq!(a.base, b.base);
+            assert_eq!(a.query.to_sparse(), b.query.to_sparse());
         }
+    }
+
+    #[test]
+    fn batch_is_bit_identical_to_sequential_loop() {
+        // 8 cells: a single chunk on the caller.
+        let small = Matrix::vstack(vec![Matrix::identity(2), Matrix::total(2)]);
+        assert_batch_matches_oracle(8, 4, &small);
+
+        // 8192 cells (≥ 4096) over 4 stripes: with a configured
+        // parallelism of 2 or more the exact answers run in chunks on
+        // the pool, and every chunk is a pool job.
+        let stripe = 2048;
+        let wide = Matrix::vstack(vec![Matrix::identity(stripe), Matrix::prefix(stripe)]);
+        let before = ektelo_matrix::pool::stats().completed;
+        assert_batch_matches_oracle(4 * stripe, 4, &wide);
+        let nthreads = ektelo_matrix::pool::configured_parallelism();
+        if nthreads >= 2 {
+            let chunks = 4usize.div_ceil(4usize.div_ceil(nthreads)) as u64;
+            assert!(
+                ektelo_matrix::pool::stats().completed - before >= chunks,
+                "the threaded-chunk branch must run on the pool"
+            );
+        }
+    }
+
+    #[test]
+    fn single_measurement_is_a_batch_of_one() {
+        // Both public single-measurement entry points agree with the
+        // oracle bit for bit, on an identity and a non-identity lineage.
+        let run = |oracle: bool| {
+            let k = simple_kernel(2.0);
+            let x = k.vectorize(k.root()).unwrap();
+            let p = partition_from_labels(2, &[0, 0, 0, 0, 1, 1, 1, 1]);
+            let xr = k.reduce_by_partition(x, &p).unwrap();
+            let out = if oracle {
+                vec![
+                    sequential_oracle(&k, x, &Matrix::prefix(8), 0.5),
+                    sequential_oracle(&k, xr, &Matrix::identity(2), 0.5),
+                ]
+            } else {
+                let res = k.reserve_budget(0.5).unwrap();
+                vec![
+                    k.vector_laplace(x, &Matrix::prefix(8), 0.5).unwrap(),
+                    res.vector_laplace(xr, &Matrix::identity(2), 0.5).unwrap(),
+                ]
+            };
+            let h: Vec<(Vec<f64>, f64)> = k
+                .measurements()
+                .into_iter()
+                .map(|m| (m.answers, m.noise_scale))
+                .collect();
+            (out, h, k.budget_spent())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

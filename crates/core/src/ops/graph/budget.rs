@@ -595,21 +595,26 @@ mod tests {
     #[test]
     fn non_finite_stability_rejected_statically() {
         // Declared ε values are validated; the transform stability is
-        // the other number entering the cost arithmetic and must not
-        // smuggle an ∞ into `PlanCost.total`. (NaN cannot reach here:
-        // `l1_sensitivity` folds with `f64::max`, which ignores NaN, so
-        // a NaN-scaled matrix collapses to stability 0 — identically in
-        // the shadow and the kernel.)
-        let mut b = PlanBuilder::new();
-        let x = b.input();
-        let t = b.transform_linear(x, Matrix::scaled(f64::INFINITY, Matrix::identity(8)));
-        let s = b.select_identity(t);
-        b.measure_laplace(t, s, 0.1);
-        let e = b.infer_least_squares(LsSolver::Iterative);
-        assert!(matches!(
-            b.finish(e).pre_account(),
-            Err(EktError::InvalidPlan(_))
-        ));
+        // the other number entering the cost arithmetic. An ∞ must not
+        // reach `PlanCost.total`, and a NaN entry must not be skipped:
+        // `[[NaN, 1], [5, 0]]` has a true stability of at least 5, and a
+        // max-fold that ignored the NaN would pre-account it as 1.
+        // `l1_sensitivity` propagates the NaN, so both are rejected.
+        for m in [
+            Matrix::scaled(f64::INFINITY, Matrix::identity(8)),
+            Matrix::from_rows(vec![vec![f64::NAN, 1.0], vec![5.0, 0.0]]),
+        ] {
+            let mut b = PlanBuilder::new();
+            let x = b.input();
+            let t = b.transform_linear(x, m);
+            let s = b.select_identity(t);
+            b.measure_laplace(t, s, 0.1);
+            let e = b.infer_least_squares(LsSolver::Iterative);
+            assert!(matches!(
+                b.finish(e).pre_account(),
+                Err(EktError::InvalidPlan(_))
+            ));
+        }
     }
 
     #[test]

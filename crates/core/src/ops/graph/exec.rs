@@ -286,7 +286,7 @@ impl<'k> Run<'_, 'k> {
                         Value::Strategy(m) => m,
                         other => return Err(type_err(strategy.id, "strategy", other)),
                     };
-                    kernel.vector_laplace_in(sv, m, *eps, self.res())?;
+                    kernel.vector_laplace_batch_in(&[(sv, m, *eps)], self.res())?;
                     Value::None
                 }
                 NodeKind::Measure(MeasureOp::LaplaceBatch {
@@ -424,7 +424,7 @@ impl<'k> Run<'_, 'k> {
             };
             // LM: the strategy has sensitivity 1 by construction
             // (disjoint augmentation), so measuring costs eps_measure.
-            kernel.vector_laplace_in(x, &strategy, op.eps_measure, self.res())?;
+            kernel.vector_laplace_batch_in(&[(x, &strategy, op.eps_measure)], self.res())?;
 
             // Per-round inference over all session measurements so far.
             let measurements = kernel.measurements_since(self.start);

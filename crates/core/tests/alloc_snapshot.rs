@@ -7,12 +7,12 @@
 //! allocation **per request per call**. With `NodeData::Vector` holding an
 //! `Arc<Vec<f64>>`, the snapshot is free. The counter tracks allocations
 //! of at least one stripe's byte size; the only such allocation a warm
-//! batch call still performs is the **single** memoized `l1_sensitivity`
-//! column-norm pass over the shared strategy (ISSUE 3 also dedupes that:
-//! PR 2 recomputed it once per stripe), so the budget below is exactly
-//! one per call — a deep-clone regression adds one per *stripe* and a
-//! sensitivity-memo regression one per stripe too; either trips the
-//! assertion.
+//! batch call still performs is the **single** `l1_sensitivity`
+//! column-norm pass over the shared strategy, which the batch runs once
+//! per distinct strategy, before it takes the kernel lock. So the budget
+//! below is exactly one per call — a deep-clone regression adds one per *stripe*
+//! and a sensitivity-memo regression one per stripe too; either trips
+//! the assertion.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,7 +91,7 @@ fn batched_measurement_performs_no_data_sized_allocations() {
     let data_sized = DATA_SIZED_ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         data_sized,
-        CALLS, // exactly one memoized sensitivity pass per call
+        CALLS, // exactly one sensitivity pass per call
         "vector_laplace_batch must snapshot stripes by Arc (zero copies) and \
          compute the shared strategy's sensitivity once per batch"
     );

@@ -229,6 +229,27 @@ fn fault_sweep_without_preaccounting_hits_the_unattributed_charge_path() {
 }
 
 #[test]
+fn single_measurement_plans_pass_the_batch_sites() {
+    // A single Laplace measurement is a batch of one, so the sweep's
+    // "fail at hit k" schedules at the batch sites also cover plans
+    // that measure one strategy at a time.
+    let _guard = serial();
+    for (name, spec) in [
+        ("identity", identity_spec(0.6)),
+        ("mwem", mwem_spec(4, 0.6)),
+    ] {
+        let hits = baseline_hits(&spec, true);
+        for site in ["kernel::batch_stripe", "kernel::batch_exact"] {
+            assert!(
+                hits.iter().any(|&(s, h)| s == site && h > 0),
+                "{name}: a clean run must pass {site}"
+            );
+        }
+    }
+    failpoints::clear();
+}
+
+#[test]
 fn admission_fault_leaves_zero_history() {
     // A fault at the reservation itself must reject the plan before any
     // kernel side effect — the same contract as an over-budget spec.

@@ -205,3 +205,80 @@ fn split_then_reduce_composes() {
     // Parallel composition across the split: total cost 0.8.
     assert!((k.budget_spent() - 0.8).abs() < 1e-12);
 }
+
+/// Measurement matrices whose sensitivity cannot calibrate noise: a NaN
+/// entry beside a 5 (skipping the NaN would report sensitivity 1 and
+/// draw noise 5× too small), and an infinite scale.
+fn uncalibratable_matrices() -> Vec<(&'static str, Matrix)> {
+    vec![
+        (
+            "NaN entry",
+            Matrix::from_rows(vec![vec![f64::NAN, 1.0], vec![5.0, 0.0]]),
+        ),
+        ("NaN scale", Matrix::scaled(f64::NAN, Matrix::identity(2))),
+        (
+            "∞ scale",
+            Matrix::scaled(f64::INFINITY, Matrix::identity(2)),
+        ),
+    ]
+}
+
+#[test]
+fn non_finite_sensitivity_rejected_before_charging() {
+    let k = ProtectedKernel::init_from_vector(vec![3.0, 4.0], 1.0, 0);
+    for (what, m) in uncalibratable_matrices() {
+        assert!(
+            matches!(
+                k.vector_laplace(k.root(), &m, 0.5),
+                Err(EktError::InvalidArgument(_))
+            ),
+            "{what}: vector_laplace must reject"
+        );
+        let good = Matrix::identity(2);
+        assert!(
+            matches!(
+                k.vector_laplace_batch(&[(k.root(), &m, 0.5), (k.root(), &good, 0.5)]),
+                Err(EktError::InvalidArgument(_))
+            ),
+            "{what}: vector_laplace_batch must reject"
+        );
+        let res = k.reserve_budget(0.5).unwrap();
+        assert!(
+            matches!(
+                res.vector_laplace(k.root(), &m, 0.5),
+                Err(EktError::InvalidArgument(_))
+            ),
+            "{what}: a reservation's vector_laplace must reject"
+        );
+        assert_eq!(res.charged(), 0.0, "{what}: nothing redeemed");
+    }
+    assert_eq!(k.budget_spent(), 0.0, "a rejected call must charge nothing");
+    assert_eq!(k.measurement_count(), 0);
+    // The state lock is not poisoned: the kernel still answers.
+    k.vector_laplace(k.root(), &Matrix::identity(2), 0.5)
+        .unwrap();
+    assert_eq!(k.budget_spent(), 0.5);
+    assert_eq!(k.measurement_count(), 1);
+}
+
+#[test]
+fn non_finite_transform_stability_rejected() {
+    let k = ProtectedKernel::init_from_vector(vec![3.0, 4.0], 1.0, 0);
+    for (what, m) in uncalibratable_matrices() {
+        assert!(
+            matches!(
+                k.transform_linear(k.root(), &m),
+                Err(EktError::InvalidArgument(_))
+            ),
+            "{what}: transform_linear must reject"
+        );
+    }
+    assert_eq!(k.budget_spent(), 0.0);
+    // A finite transform still works, and charges through its stability.
+    let doubled = k
+        .transform_linear(k.root(), &Matrix::scaled(2.0, Matrix::identity(2)))
+        .unwrap();
+    k.vector_laplace(doubled, &Matrix::identity(2), 0.25)
+        .unwrap();
+    assert_eq!(k.budget_spent(), 0.5);
+}

@@ -58,7 +58,6 @@ mod plan_cache;
 pub mod pool;
 mod range;
 mod rect;
-mod senscache;
 mod sensitivity;
 mod sparse;
 mod wavelet;
@@ -76,7 +75,7 @@ pub use plan_cache::{
 };
 pub use range::RangeQueries;
 pub use rect::RectQueries2D;
-pub use senscache::{sens_cache_stats, SensCacheStats};
+pub use sensitivity::{sens_cache_stats, SensCacheStats};
 pub use sparse::CsrMatrix;
 pub use workspace::Workspace;
 

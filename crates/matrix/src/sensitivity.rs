@@ -164,24 +164,19 @@ impl Matrix {
     }
 
     /// The L1 sensitivity `‖A‖₁` = max column sum of `|A|` (paper §5.2).
+    /// A NaN entry makes the result NaN rather than being skipped, so a
+    /// caller's finiteness check sees it.
     pub fn l1_sensitivity(&self) -> f64 {
-        self.abs_col_sums().into_iter().fold(0.0, f64::max)
+        self.abs_col_sums().into_iter().fold(0.0, max_keeping_nan)
     }
 
-    /// Memoized [`Matrix::l1_sensitivity`]: identical value, served from a
-    /// process-wide identity cache for the Arc-backed representations
-    /// (`Dense`, `Sparse`, `Diagonal`, `Range`, `Rect2D`). The cache keys
-    /// on payload address pinned by a [`std::sync::Weak`] guard — never on
-    /// a shape fingerprint — so two equal-looking matrices cannot alias
-    /// (see `senscache` for the full argument). Implicit and combinator
-    /// variants fall through to the direct computation.
-    pub fn l1_sensitivity_cached(&self) -> f64 {
-        crate::senscache::l1_cached(self)
-    }
-
-    /// The L2 sensitivity `‖A‖₂` = max column norm.
+    /// The L2 sensitivity `‖A‖₂` = max column norm (NaN-propagating, like
+    /// [`Matrix::l1_sensitivity`]).
     pub fn l2_sensitivity(&self) -> f64 {
-        self.sqr_col_sums().into_iter().fold(0.0, f64::max).sqrt()
+        self.sqr_col_sums()
+            .into_iter()
+            .fold(0.0, max_keeping_nan)
+            .sqrt()
     }
 
     /// Element-wise absolute value as a new matrix. A no-op (clone) for
@@ -247,6 +242,36 @@ fn kron_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
     }
     out
+}
+
+/// `f64::max` that keeps a NaN instead of returning the other operand.
+/// `f64::max` would let a NaN column sum hide the sensitivity of every
+/// other column; for NaN-free input the two agree bit for bit.
+fn max_keeping_nan(acc: f64, v: f64) -> f64 {
+    if v.is_nan() || v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// Counters of the process-wide sensitivity cache, which has been
+/// deleted: sensitivity is computed directly, once per distinct strategy
+/// in a measurement batch. Every field is always 0; the type is kept only
+/// because the end-to-end benchmark still reports it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SensCacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub bypassed: u64,
+}
+
+/// Always all zeros (see [`SensCacheStats`]).
+pub fn sens_cache_stats() -> SensCacheStats {
+    SensCacheStats::default()
 }
 
 #[cfg(test)]
@@ -337,5 +362,24 @@ mod tests {
         let m = Matrix::scaled(-3.0, Matrix::identity(4));
         assert_eq!(m.l1_sensitivity(), 3.0);
         assert_eq!(m.l2_sensitivity(), 3.0);
+    }
+
+    #[test]
+    fn nan_entries_propagate_into_sensitivity() {
+        // Column 0 holds a NaN and a 5: skipping the NaN would report
+        // column 1's sum of 1 and underestimate the noise scale 5×.
+        let m = Matrix::from_rows(vec![vec![f64::NAN, 1.0], vec![5.0, 0.0]]);
+        assert!(m.l1_sensitivity().is_nan());
+        assert!(m.l2_sensitivity().is_nan());
+        // NaN in a later column, and through a combinator.
+        let late = Matrix::from_rows(vec![vec![5.0, f64::NAN]]);
+        assert!(late.l1_sensitivity().is_nan());
+        assert!(Matrix::scaled(f64::NAN, Matrix::identity(3))
+            .l1_sensitivity()
+            .is_nan());
+        assert_eq!(
+            Matrix::scaled(f64::INFINITY, Matrix::identity(3)).l1_sensitivity(),
+            f64::INFINITY
+        );
     }
 }

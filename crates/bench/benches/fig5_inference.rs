@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ektelo_core::ops::inference::{
-    least_squares, non_negative_least_squares, tree_based_h2, LsSolver,
+    least_squares, non_negative_least_squares, tree_least_squares, LsSolver,
 };
-use ektelo_core::ops::selection::h2;
+use ektelo_core::ops::selection::{h2, hb};
 use ektelo_core::{MeasuredQuery, ProtectedKernel};
 use ektelo_data::generators::{shape_1d, Shape1D};
 use ektelo_matrix::{partition_from_labels, CsrMatrix, Matrix, Repr, Workspace};
@@ -76,13 +76,42 @@ fn bench_ls_engines(c: &mut Criterion) {
     // The striped plans' stacked system: 280 interleaved stripes of 64
     // cells, each measured through its reduce∘split lineage
     // `Scaled(w, Product(S, Product(P, Sel)))`. `lsqr` splits it into one
-    // column component per stripe.
+    // column component per stripe, and each stripe's nested ranges are a
+    // hierarchy, so the exact tree pass solves it.
     let (a, y) = striped_union(280, 64);
     let opts = LsqrOptions::default();
     group.bench_function(BenchmarkId::new("striped_union_lsqr", a.cols()), |b| {
         b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
     });
+    // HB-Striped's system on the census domain: 280 stripes of 357 cells
+    // sharing one HB strategy, so the tree pass is built once per solve.
+    let (a, y) = striped_hb_union(280, 357);
+    group.bench_function(BenchmarkId::new("striped_hb_union_lsqr", a.cols()), |b| {
+        b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
+    });
     group.finish();
+}
+
+/// A `stripes × width`-cell union in HB-Striped's shape: stripe `s`
+/// holds cells `s, s + stripes, …` and every stripe is measured with the
+/// same shared HB strategy, `Scaled(w, Product(HB, Sel))`.
+fn striped_hb_union(stripes: usize, width: usize) -> (Matrix, Vec<f64>) {
+    let n = stripes * width;
+    let strategy = hb(width);
+    let blocks = (0..stripes)
+        .map(|s| {
+            let cells: Vec<usize> = (0..width).map(|i| s + i * stripes).collect();
+            Matrix::scaled(
+                0.5,
+                Matrix::product(strategy.clone(), Matrix::select_rows(n, &cells)),
+            )
+        })
+        .collect();
+    let a = Matrix::vstack(blocks);
+    let y = (0..a.rows())
+        .map(|i| ((i * 7919) % 101) as f64 - 20.0)
+        .collect();
+    (a, y)
 }
 
 /// A `stripes × width`-cell selector-lineage union: stripe `s` holds
@@ -134,9 +163,8 @@ fn bench_nnls_and_tree(c: &mut Criterion) {
             )))
         })
     });
-    let answers = m_implicit.answers.clone();
     group.bench_function(BenchmarkId::new("tree_based", n), |b| {
-        b.iter(|| black_box(tree_based_h2(n, &answers)))
+        b.iter(|| black_box(tree_least_squares(std::slice::from_ref(&m_implicit))))
     });
     group.finish();
 }

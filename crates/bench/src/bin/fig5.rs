@@ -3,15 +3,16 @@
 //! For binary hierarchical (H2) measurements over growing domains, times
 //! least-squares and NNLS inference across solver (direct vs iterative) ×
 //! representation (dense vs sparse vs implicit), plus the specialized
-//! tree-based LS of Hay et al. Cells print `-` where a configuration is
-//! infeasible (the paper's curves stop at the same walls: dense ~10³·⁵,
-//! sparse ~10⁶·⁵).
+//! tree-based LS of Hay et al. (`tree_least_squares`, the exact pass
+//! `lsqr` also runs on hierarchical striped components). Cells print `-`
+//! where a configuration is infeasible (the paper's curves stop at the
+//! same walls: dense ~10³·⁵, sparse ~10⁶·⁵).
 //!
 //! Run: `cargo run --release -p ektelo-bench --bin fig5 [--full]`
 
 use ektelo_bench::{fmt_secs, full_mode, time_it};
 use ektelo_core::ops::inference::{
-    least_squares, non_negative_least_squares, tree_based_h2, LsSolver,
+    least_squares, non_negative_least_squares, tree_least_squares, LsSolver,
 };
 use ektelo_core::ops::selection::h2;
 use ektelo_core::MeasuredQuery;
@@ -19,14 +20,12 @@ use ektelo_core::{ProtectedKernel, SourceVar};
 use ektelo_data::generators::{shape_1d, Shape1D};
 use ektelo_matrix::{Matrix, Repr};
 
-fn h2_measurement(n: usize, repr: Repr) -> (MeasuredQuery, Vec<f64>) {
+fn h2_measurement(n: usize, repr: Repr) -> MeasuredQuery {
     let x = shape_1d(Shape1D::Gaussian, n, 1e6, 3);
     let k = ProtectedKernel::init_from_vector(x, 1.0, 9);
     let strategy = h2(n).with_repr(repr);
     k.vector_laplace(k.root(), &strategy, 1.0).expect("measure");
-    let m = k.measurements().remove(0);
-    let answers = m.answers.clone();
-    (m, answers)
+    k.measurements().remove(0)
 }
 
 fn measured(base: SourceVar, query: Matrix, answers: Vec<f64>, scale: f64) -> MeasuredQuery {
@@ -64,7 +63,7 @@ fn main() {
                 if n > 2048 {
                     return None;
                 }
-                let (m, _) = h2_measurement(n, Repr::Dense);
+                let m = h2_measurement(n, Repr::Dense);
                 Some(time_it(|| least_squares(std::slice::from_ref(&m), LsSolver::Direct)).1)
             }),
         ),
@@ -74,7 +73,7 @@ fn main() {
                 if n > 8192 {
                     return None;
                 }
-                let (m, _) = h2_measurement(n, Repr::Dense);
+                let m = h2_measurement(n, Repr::Dense);
                 Some(time_it(|| least_squares(std::slice::from_ref(&m), LsSolver::Iterative)).1)
             }),
         ),
@@ -84,14 +83,14 @@ fn main() {
                 if n > 4_000_000 {
                     return None;
                 }
-                let (m, _) = h2_measurement(n, Repr::Sparse);
+                let m = h2_measurement(n, Repr::Sparse);
                 Some(time_it(|| least_squares(std::slice::from_ref(&m), LsSolver::Iterative)).1)
             }),
         ),
         (
             "LS  implicit + iterative",
             Box::new(|n| {
-                let (m, _) = h2_measurement(n, Repr::Implicit);
+                let m = h2_measurement(n, Repr::Implicit);
                 Some(time_it(|| least_squares(std::slice::from_ref(&m), LsSolver::Iterative)).1)
             }),
         ),
@@ -101,7 +100,7 @@ fn main() {
                 if n > 4096 {
                     return None;
                 }
-                let (m, _) = h2_measurement(n, Repr::Dense);
+                let m = h2_measurement(n, Repr::Dense);
                 Some(time_it(|| non_negative_least_squares(std::slice::from_ref(&m))).1)
             }),
         ),
@@ -111,22 +110,22 @@ fn main() {
                 if n > 2_000_000 {
                     return None;
                 }
-                let (m, _) = h2_measurement(n, Repr::Sparse);
+                let m = h2_measurement(n, Repr::Sparse);
                 Some(time_it(|| non_negative_least_squares(std::slice::from_ref(&m))).1)
             }),
         ),
         (
             "NNLS implicit + iterative",
             Box::new(|n| {
-                let (m, _) = h2_measurement(n, Repr::Implicit);
+                let m = h2_measurement(n, Repr::Implicit);
                 Some(time_it(|| non_negative_least_squares(std::slice::from_ref(&m))).1)
             }),
         ),
         (
             "LS  tree-based (custom)",
             Box::new(|n| {
-                let (_, answers) = h2_measurement(n, Repr::Implicit);
-                Some(time_it(|| tree_based_h2(n, &answers)).1)
+                let m = h2_measurement(n, Repr::Implicit);
+                Some(time_it(|| tree_least_squares(std::slice::from_ref(&m))).1)
             }),
         ),
     ];

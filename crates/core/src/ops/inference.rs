@@ -60,6 +60,18 @@ pub fn least_squares(measurements: &[MeasuredQuery], solver: LsSolver) -> Vec<f6
     }
 }
 
+/// Tree-based least squares (Hay et al. 2010) over the measurement
+/// history: the specialised `O(nodes)` inference the paper compares its
+/// generic engine against in Fig. 5. Returns the exact least-squares
+/// solution when the stacked, weighted measurements form one interval
+/// hierarchy, such as a single H2 or HB measurement (see
+/// [`ektelo_solvers::tree_least_squares`]), and `None` for any other
+/// history.
+pub fn tree_least_squares(measurements: &[MeasuredQuery]) -> Option<Vec<f64>> {
+    let (m, y) = stack_measurements(measurements);
+    ektelo_solvers::tree_least_squares(&m, &y).map(|r| r.x)
+}
+
 /// Non-negative least squares over the measurement history
 /// (paper Def. 5.2).
 pub fn non_negative_least_squares(measurements: &[MeasuredQuery]) -> Vec<f64> {
@@ -166,90 +178,9 @@ pub fn answer_workload_into(
     workload.matvec_into(x_hat, answers, ws);
 }
 
-/// Tree-based least squares for *binary hierarchical* measurements (Hay
-/// et al. 2010) — the specialized `O(n)` inference the paper compares its
-/// generic engine against in Fig. 5.
-///
-/// Input: the noisy answers for every node of the binary interval tree
-/// over `[0, n)` in the order produced by
-/// [`crate::ops::selection::hierarchical_intervals`]`(n, 2)` (level by
-/// level), all with equal noise. Two passes: bottom-up weighted averaging
-/// of each node with the sum of its children, then top-down consistency
-/// adjustment. Only valid for this one strategy — which is exactly the
-/// paper's point about custom inference.
-pub fn tree_based_h2(n: usize, answers: &[f64]) -> Vec<f64> {
-    use crate::ops::selection::hierarchical_intervals;
-    let intervals = hierarchical_intervals(n, 2);
-    assert_eq!(
-        answers.len(),
-        intervals.len(),
-        "answer count must match the H2 tree"
-    );
-
-    // Rebuild the tree: children of (lo,hi) are (lo,mid),(mid,hi) with the
-    // same near-equal split used by hierarchical_intervals.
-    use std::collections::HashMap;
-    let index: HashMap<(usize, usize), usize> = intervals
-        .iter()
-        .enumerate()
-        .map(|(i, &iv)| (iv, i))
-        .collect();
-    let children = |lo: usize, hi: usize| -> Option<((usize, usize), (usize, usize))> {
-        let len = hi - lo;
-        if len <= 1 {
-            return None;
-        }
-        let left = len.div_ceil(2);
-        Some(((lo, lo + left), (lo + left, hi)))
-    };
-
-    // Bottom-up: z[v] = weighted average of the node's own answer and its
-    // children's combined estimate. With equal noise the optimal weights
-    // follow α_v = (2^h − 2^{h−1}) / (2^h − 1) for height h (Hay et al.).
-    let mut z = answers.to_vec();
-    // 2^h per node, where leaves have height 1 (2^h = 2): Hay et al.'s
-    // α = (2^h − 2^{h−1})/(2^h − 1).
-    let mut eff_count = vec![2.0f64; intervals.len()];
-    for i in (0..intervals.len()).rev() {
-        let (lo, hi) = intervals[i];
-        if let Some((l, r)) = children(lo, hi) {
-            let li = index[&l];
-            let ri = index[&r];
-            let child_sum = z[li] + z[ri];
-            let m = eff_count[li].min(eff_count[ri]) * 2.0;
-            let alpha = (m - m / 2.0) / (m - 1.0);
-            z[i] = alpha * answers[i] + (1.0 - alpha) * child_sum;
-            eff_count[i] = m;
-        }
-    }
-    // Top-down: distribute each parent's adjusted value consistently.
-    let mut consistent = z.clone();
-    for i in 0..intervals.len() {
-        let (lo, hi) = intervals[i];
-        if let Some((l, r)) = children(lo, hi) {
-            let li = index[&l];
-            let ri = index[&r];
-            let child_sum = z[li] + z[ri];
-            let diff = (consistent[i] - child_sum) / 2.0;
-            consistent[li] = z[li] + diff;
-            consistent[ri] = z[ri] + diff;
-            // Propagate: children's consistent values feed their subtrees.
-            z[li] = consistent[li];
-            z[ri] = consistent[ri];
-        }
-    }
-    // Leaves, in domain order.
-    let mut x = vec![0.0; n];
-    for (i, &(lo, hi)) in intervals.iter().enumerate() {
-        if hi - lo == 1 {
-            x[lo] = consistent[i];
-        }
-    }
-    x
-}
-
 /// Scaled, per-query L2 error between true and estimated workload answers:
-/// `‖W x − W x̂‖₂ / (m · scale)` — the metric of the paper's Table 5.
+/// `‖W x − W x̂‖₂ / (√m · scale)`, the root-mean-square query error over
+/// `scale` — the metric of the paper's Table 5.
 pub fn scaled_per_query_l2_error(
     workload: &Matrix,
     x_true: &[f64],
@@ -389,26 +320,28 @@ mod tests {
     }
 
     #[test]
-    fn tree_based_matches_generic_ls_on_h2() {
-        use crate::ops::selection::h2;
-        let n = 16;
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64).collect();
-        let k = ProtectedKernel::init_from_vector(x_true, 10.0, 4);
-        k.vector_laplace(k.root(), &h2(n), 1.0).unwrap();
-        let ms = k.measurements();
-        let generic = least_squares(&ms, LsSolver::Direct);
-        let tree = tree_based_h2(n, &ms[0].answers);
-        for (g, t) in generic.iter().zip(&tree) {
-            assert!(
-                (g - t).abs() < 0.5,
-                "tree-based should closely track LS: {generic:?} vs {tree:?}"
-            );
+    fn tree_pass_matches_direct_ls_on_h2_and_hb() {
+        // The exact tree pass (Hay et al.) on one hierarchical
+        // measurement is the least-squares solution, for complete and
+        // uneven trees alike.
+        use crate::ops::selection::{h2, hb};
+        for n in [16, 17, 100] {
+            for (name, strategy) in [("H2", h2(n)), ("HB", hb(n))] {
+                let x_true: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 + 20.0).collect();
+                let k = ProtectedKernel::init_from_vector(x_true, 10.0, 4);
+                k.vector_laplace(k.root(), &strategy, 1.0).unwrap();
+                let ms = k.measurements();
+                let direct = least_squares(&ms, LsSolver::Direct);
+                let tree = tree_least_squares(&ms)
+                    .unwrap_or_else(|| panic!("{name} n={n}: not a hierarchy"));
+                for (g, t) in direct.iter().zip(&tree) {
+                    assert!(
+                        (g - t).abs() < 1e-9 * (1.0 + g.abs()),
+                        "{name} n={n}: {direct:?} vs {tree:?}"
+                    );
+                }
+            }
         }
-        // Both must be consistent with the measured total (root answer is
-        // blended, but the estimates reproduce one consistent hierarchy).
-        let sum_g: f64 = generic.iter().sum();
-        let sum_t: f64 = tree.iter().sum();
-        assert!((sum_g - sum_t).abs() < 1.0, "totals {sum_g} vs {sum_t}");
     }
 
     #[test]

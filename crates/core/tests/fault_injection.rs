@@ -250,6 +250,21 @@ fn single_measurement_plans_pass_the_batch_sites() {
 }
 
 #[test]
+fn striped_inference_passes_the_solver_site() {
+    // DAWA-Striped's stripes are interval hierarchies behind a
+    // partition, which `lsqr` solves exactly without iterating. Each
+    // exact stripe still passes the solver site once, so the sweep keeps
+    // failing a striped inference there.
+    let _guard = serial();
+    let hits = baseline_hits(&dawa_striped_spec(0.15, 0.45), true);
+    assert!(
+        hits.iter().any(|&(s, h)| s == "solver::iteration" && h > 0),
+        "dawa-striped must pass solver::iteration: {hits:?}"
+    );
+    failpoints::clear();
+}
+
+#[test]
 fn admission_fault_leaves_zero_history() {
     // A fault at the reservation itself must reject the plan before any
     // kernel side effect — the same contract as an over-budget spec.

@@ -39,11 +39,17 @@ impl Matrix {
     /// [`Matrix::Product`] — ends in a [`Matrix::Sparse`] leaf with at
     /// least one stored entry: the shape the kernel's split/reduce lineage
     /// produces. That leaf's columns bound the block's columns, and blocks
-    /// are grouped by shared columns with union–find in
-    /// `O(blocks + cols + Σ nnz)`. Each leaf is re-indexed to
-    /// component-local columns; a re-indexed leaf that is exactly the k×k
-    /// identity becomes [`Matrix::identity`], which [`Matrix::product`]
-    /// elides.
+    /// are grouped by shared columns with union–find. Each leaf is
+    /// re-indexed to component-local columns; a re-indexed leaf that is
+    /// exactly the k×k identity becomes [`Matrix::identity`], which
+    /// [`Matrix::product`] elides.
+    ///
+    /// Only the blocks' stored entries are visited, never the whole
+    /// domain: with `Σ nnz` leaf entries the split costs
+    /// `O(Σ nnz · α + blocks · log blocks)`, plus a sort of the columns of
+    /// any component whose columns do not already arrive ascending from
+    /// a single leaf, and one `u32` per column of the parent for the
+    /// column → block map.
     ///
     /// Returns `None` for any other shape and when there is only one
     /// component. Columns no block touches belong to no component.
@@ -68,16 +74,193 @@ impl Matrix {
             return None;
         };
         // Structural check first: other shapes return before allocating.
+        if blocks.len() >= NONE as usize
+            || !blocks
+                .iter()
+                .all(|b| spine_leaf(b).is_some_and(|s| s.nnz() > 0))
+        {
+            return None;
+        }
+        let leaves: Vec<&CsrMatrix> = blocks.iter().filter_map(spine_leaf).collect();
+
+        // Union–find over blocks, linked through the first block that
+        // touches each column, and each block's least column.
+        let mut parent: Vec<usize> = (0..blocks.len()).collect();
+        let mut first = vec![NONE; blocks.len()];
+        let mut owner = vec![NONE; self.cols()];
+        for (bi, leaf) in leaves.iter().enumerate() {
+            for &c in leaf.indices() {
+                first[bi] = first[bi].min(c);
+                let o = owner[c as usize];
+                if o == NONE {
+                    owner[c as usize] = bi as u32;
+                } else {
+                    let (ra, rb) = (find(&mut parent, o as usize), find(&mut parent, bi));
+                    parent[ra.max(rb)] = ra.min(rb);
+                }
+            }
+        }
+
+        // Number the components by least column, and list each one's
+        // blocks in parent order.
+        let roots: Vec<usize> = (0..blocks.len()).map(|bi| find(&mut parent, bi)).collect();
+        for (bi, &r) in roots.iter().enumerate() {
+            first[r] = first[r].min(first[bi]);
+        }
+        let mut order: Vec<usize> = (0..blocks.len()).filter(|&bi| roots[bi] == bi).collect();
+        if order.len() <= 1 {
+            return None;
+        }
+        // Components own disjoint columns, so their least columns differ.
+        order.sort_unstable_by_key(|&r| first[r]);
+        let mut comp_of_root = vec![0; blocks.len()];
+        for (k, &r) in order.iter().enumerate() {
+            comp_of_root[r] = k;
+        }
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
+        for (bi, &r) in roots.iter().enumerate() {
+            members[comp_of_root[r]].push(bi);
+        }
+
+        // A lone one-per-row ascending selector of ones re-indexes to the
+        // identity over its own columns, so its component skips the
+        // remap. The others get the global → local map of their columns,
+        // written over `owner`, which is no longer needed.
+        let identity: Vec<bool> = members
+            .iter()
+            .map(|m| matches!(m[..], [bi] if is_ascending_selector(leaves[bi])))
+            .collect();
+        let cols: Vec<Vec<usize>> = members
+            .iter()
+            .map(|m| match m[..] {
+                [bi] if strictly_ascending(leaves[bi]) => {
+                    leaves[bi].indices().iter().map(|&c| c as usize).collect()
+                }
+                _ => {
+                    let mut c: Vec<usize> = m
+                        .iter()
+                        .flat_map(|&bi| leaves[bi].indices().iter().map(|&c| c as usize))
+                        .collect();
+                    c.sort_unstable();
+                    c.dedup();
+                    c
+                }
+            })
+            .collect();
+        let local = &mut owner;
+        for (c, _) in cols.iter().zip(&identity).filter(|(_, &id)| !id) {
+            for (i, &j) in c.iter().enumerate() {
+                local[j] = i as u32;
+            }
+        }
+
+        let mut parts: Vec<(Vec<Matrix>, Vec<Range<usize>>)> =
+            vec![(Vec::new(), Vec::new()); order.len()];
+        let mut row = 0;
+        for (bi, block) in blocks.iter().enumerate() {
+            let k = comp_of_root[roots[bi]];
+            let map = (!identity[k]).then_some(&local[..]);
+            let (blocks_k, spans) = &mut parts[k];
+            blocks_k.push(rebase(block, map, cols[k].len())?);
+            let end = row + block.rows();
+            match spans.last_mut() {
+                Some(last) if last.end == row => last.end = end,
+                _ => spans.push(row..end),
+            }
+            row = end;
+        }
+        Some(
+            cols.into_iter()
+                .zip(parts)
+                .map(|(cols, (blocks, row_spans))| ColumnComponent {
+                    cols,
+                    row_spans,
+                    matrix: Matrix::vstack(blocks),
+                })
+                .collect(),
+        )
+    }
+}
+
+/// "No block yet" in the column → block map, and the bound on the block
+/// count that keeps block numbers below it.
+const NONE: u32 = u32::MAX;
+
+/// True when `leaf`'s stored column indices, row after row, strictly
+/// increase: they are then its ascending, distinct columns.
+fn strictly_ascending(leaf: &CsrMatrix) -> bool {
+    leaf.indices().windows(2).all(|w| w[0] < w[1])
+}
+
+/// True when `leaf` holds one stored `1.0` per row at strictly
+/// increasing columns: re-indexed over its own columns it is the
+/// identity.
+fn is_ascending_selector(leaf: &CsrMatrix) -> bool {
+    leaf.nnz() == leaf.rows()
+        && leaf.indptr().iter().enumerate().all(|(i, &p)| p == i)
+        && leaf.values().iter().all(|&v| v == 1.0)
+        && strictly_ascending(leaf)
+}
+
+/// The sparse leaf ending `m`'s right spine, if it has one.
+fn spine_leaf(m: &Matrix) -> Option<&CsrMatrix> {
+    match m {
+        Matrix::Sparse(s) => Some(s),
+        Matrix::Scaled(_, a) => spine_leaf(a),
+        Matrix::Product(_, b) => spine_leaf(b),
+        _ => None,
+    }
+}
+
+/// `m` with its spine leaf's columns renamed through `local`, over
+/// `width` columns; `None` means the renamed leaf is the identity.
+fn rebase(m: &Matrix, local: Option<&[u32]>, width: usize) -> Option<Matrix> {
+    Some(match m {
+        Matrix::Sparse(s) => match local {
+            None => Matrix::identity(width),
+            Some(local) => {
+                let s = s.remap_columns(local, width);
+                if s.is_identity() {
+                    Matrix::identity(width)
+                } else {
+                    Matrix::Sparse(Arc::new(s))
+                }
+            }
+        },
+        Matrix::Scaled(c, a) => Matrix::scaled(*c, rebase(a, local, width)?),
+        Matrix::Product(a, b) => Matrix::product((**a).clone(), rebase(b, local, width)?),
+        _ => return None,
+    })
+}
+
+/// Union–find root of `i`, halving the path as it goes.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The split as it was first written, kept as the oracle: owner and
+    /// local maps over the whole domain, components numbered by a scan
+    /// of every column.
+    fn oracle(a: &Matrix) -> Option<Vec<ColumnComponent>> {
+        let Matrix::Union(blocks) = a else {
+            return None;
+        };
         if !blocks
             .iter()
             .all(|b| spine_leaf(b).is_some_and(|s| s.nnz() > 0))
         {
             return None;
         }
-        let n = self.cols();
-
-        // Union–find over blocks, linked through the first block that
-        // touches each column.
+        let n = a.cols();
         let mut parent: Vec<usize> = (0..blocks.len()).collect();
         let mut owner = vec![usize::MAX; n];
         for (bi, block) in blocks.iter().enumerate() {
@@ -91,9 +274,6 @@ impl Matrix {
                 }
             }
         }
-
-        // Number components by first column; one pass fills each
-        // component's ascending column list and the global → local map.
         let mut comp_of_root = vec![usize::MAX; blocks.len()];
         let mut cols: Vec<Vec<usize>> = Vec::new();
         let mut local = vec![0u32; n];
@@ -113,14 +293,13 @@ impl Matrix {
         if cols.len() <= 1 {
             return None;
         }
-
         let mut parts: Vec<(Vec<Matrix>, Vec<Range<usize>>)> =
             vec![(Vec::new(), Vec::new()); cols.len()];
         let mut row = 0;
         for (bi, block) in blocks.iter().enumerate() {
             let k = comp_of_root[find(&mut parent, bi)];
             let (members, spans) = &mut parts[k];
-            members.push(rebase(block, &local, cols[k].len())?);
+            members.push(rebase(block, Some(&local), cols[k].len())?);
             let end = row + block.rows();
             match spans.last_mut() {
                 Some(last) if last.end == row => last.end = end,
@@ -139,48 +318,84 @@ impl Matrix {
                 .collect(),
         )
     }
-}
 
-/// The sparse leaf ending `m`'s right spine, if it has one.
-fn spine_leaf(m: &Matrix) -> Option<&CsrMatrix> {
-    match m {
-        Matrix::Sparse(s) => Some(s),
-        Matrix::Scaled(_, a) => spine_leaf(a),
-        Matrix::Product(_, b) => spine_leaf(b),
-        _ => None,
-    }
-}
-
-/// `m` with its spine leaf's columns renamed through `local`, over
-/// `width` columns.
-fn rebase(m: &Matrix, local: &[u32], width: usize) -> Option<Matrix> {
-    Some(match m {
-        Matrix::Sparse(s) => {
-            let s = s.remap_columns(local, width);
-            if s.is_identity() {
-                Matrix::identity(width)
-            } else {
-                Matrix::Sparse(Arc::new(s))
-            }
+    /// A random block over `n` columns: a strategy over a random set of
+    /// cells (ascending, shuffled, or shared with other blocks), through
+    /// a selector or a general sparse leaf, optionally behind a
+    /// partition and a scale.
+    fn random_block(seed: u64, n: usize) -> Matrix {
+        let mut s = seed;
+        let mut next = move |k: usize| {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((s >> 33) % k as u64) as usize
+        };
+        let width = 1 + next(n.min(6));
+        let mut cells: Vec<usize> = (0..width).map(|_| next(n)).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        if next(3) == 0 {
+            cells.reverse();
         }
-        Matrix::Scaled(c, a) => Matrix::scaled(*c, rebase(a, local, width)?),
-        Matrix::Product(a, b) => Matrix::product((**a).clone(), rebase(b, local, width)?),
-        _ => return None,
-    })
-}
-
-/// Union–find root of `i`, halving the path as it goes.
-fn find(parent: &mut [usize], mut i: usize) -> usize {
-    while parent[i] != i {
-        parent[i] = parent[parent[i]];
-        i = parent[i];
+        let k = cells.len();
+        let leaf = match next(4) {
+            0 => {
+                // A general sparse leaf: two entries in some rows.
+                let triplets: Vec<(usize, usize, f64)> = (0..k)
+                    .flat_map(|r| {
+                        let mut t = vec![(r, cells[r], 1.0 + r as f64)];
+                        if r + 1 < k {
+                            t.push((r, cells[r + 1], -1.0));
+                        }
+                        t
+                    })
+                    .collect();
+                Matrix::sparse(CsrMatrix::from_triplets(k, n, &triplets))
+            }
+            1 => Matrix::scaled(2.0, Matrix::select_rows(n, &cells)),
+            _ => Matrix::select_rows(n, &cells),
+        };
+        let lineage = if k > 1 && next(2) == 0 {
+            let labels: Vec<usize> = (0..k).map(|i| i / 2).collect();
+            Matrix::product(crate::partition_from_labels(k.div_ceil(2), &labels), leaf)
+        } else {
+            leaf
+        };
+        let strategy = match next(3) {
+            0 => Matrix::prefix(lineage.rows()),
+            1 => Matrix::range_queries(lineage.rows(), vec![(0, lineage.rows())]),
+            _ => Matrix::identity(lineage.rows()),
+        };
+        Matrix::scaled(0.5 + next(4) as f64, Matrix::product(strategy, lineage))
     }
-    i
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The split visits only stored entries, yet returns exactly the
+        /// oracle's components, columns, row spans and matrices, in the
+        /// same order.
+        #[test]
+        fn components_match_the_domain_scan_oracle(
+            seed in 0u64..u64::MAX,
+            n in 2usize..40,
+            blocks in 1usize..9,
+        ) {
+            let a = Matrix::vstack(
+                (0..blocks as u64).map(|b| random_block(seed ^ (b * 0x9E37_79B9), n)).collect(),
+            );
+            let got = a.column_components();
+            let want = oracle(&a);
+            prop_assert_eq!(got.is_some(), want.is_some());
+            for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                prop_assert_eq!(&g.cols, &w.cols);
+                prop_assert_eq!(&g.row_spans, &w.row_spans);
+                prop_assert_eq!(format!("{:?}", g.matrix), format!("{:?}", w.matrix));
+            }
+            prop_assert_eq!(got.map(|c| c.len()), want.map(|c| c.len()));
+        }
+    }
 
     fn stripe(n: usize, cells: &[usize]) -> Matrix {
         Matrix::scaled(

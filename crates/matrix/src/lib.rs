@@ -29,8 +29,10 @@
 //!   and element-wise square ([`Matrix::sqr`]); and derived computations:
 //!   exact L1/L2 sensitivity, Gram matrices, row indexing and
 //!   materialization (paper Table 1), plus the split of a column-separable
-//!   union into independent sub-systems ([`Matrix::column_components`])
-//!   and the merge of identical columns into one reduced-domain cell
+//!   union into independent sub-systems ([`Matrix::column_components`]),
+//!   the recognition of a weighted interval hierarchy, which tree-based
+//!   least squares solves exactly ([`Matrix::tree_shape`]), and the
+//!   merge of identical columns into one reduced-domain cell
 //!   ([`Matrix::column_classes`], paper §8).
 //!
 //! ```
@@ -49,6 +51,7 @@ mod combine;
 mod components;
 mod dense;
 pub mod failpoints;
+mod hierarchy;
 pub mod kernels;
 mod kron;
 mod materialize;
@@ -67,6 +70,7 @@ pub use classes::ColumnClasses;
 pub use combine::partition_from_labels;
 pub use components::ColumnComponent;
 pub use dense::DenseMatrix;
+pub use hierarchy::{TreeNode, TreeShape};
 pub use materialize::Repr;
 pub use plan::plan_builds;
 pub use plan_cache::{

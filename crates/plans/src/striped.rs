@@ -28,11 +28,16 @@
 //! Inference is per stripe as well: every stacked measurement ends in its
 //! stripe's selector, so the system splits into one column component per
 //! stripe ([`ektelo_matrix::Matrix::column_components`]) and `lsqr`
-//! solves the stripes one after another. A stripe's system is small, so
-//! its solve runs serially on the calling thread and `x_hat` does not
-//! depend on `configured_parallelism()`; only a stripe large enough to
-//! cross the pool's threading thresholds (thousands of cells) is
-//! evaluated in chunks, whose merge points can move the last ulps.
+//! solves the stripes one after another. Both plans measure a stripe
+//! with an interval hierarchy (HB, or Greedy-H behind DAWA's reduce
+//! partition), so each stripe gets its exact least-squares solution from
+//! the `O(nodes)` tree pass ([`ektelo_solvers::tree_least_squares`])
+//! instead of LSQR iterations; HB-Striped's shared strategy is built into
+//! a pass once per solve. A stripe's solve runs serially on the calling
+//! thread, so `x_hat` does not depend on `configured_parallelism()`. A
+//! stripe that is not a hierarchy runs the LSQR loop, and only one large
+//! enough to cross the pool's threading thresholds (thousands of cells)
+//! is evaluated in chunks, whose merge points can move the last ulps.
 //! DAWA-Striped additionally builds its per-stripe Greedy-H
 //! strategies (pure public
 //! compute, the dominant per-stripe cost) on worker threads, and its

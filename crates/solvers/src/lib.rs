@@ -16,7 +16,12 @@
 //!   Krylov methods on the normal equations — the [`lsqr` module
 //!   docs](mod@crate::lsqr) give the substitution note). Block-separable
 //!   systems, such as the striped plans' stacked measurements, are solved
-//!   one column component at a time;
+//!   one column component at a time, and a component that is a weighted
+//!   interval hierarchy (optionally behind a partition) is solved exactly
+//!   by the tree pass instead of iterating;
+//! * [`tree_least_squares`] — the tree-based least squares of Hay et al.
+//!   (2010): the exact `O(nodes)` minimum-norm solution for a weighted
+//!   interval hierarchy, the specialised inference of Fig. 5;
 //! * [`cgls()`] — conjugate gradient on the normal equations, a second
 //!   independent iterative LS implementation used for cross-checking;
 //! * [`nnls()`] — FISTA-accelerated projected gradient for least squares with
@@ -33,6 +38,7 @@ pub mod lsqr;
 pub mod mw;
 pub mod nnls;
 pub mod power;
+pub mod tree;
 pub mod util;
 
 pub use cgls::cgls;
@@ -41,3 +47,4 @@ pub use lsqr::{lsqr, LsqrOptions, LsqrResult};
 pub use mw::{mult_weights, MwOptions};
 pub use nnls::{nnls, NnlsOptions};
 pub use power::spectral_norm_estimate;
+pub use tree::tree_least_squares;

@@ -11,6 +11,7 @@
 
 use ektelo_matrix::{Matrix, Workspace};
 
+use crate::tree::TreeSolver;
 use crate::util::{axpy, norm2, scale, xpay};
 
 /// Stopping parameters for [`lsqr`].
@@ -42,11 +43,14 @@ pub struct LsqrResult {
     pub x: Vec<f64>,
     /// Number of bidiagonalization steps performed. For a system solved
     /// one column component at a time (see [`lsqr`]) this is the sum of
-    /// the components' steps, each of which touches only that component.
+    /// the components' steps, each of which touches only that component;
+    /// a component solved exactly by the tree pass adds 0.
     pub iterations: usize,
     /// Final residual norm estimate `‖Ax − b‖₂`. For a system solved one
-    /// column component at a time this is `√(Σ φ̄ₖ²)` over the components'
-    /// estimates φ̄ₖ: their row sets partition the rows of `A`.
+    /// column component at a time this is `√(Σ rₖ²)` over the components'
+    /// residuals rₖ (their row sets partition the rows of `A`): LSQR's
+    /// estimate φ̄ₖ, or the exact `‖Aₖxₖ − bₖ‖` of a component the tree
+    /// pass solved.
     pub residual_norm: f64,
 }
 
@@ -59,8 +63,15 @@ pub struct LsqrResult {
 /// is scattered into `x`. From `x₀ = 0` LSQR converges to the
 /// minimum-norm least-squares solution, and for a separable system that
 /// is exactly the concatenation of the per-component ones; columns no
-/// block touches stay 0. Every other system, including a separable one
-/// with a single component, runs one LSQR over the whole matrix.
+/// block touches stay 0. A component that is a weighted interval
+/// hierarchy, optionally behind a partition (each stripe of HB- and
+/// DAWA-Striped), gets that solution exactly from the `O(nodes)` tree
+/// pass of [`crate::tree_least_squares`] instead of the loop; a hierarchy
+/// shared by several components is built once per call, one used by a
+/// single component is dropped after its solve. Every other
+/// component runs the LSQR loop, and every other system, including a
+/// separable one with a single component, runs one LSQR over the whole
+/// matrix.
 ///
 /// ```
 /// use ektelo_matrix::Matrix;
@@ -89,6 +100,7 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     // One workspace for every component: its arena grows to the largest
     // component's requirement on first use.
     let mut ws = Workspace::new();
+    let mut tree = TreeSolver::new(components.iter().map(|c| &c.matrix));
     let mut iterations = 0;
     let mut residual_sq = 0.0;
     for c in &components {
@@ -98,12 +110,18 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
             .flat_map(|r| b[r.clone()].iter().copied())
             .collect();
         let mut xc = vec![0.0; c.cols.len()];
-        let (it, phibar) = lsqr_into(&c.matrix, &bc, &mut xc, &mut ws, opts);
+        if let Some(r_sq) = tree.solve(&c.matrix, &bc, &mut xc) {
+            // An exact component passes the solver fault site once.
+            ektelo_matrix::failpoints::panic_if("solver::iteration");
+            residual_sq += r_sq;
+        } else {
+            let (it, phibar) = lsqr_into(&c.matrix, &bc, &mut xc, &mut ws, opts);
+            iterations += it;
+            residual_sq += phibar * phibar;
+        }
         for (&j, &v) in c.cols.iter().zip(&xc) {
             x[j] = v;
         }
-        iterations += it;
-        residual_sq += phibar * phibar;
     }
     LsqrResult {
         x,

@@ -176,8 +176,10 @@ fn lsqr_inner_loop_is_allocation_free() {
 /// A block-separable system in the striped plans' lineage shape: 16
 /// stripes of 16 interleaved cells, each measured as
 /// `Scaled(w, Product(Union(Scaled Range…), Product(P, Sel)))` with its
-/// own pair-merging partition `P`.
-fn striped_system() -> Matrix {
+/// own pair-merging partition `P`. With `hierarchical` the nested ranges
+/// make every stripe an interval hierarchy, which `lsqr` solves exactly;
+/// without it they cross, and every stripe runs the LSQR loop.
+fn striped_system(hierarchical: bool) -> Matrix {
     let (stripes, k) = (16, 16);
     let n = stripes * k;
     Matrix::vstack(
@@ -189,11 +191,16 @@ fn striped_system() -> Matrix {
                     partition_from_labels(k / 2, &labels),
                     Matrix::select_rows(n, &cells),
                 );
+                let first = if hierarchical {
+                    (0, k / 2)
+                } else {
+                    (0, k / 2 - 1)
+                };
                 let strategy = Matrix::vstack(vec![
                     Matrix::range_queries(k / 2, (0..k / 2).map(|i| (i, i + 1)).collect()),
                     Matrix::scaled(
                         0.5,
-                        Matrix::range_queries(k / 2, vec![(0, k / 2), (s % 4, k / 2)]),
+                        Matrix::range_queries(k / 2, vec![first, (1 + s % 4, k / 2)]),
                     ),
                 ]);
                 Matrix::scaled(1.0 + s as f64, Matrix::product(strategy, lineage))
@@ -202,14 +209,24 @@ fn striped_system() -> Matrix {
     )
 }
 
+/// True when a component of `a` takes the exact tree pass.
+fn exact(c: &Matrix) -> bool {
+    c.tree_shape().and_then(|s| s.tree()).is_some()
+}
+
 /// The split solve's setup — component extraction, per-component
 /// right-hand sides, buffers and the shared workspace — is fixed per
-/// solve; the per-component loops allocate nothing more.
+/// solve; the per-component LSQR loops allocate nothing more.
 #[test]
 fn lsqr_separable_inner_loop_is_allocation_free() {
     let _serial = serialized();
-    let a = striped_system();
-    assert_eq!(a.column_components().map(|c| c.len()), Some(16));
+    let a = striped_system(false);
+    let parts = a.column_components().unwrap();
+    assert_eq!(parts.len(), 16);
+    assert!(
+        parts.iter().all(|c| !exact(&c.matrix)),
+        "every stripe must run LSQR"
+    );
     let b = rhs(a.rows());
     let opts = |max_iters| LsqrOptions {
         max_iters,
@@ -227,6 +244,33 @@ fn lsqr_separable_inner_loop_is_allocation_free() {
     assert!(long > 0, "setup should allocate the components once");
     assert_eq!(short_plans, 0, "warm separable solves must not re-plan");
     assert_eq!(long_plans, 0, "warm separable solves must not re-plan");
+}
+
+/// Hierarchy stripes skip the loop: their solve allocates the same
+/// whatever `max_iters` is, and plans nothing.
+#[test]
+fn lsqr_exact_components_allocate_independently_of_max_iters() {
+    let _serial = serialized();
+    let a = striped_system(true);
+    let parts = a.column_components().unwrap();
+    assert!(
+        parts.iter().all(|c| exact(&c.matrix)),
+        "every stripe is exact"
+    );
+    let b = rhs(a.rows());
+    let opts = |max_iters| LsqrOptions {
+        max_iters,
+        atol: 0.0,
+    };
+    assert_eq!(lsqr(&a, &b, &opts(2)).iterations, 0);
+    let (short, short_plans) = count_both(|| {
+        lsqr(&a, &b, &opts(5));
+    });
+    let (long, long_plans) = count_both(|| {
+        lsqr(&a, &b, &opts(5000));
+    });
+    assert_eq!(short, long, "exact components allocate per iteration cap");
+    assert_eq!((short_plans, long_plans), (0, 0), "exact components plan");
 }
 
 #[test]

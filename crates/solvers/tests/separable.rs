@@ -217,6 +217,11 @@ fn unmeasured_columns_stay_zero() {
         split_block(&mut rng, n, &[0, 1, 2]),
         split_block(&mut rng, n, &[5, 6, 7, 8]),
     ]);
+    // Both stripes' random intervals cross, so both run the LSQR loop
+    // (a hierarchy stripe would take the exact tree pass).
+    for c in a.column_components().unwrap() {
+        assert!(c.matrix.tree_shape().and_then(|s| s.tree()).is_none());
+    }
     let b = random_rhs(&mut rng, a.rows());
     let r = lsqr(&a, &b, &tight());
     for j in [3, 4, 9] {

@@ -333,12 +333,9 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Transpose/scatter-direction benches for the threaded engine: a striped
-/// union (per-worker accumulators with deterministic merge) and a large
-/// Kronecker (row- then column-chunked stages). Under
-/// `EKTELO_POOL_WORKERS=1` these measure the serial planned engine; the
-/// `serial_blocks` reference is computed per block (below the work
-/// threshold) so it stays single-threaded at every pool size.
+/// Transpose/scatter-direction benches: a striped union through one
+/// planned `rmatvec_into`, against the same scatter driven block by block
+/// (`serial_blocks`), and a large Kronecker.
 fn bench_parallel_rmatvec(c: &mut Criterion) {
     let n = 1usize << 16;
     let stripes = 64;
@@ -367,8 +364,7 @@ fn bench_parallel_rmatvec(c: &mut Criterion) {
             })
         },
     );
-    // Serial reference: scatter block by block through the same planned
-    // engine (each block is below the parallel threshold).
+    // Reference: scatter block by block through the same planned engine.
     let mut block_ws: Vec<Workspace> = blocks.iter().map(Workspace::for_matrix).collect();
     group.bench_function(BenchmarkId::new("union_striped/serial_blocks", n), |b| {
         b.iter(|| {
@@ -499,181 +495,6 @@ fn bench_plan_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arena-pool benches: warm threaded evaluation drawing worker
-/// scratch/accumulators/panels from the workspace pool (under
-/// `EKTELO_POOL_WORKERS=1` they measure the serial planned engine — still
-/// pool-free by construction). Tracked against the `parallel_rmatvec`
-/// entries, whose workers once allocated per call.
-fn bench_arena_pool(c: &mut Criterion) {
-    let mut group = c.benchmark_group("arena_pool");
-    group.sample_size(30);
-
-    let n = 1usize << 16;
-    let stripes = 64;
-    let width = n / stripes;
-    let union = Matrix::vstack(
-        (0..stripes)
-            .map(|s| {
-                let idx: Vec<usize> = (s * width..(s + 1) * width).collect();
-                Matrix::product(Matrix::wavelet(width), Matrix::select_rows(n, &idx))
-            })
-            .collect(),
-    );
-    let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
-    let y: Vec<f64> = (0..union.rows()).map(|i| (i % 7) as f64 - 3.0).collect();
-    let mut ws = Workspace::for_matrix(&union);
-    let mut out = vec![0.0; union.rows()];
-    let mut back = vec![0.0; union.cols()];
-    group.bench_function(BenchmarkId::new("union_striped_fwd/pooled", n), |b| {
-        b.iter(|| {
-            union.matvec_into(&x, &mut out, &mut ws);
-            black_box(out[0])
-        })
-    });
-    group.bench_function(BenchmarkId::new("union_striped_scatter/pooled", n), |b| {
-        b.iter(|| {
-            union.rmatvec_into(&y, &mut back, &mut ws);
-            black_box(back[0])
-        })
-    });
-
-    let kron = Matrix::kron(Matrix::prefix(256), Matrix::wavelet(256));
-    let ky: Vec<f64> = (0..kron.rows()).map(|i| (i % 11) as f64 - 5.0).collect();
-    let mut kws = Workspace::for_matrix(&kron);
-    let mut kback = vec![0.0; kron.cols()];
-    group.bench_function(
-        BenchmarkId::new("kron_256x256_scatter/pooled", kron.cols()),
-        |b| {
-            b.iter(|| {
-                kron.rmatvec_into(&ky, &mut kback, &mut kws);
-                black_box(kback[0])
-            })
-        },
-    );
-    group.finish();
-}
-
-/// ISSUE 5 headline benches: the persistent pool executor vs per-region
-/// `std::thread::scope` on **identical chunked work**. Both arms run the
-/// same fixed chunk partition with the same pre-built per-chunk
-/// workspaces; the only difference is the dispatch harness — fresh OS
-/// threads per region (what every threaded path paid before this PR)
-/// versus parked pool workers with preallocated job slots (what they pay
-/// now). `small_union` (n = 4096) is the regime the spawn tax dominated;
-/// `large_union` (n = 65536) pins that pooling costs nothing when
-/// compute dominates. `dispatch_only` isolates the raw per-region
-/// harness cost on near-empty jobs.
-fn bench_pool_executor(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_executor");
-    group.sample_size(30);
-    const NCHUNKS: usize = 4;
-
-    // Raw dispatch cost: NCHUNKS jobs of ~256 flops each.
-    let data: Vec<f64> = (0..256).map(|i| (i % 7) as f64).collect();
-    let mut sums = [0.0f64; NCHUNKS];
-    group.bench_function("dispatch_only/scoped_spawn", |b| {
-        b.iter(|| {
-            // xlint: allow(determinism-thread, reason = "intentional baseline arm: measures OS thread spawn/join cost against the pool executor; never computes engine results")
-            std::thread::scope(|s| {
-                for slot in sums.iter_mut() {
-                    let d = &data;
-                    s.spawn(move || *slot = d.iter().sum());
-                }
-            });
-            black_box(sums[0])
-        })
-    });
-    group.bench_function("dispatch_only/pooled", |b| {
-        b.iter(|| {
-            ektelo_matrix::pool::scope(|s| {
-                for slot in sums.iter_mut() {
-                    let d = &data;
-                    s.spawn(move || *slot = d.iter().sum());
-                }
-            });
-            black_box(sums[0])
-        })
-    });
-
-    for (label, n, blocks) in [
-        // 8 wavelet blocks over a small domain: per-call compute is tens
-        // of µs, so ~40µs of thread spawn/join is the dominant cost.
-        ("small_union", 1usize << 12, {
-            let n = 1usize << 12;
-            (0..8).map(|_| Matrix::wavelet(n)).collect::<Vec<_>>()
-        }),
-        // The arena_pool striped shape at n = 2^16: compute-bound.
-        ("large_union", 1usize << 16, {
-            let n = 1usize << 16;
-            let stripes = 64;
-            let width = n / stripes;
-            (0..stripes)
-                .map(|s| {
-                    let idx: Vec<usize> = (s * width..(s + 1) * width).collect();
-                    Matrix::product(Matrix::wavelet(width), Matrix::select_rows(n, &idx))
-                })
-                .collect::<Vec<_>>()
-        }),
-    ] {
-        let rows_per_block = blocks[0].rows();
-        let bpc = blocks.len().div_ceil(NCHUNKS);
-        let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
-        let mut out = vec![0.0; blocks.len() * rows_per_block];
-        let mut chunk_ws: Vec<Workspace> = (0..NCHUNKS)
-            .map(|_| Workspace::for_matrix(&blocks[0]))
-            .collect();
-        // Warm plans and arenas in every chunk workspace.
-        for (bchunk, ws) in blocks.chunks(bpc).zip(chunk_ws.iter_mut()) {
-            let mut tmp = vec![0.0; rows_per_block];
-            for blk in bchunk {
-                blk.matvec_into(&x, &mut tmp, ws);
-            }
-        }
-        group.bench_function(BenchmarkId::new(format!("{label}/scoped_spawn"), n), |b| {
-            b.iter(|| {
-                // xlint: allow(determinism-thread, reason = "intentional baseline arm: same chunk geometry as the pool path, timed on fresh OS threads for comparison; results are discarded")
-                std::thread::scope(|s| {
-                    for ((bchunk, ochunk), ws) in blocks
-                        .chunks(bpc)
-                        .zip(out.chunks_mut(bpc * rows_per_block))
-                        .zip(chunk_ws.iter_mut())
-                    {
-                        let x = &x;
-                        s.spawn(move || {
-                            for (blk, ospan) in bchunk.iter().zip(ochunk.chunks_mut(rows_per_block))
-                            {
-                                blk.matvec_into(x, ospan, ws);
-                            }
-                        });
-                    }
-                });
-                black_box(out[0])
-            })
-        });
-        group.bench_function(BenchmarkId::new(format!("{label}/pooled"), n), |b| {
-            b.iter(|| {
-                ektelo_matrix::pool::scope(|s| {
-                    for ((bchunk, ochunk), ws) in blocks
-                        .chunks(bpc)
-                        .zip(out.chunks_mut(bpc * rows_per_block))
-                        .zip(chunk_ws.iter_mut())
-                    {
-                        let x = &x;
-                        s.spawn(move || {
-                            for (blk, ospan) in bchunk.iter().zip(ochunk.chunks_mut(rows_per_block))
-                            {
-                                blk.matvec_into(x, ospan, ws);
-                            }
-                        });
-                    }
-                });
-                black_box(out[0])
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Kronecker fiber-walk data movement, measured both ways in one run:
 /// a column-at-a-time walk against the `KRON_PANEL`-wide
 /// `gather_panel`/`scatter_panel` pair the engine uses.
@@ -744,8 +565,6 @@ criterion_group!(
     bench_workspace_reuse,
     bench_parallel_rmatvec,
     bench_plan_cache,
-    bench_arena_pool,
-    bench_pool_executor,
     bench_core_matrices,
     bench_kron,
     bench_sensitivity,

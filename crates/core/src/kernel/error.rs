@@ -43,7 +43,7 @@ pub enum EktError {
     /// otherwise). Carries the site name. Data-independent: the schedule
     /// is operator-supplied and sites key on call counts, not data.
     FaultInjected(&'static str),
-    /// Plan execution died from a panic (a worker-job crash, a solver
+    /// Plan execution died from a panic (an exact-answer crash, a solver
     /// blow-up) that the executor caught and converted after releasing
     /// the plan's budget reservation. Carries the panic payload when it
     /// was a string. The ledger is consistent: charges issued before the

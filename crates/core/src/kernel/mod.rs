@@ -30,21 +30,21 @@ use state::{checked_eps_total, validate_eps, KernelState, Node, NodeData};
 pub struct SourceVar(pub(crate) usize);
 
 /// Upper bound on idle [`Workspace`]s the kernel retains for reuse —
-/// enough for every worker of a threaded batch plus the serial paths.
+/// enough for every session sharing the kernel.
 const WORKSPACE_POOL_CAP: usize = 32;
 
 /// Default bound on the total heap bytes idle pooled workspaces may pin
-/// (arena + per-worker pool arenas; 32 MiB). Arenas grow monotonically to
-/// the largest requirement seen, so without this bound one huge batch
-/// would pin up to [`WORKSPACE_POOL_CAP`] maximum-sized arenas for the
-/// kernel's lifetime. Oversized workspaces are shrunk on restore to fit
+/// (32 MiB). Arenas grow monotonically to the largest requirement seen,
+/// so without this bound one huge batch would pin up to
+/// [`WORKSPACE_POOL_CAP`] maximum-sized arenas for the kernel's
+/// lifetime. Oversized workspaces are shrunk on restore to fit
 /// the remaining budget (their plan fast path survives the shrink, so a
 /// shed workspace still skips re-planning when reused).
 const WORKSPACE_POOL_DEFAULT_MAX_BYTES: usize = 32 << 20;
 
 /// A pool of reusable [`Workspace`]s owned by the kernel.
 ///
-/// `vector_laplace_batch` workers (and single-shot operators like
+/// `vector_laplace_batch` (and single-shot operators like
 /// worst-approx) used to construct a fresh `Workspace` per call, paying
 /// the arena growth and plan fast-path warmup every time. The pool hands
 /// out warm workspaces instead: a checkout pops one (or creates one if
@@ -145,7 +145,7 @@ impl WorkspacePool {
 /// The protected kernel: owns the private data, the transformation graph,
 /// the budget trackers and the privacy RNG. All methods take `&self`; the
 /// state sits behind a mutex so plans can be ordinary single-threaded code
-/// while benchmark sweeps run kernels on worker threads.
+/// while concurrent sessions share one kernel.
 pub struct ProtectedKernel {
     state: Mutex<KernelState>,
     ws_pool: WorkspacePool,
@@ -314,11 +314,10 @@ impl ProtectedKernel {
         self.ws_pool.len()
     }
 
-    /// Heap bytes currently pinned by idle pooled workspaces (arena plus
-    /// per-worker pool arenas). Bounded by the pool's byte budget: a
-    /// restore that would exceed it shrinks the workspace first, so one
-    /// huge batch can no longer pin its peak arenas for the kernel's
-    /// lifetime.
+    /// Heap bytes currently pinned by idle pooled workspaces' arenas.
+    /// Bounded by the pool's byte budget: a restore that would exceed it
+    /// shrinks the workspace first, so one huge batch can no longer pin
+    /// its peak arena for the kernel's lifetime.
     pub fn workspace_pool_resident_bytes(&self) -> usize {
         self.ws_pool.resident_bytes()
     }
@@ -515,7 +514,7 @@ impl ProtectedKernel {
         stability: f64,
     ) -> Result<SourceVar> {
         // Zero-copy snapshot under the lock; the matvec — the expensive
-        // part, threaded on the pool for large trees — runs outside it.
+        // part — runs outside it.
         // Sound because node data is immutable and nodes are never
         // removed, so `sv` and its metadata cannot change in between.
         let (x, base, lineage) = {
@@ -642,17 +641,15 @@ impl ProtectedKernel {
     /// as a sequential loop of [`ProtectedKernel::vector_laplace`] calls
     /// would — same budget charges, same measurement history, and **the
     /// same noise draws in the same order**, so the answers are
-    /// bit-identical to the sequential loop for every pool size. This is
-    /// the kernel's one Laplace measurement path (a single measurement is
-    /// a batch of one). Only the charges, the noise draws and the history
-    /// records run under the state lock; the sensitivities, which depend
-    /// only on the public matrices, are computed before it, and the exact
-    /// (pre-noise) answers, which depend only on the data and not on the
-    /// privacy RNG, after the snapshot, in chunks on the pool's worker
-    /// threads (one chunk, on the caller, when `configured_parallelism()`
-    /// is 1 or the batch is small). This is the engine behind the striped
-    /// plans of §9.2: hundreds of per-stripe measurements whose matvec
-    /// work parallelizes while privacy randomness stays ordered.
+    /// bit-identical to the sequential loop. This is the kernel's one
+    /// Laplace measurement path (a single measurement is a batch of one).
+    /// Only the charges, the noise draws and the history records run
+    /// under the state lock; the sensitivities, which depend only on the
+    /// public matrices, are computed before it, and the exact (pre-noise)
+    /// answers, which depend only on the data and not on the privacy RNG,
+    /// after the snapshot. This is the engine behind the striped plans of
+    /// §9.2: hundreds of per-stripe measurements that share one workspace
+    /// and one evaluation plan per strategy shape.
     ///
     /// A matrix whose sensitivity is zero, NaN or infinite is rejected
     /// with [`EktError::InvalidArgument`] before anything is charged.
@@ -660,11 +657,10 @@ impl ProtectedKernel {
     /// Failure semantics: requests are validated and charged in order; if
     /// request `k` fails, requests `0..k` have been charged and recorded
     /// (matching the sequential loop) and `k..` have not. A *panic* in the
-    /// exact-answer phase (a worker-job crash — exercised by the
-    /// `kernel::batch_exact` / `pool::job` failpoints) is deferred until
-    /// every sibling job completes and then unwinds out of this call with
-    /// **zero** charges issued and zero history recorded: the charging
-    /// phase never ran, and the kernel's state mutex does not poison, so
+    /// exact-answer phase (exercised by the `kernel::batch_exact`
+    /// failpoint) unwinds out of this call with **zero** charges issued
+    /// and zero history recorded: the charging phase never ran, and the
+    /// kernel's state mutex is not held, so it does not poison and
     /// subsequent sessions proceed against an exactly-conserved ledger.
     pub fn vector_laplace_batch(
         &self,
@@ -729,54 +725,17 @@ impl ProtectedKernel {
                 .collect()
         };
 
-        // Phase 2 (pure compute, outside the lock): the exact answers.
-        // Each entry is independent, so chunks of valid requests evaluate
-        // on the pool. Chunk geometry comes from the process-constant
-        // configured parallelism, not the executor's current worker count,
-        // and every request fills its own slot — so the answers are
-        // bit-identical however many pool workers run the chunks, and
-        // regardless of whether a chunk is slot-dispatched or run inline
-        // on the caller.
+        // Phase 2 (pure compute, outside the lock): the exact answers,
+        // in request order, through one workspace checked out of the
+        // kernel's pool, so same-shaped stripe strategies share a single
+        // evaluation plan and the next batch finds the arena warm.
         let mut exacts: Vec<Option<Vec<f64>>> = snapshots
             .iter()
             .map(|s| s.as_ref().ok().map(|_| Vec::new()))
             .collect();
-        let nthreads = ektelo_matrix::pool::configured_parallelism();
-        let total_cells: usize = snapshots
-            .iter()
-            .filter_map(|s| s.as_ref().ok().map(|(x, _)| x.len()))
-            .sum();
-        let threaded = reqs.len() >= 2 && nthreads >= 2 && total_cells >= 4096;
-        let chunk = if threaded {
-            reqs.len().div_ceil(nthreads)
-        } else {
-            reqs.len().max(1)
-        };
-        // Each chunk reuses one Workspace across its requests, so
-        // same-shaped stripe strategies share a single evaluation plan.
-        // The workspaces are checked out here, before dispatch, and
-        // restored in reverse chunk order after the join: the next batch's
-        // pops then hand every chunk the same warm workspace, and the
-        // pool's idle count equals the chunk count on every schedule.
-        let mut wss: Vec<Workspace> = (0..reqs.len().div_ceil(chunk).max(1))
-            .map(|_| self.ws_pool.checkout())
-            .collect();
-        if threaded {
-            ektelo_matrix::pool::scope(|scope| {
-                for ((echunk, ws), (rchunk, schunk)) in exacts
-                    .chunks_mut(chunk)
-                    .zip(wss.iter_mut())
-                    .zip(reqs.chunks(chunk).zip(snapshots.chunks(chunk)))
-                {
-                    scope.spawn(move || fill_exact_answers(rchunk, schunk, echunk, ws));
-                }
-            });
-        } else {
-            fill_exact_answers(reqs, &snapshots, &mut exacts, &mut wss[0]);
-        }
-        for ws in wss.into_iter().rev() {
-            self.ws_pool.restore(ws);
-        }
+        let mut ws = self.ws_pool.checkout();
+        fill_exact_answers(reqs, &snapshots, &mut exacts, &mut ws);
+        self.ws_pool.restore(ws);
 
         // Phase 3 (sequential, under the lock): charge budgets, draw noise
         // in request order, record history — the privacy-ordered section.
@@ -967,7 +926,7 @@ impl ProtectedKernel {
     }
 
     /// Batched charge + snapshot for vetted privacy-critical operators
-    /// that thread their per-source computation (DAWA-Striped's stage 1):
+    /// that compute per source outside the lock (DAWA-Striped's stage 1):
     /// under **one** lock acquisition, charges every `(source, ε)` request
     /// in order through Algorithm 2, draws one `u64` from the privacy
     /// stream (the base of the caller's counter-based per-source RNG
@@ -1096,8 +1055,8 @@ fn sole_answer(mut answers: Vec<Vec<f64>>) -> Vec<f64> {
     answers.pop().unwrap_or_default()
 }
 
-/// Fills the exact (pre-noise) answer for every valid request slot of one
-/// chunk: `exacts[i] = reqs[i].matrix · snapshots[i].vector`. One reused
+/// Fills the exact (pre-noise) answer for every valid request slot:
+/// `exacts[i] = reqs[i].matrix · snapshots[i].vector`. One reused
 /// [`Workspace`] means same-shaped strategies (every stripe of
 /// HB-Striped) plan once. The caller checks the workspace out of the
 /// kernel's pool and restores it afterwards, so *across* batch calls the
@@ -1111,11 +1070,8 @@ fn fill_exact_answers(
 ) {
     for (e, (&(_, m, _), snap)) in exacts.iter_mut().zip(reqs.iter().zip(snapshots)) {
         if let (Some(slot), Ok((x, _))) = (e.as_mut(), snap.as_ref()) {
-            // Injected crash in the exact-answer phase: in a threaded
-            // batch this runs inside a pool job (the panic is deferred
-            // until sibling jobs finish), in a single-chunk batch it
-            // unwinds directly — either way the batch dies before any
-            // charge is issued.
+            // Injected crash in the exact-answer phase: it unwinds before
+            // any charge is issued.
             failpoints::panic_if("kernel::batch_exact");
             let mut out = vec![0.0; m.rows()];
             m.matvec_into(x, &mut out, ws);
@@ -1411,25 +1367,12 @@ mod tests {
 
     #[test]
     fn batch_is_bit_identical_to_sequential_loop() {
-        // 8 cells: a single chunk on the caller.
         let small = Matrix::vstack(vec![Matrix::identity(2), Matrix::total(2)]);
         assert_batch_matches_oracle(8, 4, &small);
-
-        // 8192 cells (≥ 4096) over 4 stripes: with a configured
-        // parallelism of 2 or more the exact answers run in chunks on
-        // the pool, and every chunk is a pool job.
+        // 8192 cells over 4 stripes.
         let stripe = 2048;
         let wide = Matrix::vstack(vec![Matrix::identity(stripe), Matrix::prefix(stripe)]);
-        let before = ektelo_matrix::pool::stats().completed;
         assert_batch_matches_oracle(4 * stripe, 4, &wide);
-        let nthreads = ektelo_matrix::pool::configured_parallelism();
-        if nthreads >= 2 {
-            let chunks = 4usize.div_ceil(4usize.div_ceil(nthreads)) as u64;
-            assert!(
-                ektelo_matrix::pool::stats().completed - before >= chunks,
-                "the threaded-chunk branch must run on the pool"
-            );
-        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! unlock→charge window at all, so a concurrent session can never take
 //! an admitted plan's budget, no matter how long a batch node computes
 //! between admission and its charges. On any failure — a typed kernel
-//! error, an injected fault, or a panic unwinding out of a worker job
-//! or solver — dropping the reservation releases exactly the unredeemed
-//! remainder: charges already issued stand, nothing else is held.
+//! error, an injected fault, or a panic unwinding out of a batch's
+//! exact-answer phase or a solver — dropping the reservation releases
+//! exactly the unredeemed remainder: charges already issued stand,
+//! nothing else is held.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -114,8 +115,8 @@ impl<'k> PlanExecutor<'k> {
     /// before the failure stand (they bought real noise draws), nothing
     /// after it is charged, and the reservation's unredeemed remainder
     /// is released — `budget_reserved()` returns to its pre-plan value.
-    /// A panic unwinding out of the plan body (a deferred worker-job
-    /// crash, a solver blow-up) is caught here and surfaced as
+    /// A panic unwinding out of the plan body (an exact-answer crash, a
+    /// solver blow-up) is caught here and surfaced as
     /// [`EktError::ExecutionPanic`] *after* the reservation is dropped,
     /// so even a crashed plan never wedges the ledger.
     pub fn run(&self, spec: &PlanSpec, input: SourceVar) -> Result<ExecReport> {
@@ -133,8 +134,8 @@ impl<'k> PlanExecutor<'k> {
             reservation,
             start: self.kernel.measurement_count(),
         };
-        // AssertUnwindSafe rests on where the panic happens. Worker jobs
-        // in a batch's compute phase and solver iterations during
+        // AssertUnwindSafe rests on where the panic happens. A batch's
+        // exact-answer phase and solver iterations during
         // inference run outside the kernel's state lock, so they leave it
         // unpoisoned, and each lock acquisition's mutations are
         // transactional: after such an unwind the kernel `run` borrows is
@@ -491,32 +492,11 @@ pub fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: 
 
 /// Builds one Greedy-H strategy per stripe from `(groups, ranges)`
 /// inputs (DAWA-Striped's per-stripe selection — pure public compute).
-/// Stripes are independent and `greedy_h` is pure, so chunks of stripes
-/// build on the persistent pool executor; results are written into
-/// per-stripe slots, so the output order (and every matrix in it) is
-/// identical to a serial build — for any pool size, whichever chunks run
-/// on workers or inline (the per-stripe slots don't care which thread
-/// filled them).
 fn build_greedy_strategies(inputs: &[(usize, Vec<(usize, usize)>)]) -> Vec<Matrix> {
-    let nthreads = ektelo_matrix::pool::configured_parallelism();
-    if inputs.len() < 2 || nthreads < 2 {
-        return inputs
-            .iter()
-            .map(|(groups, ranges)| greedy_h(*groups, ranges))
-            .collect();
-    }
-    let chunk = inputs.len().div_ceil(nthreads);
-    let mut out: Vec<Matrix> = vec![Matrix::identity(1); inputs.len()];
-    ektelo_matrix::pool::scope(|s| {
-        for (ochunk, ichunk) in out.chunks_mut(chunk).zip(inputs.chunks(chunk)) {
-            s.spawn(move || {
-                for (slot, (groups, ranges)) in ochunk.iter_mut().zip(ichunk) {
-                    *slot = greedy_h(*groups, ranges);
-                }
-            });
-        }
-    });
-    out
+    inputs
+        .iter()
+        .map(|(groups, ranges)| greedy_h(*groups, ranges))
+        .collect()
 }
 
 #[cfg(test)]

@@ -35,13 +35,15 @@ impl Default for AhpOptions {
 }
 
 /// Computes a data-adaptive partition of vector source `sv`, spending
-/// `eps`.
+/// `eps`. An empty source is rejected with `InvalidArgument` before
+/// anything is charged.
 pub fn ahp_partition(
     kernel: &ProtectedKernel,
     sv: SourceVar,
     eps: f64,
     opts: &AhpOptions,
 ) -> Result<Matrix> {
+    super::reject_empty_source(kernel, sv)?;
     kernel.charge(sv, eps)?;
     kernel.with_vector(sv, move |x, rng| {
         let n = x.len();

@@ -46,13 +46,15 @@ impl DawaOptions {
 }
 
 /// Computes DAWA's contiguous-bucket partition of the 1-D vector source
-/// `sv`, spending `eps` (the plan's stage-1 share).
+/// `sv`, spending `eps` (the plan's stage-1 share). An empty source is
+/// rejected with `InvalidArgument` before anything is charged.
 pub fn dawa_partition(
     kernel: &ProtectedKernel,
     sv: SourceVar,
     eps: f64,
     opts: &DawaOptions,
 ) -> Result<Matrix> {
+    super::reject_empty_source(kernel, sv)?;
     kernel.charge(sv, eps)?;
     let eps2 = opts.eps_stage2.max(f64::MIN_POSITIVE);
     kernel.with_vector(sv, move |x, rng| {
@@ -73,18 +75,17 @@ pub fn dawa_partition(
 /// substreams**.
 ///
 /// A sequential loop of [`dawa_partition`] calls draws its per-cell
-/// Laplace noise from the kernel's single privacy stream, which forces
-/// stage 1 to run serially. This batch form charges every stripe in
-/// stripe order and then draws **one** base value from the kernel stream
-/// (all under one lock acquisition); stripe `i` derives its own
-/// substream seed as `splitmix64(base, i)` — a pure function of (base,
-/// counter) — and runs the noisy-histogram + segmentation computation on
-/// an independent RNG. Each stripe's output is therefore independent of
-/// scheduling, so stripes compute on the pool's worker threads
-/// **bit-identically** to a sequential loop over the same substreams
-/// (pinned by a regression test). Budget-wise this is exactly
-/// the sequential loop: same charges, same order, same parallel
-/// composition across sibling stripes.
+/// Laplace noise from the kernel's single privacy stream under the state
+/// lock. This batch form charges every stripe in stripe order and then
+/// draws **one** base value from the kernel stream (all under one lock
+/// acquisition); stripe `i` derives its own substream seed as
+/// `splitmix64(base, i)` — a pure function of (base, counter) — and runs
+/// the noisy-histogram + segmentation computation on an independent RNG,
+/// outside the lock. Each stripe's output is therefore a pure function of
+/// its snapshot, the base and its index (pinned by a regression test).
+/// Budget-wise this is exactly the sequential loop: same charges, same
+/// order, same parallel composition across sibling stripes. Any empty
+/// source is rejected with `InvalidArgument` before anything is charged.
 ///
 /// Privacy: each stripe's noisy histogram uses fresh independent Laplace
 /// draws at scale `1/ε`, exactly as [`dawa_partition`]; only *which*
@@ -98,11 +99,17 @@ pub fn dawa_partition_batch(
     opts: &DawaOptions,
     res: Option<&BudgetReservation<'_>>,
 ) -> Result<Vec<Matrix>> {
+    for &sv in svs {
+        super::reject_empty_source(kernel, sv)?;
+    }
     let reqs: Vec<(SourceVar, f64)> = svs.iter().map(|&s| (s, eps)).collect();
     let (base, snaps) = kernel.charge_and_snapshot_batch(&reqs, res)?;
-    let mut out: Vec<Matrix> = vec![Matrix::identity(1); svs.len()];
-    fill_partitions(&snaps, base, eps, opts, &mut out);
-    Ok(out)
+    // Stripe `i` from substream `i`.
+    Ok(snaps
+        .iter()
+        .enumerate()
+        .map(|(i, x)| partition_one_stripe(x, substream_seed(base, i as u64), eps, opts))
+        .collect())
 }
 
 /// SplitMix64 of `base + counter` — the counter-based substream seed
@@ -116,8 +123,7 @@ fn substream_seed(base: u64, counter: u64) -> u64 {
 }
 
 /// Stage-1 selection for one stripe from its snapshot and substream seed —
-/// a pure function, which is what makes the threaded batch bit-identical
-/// to the sequential loop.
+/// a pure function of its arguments.
 fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let eps2 = opts.eps_stage2.max(f64::MIN_POSITIVE);
@@ -129,51 +135,6 @@ fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> M
     let labels = segment(&noisy, 2.0 / (eps2 * eps2), noise_var);
     let groups = labels.iter().max().map_or(1, |&m| m + 1);
     partition_from_labels(groups, &labels)
-}
-
-/// Serial reference: stripe `i` computed in order from substream `i`.
-/// The threaded path's fallback below two stripes or at
-/// `configured_parallelism() == 1`, and the comparison arm of the
-/// bit-identity regression test.
-fn fill_partitions_serial(
-    snaps: &[std::sync::Arc<Vec<f64>>],
-    base: u64,
-    eps: f64,
-    opts: &DawaOptions,
-    out: &mut [Matrix],
-) {
-    for (i, (x, slot)) in snaps.iter().zip(out.iter_mut()).enumerate() {
-        *slot = partition_one_stripe(x, substream_seed(base, i as u64), eps, opts);
-    }
-}
-
-/// Chunks of stripes compute on the persistent pool executor; each
-/// stripe's output depends only on (snapshot, base, stripe index), so the
-/// results are written into per-stripe slots bit-identically to
-/// [`fill_partitions_serial`] — for any pool size.
-fn fill_partitions(
-    snaps: &[std::sync::Arc<Vec<f64>>],
-    base: u64,
-    eps: f64,
-    opts: &DawaOptions,
-    out: &mut [Matrix],
-) {
-    let nthreads = ektelo_matrix::pool::configured_parallelism();
-    if snaps.len() < 2 || nthreads < 2 {
-        fill_partitions_serial(snaps, base, eps, opts, out);
-        return;
-    }
-    let chunk = snaps.len().div_ceil(nthreads);
-    ektelo_matrix::pool::scope(|s| {
-        for (c, (ochunk, schunk)) in out.chunks_mut(chunk).zip(snaps.chunks(chunk)).enumerate() {
-            s.spawn(move || {
-                for (i, (x, slot)) in schunk.iter().zip(ochunk.iter_mut()).enumerate() {
-                    let counter = (c * chunk + i) as u64;
-                    *slot = partition_one_stripe(x, substream_seed(base, counter), eps, opts);
-                }
-            });
-        }
-    });
 }
 
 /// Optimal segmentation into power-of-two-length buckets by DP.
@@ -284,12 +245,10 @@ mod tests {
         assert_eq!(labels, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// The threaded batch must be **bit-identical** to an explicit
-    /// sequential loop over the same counter-based substreams — charge
-    /// order, base draw, per-stripe partitions and total budget all agree.
-    /// With `configured_parallelism() >= 2` this pins the threaded path
-    /// against the serial reference; at `EKTELO_POOL_WORKERS=1` both arms
-    /// are serial and the test pins the substream protocol itself.
+    /// The batch must be **bit-identical** to an explicit sequential loop
+    /// over the same counter-based substreams — charge order, base draw,
+    /// per-stripe partitions and total budget all agree. This pins the
+    /// substream protocol, which is DAWA-Striped's noise contract.
     #[test]
     fn batch_is_bit_identical_to_sequential_substream_loop() {
         use ektelo_matrix::partition_from_labels as labels_p;
@@ -316,8 +275,11 @@ mod tests {
         let (k2, stripes2) = make();
         let reqs: Vec<(SourceVar, f64)> = stripes2.iter().map(|&s| (s, 0.5)).collect();
         let (base, snaps) = k2.charge_and_snapshot_batch(&reqs, None).unwrap();
-        let mut seq = vec![Matrix::identity(1); snaps.len()];
-        fill_partitions_serial(&snaps, base, 0.5, &opts, &mut seq);
+        let seq: Vec<Matrix> = snaps
+            .iter()
+            .enumerate()
+            .map(|(i, x)| partition_one_stripe(x, substream_seed(base, i as u64), 0.5, &opts))
+            .collect();
 
         assert_eq!(k1.budget_spent(), k2.budget_spent());
         assert_eq!(batch.len(), seq.len());
@@ -328,7 +290,7 @@ mod tests {
                 assert_eq!(
                     da.row_slice(r),
                     db.row_slice(r),
-                    "threaded batch diverged from the sequential substream loop"
+                    "batch diverged from the sequential substream loop"
                 );
             }
         }

@@ -23,6 +23,21 @@ pub use workload_based::{workload_based_partition, workload_reduction};
 
 use ektelo_matrix::Matrix;
 
+use crate::kernel::{EktError, ProtectedKernel, Result, SourceVar};
+
+/// Rejects an empty vector source before a data-adaptive selection
+/// charges for it: an empty vector has no cell to group, and selecting on
+/// it would panic after the charge. Other source errors are left to the
+/// operator's own checks, in their usual order.
+fn reject_empty_source(kernel: &ProtectedKernel, sv: SourceVar) -> Result<()> {
+    if matches!(kernel.vector_len(sv), Ok(0)) {
+        return Err(EktError::InvalidArgument(
+            "cannot select a partition of an empty vector source".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// The marginal partition over the attributes flagged `true` in `keep`:
 /// reduces the data vector to the marginal sub-vector (paper §5.4,
 /// `Marginal(attr)`). Identical in form to the marginal *workload*; as a

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection sweep (robustness acceptance gate).
 //!
 //! For each representative plan shape (baseline identity, HB, DAWA-Striped
-//! with its batched measure + pool compute, adaptive MWEM), a clean run
+//! with its batched measure, adaptive MWEM), a clean run
 //! first records how often every failpoint site is passed; the sweep then
 //! re-runs the plan on a fresh equally-seeded kernel with "fail at the
 //! k-th hit of site S" armed, for several k per site, and asserts the
@@ -19,10 +19,6 @@
 //! A final gate pins the success path: with the feature compiled in and
 //! every site armed at an unreachable hit count, results are bit-identical
 //! to the unarmed run.
-//!
-//! Assertions are schedule-independent: `pool::job`'s *total* hit count
-//! per region is invariant across pool sizes, but which job observes the
-//! k-th hit is not, so nothing here depends on which stripe died.
 
 #![cfg(feature = "failpoints")]
 
@@ -51,7 +47,6 @@ const SITES: &[&str] = &[
     "state::redeem",
     "kernel::batch_stripe",
     "kernel::batch_exact",
-    "pool::job",
     "solver::iteration",
 ];
 
@@ -284,9 +279,9 @@ fn admission_fault_leaves_zero_history() {
 }
 
 #[test]
-fn batch_worker_panic_mid_stripe_leaves_ledger_consistent() {
-    // A pool-job crash deferred out of `vector_laplace_batch`'s compute
-    // phase (the `kernel::batch_exact` site panics inside the per-stripe
+fn batch_exact_panic_mid_stripe_leaves_ledger_consistent() {
+    // A crash in `vector_laplace_batch`'s compute phase (the
+    // `kernel::batch_exact` site panics inside the per-stripe
     // exact-answer fill) unwinds before the charge phase: zero charges,
     // zero history, unpoisoned state, next sessions fully functional.
     let _guard = serial();
@@ -312,7 +307,7 @@ fn batch_worker_panic_mid_stripe_leaves_ledger_consistent() {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         k.vector_laplace_batch(&reqs)
     }));
-    assert!(outcome.is_err(), "the deferred worker panic must surface");
+    assert!(outcome.is_err(), "the exact-answer panic must surface");
     assert_eq!(
         k.budget_spent(),
         0.0,

@@ -2,7 +2,9 @@
 //! corrupting state, and never leaks data through the error itself.
 
 use ektelo_core::kernel::{EktError, ProtectedKernel};
-use ektelo_core::ops::partition::{ahp_partition, dawa_partition, AhpOptions, DawaOptions};
+use ektelo_core::ops::partition::{
+    ahp_partition, dawa_partition, dawa_partition_batch, AhpOptions, DawaOptions,
+};
 use ektelo_core::ops::selection::worst_approx;
 use ektelo_data::{Predicate, Schema, Table};
 use ektelo_matrix::Matrix;
@@ -102,6 +104,45 @@ fn invalid_partition_rejected_by_both_partition_ops() {
             Err(EktError::InvalidPartition(_))
         ));
     }
+}
+
+/// An empty vector source — split off by a partition with an empty
+/// group, or built directly — is rejected by every data-adaptive
+/// partition selection before anything is charged, and the kernel stays
+/// usable: selecting on it would panic under the state lock and poison
+/// every later kernel call.
+#[test]
+fn empty_source_partition_selection_rejected_before_charging() {
+    let k = ProtectedKernel::init_from_vector(vec![1.0, 2.0, 3.0], 1.0, 0);
+    let p = ektelo_matrix::partition_from_labels(3, &[0, 0, 2]);
+    let parts = k.split_by_partition(k.root(), &p).unwrap();
+    let empty = parts[1];
+    assert_eq!(k.vector_len(empty).unwrap(), 0);
+    let k0 = ProtectedKernel::init_from_vector(vec![], 1.0, 0);
+    for (k, empty, sibling) in [(&k, empty, Some(parts[0])), (&k0, k0.root(), None)] {
+        assert!(matches!(
+            ahp_partition(k, empty, 0.1, &AhpOptions::default()),
+            Err(EktError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            dawa_partition(k, empty, 0.1, &DawaOptions::new(0.1)),
+            Err(EktError::InvalidArgument(_))
+        ));
+        let batch: Vec<_> = sibling.into_iter().chain([empty]).collect();
+        assert!(matches!(
+            dawa_partition_batch(k, &batch, 0.1, &DawaOptions::new(0.1), None),
+            Err(EktError::InvalidArgument(_))
+        ));
+        assert_eq!(k.budget_spent(), 0.0, "a rejected selection charged");
+        assert_eq!(k.budget_reserved(), 0.0);
+    }
+    // The kernel is still usable: the non-empty stripe partitions and
+    // measures normally.
+    let sel = dawa_partition(&k, parts[0], 0.1, &DawaOptions::new(0.1)).unwrap();
+    assert_eq!(sel.cols(), 2);
+    k.vector_laplace(k.root(), &Matrix::identity(3), 0.5)
+        .unwrap();
+    assert!((k.budget_spent() - 0.6).abs() < 1e-12);
 }
 
 #[test]

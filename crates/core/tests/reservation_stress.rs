@@ -7,14 +7,17 @@
 //! the admitted plan fail with budget-exhaustion mid-run. Atomic
 //! redemption makes that impossible — so these tests assert the strong
 //! form: **an admitted reservation always redeems successfully**, no
-//! matter what the other sessions do, at any pool size (CI runs this
-//! under `EKTELO_POOL_WORKERS=1` and `4`).
+//! matter what the other sessions do.
 //!
-//! All concurrency goes through `pool::scope` — the workspace's one
-//! sanctioned thread owner (xlint's determinism-thread rule).
+//! Each session runs on its own OS thread (`std::thread::scope`), and
+//! every race asserts that at least two distinct threads took part, so
+//! the suite cannot silently degrade to a sequential loop.
+
+use std::sync::Barrier;
+use std::thread::ThreadId;
 
 use ektelo_core::kernel::ProtectedKernel;
-use ektelo_matrix::{pool, Matrix};
+use ektelo_matrix::Matrix;
 
 const N: usize = 16;
 const EPS_TOTAL: f64 = 1.0;
@@ -32,29 +35,49 @@ enum Outcome {
     Redeemed,
 }
 
-/// Races `sessions` jobs, each reserving `eps_each` and then redeeming
-/// `redeem` of it before dropping the remainder. Returns the outcomes.
+/// Runs `session` once per slot, each on its own OS thread released
+/// together by a barrier, and asserts that at least two distinct threads
+/// ran.
+fn on_threads<T: Send>(slots: &mut [T], session: impl Fn(&mut T) + Sync) {
+    let mut ids: Vec<Option<ThreadId>> = vec![None; slots.len()];
+    let session = &session;
+    let start = &Barrier::new(slots.len());
+    // xlint: allow(determinism-thread, reason = "test: the reservation ledger must conserve under sessions racing on real OS threads")
+    std::thread::scope(|s| {
+        for (slot, id) in slots.iter_mut().zip(ids.iter_mut()) {
+            s.spawn(move || {
+                *id = Some(std::thread::current().id());
+                start.wait();
+                session(slot);
+            });
+        }
+    });
+    let ids: Vec<ThreadId> = ids.into_iter().flatten().collect();
+    assert!(
+        ids.len() == slots.len() && ids.iter().any(|&id| id != ids[0]),
+        "the sessions must run on at least two OS threads"
+    );
+}
+
+/// Races `sessions` sessions, each reserving `eps_each` and then
+/// redeeming `redeem` of it before dropping the remainder. Returns the
+/// outcomes.
 fn race(k: &ProtectedKernel, sessions: usize, eps_each: f64, redeem: f64) -> Vec<Outcome> {
     let m = Matrix::identity(N);
     let mut outcomes = vec![Outcome::NotRun; sessions];
-    pool::scope(|s| {
-        for slot in outcomes.iter_mut() {
-            let m = &m;
-            s.spawn(move || {
-                *slot = match k.reserve_budget(eps_each) {
-                    Err(_) => Outcome::Rejected,
-                    Ok(res) => {
-                        // The regression under test: an admitted hold
-                        // must be redeemable regardless of racing
-                        // siblings.
-                        res.vector_laplace(k.root(), m, redeem)
-                            .expect("admitted reservation starved of its own budget");
-                        assert_eq!(res.charged(), redeem);
-                        Outcome::Redeemed
-                    }
-                };
-            });
-        }
+    on_threads(&mut outcomes, |slot| {
+        *slot = match k.reserve_budget(eps_each) {
+            Err(_) => Outcome::Rejected,
+            Ok(res) => {
+                // The regression under test: an admitted hold
+                // must be redeemable regardless of racing
+                // siblings.
+                res.vector_laplace(k.root(), &m, redeem)
+                    .expect("admitted reservation starved of its own budget");
+                assert_eq!(res.charged(), redeem);
+                Outcome::Redeemed
+            }
+        };
     });
     outcomes
 }
@@ -121,14 +144,10 @@ fn dropped_without_redeeming_releases_the_full_hold() {
     // Reservations that die before any charge (the plan failed early)
     // must return their entire hold.
     let k = kernel();
-    pool::scope(|s| {
-        for _ in 0..8 {
-            s.spawn(|| {
-                let res = k.reserve_budget(0.125).expect("8 × 0.125 = 1.0 fits");
-                assert_eq!(res.charged(), 0.0);
-                drop(res);
-            });
-        }
+    on_threads(&mut [(); 8], |_| {
+        let res = k.reserve_budget(0.125).expect("8 × 0.125 = 1.0 fits");
+        assert_eq!(res.charged(), 0.0);
+        drop(res);
     });
     assert_conserved(&k, 0.0);
 }

@@ -15,30 +15,16 @@
 //! (`Workspace::shed_to`), keeping its plan fast path; the second half of
 //! this suite gates exactly that.
 //!
-//! Every assertion here is schedule-independent: the batch checks out one
-//! workspace per chunk before dispatch and restores them in reverse chunk
-//! order after the join, so the idle count after a batch is exactly the
-//! chunk count, and each chunk gets the same warm workspace back next
-//! time, however the chunks overlapped in time (or ran inline).
+//! A batch checks out exactly one workspace, evaluates every request
+//! through it and restores it afterwards, so the idle count after a batch
+//! is exactly one, and the next batch gets the same warm workspace back.
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
-use ektelo_matrix::{partition_from_labels, pool, Matrix};
+use ektelo_matrix::{partition_from_labels, Matrix};
 
-/// Cells per stripe — big enough that the batch's threaded path engages
-/// its worker threads whenever `configured_parallelism() >= 2`.
+/// Cells per stripe.
 const STRIPE: usize = 1 << 12;
 const STRIPES: usize = 8;
-
-/// Chunks a batch over all stripes splits into: the kernel's geometry
-/// from the process-constant configured parallelism.
-fn batch_chunks() -> usize {
-    let p = pool::configured_parallelism();
-    if p < 2 {
-        1
-    } else {
-        STRIPES.div_ceil(STRIPES.div_ceil(p))
-    }
-}
 
 fn striped_kernel() -> (ProtectedKernel, Vec<SourceVar>) {
     let n = STRIPE * STRIPES;
@@ -63,9 +49,8 @@ fn batch_calls_reuse_kernel_owned_workspaces() {
     k.vector_laplace_batch(&reqs).unwrap();
     let warm = k.workspace_pool_len();
     assert_eq!(
-        warm,
-        batch_chunks(),
-        "the batch must return one workspace per chunk to the pool"
+        warm, 1,
+        "the batch must return its one workspace to the pool"
     );
 
     for _ in 0..5 {
@@ -87,7 +72,7 @@ fn pool_residency_stays_under_the_byte_budget() {
     let (k, stripes) = striped_kernel();
     // 64 KiB budget: far below what the batch's workspaces want (a
     // product strategy over 2^12-cell stripes needs a 2^12-scalar
-    // intermediate per workspace — 32 KiB each — plus worker arenas).
+    // intermediate per workspace — 32 KiB each).
     let budget = 64 * 1024;
     k.set_workspace_pool_max_bytes(budget);
     let strategy = Matrix::product(Matrix::prefix(STRIPE), Matrix::wavelet(STRIPE));

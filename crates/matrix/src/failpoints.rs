@@ -3,12 +3,13 @@
 //! Robustness claims about the budget ledger are only as good as the
 //! failure paths that have actually been executed, so the engine declares
 //! named failpoints at every place a plan can die mid-flight: reservation
-//! admission, each charging class, batch mid-stripe, pool-job dispatch and
-//! solver iterations. A test (or an operator running a chaos drill)
-//! schedules "fail at the k-th hit of site S" and the site either returns
-//! `true` from [`triggered`] (the caller maps that to a typed error) or
-//! panics via [`panic_if`] (for sites modelling crashes inside code that
-//! has no error channel, e.g. pool jobs).
+//! admission, each charging class, batch mid-stripe, the batch's
+//! exact-answer phase and solver iterations. A test (or an operator
+//! running a chaos drill) schedules "fail at the k-th hit of site S" and
+//! the site either returns `true` from [`triggered`] (the caller maps that
+//! to a typed error) or panics via [`panic_if`] (for sites modelling
+//! crashes inside code that has no error channel, e.g. a matrix
+//! evaluation).
 //!
 //! Design constraints, in order:
 //!
@@ -21,10 +22,6 @@
 //! * **Deterministic.** Sites are keyed by name; a schedule arms "the
 //!   n-th hit" with hits counted from the arming point. No clocks, no
 //!   RNG, no probabilities — the same program run hits the same fault.
-//!   (Sites inside concurrently-executing pool jobs have a deterministic
-//!   *total* hit count, but which particular job observes the n-th hit
-//!   depends on worker interleaving; assertions about such faults must be
-//!   schedule-independent.)
 //! * **Schedules are test/ops-surface only.** The mutation API
 //!   (`arm`, `clear` — compiled only with the feature) must never be
 //!   called from library code — xlint's
@@ -49,7 +46,6 @@ pub const SITES: &[&str] = &[
     "state::redeem",
     "kernel::batch_stripe",
     "kernel::batch_exact",
-    "pool::job",
     "solver::iteration",
 ];
 
@@ -127,8 +123,8 @@ mod imp {
     }
 
     /// Panics when a schedule armed this hit of `site` — for sites that
-    /// model crashes in code without an error channel (pool jobs, solver
-    /// inner loops). The payload names the site so tests can assert which
+    /// model crashes in code without an error channel (exact-answer
+    /// evaluation, solver inner loops). The payload names the site so tests can assert which
     /// fault fired.
     pub fn panic_if(site: &'static str) {
         if triggered(site) {

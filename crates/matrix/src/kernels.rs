@@ -21,17 +21,11 @@
 //!   mul-then-add). Any other loop that performs the same per-element
 //!   sequence — such as the N-ary Kronecker panel kernels in `kron.rs` —
 //!   is **bit-identical** to them.
-//! * **Reassociating** reductions ([`dot`], [`sum`], [`sumsq`], [`norm2`]
-//!   built on them, and [`par_dot`]) produce a result that depends on the
-//!   summation order. The first four sum left to right. [`par_dot`] sums
-//!   fixed chunks and merges the partials in chunk order, so it agrees
-//!   with [`dot`] only to rounding (relative error `O(n·ε)`). Its chunk
-//!   geometry comes from [`crate::pool::configured_parallelism`] (a
-//!   process constant), so it is still bit-identical for every pool size,
-//!   including 0. Changing any reduction's order is a tolerance change:
-//!   declare it here and test it in `proptest_kernels.rs`.
-
-use crate::pool;
+//! * **Reassociating** reductions ([`dot`], [`sum`], [`sumsq`] and
+//!   [`norm2`] built on them) produce a result that depends on the
+//!   summation order. All of them sum left to right, on the caller.
+//!   Changing any reduction's order is a tolerance change: declare it
+//!   here and test it in `proptest_kernels.rs`.
 
 /// Columns gathered per pass by the Kronecker fiber walk (the per-fiber
 /// evaluation of factors that have no panel kernel).
@@ -236,54 +230,6 @@ pub fn scatter_panel(panel: &[f64], rows: usize, out: &mut [f64], stride: usize,
     }
 }
 
-/// Minimum vector length before [`par_dot`] splits across the pool;
-/// below it the dispatch overhead exceeds the arithmetic.
-const PAR_DOT_MIN: usize = 1 << 15;
-
-/// Inner product with pool-threaded chunk reduction.
-///
-/// The vector is split into [`pool::configured_parallelism`] fixed chunks
-/// (a process constant — **not** the live worker count), each chunk's
-/// partial is computed with [`dot`] by one
-/// [`pool::scope`] job writing its own slot of a stack partials array,
-/// and the partials are summed on the caller in fixed chunk order.
-/// Changing [`pool::set_workers`] therefore never changes the result: it is bit-identical for every pool size,
-/// including 0 (everything inline), and whichever chunks overflow inline
-/// when no worker is idle — that moves chunks but never reorders the
-/// caller-side sum. Short vectors skip the pool entirely and return
-/// `dot(a, b)`. Allocation-free: partials live in a stack array and the
-/// pool copies each job into a preallocated slot.
-///
-/// WARM: allocation-free by contract — partials live in a stack array and
-/// pool dispatch is allocation-free (xlint `warm-path-alloc`).
-///
-/// CLASS: reassociating
-pub fn par_dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "par_dot length mismatch");
-    let n = a.len();
-    let k = pool::configured_parallelism();
-    if n < PAR_DOT_MIN || k < 2 {
-        return dot(a, b);
-    }
-    let chunk = n.div_ceil(k);
-    let nchunks = n.div_ceil(chunk);
-    let mut partials = [0.0f64; pool::MAX_WORKERS];
-    pool::scope(|s| {
-        for (c, p) in partials.iter_mut().take(nchunks).enumerate() {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            let (ac, bc) = (&a[lo..hi], &b[lo..hi]);
-            s.spawn(move || *p = dot(ac, bc));
-        }
-    });
-    // Fixed-order sequential merge of the fixed-geometry partials.
-    let mut s = 0.0;
-    for &p in &partials[..nchunks] {
-        s += p;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,26 +344,5 @@ mod tests {
                 assert_eq!(out[i * stride + 2 + j], t[i * stride + 2 + j]);
             }
         }
-    }
-
-    #[test]
-    fn par_dot_matches_fixed_chunk_reference() {
-        let n = PAR_DOT_MIN + 37;
-        let (a, b) = data(n);
-        let k = pool::configured_parallelism();
-        let got = par_dot(&a, &b);
-        if k < 2 {
-            assert_eq!(got.to_bits(), dot(&a, &b).to_bits());
-            return;
-        }
-        let chunk = n.div_ceil(k);
-        let mut expect = 0.0;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            expect += dot(&a[lo..hi], &b[lo..hi]);
-            lo = hi;
-        }
-        assert_eq!(got.to_bits(), expect.to_bits());
     }
 }

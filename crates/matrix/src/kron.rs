@@ -8,8 +8,7 @@
 //! `outer × m_k × inner` one, where `outer` and `inner` are the products
 //! of the dimensions before and after mode `k`. The planner
 //! ([`crate::plan`]) flattens the chain into one [`ModesPlan`] and records
-//! each mode's geometry, its ping-pong buffer and its pool chunking;
-//! [`kron_apply`] walks it.
+//! each mode's geometry and its ping-pong buffer; [`kron_apply`] walks it.
 //!
 //! * **Order.** Factors apply from last to first in both directions —
 //!   the order the binary recursion (`kron_matvec`, the unplanned
@@ -32,19 +31,11 @@
 //! * **Buffers.** Modes ping-pong between the caller's `out` and scratch
 //!   buffers chosen at plan time so that the last mode writes `out`; the
 //!   first mode reads `x` directly.
-//! * **Threads.** Above the plan-time work threshold a mode is split into
-//!   fixed chunks — over `outer` when it has several blocks, otherwise
-//!   over column ranges of `inner`. Chunk geometry comes from
-//!   [`crate::pool::configured_parallelism`] and every chunk writes its
-//!   own disjoint elements, so results are bit-identical at every pool
-//!   size. Panel chunks need no scratch; fiber-walk chunks borrow a
-//!   per-worker arena from the workspace pool.
 
 use std::marker::PhantomData;
 
 use crate::kernels::{self, KRON_PANEL};
 use crate::plan::NodePlan;
-use crate::workspace::ArenaPool;
 use crate::{DenseMatrix, Matrix};
 
 /// Columns a stack-resident accumulator tile covers (512 bytes).
@@ -116,10 +107,7 @@ pub(crate) struct Step {
     pub n_out: usize,
     /// Where the mode writes (unused for skipped factors).
     pub slot: Slot,
-    /// Blocks (or, when `outer == 1`, columns) per pool chunk; `0` = serial.
-    pub chunk: usize,
-    /// Scratch the fiber walk draws (serially, or per chunk from the
-    /// worker arena); `0` for panel factors.
+    /// Scratch the fiber walk draws; `0` for panel factors.
     pub extra: usize,
 }
 
@@ -216,7 +204,6 @@ fn for_each_factor_rev<'m>(m: &'m Matrix, f: &mut impl FnMut(&'m Matrix)) {
 
 /// Evaluates the Kronecker chain `node` planned as `kp` in direction
 /// `dir`. `scratch` must hold the direction's `Sweep::scratch` scalars.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kron_apply(
     node: &Matrix,
     kp: &ModesPlan,
@@ -224,7 +211,6 @@ pub(crate) fn kron_apply(
     x: &[f64],
     out: &mut [f64],
     scratch: &mut [f64],
-    pool: &mut ArenaPool,
 ) {
     let sweep = match dir {
         Dir::Fwd => &kp.fwd,
@@ -251,7 +237,7 @@ pub(crate) fn kron_apply(
             step.n_out,
             step.inner,
         );
-        run_step(f, apply, t, step, s, d, &mut *rest, &mut *pool);
+        apply_mode(f, apply, t, s, d, &mut rest[..step.extra]);
         src = step.slot;
     });
     match (dir, src) {
@@ -289,73 +275,12 @@ fn pick<'s>(
     }
 }
 
-/// Applies one mode, serially or in the plan's fixed pool chunks.
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    f: &Matrix,
-    apply: &Apply,
-    t: bool,
-    step: &Step,
-    src: Src<'_>,
-    dst: Dst<'_>,
-    scratch: &mut [f64],
-    pool: &mut ArenaPool,
-) {
-    if step.chunk == 0 || pool.is_nested() {
-        apply_mode(f, apply, t, src, dst, &mut scratch[..step.extra], pool);
-        return;
-    }
-    let by_cols = step.outer == 1;
-    let total = if by_cols { step.inner } else { step.outer };
-    let nchunks = total.div_ceil(step.chunk);
-    let arenas: &mut [Vec<f64>] = if step.extra > 0 {
-        pool.arenas(nchunks, step.extra)
-    } else {
-        &mut []
-    };
-    let mut arenas = arenas.iter_mut();
-    crate::pool::scope(|s| {
-        let mut rest = dst;
-        let mut at = 0;
-        while at < total {
-            let len = step.chunk.min(total - at);
-            let (head, tail) = if by_cols {
-                rest.split_cols(len)
-            } else {
-                rest.split_blocks(len)
-            };
-            rest = tail;
-            let src = if by_cols {
-                src.cols(at, len)
-            } else {
-                src.blocks(at, len)
-            };
-            let scratch: &mut [f64] = match arenas.next() {
-                Some(arena) => &mut arena[..step.extra],
-                None => &mut [],
-            };
-            s.spawn(move || {
-                let mut wpool = ArenaPool::for_worker();
-                apply_mode(f, apply, t, src, head, scratch, &mut wpool);
-            });
-            at += len;
-        }
-    });
-}
-
-fn apply_mode(
-    f: &Matrix,
-    apply: &Apply,
-    t: bool,
-    src: Src<'_>,
-    dst: Dst<'_>,
-    scratch: &mut [f64],
-    pool: &mut ArenaPool,
-) {
+/// Applies one factor along its mode.
+fn apply_mode(f: &Matrix, apply: &Apply, t: bool, src: Src<'_>, dst: Dst<'_>, scratch: &mut [f64]) {
     match apply {
         Apply::Panel if t => panel_bwd(f, src, dst),
         Apply::Panel => panel_fwd(f, src, dst),
-        Apply::Fiber { plan, .. } => fiber(f, plan, t, src, dst, scratch, pool),
+        Apply::Fiber { plan, .. } => fiber(f, plan, t, src, dst, scratch),
         Apply::Skip => unreachable!("skipped factors are never applied"),
     }
 }
@@ -405,24 +330,6 @@ impl<'a> Src<'a> {
         }
     }
 
-    /// Columns `c0 .. c0 + width` of every row.
-    fn cols(&self, c0: usize, width: usize) -> Self {
-        Src {
-            data: &self.data[c0..],
-            width,
-            ..*self
-        }
-    }
-
-    /// Blocks `o0 .. o0 + blocks`.
-    fn blocks(&self, o0: usize, blocks: usize) -> Self {
-        Src {
-            data: &self.data[o0 * self.block..],
-            blocks,
-            ..*self
-        }
-    }
-
     /// Whether each block is one contiguous run (rows unsplit).
     fn contiguous(&self) -> bool {
         self.row == self.width
@@ -439,14 +346,13 @@ impl<'a> Src<'a> {
 /// Exclusive view of a `blocks × rows × width` panel inside a borrowed
 /// buffer: element `(o, r, c)` sits at `ptr + o·block + r·row + c`.
 ///
-/// Pool chunks that split a mode by *column ranges* each own a strided
-/// set of elements no `&mut [f64]` split can express; this view is that
-/// split. Invariants, kept by every constructor: `row ≥ width`,
-/// `block ≥ rows·row`, and every in-range `(o, r, c)` addresses an
-/// element of the buffer borrowed for `'a`. Views made by
-/// [`Dst::split_blocks`], [`Dst::split_cols`] and [`Dst::rows`] address
-/// disjoint element sets, and `rows` borrows its parent mutably, so no
-/// element is ever reachable through two live views.
+/// A `Union` factor's block owns the same row range of *every* block of
+/// the panel, a strided set of elements no `&mut [f64]` split can
+/// express; [`Dst::rows`] is that split. Invariants, kept by every
+/// constructor: `row ≥ width`, `block ≥ rows·row`, and every in-range
+/// `(o, r, c)` addresses an element of the buffer borrowed for `'a`.
+/// `rows` borrows its parent mutably, so no element is ever reachable
+/// through two live views.
 struct Dst<'a> {
     ptr: *mut f64,
     blocks: usize,
@@ -456,11 +362,6 @@ struct Dst<'a> {
     row: usize,
     _buf: PhantomData<&'a mut [f64]>,
 }
-
-// SAFETY: a `Dst` is an exclusive borrow of the elements it addresses —
-// the same access a `&mut [f64]` grants, which is `Send`; views sent to
-// different workers address disjoint elements (see the type's invariants).
-unsafe impl Send for Dst<'_> {}
 
 impl<'a> Dst<'a> {
     /// The contiguous `blocks × rows × width` tensor `data`.
@@ -553,30 +454,6 @@ impl<'a> Dst<'a> {
             _buf: PhantomData,
             ..*self
         }
-    }
-
-    /// Blocks `..at` and `at..`.
-    fn split_blocks(self, at: usize) -> (Dst<'a>, Dst<'a>) {
-        assert!(at <= self.blocks, "panel split out of range");
-        let tail = Dst {
-            ptr: self.ptr.wrapping_add(at * self.block),
-            blocks: self.blocks - at,
-            _buf: PhantomData,
-            ..self
-        };
-        (Dst { blocks: at, ..self }, tail)
-    }
-
-    /// Columns `..at` and `at..` of every row.
-    fn split_cols(self, at: usize) -> (Dst<'a>, Dst<'a>) {
-        assert!(at <= self.width, "panel split out of range");
-        let tail = Dst {
-            ptr: self.ptr.wrapping_add(at),
-            width: self.width - at,
-            _buf: PhantomData,
-            ..self
-        };
-        (Dst { width: at, ..self }, tail)
     }
 
     fn fill(&mut self, v: f64) {
@@ -960,19 +837,18 @@ fn fiber(
     src: Src<'_>,
     mut dst: Dst<'_>,
     scratch: &mut [f64],
-    pool: &mut ArenaPool,
 ) {
-    let eval = |x: &[f64], out: &mut [f64], scratch: &mut [f64], pool: &mut ArenaPool| {
+    let eval = |x: &[f64], out: &mut [f64], scratch: &mut [f64]| {
         if t {
-            f.rmatvec_plan(plan, x, out, scratch, pool)
+            f.rmatvec_plan(plan, x, out, scratch)
         } else {
-            f.matvec_plan(plan, x, out, scratch, pool)
+            f.matvec_plan(plan, x, out, scratch)
         }
     };
     let (n_in, n_out, w) = (src.rows, dst.rows, src.width);
     if w == 1 && src.contiguous() {
         for o in 0..src.blocks {
-            eval(src.block(o), dst.block(o), scratch, pool);
+            eval(src.block(o), dst.block(o), scratch);
         }
         return;
     }
@@ -992,7 +868,7 @@ fn fiber(
             }
             for j in 0..k {
                 let col = &cols[j * n_in..(j + 1) * n_in];
-                eval(col, &mut ocols[j * n_out..(j + 1) * n_out], rest, pool);
+                eval(col, &mut ocols[j * n_out..(j + 1) * n_out], rest);
             }
             for r in 0..n_out {
                 let row = &mut dst.line(o, r)[q..q + k];

@@ -14,25 +14,14 @@
 //! [`Matrix::rmatvec`] remain as thin allocating wrappers with unchanged
 //! semantics.
 //!
-//! Plan-time chunk decisions drive multi-threaded evaluation in **both**
-//! directions: `Union` blocks in the forward direction and `Union`
-//! scatter-adds in the transpose direction (per-worker accumulators
-//! merged in fixed chunk order at the barrier), plus each Kronecker mode,
-//! split over its outer blocks or inner column ranges in either
-//! direction. Chunk counts
-//! are fixed when the plan is built, so threaded results are deterministic
-//! run-to-run. Chunks execute on the persistent [`crate::pool`] executor
-//! (parked workers, preallocated job slots; the offline build environment
-//! has no rayon) and borrow their scratch — and, in the scatter
-//! direction, their private accumulators — from the workspace's per-worker
-//! [`crate::workspace::ArenaPool`] (sized at plan time), so the warm
-//! threaded paths perform zero allocations *and* zero thread creation.
+//! Evaluation is single-threaded: every node runs on the caller in one
+//! fixed order, so a result depends only on the matrix and its input,
+//! never on the machine's core count.
 
 use crate::kernels;
 use crate::kron::{kron_apply, Dir};
 use crate::plan::{ChainPlan, NodePlan};
 use crate::wavelet::{wavelet_matvec, wavelet_rmatvec};
-use crate::workspace::ArenaPool;
 use crate::{Matrix, Workspace};
 
 impl Matrix {
@@ -56,8 +45,8 @@ impl Matrix {
 
     /// `out = A · x`, drawing all transient storage from `ws`.
     ///
-    /// The first call plans the evaluation and reserves the arena (and the
-    /// threaded worker pool) for every product direction at once; repeated
+    /// The first call plans the evaluation and reserves the arena for this
+    /// product direction; repeated
     /// calls are pure computation — zero heap allocations *and* zero
     /// planning-pass tree walks.
     ///
@@ -76,8 +65,7 @@ impl Matrix {
         // directions for solvers that alternate.)
         // xlint: allow(warm-path-alloc, reason = "arena reservation boundary: grows the workspace arena only up to the planned requirement on first use; steady-state calls are a bounds check")
         ws.reserve(plan.mv_scratch);
-        let (scratch, pool) = ws.carve(plan.mv_scratch, plan.pool_workers, plan.pool_arena);
-        self.matvec_plan(&plan.root, x, out, scratch, pool);
+        self.matvec_plan(&plan.root, x, out, ws.carve(plan.mv_scratch));
     }
 
     /// `out = Aᵀ · y`, drawing all transient storage from `ws`.
@@ -91,8 +79,7 @@ impl Matrix {
         assert_eq!(out.len(), plan.cols, "rmatvec: out has wrong length");
         // xlint: allow(warm-path-alloc, reason = "arena reservation boundary: grows the workspace arena only up to the planned requirement on first use; steady-state calls are a bounds check")
         ws.reserve(plan.rmv_scratch);
-        let (scratch, pool) = ws.carve(plan.rmv_scratch, plan.pool_workers, plan.pool_arena);
-        self.rmatvec_plan(&plan.root, y, out, scratch, pool);
+        self.rmatvec_plan(&plan.root, y, out, ws.carve(plan.rmv_scratch));
     }
 
     /// `out += Aᵀ · y` — the accumulating variant of
@@ -110,8 +97,7 @@ impl Matrix {
         assert_eq!(out.len(), plan.cols, "rmatvec_add: out has wrong length");
         // xlint: allow(warm-path-alloc, reason = "arena reservation boundary: grows the workspace arena only up to the planned requirement on first use; steady-state calls are a bounds check")
         ws.reserve(plan.rmva_scratch);
-        let (scratch, pool) = ws.carve(plan.rmva_scratch, plan.pool_workers, plan.pool_arena);
-        self.rmatvec_add_plan(&plan.root, y, out, scratch, pool);
+        self.rmatvec_add_plan(&plan.root, y, out, ws.carve(plan.rmva_scratch));
     }
 
     // ------------------------------------------------------------------
@@ -119,42 +105,34 @@ impl Matrix {
     // ------------------------------------------------------------------
 
     /// Planned worker for `out = A·x`. `scratch` must hold the plan's
-    /// `mv_scratch` scalars; combinator nodes read split offsets and chunk
-    /// decisions from `plan` instead of re-deriving them from the tree,
-    /// and parallel regions borrow worker arenas from `pool`.
+    /// `mv_scratch` scalars; combinator nodes read split offsets from
+    /// `plan` instead of re-deriving them from the tree.
     pub(crate) fn matvec_plan(
         &self,
         plan: &NodePlan,
         x: &[f64],
         out: &mut [f64],
         scratch: &mut [f64],
-        pool: &mut ArenaPool,
     ) {
         match (self, plan) {
             (m, NodePlan::Leaf) => m.matvec_rec(x, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
-                if up.par_fwd_chunk > 0 && !pool.is_nested() {
-                    parallel::union_matvec(blocks, up, x, out, pool);
-                    return;
-                }
                 let mut offset = 0;
                 for ((b, bp), &m) in blocks.iter().zip(&up.blocks).zip(&up.block_rows) {
-                    b.matvec_plan(&bp.root, x, &mut out[offset..offset + m], scratch, pool);
+                    b.matvec_plan(&bp.root, x, &mut out[offset..offset + m], scratch);
                     offset += m;
                 }
             }
-            (m @ Matrix::Product(..), NodePlan::Chain(cp)) => {
-                chain_matvec(m, cp, x, out, scratch, pool)
-            }
+            (m @ Matrix::Product(..), NodePlan::Chain(cp)) => chain_matvec(m, cp, x, out, scratch),
             (m @ Matrix::Kronecker(..), NodePlan::Kron(kp)) => {
-                kron_apply(m, kp, Dir::Fwd, x, out, scratch, pool)
+                kron_apply(m, kp, Dir::Fwd, x, out, scratch)
             }
             (Matrix::Scaled(c, a), NodePlan::Scaled { child, .. }) => {
-                a.matvec_plan(child, x, out, scratch, pool);
+                a.matvec_plan(child, x, out, scratch);
                 kernels::scale(out, *c);
             }
             (Matrix::Transpose(a), NodePlan::Transpose { child, .. }) => {
-                a.rmatvec_plan(child, x, out, scratch, pool)
+                a.rmatvec_plan(child, x, out, scratch)
             }
             _ => unreachable!(
                 "evaluation plan does not match matrix structure (shape-fingerprint collision)"
@@ -169,35 +147,30 @@ impl Matrix {
         y: &[f64],
         out: &mut [f64],
         scratch: &mut [f64],
-        pool: &mut ArenaPool,
     ) {
         match (self, plan) {
             (m, NodePlan::Leaf) => m.rmatvec_rec(y, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
                 // Unionᵀ is a horizontal stack: contributions accumulate.
                 out.fill(0.0);
-                if up.par_bwd_chunk > 0 && !pool.is_nested() {
-                    parallel::union_rmatvec_add(blocks, up, y, out, pool);
-                    return;
-                }
                 let mut offset = 0;
                 for ((b, bp), &m) in blocks.iter().zip(&up.blocks).zip(&up.block_rows) {
-                    b.rmatvec_add_plan(&bp.root, &y[offset..offset + m], out, scratch, pool);
+                    b.rmatvec_add_plan(&bp.root, &y[offset..offset + m], out, scratch);
                     offset += m;
                 }
             }
             (m @ Matrix::Product(..), NodePlan::Chain(cp)) => {
-                chain_bwd(m, cp, y, out, scratch, pool, false)
+                chain_bwd(m, cp, y, out, scratch, false)
             }
             (m @ Matrix::Kronecker(..), NodePlan::Kron(kp)) => {
-                kron_apply(m, kp, Dir::Bwd, y, out, scratch, pool)
+                kron_apply(m, kp, Dir::Bwd, y, out, scratch)
             }
             (Matrix::Scaled(c, a), NodePlan::Scaled { child, .. }) => {
-                a.rmatvec_plan(child, y, out, scratch, pool);
+                a.rmatvec_plan(child, y, out, scratch);
                 kernels::scale(out, *c);
             }
             (Matrix::Transpose(a), NodePlan::Transpose { child, .. }) => {
-                a.matvec_plan(child, y, out, scratch, pool)
+                a.matvec_plan(child, y, out, scratch)
             }
             _ => unreachable!(
                 "evaluation plan does not match matrix structure (shape-fingerprint collision)"
@@ -212,38 +185,33 @@ impl Matrix {
         y: &[f64],
         out: &mut [f64],
         scratch: &mut [f64],
-        pool: &mut ArenaPool,
     ) {
         match (self, plan) {
             (m, NodePlan::Leaf) => m.rmatvec_add_rec(y, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
-                if up.par_bwd_chunk > 0 && !pool.is_nested() {
-                    parallel::union_rmatvec_add(blocks, up, y, out, pool);
-                    return;
-                }
                 let mut offset = 0;
                 for ((b, bp), &m) in blocks.iter().zip(&up.blocks).zip(&up.block_rows) {
-                    b.rmatvec_add_plan(&bp.root, &y[offset..offset + m], out, scratch, pool);
+                    b.rmatvec_add_plan(&bp.root, &y[offset..offset + m], out, scratch);
                     offset += m;
                 }
             }
             (m @ Matrix::Product(..), NodePlan::Chain(cp)) => {
-                chain_bwd(m, cp, y, out, scratch, pool, true)
+                chain_bwd(m, cp, y, out, scratch, true)
             }
             (Matrix::Scaled(c, a), NodePlan::Scaled { rows, child }) => {
                 debug_assert_eq!(y.len(), *rows);
                 let (scaled, rest) = scratch.split_at_mut(*rows);
                 kernels::scale_into(scaled, *c, y);
-                a.rmatvec_add_plan(child, scaled, out, rest, pool);
+                a.rmatvec_add_plan(child, scaled, out, rest);
             }
             (Matrix::Transpose(a), NodePlan::Transpose { child_rows, child }) => {
                 // (Aᵀ)ᵀ y = A y, accumulated.
                 let (t, rest) = scratch.split_at_mut(*child_rows);
-                a.matvec_plan(child, y, t, rest, pool);
+                a.matvec_plan(child, y, t, rest);
                 kernels::add_assign(out, t);
             }
             (m @ Matrix::Kronecker(..), NodePlan::Kron(kp)) => {
-                kron_apply(m, kp, Dir::BwdAdd, y, out, scratch, pool)
+                kron_apply(m, kp, Dir::BwdAdd, y, out, scratch)
             }
             _ => unreachable!(
                 "evaluation plan does not match matrix structure (shape-fingerprint collision)"
@@ -258,8 +226,7 @@ impl Matrix {
     /// Recursive worker for `out = A·x`. `scratch` must hold at least
     /// [`Matrix::matvec_scratch`] scalars; nodes carve what they need off
     /// the front and pass the rest down. This is the serial reference
-    /// engine: the planned path delegates leaf evaluation here and parallel
-    /// workers never re-enter it with combinator nodes.
+    /// engine: the planned path delegates leaf evaluation here.
     pub(crate) fn matvec_rec(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         match self {
             Matrix::Dense(d) => d.matvec_into(x, out),
@@ -397,23 +364,16 @@ impl Matrix {
 /// recursion (each factor applied once, innermost first), so results are
 /// bit-identical — only the intermediate *storage* changes: `min(m, 2)`
 /// buffers instead of `m`.
-fn chain_matvec(
-    node: &Matrix,
-    cp: &ChainPlan,
-    x: &[f64],
-    out: &mut [f64],
-    scratch: &mut [f64],
-    pool: &mut ArenaPool,
-) {
+fn chain_matvec(node: &Matrix, cp: &ChainPlan, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
     let (b0, rest) = scratch.split_at_mut(cp.buf_len);
     let (b1, rest) = rest.split_at_mut(if cp.bufs == 2 { cp.buf_len } else { 0 });
     let (f0, tail) = match node {
         Matrix::Product(a, b) => (&**a, &**b),
         _ => unreachable!("chain plan on non-product node"),
     };
-    chain_fwd_tail(tail, cp, 1, x, b0, b1, rest, pool);
+    chain_fwd_tail(tail, cp, 1, x, b0, b1, rest);
     // out = f_0 · s_1 ; s_1 lives in b0 (odd slot).
-    f0.matvec_plan(&cp.factors[0].root, &b0[..cp.rows[1]], out, rest, pool);
+    f0.matvec_plan(&cp.factors[0].root, &b0[..cp.rows[1]], out, rest);
 }
 
 /// Computes the intermediate `s_idx = f_idx · … · f_m · x` into its
@@ -428,25 +388,18 @@ fn chain_fwd_tail(
     b0: &mut [f64],
     b1: &mut [f64],
     rest: &mut [f64],
-    pool: &mut ArenaPool,
 ) {
     let last = cp.factors.len() - 1;
     if idx == last {
         let dst = if cp.bufs == 1 || idx % 2 == 1 { b0 } else { b1 };
-        spine.matvec_plan(
-            &cp.factors[idx].root,
-            x,
-            &mut dst[..cp.rows[idx]],
-            rest,
-            pool,
-        );
+        spine.matvec_plan(&cp.factors[idx].root, x, &mut dst[..cp.rows[idx]], rest);
         return;
     }
     let (f, tail) = match spine {
         Matrix::Product(a, b) => (&**a, &**b),
         _ => unreachable!("chain plan longer than the product spine"),
     };
-    chain_fwd_tail(tail, cp, idx + 1, x, &mut *b0, &mut *b1, &mut *rest, pool);
+    chain_fwd_tail(tail, cp, idx + 1, x, &mut *b0, &mut *b1, &mut *rest);
     // s_idx = f_idx · s_{idx+1}; consecutive intermediates alternate slots,
     // and by the time s_idx is written, s_{idx+2} (which shared its slot)
     // is dead.
@@ -460,7 +413,6 @@ fn chain_fwd_tail(
         &src[..cp.rows[idx + 1]],
         &mut dst[..cp.rows[idx]],
         rest,
-        pool,
     );
 }
 
@@ -474,7 +426,6 @@ fn chain_bwd(
     y: &[f64],
     out: &mut [f64],
     scratch: &mut [f64],
-    pool: &mut ArenaPool,
     add: bool,
 ) {
     let last = cp.factors.len() - 1;
@@ -494,7 +445,7 @@ fn chain_bwd(
             } else {
                 &mut *b1
             };
-            f.rmatvec_plan(&cp.factors[0].root, y, &mut dst[..dlen], rest, pool);
+            f.rmatvec_plan(&cp.factors[0].root, y, &mut dst[..dlen], rest);
         } else {
             let (dst, src) = if idx.is_multiple_of(2) {
                 (&mut *b0, &*b1)
@@ -506,7 +457,6 @@ fn chain_bwd(
                 &src[..cp.rows[idx]],
                 &mut dst[..dlen],
                 rest,
-                pool,
             );
         }
         cur = tail;
@@ -518,9 +468,9 @@ fn chain_bwd(
     };
     let src = &src[..cp.rows[last]];
     if add {
-        cur.rmatvec_add_plan(&cp.factors[last].root, src, out, rest, pool);
+        cur.rmatvec_add_plan(&cp.factors[last].root, src, out, rest);
     } else {
-        cur.rmatvec_plan(&cp.factors[last].root, src, out, rest, pool);
+        cur.rmatvec_plan(&cp.factors[last].root, src, out, rest);
     }
 }
 
@@ -569,116 +519,6 @@ fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mu
         a.rmatvec_rec(col, ocol, rest);
         for i in 0..na {
             out[i * nb + j] = ocol[i];
-        }
-    }
-}
-
-/// Multi-threaded `Union` evaluation, built on the
-/// persistent [`crate::pool`] executor (the offline build environment
-/// cannot vendor rayon): chunk sizes are
-/// fixed in the evaluation plan, so results are deterministic run-to-run
-/// — and bit-identical for every pool size, since the pool only decides
-/// *where* each fixed chunk runs. Workers borrow their scratch — and, in
-/// the scatter direction, their private accumulators — from the
-/// workspace's plan-sized [`ArenaPool`] instead of allocating, and pooled
-/// dispatch copies each chunk closure into a preallocated job slot, so
-/// the warm threaded paths perform **zero** heap allocations and zero
-/// thread creation (gated by `alloc_parallel.rs` with an every-size
-/// counting allocator). The paths engage only above a plan-time work
-/// threshold. Worker arena pools are marked *nested*: a parallel-eligible
-/// node under a pooled chunk worker (e.g. the large-union factor of an
-/// `hdmm_kron` strategy) evaluates serially instead of spawning nested
-/// regions and allocating fresh arenas — the outer region already
-/// saturates the machine (gated by `alloc_parallel.rs`). At
-/// `configured_parallelism() == 1` the plan records no chunks and these
-/// paths never engage.
-mod parallel {
-    use super::ArenaPool;
-    use crate::plan::UnionPlan;
-    use crate::pool;
-    use crate::Matrix;
-
-    /// `Union` matvec with one worker per plan-time chunk of blocks.
-    /// Blocks write disjoint output spans, so this is bit-identical to the
-    /// serial path.
-    pub(super) fn union_matvec(
-        blocks: &[Matrix],
-        up: &UnionPlan,
-        x: &[f64],
-        out: &mut [f64],
-        pool: &mut ArenaPool,
-    ) {
-        let chunk = up.par_fwd_chunk;
-        let nchunks = blocks.len().div_ceil(chunk);
-        let arenas = pool.arenas(nchunks, up.block_mv_scratch);
-        pool::scope(|s| {
-            let mut rem = out;
-            for ((bchunk, pchunk), (rchunk, arena)) in blocks
-                .chunks(chunk)
-                .zip(up.blocks.chunks(chunk))
-                .zip(up.block_rows.chunks(chunk).zip(arenas.iter_mut()))
-            {
-                let span: usize = rchunk.iter().sum();
-                let (head, tail) = rem.split_at_mut(span);
-                rem = tail;
-                s.spawn(move || {
-                    let scratch = &mut arena[..up.block_mv_scratch];
-                    let mut wpool = ArenaPool::for_worker();
-                    let mut off = 0;
-                    for ((b, bp), &m) in bchunk.iter().zip(pchunk).zip(rchunk) {
-                        b.matvec_plan(&bp.root, x, &mut head[off..off + m], scratch, &mut wpool);
-                        off += m;
-                    }
-                });
-            }
-        });
-    }
-
-    /// `Unionᵀ` scatter-add over plan-time chunks of blocks: each worker
-    /// accumulates its chunk into a private full-width accumulator carved
-    /// from its pool arena; the accumulators are merged **in fixed chunk
-    /// order** after the barrier, so the result is deterministic
-    /// run-to-run (within one chunk the blocks scatter in their serial
-    /// order; across chunks only the grouping of the final sums differs
-    /// from the serial path, by at most the usual f64 rounding).
-    pub(super) fn union_rmatvec_add(
-        blocks: &[Matrix],
-        up: &UnionPlan,
-        y: &[f64],
-        out: &mut [f64],
-        pool: &mut ArenaPool,
-    ) {
-        let chunk = up.par_bwd_chunk;
-        let cols = out.len();
-        let nchunks = blocks.len().div_ceil(chunk);
-        let per = cols + up.block_rmva_scratch;
-        let arenas = pool.arenas(nchunks, per);
-        pool::scope(|s| {
-            let mut offset = 0;
-            for ((bchunk, pchunk), (rchunk, arena)) in blocks
-                .chunks(chunk)
-                .zip(up.blocks.chunks(chunk))
-                .zip(up.block_rows.chunks(chunk).zip(arenas.iter_mut()))
-            {
-                let span: usize = rchunk.iter().sum();
-                let ys = &y[offset..offset + span];
-                offset += span;
-                s.spawn(move || {
-                    let (local, scratch) = arena[..per].split_at_mut(cols);
-                    local.fill(0.0); // the arena is reused across calls
-                    let mut wpool = ArenaPool::for_worker();
-                    let mut off = 0;
-                    for ((b, bp), &m) in bchunk.iter().zip(pchunk).zip(rchunk) {
-                        b.rmatvec_add_plan(&bp.root, &ys[off..off + m], local, scratch, &mut wpool);
-                        off += m;
-                    }
-                });
-            }
-        });
-        // Deterministic fixed-order merge of the per-worker accumulators
-        // (the scatter-add kernel is order-preserving).
-        for arena in arenas.iter().take(nchunks) {
-            crate::kernels::add_assign(out, &arena[..cols]);
         }
     }
 }
@@ -878,10 +718,7 @@ mod tests {
         assert_eq!(w.matvec(&x), expect);
     }
 
-    /// The parallel paths only engage above the plan-time work threshold;
-    /// these cases are sized past it so the threaded chunking actually
-    /// executes whenever `configured_parallelism() >= 2` (below-threshold
-    /// evaluation stays serial and serves as the reference).
+    /// Large unions against per-block evaluation.
     #[test]
     fn large_union_matches_per_block_evaluation() {
         let n = 1usize << 13;
@@ -900,7 +737,6 @@ mod tests {
 
     #[test]
     fn large_union_rmatvec_matches_per_block_scatter() {
-        // Above the scatter threshold: rows = 4n ≥ 2^14 and rows ≥ cols.
         let n = 1usize << 12;
         let blocks = vec![
             Matrix::wavelet(n),
@@ -926,18 +762,17 @@ mod tests {
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-9, "union rmatvec diverged");
         }
-        // The threaded merge must be deterministic: a second evaluation
-        // through a fresh workspace is bit-identical.
+        // A second evaluation through a fresh workspace is bit-identical.
         let got2 = u.rmatvec(&y);
-        assert_eq!(got, got2, "threaded union rmatvec is nondeterministic");
-        // And a *reused* (pool-warm) workspace must also be bit-identical:
-        // stale accumulator contents in pool arenas would surface here.
+        assert_eq!(got, got2, "union rmatvec is nondeterministic");
+        // And a *reused* (warm) workspace must also be bit-identical:
+        // stale scratch contents would surface here.
         let mut ws = Workspace::for_matrix(&u);
         let mut out = vec![0.0; n];
         u.rmatvec_into(&y, &mut out, &mut ws);
         assert_eq!(got, out);
         u.rmatvec_into(&y, &mut out, &mut ws);
-        assert_eq!(got, out, "pool reuse changed the scatter result");
+        assert_eq!(got, out, "workspace reuse changed the scatter result");
     }
 
     /// The mode-by-mode engine reproduces the unplanned binary recursion
@@ -970,9 +805,8 @@ mod tests {
 
     #[test]
     fn large_kron_matches_materialized() {
-        // 128×128 factors put both modes above the threading threshold:
-        // the wavelet mode runs the fiber walk in block chunks, the prefix
-        // mode its panel kernel in column chunks.
+        // The wavelet mode runs the fiber walk, the prefix mode its panel
+        // kernel.
         let a = Matrix::prefix(128);
         let b = Matrix::wavelet(128);
         let k = Matrix::kron(a, b);
@@ -994,14 +828,17 @@ mod tests {
             assert!((g - e).abs() < 1e-9, "kron rmatvec diverged");
         }
         let got_t2 = k.rmatvec(&y);
-        assert_eq!(got_t, got_t2, "threaded kron rmatvec is nondeterministic");
-        // Pool-warm reuse must match too (fiber-walk chunks use arenas).
+        assert_eq!(got_t, got_t2, "kron rmatvec is nondeterministic");
+        // Warm workspace reuse must match too.
         let mut ws = Workspace::for_matrix(&k);
         let mut out = vec![0.0; k.cols()];
         k.rmatvec_into(&y, &mut out, &mut ws);
         assert_eq!(got_t, out);
         k.rmatvec_into(&y, &mut out, &mut ws);
-        assert_eq!(got_t, out, "pool reuse changed the kron scatter result");
+        assert_eq!(
+            got_t, out,
+            "workspace reuse changed the kron scatter result"
+        );
     }
 
     #[test]

@@ -10,16 +10,11 @@
 //! * for a chain of nested `Kronecker` nodes — flattened into **one N-ary
 //!   node** whatever its nesting — the factor shapes, how each factor is
 //!   applied (skipped identity, panel kernel or per-fiber walk), and per
-//!   direction each mode's `outer × n × inner` geometry, its ping-pong
-//!   buffer and its pool chunking ([`crate::kron`]),
+//!   direction each mode's `outer × n × inner` geometry and its ping-pong
+//!   buffer ([`crate::kron`]),
 //! * the total **scratch requirement** of all three product directions
 //!   (`matvec`, `rmatvec`, `rmatvec_add`), so the arena is reserved in full
-//!   up front and never grows mid-evaluation,
-//! * plan-time **parallel-chunk decisions** (thread counts and chunk
-//!   sizes are fixed when the plan is built, which is what makes threaded
-//!   evaluation deterministic), together with the **worker-pool
-//!   requirement** — how many per-worker arenas of what size
-//!   threaded evaluation borrows from the [`crate::Workspace`] pool — and
+//!   up front and never grows mid-evaluation, and
 //! * a **ping-pong buffer assignment** for right-nested `Product` chains:
 //!   a chain of `k` products needs only `min(k, 2)` intermediate buffers
 //!   instead of the `k` the nested recursion carved, shrinking the working
@@ -63,18 +58,6 @@ pub fn plan_builds() -> u64 {
     PLAN_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Work threshold below which parallel evaluation is never chosen (scalar
-/// ops; spinning up threads costs more than this much arithmetic).
-const MIN_PAR_WORK: usize = 1 << 14;
-
-/// The process-constant parallelism chunk decisions are built from —
-/// [`crate::pool::configured_parallelism`], *not* the pool's current
-/// worker count: plans are cached process-wide and results must be
-/// bit-identical however many pool workers end up executing the chunks.
-fn threads() -> usize {
-    crate::pool::configured_parallelism()
-}
-
 /// A fully planned evaluation of one matrix: the per-node records plus the
 /// arena requirement of every direction.
 #[derive(Debug)]
@@ -92,11 +75,6 @@ pub(crate) struct EvalPlan {
     pub rmv_scratch: usize,
     /// Arena scalars `rmatvec_add` draws.
     pub rmva_scratch: usize,
-    /// Most worker arenas any single parallel region of this tree uses
-    /// (0 when nothing parallelizes); sizes the workspace arena pool.
-    pub pool_workers: usize,
-    /// Largest per-worker arena any parallel region of this tree draws.
-    pub pool_arena: usize,
     /// Structural fingerprint of the tree this plan was built for.
     pub fingerprint: u64,
 }
@@ -160,8 +138,6 @@ impl EvalPlan {
             mv_scratch: info.mv,
             rmv_scratch: info.rmv,
             rmva_scratch: info.rmva,
-            pool_workers: info.pool_workers,
-            pool_arena: info.pool_arena,
             fingerprint: fp,
         }
     }
@@ -174,7 +150,7 @@ impl EvalPlan {
 pub(crate) enum NodePlan {
     /// Core/explicit matrices: no tree structure below, `O(1)` planning.
     Leaf,
-    /// `Union` with per-block row spans and chunk decisions.
+    /// `Union` with per-block row spans.
     Union(UnionPlan),
     /// A maximal right-nested `Product` chain with ping-pong buffers.
     Chain(ChainPlan),
@@ -246,16 +222,6 @@ pub(crate) struct UnionPlan {
     /// Per-block sub-plans, shared with every other spine that stacks the
     /// same block shape.
     pub blocks: Vec<Arc<EvalPlan>>,
-    /// Blocks per worker in the forward (matvec) direction; `0` = serial.
-    pub par_fwd_chunk: usize,
-    /// Blocks per worker in the transpose/scatter direction; `0` = serial.
-    pub par_bwd_chunk: usize,
-    /// Largest per-block `matvec` scratch need (sizes the per-worker
-    /// arenas of the parallel forward path).
-    pub block_mv_scratch: usize,
-    /// Largest per-block `rmatvec_add` scratch need (sizes the per-worker
-    /// arenas of the parallel scatter path).
-    pub block_rmva_scratch: usize,
 }
 
 /// Plan records for a maximal right-nested `Product` chain
@@ -289,11 +255,6 @@ struct Info {
     rmv: usize,
     /// `rmatvec_add` scratch.
     rmva: usize,
-    /// Most worker arenas any parallel region below (or at) this node
-    /// borrows at once.
-    pool_workers: usize,
-    /// Largest per-worker arena any such region draws.
-    pool_arena: usize,
 }
 
 fn plan_node(m: &Matrix) -> (NodePlan, Info) {
@@ -315,8 +276,6 @@ fn plan_node(m: &Matrix) -> (NodePlan, Info) {
                 mv: m.matvec_scratch(),
                 rmv: m.rmatvec_scratch(),
                 rmva: m.rmatvec_add_scratch(),
-                pool_workers: 0,
-                pool_arena: 0,
             },
         ),
         Matrix::Union(blocks) => plan_union(blocks),
@@ -344,7 +303,6 @@ fn plan_node(m: &Matrix) -> (NodePlan, Info) {
                 mv: ci.rmv,
                 rmv: ci.mv,
                 rmva: ci.rows + ci.mv,
-                ..ci
             };
             (
                 NodePlan::Transpose {
@@ -363,51 +321,17 @@ fn plan_union(blocks: &[Matrix]) -> (NodePlan, Info) {
     let cols = built.first().map_or(0, |p| p.cols);
     let block_mv = built.iter().map(|p| p.mv_scratch).max().unwrap_or(0);
     let block_rmva = built.iter().map(|p| p.rmva_scratch).max().unwrap_or(0);
-    let mut pool_workers = built.iter().map(|p| p.pool_workers).max().unwrap_or(0);
-    let mut pool_arena = built.iter().map(|p| p.pool_arena).max().unwrap_or(0);
-
-    let nthreads = threads().min(blocks.len());
-    let par_fwd_chunk = if nthreads >= 2 && rows * 2 + cols >= MIN_PAR_WORK {
-        blocks.len().div_ceil(nthreads)
-    } else {
-        0
-    };
-    // The scatter direction pays an extra `threads · cols` for the
-    // per-worker accumulators and their merge, so it needs the stacked
-    // row count itself to clear the threshold.
-    let par_bwd_chunk = if nthreads >= 2 && rows >= MIN_PAR_WORK && rows >= cols {
-        blocks.len().div_ceil(nthreads)
-    } else {
-        0
-    };
-    if par_fwd_chunk > 0 {
-        pool_workers = pool_workers.max(blocks.len().div_ceil(par_fwd_chunk));
-        pool_arena = pool_arena.max(block_mv);
-    }
-    if par_bwd_chunk > 0 {
-        pool_workers = pool_workers.max(blocks.len().div_ceil(par_bwd_chunk));
-        // Scatter workers carve a full-width accumulator plus block
-        // scratch out of one arena.
-        pool_arena = pool_arena.max(cols + block_rmva);
-    }
-
     let info = Info {
         rows,
         cols,
         mv: block_mv,
         rmv: block_rmva,
         rmva: block_rmva,
-        pool_workers,
-        pool_arena,
     };
     (
         NodePlan::Union(UnionPlan {
             block_rows: built.iter().map(|p| p.rows).collect(),
             blocks: built,
-            par_fwd_chunk,
-            par_bwd_chunk,
-            block_mv_scratch: block_mv,
-            block_rmva_scratch: block_rmva,
         }),
         info,
     )
@@ -449,8 +373,6 @@ fn plan_chain(m: &Matrix) -> (NodePlan, Info) {
         mv: bufs * buf_len + max_mv,
         rmv: bufs * buf_len + max_rmv,
         rmva: bufs * buf_len + max_rmva_path,
-        pool_workers: factors.iter().map(|p| p.pool_workers).max().unwrap_or(0),
-        pool_arena: factors.iter().map(|p| p.pool_arena).max().unwrap_or(0),
     };
     (
         NodePlan::Chain(ChainPlan {
@@ -476,8 +398,6 @@ fn shape_mul(a: usize, b: usize) -> usize {
 fn plan_modes(m: &Matrix) -> (NodePlan, Info) {
     let mut leaves = Vec::new();
     kron::collect_factors(m, &mut leaves);
-    let mut pool_workers = 0;
-    let mut pool_arena = 0;
     let factors: Vec<ModeFactor> = leaves
         .iter()
         .map(|&f| {
@@ -487,8 +407,6 @@ fn plan_modes(m: &Matrix) -> (NodePlan, Info) {
                 Apply::Panel
             } else {
                 let (plan, info) = plan_node(f);
-                pool_workers = pool_workers.max(info.pool_workers);
-                pool_arena = pool_arena.max(info.pool_arena);
                 Apply::Fiber {
                     plan,
                     mv: info.mv,
@@ -505,26 +423,12 @@ fn plan_modes(m: &Matrix) -> (NodePlan, Info) {
     let fwd = plan_sweep(&factors, false, true);
     let bwd = plan_sweep(&factors, true, true);
     let bwd_add = plan_sweep(&factors, true, false);
-    // Fiber-walk chunks borrow one worker arena each.
-    for sweep in [&fwd, &bwd] {
-        for step in sweep.steps.iter().filter(|s| s.chunk > 0 && s.extra > 0) {
-            let total = if step.outer == 1 {
-                step.inner
-            } else {
-                step.outer
-            };
-            pool_workers = pool_workers.max(total.div_ceil(step.chunk));
-            pool_arena = pool_arena.max(step.extra);
-        }
-    }
     let info = Info {
         rows: factors.iter().fold(1, |p, f| shape_mul(p, f.rows)),
         cols: factors.iter().fold(1, |p, f| shape_mul(p, f.cols)),
         mv: fwd.scratch,
         rmv: bwd.scratch,
         rmva: bwd_add.scratch,
-        pool_workers,
-        pool_arena,
     };
     (
         NodePlan::Kron(ModesPlan {
@@ -539,11 +443,11 @@ fn plan_modes(m: &Matrix) -> (NodePlan, Info) {
 
 /// Lays out one direction of an N-ary Kronecker evaluation: each factor's
 /// mode geometry (factors apply last to first, so mode `k` sees input
-/// dimensions before it and output dimensions after it), a ping-pong slot
-/// per applied mode, and its pool chunking. With `to_out` the last mode
-/// writes the caller's `out`, and earlier modes use `out` too whenever
-/// their result fits and the next mode does not read from it; otherwise
-/// the modes alternate between two scratch buffers.
+/// dimensions before it and output dimensions after it) and a ping-pong
+/// slot per applied mode. With `to_out` the last mode writes the caller's
+/// `out`, and earlier modes use `out` too whenever their result fits and
+/// the next mode does not read from it; otherwise the modes alternate
+/// between two scratch buffers.
 fn plan_sweep(factors: &[ModeFactor], t: bool, to_out: bool) -> Sweep {
     let nf = factors.len();
     let dims: Vec<(usize, usize)> = factors
@@ -565,7 +469,6 @@ fn plan_sweep(factors: &[ModeFactor], t: bool, to_out: bool) -> Sweep {
         inner[k] = shape_mul(inner[k + 1], dims[k + 1].1);
     }
     let out_total = shape_mul(inner[0], dims[0].1);
-    let nt = threads();
     let mut steps: Vec<Step> = (0..nf)
         .map(|k| {
             let (n_in, n_out) = dims[k];
@@ -573,16 +476,6 @@ fn plan_sweep(factors: &[ModeFactor], t: bool, to_out: bool) -> Sweep {
             // Every intermediate length must fit in `usize` (evaluation
             // multiplies these unchecked).
             shape_mul(shape_mul(outer, n_in.max(n_out)), inner);
-            let work = outer.saturating_mul(n_in + n_out).saturating_mul(inner);
-            let chunk = if nt < 2 || work < MIN_PAR_WORK {
-                0
-            } else if outer >= 2 {
-                outer.div_ceil(nt.min(outer))
-            } else if inner >= 2 {
-                inner.div_ceil(nt.min(inner))
-            } else {
-                0
-            };
             let extra = match factors[k].apply {
                 Apply::Fiber { mv, rmv, .. } => {
                     let gather = if inner > 1 {
@@ -600,7 +493,6 @@ fn plan_sweep(factors: &[ModeFactor], t: bool, to_out: bool) -> Sweep {
                 n_in,
                 n_out,
                 slot: Slot::Out,
-                chunk,
                 extra,
             }
         })
@@ -654,13 +546,13 @@ fn mix(h: u64, v: u64) -> u64 {
 /// structure plus every dimension the planner reads — and nothing else.
 ///
 /// Soundness argument: an [`EvalPlan`] is a pure function of (a) the tree
-/// of combinator discriminants, (b) the dimensions/scratch sizes of each
-/// node, and (c) the process-constant thread count. All of (a) and (b)
-/// feed this hash (payload *values* are irrelevant to planning and are
-/// deliberately not hashed), so any matrix with the same fingerprint can
-/// reuse the same plan — the cache cannot go stale, no matter how
-/// matrices are dropped, rebuilt, cloned or moved, which is what makes a
-/// *process-wide* cache sound with no invalidation protocol at all. The
+/// of combinator discriminants and (b) the dimensions/scratch sizes of
+/// each node. Both feed this hash (payload *values* are irrelevant to
+/// planning and are deliberately not hashed), so any matrix with the same
+/// fingerprint can reuse the same plan — the cache cannot go stale, no
+/// matter how matrices are dropped, rebuilt, cloned or moved, which is
+/// what makes a *process-wide* cache sound with no invalidation protocol
+/// at all. The
 /// walk is allocation-free and costs a few ns per node (two orders of
 /// magnitude below the planning pass it replaces, see the
 /// `replan_every_call` bench entries). A 64-bit collision between

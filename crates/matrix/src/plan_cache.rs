@@ -3,7 +3,7 @@
 //! PR 2 memoized [`EvalPlan`]s per [`crate::Workspace`] (cap-8 LRU), which
 //! left two hot-path taxes on the table:
 //!
-//! * **Cross-workspace rebuilds.** Every solver, batch worker and plan
+//! * **Cross-workspace rebuilds.** Every solver, batch and plan
 //!   phase that constructed its own workspace re-planned shapes the
 //!   process had already planned — and a workspace touching more than 8
 //!   shapes (nine round-robined strategies, an MWEM sweep) evicted and
@@ -324,18 +324,30 @@ mod tests {
         let m = Matrix::vstack(vec![Matrix::prefix(377), Matrix::wavelet(377)]);
         let fp = fingerprint(&m);
         let mut plans: Vec<Option<(Arc<EvalPlan>, bool)>> = vec![None; 4];
-        crate::pool::scope(|s| {
-            for slot in plans.iter_mut() {
+        let mut threads = vec![None; 4];
+        let start = &std::sync::Barrier::new(4);
+        // xlint: allow(determinism-thread, reason = "test: the exactly-once build must hold when real OS threads race on one shape")
+        std::thread::scope(|s| {
+            for (slot, id) in plans.iter_mut().zip(threads.iter_mut()) {
                 let m = m.clone();
-                s.spawn(move || *slot = Some(get_or_build(&m, fingerprint(&m))));
+                s.spawn(move || {
+                    *id = Some(std::thread::current().id());
+                    start.wait();
+                    *slot = Some(get_or_build(&m, fingerprint(&m)));
+                });
             }
         });
+        let ids: Vec<_> = threads.into_iter().flatten().collect();
+        assert!(
+            ids.len() == 4 && ids.iter().any(|&id| id != ids[0]),
+            "the lookups must run on several OS threads"
+        );
         let plans: Vec<(Arc<EvalPlan>, bool)> =
-            plans.into_iter().map(|p| p.expect("job ran")).collect();
+            plans.into_iter().map(|p| p.expect("thread ran")).collect();
         let builds = plans.iter().filter(|(_, b)| *b).count();
         assert_eq!(builds, 1, "racing lookups must agree on one build");
         for (p, _) in &plans {
-            assert!(Arc::ptr_eq(p, &plans[0].0), "all workers share one plan");
+            assert!(Arc::ptr_eq(p, &plans[0].0), "all threads share one plan");
         }
         // And a later lookup is a hit on the same canonical Arc.
         let (again, built) = get_or_build(&m, fp);

@@ -10,10 +10,7 @@
 //! sized by a one-time *planning pass* over the combinator tree
 //! ([`Matrix::matvec_scratch`] / [`Matrix::rmatvec_scratch`]); evaluation
 //! then carves disjoint sub-slices off that arena with `split_at_mut` as it
-//! recurses, so the steady state performs **zero heap allocations**. The
-//! workspace additionally owns a pool of per-worker arenas (sized at plan
-//! time) that threaded chunk workers borrow instead of allocating,
-//! extending the same guarantee to the threaded paths.
+//! recurses, so the steady state performs **zero heap allocations**.
 //!
 //! ```
 //! use ektelo_matrix::{Matrix, Workspace};
@@ -33,82 +30,8 @@ use std::sync::Arc;
 use crate::plan::{fingerprint, EvalPlan};
 use crate::{plan_cache, Matrix};
 
-/// A pool of per-worker scratch arenas for the threaded evaluation paths.
-///
-/// Parallel `Union`/`Kronecker` chunk workers used to allocate their
-/// scratch (and, in the scatter direction, their private accumulators) on
-/// every call. The pool keeps one monotonically growing arena per worker
-/// slot inside the [`Workspace`]; the evaluation plan records how many
-/// workers and how large an arena the tree can ever demand
-/// (`pool_workers` / `pool_arena`), the entry points size the pool up
-/// front, and the parallel regions borrow disjoint `&mut [f64]` views —
-/// zero steady-state allocations on the threaded paths too.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ArenaPool {
-    arenas: Vec<Vec<f64>>,
-    /// Set on the pools handed to chunk workers: a parallel region nested
-    /// under a pooled worker evaluates serially instead (no nested thread
-    /// spawns, no per-call worker allocations — the shapes that hit this,
-    /// e.g. Kronecker-of-large-Union strategies, already saturate the
-    /// machine with the outer region's workers).
-    nested: bool,
-}
-
-impl ArenaPool {
-    /// The pool a chunk worker carries: empty, and marked nested so any
-    /// parallel region below it falls back to the serial path.
-    pub(crate) fn for_worker() -> Self {
-        ArenaPool {
-            arenas: Vec::new(),
-            nested: true,
-        }
-    }
-
-    /// True inside a pooled chunk worker (see `for_worker`).
-    pub(crate) fn is_nested(&self) -> bool {
-        self.nested
-    }
-
-    /// Grows the pool to at least `workers` arenas of at least `len`
-    /// scalars each. A no-op once the pool has reached the plan-recorded
-    /// requirement.
-    pub(crate) fn ensure(&mut self, workers: usize, len: usize) {
-        if self.arenas.len() < workers {
-            // xlint: allow(warm-path-alloc, reason = "monotonic arena growth: first use grows to the plan-recorded requirement, steady state takes the no-grow branch — gated by the counting-allocator suite")
-            self.arenas.resize_with(workers, Vec::new);
-        }
-        for a in &mut self.arenas[..workers] {
-            if a.len() < len {
-                // xlint: allow(warm-path-alloc, reason = "monotonic arena growth: first use grows to the plan-recorded requirement, steady state takes the no-grow branch — gated by the counting-allocator suite")
-                a.resize(len, 0.0);
-            }
-        }
-    }
-
-    /// The first `workers` arenas as a mutable slice of backing vectors
-    /// (each at least `len` long — `ensure`d here as a release-mode safety
-    /// net; a correctly planned pool never grows). Workers index disjoint
-    /// elements, and callers may re-read the arenas after the thread scope
-    /// ends (the deterministic fixed-order merges do exactly that).
-    pub(crate) fn arenas(&mut self, workers: usize, len: usize) -> &mut [Vec<f64>] {
-        self.ensure(workers, len);
-        &mut self.arenas[..workers]
-    }
-
-    /// Scalars of heap storage currently held across all worker arenas.
-    pub(crate) fn resident_scalars(&self) -> usize {
-        self.arenas.iter().map(Vec::capacity).sum()
-    }
-
-    /// Frees every worker arena (they regrow on demand from plan-recorded
-    /// sizes; see [`Workspace::shed_to`]).
-    pub(crate) fn shed(&mut self) {
-        self.arenas = Vec::new();
-    }
-}
-
-/// A reusable scratch arena, per-worker arena pool and evaluation-plan
-/// fast path for [`Matrix::matvec_into`], [`Matrix::rmatvec_into`] and
+/// A reusable scratch arena and evaluation-plan fast path for
+/// [`Matrix::matvec_into`], [`Matrix::rmatvec_into`] and
 /// [`Matrix::rmatvec_add`].
 ///
 /// A `Workspace` may be shared freely across different matrices and all
@@ -119,8 +42,8 @@ impl ArenaPool {
 /// fingerprint→plan fast path so solver inner loops — which hammer one
 /// shape — never touch the shared cache's locks. Constructing one with
 /// [`Workspace::for_matrix`] performs the planning lookup and the arena
-/// and pool allocations up front, which is what iterative solvers do once
-/// per solve.
+/// allocation up front, which is what iterative solvers do once per
+/// solve.
 ///
 /// # Plan invalidation rules
 ///
@@ -139,7 +62,6 @@ impl ArenaPool {
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
     buf: Vec<f64>,
-    pool: ArenaPool,
     /// Single-entry lock-free fast path into the process-wide plan cache.
     fast: Option<(u64, Arc<EvalPlan>)>,
     hits: u64,
@@ -154,14 +76,11 @@ impl Workspace {
 
     /// A workspace pre-planned and pre-sized for every product direction of
     /// `m` (`m·x`, `mᵀ·y` and the accumulating scatter) — the one-time
-    /// setup of iterative solvers. The per-worker arena pool is also
-    /// filled here, so threaded steady-state evaluation performs no
-    /// allocations either.
+    /// setup of iterative solvers.
     pub fn for_matrix(m: &Matrix) -> Self {
         let mut ws = Workspace::new();
         let plan = ws.plan_for(m);
         ws.reserve(plan.max_scratch());
-        ws.pool.ensure(plan.pool_workers, plan.pool_arena);
         ws
     }
 
@@ -173,30 +92,23 @@ impl Workspace {
         }
     }
 
-    /// Current arena size in scalars (the flat serial arena; per-worker
-    /// pool arenas are counted separately).
+    /// Current arena size in scalars.
     pub fn capacity(&self) -> usize {
         self.buf.len()
     }
 
-    /// Total scalars of heap storage this workspace currently pins: the
-    /// flat serial arena plus every per-worker pool arena. The figure a
-    /// byte-bounded workspace pool (the kernel's) budgets against.
+    /// Total scalars of heap storage this workspace currently pins (the
+    /// arena's capacity). The figure a byte-bounded workspace pool (the
+    /// kernel's) budgets against.
     pub fn resident_scalars(&self) -> usize {
-        self.buf.capacity() + self.pool.resident_scalars()
+        self.buf.capacity()
     }
 
     /// Shrinks resident storage to at most `max_scalars`, keeping the
     /// plan fast path (plans are `Arc`-shared and cheap) so a shed
-    /// workspace still skips the planning pass when reused. The worker
-    /// arena pool is dropped first — it regrows on demand to exactly the
-    /// plan-recorded requirement — then the serial arena is truncated to
-    /// whatever budget remains. A no-op when already within budget.
+    /// workspace still skips the planning pass when reused. A no-op when
+    /// already within budget.
     pub fn shed_to(&mut self, max_scalars: usize) {
-        if self.resident_scalars() <= max_scalars {
-            return;
-        }
-        self.pool.shed();
         if self.buf.capacity() > max_scalars {
             self.buf.truncate(max_scalars);
             self.buf.shrink_to_fit();
@@ -226,7 +138,7 @@ impl Workspace {
         plan
     }
 
-    /// Drops the workspace's plan fast path (the arena and pool are kept).
+    /// Drops the workspace's plan fast path (the arena is kept).
     /// Never needed for correctness — see the type-level docs; the
     /// process-wide cache still serves the shape, so pair with
     /// [`crate::plan_cache_clear`] to genuinely force re-planning in
@@ -247,25 +159,17 @@ impl Workspace {
         self.builds
     }
 
-    /// The first `len` scalars of the arena plus the per-worker pool,
-    /// split-borrowed so planned evaluation can carry both down the
-    /// recursion. The `*_into` entry points reserve the direction's full
-    /// requirement (and pool) before evaluation starts, so this never
-    /// grows anything mid-evaluation.
-    pub(crate) fn carve(
-        &mut self,
-        len: usize,
-        pool_workers: usize,
-        pool_arena: usize,
-    ) -> (&mut [f64], &mut ArenaPool) {
+    /// The first `len` scalars of the arena. The `*_into` entry points
+    /// reserve the direction's full requirement before evaluation starts,
+    /// so this never grows anything mid-evaluation.
+    pub(crate) fn carve(&mut self, len: usize) -> &mut [f64] {
         debug_assert!(
             len <= self.buf.len(),
             "workspace arena under-reserved: {len} > {}",
             self.buf.len()
         );
         self.reserve(len); // release-mode safety net; no-op when planned
-        self.pool.ensure(pool_workers, pool_arena);
-        (&mut self.buf[..len], &mut self.pool)
+        &mut self.buf[..len]
     }
 }
 
@@ -430,9 +334,9 @@ mod tests {
         assert!(Arc::ptr_eq(&p1, &p3));
     }
 
-    /// The satellite of ISSUE 3: two workspaces — and two pool-executed
-    /// workers with their own workspaces — evaluating the same shape must
-    /// observe one `EvalPlan` build and pointer-identical plans.
+    /// Two workspaces — and two OS threads with their own workspaces —
+    /// evaluating the same shape must observe one `EvalPlan` build and
+    /// pointer-identical plans.
     #[test]
     fn plans_shared_across_workspaces_and_threads() {
         let m = Matrix::vstack(vec![
@@ -450,13 +354,14 @@ mod tests {
             "exactly one of the two lookups runs the planning pass"
         );
         let mut thread_plans: Vec<Option<Arc<EvalPlan>>> = vec![None; 2];
-        crate::pool::scope(|s| {
+        // xlint: allow(determinism-thread, reason = "test: the plan cache must be shared across real OS threads, so the lookups run on two of them")
+        std::thread::scope(|s| {
             for slot in thread_plans.iter_mut() {
                 let m = m.clone();
                 s.spawn(move || {
                     let mut ws = Workspace::new();
                     let plan = ws.plan_for(&m);
-                    // The worker actually evaluates through the shared
+                    // The thread actually evaluates through the shared
                     // plan, not just fetches it.
                     let x: Vec<f64> = (0..m.cols()).map(|i| i as f64).collect();
                     let mut out = vec![0.0; m.rows()];
@@ -469,8 +374,8 @@ mod tests {
         });
         for p in &thread_plans {
             assert!(
-                Arc::ptr_eq(p.as_ref().expect("worker ran"), &p1),
-                "pool workers must observe the same shared plan"
+                Arc::ptr_eq(p.as_ref().expect("thread ran"), &p1),
+                "other threads must observe the same shared plan"
             );
         }
     }

@@ -8,7 +8,9 @@
 //!
 //! Verified with a counting global allocator plus the engine's
 //! planning-pass counter: over the steady-state loop both deltas must be
-//! exactly zero.
+//! exactly zero. The same gate covers the large shapes: a striped union in
+//! both directions, a Kronecker with a large-union factor, a 128×128
+//! Kronecker and the 5-factor census Kronecker.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,9 +75,6 @@ fn count<F: FnMut()>(mut f: F) -> u64 {
     best
 }
 
-/// Sizes stay far below the parallel work threshold on purpose: this test
-/// gates the serial paths' allocation-free guarantee at every pool size
-/// (`alloc_parallel.rs` gates the threaded ones).
 fn big() -> Matrix {
     let n = 96;
     Matrix::vstack(vec![
@@ -166,4 +165,147 @@ fn warm_workspace_survives_matrix_clone_without_replanning() {
     a2.matvec_into(&x, &mut out2, &mut ws);
     assert_eq!(plan_builds(), builds, "clone must not trigger a replan");
     assert_eq!(out, out2);
+}
+
+/// A striped union of four large blocks.
+fn striped_union() -> Matrix {
+    let n = 1usize << 12;
+    Matrix::vstack(vec![
+        Matrix::wavelet(n),
+        Matrix::prefix(n),
+        Matrix::scaled(0.5, Matrix::suffix(n)),
+        Matrix::product(Matrix::prefix(n), Matrix::wavelet(n)),
+    ])
+}
+
+#[test]
+fn large_union_both_directions_zero_allocations_when_warm() {
+    let _serial = serialized();
+    let u = striped_union();
+    let mut ws = Workspace::for_matrix(&u);
+    let x: Vec<f64> = (0..u.cols()).map(|i| (i % 13) as f64 - 6.0).collect();
+    let y: Vec<f64> = (0..u.rows()).map(|i| (i % 7) as f64 - 3.0).collect();
+    let mut out = vec![0.0; u.rows()];
+    let mut back = vec![0.0; u.cols()];
+    // Warm both directions: plans resolved, arena at full size.
+    u.matvec_into(&x, &mut out, &mut ws);
+    u.rmatvec_into(&y, &mut back, &mut ws);
+    let builds = plan_builds();
+    let allocations = count(|| {
+        for _ in 0..10 {
+            u.matvec_into(&x, &mut out, &mut ws);
+            u.rmatvec_into(&y, &mut back, &mut ws);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "warm large-union evaluation must perform zero allocations"
+    );
+    assert_eq!(plan_builds(), builds, "steady state must not re-plan");
+    assert_eq!(out, u.matvec(&x));
+    assert_eq!(back, u.rmatvec(&y));
+}
+
+/// A Kronecker whose factor is itself a large union (the
+/// `hdmm_kron`/`stripe_select` shape): every row application of the
+/// factor runs inside the mode walk and must reuse the arena.
+#[test]
+fn kron_of_large_union_stays_allocation_free() {
+    let _serial = serialized();
+    let w = 1usize << 12;
+    let inner = Matrix::vstack((0..4).map(|_| Matrix::wavelet(w)).collect());
+    let k = Matrix::kron(Matrix::prefix(4), inner.clone());
+    let mut ws = Workspace::for_matrix(&k);
+    let x: Vec<f64> = (0..k.cols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
+    let mut out = vec![0.0; k.rows()];
+    k.matvec_into(&x, &mut out, &mut ws);
+    let allocations = count(|| {
+        for _ in 0..5 {
+            k.matvec_into(&x, &mut out, &mut ws);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "a Kronecker of a large union must not allocate per call"
+    );
+    // Independent reference: t_i = inner · x_i per reshaped input row,
+    // then prefix over the rows (A = prefix(4)).
+    let (mb, nb) = inner.shape();
+    let mut t = vec![vec![0.0; mb]; 4];
+    for (i, ti) in t.iter_mut().enumerate() {
+        *ti = inner.matvec(&x[i * nb..(i + 1) * nb]);
+    }
+    for p in 0..4 {
+        for q in 0..mb {
+            let expect: f64 = (0..=p).map(|i| t[i][q]).sum();
+            assert!(
+                (out[p * mb + q] - expect).abs() < 1e-9,
+                "kron of a large union diverged at ({p},{q})"
+            );
+        }
+    }
+}
+
+#[test]
+fn kron_zero_allocations_when_warm() {
+    let _serial = serialized();
+    // The prefix mode runs its panel kernel, the wavelet mode the fiber walk.
+    let k = Matrix::kron(Matrix::prefix(128), Matrix::wavelet(128));
+    let mut ws = Workspace::for_matrix(&k);
+    let x: Vec<f64> = (0..k.cols()).map(|i| ((i * 31) % 17) as f64).collect();
+    let y: Vec<f64> = (0..k.rows()).map(|i| ((i * 7) % 23) as f64).collect();
+    let mut out = vec![0.0; k.rows()];
+    let mut back = vec![0.0; k.cols()];
+    k.matvec_into(&x, &mut out, &mut ws);
+    k.rmatvec_into(&y, &mut back, &mut ws);
+    let allocations = count(|| {
+        for _ in 0..5 {
+            k.matvec_into(&x, &mut out, &mut ws);
+            k.rmatvec_into(&y, &mut back, &mut ws);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "warm Kronecker evaluation must perform zero allocations"
+    );
+    assert_eq!(out, k.matvec(&x));
+    assert_eq!(back, k.rmatvec(&y));
+}
+
+/// The 5-factor census `Prefix(Income)` workload (`Prefix(357) ⊗ [T;I](5)
+/// ⊗ [T;I](7) ⊗ [T;I](4) ⊗ [T;I](2)`): its flattened mode-by-mode
+/// evaluation makes zero allocations when warm in both directions, and a
+/// warm re-run changes no bit.
+#[test]
+fn census_kron_zero_allocations_when_warm() {
+    let _serial = serialized();
+    let tot_id = |n| Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)]);
+    let k = Matrix::kron_list(vec![
+        Matrix::prefix(357),
+        tot_id(5),
+        tot_id(7),
+        tot_id(4),
+        tot_id(2),
+    ]);
+    let mut ws = Workspace::for_matrix(&k);
+    let x: Vec<f64> = (0..k.cols())
+        .map(|i| ((i * 29) % 31) as f64 - 15.0)
+        .collect();
+    let y: Vec<f64> = (0..k.rows())
+        .map(|i| ((i * 17) % 19) as f64 - 9.0)
+        .collect();
+    let mut out = vec![0.0; k.rows()];
+    let mut back = vec![0.0; k.cols()];
+    k.matvec_into(&x, &mut out, &mut ws);
+    k.rmatvec_into(&y, &mut back, &mut ws);
+    let (ref_out, ref_back) = (out.clone(), back.clone());
+    let builds = plan_builds();
+    let allocations = count(|| {
+        k.matvec_into(&x, &mut out, &mut ws);
+        k.rmatvec_into(&y, &mut back, &mut ws);
+    });
+    assert_eq!(allocations, 0, "warm census evaluation allocated");
+    assert_eq!(out, ref_out, "a warm re-run changed the census matvec");
+    assert_eq!(back, ref_back, "a warm re-run changed the census rmatvec");
+    assert_eq!(plan_builds(), builds, "steady state must not re-plan");
 }

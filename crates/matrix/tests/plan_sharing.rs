@@ -114,20 +114,28 @@ fn cross_workspace_and_cross_thread_lookups_build_once() {
     // too) — what matters is that the *next* evaluations add zero.
     assert!(built >= 3);
     let after_first = plan_cache_stats();
-    ektelo_matrix::pool::scope(|s| {
-        for _ in 0..4 {
+    let mut threads = vec![None; 4];
+    // xlint: allow(determinism-thread, reason = "test: plan sharing must hold across real OS threads, so each lookup runs on its own")
+    std::thread::scope(|s| {
+        for id in threads.iter_mut() {
             let m = m.clone();
             let x = &x;
             let expect = &expect;
             s.spawn(move || {
+                *id = Some(std::thread::current().id());
                 let mut ws = Workspace::new();
                 let mut out = vec![0.0; m.rows()];
                 m.matvec_into(x, &mut out, &mut ws);
                 assert_eq!(&out, expect);
-                assert_eq!(ws.plan_cache_builds(), 0, "worker must share the plan");
+                assert_eq!(ws.plan_cache_builds(), 0, "thread must share the plan");
             });
         }
     });
+    let ids: Vec<_> = threads.into_iter().flatten().collect();
+    assert!(
+        ids.len() == 4 && ids.iter().any(|&id| id != ids[0]),
+        "the lookups must run on several OS threads"
+    );
     let mut ws2 = Workspace::new();
     let mut out = vec![0.0; m.rows()];
     m.matvec_into(&x, &mut out, &mut ws2);

@@ -404,11 +404,9 @@ proptest! {
     }
 }
 
-/// A Kronecker large enough that every mode clears the parallel
-/// threshold: the prefix mode splits by column ranges, the others by
-/// blocks, and the wavelet and range modes run the fiber walk in pool
-/// chunks. Results must match the reference engine bit for bit at
-/// whatever pool size the suite runs under, and stay bit-identical on a
+/// A large five-factor Kronecker: the prefix and union modes run the
+/// panel kernels, the wavelet and range modes the fiber walk. Results must
+/// match the reference engine bit for bit and stay bit-identical on a
 /// warm re-run.
 #[test]
 fn threaded_nary_kron_matches_reference() {
@@ -431,8 +429,8 @@ fn threaded_nary_kron_matches_reference() {
     let mut rmv = vec![0.0; k.cols()];
     k.matvec_into(&x, &mut mv, &mut ws);
     k.rmatvec_into(&y, &mut rmv, &mut ws);
-    assert_reference(&mv, &reference_matvec(&k, &x), "threaded matvec");
-    assert_reference(&rmv, &reference_rmatvec(&k, &y), "threaded rmatvec");
+    assert_reference(&mv, &reference_matvec(&k, &x), "large matvec");
+    assert_reference(&rmv, &reference_rmatvec(&k, &y), "large rmatvec");
     let (mv0, rmv0) = (mv.clone(), rmv.clone());
     k.matvec_into(&x, &mut mv, &mut ws);
     k.rmatvec_into(&y, &mut rmv, &mut ws);

@@ -10,10 +10,7 @@
 //!   left-to-right fold bit-exactly, and the prefix/suffix sums a running
 //!   accumulator;
 //! * the panel gather/scatter pair must round-trip and match the
-//!   column-at-a-time reference exactly (pure data movement);
-//! * `par_dot` must equal the fixed-chunk serial reference bit-exactly
-//!   (its geometry comes from `configured_parallelism`, not the live
-//!   worker count).
+//!   column-at-a-time reference exactly (pure data movement).
 
 use ektelo_matrix::kernels::{self, KRON_PANEL};
 use proptest::prelude::*;
@@ -159,31 +156,5 @@ proptest! {
                 prop_assert_eq!(out[i * stride + q + j].to_bits(), t[i * stride + q + j].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn par_dot_matches_fixed_chunk_reference(shift in 0usize..64) {
-        // Long enough to engage the pool path (PAR_DOT_MIN = 1<<15) with
-        // a varying remainder chunk.
-        let n = (1usize << 15) + shift * 7;
-        let a: Vec<f64> = (0..n).map(|i| ((i * 37) % 19) as f64 * 0.31 - 2.7).collect();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 53) % 23) as f64 * 0.17 - 1.9).collect();
-        let k = ektelo_matrix::pool::configured_parallelism();
-        let got = kernels::par_dot(&a, &b);
-        let dot = |lo: usize, hi: usize| fold((lo..hi).map(|i| a[i] * b[i]));
-        let expect = if k < 2 {
-            dot(0, n)
-        } else {
-            let chunk = n.div_ceil(k);
-            let mut s = 0.0;
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                s += dot(lo, hi);
-                lo = hi;
-            }
-            s
-        };
-        prop_assert_eq!(got.to_bits(), expect.to_bits());
     }
 }

@@ -19,33 +19,25 @@
 //! counting sort, and `split_by_partition` reads each stripe's cells from
 //! the borrowed CSR rows — a few allocations per stripe, none per cell.
 //!
-//! The budget composes in parallel across stripes, and so does the
-//! *compute*: per-stripe measurements go through the kernel's batched
-//! `vector_laplace_batch`, which evaluates the exact per-stripe answers on
-//! the pool's worker threads while drawing noise sequentially in stripe
-//! order — so the *measurements* are bit-identical for every pool size,
-//! and plan outputs are deterministic run-to-run given the kernel seed.
-//! Inference is per stripe as well: every stacked measurement ends in its
-//! stripe's selector, so the system splits into one column component per
-//! stripe ([`ektelo_matrix::Matrix::column_components`]) and `lsqr`
-//! solves the stripes one after another. Both plans measure a stripe
-//! with an interval hierarchy (HB, or Greedy-H behind DAWA's reduce
-//! partition), so each stripe gets its exact least-squares solution from
-//! the `O(nodes)` tree pass ([`ektelo_solvers::tree_least_squares`])
-//! instead of LSQR iterations; HB-Striped's shared strategy is built into
-//! a pass once per solve. A stripe's solve runs serially on the calling
-//! thread, so `x_hat` does not depend on `configured_parallelism()`. A
-//! stripe that is not a hierarchy runs the LSQR loop, and only one large
-//! enough to cross the pool's threading thresholds (thousands of cells)
-//! is evaluated in chunks, whose merge points can move the last ulps.
-//! DAWA-Striped additionally builds its per-stripe Greedy-H
-//! strategies (pure public
-//! compute, the dominant per-stripe cost) on worker threads, and its
-//! data-adaptive stage-1 partition selection threads too: the kernel
-//! charges stripes in order and derives counter-based per-stripe RNG
-//! substreams from its privacy stream, so each stripe's selection is a
-//! pure function of (snapshot, substream) and the threaded batch is
-//! bit-identical to a sequential loop over the same substreams.
+//! The budget composes in parallel across stripes: per-stripe
+//! measurements go through the kernel's batched `vector_laplace_batch`,
+//! which evaluates the exact per-stripe answers through one workspace and
+//! draws noise sequentially in stripe order, so plan outputs are
+//! deterministic run-to-run given the kernel seed. Inference is per
+//! stripe as well: every stacked measurement ends in its stripe's
+//! selector, so the system splits into one column component per stripe
+//! ([`ektelo_matrix::Matrix::column_components`]) and `lsqr` solves the
+//! stripes one after another. Both plans measure a stripe with an
+//! interval hierarchy (HB, or Greedy-H behind DAWA's reduce partition),
+//! so each stripe gets its exact least-squares solution from the
+//! `O(nodes)` tree pass ([`ektelo_solvers::tree_least_squares`]) instead
+//! of LSQR iterations; HB-Striped's shared strategy is built into a pass
+//! once per solve. A stripe that is not a hierarchy runs the LSQR loop.
+//! DAWA-Striped additionally builds its per-stripe Greedy-H strategies
+//! (pure public compute), and its data-adaptive stage-1 partition
+//! selection charges stripes in order and derives counter-based
+//! per-stripe RNG substreams from the kernel's privacy stream, so each
+//! stripe's selection is a pure function of (snapshot, substream).
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
 use ektelo_core::ops::graph::{PlanBuilder, PlanExecutor, PlanSpec};
@@ -70,9 +62,9 @@ fn hb_striped_spec(sizes: &[usize], attr: usize, eps: f64) -> PlanSpec {
 /// Plan #15 — HB-Striped (Algorithm 5): `PS TP[ SHB LM ] LS`.
 ///
 /// All stripes share one data-independent HB strategy, so the whole
-/// measurement phase is a single batched call: exact answers evaluate in
-/// parallel on the pool, noise is drawn in stripe order — bit-identical
-/// to the old sequential loop.
+/// measurement phase is a single batched call: exact answers evaluate
+/// through one workspace, noise is drawn in stripe order — bit-identical
+/// to a sequential loop of single measurements.
 pub fn plan_hb_striped(
     kernel: &ProtectedKernel,
     x: SourceVar,
@@ -222,9 +214,9 @@ mod tests {
         assert!((k.budget_spent() - 1.0).abs() < 1e-9);
     }
 
-    /// The threaded measurement phase must not introduce nondeterminism:
-    /// identical seeds give identical estimates, run to run, at any pool
-    /// size (noise is drawn sequentially in stripe order either way).
+    /// The batched measurement phase must not introduce nondeterminism:
+    /// identical seeds give identical estimates, run to run (noise is
+    /// drawn sequentially in stripe order).
     #[test]
     fn striped_plans_are_deterministic_given_seed() {
         let run_hb = || {

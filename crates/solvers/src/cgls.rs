@@ -8,7 +8,7 @@
 use ektelo_matrix::{Matrix, Workspace};
 
 use crate::lsqr::{LsqrOptions, LsqrResult};
-use crate::util::{axpy, norm2, par_dot, xpay};
+use crate::util::{axpy, dot, norm2, xpay};
 
 /// Solves `min_x ‖Ax − b‖₂` with CGLS. Options and result types are shared
 /// with [`crate::lsqr()`].
@@ -26,7 +26,7 @@ pub fn cgls(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let mut s = vec![0.0; n]; // s = Aᵀ r
     a.rmatvec_into(&r, &mut s, &mut ws);
     let mut p = s.clone();
-    let mut gamma: f64 = par_dot(&s, &s);
+    let mut gamma: f64 = dot(&s, &s);
     let gamma0 = gamma;
     if gamma == 0.0 {
         let rn = norm2(&r);
@@ -44,7 +44,7 @@ pub fn cgls(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
         // channel here — the executor maps the unwind to a typed error).
         ektelo_matrix::failpoints::panic_if("solver::iteration");
         a.matvec_into(&p, &mut q, &mut ws);
-        let qq = par_dot(&q, &q);
+        let qq = dot(&q, &q);
         if qq == 0.0 {
             break;
         }
@@ -52,7 +52,7 @@ pub fn cgls(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
         axpy(&mut x, alpha, &p);
         axpy(&mut r, -alpha, &q);
         a.rmatvec_into(&r, &mut s, &mut ws);
-        let gamma_new = par_dot(&s, &s);
+        let gamma_new = dot(&s, &s);
         if gamma_new <= opts.atol * opts.atol * gamma0 {
             gamma = gamma_new;
             break;

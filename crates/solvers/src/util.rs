@@ -17,13 +17,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     kernels::dot(a, b)
 }
 
-/// Inner product `⟨a, b⟩` with pool-threaded chunk reduction for long
-/// vectors (fixed chunk geometry and merge order: bit-identical for every
-/// pool size; see [`ektelo_matrix::kernels::par_dot`]).
-pub fn par_dot(a: &[f64], b: &[f64]) -> f64 {
-    kernels::par_dot(a, b)
-}
-
 /// In-place scaling `v ← c·v`.
 pub fn scale(v: &mut [f64], c: f64) {
     kernels::scale(v, c);

@@ -13,15 +13,13 @@
 //!
 //! Allocations are counted **per thread**, on the test thread only, so the
 //! harness's own threads (spawning the next test, printing results) can
-//! never land inside a counting window. That count is complete only if
-//! the solve never leaves the test thread; these systems (n ≤ 256) sit
-//! below every pool threshold, and each window asserts that
-//! `pool::stats().completed` did not move, which proves it.
+//! never land inside a counting window. That count is complete because
+//! evaluation is single-threaded: a solve never leaves the test thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ektelo_matrix::{partition_from_labels, plan_builds, pool, CsrMatrix, Matrix};
+use ektelo_matrix::{partition_from_labels, plan_builds, CsrMatrix, Matrix};
 use ektelo_solvers::{cgls, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions};
 
 struct CountingAllocator;
@@ -92,8 +90,7 @@ fn rhs(rows: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The planning counter and the pool's job counter are process-global,
-/// and the harness runs `#[test]` fns on concurrent threads. Every
+/// The planning counter is process-global, and the harness runs `#[test]` fns on concurrent threads. Every
 /// counting test holds this gate for its whole body so those windows
 /// never overlap.
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -103,24 +100,15 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Runs `f` once and returns the `(allocations, planning passes)` it
-/// made. The allocation count is the test thread's own, so it is exact;
-/// the assertion that no pool job completed in the window proves that
-/// `f` did all its work on this thread, so nothing escaped the count.
+/// made. The allocation count is the test thread's own, so it is exact.
 fn count_both<F: FnOnce()>(f: F) -> (u64, u64) {
-    let jobs_before = pool::stats().completed;
     let allocs_before = thread_allocations();
     let plans_before = plan_builds();
     f();
-    let counts = (
+    (
         thread_allocations() - allocs_before,
         plan_builds() - plans_before,
-    );
-    assert_eq!(
-        pool::stats().completed,
-        jobs_before,
-        "the solve ran pool jobs, so a per-thread count would miss their allocations"
-    );
-    counts
+    )
 }
 
 #[test]

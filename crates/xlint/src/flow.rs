@@ -19,8 +19,7 @@
 //!   the call closure of the deterministic entry points
 //!   (`matvec_into`/`rmatvec_into`/`rmatvec_add` and the public
 //!   kernels), not just in the three hot files the line rule watches.
-//!   The pool executor file is the sanctioned thread owner and is
-//!   excluded from traversal.
+//!   No file is exempt: the library is single-threaded.
 //! * **`cfg-parity`** — every failpoint name used at a
 //!   `triggered`/`panic_if` call site must be declared in
 //!   `failpoints.rs`'s `SITES` list and vice versa (the `failpoints`
@@ -451,7 +450,6 @@ fn reach(
     root: NodeId,
     rule: &'static str,
     config: &Config,
-    skip_file: impl Fn(&str) -> bool,
 ) -> BTreeMap<NodeId, Option<NodeId>> {
     let mut parent: BTreeMap<NodeId, Option<NodeId>> = BTreeMap::new();
     parent.insert(root, None);
@@ -474,10 +472,6 @@ fn reach(
             }
             for target in idx.resolve(call, fi) {
                 if target == node {
-                    continue;
-                }
-                let trel = &files[idx.file_of(target)].ctx.rel;
-                if skip_file(trel) {
                     continue;
                 }
                 if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(target) {
@@ -519,7 +513,7 @@ fn warm_path(files: &[AnalyzedFile], idx: &Index, config: &Config, report: &mut 
             continue;
         }
         let root_name = root_fact.name.clone();
-        let visited = reach(files, idx, root, "warm-path-alloc", config, |_| false);
+        let visited = reach(files, idx, root, "warm-path-alloc", config);
         let mut alloc_sites = 0usize;
         for &node in visited.keys() {
             let (fi, _) = idx.nodes[node];
@@ -581,18 +575,10 @@ fn determinism_transitive(
             continue;
         }
         let root_name = fact.name.clone();
-        // The pool executor is the sanctioned thread owner: edges into
-        // it are out of scope (its own invariants are gated by the
-        // pool-size bit-identity suites and the line-level rules).
-        let visited = reach(files, idx, root, "determinism-transitive", config, |rel| {
-            rel.contains("matrix/src/pool/")
-        });
+        let visited = reach(files, idx, root, "determinism-transitive", config);
         for &node in visited.keys() {
             let (fi, _) = idx.nodes[node];
             let af = &files[fi];
-            if af.ctx.rel.contains("matrix/src/pool/") {
-                continue;
-            }
             for b in &idx.fact(files, node).bans {
                 if !active(&b.cfg, config) {
                     continue;

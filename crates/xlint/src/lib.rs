@@ -14,14 +14,15 @@
 //! # Rule catalog
 //!
 //! * `determinism-thread` — `std::thread::spawn` / `std::thread::scope`
-//!   are forbidden everywhere except the `crates/matrix/src/pool/`
-//!   module tree (the one sanctioned thread owner). Ad-hoc threads
-//!   bypass the pool's fixed-geometry dispatch and its pool-size
-//!   bit-identity guarantee.
+//!   are forbidden everywhere: the library is single-threaded, so a
+//!   result never depends on how work was split across cores. Tests and
+//!   benches that race sessions on real OS threads justify each site
+//!   with an allow.
 //! * `determinism-parallelism` — `available_parallelism` is forbidden
-//!   outside `pool::configured_parallelism`: chunk geometry must come
-//!   from the process constant, never from a machine query at a call
-//!   site (that is exactly how results drift across machines).
+//!   everywhere except the benchmark shim's
+//!   `pool::configured_parallelism` (`crates/matrix/src/pool.rs`), which
+//!   only reports it: a machine query that sized work would make results
+//!   drift across machines.
 //! * `determinism-hash-iter` — `HashMap`/`HashSet` are forbidden in the
 //!   hot evaluation files (`matvec.rs`, `kernels.rs`, `plan.rs`): their
 //!   iteration order is randomized per process, so any use there is one
@@ -82,8 +83,7 @@
 //!   (`matvec_into` / `rmatvec_into` / `rmatvec_add` and the public
 //!   kernels): `HashMap`/`HashSet`/`thread::spawn`/`thread::scope`/
 //!   `available_parallelism` are forbidden anywhere in their call
-//!   closure, not just in the three hot files. The pool executor file
-//!   is the sanctioned thread owner and is excluded from traversal.
+//!   closure, not just in the three hot files. No file is exempt.
 //! * `cfg-parity` — every failpoint name used at a `triggered` /
 //!   `panic_if` site (compiled in by the `failpoints` feature) must be
 //!   declared in `failpoints.rs`'s `SITES` list and vice versa (an
@@ -891,7 +891,7 @@ fn push(report: &mut Report, ctx: &FileCtx, line: usize, rule: &'static str, mes
 
 /// Runs every line-local rule over one file.
 fn lint_file(ctx: &FileCtx, report: &mut Report) {
-    let is_pool = ctx.rel.starts_with("crates/matrix/src/pool/");
+    let is_pool_shim = ctx.rel == "crates/matrix/src/pool.rs";
     let hot_hash_file = matches!(
         ctx.rel.as_str(),
         "crates/matrix/src/matvec.rs"
@@ -910,7 +910,6 @@ fn lint_file(ctx: &FileCtx, report: &mut Report) {
     let failpoint_site_file = matches!(
         ctx.rel.as_str(),
         "crates/matrix/src/failpoints.rs"
-            | "crates/matrix/src/pool/mod.rs"
             | "crates/core/src/kernel/state.rs"
             | "crates/core/src/kernel/mod.rs"
             | "crates/solvers/src/cgls.rs"
@@ -943,33 +942,31 @@ fn lint_file(ctx: &FileCtx, report: &mut Report) {
             }
         }
 
-        if !is_pool {
-            for tok in ["thread::spawn", "thread::scope"] {
-                if contains_token(code, tok) {
-                    push(
-                        report,
-                        ctx,
-                        i,
-                        "determinism-thread",
-                        format!(
-                            "`{tok}` outside crates/matrix/src/pool/: all threading must go \
-                             through the pool executor (fixed chunk geometry, pool-size \
-                             bit-identity)"
-                        ),
-                    );
-                }
-            }
-            if contains_token(code, "available_parallelism") {
+        for tok in ["thread::spawn", "thread::scope"] {
+            if contains_token(code, tok) {
                 push(
                     report,
                     ctx,
                     i,
-                    "determinism-parallelism",
-                    "`available_parallelism` outside `pool::configured_parallelism`: chunk \
-                     geometry must come from the process constant, not a machine query"
-                        .to_string(),
+                    "determinism-thread",
+                    format!(
+                        "`{tok}`: the library is single-threaded, so results never depend \
+                         on how work is split across cores; a test or bench that needs real \
+                         OS threads must justify them"
+                    ),
                 );
             }
+        }
+        if !is_pool_shim && contains_token(code, "available_parallelism") {
+            push(
+                report,
+                ctx,
+                i,
+                "determinism-parallelism",
+                "`available_parallelism` outside the benchmark shim's \
+                 `pool::configured_parallelism`: a machine query must never size work"
+                    .to_string(),
+            );
         }
 
         if hot_hash_file {

@@ -79,7 +79,7 @@ fn workspace_inventory_is_sound() {
         "no KernelState guard regions found in the kernel"
     );
     let warm: Vec<&str> = report.warm_roots.iter().map(|w| w.name.as_str()).collect();
-    for root in ["matvec_into", "rmatvec_into", "rmatvec_add", "par_dot"] {
+    for root in ["matvec_into", "rmatvec_into", "rmatvec_add"] {
         assert!(warm.contains(&root), "WARM root `{root}` missing: {warm:?}");
     }
     assert!(
@@ -93,7 +93,7 @@ fn workspace_inventory_is_sound() {
         .filter(|p| p.kind == "failpoint-site")
         .count();
     assert!(
-        fp_pairs >= 7,
+        fp_pairs >= 6,
         "expected every declared failpoint verified, got {fp_pairs}"
     );
 }

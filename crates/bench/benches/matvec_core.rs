@@ -396,15 +396,16 @@ fn bench_parallel_rmatvec(c: &mut Criterion) {
     group.finish();
 }
 
-/// ISSUE 3 headline benches: the process-wide plan cache on MWEM-shaped
-/// loops. `mwem_round_loop` rebuilds a growing stacked union every round
-/// (each round's spine is a brand-new shape sharing all-but-one block
-/// with the previous round) and runs a few solver-ish product iterations;
-/// `round_robin_9_shapes` rotates one more strategy shape than the old
-/// per-workspace cap-8 LRU could hold — the eviction pathology that used
-/// to rebuild plans on every single call. Each gets a `replan_baseline`
-/// twin that clears the plan cache where the PR 2 engine would have
-/// missed, pricing exactly what the global cache removes.
+/// The process-wide plan cache on MWEM-shaped loops. `mwem_round_loop`
+/// rebuilds a growing stacked union every round (each round's spine is a
+/// brand-new shape sharing all-but-one block with the previous round) and
+/// runs a few solver-ish product iterations; the cache serves every block
+/// and lineage factor from earlier rounds, so only the new spine is
+/// assembled. `round_robin_9_shapes` rotates nine strategy shapes through
+/// one workspace, whose single-entry fast path misses on every call, so
+/// each lookup is served by the shared map. Each gets a `replan_baseline`
+/// twin that clears the cache and the fast path before every round (or
+/// every call of the rotation), pricing exactly what the cache removes.
 fn bench_plan_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_cache");
     group.sample_size(30);

@@ -29,116 +29,49 @@ use state::{checked_eps_total, validate_eps, KernelState, Node, NodeData};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SourceVar(pub(crate) usize);
 
-/// Upper bound on idle [`Workspace`]s the kernel retains for reuse —
-/// enough for every session sharing the kernel.
-const WORKSPACE_POOL_CAP: usize = 32;
+/// Idle arenas above this many bytes (32 MiB) are dropped on restore
+/// instead of kept, so one huge batch cannot pin its peak arena for the
+/// kernel's lifetime.
+const IDLE_WORKSPACE_MAX_BYTES: usize = 32 << 20;
 
-/// Default bound on the total heap bytes idle pooled workspaces may pin
-/// (32 MiB). Arenas grow monotonically to the largest requirement seen,
-/// so without this bound one huge batch would pin up to
-/// [`WORKSPACE_POOL_CAP`] maximum-sized arenas for the kernel's
-/// lifetime. Oversized workspaces are shrunk on restore to fit
-/// the remaining budget (their plan fast path survives the shrink, so a
-/// shed workspace still skips re-planning when reused).
-const WORKSPACE_POOL_DEFAULT_MAX_BYTES: usize = 32 << 20;
-
-/// A pool of reusable [`Workspace`]s owned by the kernel.
+/// The kernel's one idle [`Workspace`].
 ///
-/// `vector_laplace_batch` (and single-shot operators like
-/// worst-approx) used to construct a fresh `Workspace` per call, paying
-/// the arena growth and plan fast-path warmup every time. The pool hands
-/// out warm workspaces instead: a checkout pops one (or creates one if
-/// the pool is empty), and the restore pushes it back with its arena and
-/// single-entry plan fast path intact, so repeated batch calls over the
-/// same strategies do zero arena reallocation. The pool lock is separate
-/// from the kernel state lock and held only for the push/pop. Residency
-/// is bounded twice over: at most [`WORKSPACE_POOL_CAP`] idle workspaces,
-/// and at most `max_bytes` of idle arena storage — a workspace that
-/// would blow the byte budget is shrunk (`Workspace::shed_to`) before
-/// pooling, so steady-state batches keep warm arenas while one-off giant
-/// batches cannot pin their peak memory forever.
-struct WorkspacePool {
-    slots: Mutex<PoolSlots>,
-    /// Byte budget for all idle slots together (see `set_max_bytes`).
-    max_bytes: std::sync::atomic::AtomicUsize,
-}
-
+/// A batch measurement (and `worst_approx`) checks one workspace out,
+/// evaluates every request through it and restores it, so the next call
+/// finds the arena and the plan fast path warm. Each call holds exactly
+/// one workspace and evaluation is single-threaded, so one idle slot
+/// covers the traffic: a second session that checks out while the slot
+/// is empty gets a fresh workspace, and whichever restore finds the slot
+/// taken drops its workspace. The slot's lock is separate from the
+/// kernel state lock and held only for the take or the put.
 #[derive(Default)]
-struct PoolSlots {
-    stack: Vec<Workspace>,
-    /// Scalars (f64) resident across all idle workspaces.
-    resident_scalars: usize,
-}
-
-impl Default for WorkspacePool {
-    fn default() -> Self {
-        WorkspacePool {
-            slots: Mutex::new(PoolSlots {
-                // Full capacity up front: `restore` pushes while holding
-                // the pool lock, and a pre-sized stack keeps that push a
-                // pointer write instead of a possible reallocation.
-                stack: Vec::with_capacity(WORKSPACE_POOL_CAP),
-                resident_scalars: 0,
-            }),
-            max_bytes: std::sync::atomic::AtomicUsize::new(WORKSPACE_POOL_DEFAULT_MAX_BYTES),
-        }
-    }
+struct WorkspacePool {
+    idle: Mutex<Option<Workspace>>,
 }
 
 impl WorkspacePool {
     fn checkout(&self) -> Workspace {
-        let mut slots = self.slots.lock();
-        match slots.stack.pop() {
-            Some(ws) => {
-                slots.resident_scalars -= ws.resident_scalars();
-                ws
-            }
-            None => Workspace::default(),
-        }
+        self.idle.lock().take().unwrap_or_default()
     }
 
-    fn restore(&self, mut ws: Workspace) {
-        let budget_scalars =
-            self.max_bytes.load(std::sync::atomic::Ordering::Relaxed) / std::mem::size_of::<f64>();
-        let mut slots = self.slots.lock();
-        if slots.stack.len() >= WORKSPACE_POOL_CAP {
+    /// Keeps `ws` as the idle workspace if the slot is empty and its
+    /// arena is at most `max_bytes`; otherwise drops it (after the slot's
+    /// lock is released).
+    fn restore(&self, ws: Workspace, max_bytes: usize) {
+        if ws.resident_scalars() * std::mem::size_of::<f64>() > max_bytes {
             return;
         }
-        let headroom = budget_scalars.saturating_sub(slots.resident_scalars);
-        if ws.resident_scalars() > headroom {
-            ws.shed_to(headroom);
+        let mut idle = self.idle.lock();
+        if idle.is_none() {
+            *idle = Some(ws);
         }
-        slots.resident_scalars += ws.resident_scalars();
-        // xlint: allow(lock-discipline, reason = "stack is pre-allocated to WORKSPACE_POOL_CAP and the len check above bounds it, so this push is a pointer write that never reallocates")
-        slots.stack.push(ws);
-    }
-
-    fn len(&self) -> usize {
-        self.slots.lock().stack.len()
     }
 
     fn resident_bytes(&self) -> usize {
-        self.slots.lock().resident_scalars * std::mem::size_of::<f64>()
-    }
-
-    fn set_max_bytes(&self, bytes: usize) {
-        self.max_bytes
-            .store(bytes, std::sync::atomic::Ordering::Relaxed);
-        // Re-fit the idle inventory under the new budget immediately.
-        let budget_scalars = bytes / std::mem::size_of::<f64>();
-        let mut slots = self.slots.lock();
-        if slots.resident_scalars <= budget_scalars {
-            return;
-        }
-        let mut total = 0usize;
-        for ws in slots.stack.iter_mut() {
-            let headroom = budget_scalars.saturating_sub(total);
-            if ws.resident_scalars() > headroom {
-                ws.shed_to(headroom);
-            }
-            total += ws.resident_scalars();
-        }
-        slots.resident_scalars = total;
+        self.idle
+            .lock()
+            .as_ref()
+            .map_or(0, |ws| ws.resident_scalars() * std::mem::size_of::<f64>())
     }
 }
 
@@ -294,40 +227,23 @@ impl ProtectedKernel {
     // Reusable workspaces (kernel-owned scratch for batch/operator calls)
     // ------------------------------------------------------------------
 
-    /// Checks a warm [`Workspace`] out of the kernel's pool (or creates a
-    /// fresh one when the pool is empty). Pair with
-    /// [`ProtectedKernel::workspace_restore`]; used by the batched
-    /// measurement path and scratch-hungry vetted operators so repeated
-    /// calls reuse arenas instead of rebuilding them.
+    /// Takes the kernel's idle [`Workspace`] (or a fresh one when it is
+    /// out). Pair with [`ProtectedKernel::workspace_restore`]; used by the
+    /// batched measurement path and scratch-hungry vetted operators so
+    /// repeated calls reuse one warm arena instead of rebuilding it.
     pub(crate) fn workspace_checkout(&self) -> Workspace {
         self.ws_pool.checkout()
     }
 
-    /// Returns a workspace to the pool for the next checkout.
+    /// Returns a workspace for the next checkout.
     pub(crate) fn workspace_restore(&self, ws: Workspace) {
-        self.ws_pool.restore(ws);
+        self.ws_pool.restore(ws, IDLE_WORKSPACE_MAX_BYTES);
     }
 
-    /// Number of idle pooled workspaces (observability for tests and
-    /// capacity tuning; the count is bounded by a small internal cap).
-    pub fn workspace_pool_len(&self) -> usize {
-        self.ws_pool.len()
-    }
-
-    /// Heap bytes currently pinned by idle pooled workspaces' arenas.
-    /// Bounded by the pool's byte budget: a restore that would exceed it
-    /// shrinks the workspace first, so one huge batch can no longer pin
-    /// its peak arena for the kernel's lifetime.
+    /// Heap bytes pinned by the idle workspace's arena (0 when none is
+    /// idle). At most 32 MiB: a bigger arena is dropped on restore.
     pub fn workspace_pool_resident_bytes(&self) -> usize {
         self.ws_pool.resident_bytes()
-    }
-
-    /// Sets the byte budget for idle pooled workspaces (default 32 MiB)
-    /// and immediately re-fits the idle inventory under it. A memory
-    /// dial only — a shrunk workspace regrows on demand and keeps its
-    /// plan fast path, so correctness and plan reuse are unaffected.
-    pub fn set_workspace_pool_max_bytes(&self, bytes: usize) {
-        self.ws_pool.set_max_bytes(bytes);
     }
 
     /// The product of stability factors along the transformation chain
@@ -726,16 +642,16 @@ impl ProtectedKernel {
         };
 
         // Phase 2 (pure compute, outside the lock): the exact answers,
-        // in request order, through one workspace checked out of the
-        // kernel's pool, so same-shaped stripe strategies share a single
-        // evaluation plan and the next batch finds the arena warm.
+        // in request order, through the kernel's idle workspace, so
+        // same-shaped stripe strategies share a single evaluation plan and
+        // the next batch finds the arena warm.
         let mut exacts: Vec<Option<Vec<f64>>> = snapshots
             .iter()
             .map(|s| s.as_ref().ok().map(|_| Vec::new()))
             .collect();
-        let mut ws = self.ws_pool.checkout();
+        let mut ws = self.workspace_checkout();
         fill_exact_answers(reqs, &snapshots, &mut exacts, &mut ws);
-        self.ws_pool.restore(ws);
+        self.workspace_restore(ws);
 
         // Phase 3 (sequential, under the lock): charge budgets, draw noise
         // in request order, record history — the privacy-ordered section.
@@ -1428,5 +1344,46 @@ mod tests {
         let k = ProtectedKernel::init_from_vector(vec![5.0, 3.0, 2.0], 1.0, 3);
         let y = k.vector_laplace(k.root(), &Matrix::total(3), 1.0).unwrap();
         assert!((y[0] - 10.0).abs() < 15.0);
+    }
+
+    /// The idle slot keeps one workspace of at most the bound: a
+    /// checkout takes it back warm, a second checkout while it is out
+    /// gets a fresh one, the restore that finds the slot taken drops its
+    /// workspace, and an arena over the bound is never kept.
+    #[test]
+    fn idle_slot_keeps_one_workspace_within_the_bound() {
+        let pool = WorkspacePool::default();
+        let mut warm = pool.checkout();
+        warm.reserve(64);
+        let bytes = warm.resident_scalars() * std::mem::size_of::<f64>();
+        pool.restore(warm, 1024);
+        assert_eq!(pool.resident_bytes(), bytes);
+
+        let first = pool.checkout();
+        assert_eq!(
+            first.resident_scalars(),
+            64,
+            "the idle workspace comes back warm"
+        );
+        assert_eq!(pool.resident_bytes(), 0);
+        let second = pool.checkout();
+        assert_eq!(
+            second.resident_scalars(),
+            0,
+            "the slot was empty: a fresh one"
+        );
+        pool.restore(first, 1024);
+        pool.restore(second, 1024);
+        assert_eq!(pool.resident_bytes(), bytes, "the slot holds one workspace");
+
+        let mut big = Workspace::default();
+        big.reserve(1024 / std::mem::size_of::<f64>() + 1);
+        let _ = pool.checkout();
+        pool.restore(big, 1024);
+        assert_eq!(
+            pool.resident_bytes(),
+            0,
+            "an arena over the bound is dropped"
+        );
     }
 }

@@ -50,16 +50,22 @@ pub fn worst_approx(
             "x_hat must be finite, got an entry {v}"
         )));
     }
+    // The truth evaluation below runs under the kernel's state lock, where
+    // a width mismatch would panic and poison the kernel. Reject it (and a
+    // wrong source type) before anything is charged.
+    let n = kernel.vector_len(sv)?;
+    if workload.cols() != n {
+        return Err(EktError::ShapeMismatch {
+            expected: n,
+            found: workload.cols(),
+        });
+    }
     kernel.charge_in(sv, eps, res)?;
-    // Surface a wrong source type *before* checking a workspace out of
-    // the pool: the closure below moves the workspace, so an error from
-    // `with_vector` would drop it instead of restoring it.
-    kernel.vector_len(sv)?;
     // Both workload evaluations (public estimate, private truth) share one
     // workspace; the truth answers are overwritten in place with the
-    // per-query deviation scores. The workspace comes from the kernel's
-    // pool, so MWEM's round loop — which calls this once per round with
-    // the same workload — reuses one warm arena instead of rebuilding it.
+    // per-query deviation scores. It is the kernel's idle workspace, so
+    // MWEM's round loop — which calls this once per round with the same
+    // workload — reuses one warm arena instead of rebuilding it.
     let mut ws = kernel.workspace_checkout();
     let mut est = vec![0.0; workload.rows()];
     workload.matvec_into(x_hat, &mut est, &mut ws);

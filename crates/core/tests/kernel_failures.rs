@@ -182,6 +182,34 @@ fn worst_approx_rejects_bad_public_input_before_charging() {
     assert_eq!(k.budget_spent(), 0.5);
 }
 
+/// A workload whose width fits `x_hat` but not the source is rejected
+/// before charging. Unchecked, the truth evaluation asserted on the
+/// length under the kernel's state lock and poisoned every later call.
+#[test]
+fn worst_approx_rejects_a_workload_too_narrow_for_the_source() {
+    let k = ProtectedKernel::init_from_vector(vec![1.0; 8], 1.0, 0);
+    assert!(matches!(
+        worst_approx(
+            &k,
+            k.root(),
+            &Matrix::identity(4),
+            &[0.0; 4],
+            1.0,
+            0.25,
+            None
+        ),
+        Err(EktError::ShapeMismatch {
+            expected: 8,
+            found: 4
+        })
+    ));
+    assert_eq!(k.budget_spent(), 0.0, "a rejected call must charge nothing");
+    // The state lock is not poisoned: the kernel still answers.
+    let w = Matrix::identity(8);
+    worst_approx(&k, k.root(), &w, &[0.0; 8], 1.0, 0.25, None).unwrap();
+    assert_eq!(k.budget_spent(), 0.25);
+}
+
 #[test]
 fn errors_are_displayable_and_stable() {
     // Error messages are part of the public API surface (plans report

@@ -73,10 +73,7 @@ pub use dense::DenseMatrix;
 pub use hierarchy::{TreeNode, TreeShape};
 pub use materialize::Repr;
 pub use plan::plan_builds;
-pub use plan_cache::{
-    plan_cache_clear, plan_cache_max_bytes, plan_cache_set_max_bytes, plan_cache_stats,
-    PlanCacheStats, PLAN_CACHE_SHARDS,
-};
+pub use plan_cache::{plan_cache_clear, plan_cache_stats, PlanCacheStats};
 pub use range::RangeQueries;
 pub use rect::RectQueries2D;
 pub use sensitivity::{sens_cache_stats, SensCacheStats};

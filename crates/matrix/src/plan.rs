@@ -22,14 +22,14 @@
 //!   source drags through inference) by up to `k/2`×.
 //!
 //! Plans are shared through the **process-wide cache** of
-//! [`crate::plan_cache`], keyed purely by the structural shape fingerprint;
-//! `Union` blocks and `Product`-chain factors are fingerprinted and cached
-//! **individually**, so a spine that is rebuilt with mostly-unchanged
-//! children (an MWEM round stacking one more measurement onto last round's
-//! union) reassembles from cached block plans in `O(blocks)` without
-//! re-walking any shared subtree. Each [`crate::Workspace`] additionally
-//! keeps a single-entry fast path so solver inner loops never touch the
-//! shared cache's locks.
+//! [`crate::plan_cache`] (one mutex-guarded map), keyed purely by the
+//! structural shape fingerprint; `Union` blocks and `Product`-chain
+//! factors are fingerprinted and cached **individually**, so a spine that
+//! is rebuilt with mostly-unchanged children (an MWEM round stacking one
+//! more measurement onto last round's union) reassembles from cached block
+//! plans in `O(blocks)` without re-walking any shared subtree. Each
+//! [`crate::Workspace`] additionally keeps a single-entry fast path so
+//! solver inner loops never touch the shared cache's lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,22 +98,12 @@ impl EvalPlan {
     }
 
     /// The shared cached plan for `m`: a process-wide cache hit, or the
-    /// one-time planning pass on the first sighting of the shape.
-    /// (`Workspace::plan_for` goes through `plan_cache::get_or_build`
-    /// directly to keep its build counter; this is the plain entry.)
-    #[cfg(test)]
+    /// one-time planning pass on the first sighting of the shape. Spine
+    /// assembly looks up each `Union` block and `Product`-chain factor
+    /// here. (`Workspace::plan_for` goes through
+    /// `plan_cache::get_or_build` directly to keep its build counter.)
     pub fn cached(m: &Matrix) -> Arc<EvalPlan> {
         let (plan, _) = plan_cache::get_or_build(m, fingerprint(m));
-        plan
-    }
-
-    /// The cached plan for a `Union` block or `Product`-chain factor
-    /// during spine assembly (counts cache hits as shared sub-plans).
-    fn cached_child(m: &Matrix) -> Arc<EvalPlan> {
-        let (plan, built) = plan_cache::get_or_build(m, fingerprint(m));
-        if !built {
-            plan_cache::note_shared_subplan();
-        }
         plan
     }
 
@@ -316,7 +306,7 @@ fn plan_node(m: &Matrix) -> (NodePlan, Info) {
 }
 
 fn plan_union(blocks: &[Matrix]) -> (NodePlan, Info) {
-    let built: Vec<Arc<EvalPlan>> = blocks.iter().map(EvalPlan::cached_child).collect();
+    let built: Vec<Arc<EvalPlan>> = blocks.iter().map(EvalPlan::cached).collect();
     let rows: usize = built.iter().map(|p| p.rows).sum();
     let cols = built.first().map_or(0, |p| p.cols);
     let block_mv = built.iter().map(|p| p.mv_scratch).max().unwrap_or(0);
@@ -344,10 +334,10 @@ fn plan_chain(m: &Matrix) -> (NodePlan, Info) {
     let mut factors: Vec<Arc<EvalPlan>> = Vec::new();
     let mut cur = m;
     while let Matrix::Product(a, b) = cur {
-        factors.push(EvalPlan::cached_child(a));
+        factors.push(EvalPlan::cached(a));
         cur = b;
     }
-    factors.push(EvalPlan::cached_child(cur));
+    factors.push(EvalPlan::cached(cur));
     debug_assert!(factors.len() >= 2);
 
     let rows: Vec<usize> = factors.iter().map(|p| p.rows).collect();
@@ -777,22 +767,5 @@ mod tests {
             Box::new(Matrix::prefix(1 << 33)),
         );
         let _ = EvalPlan::cached(&m);
-    }
-
-    /// Spine reassembly over cached blocks increments the shared-subplan
-    /// counter (the exact "zero planning walks" delta is pinned in the
-    /// single-process `plan_sharing` integration suite — global counters
-    /// cannot be asserted exactly here while sibling unit tests run
-    /// concurrently).
-    #[test]
-    fn spine_assembly_reuses_cached_blocks() {
-        let blocks = vec![Matrix::prefix(937), Matrix::wavelet(937)];
-        let _ = EvalPlan::cached(&Matrix::vstack(blocks.clone()));
-        let stats = plan_cache::plan_cache_stats();
-        // A new spine over the same (now cached) blocks: reassembly only.
-        let mut bigger = blocks.clone();
-        bigger.push(Matrix::prefix(937));
-        let _ = EvalPlan::cached(&Matrix::vstack(bigger));
-        assert!(plan_cache::plan_cache_stats().shared_subplans > stats.shared_subplans);
     }
 }

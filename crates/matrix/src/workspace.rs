@@ -11,6 +11,9 @@
 //! ([`Matrix::matvec_scratch`] / [`Matrix::rmatvec_scratch`]); evaluation
 //! then carves disjoint sub-slices off that arena with `split_at_mut` as it
 //! recurses, so the steady state performs **zero heap allocations**.
+//! An arena only grows; code that wants to bound idle memory drops the
+//! whole workspace (the protected kernel keeps one idle workspace and
+//! drops any arena over 32 MiB).
 //!
 //! ```
 //! use ektelo_matrix::{Matrix, Workspace};
@@ -40,7 +43,7 @@ use crate::{plan_cache, Matrix};
 /// **process-wide** plan cache (the private `plan_cache` module), shared by every
 /// workspace and every thread; the workspace keeps a single-entry
 /// fingerprint→plan fast path so solver inner loops — which hammer one
-/// shape — never touch the shared cache's locks. Constructing one with
+/// shape — never touch the shared cache's lock. Constructing one with
 /// [`Workspace::for_matrix`] performs the planning lookup and the arena
 /// allocation up front, which is what iterative solvers do once per
 /// solve.
@@ -98,21 +101,10 @@ impl Workspace {
     }
 
     /// Total scalars of heap storage this workspace currently pins (the
-    /// arena's capacity). The figure a byte-bounded workspace pool (the
-    /// kernel's) budgets against.
+    /// arena's capacity). The figure the kernel's idle-workspace bound
+    /// applies to.
     pub fn resident_scalars(&self) -> usize {
         self.buf.capacity()
-    }
-
-    /// Shrinks resident storage to at most `max_scalars`, keeping the
-    /// plan fast path (plans are `Arc`-shared and cheap) so a shed
-    /// workspace still skips the planning pass when reused. A no-op when
-    /// already within budget.
-    pub fn shed_to(&mut self, max_scalars: usize) {
-        if self.buf.capacity() > max_scalars {
-            self.buf.truncate(max_scalars);
-            self.buf.shrink_to_fit();
-        }
     }
 
     /// The evaluation plan for `m`: the workspace's single-entry fast path

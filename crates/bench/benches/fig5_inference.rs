@@ -64,14 +64,6 @@ fn bench_ls_engines(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function(BenchmarkId::new("implicit_cgls", n), |b| {
-        b.iter(|| {
-            black_box(least_squares(
-                std::slice::from_ref(&m_implicit),
-                LsSolver::IterativeCgls,
-            ))
-        })
-    });
 
     // The striped plans' stacked system: 280 interleaved stripes of 64
     // cells, each measured through its reduce∘split lineage

@@ -399,9 +399,9 @@ fn bench_parallel_rmatvec(c: &mut Criterion) {
 /// The process-wide plan cache on MWEM-shaped loops. `mwem_round_loop`
 /// rebuilds a growing stacked union every round (each round's spine is a
 /// brand-new shape sharing all-but-one block with the previous round) and
-/// runs a few solver-ish product iterations; the cache serves every block
-/// and lineage factor from earlier rounds, so only the new spine is
-/// assembled. `round_robin_9_shapes` rotates nine strategy shapes through
+/// evaluates it once, so each round is one planning step plus one
+/// product; the cache serves every block and lineage factor from earlier
+/// rounds, so only the new spine is assembled. `round_robin_9_shapes` rotates nine strategy shapes through
 /// one workspace, whose single-entry fast path misses on every call, so
 /// each lookup is served by the shared map. Each gets a `replan_baseline`
 /// twin that clears the cache and the fast path before every round (or
@@ -442,12 +442,8 @@ fn bench_plan_cache(c: &mut Criterion) {
             blocks.push(row.clone());
             let system = Matrix::vstack(blocks.clone());
             let mut out = vec![0.0; system.rows()];
-            let mut back = vec![0.0; system.cols()];
-            for _ in 0..2 {
-                system.matvec_into(&x, &mut out, &mut ws);
-                system.rmatvec_into(&out, &mut back, &mut ws);
-            }
-            acc += back[0];
+            system.matvec_into(&x, &mut out, &mut ws);
+            acc += out[0];
         }
         acc
     };

@@ -9,15 +9,13 @@
 //! 3. **Greedy-H workload weighting** — level weights from the workload's
 //!    greedy decomposition vs a plain H2;
 //!
-//! 4. **LS solver choice** — LSQR vs CGLS vs direct on a mid-size system.
+//! 4. **LS solver choice** — LSQR vs direct on a mid-size system.
 //!
 //! Run: `cargo run --release -p ektelo-bench --bin ablations`
 
 use ektelo_bench::{mean, time_it};
 use ektelo_core::kernel::ProtectedKernel;
-use ektelo_core::ops::inference::{
-    least_squares, non_negative_least_squares, stack_measurements, LsSolver,
-};
+use ektelo_core::ops::inference::{least_squares, non_negative_least_squares, LsSolver};
 use ektelo_core::ops::partition::{dawa_partition, DawaOptions};
 use ektelo_core::ops::selection::{greedy_h, h2};
 use ektelo_core::MeasuredQuery;
@@ -146,11 +144,8 @@ fn ablation_solver_choice() {
     let (k, root) = kernel_for_histogram(&x, 1.0, 3);
     k.vector_laplace(root, &h2(n), 1.0).unwrap();
     let ms = k.measurements();
-    let (m, y) = stack_measurements(&ms);
-    let _ = (m, y);
     for (label, solver) in [
         ("LSQR (default)", LsSolver::Iterative),
-        ("CGLS", LsSolver::IterativeCgls),
         ("direct Cholesky", LsSolver::Direct),
     ] {
         let (xh, secs) = time_it(|| least_squares(&ms, solver));

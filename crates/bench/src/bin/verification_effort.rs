@@ -51,6 +51,11 @@ fn code_lines(path: &Path) -> usize {
     count
 }
 
+/// Directories holding no library code: build output, test suites,
+/// benches, and the linter's fixture trees (deliberate violations shaped
+/// like library files).
+const NOT_LIBRARY: &[&str] = &["target", "tests", "benches", "fixtures"];
+
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -58,7 +63,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     for e in entries.flatten() {
         let p = e.path();
         if p.is_dir() {
-            if p.file_name().is_some_and(|n| n == "target") {
+            if p.file_name()
+                .is_some_and(|n| NOT_LIBRARY.iter().any(|x| n == *x))
+            {
                 continue;
             }
             walk(&p, out);
@@ -82,10 +89,7 @@ fn main() {
         total += lines;
         let rel = f.strip_prefix(&root).unwrap_or(f);
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if PRIVACY_CRITICAL
-            .iter()
-            .any(|c| rel_str.ends_with(c) || rel_str.contains(c))
-        {
+        if PRIVACY_CRITICAL.contains(&rel_str.as_str()) {
             critical += lines;
             println!("  {rel_str:<55} {lines:>6}");
         }

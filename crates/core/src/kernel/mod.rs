@@ -280,18 +280,6 @@ impl ProtectedKernel {
         Ok(st.vector(sv.0)?.len())
     }
 
-    /// The vectorize base this vector descends from.
-    pub fn base_of(&self, sv: SourceVar) -> Result<SourceVar> {
-        let st = self.state.lock();
-        st.vector(sv.0)?;
-        Ok(SourceVar(
-            st.nodes[sv.0]
-                .base
-                // xlint: allow(panic-policy, reason = "construction invariant: every vector node is created with base = Some (vectorize sets itself, transforms inherit); the vector() check above already rejected non-vector nodes")
-                .expect("vector nodes always have a base"),
-        ))
-    }
-
     // ------------------------------------------------------------------
     // Table transformations (Private; no budget, tracked stability)
     // ------------------------------------------------------------------
@@ -336,41 +324,6 @@ impl ProtectedKernel {
             base: None,
             lineage: None,
         })))
-    }
-
-    /// Table-level `SplitByPartition` on attribute `attr`: rows are routed
-    /// by `labels[value]`; `None` drops the value's rows. Introduces a
-    /// partition dummy node so sibling budgets compose in parallel.
-    pub fn split_table_by_partition(
-        &self,
-        sv: SourceVar,
-        attr: &str,
-        labels: &[Option<usize>],
-    ) -> Result<Vec<SourceVar>> {
-        let mut st = self.state.lock();
-        let parts = st.table(sv.0)?.split_by_partition(attr, labels);
-        let dummy = st.add_node(Node {
-            data: NodeData::PartitionDummy,
-            parent: Some(sv.0),
-            stability: 1.0,
-            budget: 0.0,
-            base: None,
-            lineage: None,
-        });
-        Ok(parts
-            .into_iter()
-            .map(|t| {
-                SourceVar(st.add_node(Node {
-                    data: NodeData::Table(t),
-                    parent: Some(dummy),
-                    stability: 1.0,
-                    budget: 0.0,
-                    base: None,
-                    lineage: None,
-                }))
-            })
-            // xlint: allow(lock-discipline, reason = "table transformation is control-plane (once per plan); the protected table is only readable under the lock and child registration shares the same acquisition")
-            .collect())
     }
 
     // ------------------------------------------------------------------
@@ -719,6 +672,7 @@ impl ProtectedKernel {
 
     /// Hardened integer count using the two-sided geometric mechanism
     /// (extension; see [`noise`] module docs on the floating-point attack).
+    // xlint: allow(dead-pub, reason = "the integer-count mechanism that the planned exact-noise sampler (ROADMAP item 5) replaces or promotes")
     pub fn noisy_count_geometric(&self, sv: SourceVar, eps: f64) -> Result<i64> {
         validate_eps(eps)?;
         let mut st = self.state.lock();
@@ -758,19 +712,6 @@ impl ProtectedKernel {
         let st = self.state.lock();
         // xlint: allow(lock-discipline, reason = "snapshot-for-return: the history is the protected record and must be copied under the lock; matrix payloads share structure")
         st.history[start.min(st.history.len())..].to_vec()
-    }
-
-    /// The measurements mapped onto the given base vector.
-    pub fn measurements_for_base(&self, base: SourceVar) -> Vec<MeasuredQuery> {
-        self.state
-            .lock()
-            .history
-            .iter()
-            .filter(|m| m.base == base)
-            // xlint: allow(lock-discipline, reason = "snapshot-for-return: the history is the protected record and must be copied under the lock; matrix payloads share structure")
-            .cloned()
-            // xlint: allow(lock-discipline, reason = "snapshot-for-return: one result vec of the caller's matching measurements, filled under the same lock that guards the history")
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -830,15 +771,6 @@ impl ProtectedKernel {
             _ => return Err(EktError::WrongSourceType { expected: "table" }),
         };
         Ok(f(&data, &mut st.rng))
-    }
-
-    /// A fresh RNG forked from the kernel's stream, for Public operators
-    /// that want reproducible randomness (e.g. Algorithm 4's random
-    /// projection) without consuming privacy randomness state ordering.
-    pub fn fork_rng(&self) -> StdRng {
-        let mut st = self.state.lock();
-        let seed: u64 = st.rng.random();
-        StdRng::seed_from_u64(seed)
     }
 
     /// Batched charge + snapshot for vetted privacy-critical operators

@@ -28,15 +28,10 @@ pub fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
     -scale * u.signum() * a.ln()
 }
 
-/// A vector of independent Laplace draws.
-pub fn laplace_vec(rng: &mut StdRng, scale: f64, len: usize) -> Vec<f64> {
-    (0..len).map(|_| laplace(rng, scale)).collect()
-}
-
 /// A draw from the standard Gumbel distribution. Adding i.i.d. Gumbel noise
 /// to scaled scores and taking the argmax implements the exponential
 /// mechanism exactly (the "Gumbel-max trick").
-pub fn gumbel(rng: &mut StdRng) -> f64 {
+fn gumbel(rng: &mut StdRng) -> f64 {
     let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
     -(-u.ln()).ln()
 }

@@ -147,7 +147,6 @@ fn sources(vals: &[ShadowVal], id: usize) -> Result<Vec<usize>> {
 fn static_groups(spec: &PlanSpec, partition: usize) -> Result<usize> {
     match &spec.nodes[partition] {
         NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => stripe_groups(sizes, *attr),
-        NodeKind::Partition(PartitionOp::Fixed { matrix }) => Ok(matrix.rows()),
         other => Err(EktError::InvalidPlan(format!(
             "split consumes node #{partition}, which is not a static partition ({other:?})"
         ))),
@@ -314,7 +313,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 stripe_groups(sizes, *attr)?;
                 ShadowVal::None
             }
-            NodeKind::Partition(_) | NodeKind::Select(_) => ShadowVal::None,
+            NodeKind::Select(_) => ShadowVal::None,
             NodeKind::Infer(_) => {
                 // An Infer node fits the measurements recorded so far; a
                 // spec where none can exist would panic at execution

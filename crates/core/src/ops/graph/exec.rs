@@ -100,6 +100,7 @@ impl<'k> PlanExecutor<'k> {
     /// then surfaces *mid-plan* as the typed kernel error of whichever
     /// operator hits it — the pre-graph behaviour, kept for comparison
     /// and for failure-path tests).
+    // xlint: allow(dead-pub, reason = "the unchecked execution path that the one-plan-path work (ROADMAP item 10) removes")
     pub fn unchecked(kernel: &'k ProtectedKernel) -> Self {
         PlanExecutor {
             kernel,
@@ -233,9 +234,6 @@ impl<'k> Run<'_, 'k> {
 
                 NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => {
                     Value::Partition(stripe_partition(sizes, *attr))
-                }
-                NodeKind::Partition(PartitionOp::Fixed { matrix }) => {
-                    Value::Partition(matrix.clone())
                 }
                 NodeKind::Partition(PartitionOp::DawaEach { inputs, eps, opts }) => {
                     let svs = self.sources(&vals, inputs.id)?.to_vec();
@@ -468,6 +466,7 @@ pub fn mwem_row_strategy(n: usize, row: &[f64]) -> Matrix {
 /// of length `2^r` that do not intersect the selected query's support.
 /// The union still has L1 sensitivity 1 (disjoint supports), so the
 /// measurement is free relative to the un-augmented plan.
+// xlint: allow(dead-pub, reason = "the plans crate's MWEM tests pin its sensitivity at one")
 pub fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: usize) -> Matrix {
     let len = 1usize << round.min(62);
     if len > n {

@@ -61,7 +61,7 @@ use std::marker::PhantomData;
 
 use ektelo_matrix::Matrix;
 
-use crate::kernel::{EktError, Result};
+use crate::kernel::Result;
 use crate::ops::inference::LsSolver;
 use crate::ops::partition::DawaOptions;
 
@@ -122,11 +122,6 @@ impl<T> Ref<T> {
             id,
             _tag: PhantomData,
         }
-    }
-
-    /// Index of the referenced node within the spec (inspection).
-    pub fn node_index(&self) -> usize {
-        self.id
     }
 }
 
@@ -254,11 +249,6 @@ pub enum PartitionOp {
         /// The striped attribute.
         attr: usize,
     },
-    /// A caller-supplied static partition matrix (Public). Token `PF`.
-    Fixed {
-        /// The partition matrix (validated at build time).
-        matrix: Matrix,
-    },
     /// DAWA's data-adaptive stage-1 partition, element-wise over a
     /// source list (Private→Public: charges `eps` per source, composing
     /// in parallel across split siblings). Token `PD`.
@@ -279,7 +269,6 @@ impl Operator for PartitionOp {
     fn token(&self) -> &'static str {
         match self {
             PartitionOp::Stripe { .. } => "PS",
-            PartitionOp::Fixed { .. } => "PF",
             PartitionOp::DawaEach { .. } => "PD",
         }
     }
@@ -507,6 +496,7 @@ impl NodeKind {
     }
 
     /// True when executing this node charges privacy budget.
+    // xlint: allow(dead-pub, reason = "plan inspection beside `class()`: which nodes of a built spec spend budget (Private→Public operators)")
     pub fn charges_budget(&self) -> bool {
         match self {
             NodeKind::Input => false,
@@ -573,11 +563,6 @@ impl PlanSpec {
     /// The nodes of the plan, in execution order (inspection).
     pub fn nodes(&self) -> &[NodeKind] {
         &self.nodes
-    }
-
-    /// Index of the node whose estimate is the plan's output.
-    pub fn output_node(&self) -> usize {
-        self.output
     }
 
     /// Static budget pre-accounting: the exact worst-case root ε this
@@ -685,18 +670,6 @@ impl PlanBuilder {
             sizes: sizes.to_vec(),
             attr,
         }))
-    }
-
-    /// A caller-supplied static partition matrix (Public); rejected at
-    /// build time unless `matrix` is a valid partition.
-    pub fn partition_fixed(&mut self, matrix: Matrix) -> Result<PartitionRef> {
-        if !matrix.is_partition() {
-            return Err(EktError::InvalidPartition(format!(
-                "matrix of shape {:?} is not a partition",
-                matrix.shape()
-            )));
-        }
-        Ok(self.push(NodeKind::Partition(PartitionOp::Fixed { matrix })))
     }
 
     /// DAWA stage-1 partition selection over every source in `inputs`,
@@ -947,14 +920,5 @@ mod tests {
             mk(true, MwemRoundInference::NnlsKnownTotal).signature(),
             "I:( SW SH2 LM NLS )"
         );
-    }
-
-    #[test]
-    fn fixed_partition_validated_at_build_time() {
-        let mut b = PlanBuilder::new();
-        assert!(matches!(
-            b.partition_fixed(Matrix::prefix(4)),
-            Err(EktError::InvalidPartition(_))
-        ));
     }
 }

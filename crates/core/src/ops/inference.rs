@@ -13,7 +13,7 @@
 
 use ektelo_matrix::{Matrix, Workspace};
 use ektelo_solvers::{
-    cgls, direct_least_squares, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions,
+    direct_least_squares, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions,
 };
 
 use crate::kernel::MeasuredQuery;
@@ -23,8 +23,6 @@ use crate::kernel::MeasuredQuery;
 pub enum LsSolver {
     /// Iterative LSQR (default; `O(k · Time(M))`).
     Iterative,
-    /// Iterative CGLS (cross-check implementation).
-    IterativeCgls,
     /// Direct normal equations + Cholesky (`O(n³)`; Fig. 5 baseline).
     Direct,
 }
@@ -55,7 +53,6 @@ pub fn least_squares(measurements: &[MeasuredQuery], solver: LsSolver) -> Vec<f6
     let (m, y) = stack_measurements(measurements);
     match solver {
         LsSolver::Iterative => lsqr(&m, &y, &LsqrOptions::default()).x,
-        LsSolver::IterativeCgls => cgls(&m, &y, &LsqrOptions::default()).x,
         LsSolver::Direct => direct_least_squares(&m, &y),
     }
 }
@@ -148,6 +145,7 @@ pub fn relative_total_scale(measurements: &[MeasuredQuery]) -> f64 {
 /// Thresholding inference ("HR" in Fig. 1): for identity-style
 /// measurements, clamp negatives to zero and zero-out any estimate below
 /// `threshold` (a denoising heuristic for sparse data vectors).
+// xlint: allow(dead-pub, reason = "paper operator: thresholding inference (HR, Fig. 1)")
 pub fn thresholding(measurements: &[MeasuredQuery], threshold: f64) -> Vec<f64> {
     let mut x = least_squares(measurements, LsSolver::Iterative);
     for v in x.iter_mut() {
@@ -156,26 +154,6 @@ pub fn thresholding(measurements: &[MeasuredQuery], threshold: f64) -> Vec<f64> 
         }
     }
     x
-}
-
-/// Evaluates a workload on an estimate and returns per-query answers.
-/// (For repeated evaluation against many estimates, use
-/// [`answer_workload_into`] with a reused [`Workspace`].)
-pub fn answer_workload(workload: &Matrix, x_hat: &[f64]) -> Vec<f64> {
-    workload.matvec(x_hat)
-}
-
-/// In-place variant of [`answer_workload`] for loops that score many
-/// estimates against one workload (MWEM rounds, error sweeps): the
-/// workspace caches the workload's evaluation plan and scratch arena, so
-/// every call after the first is allocation- and planning-free.
-pub fn answer_workload_into(
-    workload: &Matrix,
-    x_hat: &[f64],
-    answers: &mut [f64],
-    ws: &mut Workspace,
-) {
-    workload.matvec_into(x_hat, answers, ws);
 }
 
 /// Scaled, per-query L2 error between true and estimated workload answers:
@@ -217,11 +195,7 @@ mod tests {
             measured(Matrix::identity(3), vec![1.0, 2.0, 3.0], 1.0),
             measured(Matrix::total(3), vec![6.0], 1.0),
         ];
-        for solver in [
-            LsSolver::Iterative,
-            LsSolver::IterativeCgls,
-            LsSolver::Direct,
-        ] {
+        for solver in [LsSolver::Iterative, LsSolver::Direct] {
             let x = least_squares(&ms, solver);
             for (a, b) in x.iter().zip(&[1.0, 2.0, 3.0]) {
                 assert!((a - b).abs() < 1e-6, "{solver:?}: {x:?}");
@@ -255,20 +229,6 @@ mod tests {
         let x = mult_weights_inference(&ms, 4.0, None, 100);
         assert!((x.iter().sum::<f64>() - 4.0).abs() < 1e-9);
         assert!(x[0] > 2.0, "{x:?}");
-    }
-
-    #[test]
-    fn answer_workload_into_matches_allocating_form() {
-        let w = Matrix::vstack(vec![Matrix::prefix(6), Matrix::total(6)]);
-        let mut ws = Workspace::for_matrix(&w);
-        let mut out = vec![0.0; w.rows()];
-        for round in 0..3 {
-            let x: Vec<f64> = (0..6).map(|i| (i + round) as f64).collect();
-            answer_workload_into(&w, &x, &mut out, &mut ws);
-            assert_eq!(out, answer_workload(&w, &x));
-        }
-        // One plan, reused across rounds.
-        assert_eq!(ws.plan_cache_builds(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   PrivBayes select);
 //! * **Partition selection** — [`partition`]: operators that compute a
 //!   partition matrix for the reduce/split transformations (AHP, DAWA,
-//!   Grid, Marginal, Stripe, Workload-based);
+//!   Marginal, Stripe, Workload-based);
 //! * **Inference** — [`inference`]: Public operators deriving consistent
 //!   estimates from the recorded measurements (LS, NNLS, MW,
 //!   Thresholding).

@@ -11,14 +11,12 @@
 
 mod ahp;
 mod dawa;
-mod grid;
 mod stripe;
 mod workload_based;
 
 pub use ahp::{ahp_partition, AhpOptions};
 pub use dawa::{dawa_partition, dawa_partition_batch, DawaOptions};
-pub use grid::grid_partition;
-pub use stripe::{stripe_partition, stripe_partition_labels};
+pub use stripe::stripe_partition;
 pub use workload_based::{workload_based_partition, workload_reduction};
 
 use ektelo_matrix::Matrix;

@@ -10,7 +10,7 @@ use ektelo_matrix::{partition_from_labels, Matrix};
 
 /// Per-cell stripe labels: cell → index of its non-`attr` value
 /// combination.
-pub fn stripe_partition_labels(sizes: &[usize], attr: usize) -> Vec<usize> {
+fn stripe_partition_labels(sizes: &[usize], attr: usize) -> Vec<usize> {
     assert!(attr < sizes.len(), "stripe attribute out of range");
     let n: usize = sizes.iter().product();
     // Cells are mixed-radix with the first attribute most significant

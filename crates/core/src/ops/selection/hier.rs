@@ -12,7 +12,7 @@ use ektelo_matrix::Matrix;
 /// The intervals of a k-ary hierarchy over `[0, n)`: the root, then each
 /// level's children, down to singletons. Children split their parent into
 /// `k` near-equal parts.
-pub fn hierarchical_intervals(n: usize, k: usize) -> Vec<(usize, usize)> {
+fn hierarchical_intervals(n: usize, k: usize) -> Vec<(usize, usize)> {
     assert!(n > 0 && k >= 2, "hierarchy needs n > 0 and branching ≥ 2");
     let mut out = Vec::new();
     let mut frontier = vec![(0usize, n)];
@@ -50,7 +50,7 @@ pub fn h2(n: usize) -> Matrix {
 /// the average range-query variance proxy `(k − 1) · h(k)³` where
 /// `h(k) = ⌈log_k n⌉` — wider trees are shallower but each level costs
 /// more sensitivity.
-pub fn hb_branching(n: usize) -> usize {
+fn hb_branching(n: usize) -> usize {
     let mut best_k = 2;
     let mut best = f64::INFINITY;
     for k in 2..=n.clamp(2, 1024) {

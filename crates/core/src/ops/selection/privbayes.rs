@@ -54,7 +54,7 @@ impl BayesNet {
 
 /// Sensitivity of empirical mutual information w.r.t. one record, with
 /// public N (PrivBayes Lemma 4.1, natural-log form).
-pub fn mi_sensitivity(n: usize) -> f64 {
+fn mi_sensitivity(n: usize) -> f64 {
     assert!(n >= 2, "mutual information needs at least 2 records");
     let nf = n as f64;
     (1.0 / nf) * nf.ln() + ((nf - 1.0) / nf) * (nf / (nf - 1.0)).ln()
@@ -119,7 +119,7 @@ pub fn privbayes_select(
 }
 
 /// Empirical mutual information `I(X; Π)` in nats; `I(X; ∅) = 0`.
-pub fn mutual_information(table: &Table, child: usize, parents: &[usize]) -> f64 {
+fn mutual_information(table: &Table, child: usize, parents: &[usize]) -> f64 {
     if parents.is_empty() {
         return 0.0;
     }

@@ -23,7 +23,7 @@ pub const CENSUS_ROWS: usize = 49_436;
 pub const CENSUS_DOMAIN: usize = 5000 * 5 * 7 * 4 * 2;
 
 /// The census schema: `[income, age, marital, race, gender]`.
-pub fn census_schema() -> Schema {
+fn census_schema() -> Schema {
     Schema::from_sizes(&[
         ("income", 5000),
         ("age", 5),
@@ -33,13 +33,9 @@ pub fn census_schema() -> Schema {
     ])
 }
 
-/// Generates the synthetic CPS table (deterministic in `seed`).
-pub fn census_cps(seed: u64) -> Table {
-    census_cps_sized(CENSUS_ROWS, seed)
-}
-
-/// Like [`census_cps`] but with a custom row count (used by scalability
-/// sweeps that shrink the data to keep bench times reasonable).
+/// Generates a synthetic CPS table of `rows` rows (deterministic in
+/// `seed`); [`CENSUS_ROWS`] gives the paper's size, and scalability
+/// sweeps shrink it to keep bench times reasonable.
 pub fn census_cps_sized(rows: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xce9505);
     let schema = census_schema();

@@ -24,7 +24,7 @@ pub const CREDIT_PREDICTOR_DOMAIN: usize = 7 * 4 * 56 * 11;
 /// Schema: binary label `default` plus predictors
 /// `x3` (education, 7), `x4` (marriage, 4), `x5` (age bins, 56),
 /// `x6` (repayment status, 11).
-pub fn credit_schema() -> Schema {
+fn credit_schema() -> Schema {
     Schema::from_sizes(&[("default", 2), ("x3", 7), ("x4", 4), ("x5", 56), ("x6", 11)])
 }
 

@@ -15,8 +15,6 @@ mod census;
 mod credit;
 mod shapes;
 
-pub use census::{census_cps, census_cps_sized, census_schema, CENSUS_DOMAIN, CENSUS_ROWS};
-pub use credit::{
-    credit_default, credit_default_sized, credit_schema, CREDIT_PREDICTOR_DOMAIN, CREDIT_ROWS,
-};
+pub use census::{census_cps_sized, CENSUS_DOMAIN, CENSUS_ROWS};
+pub use credit::{credit_default, credit_default_sized, CREDIT_PREDICTOR_DOMAIN, CREDIT_ROWS};
 pub use shapes::{dpbench_suite, gauss_blobs_2d, shape_1d, Shape1D, DPBENCH_SHAPES};

@@ -39,6 +39,7 @@ impl Predicate {
     }
 
     /// `attr ∈ values`.
+    // xlint: allow(dead-pub, reason = "predicate language of the Where transform; proptest_relational.rs generates it")
     pub fn is_in(attr: impl Into<String>, values: Vec<u32>) -> Self {
         Predicate::In(attr.into(), values)
     }
@@ -49,12 +50,14 @@ impl Predicate {
     }
 
     /// `self OR other`.
+    // xlint: allow(dead-pub, reason = "predicate language of the Where transform; proptest_relational.rs generates it")
     pub fn or(self, other: Predicate) -> Self {
         Predicate::Or(Box::new(self), Box::new(other))
     }
 
     /// `NOT self`.
     #[allow(clippy::should_implement_trait)]
+    // xlint: allow(dead-pub, reason = "predicate language of the Where transform; proptest_relational.rs generates it")
     pub fn not(self) -> Self {
         Predicate::Not(Box::new(self))
     }
@@ -79,6 +82,7 @@ impl Predicate {
     /// domain of `schema` (paper Def. 3.2). `O(domain)` — intended for
     /// moderate domains or testing; large-domain plans use the implicit
     /// workload constructors instead.
+    // xlint: allow(dead-pub, reason = "a predicate's cell mask; proptest_relational.rs checks Where against it")
     pub fn indicator(&self, schema: &Schema) -> Vec<f64> {
         let n = schema.domain_size();
         let mut out = vec![0.0; n];

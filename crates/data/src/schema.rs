@@ -86,14 +86,12 @@ impl Schema {
         })
     }
 
-    /// Index of the attribute named `name`.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.attrs.iter().position(|a| a.name() == name)
-    }
-
-    /// Like [`Schema::index_of`] but panics with a clear message.
+    /// Index of the attribute named `name`; panics with a clear message
+    /// when the schema has none.
     pub fn require(&self, name: &str) -> usize {
-        self.index_of(name)
+        self.attrs
+            .iter()
+            .position(|a| a.name() == name)
             .unwrap_or_else(|| panic!("schema has no attribute named '{name}'"))
     }
 

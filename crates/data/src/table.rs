@@ -98,34 +98,6 @@ impl Table {
         Table { schema, columns }
     }
 
-    /// `SplitByPartition`: splits rows into disjoint tables by the group
-    /// label `labels[attr value]` of attribute `attr`. Rows whose value maps
-    /// to `None` are dropped. 1-stable per output (each row lands in at most
-    /// one part).
-    pub fn split_by_partition(&self, attr: &str, labels: &[Option<usize>]) -> Vec<Table> {
-        let col = self.schema.require(attr);
-        let attr_size = self.schema.attributes()[col].size();
-        assert_eq!(
-            labels.len(),
-            attr_size,
-            "label table must cover the attribute domain"
-        );
-        let parts = labels.iter().flatten().copied().max().map_or(0, |m| m + 1);
-        let mut out: Vec<Table> = (0..parts)
-            .map(|_| Table::empty(self.schema.clone()))
-            .collect();
-        let mut row = vec![0u32; self.schema.arity()];
-        for i in 0..self.num_rows() {
-            for (slot, c) in row.iter_mut().zip(&self.columns) {
-                *slot = c[i];
-            }
-            if let Some(g) = labels[row[col] as usize] {
-                out[g].push_row(&row);
-            }
-        }
-        out
-    }
-
     /// `GroupBy`: one output row per distinct combination of the named
     /// attributes. 2-stable (adding/removing one input row changes at most
     /// one group's presence plus one group's contents — see PINQ).
@@ -175,26 +147,6 @@ mod tests {
         let s = t.select(&["salary", "age"]);
         assert_eq!(s.schema().arity(), 2);
         assert_eq!(s.row(1), vec![2, 1]);
-    }
-
-    #[test]
-    fn split_by_partition_is_disjoint_and_complete() {
-        let t = sample();
-        // ages {0,1} → part 0, {2,3,4} → part 1
-        let labels = vec![Some(0), Some(0), Some(1), Some(1), Some(1)];
-        let parts = t.split_by_partition("age", &labels);
-        assert_eq!(parts.len(), 2);
-        let total: usize = parts.iter().map(Table::num_rows).sum();
-        assert_eq!(total, t.num_rows());
-        assert_eq!(parts[0].num_rows(), 2);
-    }
-
-    #[test]
-    fn split_drops_unlabeled_values() {
-        let t = sample();
-        let labels = vec![Some(0), None, None, None, None];
-        let parts = t.split_by_partition("age", &labels);
-        assert_eq!(parts[0].num_rows(), 1);
     }
 
     #[test]

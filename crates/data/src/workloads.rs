@@ -10,28 +10,6 @@ use ektelo_matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// The n×n prefix (empirical CDF) workload.
-pub fn prefix_1d(n: usize) -> Matrix {
-    Matrix::prefix(n)
-}
-
-/// The identity workload: every cell count individually.
-pub fn identity_workload(n: usize) -> Matrix {
-    Matrix::identity(n)
-}
-
-/// All `n(n+1)/2` interval range queries over `n` cells. Stored implicitly
-/// as index pairs; fine up to a few thousand cells.
-pub fn all_ranges(n: usize) -> Matrix {
-    let mut ranges = Vec::with_capacity(n * (n + 1) / 2);
-    for lo in 0..n {
-        for hi in (lo + 1)..=n {
-            ranges.push((lo, hi));
-        }
-    }
-    Matrix::range_queries(n, ranges)
-}
-
 /// `m` uniformly random interval queries over `n` cells — the paper's
 /// `RandomRange(m)` workload (Table 4). Widths are drawn log-uniformly so
 /// short and long ranges are both represented.
@@ -163,13 +141,6 @@ pub fn census_prefix_income(sizes: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_ranges_count() {
-        let w = all_ranges(5);
-        assert_eq!(w.rows(), 15);
-        assert_eq!(w.cols(), 5);
-    }
 
     #[test]
     fn random_range_respects_width_cap() {

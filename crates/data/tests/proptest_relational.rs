@@ -128,20 +128,6 @@ proptest! {
         }
     }
 
-    /// split_by_partition is a partition of the rows: disjoint and
-    /// complete over labeled values.
-    #[test]
-    fn split_partitions_rows(groups in 1usize..4) {
-        let schema = Schema::from_sizes(&[("a", 6), ("b", 3)]);
-        let table_strategy = arb_table(schema, 40);
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        let table = table_strategy.new_tree(&mut runner).unwrap().current();
-        let labels: Vec<Option<usize>> = (0..6).map(|v| Some(v % groups)).collect();
-        let parts = table.split_by_partition("a", &labels);
-        let total: usize = parts.iter().map(Table::num_rows).sum();
-        prop_assert_eq!(total, table.num_rows());
-    }
-
     /// cell_index/cell_coords are inverse bijections over the domain.
     #[test]
     fn cell_encoding_bijective(schema in arb_schema()) {

@@ -73,6 +73,7 @@ impl Matrix {
     /// let u = [1.0, 10.0, 100.0];
     /// assert_eq!(c.matrix.matvec(&u), vec![11.0, 110.0]);
     /// ```
+    // xlint: allow(dead-pub, reason = "documented entry point of the column-class analysis (doctest); the solvers' tests use it")
     pub fn column_classes(&self) -> Option<ColumnClasses> {
         self.classes_keyed(None)
     }

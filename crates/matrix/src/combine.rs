@@ -34,12 +34,6 @@ impl Matrix {
         }
     }
 
-    /// Horizontal stacking, expressed as `(vstack of transposes)ᵀ`.
-    pub fn hstack(blocks: Vec<Matrix>) -> Matrix {
-        let transposed = blocks.into_iter().map(|b| b.transpose()).collect();
-        Matrix::vstack(transposed).transpose()
-    }
-
     /// Matrix product `a · b`. Identity factors are elided (`A·I = A`,
     /// `I·B = B`) — important because transformation lineages start at an
     /// identity and would otherwise drag an O(n) copy through every
@@ -230,13 +224,6 @@ mod tests {
     fn vstack_of_one_unwraps() {
         let u = Matrix::vstack(vec![Matrix::identity(3)]);
         assert!(matches!(u, Matrix::Identity { .. }));
-    }
-
-    #[test]
-    fn hstack_shape_and_values() {
-        let h = Matrix::hstack(vec![Matrix::identity(2), Matrix::total(2).transpose()]);
-        assert_eq!(h.shape(), (2, 3));
-        assert_eq!(h.matvec(&[1.0, 2.0, 3.0]), vec![4.0, 5.0]);
     }
 
     #[test]

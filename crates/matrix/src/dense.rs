@@ -24,19 +24,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Builds from a flat row-major buffer.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "dense buffer length {} does not match shape {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        DenseMatrix { rows, cols, data }
-    }
-
     /// Builds from a list of equal-length rows.
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
         let r = rows.len();
@@ -99,11 +86,6 @@ impl DenseMatrix {
     /// Row `i` as a slice.
     pub fn row_slice(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable row `i`.
-    pub fn row_slice_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// `out = self · x`.

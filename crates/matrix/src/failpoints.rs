@@ -136,6 +136,7 @@ mod imp {
     /// Arms `site` to fire on its `nth` subsequent hit (1-based), resetting
     /// the site's hit counter. Test/ops surface only — never call from
     /// library code (xlint-enforced).
+    // xlint: allow(dead-pub, reason = "fault-injection surface for tests; failpoint-sites forbids arming from library code")
     pub fn arm(site: &str, nth: u64) {
         assert!(nth > 0, "failpoint hit counts are 1-based");
         lock().insert(
@@ -150,6 +151,7 @@ mod imp {
     /// Arms every entry of a `site=nth;site=nth` schedule string (the same
     /// grammar as the `EKTELO_FAILPOINTS` env schedule, which is parsed at
     /// first registry use). Test/ops surface only.
+    // xlint: allow(dead-pub, reason = "fault-injection surface for tests; failpoint-sites forbids arming from library code")
     pub fn arm_schedule(spec: &str) {
         arm_into(&mut lock(), spec);
     }

@@ -52,6 +52,7 @@ pub fn sum(v: &[f64]) -> f64 {
 ///
 /// CLASS: reassociating
 #[inline]
+// xlint: allow(dead-pub, reason = "kernel-class requires every public kernel to be pinned by proptest_kernels.rs")
 pub fn sumsq(v: &[f64]) -> f64 {
     v.iter().map(|&x| x * x).sum()
 }

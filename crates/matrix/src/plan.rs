@@ -102,7 +102,7 @@ impl EvalPlan {
     /// assembly looks up each `Union` block and `Product`-chain factor
     /// here. (`Workspace::plan_for` goes through
     /// `plan_cache::get_or_build` directly to keep its build counter.)
-    pub fn cached(m: &Matrix) -> Arc<EvalPlan> {
+    fn cached(m: &Matrix) -> Arc<EvalPlan> {
         let (plan, _) = plan_cache::get_or_build(m, fingerprint(m));
         plan
     }

@@ -34,16 +34,6 @@ impl RectQueries2D {
         RectQueries2D { rows, cols, rects }
     }
 
-    /// Grid height.
-    pub fn grid_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Grid width.
-    pub fn grid_cols(&self) -> usize {
-        self.cols
-    }
-
     /// Flattened domain size.
     pub fn domain(&self) -> usize {
         self.rows * self.cols

@@ -23,6 +23,7 @@ pub struct CsrMatrix {
 
 impl CsrMatrix {
     /// An empty (all-zero) matrix.
+    // xlint: allow(dead-pub, reason = "all-zero constructor the matrix and solver edge-case tests build from")
     pub fn zeros(rows: usize, cols: usize) -> Self {
         CsrMatrix {
             rows,

@@ -141,12 +141,14 @@ impl Workspace {
 
     /// Number of plan lookups this workspace served without running a
     /// planning pass (fast-path and shared-cache hits).
+    // xlint: allow(dead-pub, reason = "per-workspace plan counter the allocation-reuse tests assert on")
     pub fn plan_cache_hits(&self) -> u64 {
         self.hits
     }
 
     /// Number of plan lookups by this workspace that had to run the
     /// planning pass (the shape was new to the whole process).
+    // xlint: allow(dead-pub, reason = "per-workspace plan counter the allocation-reuse tests assert on")
     pub fn plan_cache_builds(&self) -> u64 {
         self.builds
     }

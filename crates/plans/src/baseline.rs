@@ -104,6 +104,7 @@ pub fn plan_hdmm(
 
 /// HDMM over a multi-dimensional domain with per-factor workloads
 /// (`OPT_⊗`): optimizes each dimension and measures the Kronecker product.
+// xlint: allow(dead-pub, reason = "HDMM's Kronecker plan, run by the determinism suite")
 pub fn plan_hdmm_kron(
     kernel: &ProtectedKernel,
     x: SourceVar,

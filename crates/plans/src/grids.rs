@@ -88,50 +88,6 @@ pub fn plan_adaptive_grid(
     })
 }
 
-/// Plan #12, literal form: AdaptiveGrid with an explicit
-/// `V-SplitByPartition` — each coarse block becomes its own kernel source
-/// and runs its round-2 subplan under parallel composition, exactly as the
-/// signature `TP[ SA LM ]` reads. Statistically identical to
-/// [`plan_adaptive_grid`]; kept as a faithful rendering of the paper's
-/// plan and as an exercise of the kernel's split machinery on 2-D domains.
-pub fn plan_adaptive_grid_split(
-    kernel: &ProtectedKernel,
-    x: SourceVar,
-    shape: (usize, usize),
-    expected_total: f64,
-    eps: f64,
-) -> PlanResult {
-    use ektelo_core::ops::partition::grid_partition;
-
-    let (rows, cols) = shape;
-    let shares = split_budget(eps, &[1.0, 1.0]);
-    let start = kernel.measurement_count();
-
-    // Round 1: coarse grid measurement (as in the one-shot variant).
-    let g1 = uniform_grid_size(rows, cols, expected_total, shares[0])
-        .div_ceil(2)
-        .max(1);
-    let coarse = uniform_grid(rows, cols, g1);
-    let y1 = kernel.vector_laplace(x, &coarse, shares[0])?;
-
-    // PU + TP: partition the vector by the same grid and split.
-    let (p, blocks) = grid_partition(rows, cols, g1);
-    let parts = kernel.split_by_partition(x, &p)?;
-
-    // SA + LM per block: adaptive granularity from the round-1 count.
-    for ((part, block), &count) in parts.iter().zip(&blocks).zip(&y1) {
-        let (r1, r2, c1, c2) = *block;
-        let (h, w) = (r2 - r1, c2 - c1);
-        // Local rectangles relative to the block's own (row-major) cells.
-        let local = adaptive_grid_round2((0, h, 0, w), count, shares[1]);
-        let strategy = Matrix::rect_queries(h, w, local);
-        kernel.vector_laplace(*part, &strategy, shares[1])?;
-    }
-    Ok(PlanOutcome {
-        x_hat: infer_ls(kernel, start, LsSolver::Iterative),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,36 +114,6 @@ mod tests {
         let out = plan_uniform_grid(&k, root, (32, 32), 100_000.0, 0.1).unwrap();
         let t: f64 = out.x_hat.iter().sum();
         assert!((t - 100_000.0).abs() / 100_000.0 < 0.05, "total {t}");
-    }
-
-    #[test]
-    fn split_variant_matches_one_shot_statistically() {
-        // Same measurements, different plumbing: budget identical, errors
-        // within noise of each other.
-        let x = gauss_blobs_2d(32, 32, 3, 200_000.0, 7);
-        let eps = 0.2;
-        let mut err_one = 0.0;
-        let mut err_split = 0.0;
-        for seed in 0..3 {
-            let (k, root) = kernel_for_histogram(&x, eps, seed);
-            let a = plan_adaptive_grid(&k, root, (32, 32), 2e5, eps).unwrap();
-            assert!((k.budget_spent() - eps).abs() < 1e-9);
-            err_one += rmse(&x, &a.x_hat);
-
-            let (k, root) = kernel_for_histogram(&x, eps, seed + 20);
-            let b = plan_adaptive_grid_split(&k, root, (32, 32), 2e5, eps).unwrap();
-            assert!(
-                (k.budget_spent() - eps).abs() < 1e-9,
-                "split variant must also cost exactly eps (parallel composition)"
-            );
-            assert_eq!(b.x_hat.len(), 1024);
-            err_split += rmse(&x, &b.x_hat);
-        }
-        let ratio = err_split / err_one;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "variants diverge: {err_split} vs {err_one}"
-        );
     }
 
     #[test]

@@ -45,7 +45,6 @@
 //! [`privbayes::plan_privbayes`] (the baseline of Table 5),
 //! [`naive_bayes`] (§9.3, Fig. 3), [`select_ls`] (Algorithm 8).
 
-pub mod advisor;
 pub mod baseline;
 pub mod cdf;
 pub mod data_aware;

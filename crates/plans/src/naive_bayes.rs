@@ -37,7 +37,7 @@ pub struct NbHistograms {
 }
 
 /// The marginal masks for the NB task over `[label, X₁ … X_k]`.
-pub fn nb_specs(arity: usize) -> Vec<Vec<bool>> {
+fn nb_specs(arity: usize) -> Vec<Vec<bool>> {
     let mut specs = Vec::with_capacity(arity);
     let mut label_only = vec![false; arity];
     label_only[0] = true;
@@ -52,7 +52,7 @@ pub fn nb_specs(arity: usize) -> Vec<Vec<bool>> {
 }
 
 /// The NB workload matrix: the union of the 2k+1 histogram marginals.
-pub fn nb_workload(sizes: &[usize]) -> Matrix {
+fn nb_workload(sizes: &[usize]) -> Matrix {
     Matrix::vstack(
         nb_specs(sizes.len())
             .iter()
@@ -62,7 +62,7 @@ pub fn nb_workload(sizes: &[usize]) -> Matrix {
 }
 
 /// Extracts [`NbHistograms`] from a full-domain estimate.
-pub fn histograms_from_vector(x_hat: &[f64], sizes: &[usize]) -> NbHistograms {
+fn histograms_from_vector(x_hat: &[f64], sizes: &[usize]) -> NbHistograms {
     let specs = nb_specs(sizes.len());
     let label = marginal(sizes, &specs[0]).matvec(x_hat);
     let joint = specs[1..]

@@ -51,17 +51,6 @@ pub fn kernel_for_histogram(x: &[f64], eps: f64, seed: u64) -> (ProtectedKernel,
     (k, root)
 }
 
-/// L2 error between a workload's answers on the true and estimated vector,
-/// scaled per query (paper Table 5 metric).
-pub fn workload_error(w: &Matrix, x_true: &[f64], x_hat: &[f64]) -> f64 {
-    inference::scaled_per_query_l2_error(w, x_true, x_hat, 1.0)
-}
-
-/// Absolute-error helper for tests.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
 /// A plan outcome: the estimate plus the measurements' history span
 /// (handy for composing plans and for debugging budget use).
 pub struct PlanOutcome {

@@ -22,8 +22,6 @@
 //! * [`tree_least_squares`] — the tree-based least squares of Hay et al.
 //!   (2010): the exact `O(nodes)` minimum-norm solution for a weighted
 //!   interval hierarchy, the specialised inference of Fig. 5;
-//! * [`cgls()`] — conjugate gradient on the normal equations, a second
-//!   independent iterative LS implementation used for cross-checking;
 //! * [`nnls()`] — FISTA-accelerated projected gradient for least squares with
 //!   a non-negativity constraint (the paper uses L-BFGS-B; same primitive
 //!   footprint and the same constrained optimum);
@@ -32,7 +30,6 @@
 //!   (the `O(n³)` baseline of Fig. 5);
 //! * [`power`] — power iteration for spectral-norm (step-size) estimates.
 
-pub mod cgls;
 pub mod cholesky;
 pub mod lsqr;
 pub mod mw;
@@ -41,7 +38,6 @@ pub mod power;
 pub mod tree;
 pub mod util;
 
-pub use cgls::cgls;
 pub use cholesky::{cholesky_factor, cholesky_solve, direct_least_squares};
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult};
 pub use mw::{mult_weights, MwOptions};

@@ -174,7 +174,7 @@ fn lsqr_into(
     let mut iterations = 0;
     for it in 1..=opts.max_iters {
         iterations = it;
-        // Injected solver blow-up; see the matching site in cgls.rs.
+        // Injected solver blow-up (the `solver::iteration` failpoint).
         ektelo_matrix::failpoints::panic_if("solver::iteration");
 
         // Continue the bidiagonalization:
@@ -218,17 +218,6 @@ fn lsqr_into(
     }
 
     (iterations, phibar)
-}
-
-/// Weighted least squares: scales each row i of `A` and entry of `b` by
-/// `weights[i]` (inverse noise scales), then calls [`lsqr`]. This is how
-/// inference accounts for measurements taken with unequal noise (paper
-/// §5.5 objective (i)).
-pub fn lsqr_weighted(a: &Matrix, b: &[f64], weights: &[f64], opts: &LsqrOptions) -> LsqrResult {
-    assert_eq!(b.len(), weights.len(), "weights length mismatch");
-    let wa = Matrix::product(Matrix::diagonal(weights.to_vec()), a.clone());
-    let wb: Vec<f64> = b.iter().zip(weights).map(|(&bi, &wi)| bi * wi).collect();
-    lsqr(&wa, &wb, opts)
 }
 
 #[cfg(test)]
@@ -283,14 +272,6 @@ mod tests {
         let grad = a.rmatvec(&residual);
         let gnorm = norm2(&grad);
         assert!(gnorm < 1e-6, "normal equations violated: ‖Aᵀr‖ = {gnorm}");
-    }
-
-    #[test]
-    fn weighted_rows_pull_solution() {
-        // Heavily weighting the x=3 observation moves the estimate toward 3.
-        let a = Matrix::from_rows(vec![vec![1.0], vec![1.0]]);
-        let r = lsqr_weighted(&a, &[1.0, 3.0], &[1.0, 10.0], &LsqrOptions::default());
-        assert!(r.x[0] > 2.9, "weighted estimate {}", r.x[0]);
     }
 
     #[test]

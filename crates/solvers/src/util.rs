@@ -12,7 +12,7 @@ pub fn norm2(v: &[f64]) -> f64 {
 }
 
 /// Inner product `⟨a, b⟩`.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     kernels::dot(a, b)
 }

@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ektelo_matrix::{partition_from_labels, plan_builds, CsrMatrix, Matrix};
-use ektelo_solvers::{cgls, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions};
+use ektelo_solvers::{lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions};
 
 struct CountingAllocator;
 
@@ -259,43 +259,6 @@ fn lsqr_exact_components_allocate_independently_of_max_iters() {
     });
     assert_eq!(short, long, "exact components allocate per iteration cap");
     assert_eq!((short_plans, long_plans), (0, 0), "exact components plan");
-}
-
-#[test]
-fn cgls_inner_loop_is_allocation_free() {
-    let _serial = serialized();
-    let a = strategy(128);
-    let b = rhs(a.rows());
-    let _ = cgls(
-        &a,
-        &b,
-        &LsqrOptions {
-            max_iters: 2,
-            atol: 0.0,
-        },
-    );
-    let (short, short_plans) = count_both(|| {
-        cgls(
-            &a,
-            &b,
-            &LsqrOptions {
-                max_iters: 5,
-                atol: 0.0,
-            },
-        );
-    });
-    let (long, long_plans) = count_both(|| {
-        cgls(
-            &a,
-            &b,
-            &LsqrOptions {
-                max_iters: 50,
-                atol: 0.0,
-            },
-        );
-    });
-    assert_eq!(short, long, "cgls allocates per iteration");
-    assert_eq!(short_plans, long_plans, "cgls re-plans per iteration");
 }
 
 #[test]

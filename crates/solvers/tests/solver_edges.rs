@@ -2,8 +2,8 @@
 
 use ektelo_matrix::{CsrMatrix, Matrix};
 use ektelo_solvers::{
-    cgls, direct_least_squares, lsqr, mult_weights, nnls, spectral_norm_estimate, LsqrOptions,
-    MwOptions, NnlsOptions,
+    direct_least_squares, lsqr, mult_weights, nnls, spectral_norm_estimate, LsqrOptions, MwOptions,
+    NnlsOptions,
 };
 use proptest::prelude::*;
 
@@ -19,10 +19,6 @@ fn wide_underdetermined_system_gets_min_norm_solution() {
     let r = lsqr(&a, &[8.0], &LsqrOptions::default());
     for xi in &r.x {
         assert!((xi - 2.0).abs() < 1e-8, "{:?}", r.x);
-    }
-    let c = cgls(&a, &[8.0], &LsqrOptions::default());
-    for xi in &c.x {
-        assert!((xi - 2.0).abs() < 1e-8);
     }
 }
 
@@ -92,10 +88,10 @@ fn direct_solver_handles_rectangular_tall_systems() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// LSQR, CGLS, and the direct solver agree on random full-rank
+    /// LSQR and the direct Cholesky solver agree on random full-rank
     /// systems.
     #[test]
-    fn three_solvers_agree(
+    fn lsqr_agrees_with_direct_solver(
         diag in prop::collection::vec(0.5f64..4.0, 4..10),
         rhs_scale in -5.0f64..5.0,
     ) {
@@ -106,11 +102,9 @@ proptest! {
         ]);
         let b: Vec<f64> = (0..a.rows()).map(|i| rhs_scale * ((i % 3) as f64 - 1.0)).collect();
         let x1 = lsqr(&a, &b, &LsqrOptions::default()).x;
-        let x2 = cgls(&a, &b, &LsqrOptions::default()).x;
-        let x3 = direct_least_squares(&a, &b);
+        let x2 = direct_least_squares(&a, &b);
         for i in 0..n {
-            prop_assert!((x1[i] - x2[i]).abs() < 1e-5, "lsqr vs cgls at {i}");
-            prop_assert!((x1[i] - x3[i]).abs() < 1e-5, "lsqr vs direct at {i}");
+            prop_assert!((x1[i] - x2[i]).abs() < 1e-5, "lsqr vs direct at {i}");
         }
     }
 

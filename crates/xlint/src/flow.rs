@@ -20,6 +20,12 @@
 //!   (`matvec_into`/`rmatvec_into`/`rmatvec_add` and the public
 //!   kernels), not just in the three hot files the line rule watches.
 //!   No file is exempt: the library is single-threaded.
+//! * **`dead-pub`** — every `pub fn` in a library crate's `src/` needs
+//!   a caller outside its own file and outside test code: another
+//!   library file, a bench bin or bench, an example, or the root
+//!   `tests/`. A call whose target the index cannot pin down counts as
+//!   a caller of every function it might reach, so the rule can miss a
+//!   dead item but never flags a live one.
 //! * **`cfg-parity`** — every failpoint name used at a
 //!   `triggered`/`panic_if` call site must be declared in
 //!   `failpoints.rs`'s `SITES` list and vice versa (the `failpoints`
@@ -290,6 +296,7 @@ pub(crate) fn run(files: &[AnalyzedFile], config: &Config, report: &mut Report) 
     warm_path(files, &idx, config, report);
     determinism_transitive(files, &idx, config, report);
     failpoint_parity(files, report);
+    dead_pub(files, config, report);
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +608,177 @@ fn determinism_transitive(
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// dead-pub.
+// ---------------------------------------------------------------------------
+
+/// Library crates whose public functions must each have a caller.
+const DEAD_PUB_CRATES: &[&str] = &["core", "matrix", "solvers", "plans", "data"];
+
+/// Which code in a file keeps a library `pub fn` alive.
+#[derive(Clone, Copy, PartialEq)]
+enum Callers {
+    /// A crate's own `tests/` and anything else outside the roots below.
+    Ignored,
+    /// Library and binary sources (`crates/*/src`, the facade `src/`):
+    /// everything outside `#[cfg(test)]` modules and `#[test]` fns.
+    NonTest,
+    /// Benches, examples and the root `tests/`: the whole file.
+    All,
+}
+
+fn callers_in(rel: &str) -> Callers {
+    if (rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/") {
+        Callers::NonTest
+    } else if rel.starts_with("crates/bench/benches/")
+        || rel.starts_with("examples/")
+        || rel.starts_with("tests/")
+    {
+        Callers::All
+    } else {
+        Callers::Ignored
+    }
+}
+
+/// A checked `pub fn` and what the scan found calling it.
+struct PubFn<'a> {
+    file: usize,
+    fact: &'a FnFact,
+    /// Crate directory, then the file's module path under `src/` and
+    /// the in-file modules (`core ops partition grid` for
+    /// `crates/core/src/ops/partition/grid.rs`).
+    seq: Vec<String>,
+    called_outside: bool,
+    called_in_file: bool,
+}
+
+impl PubFn<'_> {
+    fn matches(&self, qualifier: &[&str]) -> bool {
+        self.fact.owner.as_deref() == qualifier.last().copied()
+            || contains_subseq(&self.seq, qualifier)
+    }
+
+    fn mark_called_from(&mut self, file: usize) {
+        if file == self.file {
+            self.called_in_file = true;
+        } else {
+            self.called_outside = true;
+        }
+    }
+}
+
+/// Whether `site` may call `cands[k]` (all of `cands` share its name).
+/// Unqualified and method calls fan out by name. A qualified call picks
+/// the functions whose impl type or module path its qualifier names; a
+/// qualifier naming none of them (an alias, a trait, a re-export path)
+/// leaves the call unresolved, and it counts for all of them.
+fn may_call(site: &CallSite, caller_owner: Option<&str>, cands: &[PubFn<'_>], k: usize) -> bool {
+    let mut qualifier: Vec<&str> = site.path[..site.path.len() - 1]
+        .iter()
+        .map(String::as_str)
+        .filter(|s| !matches!(*s, "crate" | "self" | "super") && !s.starts_with("ektelo"))
+        .collect();
+    if qualifier == ["Self"] {
+        match caller_owner {
+            Some(owner) => qualifier = vec![owner],
+            None => return true,
+        }
+    }
+    let Some(head) = qualifier.first() else {
+        return true;
+    };
+    if cands[k].matches(&qualifier) {
+        return true;
+    }
+    !STD_PATH_HEADS.contains(head) && !cands.iter().any(|c| c.matches(&qualifier))
+}
+
+fn dead_pub(files: &[AnalyzedFile], config: &Config, report: &mut Report) {
+    let mut by_name: BTreeMap<&str, Vec<PubFn<'_>>> = BTreeMap::new();
+    for (fi, af) in files.iter().enumerate() {
+        let rel = af.ctx.rel.as_str();
+        let Some((krate, path)) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once("/src/"))
+            .filter(|(krate, _)| DEAD_PUB_CRATES.contains(krate))
+        else {
+            continue;
+        };
+        let mut seq = vec![krate.to_string()];
+        seq.extend(
+            path.trim_end_matches(".rs")
+                .split('/')
+                .filter(|s| !matches!(*s, "mod" | "lib"))
+                .map(str::to_string),
+        );
+        for fact in &af.facts.fns {
+            if !fact.is_pub || fact.pub_restricted || fact.in_test || !active(&fact.cfg, config) {
+                continue;
+            }
+            let mut fn_seq = seq.clone();
+            fn_seq.extend(fact.module.iter().cloned());
+            by_name.entry(&fact.name).or_default().push(PubFn {
+                file: fi,
+                fact,
+                seq: fn_seq,
+                called_outside: false,
+                called_in_file: false,
+            });
+        }
+    }
+    // Calls are counted whatever their cfg gate: an item reached only
+    // under a feature is live in that build.
+    for (fi, af) in files.iter().enumerate() {
+        let scope = callers_in(&af.ctx.rel);
+        if scope == Callers::Ignored {
+            continue;
+        }
+        for fact in &af.facts.fns {
+            if scope == Callers::NonTest && fact.in_test {
+                continue;
+            }
+            for site in fact.calls.iter().chain(&fact.refs) {
+                let Some(cands) = by_name.get_mut(site.name()) else {
+                    continue;
+                };
+                for k in 0..cands.len() {
+                    // A function's calls to its own name (recursion, or a
+                    // same-named trait method it dispatches to) do not
+                    // keep it alive.
+                    if !std::ptr::eq(cands[k].fact, fact)
+                        && may_call(site, fact.owner.as_deref(), cands, k)
+                    {
+                        cands[k].mark_called_from(fi);
+                    }
+                }
+            }
+        }
+        for ident in &af.facts.item_idents {
+            for c in by_name.get_mut(ident.as_str()).into_iter().flatten() {
+                c.mark_called_from(fi);
+            }
+        }
+    }
+    for c in by_name.values().flatten() {
+        if c.called_outside {
+            continue;
+        }
+        let name = &c.fact.name;
+        let message = if c.called_in_file {
+            format!(
+                "`pub fn {name}` is called only from its own file: make it private (or \
+                 justify it as deliberate API with an allow)"
+            )
+        } else {
+            format!(
+                "`pub fn {name}` has no caller outside its own file and tests: delete it \
+                 with its tests, or justify it as deliberate API with an allow"
+            )
+        };
+        push_flow(report, &files[c.file], c.fact.line, "dead-pub", message);
     }
 }
 

@@ -59,7 +59,7 @@
 //! The rules above are line-local. v2 adds a lexer-token parser
 //! ([`parse`]) that extracts per-function facts (calls, lock-guard live
 //! regions, allocation and panic sites, `#[cfg(feature)]` gates) and a
-//! workspace call graph ([`mod@flow`], crate-internal), enabling four
+//! workspace call graph ([`mod@flow`], crate-internal), enabling five
 //! *flow* rule families:
 //!
 //! * `lock-discipline` — inside a live `KernelState` / pool-slots guard
@@ -89,6 +89,18 @@
 //!   declared in `failpoints.rs`'s `SITES` list and vice versa (an
 //!   orphaned declaration is a chaos schedule that silently arms
 //!   nothing).
+//! * `dead-pub` — every `pub fn` in `crates/{core,matrix,solvers,plans,
+//!   data}/src` needs a caller outside its own file and outside test
+//!   code. Callers are other library files (the bench bins and the
+//!   benchmark package included), `crates/bench/benches`, `examples/`
+//!   and the root `tests/`; a crate's own `tests/` and `#[cfg(test)]`
+//!   modules are not. A function named as a value (`.map(f)`), in a
+//!   `static` table or inside an item-level macro (`proptest! { .. }`)
+//!   counts as called, and a call the index cannot pin to one impl type
+//!   or module counts for every function of its name, so the rule can
+//!   miss a dead item but never flags a live one. *Fix* by deleting the
+//!   item with its tests, or by making it private when only its own file
+//!   calls it; *allow* deliberate API with the reason it stays.
 //!
 //! # Known approximations
 //!
@@ -173,6 +185,7 @@ pub const RULES: &[&str] = &[
     "warm-path-alloc",
     "determinism-transitive",
     "cfg-parity",
+    "dead-pub",
 ];
 
 /// Synthetic rule name for malformed allowlist comments (not allowable
@@ -912,7 +925,6 @@ fn lint_file(ctx: &FileCtx, report: &mut Report) {
         "crates/matrix/src/failpoints.rs"
             | "crates/core/src/kernel/state.rs"
             | "crates/core/src/kernel/mod.rs"
-            | "crates/solvers/src/cgls.rs"
             | "crates/solvers/src/lsqr.rs"
     );
     let failpoints_module = ctx.rel == "crates/matrix/src/failpoints.rs";

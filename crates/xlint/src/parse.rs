@@ -254,6 +254,12 @@ pub struct FnFact {
     /// trait-method declarations).
     pub end_line: usize,
     pub is_pub: bool,
+    /// `pub(crate)` / `pub(super)` / `pub(in ..)`: visible inside its
+    /// crate only (`is_pub` is also set).
+    pub pub_restricted: bool,
+    /// Self type of the enclosing `impl` block (`Matrix` for
+    /// `impl Matrix { .. }` and for `impl Trait for Matrix { .. }`).
+    pub owner: Option<String>,
     /// Under `#[cfg(test)]` (module or attribute) or `#[test]`.
     pub in_test: bool,
     /// Item-level cfg atoms (own attributes + enclosing modules).
@@ -265,12 +271,20 @@ pub struct FnFact {
     pub panics: Vec<PanicSite>,
     pub locks: Vec<LockRegion>,
     pub bans: Vec<BanSite>,
+    /// Function names used as values, not called (`.map(laplace)`,
+    /// `Some(Self::build)`): path tails not followed by `(`, `::` or
+    /// `!`, and not field accesses.
+    pub refs: Vec<CallSite>,
 }
 
 /// Per-file parse result.
 #[derive(Debug, Clone, Default)]
 pub struct FileFacts {
     pub fns: Vec<FnFact>,
+    /// Identifiers inside non-test `const`/`static` items and item-level
+    /// macro invocations (a function table in a static names its entries
+    /// without calling them; `proptest! { .. }` wraps whole test fns).
+    pub item_idents: Vec<String>,
 }
 
 /// Parses one stripped file into facts. Never fails: unparseable
@@ -285,7 +299,7 @@ pub fn parse_file(lines: &[Line]) -> FileFacts {
         out: FileFacts::default(),
     };
     let mut module = Vec::new();
-    p.parse_items(&mut module, &[], false, false);
+    p.parse_items(&mut module, None, &[], false, false);
     p.out
 }
 
@@ -459,6 +473,7 @@ impl<'a> Parser<'a> {
     fn parse_items(
         &mut self,
         module: &mut Vec<String>,
+        owner: Option<&str>,
         cfg: &[CfgAtom],
         in_test: bool,
         end_at_brace: bool,
@@ -515,7 +530,15 @@ impl<'a> Parser<'a> {
                         self.i += 1; // `const fn`: treat as modifier
                         continue;
                     }
+                    let start = self.i;
                     self.skip_to_semi();
+                    if !(in_test || pending.test) {
+                        for t in &self.toks[start..self.i] {
+                            if let Tok::Ident(id) = &t.kind {
+                                self.out.item_idents.push(id.clone());
+                            }
+                        }
+                    }
                     pending = AttrInfo::default();
                 }
                 "mod" => {
@@ -528,7 +551,7 @@ impl<'a> Parser<'a> {
                         atoms.extend(pending.atoms.iter().cloned());
                         let test = in_test || pending.test;
                         module.push(name.unwrap_or_default());
-                        self.parse_items(module, &atoms, test, true);
+                        self.parse_items(module, None, &atoms, test, true);
                         module.pop();
                     } else if self.is_punct(self.i, ';') {
                         self.i += 1;
@@ -541,10 +564,23 @@ impl<'a> Parser<'a> {
                         // skip the trait name; generics/supertraits below
                         self.i += 1;
                     }
-                    // Skip generics / type path / where clause up to `{`.
+                    // Skip generics / type path / where clause up to `{`,
+                    // noting the self type: the last path segment outside
+                    // generics, after `for` when there is one.
+                    let mut self_ty: Option<String> = None;
+                    let mut in_where = false;
                     while self.i < self.toks.len() {
                         if self.is_punct(self.i, '<') {
                             self.skip_angles();
+                        } else if let Some(id) = self.ident_at(self.i) {
+                            match id {
+                                "where" => in_where = true,
+                                "for" if !in_where => self_ty = None,
+                                "dyn" | "mut" | "unsafe" => {}
+                                _ if !in_where => self_ty = Some(id.to_string()),
+                                _ => {}
+                            }
+                            self.i += 1;
                         } else if self.is_punct(self.i, '{') {
                             break;
                         } else if self.is_punct(self.i, ';') {
@@ -560,7 +596,8 @@ impl<'a> Parser<'a> {
                         atoms.extend(pending.atoms.iter().cloned());
                         let test = in_test || pending.test;
                         // Methods share the module namespace.
-                        self.parse_items(module, &atoms, test, true);
+                        let owner = if word == "impl" { self_ty } else { None };
+                        self.parse_items(module, owner.as_deref(), &atoms, test, true);
                     }
                     pending = AttrInfo::default();
                 }
@@ -568,7 +605,7 @@ impl<'a> Parser<'a> {
                     let mut atoms = cfg.to_vec();
                     atoms.extend(pending.atoms.iter().cloned());
                     let test = in_test || pending.test;
-                    self.parse_fn(module, atoms, test);
+                    self.parse_fn(module, owner, atoms, test);
                     pending = AttrInfo::default();
                 }
                 "use" => {
@@ -605,6 +642,27 @@ impl<'a> Parser<'a> {
                     pending = AttrInfo::default();
                 }
                 _ => {
+                    // An item-level macro (`proptest! { .. }`) hides its
+                    // fns from the item walk; keep the names it mentions.
+                    let open = self.i + 2;
+                    if self.is_punct(self.i + 1, '!') && !(in_test || pending.test) {
+                        if let Some(&Tok::Punct(c @ ('{' | '(' | '['))) = self.kind(open) {
+                            let close = match c {
+                                '{' => '}',
+                                '(' => ')',
+                                _ => ']',
+                            };
+                            let resume = self.i;
+                            self.i = open;
+                            self.skip_balanced(c, close);
+                            for t in &self.toks[open..self.i] {
+                                if let Tok::Ident(id) = &t.kind {
+                                    self.out.item_idents.push(id.clone());
+                                }
+                            }
+                            self.i = resume;
+                        }
+                    }
                     self.i += 1;
                     pending = AttrInfo::default();
                 }
@@ -613,8 +671,10 @@ impl<'a> Parser<'a> {
     }
 
     /// Whether the tokens directly before `at` (same item, skipping
-    /// modifier keywords) include `pub`.
-    fn pub_lookback(&self, at: usize) -> bool {
+    /// modifier keywords) include `pub`, and whether it is restricted
+    /// (`pub(crate)` and the like).
+    fn pub_lookback(&self, at: usize) -> (bool, bool) {
+        let mut restricted = false;
         let mut j = at;
         let mut steps = 0;
         while j > 0 && steps < 8 {
@@ -626,9 +686,10 @@ impl<'a> Parser<'a> {
                         s.as_str(),
                         "unsafe" | "async" | "const" | "extern" | "default"
                     ) => {}
-                Tok::Ident(s) if s == "pub" => return true,
+                Tok::Ident(s) if s == "pub" => return (true, restricted),
                 Tok::Punct(')') => {
                     // `pub(crate)` etc: scan back over the group.
+                    restricted = true;
                     let mut depth = 0i64;
                     while j > 0 {
                         if self.is_punct(j, ')') {
@@ -643,10 +704,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Tok::Str(_) => {}
-                _ => return false,
+                _ => return (false, false),
             }
         }
-        false
+        (false, false)
     }
 
     /// Collects `// WARM:` from the contiguous comment/attribute block
@@ -671,8 +732,14 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses a `fn` item; `self.i` is at the `fn` keyword.
-    fn parse_fn(&mut self, module: &[String], cfg: Vec<CfgAtom>, in_test: bool) {
-        let is_pub = self.pub_lookback(self.i);
+    fn parse_fn(
+        &mut self,
+        module: &[String],
+        owner: Option<&str>,
+        cfg: Vec<CfgAtom>,
+        in_test: bool,
+    ) {
+        let (is_pub, pub_restricted) = self.pub_lookback(self.i);
         let fn_line = self.line(self.i);
         self.i += 1;
         let name = self
@@ -704,6 +771,8 @@ impl<'a> Parser<'a> {
             line: fn_line,
             end_line: fn_line,
             is_pub,
+            pub_restricted,
+            owner: owner.map(str::to_string),
             in_test,
             cfg,
             warm: self.warm_tag_above(fn_line),
@@ -712,6 +781,7 @@ impl<'a> Parser<'a> {
             panics: Vec::new(),
             locks: Vec::new(),
             bans: Vec::new(),
+            refs: Vec::new(),
         };
         if body_start.is_some() {
             self.i += 1; // consume body '{'
@@ -1016,10 +1086,6 @@ impl BodyWalker {
             has_turbofish = true;
         }
         let is_call = is_macro || p.is_punct(after, '(');
-        if !is_call {
-            p.i += 1;
-            return;
-        }
         // Build the path backwards: `a::b::name(`.
         let mut path = vec![word.to_string()];
         let mut start = p.i;
@@ -1030,6 +1096,21 @@ impl BodyWalker {
             } else {
                 break;
             }
+        }
+        if !is_call {
+            let path_tail = has_turbofish || !p.path_sep(p.i + 1);
+            let field = start >= 1 && p.is_punct(start - 1, '.');
+            if path_tail && !field {
+                fact.refs.push(CallSite {
+                    path,
+                    recv: String::new(),
+                    line,
+                    cfg: active_cfg(),
+                    is_macro: false,
+                });
+            }
+            p.i += 1;
+            return;
         }
         // Receiver chain for method calls: `a.b.name(`.
         let mut recv = String::new();
@@ -1488,5 +1569,37 @@ fn q(&self) {
         assert_eq!(f.locks[0].binding.as_deref(), Some("st"));
         // Bound at body depth: region runs to the fn's closing brace.
         assert_eq!(f.locks[0].end, 7);
+    }
+
+    #[test]
+    fn impl_owner_value_refs_and_item_idents() {
+        let src = r#"
+impl<T: Copy> Trait for Thing<T> where T: Send {
+    fn m(&self) {}
+}
+impl Other {
+    pub(crate) fn r(&self) -> usize {
+        self.xs.iter().map(Self::build).count() + self.len
+    }
+    pub fn p() {}
+}
+static TABLE: [fn(); 1] = [p];
+proptest! { fn t() { helper(); } }
+"#;
+        let facts = parse(src);
+        let [m, r, p] = &facts.fns[..] else {
+            panic!("expected three fns, got {:?}", facts.fns);
+        };
+        assert_eq!(m.owner.as_deref(), Some("Thing"));
+        assert_eq!(r.owner.as_deref(), Some("Other"));
+        assert!(r.is_pub && r.pub_restricted);
+        assert!(p.is_pub && !p.pub_restricted);
+        // `Self::build` is named as a value; the `len` field is not.
+        let refs: Vec<String> = r.refs.iter().map(|c| c.path.join("::")).collect();
+        assert!(refs.contains(&"Self::build".to_string()), "{refs:?}");
+        assert!(!refs.contains(&"len".to_string()), "{refs:?}");
+        for id in ["p", "helper"] {
+            assert!(facts.item_idents.iter().any(|i| i == id), "{id} missing");
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! path-scoped rules (the shim's parallelism query, state.rs chokepoint, hot-file
 //! hash ban, kernels/proptest cross-reference) and the flow rules
 //! (lock-discipline, warm-path-alloc, determinism-transitive,
-//! cfg-parity) are exercised exactly as they run against the real tree.
+//! cfg-parity, dead-pub) are exercised exactly as they run against the
+//! real tree. Each tree's `examples/callers.rs` calls the functions
+//! seeded for the other rules, so `dead-pub` reports only its own cases.
 //!
 //! * `violations/` seeds one violation per rule at a known line and
 //!   pairs each with the path-exempt twin (the machine query in
@@ -81,6 +83,17 @@ fn violations_are_detected_at_exact_lines() {
         ("crates/matrix/src/pool.rs", 5, "determinism-thread"),
         // warm.rs: allocation in the transitive closure of a WARM root.
         ("crates/matrix/src/warm.rs", 10, "warm-path-alloc"),
+        // api.rs: no caller at all, a caller only in its own file, callers
+        // only in the crate's own tests or in a unit test, and a method
+        // whose one qualified call resolves to another impl type. The
+        // library, example, root-test (inside `proptest!`), value-use and
+        // unresolved-alias callers keep the rest alive; `pub(crate)` is
+        // not checked.
+        ("crates/plans/src/api.rs", 3, "dead-pub"),
+        ("crates/plans/src/api.rs", 5, "dead-pub"),
+        ("crates/plans/src/api.rs", 11, "dead-pub"),
+        ("crates/plans/src/api.rs", 13, "dead-pub"),
+        ("crates/plans/src/api.rs", 28, "dead-pub"),
     ]
     .into_iter()
     .map(|(f, l, r)| (f.to_string(), l, r))
@@ -112,6 +125,14 @@ fn violations_are_detected_at_exact_lines() {
     assert_eq!(report.unsafe_sites[0].file, "crates/core/src/lib.rs");
     assert_eq!(report.unsafe_sites[0].line, 3);
     assert!(report.unsafe_sites[0].safety.is_none());
+    // Only the own-file caller is told to make its function private.
+    let private: Vec<usize> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "dead-pub" && d.message.contains("make it private"))
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(private, [5]);
     // The warm diagnostic names its reaching chain.
     let warm = report
         .diagnostics

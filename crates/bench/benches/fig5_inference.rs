@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ektelo_core::ops::inference::{
     least_squares, non_negative_least_squares, tree_least_squares, LsSolver,
 };
-use ektelo_core::ops::selection::{h2, hb};
+use ektelo_core::ops::selection::{h2, hb, stripe_select};
 use ektelo_core::{MeasuredQuery, ProtectedKernel};
 use ektelo_data::generators::{shape_1d, Shape1D};
 use ektelo_matrix::{partition_from_labels, CsrMatrix, Matrix, Repr, Workspace};
@@ -75,35 +75,18 @@ fn bench_ls_engines(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("striped_union_lsqr", a.cols()), |b| {
         b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
     });
-    // HB-Striped's system on the census domain: 280 stripes of 357 cells
-    // sharing one HB strategy, so the tree pass is built once per solve.
-    let (a, y) = striped_hb_union(280, 357);
-    group.bench_function(BenchmarkId::new("striped_hb_union_lsqr", a.cols()), |b| {
+    // Plan #16's system on the 99,960-cell census domain: one scaled
+    // `HB(357) ⊗ I₄ ⊗ I₇ ⊗ I₁₀` measurement, which `lsqr` solves exactly
+    // with one tree pass applied to each of the 280 fibers along the HB
+    // mode. HB-Striped (Plan #15) runs as this measurement too.
+    let a = Matrix::scaled(0.5, stripe_select(&[357, 4, 7, 10], 0, hb));
+    let y: Vec<f64> = (0..a.rows())
+        .map(|i| ((i * 7919) % 101) as f64 - 20.0)
+        .collect();
+    group.bench_function(BenchmarkId::new("kron_exact", a.cols()), |b| {
         b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
     });
     group.finish();
-}
-
-/// A `stripes × width`-cell union in HB-Striped's shape: stripe `s`
-/// holds cells `s, s + stripes, …` and every stripe is measured with the
-/// same shared HB strategy, `Scaled(w, Product(HB, Sel))`.
-fn striped_hb_union(stripes: usize, width: usize) -> (Matrix, Vec<f64>) {
-    let n = stripes * width;
-    let strategy = hb(width);
-    let blocks = (0..stripes)
-        .map(|s| {
-            let cells: Vec<usize> = (0..width).map(|i| s + i * stripes).collect();
-            Matrix::scaled(
-                0.5,
-                Matrix::product(strategy.clone(), Matrix::select_rows(n, &cells)),
-            )
-        })
-        .collect();
-    let a = Matrix::vstack(blocks);
-    let y = (0..a.rows())
-        .map(|i| ((i * 7919) % 101) as f64 - 20.0)
-        .collect();
-    (a, y)
 }
 
 /// A `stripes × width`-cell selector-lineage union: stripe `s` holds

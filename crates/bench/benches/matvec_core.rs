@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ektelo_core::kernel::ProtectedKernel;
 use ektelo_core::ops::partition::stripe_partition;
+use ektelo_core::ops::selection::hb;
 use ektelo_matrix::{Matrix, Repr, Workspace};
 use std::hint::black_box;
 
@@ -494,7 +495,8 @@ fn bench_plan_cache(c: &mut Criterion) {
 
 /// Kronecker fiber-walk data movement, measured both ways in one run:
 /// a column-at-a-time walk against the `KRON_PANEL`-wide
-/// `gather_panel`/`scatter_panel` pair the engine uses.
+/// `gather_panel`/`scatter_panel` pair the engine uses; then the `Range`
+/// panel kernel that replaced the walk for interval factors.
 fn bench_kron_panel(c: &mut Criterion) {
     use ektelo_matrix::kernels;
     let mut group = c.benchmark_group("kron_fiber_walk");
@@ -527,6 +529,22 @@ fn bench_kron_panel(c: &mut Criterion) {
                 q += kernels::KRON_PANEL;
             }
             black_box(outm[0])
+        })
+    });
+    // HB-Striped's lowered measurement `HB(357) ⊗ I₂₈₀` on the 99,960-cell
+    // census domain, both directions into a warm workspace: the `Range`
+    // panel takes prefix sums down the 357 rows in 64-column tiles.
+    let kron = Matrix::kron(hb(357), Matrix::identity(280));
+    let x: Vec<f64> = (0..kron.cols()).map(|i| (i % 7) as f64 - 3.0).collect();
+    let y: Vec<f64> = (0..kron.rows()).map(|i| (i % 5) as f64 - 2.0).collect();
+    let mut ws = Workspace::for_matrix(&kron);
+    let mut out = vec![0.0; kron.rows()];
+    let mut back = vec![0.0; kron.cols()];
+    group.bench_function(BenchmarkId::new("kron_panel/range", kron.cols()), |bch| {
+        bch.iter(|| {
+            kron.matvec_into(black_box(&x), &mut out, &mut ws);
+            kron.rmatvec_into(black_box(&y), &mut back, &mut ws);
+            black_box(out[0] + back[0])
         })
     });
     group.finish();

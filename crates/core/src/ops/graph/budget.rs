@@ -183,64 +183,12 @@ fn stripe_groups(sizes: &[usize], attr: usize) -> Result<usize> {
 /// different builder, or a corrupted output index, must surface as a
 /// typed error, not an out-of-bounds panic during the walk).
 fn validate_refs(spec: &PlanSpec) -> Result<()> {
-    let check = |id: usize, here: usize| -> Result<()> {
-        if id >= here {
+    for (here, node) in spec.nodes.iter().enumerate() {
+        if let Some(id) = node.refs().into_iter().find(|&id| id >= here) {
             return Err(EktError::InvalidPlan(format!(
                 "node #{here} references node #{id}, which is not an earlier node of this spec \
                  (was the Ref taken from a different builder?)"
             )));
-        }
-        Ok(())
-    };
-    let check_domain = |d: &super::SelectDomain, here: usize| match d {
-        super::SelectDomain::Source(r) => check(r.id, here),
-        super::SelectDomain::FirstOf(r) => check(r.id, here),
-    };
-    for (here, node) in spec.nodes.iter().enumerate() {
-        match node {
-            NodeKind::Input | NodeKind::Infer(_) => {}
-            NodeKind::Transform(TransformOp::Split { input, partition }) => {
-                check(input.id, here)?;
-                check(partition.id, here)?;
-            }
-            NodeKind::Transform(TransformOp::ReduceEach { inputs, partitions }) => {
-                check(inputs.id, here)?;
-                check(partitions.id, here)?;
-            }
-            NodeKind::Transform(TransformOp::Linear { input, .. }) => check(input.id, here)?,
-            NodeKind::Partition(PartitionOp::DawaEach { inputs, .. }) => check(inputs.id, here)?,
-            NodeKind::Partition(_) => {}
-            NodeKind::Select(op) => match op {
-                super::SelectOp::Identity { domain }
-                | super::SelectOp::Total { domain }
-                | super::SelectOp::Privelet { domain }
-                | super::SelectOp::H2 { domain }
-                | super::SelectOp::Hb { domain }
-                | super::SelectOp::GreedyH { domain, .. } => check_domain(domain, here)?,
-                super::SelectOp::GreedyHEach {
-                    inputs, partitions, ..
-                } => {
-                    check(inputs.id, here)?;
-                    check(partitions.id, here)?;
-                }
-                super::SelectOp::Fixed { .. } => {}
-            },
-            NodeKind::Measure(MeasureOp::Laplace {
-                input, strategy, ..
-            }) => {
-                check(input.id, here)?;
-                check(strategy.id, here)?;
-            }
-            NodeKind::Measure(MeasureOp::LaplaceBatch {
-                inputs, strategies, ..
-            }) => {
-                check(inputs.id, here)?;
-                match strategies {
-                    super::StrategySource::Shared(r) => check(r.id, here)?,
-                    super::StrategySource::PerSource(r) => check(r.id, here)?,
-                }
-            }
-            NodeKind::AdaptiveMwem(op) => check(op.input.id, here)?,
         }
     }
     if spec.output >= spec.nodes.len() {

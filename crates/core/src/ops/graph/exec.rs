@@ -4,7 +4,12 @@
 //! *exactly* the kernel calls the imperative plan functions issue — same
 //! charges, same privacy-RNG consumption, same measurement history — so
 //! a migrated plan is bit-identical to its imperative ancestor given the
-//! same kernel seed.
+//! same kernel seed. One exception: a stripe split read only by one
+//! shared-strategy batch (HB-Striped, `PS TP[ SHB LM ] LS`) runs as a
+//! single Kronecker measurement of the split's input (see [`lowers`]),
+//! with the same rows, sensitivity and charge as the per-stripe batch and
+//! the noise drawn in Kronecker row order; the partition and the child
+//! sources are then never built.
 //!
 //! Budget flow: the executor pre-accounts the spec, takes one
 //! [`BudgetReservation`] for the whole plan (the rejection point for
@@ -33,7 +38,7 @@ use crate::ops::inference::{
 use crate::ops::partition::{
     dawa_partition_batch, interval_partition_bounds, map_ranges_to_buckets, stripe_partition,
 };
-use crate::ops::selection::{self, greedy_h, worst_approx};
+use crate::ops::selection::{self, greedy_h, stripe_select, worst_approx};
 
 use super::{
     InferOp, MeasureOp, MwemLoopOp, MwemRoundInference, NodeKind, PartitionOp, PlanSpec,
@@ -77,7 +82,18 @@ enum Value {
     Sources(Vec<SourceVar>),
     Strategy(Matrix),
     Strategies(Vec<Matrix>),
-    Partition(Matrix),
+    /// A stripe partition, built only when a split materializes.
+    Stripes {
+        sizes: Vec<usize>,
+        attr: usize,
+    },
+    /// A stripe split of `input` that [`lowers`] to one Kronecker
+    /// measurement: no partition and no child sources are ever built.
+    LoweredSplit {
+        input: SourceVar,
+        sizes: Vec<usize>,
+        attr: usize,
+    },
     Partitions(Vec<Matrix>),
     Estimate(Vec<f64>),
 }
@@ -169,6 +185,43 @@ impl<'k> PlanExecutor<'k> {
     }
 }
 
+/// Whether split node `id` runs as one Kronecker measurement (EKTELO
+/// Algorithm 5 → 6): its partition is a stripe partition over positive
+/// sizes, exactly one shared-strategy batch measures its stripes, and no
+/// other node reads them except selections sizing from the first. Every
+/// stripe then gets the same strategy `S`, so the batch's rows are the
+/// rows of `stripe_select(sizes, attr, S)` on the split's input, with the
+/// same sensitivity `‖S‖₁` and the same ε charged at the input — the
+/// split would charge ε to the first stripe and 0 to the rest through
+/// its partition variable. Only the order of the noise draws differs.
+/// A split that anything else reads (DAWA's `PD`, `TR`, `SG`, a second
+/// batch) is materialized: the split form's per-stripe charges are what
+/// pre-accounting replays.
+fn lowers(spec: &PlanSpec, id: usize) -> bool {
+    let NodeKind::Transform(TransformOp::Split { partition, .. }) = &spec.nodes[id] else {
+        return false;
+    };
+    let positive = matches!(
+        &spec.nodes[partition.id],
+        NodeKind::Partition(PartitionOp::Stripe { sizes, .. }) if sizes.iter().all(|&s| s > 0)
+    );
+    let mut batches = 0;
+    for node in &spec.nodes[id + 1..] {
+        match node {
+            NodeKind::Measure(MeasureOp::LaplaceBatch {
+                inputs,
+                strategies: StrategySource::Shared(_),
+                ..
+            }) if inputs.id == id => batches += 1,
+            // A size-parameterized selection reads only the stripe length.
+            NodeKind::Select(op) if op.domain().is_some() => {}
+            other if other.refs().contains(&id) => return false,
+            _ => {}
+        }
+    }
+    positive && batches == 1
+}
+
 /// Best-effort extraction of a panic payload's message (`panic!` with a
 /// string literal or a formatted `String` — everything the codebase and
 /// the fault-injection sites produce).
@@ -217,10 +270,14 @@ impl<'k> Run<'_, 'k> {
     fn domain_len(&self, vals: &[Value], domain: &SelectDomain) -> Result<usize> {
         let sv = match domain {
             SelectDomain::Source(r) => self.source(vals, r.id)?,
-            SelectDomain::FirstOf(r) => *self
-                .sources(vals, r.id)?
-                .first()
-                .ok_or_else(|| EktError::InvalidPlan("empty source list".into()))?,
+            SelectDomain::FirstOf(r) => match &vals[r.id] {
+                // Every stripe has `sizes[attr]` cells.
+                Value::LoweredSplit { sizes, attr, .. } => return Ok(sizes[*attr]),
+                _ => *self
+                    .sources(vals, r.id)?
+                    .first()
+                    .ok_or_else(|| EktError::InvalidPlan("empty source list".into()))?,
+            },
         };
         self.kernel.vector_len(sv)
     }
@@ -228,13 +285,14 @@ impl<'k> Run<'_, 'k> {
     fn execute(&self, input: SourceVar) -> Result<Vec<f64>> {
         let kernel = self.kernel;
         let mut vals: Vec<Value> = Vec::with_capacity(self.spec.nodes.len());
-        for node in self.spec.nodes.iter() {
+        for (id, node) in self.spec.nodes.iter().enumerate() {
             let val = match node {
                 NodeKind::Input => Value::Source(input),
 
-                NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => {
-                    Value::Partition(stripe_partition(sizes, *attr))
-                }
+                NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => Value::Stripes {
+                    sizes: sizes.clone(),
+                    attr: *attr,
+                },
                 NodeKind::Partition(PartitionOp::DawaEach { inputs, eps, opts }) => {
                     let svs = self.sources(&vals, inputs.id)?.to_vec();
                     Value::Partitions(dawa_partition_batch(kernel, &svs, *eps, opts, self.res())?)
@@ -242,11 +300,20 @@ impl<'k> Run<'_, 'k> {
 
                 NodeKind::Transform(TransformOp::Split { input, partition }) => {
                     let sv = self.source(&vals, input.id)?;
-                    let p = match &vals[partition.id] {
-                        Value::Partition(p) => p,
+                    let (sizes, attr) = match &vals[partition.id] {
+                        Value::Stripes { sizes, attr } => (sizes, *attr),
                         other => return Err(type_err(partition.id, "partition", other)),
                     };
-                    Value::Sources(kernel.split_by_partition(sv, p)?)
+                    if lowers(self.spec, id) {
+                        Value::LoweredSplit {
+                            input: sv,
+                            sizes: sizes.clone(),
+                            attr,
+                        }
+                    } else {
+                        let p = stripe_partition(sizes, attr);
+                        Value::Sources(kernel.split_by_partition(sv, &p)?)
+                    }
                 }
                 NodeKind::Transform(TransformOp::ReduceEach { inputs, partitions }) => {
                     let svs = self.sources(&vals, inputs.id)?.to_vec();
@@ -293,18 +360,39 @@ impl<'k> Run<'_, 'k> {
                     strategies,
                     eps,
                 }) => {
-                    let svs = self.sources(&vals, inputs.id)?.to_vec();
                     match strategies {
                         StrategySource::Shared(s) => {
                             let m = match &vals[s.id] {
                                 Value::Strategy(m) => m,
                                 other => return Err(type_err(s.id, "strategy", other)),
                             };
-                            let reqs: Vec<(SourceVar, &Matrix, f64)> =
-                                svs.iter().map(|&sv| (sv, m, *eps)).collect();
-                            kernel.vector_laplace_batch_in(&reqs, self.res())?;
+                            if let Value::LoweredSplit { input, sizes, attr } = &vals[inputs.id] {
+                                // Every stripe's rows, in Kronecker order:
+                                // one measurement of the split's input. The
+                                // kernel checks the input against
+                                // `∏ sizes` once the strategy fits a stripe.
+                                if m.cols() != sizes[*attr] {
+                                    return Err(EktError::ShapeMismatch {
+                                        expected: sizes[*attr],
+                                        found: m.cols(),
+                                    });
+                                }
+                                let kron = stripe_select(sizes, *attr, |_| m.clone());
+                                kernel.vector_laplace_batch_in(
+                                    &[(*input, &kron, *eps)],
+                                    self.res(),
+                                )?;
+                            } else {
+                                let reqs: Vec<(SourceVar, &Matrix, f64)> = self
+                                    .sources(&vals, inputs.id)?
+                                    .iter()
+                                    .map(|&sv| (sv, m, *eps))
+                                    .collect();
+                                kernel.vector_laplace_batch_in(&reqs, self.res())?;
+                            }
                         }
                         StrategySource::PerSource(s) => {
+                            let svs = self.sources(&vals, inputs.id)?;
                             let ms = match &vals[s.id] {
                                 Value::Strategies(ms) => ms,
                                 other => return Err(type_err(s.id, "strategy list", other)),

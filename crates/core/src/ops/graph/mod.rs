@@ -183,6 +183,16 @@ pub enum SelectDomain {
     FirstOf(SourceListRef),
 }
 
+impl SelectDomain {
+    /// The node the domain size is read from.
+    fn id(&self) -> usize {
+        match self {
+            SelectDomain::Source(r) => r.id,
+            SelectDomain::FirstOf(r) => r.id,
+        }
+    }
+}
+
 /// Where a batched measurement takes its strategies from.
 #[derive(Clone, Copy, Debug)]
 pub enum StrategySource {
@@ -332,6 +342,21 @@ pub enum SelectOp {
         /// Signature token to render (e.g. `"SHD"`, `"SS"`).
         token: &'static str,
     },
+}
+
+impl SelectOp {
+    /// The domain a size-parameterized selection reads its `n` from.
+    pub(crate) fn domain(&self) -> Option<&SelectDomain> {
+        match self {
+            SelectOp::Identity { domain }
+            | SelectOp::Total { domain }
+            | SelectOp::Privelet { domain }
+            | SelectOp::H2 { domain }
+            | SelectOp::Hb { domain }
+            | SelectOp::GreedyH { domain, .. } => Some(domain),
+            SelectOp::GreedyHEach { .. } | SelectOp::Fixed { .. } => None,
+        }
+    }
 }
 
 impl Operator for SelectOp {
@@ -509,35 +534,53 @@ impl NodeKind {
         }
     }
 
+    /// The earlier nodes this node reads, in field order.
+    pub(crate) fn refs(&self) -> Vec<usize> {
+        match self {
+            NodeKind::Input
+            | NodeKind::Infer(_)
+            | NodeKind::Partition(PartitionOp::Stripe { .. }) => Vec::new(),
+            NodeKind::Transform(TransformOp::Split { input, partition }) => {
+                vec![input.id, partition.id]
+            }
+            NodeKind::Transform(TransformOp::ReduceEach { inputs, partitions })
+            | NodeKind::Select(SelectOp::GreedyHEach {
+                inputs, partitions, ..
+            }) => vec![inputs.id, partitions.id],
+            NodeKind::Transform(TransformOp::Linear { input, .. }) => vec![input.id],
+            NodeKind::Partition(PartitionOp::DawaEach { inputs, .. }) => vec![inputs.id],
+            NodeKind::Select(op) => op.domain().map(SelectDomain::id).into_iter().collect(),
+            NodeKind::Measure(MeasureOp::Laplace {
+                input, strategy, ..
+            }) => vec![input.id, strategy.id],
+            NodeKind::Measure(MeasureOp::LaplaceBatch {
+                inputs, strategies, ..
+            }) => {
+                let strategy = match strategies {
+                    StrategySource::Shared(r) => r.id,
+                    StrategySource::PerSource(r) => r.id,
+                };
+                vec![inputs.id, strategy]
+            }
+            NodeKind::AdaptiveMwem(op) => vec![op.input.id],
+        }
+    }
+
     /// Whether this node operates element-wise over a source *list*
     /// (drives the `TP[ … ]` bracket in signature rendering).
     fn is_striped(&self) -> bool {
-        matches!(
-            self,
-            NodeKind::Partition(PartitionOp::DawaEach { .. })
-                | NodeKind::Transform(TransformOp::ReduceEach { .. })
-                | NodeKind::Select(SelectOp::GreedyHEach { .. })
-                | NodeKind::Select(SelectOp::Hb {
-                    domain: SelectDomain::FirstOf(_),
-                })
-                | NodeKind::Select(SelectOp::H2 {
-                    domain: SelectDomain::FirstOf(_),
-                })
-                | NodeKind::Select(SelectOp::Identity {
-                    domain: SelectDomain::FirstOf(_),
-                })
-                | NodeKind::Select(SelectOp::Total {
-                    domain: SelectDomain::FirstOf(_),
-                })
-                | NodeKind::Select(SelectOp::Privelet {
-                    domain: SelectDomain::FirstOf(_),
-                })
-                | NodeKind::Select(SelectOp::GreedyH {
-                    domain: SelectDomain::FirstOf(_),
-                    ..
-                })
-                | NodeKind::Measure(MeasureOp::LaplaceBatch { .. })
-        )
+        match self {
+            NodeKind::Select(op) => {
+                matches!(op, SelectOp::GreedyHEach { .. })
+                    || matches!(op.domain(), Some(SelectDomain::FirstOf(_)))
+            }
+            _ => matches!(
+                self,
+                NodeKind::Partition(PartitionOp::DawaEach { .. })
+                    | NodeKind::Transform(TransformOp::ReduceEach { .. })
+                    | NodeKind::Measure(MeasureOp::LaplaceBatch { .. })
+            ),
+        }
     }
 }
 

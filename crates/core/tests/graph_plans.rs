@@ -260,6 +260,41 @@ fn batched_measure_exhaustion_is_typed_mid_plan() {
     );
 }
 
+/// A shared-strategy stripe batch runs as one Kronecker measurement of
+/// the split's input. When ε runs out it fails with the same typed error
+/// and charges and records nothing; with enough ε it records one
+/// measurement and charges exactly the pre-accounted ε.
+#[test]
+fn lowered_stripe_batch_exhaustion_charges_nothing() {
+    let mut b = PlanBuilder::new();
+    let x = b.input();
+    let p = b.partition_stripes(&[16, 3], 0);
+    let stripes = b.transform_split(x, p);
+    let s = b.select_hb_shared(stripes);
+    b.measure_laplace_batch_shared(stripes, s, 0.8);
+    let e = b.infer_least_squares(LsSolver::Iterative);
+    let spec = b.finish(e);
+
+    let k = vector_kernel(48, 0.5, 2);
+    let err = PlanExecutor::unchecked(&k)
+        .run(&spec, k.root())
+        .unwrap_err();
+    assert!(matches!(err, EktError::BudgetExceeded { .. }));
+    assert_eq!(k.measurement_count(), 0);
+    assert_eq!(k.budget_spent(), 0.0);
+    assert_eq!(k.budget_reserved(), 0.0);
+    assert_eq!(k.active_reservations(), 0);
+
+    let k = vector_kernel(48, 1.0, 2);
+    let report = PlanExecutor::new(&k).run(&spec, k.root()).unwrap();
+    assert_eq!(k.measurement_count(), 1, "the batch ran per stripe");
+    assert_eq!(
+        report.eps_charged.to_bits(),
+        report.eps_pre_accounted.to_bits()
+    );
+    assert_eq!(k.budget_spent(), 0.8);
+}
+
 #[test]
 fn partition_class_exhaustion_is_typed_mid_plan() {
     let spec = dawa_striped_spec(&[16, 3], 0, 0.25, 0.75);

@@ -96,6 +96,7 @@ impl Schema {
     }
 
     /// Maps an attribute-value row to its row-major cell index.
+    // xlint: allow(dead-pub, reason = "the cell encoding every count vector uses (vectorize computes it column by column; stripe labels and cell_coords invert it); the crate's tests pin both against it")
     pub fn cell_index(&self, row: &[u32]) -> usize {
         assert_eq!(row.len(), self.arity(), "row arity mismatch");
         let mut idx = 0usize;

@@ -67,6 +67,11 @@ impl Table {
         self.columns.iter().map(|c| c[i]).collect()
     }
 
+    /// Every column, in schema order.
+    pub(crate) fn columns(&self) -> &[Vec<u32>] {
+        &self.columns
+    }
+
     /// Column for attribute `name`.
     pub fn column(&self, name: &str) -> &[u32] {
         &self.columns[self.schema.require(name)]

@@ -81,6 +81,22 @@ impl Matrix {
     }
 }
 
+impl Matrix {
+    /// The scale and the factors, in order, of a (scaled) Kronecker chain
+    /// `c · (F₁ ⊗ … ⊗ F_d)`, however it is nested; `None` for any other
+    /// matrix. Exact Kronecker least squares solves such a system factor
+    /// by factor.
+    pub fn kron_factors(&self) -> Option<(f64, Vec<&Matrix>)> {
+        let (c, kron) = unscale(self);
+        if !matches!(kron, Matrix::Kronecker(..)) {
+            return None;
+        }
+        let mut factors = Vec::new();
+        crate::kron::collect_factors(kron, &mut factors);
+        Some((c, factors))
+    }
+}
+
 impl TreeShape<'_> {
     /// Orders the intervals into a forest, in pre-order: every node comes
     /// before its children, and siblings run left to right. The

@@ -15,18 +15,23 @@
 //!   reference engine) uses — so every output element is produced by the
 //!   same arithmetic as the reference.
 //! * **Panel kernels.** A factor built from `Identity`, `Ones`, `Prefix`,
-//!   `Suffix`, `Diagonal`, `Dense`, `Sparse`, `Scaled` and `Union` leaves
-//!   is applied to a whole mode in one call: rows of length `inner` are
-//!   contiguous, so each kernel streams whole rows instead of gathering
-//!   one fiber at a time. Each kernel performs, per column, exactly the
-//!   operation sequence of its vector kernel in `matvec.rs` (including the
-//!   accumulator's initial value), so results are bit-identical to the
-//!   reference wherever the vector kernel is order-preserving. Every
+//!   `Suffix`, `Diagonal`, `Dense`, `Sparse`, `Range`, `Scaled` and
+//!   `Union` leaves is applied to a whole mode in one call: rows of length
+//!   `inner` are contiguous, so each kernel streams whole rows instead of
+//!   gathering one fiber at a time. Each kernel performs, per column,
+//!   exactly the operation sequence of its vector kernel in `matvec.rs`
+//!   (including the accumulator's initial value), so results are
+//!   bit-identical to the reference wherever the vector kernel is
+//!   order-preserving. A `Range` leaf (the HB strategy of `HB ⊗ I ⊗ …`)
+//!   takes prefix sums down the rows into a scratch tile of at most
+//!   `TILE` columns and then row differences, or builds a difference
+//!   array in the tile and runs it back up; its plan step draws that
+//!   tile. Every
 //!   kernel here is tagged with its CLASS, as in [`crate::kernels`].
-//! * **Fiber walk.** Other factors (`Wavelet`, `Range`, `Rect2D`,
-//!   `Product`, `Transpose`, …) keep the per-fiber gather → planned
-//!   evaluation → scatter walk; when `inner = 1` the fibers are
-//!   contiguous and the walk is a direct slice call.
+//! * **Fiber walk.** Other factors (`Wavelet`, `Rect2D`, `Product`,
+//!   `Transpose`, …) keep the per-fiber gather → planned evaluation →
+//!   scatter walk; when `inner = 1` the fibers are contiguous and the
+//!   walk is a direct slice call.
 //! * **Identity factors** are skipped: they only re-stride the tensor.
 //! * **Buffers.** Modes ping-pong between the caller's `out` and scratch
 //!   buffers chosen at plan time so that the last mode writes `out`; the
@@ -36,7 +41,7 @@ use std::marker::PhantomData;
 
 use crate::kernels::{self, KRON_PANEL};
 use crate::plan::NodePlan;
-use crate::{DenseMatrix, Matrix};
+use crate::{DenseMatrix, Matrix, RangeQueries};
 
 /// Columns a stack-resident accumulator tile covers (512 bytes).
 const TILE: usize = 64;
@@ -70,8 +75,12 @@ pub(crate) enum Slot {
 pub(crate) enum Apply {
     /// An `Identity` factor: nothing to do.
     Skip,
-    /// A panel-kernel factor (see [`is_panel`]).
-    Panel,
+    /// A panel-kernel factor (see [`is_panel`]), with the prefix-sum
+    /// rows per column its `Range` leaves need ([`panel_prefix`]).
+    Panel {
+        /// `n + 1` for `Range` leaves over `n` cells, else 0.
+        prefix: usize,
+    },
     /// Any other factor, with its own evaluation plan and scratch needs.
     Fiber {
         /// Plan of the factor.
@@ -107,7 +116,7 @@ pub(crate) struct Step {
     pub n_out: usize,
     /// Where the mode writes (unused for skipped factors).
     pub slot: Slot,
-    /// Scratch the fiber walk draws; `0` for panel factors.
+    /// Scratch the fiber walk or a `Range` panel draws.
     pub extra: usize,
 }
 
@@ -158,6 +167,7 @@ fn panel_leaf(m: &Matrix) -> bool {
             | Matrix::Diagonal(..)
             | Matrix::Dense(..)
             | Matrix::Sparse(..)
+            | Matrix::Range(..)
     )
 }
 
@@ -177,6 +187,23 @@ pub(crate) fn is_panel(m: &Matrix) -> bool {
         Matrix::Scaled(_, a) => is_panel(a),
         _ => panel_leaf(m),
     }
+}
+
+/// Prefix-sum rows per column a panel factor's `Range` leaves need: one
+/// more than their domain, or 0 without `Range` leaves.
+pub(crate) fn panel_prefix(m: &Matrix) -> usize {
+    match m {
+        Matrix::Range(r) => r.domain() + 1,
+        Matrix::Scaled(_, a) => panel_prefix(a),
+        Matrix::Union(blocks) => blocks.iter().map(panel_prefix).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Scratch a panel step draws on a mode with `inner` columns: one
+/// prefix tile of at most [`TILE`] columns.
+pub(crate) fn panel_scratch(prefix: usize, inner: usize) -> usize {
+    prefix * inner.min(TILE)
 }
 
 /// Appends the factors of the Kronecker chain rooted at `m`, in order.
@@ -278,8 +305,8 @@ fn pick<'s>(
 /// Applies one factor along its mode.
 fn apply_mode(f: &Matrix, apply: &Apply, t: bool, src: Src<'_>, dst: Dst<'_>, scratch: &mut [f64]) {
     match apply {
-        Apply::Panel if t => panel_bwd(f, src, dst),
-        Apply::Panel => panel_fwd(f, src, dst),
+        Apply::Panel { .. } if t => panel_bwd(f, src, dst, scratch),
+        Apply::Panel { .. } => panel_fwd(f, src, dst, scratch),
         Apply::Fiber { plan, .. } => fiber(f, plan, t, src, dst, scratch),
         Apply::Skip => unreachable!("skipped factors are never applied"),
     }
@@ -516,7 +543,7 @@ fn pre(c: Option<f64>, v: f64) -> f64 {
 ///
 /// CLASS: order-preserving (`Ones` and `Dense` rows follow the `sum`/`dot`
 /// order, so every kind is bit-identical to its vector kernel)
-fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
+fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
     match f {
         Matrix::Identity { .. } => copy(src, dst),
         Matrix::Ones { .. } => ones(src, dst),
@@ -524,6 +551,7 @@ fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
         Matrix::Suffix { .. } => running(src, dst, true),
         Matrix::Diagonal(d) => diag_rows(d, src, dst),
         Matrix::Dense(d) => dense_fwd(d, src, dst),
+        Matrix::Range(r) => range_fwd(r, src, dst, scratch),
         Matrix::Sparse(s) => {
             for o in 0..src.blocks {
                 for i in 0..dst.rows {
@@ -536,14 +564,14 @@ fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
             }
         }
         Matrix::Scaled(c, a) => {
-            panel_fwd(a, src, dst.reborrow());
+            panel_fwd(a, src, dst.reborrow(), scratch);
             dst.scale(*c);
         }
         Matrix::Union(blocks) => {
             let mut off = 0;
             for b in blocks {
                 let m = b.rows();
-                panel_fwd(b, src, dst.rows(off, m));
+                panel_fwd(b, src, dst.rows(off, m), scratch);
                 off += m;
             }
         }
@@ -555,7 +583,7 @@ fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
 ///
 /// CLASS: order-preserving (`Ones` rows follow the `sum` order, as in
 /// [`panel_fwd`])
-fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
+fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
     match f {
         Matrix::Identity { .. } => copy(src, dst),
         Matrix::Ones { .. } => ones(src, dst),
@@ -571,8 +599,14 @@ fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
             dst.fill(0.0);
             sparse_add(s, src, dst, None);
         }
+        Matrix::Range(r) => {
+            // The running sums start from `0.0` and never reach `-0.0`,
+            // so adding them to zeros keeps their bits.
+            dst.fill(0.0);
+            range_add(r, src, dst, None, scratch);
+        }
         Matrix::Scaled(c, a) => {
-            panel_bwd(a, src, dst.reborrow());
+            panel_bwd(a, src, dst.reborrow(), scratch);
             dst.scale(*c);
         }
         Matrix::Union(blocks) => {
@@ -581,7 +615,7 @@ fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
             let mut off = 0;
             for b in blocks {
                 let m = b.rows();
-                panel_add(b, src.rows(off, m), dst.reborrow(), None);
+                panel_add(b, src.rows(off, m), dst.reborrow(), None, scratch);
                 off += m;
             }
         }
@@ -595,7 +629,7 @@ fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>) {
 /// build that temporary one stack tile at a time.
 ///
 /// CLASS: order-preserving, except `Ones` rows (as in [`panel_bwd`])
-fn panel_add(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, c: Option<f64>) {
+fn panel_add(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, c: Option<f64>, scratch: &mut [f64]) {
     match f {
         Matrix::Identity { .. } if src.contiguous() && dst.contiguous() => {
             for o in 0..src.blocks {
@@ -692,9 +726,10 @@ fn panel_add(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, c: Option<f64>) {
                 }
             }
         }
+        Matrix::Range(r) => range_add(r, src, dst, c, scratch),
         Matrix::Scaled(s, a) => {
             debug_assert!(c.is_none(), "union blocks carry one scaling at most");
-            panel_add(a, src, dst, Some(*s));
+            panel_add(a, src, dst, Some(*s), scratch);
         }
         _ => unreachable!("not a panel union block"),
     }
@@ -759,6 +794,84 @@ fn running(src: Src<'_>, mut dst: Dst<'_>, rev: bool) {
                 for ((d, &p), &x) in row.iter_mut().zip(prev).zip(src.line(o, r)) {
                     *d = p + x;
                 }
+            }
+        }
+    }
+}
+
+/// `dst = R · src` for interval rows `R`: per column tile, prefix sums
+/// down the rows from `0.0` (as `kernels::prefix_sum_into` runs them
+/// along a vector, behind a leading `0.0`), then each interval's
+/// difference `P[hi] − P[lo]`, as `RangeQueries::matvec_rec` does.
+/// `scratch` holds `(n + 1) · min(width, TILE)` scalars.
+///
+/// CLASS: order-preserving
+fn range_fwd(r: &RangeQueries, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
+    let n = r.domain();
+    for o in 0..src.blocks {
+        for (t0, t1) in tiles(src.width) {
+            let w = t1 - t0;
+            let p = &mut scratch[..(n + 1) * w];
+            p[..w].fill(0.0);
+            for i in 0..n {
+                let (prev, next) = p[i * w..(i + 2) * w].split_at_mut(w);
+                for ((d, &a), &x) in next.iter_mut().zip(&*prev).zip(&src.line(o, i)[t0..t1]) {
+                    *d = a + x;
+                }
+            }
+            for (k, (lo, hi)) in r.ranges().enumerate() {
+                let (lo, hi) = (&p[lo * w..(lo + 1) * w], &p[hi * w..(hi + 1) * w]);
+                for ((d, &h), &l) in dst.line(o, k)[t0..t1].iter_mut().zip(hi).zip(lo) {
+                    *d = h - l;
+                }
+            }
+        }
+    }
+}
+
+/// `dst += Rᵀ · (c·src)`: the difference array of
+/// `RangeQueries::rmatvec_rec` (an interval ending at `n` drops its end
+/// mark, which the vector kernel writes but never reads) and its running
+/// sums from `0.0`, built one column tile at a time in `scratch` (the
+/// vector path's dense temporary), then added to `dst`. `scratch` holds
+/// `n · min(width, TILE)` scalars.
+///
+/// CLASS: order-preserving
+fn range_add(
+    r: &RangeQueries,
+    src: Src<'_>,
+    mut dst: Dst<'_>,
+    c: Option<f64>,
+    scratch: &mut [f64],
+) {
+    let n = dst.rows;
+    for o in 0..src.blocks {
+        for (t0, t1) in tiles(src.width) {
+            let w = t1 - t0;
+            let t = &mut scratch[..n * w];
+            t.fill(0.0);
+            for (k, (lo, hi)) in r.ranges().enumerate() {
+                let y = &src.line(o, k)[t0..t1];
+                for (d, &v) in t[lo * w..(lo + 1) * w].iter_mut().zip(y) {
+                    *d += pre(c, v);
+                }
+                if hi < n {
+                    for (d, &v) in t[hi * w..(hi + 1) * w].iter_mut().zip(y) {
+                        *d -= pre(c, v);
+                    }
+                }
+            }
+            for d in &mut t[..w] {
+                *d = 0.0 + *d;
+            }
+            for i in 1..n {
+                let (prev, row) = t[(i - 1) * w..(i + 1) * w].split_at_mut(w);
+                for (d, &p) in row.iter_mut().zip(&*prev) {
+                    *d = p + *d;
+                }
+            }
+            for i in 0..n {
+                kernels::add_assign(&mut dst.line(o, i)[t0..t1], &t[i * w..(i + 1) * w]);
             }
         }
     }

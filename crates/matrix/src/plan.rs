@@ -394,7 +394,9 @@ fn plan_modes(m: &Matrix) -> (NodePlan, Info) {
             let apply = if matches!(f, Matrix::Identity { .. }) {
                 Apply::Skip
             } else if kron::is_panel(f) {
-                Apply::Panel
+                Apply::Panel {
+                    prefix: kron::panel_prefix(f),
+                }
             } else {
                 let (plan, info) = plan_node(f);
                 Apply::Fiber {
@@ -475,7 +477,8 @@ fn plan_sweep(factors: &[ModeFactor], t: bool, to_out: bool) -> Sweep {
                     };
                     gather + if t { rmv } else { mv }
                 }
-                _ => 0,
+                Apply::Panel { prefix } => kron::panel_scratch(prefix, inner),
+                Apply::Skip => 0,
             };
             Step {
                 outer,
@@ -738,8 +741,8 @@ mod tests {
             };
             let shapes: Vec<(usize, usize)> = kp.factors.iter().map(|f| (f.rows, f.cols)).collect();
             assert_eq!(shapes, vec![(29, 29), (4, 3), (5, 5)]);
-            assert!(matches!(kp.factors[0].apply, Apply::Panel));
-            assert!(matches!(kp.factors[1].apply, Apply::Panel));
+            assert!(matches!(kp.factors[0].apply, Apply::Panel { .. }));
+            assert!(matches!(kp.factors[1].apply, Apply::Panel { .. }));
             assert!(matches!(kp.factors[2].apply, Apply::Fiber { .. }));
         }
     }

@@ -189,8 +189,8 @@ fn dense_factor(rng: &mut Lcg, rows: usize, cols: usize) -> Matrix {
 }
 
 /// Builds factor `kind` over `n` columns: every panel-kernel leaf kind
-/// (and unions/scalings of them) plus the fiber-walk fallbacks
-/// (`Wavelet`, `Range`, `Product`, `Transpose`, a union with a wavelet
+/// (and unions/scalings of them, `Range` among them) plus the fiber-walk
+/// fallbacks (`Wavelet`, `Product`, `Transpose`, a union with a wavelet
 /// block).
 fn kron_factor(kind: usize, n: usize, m: usize, seed: u64) -> Matrix {
     let mut rng = Lcg(seed);
@@ -224,11 +224,16 @@ fn kron_factor(kind: usize, n: usize, m: usize, seed: u64) -> Matrix {
         13 => Matrix::range_queries(n, vec![(0, n), (n / 2, n), (0, n.div_ceil(2))]),
         14 => Matrix::product(Matrix::prefix(n), Matrix::wavelet(n)),
         15 => Matrix::Transpose(Box::new(Matrix::wavelet(n))),
+        16 => Matrix::vstack(vec![
+            Matrix::range_queries(n, (0..n).map(|i| (i, i + 1)).collect()),
+            Matrix::scaled(rng.value() + 0.5, Matrix::range_queries(n, vec![(0, n)])),
+        ]),
+        17 => Matrix::scaled(-2.0, Matrix::range_queries(n, vec![(n - 1, n), (0, n)])),
         _ => Matrix::vstack(vec![Matrix::wavelet(n), Matrix::total(n)]),
     }
 }
 
-const KRON_KINDS: usize = 17;
+const KRON_KINDS: usize = 19;
 
 /// Nests `fs` into a Kronecker tree: `split` picks each split point
 /// (`None`: right-nested, like `Matrix::kron_list`).
@@ -404,8 +409,53 @@ proptest! {
     }
 }
 
-/// A large five-factor Kronecker: the prefix and union modes run the
-/// panel kernels, the wavelet and range modes the fiber walk. Results must
+/// `Range` panels across several column tiles: an HB-like hierarchy
+/// (alone, scaled, and as union blocks) along a mode of 150 columns, and
+/// behind one. Every direction matches the reference engine bit for bit.
+#[test]
+fn range_panels_match_reference_across_tiles() {
+    let n = 23;
+    let mut intervals = vec![(0, n), (0, 8), (8, 16), (16, n)];
+    intervals.extend((0..n).map(|i| (i, i + 1)));
+    let hier = Matrix::range_queries(n, intervals);
+    let factors = [
+        hier.clone(),
+        Matrix::scaled(0.25, hier.clone()),
+        Matrix::vstack(vec![
+            Matrix::scaled(3.0, hier.clone()),
+            Matrix::range_queries(n, vec![(2, 9), (5, n)]),
+            Matrix::total(n),
+        ]),
+    ];
+    let mut rng = Lcg(11);
+    for f in factors {
+        for k in [
+            Matrix::kron_list(vec![f.clone(), Matrix::identity(150)]),
+            Matrix::kron_list(vec![Matrix::prefix(3), f.clone(), Matrix::identity(70)]),
+            Matrix::kron(Matrix::identity(2), f.clone()),
+        ] {
+            let (rows, cols) = k.shape();
+            let x = rng.values(cols);
+            let y = rng.values(rows);
+            let acc0 = rng.values(cols);
+            let mut ws = Workspace::for_matrix(&k);
+            let mut mv = vec![0.0; rows];
+            k.matvec_into(&x, &mut mv, &mut ws);
+            let mut rmv = vec![0.0; cols];
+            k.rmatvec_into(&y, &mut rmv, &mut ws);
+            let mut rmva = acc0.clone();
+            k.rmatvec_add(&y, &mut rmva, &mut ws);
+            let want_rmv = reference_rmatvec(&k, &y);
+            assert_reference(&mv, &reference_matvec(&k, &x), "range matvec");
+            assert_reference(&rmv, &want_rmv, "range rmatvec");
+            let want_add: Vec<f64> = acc0.iter().zip(&want_rmv).map(|(a, r)| a + r).collect();
+            assert_reference(&rmva, &want_add, "range rmatvec_add");
+        }
+    }
+}
+
+/// A large five-factor Kronecker: the prefix, union and range modes run
+/// the panel kernels, the wavelet mode the fiber walk. Results must
 /// match the reference engine bit for bit and stay bit-identical on a
 /// warm re-run.
 #[test]

@@ -19,20 +19,33 @@
 //! counting sort, and `split_by_partition` reads each stripe's cells from
 //! the borrowed CSR rows — a few allocations per stripe, none per cell.
 //!
-//! The budget composes in parallel across stripes: per-stripe
-//! measurements go through the kernel's batched `vector_laplace_batch`,
-//! which evaluates the exact per-stripe answers through one workspace and
-//! draws noise sequentially in stripe order, so plan outputs are
-//! deterministic run-to-run given the kernel seed. Inference is per
-//! stripe as well: every stacked measurement ends in its stripe's
-//! selector, so the system splits into one column component per stripe
-//! ([`ektelo_matrix::Matrix::column_components`]) and `lsqr` solves the
-//! stripes one after another. Both plans measure a stripe with an
-//! interval hierarchy (HB, or Greedy-H behind DAWA's reduce partition),
-//! so each stripe gets its exact least-squares solution from the
-//! `O(nodes)` tree pass ([`ektelo_solvers::tree_least_squares`]) instead
-//! of LSQR iterations; HB-Striped's shared strategy is built into a pass
-//! once per solve. A stripe that is not a hierarchy runs the LSQR loop.
+//! **HB-Striped runs as its Kronecker form.** Its subplan is
+//! data-independent, so the executor lowers the shared-strategy batch to
+//! one measurement of `stripe_select(sizes, attr, HB)` on the split's
+//! input (Algorithm 5 → 6): the rows are the stripes' rows, the
+//! sensitivity is `‖HB‖₁`, and the ε charged is the same; only the noise
+//! draws come in Kronecker row order instead of stripe order. The
+//! partition and the stripe sources are never built, and `lsqr` solves
+//! the one measurement exactly, mode by mode: one tree pass applied to
+//! every fiber along the HB mode, the pass each stripe got before. Plans
+//! #15 and #16 therefore return bit-identical estimates. The spec keeps
+//! its Fig. 2 signature, `PS TP[ SHB LM ] LS`: the plan a user writes and
+//! pre-accounts is Algorithm 5, and the lowering is the executor's
+//! choice of how to run it.
+//!
+//! DAWA-Striped's strategies are data-dependent, so it keeps the split:
+//! per-stripe measurements go through the kernel's batched
+//! `vector_laplace_batch`, which evaluates the exact per-stripe answers
+//! through one workspace and draws noise sequentially in stripe order, so
+//! plan outputs are deterministic run-to-run given the kernel seed.
+//! Inference is per stripe as well: every stacked measurement ends in its
+//! stripe's selector, so the system splits into one column component per
+//! stripe ([`ektelo_matrix::Matrix::column_components`]) and `lsqr`
+//! solves the stripes one after another. Each stripe is an interval
+//! hierarchy (Greedy-H behind DAWA's reduce partition), so it gets its
+//! exact least-squares solution from the `O(nodes)` tree pass
+//! ([`ektelo_solvers::tree_least_squares`]) instead of LSQR iterations; a
+//! stripe that is not a hierarchy runs the LSQR loop.
 //! DAWA-Striped additionally builds its per-stripe Greedy-H strategies
 //! (pure public compute), and its data-adaptive stage-1 partition
 //! selection charges stripes in order and derives counter-based
@@ -61,10 +74,11 @@ fn hb_striped_spec(sizes: &[usize], attr: usize, eps: f64) -> PlanSpec {
 
 /// Plan #15 — HB-Striped (Algorithm 5): `PS TP[ SHB LM ] LS`.
 ///
-/// All stripes share one data-independent HB strategy, so the whole
-/// measurement phase is a single batched call: exact answers evaluate
-/// through one workspace, noise is drawn in stripe order — bit-identical
-/// to a sequential loop of single measurements.
+/// All stripes share one data-independent HB strategy, so the executor
+/// runs the batch as the single Kronecker measurement of Plan #16
+/// (Algorithm 6) and never builds the stripes; the estimate is
+/// bit-identical to [`plan_hb_striped_kron`]'s. The spec, its signature
+/// and its pre-accounting are Algorithm 5's.
 pub fn plan_hb_striped(
     kernel: &ProtectedKernel,
     x: SourceVar,
@@ -123,9 +137,19 @@ pub fn plan_dawa_striped(
     })
 }
 
+/// The HB-Striped_kron spec: `SS LM LS`.
+fn hb_striped_kron_spec(sizes: &[usize], attr: usize, eps: f64) -> PlanSpec {
+    let mut b = PlanBuilder::new();
+    let x = b.input();
+    let s = b.select_fixed(stripe_select(sizes, attr, hb), "SS");
+    b.measure_laplace(x, s, eps);
+    let e = b.infer_least_squares(LsSolver::Iterative);
+    b.finish(e)
+}
+
 /// Plan #16 — HB-Striped_kron (Algorithm 6): `SS LM LS`. The
-/// data-independent variant expressed as one Kronecker measurement —
-/// no kernel splitting, identical answers in distribution.
+/// data-independent variant expressed as one Kronecker measurement — no
+/// kernel splitting — and solved exactly by `lsqr`'s Kronecker pass.
 pub fn plan_hb_striped_kron(
     kernel: &ProtectedKernel,
     x: SourceVar,
@@ -133,12 +157,7 @@ pub fn plan_hb_striped_kron(
     attr: usize,
     eps: f64,
 ) -> PlanResult {
-    let mut b = PlanBuilder::new();
-    let x_ref = b.input();
-    let s = b.select_fixed(stripe_select(sizes, attr, hb), "SS");
-    b.measure_laplace(x_ref, s, eps);
-    let e = b.infer_least_squares(LsSolver::Iterative);
-    let spec = b.finish(e);
+    let spec = hb_striped_kron_spec(sizes, attr, eps);
     let report = PlanExecutor::new(kernel).run(&spec, x)?;
     Ok(PlanOutcome {
         x_hat: report.x_hat,
@@ -148,27 +167,39 @@ pub fn plan_hb_striped_kron(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ektelo_core::kernel::ProtectedKernel;
+    use ektelo_core::kernel::{MeasuredQuery, ProtectedKernel};
+    use ektelo_core::ops::inference::least_squares;
+    use ektelo_core::ops::partition::stripe_partition;
     use ektelo_data::{Schema, Table};
+    use ektelo_matrix::Matrix;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
     /// A small 3-attribute table: [v: 32, a: 3, b: 2].
     fn small_census(rows: usize, seed: u64) -> (ProtectedKernel, SourceVar, Vec<f64>, Vec<usize>) {
+        census(32, rows, seed)
+    }
+
+    /// A 3-attribute table: [v: `v`, a: 3, b: 2].
+    fn census(
+        v: u32,
+        rows: usize,
+        seed: u64,
+    ) -> (ProtectedKernel, SourceVar, Vec<f64>, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let schema = Schema::from_sizes(&[("v", 32), ("a", 3), ("b", 2)]);
+        let schema = Schema::from_sizes(&[("v", v as usize), ("a", 3), ("b", 2)]);
         let mut t = Table::empty(schema);
         for _ in 0..rows {
             let a = rng.random_range(0..3u32);
             // v correlates with a.
-            let v = ((rng.random_range(0..16u32)) + a * 8).min(31);
+            let val = (rng.random_range(0..v / 2) + a * v / 4).min(v - 1);
             let b = rng.random_range(0..2u32);
-            t.push_row(&[v, a, b]);
+            t.push_row(&[val, a, b]);
         }
         let truth = ektelo_data::vectorize(&t);
         let k = ProtectedKernel::init(t, 10.0, seed);
         let x = k.vectorize(k.root()).unwrap();
-        (k, x, truth, vec![32, 3, 2])
+        (k, x, truth, vec![v as usize, 3, 2])
     }
 
     fn rmse(a: &[f64], b: &[f64]) -> f64 {
@@ -241,25 +272,69 @@ mod tests {
         assert!(rmse(&truth, &out.x_hat) < 20.0);
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The executor runs Plan #15 as Plan #16's measurement, so equally
+    /// seeded kernels give the same estimate bit for bit, and both charge
+    /// exactly their pre-accounted ε.
     #[test]
-    fn kron_variant_matches_split_variant_statistically() {
-        // Same strategy, different plumbing: errors should be comparable.
-        let trials = 3;
-        let mut err_split = 0.0;
-        let mut err_kron = 0.0;
-        for seed in 0..trials {
-            let (k, x, truth, sizes) = small_census(5000, 100 + seed);
-            let o = plan_hb_striped(&k, x, &sizes, 0, 1.0).unwrap();
-            err_split += rmse(&truth, &o.x_hat);
-            let (k, x, truth, sizes) = small_census(5000, 100 + seed);
-            let o = plan_hb_striped_kron(&k, x, &sizes, 0, 1.0).unwrap();
-            err_kron += rmse(&truth, &o.x_hat);
+    fn split_and_kron_variants_are_bit_identical() {
+        for (seed, attr) in [(100, 0), (101, 1), (102, 2)] {
+            let (k, x, _, sizes) = census(64, 5000, seed);
+            let split = PlanExecutor::new(&k)
+                .run(&hb_striped_spec(&sizes, attr, 1.0), x)
+                .unwrap();
+            assert_eq!(k.measurement_count(), 1, "the stripes were materialized");
+            let (k, x, _, sizes) = census(64, 5000, seed);
+            let kron = PlanExecutor::new(&k)
+                .run(&hb_striped_kron_spec(&sizes, attr, 1.0), x)
+                .unwrap();
+            assert_eq!(bits(&split.x_hat), bits(&kron.x_hat), "attr {attr}");
+            for r in [&split, &kron] {
+                assert_eq!(r.eps_pre_accounted.to_bits(), r.eps_charged.to_bits());
+            }
         }
-        let ratio = err_split / err_kron;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "split ({err_split}) and kron ({err_kron}) variants should be comparable"
-        );
+    }
+
+    /// The split path, driven through kernel calls, as the reference: its
+    /// per-stripe answers, permuted into Kronecker row order, make the
+    /// one Kronecker measurement that the exact pass solves to the split
+    /// path's estimate bit for bit.
+    #[test]
+    fn exact_kron_pass_reproduces_the_split_path() {
+        for (seed, attr) in [(7, 0), (8, 1)] {
+            let (k, x, _, sizes) = census(64, 4000, seed);
+            let stripes = k
+                .split_by_partition(x, &stripe_partition(&sizes, attr))
+                .unwrap();
+            let strategy = hb(sizes[attr]);
+            let reqs: Vec<(SourceVar, &Matrix, f64)> =
+                stripes.iter().map(|&sv| (sv, &strategy, 1.0)).collect();
+            let answers = k.vector_laplace_batch(&reqs).unwrap();
+            let history = k.measurements();
+            let split = least_squares(&history, LsSolver::Iterative);
+
+            // Stripe `g` fixes the attributes before `attr` to `g / inner`
+            // and those after it to `g % inner`; its row `r` is Kronecker
+            // row `(g / inner, r, g % inner)`.
+            let inner: usize = sizes[attr + 1..].iter().product();
+            let m = strategy.rows();
+            let mut y = vec![0.0; answers.len() * m];
+            for (g, a) in answers.iter().enumerate() {
+                for (r, &v) in a.iter().enumerate() {
+                    y[((g / inner) * m + r) * inner + g % inner] = v;
+                }
+            }
+            let kron = MeasuredQuery {
+                query: stripe_select(&sizes, attr, hb),
+                answers: y,
+                ..history[0].clone()
+            };
+            let exact = least_squares(&[kron], LsSolver::Iterative);
+            assert_eq!(bits(&split), bits(&exact), "attr {attr}");
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@ fn run_plan_family() -> Vec<f64> {
     let (k, root) = kernel_for_histogram(&x, eps, 44);
     all.extend(plan_mwem_variant_b(&k, root, &w, eps, &opts).unwrap().x_hat);
 
-    // Multi-factor Kronecker strategies: the HB mode runs the panel
-    // kernels, the HDMM factors the fiber walk.
+    // Multi-factor Kronecker strategies: the HB mode runs the `Range`
+    // panel and the exact Kronecker solve, the HDMM factors the fiber walk
+    // and LSQR.
     let sizes = [64usize, 16, 8];
     let n: usize = sizes.iter().product();
     let x: Vec<f64> = (0..n).map(|i| ((i * 17) % 29) as f64 + 1.0).collect();

@@ -11,7 +11,7 @@
 
 use ektelo_matrix::{Matrix, Workspace};
 
-use crate::tree::TreeSolver;
+use crate::tree::{kron_least_squares, TreeSolver};
 use crate::util::{axpy, norm2, scale, xpay};
 
 /// Stopping parameters for [`lsqr`].
@@ -44,7 +44,8 @@ pub struct LsqrResult {
     /// Number of bidiagonalization steps performed. For a system solved
     /// one column component at a time (see [`lsqr`]) this is the sum of
     /// the components' steps, each of which touches only that component;
-    /// a component solved exactly by the tree pass adds 0.
+    /// a component solved exactly by the tree pass adds 0, and an exact
+    /// Kronecker solve reports 0.
     pub iterations: usize,
     /// Final residual norm estimate `‖Ax − b‖₂`. For a system solved one
     /// column component at a time this is `√(Σ rₖ²)` over the components'
@@ -56,6 +57,16 @@ pub struct LsqrResult {
 
 /// Solves `min_x ‖Ax − b‖₂` with LSQR.
 ///
+/// A single (scaled) Kronecker measurement whose factors are each an
+/// identity or a weighted interval hierarchy — HB-Striped's
+/// `I ⊗ HB ⊗ I`, EKTELO Algorithm 6 — is solved exactly first, mode by
+/// mode, because `(A₁ ⊗ … ⊗ A_d)⁺ = A₁⁺ ⊗ … ⊗ A_d⁺`: each hierarchy mode
+/// builds one tree pass and applies it to every fiber along that mode,
+/// and the result, reported with 0 iterations, is the minimum-norm
+/// solution the loop converges to. Any other Kronecker shape (a dense
+/// factor, a union of several Kronecker blocks) runs the loop below
+/// unchanged.
+///
 /// A block-separable system — a union whose blocks fall into several
 /// column-disjoint groups ([`Matrix::column_components`]), the shape of
 /// the striped plans' stacked lineage — is solved one component at a
@@ -66,9 +77,8 @@ pub struct LsqrResult {
 /// block touches stay 0. A component that is a weighted interval
 /// hierarchy, optionally behind a partition (each stripe of HB- and
 /// DAWA-Striped), gets that solution exactly from the `O(nodes)` tree
-/// pass of [`crate::tree_least_squares`] instead of the loop; a hierarchy
-/// shared by several components is built once per call, one used by a
-/// single component is dropped after its solve. Every other
+/// pass of [`crate::tree_least_squares`] instead of the loop, one pass
+/// built and dropped per component. Every other
 /// component runs the LSQR loop, and every other system, including a
 /// separable one with a single component, runs one LSQR over the whole
 /// matrix.
@@ -86,6 +96,15 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let (m, n) = a.shape();
     assert_eq!(b.len(), m, "lsqr: rhs length mismatch");
 
+    if let Some((x, residual_sq)) = kron_least_squares(a, b) {
+        // The exact pass passes the solver fault site once.
+        ektelo_matrix::failpoints::panic_if("solver::iteration");
+        return LsqrResult {
+            x,
+            iterations: 0,
+            residual_norm: residual_sq.sqrt(),
+        };
+    }
     let mut x = vec![0.0; n];
     let Some(components) = a.column_components() else {
         let (iterations, residual_norm) =
@@ -100,7 +119,7 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     // One workspace for every component: its arena grows to the largest
     // component's requirement on first use.
     let mut ws = Workspace::new();
-    let mut tree = TreeSolver::new(components.iter().map(|c| &c.matrix));
+    let mut tree = TreeSolver::default();
     let mut iterations = 0;
     let mut residual_sq = 0.0;
     for c in &components {
@@ -272,6 +291,64 @@ mod tests {
         let grad = a.rmatvec(&residual);
         let gnorm = norm2(&grad);
         assert!(gnorm < 1e-6, "normal equations violated: ‖Aᵀr‖ = {gnorm}");
+    }
+
+    /// Kronecker shapes outside the exact pass run the LSQR loop exactly
+    /// as it runs on its own.
+    #[test]
+    fn kron_shapes_outside_the_exact_pass_run_the_loop_unchanged() {
+        let hier = || Matrix::range_queries(3, vec![(0, 3), (0, 1), (1, 2), (2, 3)]);
+        let grouping = Matrix::sparse(ektelo_matrix::CsrMatrix::from_triplets(
+            3,
+            4,
+            &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (2, 3, 1.0)],
+        ));
+        let cases = [
+            // A dense factor.
+            Matrix::kron(
+                Matrix::from_rows(vec![vec![1.0, 2.0], vec![0.5, -1.0]]),
+                hier(),
+            ),
+            // Two Kronecker blocks stacked.
+            Matrix::vstack(vec![
+                Matrix::kron(hier(), Matrix::identity(2)),
+                Matrix::kron(Matrix::identity(3), Matrix::total(2)),
+            ]),
+            // Identities only.
+            Matrix::scaled(2.0, Matrix::kron(Matrix::identity(2), Matrix::identity(3))),
+            // A hierarchy behind a partition.
+            Matrix::kron(Matrix::identity(2), Matrix::product(hier(), grouping)),
+            // Crossing intervals.
+            Matrix::kron(
+                Matrix::range_queries(3, vec![(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]),
+                Matrix::identity(2),
+            ),
+            // A Kronecker measurement behind a lineage.
+            Matrix::product(
+                Matrix::kron(hier(), Matrix::identity(2)),
+                Matrix::from_rows(
+                    (0..6)
+                        .map(|i| (0..6).map(|j| f64::from(u8::from(i == j))).collect())
+                        .collect(),
+                ),
+            ),
+        ];
+        for a in &cases {
+            let b: Vec<f64> = (0..a.rows())
+                .map(|i| ((i * 37) % 11) as f64 - 4.0)
+                .collect();
+            assert!(kron_least_squares(a, &b).is_none(), "{a:?}");
+            let opts = LsqrOptions::default();
+            let r = lsqr(a, &b, &opts);
+            let mut x = vec![0.0; a.cols()];
+            let (iterations, phibar) =
+                lsqr_into(a, &b, &mut x, &mut Workspace::for_matrix(a), &opts);
+            assert!(iterations > 0);
+            assert_eq!(r.iterations, iterations);
+            assert_eq!(r.residual_norm.to_bits(), phibar.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&r.x), bits(&x), "{a:?}");
+        }
     }
 
     #[test]

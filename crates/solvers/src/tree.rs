@@ -30,10 +30,20 @@
 //! `Σ (s_c − z_c)² / var_c` subject to `Σ s_c = total` gives the
 //! proportional shares of the downward pass. `P⁺ = Pᵀ (P Pᵀ)⁻¹ = Pᵀ D⁻¹`
 //! because `P Pᵀ = D` for a 0/1 matrix with disjoint rows.
+//!
+//! **Kronecker measurements** (`kron_least_squares`). For the
+//! Moore–Penrose pseudo-inverse, `(A₁ ⊗ … ⊗ A_d)⁺ = A₁⁺ ⊗ … ⊗ A_d⁺` with
+//! no rank condition, and `(c·K)⁺ = K⁺ / c`. So the minimum-norm
+//! solution of one Kronecker measurement (HB-Striped as one strategy,
+//! `I ⊗ HB ⊗ I`; EKTELO Algorithm 6, HDMM's inference) is each factor's
+//! pseudo-inverse applied along its own mode: an identity mode is left
+//! as it is, and a hierarchy mode runs one tree pass, built once, on
+//! every fiber along it. The scale `c` is folded into the first
+//! hierarchy's row weights (a pass is linear in `b`, and scaling every
+//! weight by `c` scales the solution by `1 / c`), which is exactly the
+//! pass a stripe of the split form `c · HB · Sel` gets.
 
-use std::collections::BTreeMap;
-
-use ektelo_matrix::{CsrMatrix, Matrix, RangeQueries, TreeNode};
+use ektelo_matrix::{CsrMatrix, Matrix, TreeNode};
 
 use crate::lsqr::LsqrResult;
 
@@ -67,21 +77,11 @@ pub fn tree_least_squares(a: &Matrix, b: &[f64]) -> Option<LsqrResult> {
     })
 }
 
-/// The exact solve over the components of one system. A hierarchy that
-/// several components share (HB-Striped puts one on every stripe) is
-/// built once and kept; one that a single component uses is built, used
-/// and dropped, so a solve never holds a pass per component. The pass
-/// buffers are reused throughout.
+/// The exact solve over the components of one system: each component's
+/// pass is built, used and dropped, and the pass buffers are reused
+/// throughout.
 #[derive(Default)]
 pub(crate) struct TreeSolver {
-    /// Addresses of the interval blocks that lead the hierarchy of more
-    /// than one component, ascending.
-    shared: Vec<usize>,
-    /// Passes of the shared hierarchies, keyed by each interval block's
-    /// address and weight bits; `None` records a shape whose intervals
-    /// are not a hierarchy. The addresses stay valid because the
-    /// matrices outlive the solver.
-    passes: BTreeMap<Vec<(usize, u64)>, Option<TreePass>>,
     /// Node estimates, then final node values.
     z: Vec<f64>,
     /// Sum of each node's children's upward estimates, then each
@@ -90,53 +90,97 @@ pub(crate) struct TreeSolver {
 }
 
 impl TreeSolver {
-    /// A solver for the components `matrices`, knowing which hierarchies
-    /// they share.
-    pub(crate) fn new<'a>(matrices: impl Iterator<Item = &'a Matrix>) -> TreeSolver {
-        let mut leads: Vec<usize> = matrices
-            .filter_map(|m| Some(address(m.tree_shape()?.blocks.first()?.1)))
-            .collect();
-        leads.sort_unstable();
-        let mut shared: Vec<usize> = leads
-            .windows(2)
-            .filter(|w| w[0] == w[1])
-            .map(|w| w[0])
-            .collect();
-        shared.dedup();
-        TreeSolver {
-            shared,
-            ..TreeSolver::default()
-        }
-    }
-
     /// Solves `min ‖A x − b‖` exactly into `x` (zero on entry) and returns
     /// `‖A x − b‖²`, or returns `None`, leaving `x` untouched, when `A` is
     /// not a weighted interval hierarchy.
     pub(crate) fn solve(&mut self, a: &Matrix, b: &[f64], x: &mut [f64]) -> Option<f64> {
         let shape = a.tree_shape()?;
         let (z, sum) = (&mut self.z, &mut self.sum);
-        let lead = address(shape.blocks.first()?.1);
-        if self.shared.binary_search(&lead).is_err() {
-            let pass = TreePass::new(shape.tree()?, z, sum);
-            return Some(pass.solve(shape.partition, b, x, z, sum));
-        }
-        let key = shape
-            .blocks
-            .iter()
-            .map(|&(w, r)| (address(r), w.to_bits()))
-            .collect();
-        let pass = self
-            .passes
-            .entry(key)
-            .or_insert_with(|| shape.tree().map(|t| TreePass::new(t, z, sum)))
-            .as_ref()?;
+        let pass = TreePass::new(shape.tree()?, z, sum);
         Some(pass.solve(shape.partition, b, x, z, sum))
     }
 }
 
-/// The address of an interval block, its identity for sharing.
-fn address(r: &RangeQueries) -> usize {
-    r as *const RangeQueries as usize
+/// Solves `min ‖A x − b‖₂` exactly when `A` is a (scaled) Kronecker
+/// product whose every factor is an [`Matrix::Identity`] or a weighted
+/// interval hierarchy without a partition ([`Matrix::tree_shape`]), with
+/// at least one hierarchy: returns the minimum-norm solution and
+/// `‖A x − b‖²`. Modes apply last to first; a hierarchy mode gathers
+/// each fiber along it, runs the mode's one tree pass on it and scatters
+/// the result. `None` for every other matrix, including dense factors
+/// and unions of several Kronecker blocks.
+pub(crate) fn kron_least_squares(a: &Matrix, b: &[f64]) -> Option<(Vec<f64>, f64)> {
+    let (c, factors) = a.kron_factors()?;
+    // Per mode: rows, columns, and the pass of a hierarchy mode.
+    let mut modes: Vec<(usize, usize, Option<TreePass>)> = Vec::with_capacity(factors.len());
+    let (mut z, mut sum) = (Vec::new(), Vec::new());
+    let mut scale = Some(c);
+    for f in factors {
+        if let Matrix::Identity { n } = *f {
+            modes.push((n, n, None));
+            continue;
+        }
+        let shape = f.tree_shape()?;
+        if shape.partition.is_some() {
+            return None;
+        }
+        let mut nodes = shape.tree()?;
+        if let Some(c) = scale.take() {
+            for node in &mut nodes {
+                node.weight = c * node.weight;
+                let sq = node.weight * node.weight;
+                if !sq.is_finite() || sq == 0.0 {
+                    return None;
+                }
+            }
+        }
+        modes.push((
+            f.rows(),
+            f.cols(),
+            Some(TreePass::new(nodes, &mut z, &mut sum)),
+        ));
+    }
+    if scale.is_some() {
+        // Every factor is an identity: no hierarchy mode to solve.
+        return None;
+    }
+
+    let mut solved: Option<Vec<f64>> = None;
+    for k in (0..modes.len()).rev() {
+        let (m, n, Some(pass)) = &modes[k] else {
+            continue;
+        };
+        // Modes before `k` are still in row space, modes after it are
+        // already in column space.
+        let outer: usize = modes[..k].iter().map(|f| f.0).product();
+        let inner: usize = modes[k + 1..].iter().map(|f| f.1).product();
+        let src = solved.as_deref().unwrap_or(b);
+        let mut dst = vec![0.0; outer * n * inner];
+        let (mut bf, mut xf) = (vec![0.0; *m], vec![0.0; *n]);
+        for (s, d) in src
+            .chunks_exact(m * inner)
+            .zip(dst.chunks_exact_mut(n * inner))
+        {
+            for i in 0..inner {
+                for (r, v) in bf.iter_mut().enumerate() {
+                    *v = s[r * inner + i];
+                }
+                pass.solve(None, &bf, &mut xf, &mut z, &mut sum);
+                for (j, &v) in xf.iter().enumerate() {
+                    d[j * inner + i] = v;
+                }
+            }
+        }
+        solved = Some(dst);
+    }
+    let x = solved?;
+    let residual_sq = a
+        .matvec(&x)
+        .iter()
+        .zip(b)
+        .map(|(p, q)| (p - q) * (p - q))
+        .sum();
+    Some((x, residual_sq))
 }
 
 /// One hierarchy's tree with the pass weights precomputed; they depend on
@@ -317,24 +361,5 @@ mod tests {
         }
         assert_eq!(r.x[2], 0.0);
         assert_eq!(r.x[0], r.x[1]);
-    }
-
-    #[test]
-    fn shared_hierarchies_are_built_once() {
-        let h = Matrix::range_queries(3, vec![(0, 3), (0, 1), (1, 2), (2, 3)]);
-        let lone = Matrix::range_queries(3, vec![(0, 1), (1, 2), (2, 3)]);
-        let parts: Vec<Matrix> = [1.0, 1.0, 2.0]
-            .into_iter()
-            .map(|c| Matrix::scaled(c, h.clone()))
-            .chain([lone])
-            .collect();
-        let mut solver = TreeSolver::new(parts.iter());
-        let mut x = vec![0.0; 3];
-        for a in &parts {
-            assert!(solver.solve(a, &[1.0; 4][..a.rows()], &mut x).is_some());
-        }
-        // One kept pass per distinct (hierarchy, weight) pair of the
-        // shared hierarchy; the lone one is not kept.
-        assert_eq!(solver.passes.len(), 2);
     }
 }

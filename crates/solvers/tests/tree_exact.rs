@@ -4,8 +4,9 @@
 //! hierarchy, optionally behind a partition, with the two-pass tree
 //! solve (`tree_least_squares`) instead of the LSQR loop. These tests pin
 //! that the pass returns the minimum-norm least-squares solution on
-//! random hierarchies, partitions and striped unions, and that every
-//! shape it cannot decide exactly returns `None` and takes LSQR.
+//! random hierarchies, partitions, striped unions and Kronecker products
+//! of identity and hierarchy factors, and that every shape it cannot
+//! decide exactly returns `None` and takes LSQR.
 
 use ektelo_matrix::{CsrMatrix, Matrix};
 use ektelo_solvers::{direct_least_squares, lsqr, tree_least_squares, LsqrOptions};
@@ -187,8 +188,48 @@ fn random_hierarchy_system(rng: &mut Rng, grouped: bool) -> (Matrix, Vec<f64>, V
     (a, b, expand(&z, &group_of))
 }
 
+/// A random `c · (F₁ ⊗ … ⊗ F_d)`, `d` of 2 or 3, each factor an identity
+/// or a random weighted hierarchy over at most 5 cells, at least one a
+/// hierarchy. Every factor has full column rank, so the least-squares
+/// solution is unique and dense least squares is its oracle.
+fn random_kron_system(rng: &mut Rng) -> (Matrix, Vec<f64>) {
+    let d = 2 + rng.below(2);
+    let hierarchy_at = rng.below(d);
+    let factors = (0..d)
+        .map(|k| {
+            let p = 1 + rng.below(5);
+            if k != hierarchy_at && rng.below(2) == 0 {
+                Matrix::identity(p)
+            } else {
+                let max_branch = 2 + rng.below(3);
+                let intervals = random_intervals(rng, p, max_branch);
+                weighted_strategy(rng, p, &intervals)
+            }
+        })
+        .collect();
+    let a = Matrix::scaled(rng.weight(), Matrix::kron_list(factors));
+    let b = random_rhs(rng, a.rows());
+    (a, b)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Random scaled Kronecker products of identity and hierarchy
+    /// factors: `lsqr` solves them exactly, mode by mode, with 0
+    /// iterations, and matches dense least squares.
+    #[test]
+    fn kron_pass_is_the_least_squares_solution(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let (a, b) = random_kron_system(&mut rng);
+        let r = lsqr(&a, &b, &LsqrOptions::default());
+        prop_assert_eq!(r.iterations, 0, "seed {}: the exact pass did not run", seed);
+        let reference = direct_least_squares(&a, &b);
+        let err = rel_err(&r.x, &reference);
+        prop_assert!(err < 1e-9, "seed {}: relative error {:e}", seed, err);
+        let res: f64 = a.matvec(&r.x).iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum();
+        prop_assert!((r.residual_norm - res.sqrt()).abs() <= 1e-9 * (1.0 + res.sqrt()));
+    }
 
     /// Random laminar hierarchies — uneven splits, branching 2..=6,
     /// per-level or per-node weights, some internal nodes missing — with

@@ -528,6 +528,13 @@ fn commit_literal(
 
 /// Whether `code` contains `tok` with identifier boundaries on both ends
 /// (the token itself may contain `::`).
+/// Whether a `cfg` attribute line names `test` other than as `not(test)`:
+/// `#[cfg(not(test))]` marks library code.
+fn cfg_names_test(code: &str) -> bool {
+    let squeezed: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+    contains_token(&squeezed.replace("not(test)", ""), "test")
+}
+
 fn contains_token(code: &str, tok: &str) -> bool {
     find_token(code, tok, 0).is_some()
 }
@@ -865,7 +872,7 @@ fn test_mod_regions(lines: &[Line]) -> Vec<bool> {
             let _ = entry;
         }
         if region_entry.is_none() {
-            if contains_token(code, "cfg") && code.contains("#[") && code.contains("test") {
+            if contains_token(code, "cfg") && code.contains("#[") && cfg_names_test(code) {
                 pending_cfg = true;
             } else if pending_cfg && contains_token(code, "mod") && code.contains('{') {
                 region_entry = Some(depth);

@@ -430,7 +430,8 @@ impl<'a> Parser<'a> {
             "test" => info.test = true,
             "cfg" => {
                 // Collect `feature = "..."` atoms with `not(...)`
-                // awareness; `#[cfg(test)]` marks the item as test code.
+                // awareness; `#[cfg(test)]` marks the item as test code,
+                // `#[cfg(not(test))]` does not.
                 let mut neg_stack: Vec<usize> = Vec::new(); // paren depths of open not(...)
                 let mut depth = 0usize;
                 let mut k = 0usize;
@@ -448,7 +449,9 @@ impl<'a> Parser<'a> {
                                 neg_stack.push(depth + 1);
                             }
                         }
-                        Tok::Ident(s) if s == "test" => info.test = true,
+                        Tok::Ident(s) if s == "test" && neg_stack.len().is_multiple_of(2) => {
+                            info.test = true
+                        }
                         Tok::Ident(s) if s == "feature" => {
                             if matches!(body.get(k + 1).map(|t| &t.kind), Some(Tok::Punct('='))) {
                                 if let Some(Tok::Str(f)) = body.get(k + 2).map(|t| &t.kind) {

@@ -94,6 +94,10 @@ fn violations_are_detected_at_exact_lines() {
         ("crates/plans/src/api.rs", 11, "dead-pub"),
         ("crates/plans/src/api.rs", 13, "dead-pub"),
         ("crates/plans/src/api.rs", 28, "dead-pub"),
+        // not_test.rs: a `#[cfg(not(test))]` module is library code, so
+        // its uncalled, panicking `pub fn` trips both rules.
+        ("crates/plans/src/not_test.rs", 5, "dead-pub"),
+        ("crates/plans/src/not_test.rs", 6, "panic-policy"),
     ]
     .into_iter()
     .map(|(f, l, r)| (f.to_string(), l, r))

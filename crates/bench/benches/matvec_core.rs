@@ -5,8 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ektelo_core::kernel::ProtectedKernel;
+use ektelo_core::ops::inference::scaled_per_query_l2_error;
 use ektelo_core::ops::partition::stripe_partition;
-use ektelo_core::ops::selection::hb;
+use ektelo_core::ops::selection::{hb, stripe_select};
 use ektelo_matrix::{Matrix, Repr, Workspace};
 use std::hint::black_box;
 
@@ -110,6 +111,29 @@ fn bench_sensitivity(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| b.iter(|| black_box(m.l1_sensitivity())));
     }
+    // HB-Striped's strategy over the 99,960-cell census domain: closed
+    // form, one pass over HB(357)'s columns rather than the domain's.
+    let stripe = stripe_select(&[357, 5, 7, 4, 2], 0, hb);
+    group.bench_function(BenchmarkId::new("stripe_kron", stripe.cols()), |b| {
+        b.iter(|| black_box(stripe.l1_sensitivity()))
+    });
+    group.finish();
+}
+
+/// The Table 5 error check on the census `Prefix(Income)` workload
+/// (257,040 × 99,960): one product of the workload with `x − x̂`.
+fn bench_scaled_error(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scaled_error");
+    group.sample_size(20);
+    let census = ektelo_data::workloads::census_prefix_income(&[357, 5, 7, 4, 2]);
+    let n = census.cols();
+    let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
+    let x_hat: Vec<f64> = (0..n)
+        .map(|i| (i % 7) as f64 + (i % 3) as f64 - 1.0)
+        .collect();
+    group.bench_function(BenchmarkId::new("census_prefix_income", n), |b| {
+        b.iter(|| black_box(scaled_per_query_l2_error(&census, &x, &x_hat, 1000.0)))
+    });
     group.finish();
 }
 
@@ -583,6 +607,7 @@ criterion_group!(
     bench_core_matrices,
     bench_kron,
     bench_sensitivity,
+    bench_scaled_error,
     bench_kron_panel,
     bench_stripe_split
 );

@@ -93,7 +93,7 @@ fn ablation_known_total_scale() {
         ms.push(MeasuredQuery {
             base: k.root(),
             query: Matrix::total(n),
-            answers: vec![total],
+            answers: [total].into(),
             noise_scale: scale,
         });
         let (xh, secs) = time_it(|| non_negative_least_squares(&ms));

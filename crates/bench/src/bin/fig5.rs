@@ -32,7 +32,7 @@ fn measured(base: SourceVar, query: Matrix, answers: Vec<f64>, scale: f64) -> Me
     MeasuredQuery {
         base,
         query,
-        answers,
+        answers: answers.into(),
         noise_scale: scale,
     }
 }

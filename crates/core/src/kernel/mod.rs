@@ -535,16 +535,19 @@ impl ProtectedKernel {
         &self,
         reqs: &[(SourceVar, &Matrix, f64)],
     ) -> Result<Vec<Vec<f64>>> {
-        self.vector_laplace_batch_in(reqs, None)
+        self.vector_laplace_batch_in(reqs, None).map(owned_answers)
     }
 
     /// [`ProtectedKernel::vector_laplace_batch`] with every charge
-    /// attributed to (and redeemed from) `res` when given.
+    /// attributed to (and redeemed from) `res` when given. Each request's
+    /// answers are one buffer, shared with its history record: the exact
+    /// answers are computed into it before the lock and the noise is added
+    /// in place under it, so recording a measurement copies nothing.
     pub(crate) fn vector_laplace_batch_in(
         &self,
         reqs: &[(SourceVar, &Matrix, f64)],
         res: Option<&BudgetReservation<'_>>,
-    ) -> Result<Vec<Vec<f64>>> {
+    ) -> Result<Vec<Arc<[f64]>>> {
         let res = self.res_slot(res)?;
         // Phase 0 (public, no lock): each request's sensitivity, a pure
         // function of its public matrix, memoized per distinct matrix
@@ -598,10 +601,7 @@ impl ProtectedKernel {
         // in request order, through the kernel's idle workspace, so
         // same-shaped stripe strategies share a single evaluation plan and
         // the next batch finds the arena warm.
-        let mut exacts: Vec<Option<Vec<f64>>> = snapshots
-            .iter()
-            .map(|s| s.as_ref().ok().map(|_| Vec::new()))
-            .collect();
+        let mut exacts: Vec<Option<Arc<[f64]>>> = vec![None; snapshots.len()];
         let mut ws = self.workspace_checkout();
         fill_exact_answers(reqs, &snapshots, &mut exacts, &mut ws);
         self.workspace_restore(ws);
@@ -621,13 +621,13 @@ impl ProtectedKernel {
             let (_, sensitivity) = snap?;
             st.request(sv.0, eps, None, res)?;
             let scale = sensitivity / eps;
-            let answers: Vec<f64> = exact
-                // xlint: allow(panic-policy, reason = "phase invariant: phase 2 fills the exact answer for every request whose snapshot was Ok, and the `snap?` above already propagated the Err case")
-                .expect("valid request has an exact answer")
-                .into_iter()
-                .map(|v| v + noise::laplace(&mut st.rng, scale))
-                // xlint: allow(lock-discipline, reason = "privacy-ordered section: the noise draws consume the kernel RNG and must commit atomically with the charges under one lock (Algorithm 2 ordering)")
-                .collect();
+            // xlint: allow(panic-policy, reason = "phase invariant: phase 2 fills the exact answer for every request whose snapshot was Ok, and the `snap?` above already propagated the Err case")
+            let mut answers = exact.expect("valid request has an exact answer");
+            // Phase 2 holds the only handle, so `make_mut` never clones:
+            // the noise lands in the exact answers' own buffer.
+            for v in Arc::make_mut(&mut answers) {
+                *v += noise::laplace(&mut st.rng, scale);
+            }
             if let (Some(base), Some(lineage)) =
                 // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation); the node's lineage is only readable under the lock")
                 (st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone())
@@ -642,8 +642,7 @@ impl ProtectedKernel {
                 st.history.push(MeasuredQuery {
                     base: SourceVar(base),
                     query: effective,
-                    // xlint: allow(lock-discipline, reason = "the history record and the caller's return value are independent owners of the answers; the copy is inherent to recording the measurement")
-                    answers: answers.clone(),
+                    answers: Arc::clone(&answers),
                     noise_scale: scale,
                 });
             }
@@ -861,7 +860,9 @@ impl BudgetReservation<'_> {
         &self,
         reqs: &[(SourceVar, &Matrix, f64)],
     ) -> Result<Vec<Vec<f64>>> {
-        self.kernel.vector_laplace_batch_in(reqs, Some(self))
+        self.kernel
+            .vector_laplace_batch_in(reqs, Some(self))
+            .map(owned_answers)
     }
 }
 
@@ -897,14 +898,22 @@ fn measurement_sensitivity(s: f64) -> Result<f64> {
     Ok(s)
 }
 
-/// The answers of a batch of one. A batch that returns `Ok` answers every
-/// request, so the vector holds exactly one entry.
-fn sole_answer(mut answers: Vec<Vec<f64>>) -> Vec<f64> {
-    answers.pop().unwrap_or_default()
+/// The answers of a batch of one, copied out of the shared buffer. A
+/// batch that returns `Ok` answers every request, so the vector holds
+/// exactly one entry.
+fn sole_answer(answers: Vec<Arc<[f64]>>) -> Vec<f64> {
+    answers.first().map(|a| a.to_vec()).unwrap_or_default()
+}
+
+/// Every request's answers, copied out of the shared buffers for the
+/// public API (after the kernel lock is released).
+fn owned_answers(answers: Vec<Arc<[f64]>>) -> Vec<Vec<f64>> {
+    answers.iter().map(|a| a.to_vec()).collect()
 }
 
 /// Fills the exact (pre-noise) answer for every valid request slot:
-/// `exacts[i] = reqs[i].matrix · snapshots[i].vector`. One reused
+/// `exacts[i] = reqs[i].matrix · snapshots[i].vector`, each in a buffer of
+/// its own that phase 3 adds the noise to and records. One reused
 /// [`Workspace`] means same-shaped strategies (every stripe of
 /// HB-Striped) plan once. The caller checks the workspace out of the
 /// kernel's pool and restores it afterwards, so *across* batch calls the
@@ -913,17 +922,19 @@ fn sole_answer(mut answers: Vec<Vec<f64>>) -> Vec<f64> {
 fn fill_exact_answers(
     reqs: &[(SourceVar, &Matrix, f64)],
     snapshots: &[Snapshot],
-    exacts: &mut [Option<Vec<f64>>],
+    exacts: &mut [Option<Arc<[f64]>>],
     ws: &mut Workspace,
 ) {
     for (e, (&(_, m, _), snap)) in exacts.iter_mut().zip(reqs.iter().zip(snapshots)) {
-        if let (Some(slot), Ok((x, _))) = (e.as_mut(), snap.as_ref()) {
+        if let Ok((x, _)) = snap {
             // Injected crash in the exact-answer phase: it unwinds before
             // any charge is issued.
             failpoints::panic_if("kernel::batch_exact");
-            let mut out = vec![0.0; m.rows()];
-            m.matvec_into(x, &mut out, ws);
-            *slot = out;
+            // One allocation: a length-exact iterator collects straight
+            // into the shared buffer.
+            let mut out: Arc<[f64]> = std::iter::repeat_n(0.0, m.rows()).collect();
+            m.matvec_into(x, Arc::make_mut(&mut out), ws);
+            *e = Some(out);
         }
     }
 }
@@ -1171,7 +1182,7 @@ mod tests {
             st.history.push(MeasuredQuery {
                 base: SourceVar(base),
                 query: effective,
-                answers: answers.clone(),
+                answers: answers.as_slice().into(),
                 noise_scale: scale,
             });
         }
@@ -1247,7 +1258,7 @@ mod tests {
             let h: Vec<(Vec<f64>, f64)> = k
                 .measurements()
                 .into_iter()
-                .map(|m| (m.answers, m.noise_scale))
+                .map(|m| (m.answers.to_vec(), m.noise_scale))
                 .collect();
             (out, h, k.budget_spent())
         };

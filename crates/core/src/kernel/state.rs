@@ -91,8 +91,11 @@ pub struct MeasuredQuery {
     pub base: super::SourceVar,
     /// The effective query matrix over the base domain (`M · lineage`).
     pub query: Matrix,
-    /// The noisy answers.
-    pub answers: Vec<f64>,
+    /// The noisy answers: shared and immutable. The kernel adds the noise
+    /// to the exact answers in place and records that one buffer, so the
+    /// history, `measurements_since` and the executor hold the same
+    /// answers without copying them; cloning a record bumps a refcount.
+    pub answers: Arc<[f64]>,
     /// The Laplace scale of the noise added to each answer.
     pub noise_scale: f64,
 }

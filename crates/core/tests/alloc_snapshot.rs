@@ -1,19 +1,18 @@
 //! Counting-allocator proof that `vector_laplace_batch` snapshots data
-//! vectors by refcount bump, not deep clone (ISSUE 3 tentpole: zero-copy
-//! `Arc` data nodes).
+//! vectors by refcount bump, not deep clone (zero-copy `Arc` data nodes).
 //!
-//! The PR 2 batch path called `to_vec()` on every source vector to move
+//! An earlier batch path called `to_vec()` on every source vector to move
 //! the exact-answer matvecs outside the kernel lock — one full data-sized
 //! allocation **per request per call**. With `NodeData::Vector` holding an
 //! `Arc<Vec<f64>>`, the snapshot is free. The counter tracks allocations
-//! of at least one stripe's byte size; the only such allocation a warm
-//! batch call still performs is the **single** `l1_sensitivity`
-//! column-norm pass over the shared strategy, which the batch runs once
-//! per distinct strategy, before it takes the kernel lock. So the budget
-//! below is exactly one per call — a deep-clone regression adds one per *stripe*
-//! and a sensitivity-memo regression one per stripe too; either trips
-//! the assertion.
-
+//! of at least one stripe's byte size. The shared strategy is a total
+//! query, whose L1 sensitivity is closed-form (`Ones`: its row count), so
+//! the batch needs no column-sum pass either, and its answers are one
+//! value per stripe. A warm batch call therefore performs **no**
+//! stripe-sized allocation: a deep-clone regression adds one per
+//! *stripe*, and a sensitivity that materializes the column sums again
+//! adds one per call (one per stripe if the per-batch memo regresses
+//! too); any of them trips the assertion.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,9 +71,9 @@ fn batched_measurement_performs_no_data_sized_allocations() {
     let labels: Vec<usize> = (0..n).map(|i| i / STRIPE).collect();
     let p = partition_from_labels(STRIPES, &labels);
     let stripes = k.split_by_partition(k.root(), &p).unwrap();
-    // One shared wide strategy with a single row (scratch-free, and its
-    // column-norm pass is exactly one stripe-sized allocation): the
-    // answers stay tiny while the matvec still reads every cell.
+    // One shared wide strategy with a single row (scratch-free, with a
+    // closed-form sensitivity): the answers stay tiny while the matvec
+    // still reads every cell.
     let strategy = Matrix::total(STRIPE);
     let reqs: Vec<(SourceVar, &Matrix, f64)> =
         stripes.iter().map(|&s| (s, &strategy, 0.1)).collect();
@@ -90,10 +89,9 @@ fn batched_measurement_performs_no_data_sized_allocations() {
     }
     let data_sized = DATA_SIZED_ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
-        data_sized,
-        CALLS, // exactly one sensitivity pass per call
+        data_sized, 0,
         "vector_laplace_batch must snapshot stripes by Arc (zero copies) and \
-         compute the shared strategy's sensitivity once per batch"
+         take the shared strategy's sensitivity in closed form"
     );
 
     // The zero-copy path still produces real measurements.

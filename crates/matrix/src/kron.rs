@@ -862,12 +862,12 @@ fn range_add(
                 }
             }
             for d in &mut t[..w] {
-                *d = 0.0 + *d;
+                *d += 0.0;
             }
             for i in 1..n {
                 let (prev, row) = t[(i - 1) * w..(i + 1) * w].split_at_mut(w);
                 for (d, &p) in row.iter_mut().zip(&*prev) {
-                    *d = p + *d;
+                    *d += p;
                 }
             }
             for i in 0..n {

@@ -7,6 +7,23 @@
 //! sums decompose over every combinator (`Union` adds them, `Kronecker`
 //! multiplies them, scaling multiplies by |c|), and each core matrix has a
 //! closed form.
+//!
+//! [`Matrix::l1_sensitivity`] needs only the largest column sum, and for
+//! `Identity`, `Ones`, `Prefix`, `Suffix`, `Scaled` and `Kronecker` it
+//! never builds the column-sum vector: those kinds carry the range
+//! `[min, max]` of their column sums and whether one is NaN. The core
+//! kinds know their range outright; every other kind folds its
+//! [`Matrix::abs_col_sums`]. A Kronecker column sum is the product
+//! `aᵢ·bⱼ` of two non-negative sums and a scaled one is `sᵢ·|c|`, and
+//! rounding is monotone — `x ≤ x'` and `y ≤ y'` give `fl(x·y) ≤ fl(x'·y')`
+//! for non-negative operands — so the largest product is the product of
+//! the factors' largest sums, and the smallest the product of the
+//! smallest, bit for bit the values the materialized vector holds.
+//! Overflow to ∞ and underflow to 0 happen in the same products. A
+//! product is NaN exactly when an operand is NaN or it is `0·∞`, and a
+//! factor holds a 0 (an ∞) exactly when its minimum is 0 (its maximum is
+//! ∞), so the range classifies NaN exactly too: a `0` column sum next to
+//! an `∞` one gives NaN, as the materialized fold does.
 
 use crate::wavelet::wavelet_abs_col_sums;
 use crate::Matrix;
@@ -165,9 +182,28 @@ impl Matrix {
 
     /// The L1 sensitivity `‖A‖₁` = max column sum of `|A|` (paper §5.2).
     /// A NaN entry makes the result NaN rather than being skipped, so a
-    /// caller's finiteness check sees it.
+    /// caller's finiteness check sees it. Closed-form for the kinds the
+    /// module docs list: a Kronecker strategy over the full domain costs
+    /// one pass over each factor's columns, not one over the domain.
     pub fn l1_sensitivity(&self) -> f64 {
-        self.abs_col_sums().into_iter().fold(0.0, max_keeping_nan)
+        match self.abs_col_sum_range() {
+            ColSumRange::Empty => 0.0,
+            ColSumRange::Nan => f64::NAN,
+            ColSumRange::Span { max, .. } => max_keeping_nan(0.0, max),
+        }
+    }
+
+    /// The range of the column sums of `|A|`, in closed form where the
+    /// module docs give one.
+    fn abs_col_sum_range(&self) -> ColSumRange {
+        match *self {
+            Matrix::Identity { n } => ColSumRange::constant(n, 1.0),
+            Matrix::Ones { rows, cols } => ColSumRange::constant(cols, rows as f64),
+            Matrix::Prefix { n } | Matrix::Suffix { n } => ColSumRange::span(n, 1.0, n as f64),
+            Matrix::Scaled(c, ref a) => a.abs_col_sum_range().scaled(c.abs()),
+            Matrix::Kronecker(ref a, ref b) => a.abs_col_sum_range().kron(b.abs_col_sum_range()),
+            _ => ColSumRange::of(&self.abs_col_sums()),
+        }
     }
 
     /// The L2 sensitivity `‖A‖₂` = max column norm (NaN-propagating, like
@@ -242,6 +278,75 @@ fn kron_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
     }
     out
+}
+
+/// The column sums of `|A|` as [`Matrix::l1_sensitivity`] needs them.
+#[derive(Clone, Copy, Debug)]
+enum ColSumRange {
+    /// `A` has no columns.
+    Empty,
+    /// Some column sum is NaN.
+    Nan,
+    /// Every column sum lies in `[min, max]`, and both bounds are column
+    /// sums.
+    Span { min: f64, max: f64 },
+}
+
+impl ColSumRange {
+    /// `cols` columns whose sums run from `min` to `max`.
+    fn span(cols: usize, min: f64, max: f64) -> ColSumRange {
+        if cols == 0 {
+            ColSumRange::Empty
+        } else if min.is_nan() || max.is_nan() {
+            ColSumRange::Nan
+        } else {
+            ColSumRange::Span { min, max }
+        }
+    }
+
+    /// `cols` columns that all sum to `v`.
+    fn constant(cols: usize, v: f64) -> ColSumRange {
+        ColSumRange::span(cols, v, v)
+    }
+
+    /// The range of a materialized column-sum vector.
+    fn of(sums: &[f64]) -> ColSumRange {
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in sums {
+            if v.is_nan() {
+                return ColSumRange::Nan;
+            }
+            min = min.min(v);
+            max = max.max(v);
+        }
+        ColSumRange::span(sums.len(), min, max)
+    }
+
+    /// The sums `sᵢ·k` for a scale `k = |c|`.
+    fn scaled(self, k: f64) -> ColSumRange {
+        self.kron(ColSumRange::constant(1, k))
+    }
+
+    /// The sums `aᵢ·bⱼ` of `A ⊗ B`, `self` holding `A`'s.
+    fn kron(self, other: ColSumRange) -> ColSumRange {
+        use ColSumRange::{Empty, Nan, Span};
+        match (self, other) {
+            (Empty, _) | (_, Empty) => Empty,
+            (Nan, _) | (_, Nan) => Nan,
+            (Span { min: a0, max: a1 }, Span { min: b0, max: b1 }) => {
+                let zero_times_inf =
+                    (a0 == 0.0 && b1 == f64::INFINITY) || (a1 == f64::INFINITY && b0 == 0.0);
+                if zero_times_inf {
+                    Nan
+                } else {
+                    Span {
+                        min: a0 * b0,
+                        max: a1 * b1,
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// `f64::max` that keeps a NaN instead of returning the other operand.

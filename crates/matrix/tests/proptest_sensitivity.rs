@@ -8,6 +8,14 @@
 //! explicitly materialized product on factors with negative entries —
 //! sensitivity drift would silently weaken or over-noise every downstream
 //! measurement.
+//!
+//! `l1_sensitivity` is closed-form on `Kronecker` and `Scaled` nodes over
+//! identity, ones, prefix and suffix factors: it carries each node's
+//! column-sum range instead of the column-sum vector. It must equal the
+//! fold over the materialized `abs_col_sums()` bit for bit, NaN and ±∞
+//! included, and is checked here on random nested products whose dense
+//! factors hold 0, NaN, ±∞ and values that overflow or underflow when
+//! multiplied.
 
 use ektelo_matrix::{DenseMatrix, Matrix};
 use proptest::prelude::*;
@@ -69,8 +77,122 @@ fn check_product(p: &Matrix) -> Result<(), String> {
     Ok(())
 }
 
+/// An entry that may be 0, NaN, ±∞ or a value whose products overflow
+/// or underflow — the cases the closed form must classify exactly — and
+/// otherwise an ordinary signed value.
+fn arb_special() -> BoxedStrategy<f64> {
+    (0usize..18, -3.0f64..3.0)
+        .prop_map(|(k, v)| match k {
+            0 | 1 => 0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => 1e-200,
+            6 => -1e200,
+            _ => v,
+        })
+        .boxed()
+}
+
+/// The factors of the products: the closed-form kinds, plus `Range` and
+/// dense kinds, which fold their materialized column sums.
+fn arb_factor() -> BoxedStrategy<Matrix> {
+    let range = (
+        1usize..5,
+        prop::collection::vec((0usize..4, 1usize..5), 1..4),
+    )
+        .prop_map(|(n, iv)| {
+            let ranges = iv
+                .into_iter()
+                .map(|(lo, len)| (lo % n, (lo % n + len).min(n)));
+            Matrix::range_queries(n, ranges.collect())
+        });
+    let dense = (
+        1usize..4,
+        1usize..4,
+        prop::collection::vec(arb_special(), 9),
+    )
+        .prop_map(|(rows, cols, v)| {
+            Matrix::from_rows(v[..rows * cols].chunks(cols).map(<[f64]>::to_vec).collect())
+        });
+    prop_oneof![
+        (1usize..5).prop_map(Matrix::identity),
+        (0usize..4, 1usize..5).prop_map(|(rows, cols)| Matrix::ones(rows, cols)),
+        (1usize..5).prop_map(Matrix::prefix),
+        (1usize..5).prop_map(Matrix::suffix),
+        range,
+        dense,
+    ]
+    .boxed()
+}
+
+/// Random nested `Kronecker` / `Scaled` products of [`arb_factor`]s.
+/// Nested `Scaled` nodes are built directly, since [`Matrix::scaled`]
+/// folds them.
+fn arb_nested_product() -> BoxedStrategy<Matrix> {
+    arb_factor()
+        .prop_recursive(3, 12, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Matrix::kron(a, b)),
+                (arb_special(), inner).prop_map(|(c, a)| Matrix::Scaled(c, Box::new(a))),
+            ]
+        })
+        .boxed()
+}
+
+/// The sensitivity as the fold over the materialized column sums:
+/// the largest sum, or NaN if one is NaN.
+fn folded_l1(m: &Matrix) -> f64 {
+    m.abs_col_sums()
+        .into_iter()
+        .fold(0.0, |acc, v| if v.is_nan() || v > acc { v } else { acc })
+}
+
+/// Bit equality, with every NaN one class (a NaN's payload carries no
+/// meaning for the finiteness check that consumes it).
+fn same_sensitivity(got: f64, want: f64) -> bool {
+    (got.is_nan() && want.is_nan()) || got.to_bits() == want.to_bits()
+}
+
+#[test]
+fn closed_form_classifies_zero_times_infinity_as_nan() {
+    // Column sums [0, ∞] scaled by ∞ give [NaN, ∞]; by 0, [0, NaN].
+    let zero_inf = Matrix::from_rows(vec![vec![0.0, f64::INFINITY]]);
+    for c in [f64::INFINITY, 0.0] {
+        let m = Matrix::scaled(c, zero_inf.clone());
+        assert!(m.l1_sensitivity().is_nan(), "scale {c}");
+    }
+    // A 0 column sum in one factor and an ∞ in the other.
+    let m = Matrix::kron(
+        Matrix::ones(0, 3),
+        Matrix::from_rows(vec![vec![f64::INFINITY]]),
+    );
+    assert!(m.l1_sensitivity().is_nan());
+    // Column sums [1e-200·1e-200, 1·1e-200] = [0, 1e-200]: the product
+    // that underflows to 0 meets an ∞ scale, so the result is NaN, not ∞.
+    let m = Matrix::scaled(
+        f64::INFINITY,
+        Matrix::kron(
+            Matrix::from_rows(vec![vec![1e-200, 1.0]]),
+            Matrix::from_rows(vec![vec![1e-200]]),
+        ),
+    );
+    assert!(m.l1_sensitivity().is_nan());
+    // Without a zero, ∞ stays ∞.
+    let m = Matrix::scaled(f64::INFINITY, Matrix::prefix(3));
+    assert_eq!(m.l1_sensitivity(), f64::INFINITY);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random nested Kronecker / scaled products: the closed-form
+    /// sensitivity equals the fold over the materialized column sums.
+    #[test]
+    fn closed_form_l1_matches_materialized_fold(m in arb_nested_product()) {
+        let (got, want) = (m.l1_sensitivity(), folded_l1(&m));
+        prop_assert!(same_sensitivity(got, want), "{got:e} vs {want:e} for {m:?}");
+    }
 
     /// Products of signed dense factors hit the materializing fallback;
     /// their column/row sums must match the explicit |AB|.

@@ -329,7 +329,7 @@ mod tests {
             }
             let kron = MeasuredQuery {
                 query: stripe_select(&sizes, attr, hb),
-                answers: y,
+                answers: y.into(),
                 ..history[0].clone()
             };
             let exact = least_squares(&[kron], LsSolver::Iterative);

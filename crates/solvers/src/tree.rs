@@ -107,8 +107,12 @@ impl TreeSolver {
 /// at least one hierarchy: returns the minimum-norm solution and
 /// `‖A x − b‖²`. Modes apply last to first; a hierarchy mode gathers
 /// each fiber along it, runs the mode's one tree pass on it and scatters
-/// the result. `None` for every other matrix, including dense factors
-/// and unions of several Kronecker blocks.
+/// the result. With a single hierarchy mode, every other mode is an
+/// identity, so `A x − b` splits into the fibers' residuals and
+/// `‖A x − b‖²` is the sum of the passes' own; with several, the passes
+/// see intermediate fibers and the residual takes the product `A x`.
+/// `None` for every other matrix, including dense factors and unions of
+/// several Kronecker blocks.
 pub(crate) fn kron_least_squares(a: &Matrix, b: &[f64]) -> Option<(Vec<f64>, f64)> {
     let (c, factors) = a.kron_factors()?;
     // Per mode: rows, columns, and the pass of a hierarchy mode.
@@ -127,7 +131,7 @@ pub(crate) fn kron_least_squares(a: &Matrix, b: &[f64]) -> Option<(Vec<f64>, f64
         let mut nodes = shape.tree()?;
         if let Some(c) = scale.take() {
             for node in &mut nodes {
-                node.weight = c * node.weight;
+                node.weight *= c;
                 let sq = node.weight * node.weight;
                 if !sq.is_finite() || sq == 0.0 {
                     return None;
@@ -146,6 +150,8 @@ pub(crate) fn kron_least_squares(a: &Matrix, b: &[f64]) -> Option<(Vec<f64>, f64
     }
 
     let mut solved: Option<Vec<f64>> = None;
+    let mut hierarchies = 0;
+    let mut fiber_residual_sq = 0.0;
     for k in (0..modes.len()).rev() {
         let (m, n, Some(pass)) = &modes[k] else {
             continue;
@@ -165,21 +171,25 @@ pub(crate) fn kron_least_squares(a: &Matrix, b: &[f64]) -> Option<(Vec<f64>, f64
                 for (r, v) in bf.iter_mut().enumerate() {
                     *v = s[r * inner + i];
                 }
-                pass.solve(None, &bf, &mut xf, &mut z, &mut sum);
+                fiber_residual_sq += pass.solve(None, &bf, &mut xf, &mut z, &mut sum);
                 for (j, &v) in xf.iter().enumerate() {
                     d[j * inner + i] = v;
                 }
             }
         }
+        hierarchies += 1;
         solved = Some(dst);
     }
     let x = solved?;
-    let residual_sq = a
-        .matvec(&x)
-        .iter()
-        .zip(b)
-        .map(|(p, q)| (p - q) * (p - q))
-        .sum();
+    let residual_sq = if hierarchies == 1 {
+        fiber_residual_sq
+    } else {
+        a.matvec(&x)
+            .iter()
+            .zip(b)
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum()
+    };
     Some((x, residual_sq))
 }
 

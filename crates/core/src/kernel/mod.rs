@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use state::{checked_eps_total, validate_eps, KernelState, Node, NodeData};
+use state::{checked_eps_total, validate_eps, KernelState, Node, NodeData, SourceData};
 
 /// An opaque handle to a protected data source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -102,7 +102,7 @@ impl ProtectedKernel {
             history: Vec::new(),
         };
         st.nodes.push(Node {
-            data: NodeData::Table(table),
+            data: NodeData::Table(Arc::new(table)),
             parent: None,
             stability: 1.0,
             budget: 0.0,
@@ -268,62 +268,53 @@ impl ProtectedKernel {
 
     /// The schema of a table source (public metadata).
     pub fn schema(&self, sv: SourceVar) -> Result<Schema> {
-        let st = self.state.lock();
-        // xlint: allow(lock-discipline, reason = "the schema clone is the return value and the table is only readable under the lock; O(attributes) metadata copy on a control-plane query")
-        Ok(st.table(sv.0)?.schema().clone())
+        let t: Arc<Table> = self.state.lock().snapshot(sv.0)?;
+        Ok(t.schema().clone())
     }
 
     /// The length of a vector source. Public: domain sizes derive from the
     /// schema and from partitions, which are themselves public outputs.
     pub fn vector_len(&self, sv: SourceVar) -> Result<usize> {
-        let st = self.state.lock();
-        Ok(st.vector(sv.0)?.len())
+        Ok(self.state.lock().snapshot::<Arc<Vec<f64>>>(sv.0)?.len())
     }
 
     // ------------------------------------------------------------------
     // Table transformations (Private; no budget, tracked stability)
     // ------------------------------------------------------------------
+    //
+    // Each one snapshots its input table under the lock, computes the
+    // output outside it, and re-locks only to register the new node.
 
     /// `Where`: keeps rows satisfying `pred`. 1-stable (paper §5.1).
     pub fn transform_where(&self, sv: SourceVar, pred: &Predicate) -> Result<SourceVar> {
-        let mut st = self.state.lock();
-        let out = st.table(sv.0)?.filter(pred);
-        Ok(SourceVar(st.add_node(Node {
-            data: NodeData::Table(out),
-            parent: Some(sv.0),
-            stability: 1.0,
-            budget: 0.0,
-            base: None,
-            lineage: None,
-        })))
+        let t: Arc<Table> = self.state.lock().snapshot(sv.0)?;
+        Ok(self.add_table(sv, t.filter(pred), 1.0))
     }
 
     /// `Select`: projects onto the named attributes. 1-stable.
     pub fn transform_select(&self, sv: SourceVar, names: &[&str]) -> Result<SourceVar> {
-        let mut st = self.state.lock();
-        let out = st.table(sv.0)?.select(names);
-        Ok(SourceVar(st.add_node(Node {
-            data: NodeData::Table(out),
-            parent: Some(sv.0),
-            stability: 1.0,
-            budget: 0.0,
-            base: None,
-            lineage: None,
-        })))
+        let t: Arc<Table> = self.state.lock().snapshot(sv.0)?;
+        Ok(self.add_table(sv, t.select(names), 1.0))
     }
 
     /// `GroupBy`: distinct combinations of the named attributes. 2-stable.
     pub fn transform_group_by(&self, sv: SourceVar, names: &[&str]) -> Result<SourceVar> {
-        let mut st = self.state.lock();
-        let out = st.table(sv.0)?.group_by(names);
-        Ok(SourceVar(st.add_node(Node {
-            data: NodeData::Table(out),
-            parent: Some(sv.0),
-            stability: 2.0,
+        let t: Arc<Table> = self.state.lock().snapshot(sv.0)?;
+        Ok(self.add_table(sv, t.group_by(names), 2.0))
+    }
+
+    /// Registers `table`, derived from `parent` by a `stability`-stable
+    /// transformation, as a new source.
+    fn add_table(&self, parent: SourceVar, table: Table, stability: f64) -> SourceVar {
+        let data = NodeData::Table(Arc::new(table));
+        SourceVar(self.state.lock().add_node(Node {
+            data,
+            parent: Some(parent.0),
+            stability,
             budget: 0.0,
             base: None,
             lineage: None,
-        })))
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -334,17 +325,18 @@ impl ProtectedKernel {
     /// full schema domain. 1-stable. The output becomes a *base* vector:
     /// downstream measurements are mapped back onto it for inference.
     pub fn vectorize(&self, sv: SourceVar) -> Result<SourceVar> {
+        let t: Arc<Table> = self.state.lock().snapshot(sv.0)?;
+        let x = t_vectorize(&t);
+        let lineage = Some(Matrix::identity(x.len()));
+        let data = NodeData::Vector(Arc::new(x));
         let mut st = self.state.lock();
-        let x = t_vectorize(st.table(sv.0)?);
-        let n = x.len();
         let id = st.add_node(Node {
-            // xlint: allow(lock-discipline, reason = "vectorize is control-plane (once per plan); the table it reads is only accessible under the lock, and node registration shares the acquisition")
-            data: NodeData::Vector(Arc::new(x)),
+            data,
             parent: Some(sv.0),
             stability: 1.0,
             budget: 0.0,
             base: None,
-            lineage: Some(Matrix::identity(n)),
+            lineage,
         });
         st.nodes[id].base = Some(id);
         Ok(SourceVar(id))
@@ -382,22 +374,7 @@ impl ProtectedKernel {
         m: &Matrix,
         stability: f64,
     ) -> Result<SourceVar> {
-        // Zero-copy snapshot under the lock; the matvec — the expensive
-        // part — runs outside it.
-        // Sound because node data is immutable and nodes are never
-        // removed, so `sv` and its metadata cannot change in between.
-        let (x, base, lineage) = {
-            let st = self.state.lock();
-            let x = st.vector_arc(sv.0)?;
-            if m.cols() != x.len() {
-                return Err(EktError::ShapeMismatch {
-                    expected: x.len(),
-                    found: m.cols(),
-                });
-            }
-            // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation) taken while snapshotting; the node's lineage is only readable under the lock")
-            (x, st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone())
-        };
+        let (x, base, lineage) = self.transform_input(sv, m.cols())?;
         let out = m.matvec(&x);
         let lineage = lineage.map(|l| Matrix::product(m.clone(), l));
         // The full node payload is built before re-locking, so the second
@@ -430,22 +407,7 @@ impl ProtectedKernel {
             Matrix::Sparse(s) => Cow::Borrowed(&**s),
             other => Cow::Owned(other.to_sparse()),
         };
-        // Zero-copy snapshot under a short lock; node data is immutable
-        // and nodes are never removed, so the snapshot stays valid after
-        // release and the per-group payloads build outside the critical
-        // section.
-        let (x, base, parent_lineage) = {
-            let st = self.state.lock();
-            let x = st.vector_arc(sv.0)?;
-            if p.cols() != x.len() {
-                return Err(EktError::ShapeMismatch {
-                    expected: x.len(),
-                    found: p.cols(),
-                });
-            }
-            // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation) taken while snapshotting; the node's lineage is only readable under the lock")
-            (x, st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone())
-        };
+        let (x, base, parent_lineage) = self.transform_input(sv, p.cols())?;
         let n = x.len();
         let cells = |g: usize| &groups.indices()[groups.indptr()[g]..groups.indptr()[g + 1]];
         // Lineages first, then data: keeping each kind of allocation together
@@ -489,6 +451,25 @@ impl ProtectedKernel {
             })));
         }
         Ok(out)
+    }
+
+    /// The input of a vector transform by a matrix with `cols` columns:
+    /// source `sv`'s data, vectorize base and lineage, snapshotted under
+    /// one short lock (a refcount bump and a structural clone). Node data
+    /// is immutable and nodes are never removed, so the snapshot stays
+    /// valid after the lock is released and the transform computes
+    /// outside it.
+    fn transform_input(&self, sv: SourceVar, cols: usize) -> Result<TransformInput> {
+        let st = self.state.lock();
+        let x: Arc<Vec<f64>> = st.snapshot(sv.0)?;
+        if cols != x.len() {
+            return Err(EktError::ShapeMismatch {
+                expected: x.len(),
+                found: cols,
+            });
+        }
+        // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation) taken while snapshotting; the node's lineage is only readable under the lock")
+        Ok((x, st.nodes[sv.0].base, st.nodes[sv.0].lineage.clone()))
     }
 
     // ------------------------------------------------------------------
@@ -584,7 +565,7 @@ impl ProtectedKernel {
                 .zip(sensitivities)
                 .map(|(&(sv, m, eps), sensitivity)| {
                     validate_eps(eps)?;
-                    let x = st.vector_arc(sv.0)?;
+                    let x: Arc<Vec<f64>> = st.snapshot(sv.0)?;
                     if m.cols() != x.len() {
                         return Err(EktError::ShapeMismatch {
                             expected: x.len(),
@@ -656,17 +637,10 @@ impl ProtectedKernel {
     /// `Laplace(1/ε)` noise.
     pub fn noisy_count(&self, sv: SourceVar, eps: f64) -> Result<f64> {
         validate_eps(eps)?;
+        let count = self.count(sv)?;
         let mut st = self.state.lock();
-        let count = match &st.nodes[sv.0].data {
-            NodeData::Table(t) => t.num_rows() as f64,
-            NodeData::Vector(v) => v.iter().sum(),
-            NodeData::PartitionDummy => {
-                return Err(EktError::WrongSourceType { expected: "table" })
-            }
-        };
         st.request(sv.0, eps, None, None)?;
-        let noisy = count + noise::laplace(&mut st.rng, 1.0 / eps);
-        Ok(noisy)
+        Ok(count + noise::laplace(&mut st.rng, 1.0 / eps))
     }
 
     /// Hardened integer count using the two-sided geometric mechanism
@@ -674,17 +648,23 @@ impl ProtectedKernel {
     // xlint: allow(dead-pub, reason = "the integer-count mechanism that the planned exact-noise sampler (ROADMAP item 5) replaces or promotes")
     pub fn noisy_count_geometric(&self, sv: SourceVar, eps: f64) -> Result<i64> {
         validate_eps(eps)?;
+        let count = self.count(sv)?.round() as i64;
         let mut st = self.state.lock();
-        let count = match &st.nodes[sv.0].data {
-            NodeData::Table(t) => t.num_rows() as i64,
-            NodeData::Vector(v) => v.iter().sum::<f64>().round() as i64,
+        st.request(sv.0, eps, None, None)?;
+        Ok(count + noise::two_sided_geometric(&mut st.rng, eps))
+    }
+
+    /// The exact count behind the noisy counts: a table's row count, or a
+    /// vector's sum, summed after the lock is released.
+    fn count(&self, sv: SourceVar) -> Result<f64> {
+        let v = match &self.state.lock().nodes[sv.0].data {
+            NodeData::Table(t) => return Ok(t.num_rows() as f64),
+            NodeData::Vector(v) => Arc::clone(v),
             NodeData::PartitionDummy => {
                 return Err(EktError::WrongSourceType { expected: "table" })
             }
         };
-        st.request(sv.0, eps, None, None)?;
-        let noisy = count + noise::two_sided_geometric(&mut st.rng, eps);
-        Ok(noisy)
+        Ok(v.iter().sum())
     }
 
     // ------------------------------------------------------------------
@@ -719,97 +699,64 @@ impl ProtectedKernel {
     //
     // The paper's trust model: privacy-critical operators (AHP/DAWA
     // partition selection, Worst-approx, PrivBayes select) are vetted once
-    // and live inside the trusted codebase. They get controlled access via
-    // the pub(crate) helpers below — *after* charging budget — and plans in
-    // other crates can only call their public, vetted entry points.
+    // and live inside the trusted codebase. `charge_and_snapshot` is their
+    // one way to the data, and plans in other crates can only call the
+    // operators' public entry points.
 
-    /// Charges ε against `sv` (Algorithm 2) without returning data.
-    pub(crate) fn charge(&self, sv: SourceVar, eps: f64) -> Result<()> {
-        self.charge_in(sv, eps, None)
-    }
-
-    /// [`ProtectedKernel::charge`] with the charge attributed to (and
-    /// redeemed from) `res` when given.
-    pub(crate) fn charge_in(
-        &self,
-        sv: SourceVar,
-        eps: f64,
-        res: Option<&BudgetReservation<'_>>,
-    ) -> Result<()> {
-        let res = self.res_slot(res)?;
-        validate_eps(eps)?;
-        self.state.lock().request(sv.0, eps, None, res)
-    }
-
-    /// Runs `f` over the private vector and the privacy RNG. Callers MUST
-    /// have charged an appropriate budget; each call site is part of the
-    /// vetted operator surface.
-    pub(crate) fn with_vector<T>(
-        &self,
-        sv: SourceVar,
-        f: impl FnOnce(&[f64], &mut StdRng) -> T,
-    ) -> Result<T> {
-        let mut st = self.state.lock();
-        // Zero-copy split borrow: the Arc snapshot keeps the vector alive
-        // while the RNG is borrowed mutably.
-        let data = st.vector_arc(sv.0)?;
-        Ok(f(&data, &mut st.rng))
-    }
-
-    /// Runs `f` over the private table and the privacy RNG (vetted
-    /// operators only; same contract as [`ProtectedKernel::with_vector`]).
-    pub(crate) fn with_table<T>(
-        &self,
-        sv: SourceVar,
-        f: impl FnOnce(&Table, &mut StdRng) -> T,
-    ) -> Result<T> {
-        let mut st = self.state.lock();
-        let data = match &st.nodes[sv.0].data {
-            // xlint: allow(lock-discipline, reason = "vetted-operator table snapshot: the protected table is only readable under the lock and f needs the kernel RNG from the same acquisition; callers are the once-per-plan selection operators")
-            NodeData::Table(t) => t.clone(),
-            _ => return Err(EktError::WrongSourceType { expected: "table" }),
-        };
-        Ok(f(&data, &mut st.rng))
-    }
-
-    /// Batched charge + snapshot for vetted privacy-critical operators
-    /// that compute per source outside the lock (DAWA-Striped's stage 1):
-    /// under **one** lock acquisition, charges every `(source, ε)` request
-    /// in order through Algorithm 2, draws one `u64` from the privacy
-    /// stream (the base of the caller's counter-based per-source RNG
-    /// substreams — drawn *after* the charges, so the stream position is a
-    /// deterministic function of the request sequence), and snapshots each
-    /// source vector by refcount bump.
+    /// Charge + snapshot for the vetted Private→Public operators. Under
+    /// **one** lock acquisition it checks every source's type, charges
+    /// every `(source, ε)` request in order through Algorithm 2, takes a
+    /// refcount snapshot of each source (a vector or a table, as `D`
+    /// says) and draws one `u64` from the privacy stream. That draw is the
+    /// base of the operators' counter-based substreams: request `i`'s
+    /// computation runs on `StdRng::seed_from_u64(substream_seed(base, i))`
+    /// after the lock is released, so no operator code runs under the
+    /// lock and a panicking operator leaves it unpoisoned.
     ///
-    /// Failure semantics match a sequential (charge, snapshot) loop: if
-    /// request `k`'s charge fails, requests `0..k` have been charged; if
-    /// its snapshot fails (wrong source type), `0..=k` have been charged —
-    /// exactly what `k` sequential charge-then-use operator calls leave
-    /// behind. On any failure no randomness has been consumed: the base is
-    /// drawn only after every request succeeded.
-    pub(crate) fn charge_and_snapshot_batch(
+    /// Failure semantics: a non-positive ε or a wrong source type anywhere
+    /// in the batch is rejected before the first charge. If request `k`'s
+    /// charge fails, requests `0..k` have been charged, as `k` sequential
+    /// operator calls would leave behind. On any failure no randomness has
+    /// been consumed: the base is drawn only after every charge succeeded.
+    pub(crate) fn charge_and_snapshot<D: SourceData>(
         &self,
         reqs: &[(SourceVar, f64)],
         res: Option<&BudgetReservation<'_>>,
-    ) -> Result<(u64, Vec<Arc<Vec<f64>>>)> {
+    ) -> Result<(u64, Vec<D>)> {
         let res = self.res_slot(res)?;
+        for &(_, eps) in reqs {
+            validate_eps(eps)?;
+        }
         // Sized before the lock so the pushes below are pointer writes.
         let mut snaps = Vec::with_capacity(reqs.len());
         let mut st = self.state.lock();
+        for &(sv, _) in reqs {
+            // xlint: allow(lock-discipline, reason = "snaps is pre-allocated to the request count before the lock, so this push is a pointer write (refcount bump payload) that never reallocates")
+            snaps.push(st.snapshot(sv.0)?);
+        }
         for &(sv, eps) in reqs {
-            // Mid-stripe failpoint for the charge+snapshot batch form:
-            // same prefix semantics as `vector_laplace_batch`'s site.
+            // Mid-stripe failpoint for the charge+snapshot form: same
+            // prefix semantics as `vector_laplace_batch`'s site.
             if failpoints::triggered("kernel::batch_stripe") {
                 return Err(EktError::FaultInjected("kernel::batch_stripe"));
             }
-            validate_eps(eps)?;
             st.request(sv.0, eps, None, res)?;
-            // xlint: allow(lock-discipline, reason = "snaps is pre-allocated to the request count before the lock, so this push is a pointer write (refcount bump payload) that never reallocates")
-            snaps.push(st.vector_arc(sv.0)?);
         }
         let base: u64 = st.rng.random();
         Ok((base, snaps))
     }
+}
+
+/// The seed of substream `counter` under `base`: SplitMix64 of
+/// `base + counter·γ`, the same finalizer the rand shim uses for seed
+/// expansion, so substreams are as well mixed as top-level seeds. A pure
+/// function of (base, counter): an operator's draws depend only on the
+/// base [`ProtectedKernel::charge_and_snapshot`] returned and its index.
+pub(crate) fn substream_seed(base: u64, counter: u64) -> u64 {
+    let mut z = base.wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// A hold on root budget granted by [`ProtectedKernel::reserve_budget`].
@@ -876,6 +823,9 @@ impl Drop for BudgetReservation<'_> {
     }
 }
 
+/// A vector transform's input: data, vectorize base and lineage.
+type TransformInput = (Arc<Vec<f64>>, Option<usize>, Option<Matrix>);
+
 /// A zero-copy data snapshot paired with the query's sensitivity
 /// (phase-1 output of [`ProtectedKernel::vector_laplace_batch`]).
 type Snapshot = Result<(Arc<Vec<f64>>, f64)>;
@@ -940,9 +890,24 @@ fn fill_exact_answers(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ektelo_matrix::partition_from_labels;
+
+    /// Test oracle: `a` on a kernel from `make` and `b` on a twin from
+    /// `make` return the same value, spend the same budget and leave the
+    /// kernel stream at the same place.
+    pub(crate) fn assert_twins<T: PartialEq + std::fmt::Debug>(
+        make: impl Fn() -> ProtectedKernel,
+        a: impl FnOnce(&ProtectedKernel) -> T,
+        b: impl FnOnce(&ProtectedKernel) -> T,
+    ) {
+        let (k1, k2) = (make(), make());
+        assert_eq!(a(&k1), b(&k2));
+        assert_eq!(k1.budget_spent(), k2.budget_spent());
+        let next = |k: &ProtectedKernel| k.noisy_count(k.root(), 1e-3).unwrap();
+        assert_eq!(next(&k1), next(&k2), "the kernel stream diverged");
+    }
 
     fn simple_kernel(eps: f64) -> ProtectedKernel {
         let schema = Schema::from_sizes(&[("v", 8)]);
@@ -1065,7 +1030,7 @@ mod tests {
                 let (parent_x, parent_lineage) = {
                     let st = k.state.lock();
                     (
-                        st.vector_arc(sv.0).unwrap(),
+                        st.snapshot::<Arc<Vec<f64>>>(sv.0).unwrap(),
                         st.nodes[sv.0].lineage.clone().unwrap(),
                     )
                 };
@@ -1076,7 +1041,7 @@ mod tests {
                 assert_eq!(parts.len(), groups.len());
                 for (&part, cells) in parts.iter().zip(&groups) {
                     let want: Vec<f64> = cells.iter().map(|&c| parent_x[c]).collect();
-                    assert_eq!(*st.vector(part.0).unwrap(), want);
+                    assert_eq!(*st.snapshot::<Arc<Vec<f64>>>(part.0).unwrap(), want);
                     let old =
                         Matrix::product(selector_by_triplets(n, cells), parent_lineage.clone());
                     let lineage = st.nodes[part.0].lineage.as_ref().unwrap();
@@ -1169,7 +1134,7 @@ mod tests {
         let mut st = k.state.lock();
         st.request(sv.0, eps, None, None).unwrap();
         let scale = sensitivity / eps;
-        let exact = m.matvec(st.vector(sv.0).unwrap());
+        let exact = m.matvec(&st.snapshot::<Arc<Vec<f64>>>(sv.0).unwrap());
         let answers: Vec<f64> = exact
             .into_iter()
             .map(|v| v + noise::laplace(&mut st.rng, scale))

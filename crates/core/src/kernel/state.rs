@@ -47,16 +47,14 @@ pub(crate) fn checked_eps_total(eps_total: f64) -> f64 {
 
 /// What a transformation-graph node holds.
 ///
-/// Vector payloads are `Arc`-shared: node data is immutable once added
-/// (transformations only derive *new* nodes), so operators that need the
-/// data outside the kernel lock — batched measurement, linear transforms,
-/// DAWA's per-stripe stage 1 — snapshot it with a refcount bump instead of
-/// a deep `clone()`, which is what moves their matvecs off the lock's
-/// critical section.
+/// Table and vector payloads are `Arc`-shared: node data is immutable
+/// once added (transformations only derive *new* nodes), so every
+/// operator that reads data snapshots it under the kernel lock with a
+/// refcount bump and computes on it after the lock is released.
 #[derive(Debug)]
 pub(crate) enum NodeData {
-    /// A relational table.
-    Table(Table),
+    /// A relational table (immutable, shareable by refcount).
+    Table(Arc<Table>),
     /// A data vector (immutable, shareable by refcount).
     Vector(Arc<Vec<f64>>),
     /// The dummy source introduced by a partition transformation
@@ -328,26 +326,34 @@ impl KernelState {
         self.nodes.len() - 1
     }
 
-    pub fn table(&self, sv: usize) -> Result<&Table> {
-        match &self.nodes[sv].data {
-            NodeData::Table(t) => Ok(t),
-            _ => Err(EktError::WrongSourceType { expected: "table" }),
-        }
+    /// A zero-copy snapshot of source `sv` as payload type `D` (a
+    /// refcount bump, valid after the kernel lock is released), or
+    /// `WrongSourceType` when the node holds another kind of data.
+    pub fn snapshot<D: SourceData>(&self, sv: usize) -> Result<D> {
+        D::of(&self.nodes[sv].data)
     }
+}
 
-    pub fn vector(&self, sv: usize) -> Result<&Vec<f64>> {
-        match &self.nodes[sv].data {
-            NodeData::Vector(v) => Ok(v),
-            _ => Err(EktError::WrongSourceType { expected: "vector" }),
-        }
-    }
+/// A source payload an operator can snapshot: a refcount bump of a
+/// node's immutable data, valid after the kernel lock is released.
+pub(crate) trait SourceData: Sized {
+    fn of(data: &NodeData) -> Result<Self>;
+}
 
-    /// A zero-copy snapshot of a vector source: a refcount bump, valid
-    /// after the kernel lock is released (node data is immutable).
-    pub fn vector_arc(&self, sv: usize) -> Result<Arc<Vec<f64>>> {
-        match &self.nodes[sv].data {
+impl SourceData for Arc<Vec<f64>> {
+    fn of(data: &NodeData) -> Result<Self> {
+        match data {
             NodeData::Vector(v) => Ok(Arc::clone(v)),
             _ => Err(EktError::WrongSourceType { expected: "vector" }),
+        }
+    }
+}
+
+impl SourceData for Arc<Table> {
+    fn of(data: &NodeData) -> Result<Self> {
+        match data {
+            NodeData::Table(t) => Ok(Arc::clone(t)),
+            _ => Err(EktError::WrongSourceType { expected: "table" }),
         }
     }
 }

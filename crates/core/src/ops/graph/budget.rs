@@ -23,24 +23,12 @@ use crate::kernel::{EktError, Result};
 
 use super::{MeasureOp, NodeKind, PartitionOp, PlanSpec, TransformOp};
 
-/// The outcome of [`PlanSpec::pre_account`]: worst-case root ε plus a
-/// per-node breakdown and the ordered schedule of root increments each
-/// node's kernel charges will cause.
+/// The outcome of [`PlanSpec::pre_account`]: the worst-case root ε.
 #[derive(Clone, Debug)]
 pub struct PlanCost {
     /// Worst-case total root ε the plan can charge (relative to the
     /// session input; equals the at-root cost for 1-stable inputs).
     pub total: f64,
-    /// Root ε attributed to each node of the spec (zero for nodes that
-    /// never charge).
-    pub per_node: Vec<f64>,
-    /// Per node: the ordered root-budget increments its kernel charges
-    /// will cause (one entry per charge event — per stripe for batches,
-    /// two per round for the MWEM loop). The executor no longer needs
-    /// this schedule — charges redeem atomically from the plan's
-    /// reservation — but services use it to audit or meter a plan's
-    /// spend profile ahead of admission.
-    pub events: Vec<Vec<f64>>,
 }
 
 /// Shadow of the kernel's source tree: parent links, stabilities, budget
@@ -72,35 +60,24 @@ impl Shadow {
         self.parent.len() - 1
     }
 
-    /// Replays `KernelState::request` and returns the *root* tracker
-    /// increment this charge causes — the marginal cost the matching
-    /// real charge will redeem from the plan's reservation.
-    fn request(&mut self, sv: usize, sigma: f64, from_child: Option<usize>) -> f64 {
+    /// Replays `KernelState::request`; a charge passes no child.
+    fn request(&mut self, sv: usize, sigma: f64, from_child: Option<usize>) {
         match self.parent[sv] {
-            None => {
-                self.budget[sv] += sigma;
-                sigma
-            }
+            None => self.budget[sv] += sigma,
             Some(parent) => {
                 if self.dummy[sv] {
                     // xlint: allow(panic-policy, reason = "mirror of KernelState::request: dummy nodes are only reached via the recursive call, which always passes Some(child)")
                     let child = from_child.expect("partition variable reached without child");
                     let r = (self.budget[child] + sigma - self.budget[sv]).max(0.0);
-                    let inc = self.request(parent, r, Some(sv));
+                    self.request(parent, r, Some(sv));
                     self.budget[sv] += r;
-                    inc
                 } else {
                     let s = self.stability[sv];
-                    let inc = self.request(parent, s * sigma, Some(sv));
+                    self.request(parent, s * sigma, Some(sv));
                     self.budget[sv] += sigma;
-                    inc
                 }
             }
         }
-    }
-
-    fn charge(&mut self, sv: usize, sigma: f64) -> f64 {
-        self.request(sv, sigma, None)
     }
 }
 
@@ -206,7 +183,6 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
     validate_refs(spec)?;
     let mut shadow = Shadow::new();
     let mut vals: Vec<ShadowVal> = Vec::with_capacity(spec.nodes.len());
-    let mut events: Vec<Vec<f64>> = vec![Vec::new(); spec.nodes.len()];
     // Whether a measurement-producing node precedes the current one in
     // execution order: an Infer node fits over the session's measurement
     // history, and running it with an empty history is an execution-time
@@ -249,8 +225,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
             NodeKind::Partition(PartitionOp::DawaEach { inputs, eps, .. }) => {
                 let eps = positive_eps(*eps)?;
                 for s in sources(&vals, inputs.id)? {
-                    let inc = shadow.charge(s, eps);
-                    events[id].push(inc);
+                    shadow.request(s, eps, None);
                 }
                 ShadowVal::None
             }
@@ -278,8 +253,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
             NodeKind::Measure(MeasureOp::Laplace { input, eps, .. }) => {
                 let eps = positive_eps(*eps)?;
                 let src = source(&vals, input.id)?;
-                let inc = shadow.charge(src, eps);
-                events[id].push(inc);
+                shadow.request(src, eps, None);
                 measured = true;
                 ShadowVal::None
             }
@@ -297,8 +271,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 // a downstream Infer node's need for history.
                 measured |= !srcs.is_empty();
                 for s in srcs {
-                    let inc = shadow.charge(s, eps);
-                    events[id].push(inc);
+                    shadow.request(s, eps, None);
                 }
                 ShadowVal::None
             }
@@ -331,8 +304,8 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 for _ in 0..op.rounds {
                     // Declared per-round budgets: one selection charge,
                     // one measurement charge — Algorithm 2 order.
-                    events[id].push(shadow.charge(src, op.eps_select));
-                    events[id].push(shadow.charge(src, op.eps_measure));
+                    shadow.request(src, op.eps_select, None);
+                    shadow.request(src, op.eps_measure, None);
                 }
                 ShadowVal::None
             }
@@ -340,13 +313,10 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
         vals.push(val);
     }
 
-    let per_node: Vec<f64> = events.iter().map(|e| e.iter().sum()).collect();
     Ok(PlanCost {
         // The root tracker after the replay IS the worst-case total —
         // same accumulation order as the kernel's root node will see.
         total: shadow.budget[0],
-        per_node,
-        events,
     })
 }
 
@@ -385,15 +355,6 @@ mod tests {
         // 6 stripes at 0.7 each cost 0.7 total under parallel
         // composition.
         assert_eq!(cost.total, 0.7);
-        // Only the first stripe's charge reaches the root.
-        let measure_events = cost
-            .events
-            .iter()
-            .find(|e| !e.is_empty())
-            .expect("measure node has events");
-        assert_eq!(measure_events.len(), 6);
-        assert_eq!(measure_events[0], 0.7);
-        assert!(measure_events[1..].iter().all(|&e| e == 0.0));
     }
 
     #[test]
@@ -425,7 +386,6 @@ mod tests {
         });
         let cost = b.finish(e).pre_account().unwrap();
         assert!((cost.total - 1.0).abs() < 1e-12);
-        assert_eq!(cost.events.iter().map(Vec::len).sum::<usize>(), 10);
     }
 
     #[test]

@@ -151,16 +151,15 @@ impl<'k> PlanExecutor<'k> {
             reservation,
             start: self.kernel.measurement_count(),
         };
-        // AssertUnwindSafe rests on where the panic happens. A batch's
-        // exact-answer phase and solver iterations during
-        // inference run outside the kernel's state lock, so they leave it
-        // unpoisoned, and each lock acquisition's mutations are
-        // transactional: after such an unwind the kernel `run` borrows is
-        // consistent, and `run` itself is dropped below without being
-        // touched again. A panic inside a `with_vector` closure runs with
-        // the lock held and does poison it; the lock shim then turns
-        // every later acquisition into a panic (ROADMAP item 8).
-        // `pre_account` rejects the inputs known to reach such a panic.
+        // AssertUnwindSafe rests on where a panic can happen. Operator
+        // code never runs under the kernel's state lock: measurements,
+        // partition selections and query selections compute on
+        // snapshots taken under it, and the solvers run on the public
+        // history. The lock guards only charges, noise draws, history
+        // records and node registration, each acquisition's mutations are
+        // transactional, and an unwind leaves the lock unpoisoned. So
+        // after a caught panic the kernel `run` borrows is consistent,
+        // and `run` itself is dropped below without being touched again.
         let outcome = catch_unwind(AssertUnwindSafe(|| run.execute(input)));
         let x_hat = match outcome {
             Ok(result) => result?,

@@ -8,10 +8,14 @@
 //! and greedily grouped while the cluster's spread stays under the
 //! threshold — matching AHP's sort-and-cluster stage.
 
+use std::sync::Arc;
+
 use ektelo_matrix::{partition_from_labels, Matrix};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::kernel::noise::laplace;
-use crate::kernel::{ProtectedKernel, Result, SourceVar};
+use crate::kernel::{substream_seed, ProtectedKernel, Result, SourceVar};
 
 /// Tuning constants for [`ahp_partition`] (defaults follow the AHP paper's
 /// recommendations).
@@ -36,7 +40,8 @@ impl Default for AhpOptions {
 
 /// Computes a data-adaptive partition of vector source `sv`, spending
 /// `eps`. An empty source is rejected with `InvalidArgument` before
-/// anything is charged.
+/// anything is charged. The noisy histogram is drawn from substream 0 of
+/// the base the charge returns, after the kernel lock is released.
 pub fn ahp_partition(
     kernel: &ProtectedKernel,
     sv: SourceVar,
@@ -44,36 +49,41 @@ pub fn ahp_partition(
     opts: &AhpOptions,
 ) -> Result<Matrix> {
     super::reject_empty_source(kernel, sv)?;
-    kernel.charge(sv, eps)?;
-    kernel.with_vector(sv, move |x, rng| {
-        let n = x.len();
-        let mut noisy: Vec<f64> = x.iter().map(|&v| v + laplace(rng, 1.0 / eps)).collect();
-        // Thresholding: suppress noise-dominated cells.
-        let t = opts.eta * (n.max(2) as f64).ln() / eps;
-        for v in noisy.iter_mut() {
-            if *v < t {
-                *v = 0.0;
-            }
+    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&[(sv, eps)], None)?;
+    let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+    Ok(cluster(&snaps[0], &mut rng, eps, opts))
+}
+
+/// AHP's selection on a snapshot `x` with its own RNG — a pure function
+/// of its arguments.
+fn cluster(x: &[f64], rng: &mut StdRng, eps: f64, opts: &AhpOptions) -> Matrix {
+    let n = x.len();
+    let mut noisy: Vec<f64> = x.iter().map(|&v| v + laplace(rng, 1.0 / eps)).collect();
+    // Thresholding: suppress noise-dominated cells.
+    let t = opts.eta * (n.max(2) as f64).ln() / eps;
+    for v in noisy.iter_mut() {
+        if *v < t {
+            *v = 0.0;
         }
-        // Sort cells by noisy value, then greedily cluster.
-        let mut order: Vec<usize> = (0..n).collect();
-        // total_cmp: no unwrap on a partial order — NaN (impossible for
-        // finite data + Laplace draws, but cheap to be total about) sorts
-        // last instead of panicking.
-        order.sort_by(|&a, &b| noisy[a].total_cmp(&noisy[b]));
-        let spread_cap = opts.gamma / eps;
-        let mut labels = vec![0usize; n];
-        let mut group = 0usize;
-        let mut cluster_min = noisy[order[0]];
-        for (rank, &cell) in order.iter().enumerate() {
-            if rank > 0 && noisy[cell] - cluster_min > spread_cap {
-                group += 1;
-                cluster_min = noisy[cell];
-            }
-            labels[cell] = group;
+    }
+    // Sort cells by noisy value, then greedily cluster.
+    let mut order: Vec<usize> = (0..n).collect();
+    // total_cmp: no unwrap on a partial order — NaN (impossible for
+    // finite data + Laplace draws, but cheap to be total about) sorts
+    // last instead of panicking.
+    order.sort_by(|&a, &b| noisy[a].total_cmp(&noisy[b]));
+    let spread_cap = opts.gamma / eps;
+    let mut labels = vec![0usize; n];
+    let mut group = 0usize;
+    let mut cluster_min = noisy[order[0]];
+    for (rank, &cell) in order.iter().enumerate() {
+        if rank > 0 && noisy[cell] - cluster_min > spread_cap {
+            group += 1;
+            cluster_min = noisy[cell];
         }
-        partition_from_labels(group + 1, &labels)
-    })
+        labels[cell] = group;
+    }
+    partition_from_labels(group + 1, &labels)
 }
 
 #[cfg(test)]
@@ -121,5 +131,23 @@ mod tests {
         let k = ProtectedKernel::init_from_vector(vec![1.0; 16], 1.0, 8);
         ahp_partition(&k, k.root(), 0.3, &AhpOptions::default()).unwrap();
         assert!((k.budget_spent() - 0.3).abs() < 1e-12);
+    }
+
+    /// The operator is its selection run by hand on the snapshot and
+    /// substream 0 that `charge_and_snapshot` returns.
+    #[test]
+    fn partition_is_its_snapshot_under_substream_zero() {
+        let x: Vec<f64> = (0..48).map(|i| ((i * 13) % 7) as f64 * 20.0).collect();
+        let opts = AhpOptions::default();
+        crate::kernel::tests::assert_twins(
+            || ProtectedKernel::init_from_vector(x.clone(), 2.0, 31),
+            |k| ahp_partition(k, k.root(), 0.5, &opts).unwrap().to_sparse(),
+            |k| {
+                let reqs = [(k.root(), 0.5)];
+                let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
+                let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+                cluster(&snaps[0], &mut rng, 0.5, &opts).to_sparse()
+            },
+        );
     }
 }

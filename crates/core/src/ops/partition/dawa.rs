@@ -16,12 +16,14 @@
 //! bucket under stage-2 Laplace noise — rather than DAWA's L1 variant; the
 //! minimizing segmentations agree on uniform-vs-varied regions.
 
+use std::sync::Arc;
+
 use ektelo_matrix::{partition_from_labels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::kernel::noise::laplace;
-use crate::kernel::{BudgetReservation, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{substream_seed, BudgetReservation, ProtectedKernel, Result, SourceVar};
 
 /// Options for [`dawa_partition`].
 #[derive(Clone, Debug)]
@@ -46,52 +48,31 @@ impl DawaOptions {
 }
 
 /// Computes DAWA's contiguous-bucket partition of the 1-D vector source
-/// `sv`, spending `eps` (the plan's stage-1 share). An empty source is
-/// rejected with `InvalidArgument` before anything is charged.
+/// `sv`, spending `eps` (the plan's stage-1 share): a batch of one, see
+/// [`dawa_partition_batch`]. An empty source is rejected with
+/// `InvalidArgument` before anything is charged.
 pub fn dawa_partition(
     kernel: &ProtectedKernel,
     sv: SourceVar,
     eps: f64,
     opts: &DawaOptions,
 ) -> Result<Matrix> {
-    super::reject_empty_source(kernel, sv)?;
-    kernel.charge(sv, eps)?;
-    let eps2 = opts.eps_stage2.max(f64::MIN_POSITIVE);
-    kernel.with_vector(sv, move |x, rng| {
-        let noisy: Vec<f64> = x.iter().map(|&v| v + laplace(rng, 1.0 / eps)).collect();
-        // Debias the deviation cost by the stage-1 noise variance so that
-        // truly-uniform regions (whose *noisy* deviation is pure noise)
-        // cost ~0 and merge; DAWA's cost estimates are debiased the same
-        // way.
-        let noise_var = if opts.debias { 2.0 / (eps * eps) } else { 0.0 };
-        let labels = segment(&noisy, 2.0 / (eps2 * eps2), noise_var);
-        let groups = labels.iter().max().map_or(1, |&m| m + 1);
-        partition_from_labels(groups, &labels)
-    })
+    // A batch that returns `Ok` holds one partition per source.
+    dawa_partition_batch(kernel, &[sv], eps, opts, None).map(|mut parts| parts.swap_remove(0))
 }
 
 /// Batched stage-1 partition selection over many disjoint sources (the
 /// stripes of DAWA-Striped), with **counter-based per-stripe RNG
-/// substreams**.
-///
-/// A sequential loop of [`dawa_partition`] calls draws its per-cell
-/// Laplace noise from the kernel's single privacy stream under the state
-/// lock. This batch form charges every stripe in stripe order and then
-/// draws **one** base value from the kernel stream (all under one lock
-/// acquisition); stripe `i` derives its own substream seed as
-/// `splitmix64(base, i)` — a pure function of (base, counter) — and runs
-/// the noisy-histogram + segmentation computation on an independent RNG,
-/// outside the lock. Each stripe's output is therefore a pure function of
-/// its snapshot, the base and its index (pinned by a regression test).
-/// Budget-wise this is exactly the sequential loop: same charges, same
-/// order, same parallel composition across sibling stripes. Any empty
-/// source is rejected with `InvalidArgument` before anything is charged.
-///
-/// Privacy: each stripe's noisy histogram uses fresh independent Laplace
-/// draws at scale `1/ε`, exactly as [`dawa_partition`]; only *which*
-/// deterministic stream supplies the underlying uniforms changes, and
-/// the substream seeds derive from the kernel's seeded stream, so whole-
-/// experiment reproducibility is preserved.
+/// substreams**: one `charge_and_snapshot` call charges every stripe in
+/// stripe order and draws one base, and stripe `i` then runs the
+/// noisy-histogram + segmentation computation outside the lock on its own
+/// RNG seeded by `substream_seed(base, i)` — a pure function of its
+/// snapshot, the base and its index. Budget-wise this is a loop of
+/// single-stripe selections: same charges, same order, same parallel
+/// composition across sibling stripes; each stripe's histogram gets fresh
+/// Laplace noise at scale `1/ε`. An empty source is rejected with
+/// `InvalidArgument`, and a non-vector one with `WrongSourceType`, before
+/// anything is charged.
 pub fn dawa_partition_batch(
     kernel: &ProtectedKernel,
     svs: &[SourceVar],
@@ -103,23 +84,13 @@ pub fn dawa_partition_batch(
         super::reject_empty_source(kernel, sv)?;
     }
     let reqs: Vec<(SourceVar, f64)> = svs.iter().map(|&s| (s, eps)).collect();
-    let (base, snaps) = kernel.charge_and_snapshot_batch(&reqs, res)?;
+    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, res)?;
     // Stripe `i` from substream `i`.
     Ok(snaps
         .iter()
         .enumerate()
         .map(|(i, x)| partition_one_stripe(x, substream_seed(base, i as u64), eps, opts))
         .collect())
-}
-
-/// SplitMix64 of `base + counter` — the counter-based substream seed
-/// derivation (same finalizer the rand shim uses for seed expansion, so
-/// substreams are as well-mixed as top-level seeds).
-fn substream_seed(base: u64, counter: u64) -> u64 {
-    let mut z = base.wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Stage-1 selection for one stripe from its snapshot and substream seed —
@@ -131,6 +102,9 @@ fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> M
         .iter()
         .map(|&v| v + laplace(&mut rng, 1.0 / eps))
         .collect();
+    // Debias the deviation cost by the stage-1 noise variance so that
+    // truly-uniform regions (whose *noisy* deviation is pure noise) cost ~0
+    // and merge; DAWA's cost estimates are debiased the same way.
     let noise_var = if opts.debias { 2.0 / (eps * eps) } else { 0.0 };
     let labels = segment(&noisy, 2.0 / (eps2 * eps2), noise_var);
     let groups = labels.iter().max().map_or(1, |&m| m + 1);
@@ -251,58 +225,42 @@ mod tests {
     /// substream protocol, which is DAWA-Striped's noise contract.
     #[test]
     fn batch_is_bit_identical_to_sequential_substream_loop() {
-        use ektelo_matrix::partition_from_labels as labels_p;
-        let make = || {
-            let x: Vec<f64> = (0..96)
-                .map(|i| {
-                    if (i / 24) % 2 == 0 {
-                        5.0
-                    } else {
-                        (i * 37 % 29) as f64
-                    }
-                })
-                .collect();
-            let k = ProtectedKernel::init_from_vector(x, 10.0, 42);
-            let p = labels_p(4, &(0..96).map(|i| i / 24).collect::<Vec<_>>());
-            let stripes = k.split_by_partition(k.root(), &p).unwrap();
-            (k, stripes)
-        };
-        let opts = DawaOptions::new(0.5);
-
-        let (k1, stripes1) = make();
-        let batch = dawa_partition_batch(&k1, &stripes1, 0.5, &opts, None).unwrap();
-
-        let (k2, stripes2) = make();
-        let reqs: Vec<(SourceVar, f64)> = stripes2.iter().map(|&s| (s, 0.5)).collect();
-        let (base, snaps) = k2.charge_and_snapshot_batch(&reqs, None).unwrap();
-        let seq: Vec<Matrix> = snaps
-            .iter()
-            .enumerate()
-            .map(|(i, x)| partition_one_stripe(x, substream_seed(base, i as u64), 0.5, &opts))
+        let x: Vec<f64> = (0..96)
+            .map(|i| {
+                if (i / 24) % 2 == 0 {
+                    5.0
+                } else {
+                    (i * 37 % 29) as f64
+                }
+            })
             .collect();
-
-        assert_eq!(k1.budget_spent(), k2.budget_spent());
-        assert_eq!(batch.len(), seq.len());
-        for (a, b) in batch.iter().zip(&seq) {
-            assert_eq!(a.shape(), b.shape(), "partition shapes diverged");
-            let (da, db) = (a.to_dense(), b.to_dense());
-            for r in 0..a.rows() {
-                assert_eq!(
-                    da.row_slice(r),
-                    db.row_slice(r),
-                    "batch diverged from the sequential substream loop"
-                );
-            }
-        }
+        let p = partition_from_labels(4, &(0..96).map(|i| i / 24).collect::<Vec<_>>());
+        let stripes = |k: &ProtectedKernel| k.split_by_partition(k.root(), &p).unwrap();
+        let opts = DawaOptions::new(0.5);
+        let sparse = |parts: Vec<Matrix>| parts.iter().map(Matrix::to_sparse).collect::<Vec<_>>();
+        crate::kernel::tests::assert_twins(
+            || ProtectedKernel::init_from_vector(x.clone(), 10.0, 42),
+            |k| sparse(dawa_partition_batch(k, &stripes(k), 0.5, &opts, None).unwrap()),
+            |k| {
+                let reqs: Vec<(SourceVar, f64)> = stripes(k).iter().map(|&s| (s, 0.5)).collect();
+                let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
+                let seq = snaps.iter().enumerate().map(|(i, x)| {
+                    partition_one_stripe(x, substream_seed(base, i as u64), 0.5, &opts)
+                });
+                sparse(seq.collect())
+            },
+        );
     }
 
-    /// Code-review regression: a failing request in the batch must leave
-    /// the kernel exactly as a sequential charge-then-use loop would —
-    /// requests up to and including the failing one charged, and **no
-    /// privacy randomness consumed** (the substream base is drawn only
-    /// after every request succeeded).
+    /// A failing batch leaves the kernel as a sequential loop of
+    /// single-stripe selections would: a wrong source type anywhere in
+    /// the batch charges nothing, a budget failure at request `k`
+    /// charges the requests before `k`, and **no privacy randomness is
+    /// consumed** either way (the substream base is drawn only after
+    /// every charge succeeded).
     #[test]
     fn failed_batch_charges_prefix_and_consumes_no_randomness() {
+        use crate::kernel::EktError;
         use ektelo_data::{Schema, Table};
         let seed = 23;
         let make = || {
@@ -314,21 +272,28 @@ mod tests {
         };
         let opts = DawaOptions::new(0.5);
 
-        // Kernel A: a failing batch (second source is a table, not a
-        // vector), then a successful one.
+        // Kernel A: a batch whose second source is a table, not a
+        // vector; then one whose second charge exceeds the budget; then
+        // a successful one.
         let (ka, xa) = make();
         let err = dawa_partition_batch(&ka, &[xa, ka.root()], 0.25, &opts, None).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::kernel::EktError::WrongSourceType { .. }
-        ));
-        // Both the vector charge and the failing source's charge landed
-        // (the sequential loop charges before it touches the data).
-        assert!((ka.budget_spent() - 0.5).abs() < 1e-12);
+        assert!(matches!(err, EktError::WrongSourceType { .. }));
+        assert_eq!(
+            ka.budget_spent(),
+            0.0,
+            "the type check precedes every charge"
+        );
+        let err = dawa_partition_batch(&ka, &[xa, xa], 6.0, &opts, None).unwrap_err();
+        assert!(matches!(err, EktError::BudgetExceeded { .. }));
+        assert_eq!(
+            ka.budget_spent(),
+            6.0,
+            "the request before the failure stands"
+        );
         let parts_a = dawa_partition_batch(&ka, &[xa], 0.25, &opts, None).unwrap();
 
         // Kernel B: only the successful batch. Identical seed, identical
-        // draws — the failed attempt must not have advanced the stream.
+        // draws — the failed attempts must not have advanced the stream.
         let (kb, xb) = make();
         let parts_b = dawa_partition_batch(&kb, &[xb], 0.25, &opts, None).unwrap();
         assert_eq!(parts_a.len(), parts_b.len());
@@ -339,6 +304,25 @@ mod tests {
                 assert_eq!(da.row_slice(r), db.row_slice(r));
             }
         }
+    }
+
+    /// `dawa_partition` is the batch of one: the same partition, charge
+    /// and kernel stream position as `dawa_partition_batch(&[sv])[0]` on
+    /// an identically seeded kernel.
+    #[test]
+    fn single_selection_is_the_batch_of_one() {
+        let x: Vec<f64> = (0..40)
+            .map(|i| if i < 24 { 4.0 } else { (i % 9) as f64 })
+            .collect();
+        let opts = DawaOptions::new(0.5);
+        crate::kernel::tests::assert_twins(
+            || ProtectedKernel::init_from_vector(x.clone(), 2.0, 17),
+            |k| vec![dawa_partition(k, k.root(), 0.5, &opts).unwrap().to_sparse()],
+            |k| {
+                let batch = dawa_partition_batch(k, &[k.root()], 0.5, &opts, None).unwrap();
+                batch.iter().map(Matrix::to_sparse).collect()
+            },
+        );
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! `Δ(I) = (1/N)·ln N + ((N−1)/N)·ln(N/(N−1))` (natural-log variant of
 //! PrivBayes Lemma 4.1 for non-binary attributes).
 
+use std::sync::Arc;
+
 use ektelo_data::Table;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::kernel::noise::exponential_mechanism;
-use crate::kernel::{EktError, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{substream_seed, EktError, ProtectedKernel, Result, SourceVar};
 
 /// One node of the learned network: `child` with its `parents`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,60 +66,66 @@ fn mi_sensitivity(n: usize) -> f64 {
 
 /// Privately selects a Bayesian network with at most `max_parents` parents
 /// per node, spending `eps` (split evenly over the `d − 1` exponential-
-/// mechanism selections).
+/// mechanism selections). The selections draw from substream 0 of the
+/// base the charge returns, after the kernel lock is released.
 pub fn privbayes_select(
     kernel: &ProtectedKernel,
     sv: SourceVar,
     max_parents: usize,
     eps: f64,
 ) -> Result<BayesNet> {
-    let schema = kernel.schema(sv)?;
-    let d = schema.arity();
+    let d = kernel.schema(sv)?.arity();
     if d < 2 {
         return Err(EktError::InvalidArgument(
             "PrivBayes needs at least two attributes".into(),
         ));
     }
-    kernel.charge(sv, eps)?;
+    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Table>>(&[(sv, eps)], None)?;
+    let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+    Ok(grow(&snaps[0], max_parents, eps, &mut rng))
+}
+
+/// Grows the network on a snapshot `table` with its own RNG — a pure
+/// function of its arguments.
+fn grow(table: &Table, max_parents: usize, eps: f64, rng: &mut StdRng) -> BayesNet {
+    let d = table.schema().arity();
     let eps_step = eps / (d as f64 - 1.0);
-    kernel.with_table(sv, move |table, rng| {
-        let n = table.num_rows().max(2);
-        let sens = mi_sensitivity(n);
+    let n = table.num_rows().max(2);
+    let sens = mi_sensitivity(n);
 
-        // First attribute: highest (public-domain-agnostic) choice — we
-        // follow PrivBayes in picking it uniformly at random.
-        let first = {
-            let scores = vec![0.0; d];
-            exponential_mechanism(rng, &scores, 1.0, eps_step.max(f64::MIN_POSITIVE))
-        };
-        let mut order = vec![first];
-        let mut cliques = vec![Clique {
-            child: first,
-            parents: Vec::new(),
-        }];
+    // First attribute: highest (public-domain-agnostic) choice — we
+    // follow PrivBayes in picking it uniformly at random.
+    let first = {
+        let scores = vec![0.0; d];
+        exponential_mechanism(rng, &scores, 1.0, eps_step.max(f64::MIN_POSITIVE))
+    };
+    let mut order = vec![first];
+    let mut cliques = vec![Clique {
+        child: first,
+        parents: Vec::new(),
+    }];
 
-        while order.len() < d {
-            // Candidates: (remaining attr X, parent set Π ⊆ order, |Π| ≤ k).
-            let mut candidates: Vec<Clique> = Vec::new();
-            for x in 0..d {
-                if order.contains(&x) {
-                    continue;
-                }
-                for parents in subsets_up_to(&order, max_parents) {
-                    candidates.push(Clique { child: x, parents });
-                }
+    while order.len() < d {
+        // Candidates: (remaining attr X, parent set Π ⊆ order, |Π| ≤ k).
+        let mut candidates: Vec<Clique> = Vec::new();
+        for x in 0..d {
+            if order.contains(&x) {
+                continue;
             }
-            let scores: Vec<f64> = candidates
-                .iter()
-                .map(|c| mutual_information(table, c.child, &c.parents))
-                .collect();
-            let idx = exponential_mechanism(rng, &scores, sens, eps_step);
-            let chosen = candidates.swap_remove(idx);
-            order.push(chosen.child);
-            cliques.push(chosen);
+            for parents in subsets_up_to(&order, max_parents) {
+                candidates.push(Clique { child: x, parents });
+            }
         }
-        BayesNet { order, cliques }
-    })
+        let scores: Vec<f64> = candidates
+            .iter()
+            .map(|c| mutual_information(table, c.child, &c.parents))
+            .collect();
+        let idx = exponential_mechanism(rng, &scores, sens, eps_step);
+        let chosen = candidates.swap_remove(idx);
+        order.push(chosen.child);
+        cliques.push(chosen);
+    }
+    BayesNet { order, cliques }
 }
 
 /// Empirical mutual information `I(X; Π)` in nats; `I(X; ∅) = 0`.
@@ -189,8 +199,7 @@ fn subsets_up_to(set: &[usize], k: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use ektelo_data::{Schema, Table};
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use rand::RngExt;
 
     /// A table where b is a noisy copy of a, and c is independent noise.
     fn correlated_table(rows: usize, seed: u64) -> Table {
@@ -264,6 +273,23 @@ mod tests {
                 assert!(pi < ci);
             }
         }
+    }
+
+    /// The operator is its network grown by hand on the snapshot and
+    /// substream 0 that `charge_and_snapshot` returns.
+    #[test]
+    fn network_is_its_snapshot_under_substream_zero() {
+        let run = |net: BayesNet| (net.order, net.cliques);
+        crate::kernel::tests::assert_twins(
+            || ProtectedKernel::init(correlated_table(400, 5), 4.0, 5),
+            |k| run(privbayes_select(k, k.root(), 2, 1.0).unwrap()),
+            |k| {
+                let reqs = [(k.root(), 1.0)];
+                let (base, snaps) = k.charge_and_snapshot::<Arc<Table>>(&reqs, None).unwrap();
+                let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+                run(grow(&snaps[0], 2, 1.0, &mut rng))
+            },
+        );
     }
 
     #[test]

@@ -6,15 +6,23 @@
 //! via the exponential mechanism (implemented with the Gumbel-max trick,
 //! which is exactly equivalent).
 
-use ektelo_matrix::Matrix;
+use std::sync::Arc;
+
+use ektelo_matrix::{Matrix, Workspace};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::kernel::noise::exponential_mechanism;
-use crate::kernel::{BudgetReservation, EktError, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{
+    substream_seed, BudgetReservation, EktError, ProtectedKernel, Result, SourceVar,
+};
 
 /// Selects the index of the workload row worst-approximated by `x_hat`,
 /// spending `eps`. `score_sensitivity` bounds how much one record can move
 /// any single query's score — 1 for counting queries with 0/1
-/// coefficients (all workloads in the paper's MWEM experiments).
+/// coefficients (all workloads in the paper's MWEM experiments). The
+/// exponential mechanism draws from substream 0 of the base the charge
+/// returns, after the kernel lock is released.
 ///
 /// When `res` is given, the charge is redeemed from that reservation's
 /// hold (the plan executor's path); with `None` it competes for open
@@ -37,9 +45,9 @@ pub fn worst_approx(
             found: workload.cols(),
         });
     }
-    // The exponential mechanism asserts on these, and it runs under the
-    // kernel's state lock: a panic there would poison the kernel. Reject
-    // them before anything is charged.
+    // The exponential mechanism and the truth evaluation assert on these
+    // after the charge: reject them (and a wrong source type) before
+    // anything is charged.
     if !score_sensitivity.is_finite() || score_sensitivity <= 0.0 {
         return Err(EktError::InvalidArgument(format!(
             "score sensitivity must be positive and finite, got {score_sensitivity}"
@@ -50,9 +58,6 @@ pub fn worst_approx(
             "x_hat must be finite, got an entry {v}"
         )));
     }
-    // The truth evaluation below runs under the kernel's state lock, where
-    // a width mismatch would panic and poison the kernel. Reject it (and a
-    // wrong source type) before anything is charged.
     let n = kernel.vector_len(sv)?;
     if workload.cols() != n {
         return Err(EktError::ShapeMismatch {
@@ -60,28 +65,33 @@ pub fn worst_approx(
             found: workload.cols(),
         });
     }
-    kernel.charge_in(sv, eps, res)?;
-    // Both workload evaluations (public estimate, private truth) share one
-    // workspace; the truth answers are overwritten in place with the
-    // per-query deviation scores. It is the kernel's idle workspace, so
-    // MWEM's round loop — which calls this once per round with the same
-    // workload — reuses one warm arena instead of rebuilding it.
+    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&[(sv, eps)], res)?;
+    // Both workload evaluations go through the kernel's idle workspace,
+    // so MWEM's round loop — which calls this once per round with the
+    // same workload — reuses one warm arena instead of rebuilding it.
     let mut ws = kernel.workspace_checkout();
-    let mut est = vec![0.0; workload.rows()];
-    workload.matvec_into(x_hat, &mut est, &mut ws);
-    let (idx, ws) = kernel.with_vector(sv, move |x, rng| {
-        let mut scores = vec![0.0; workload.rows()];
-        workload.matvec_into(x, &mut scores, &mut ws);
-        for (s, e) in scores.iter_mut().zip(&est) {
-            *s = (*s - e).abs();
-        }
-        (
-            exponential_mechanism(rng, &scores, score_sensitivity, eps),
-            ws,
-        )
-    })?;
+    let scores = deviation_scores(workload, &snaps[0], x_hat, &mut ws);
     kernel.workspace_restore(ws);
-    Ok(idx)
+    let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+    Ok(exponential_mechanism(
+        &mut rng,
+        &scores,
+        score_sensitivity,
+        eps,
+    ))
+}
+
+/// Each workload query's deviation `|W x − W x̂|` on a snapshot `x`; the
+/// truth answers are overwritten in place with the scores.
+fn deviation_scores(workload: &Matrix, x: &[f64], x_hat: &[f64], ws: &mut Workspace) -> Vec<f64> {
+    let mut est = vec![0.0; workload.rows()];
+    workload.matvec_into(x_hat, &mut est, ws);
+    let mut scores = vec![0.0; workload.rows()];
+    workload.matvec_into(x, &mut scores, ws);
+    for (s, e) in scores.iter_mut().zip(&est) {
+        *s = (*s - e).abs();
+    }
+    scores
 }
 
 #[cfg(test)]
@@ -115,6 +125,25 @@ mod tests {
         assert!((k.budget_spent() - 0.25).abs() < 1e-12);
         // Exhausting the budget errors out.
         assert!(worst_approx(&k, k.root(), &w, &[0.0; 4], 1.0, 1.0, None).is_err());
+    }
+
+    /// The operator is its selection run by hand on the snapshot and
+    /// substream 0 that `charge_and_snapshot` returns.
+    #[test]
+    fn selection_is_its_snapshot_under_substream_zero() {
+        let x: Vec<f64> = (0..32).map(|i| ((i * 11) % 5) as f64 * 3.0).collect();
+        let (w, x_hat) = (Matrix::prefix(32), vec![1.5; 32]);
+        crate::kernel::tests::assert_twins(
+            || ProtectedKernel::init_from_vector(x.clone(), 4.0, 21),
+            |k| worst_approx(k, k.root(), &w, &x_hat, 1.0, 0.4, None).unwrap(),
+            |k| {
+                let reqs = [(k.root(), 0.4)];
+                let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
+                let scores = deviation_scores(&w, &snaps[0], &x_hat, &mut Workspace::default());
+                let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+                exponential_mechanism(&mut rng, &scores, 1.0, 0.4)
+            },
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use ektelo_core::kernel::{EktError, ProtectedKernel};
 use ektelo_core::ops::partition::{
     ahp_partition, dawa_partition, dawa_partition_batch, AhpOptions, DawaOptions,
 };
-use ektelo_core::ops::selection::worst_approx;
+use ektelo_core::ops::selection::{privbayes_select, worst_approx};
 use ektelo_data::{Predicate, Schema, Table};
 use ektelo_matrix::Matrix;
 
@@ -47,6 +47,38 @@ fn vector_ops_on_table_sources_fail() {
         k.reduce_by_partition(k.root(), &Matrix::identity(4)),
         Err(EktError::WrongSourceType { .. })
     ));
+}
+
+/// Every charging operator checks its source's type before its first
+/// charge: a wrong source type is rejected with nothing spent, and the
+/// kernel stays usable.
+#[test]
+fn wrong_source_type_rejected_before_charging() {
+    let k = table_kernel();
+    let table = k.root();
+    let x = k.vectorize(table).unwrap();
+    let wrong = |r| matches!(r, Err(EktError::WrongSourceType { .. }));
+    assert!(wrong(
+        ahp_partition(&k, table, 0.3, &AhpOptions::default()).map(|_| ())
+    ));
+    assert!(wrong(
+        dawa_partition(&k, table, 0.2, &DawaOptions::new(0.1)).map(|_| ())
+    ));
+    assert!(wrong(
+        dawa_partition_batch(&k, &[x, table], 0.2, &DawaOptions::new(0.1), None).map(|_| ())
+    ));
+    assert!(wrong(
+        worst_approx(&k, table, &Matrix::identity(4), &[0.0; 4], 1.0, 0.2, None).map(|_| ())
+    ));
+    assert!(wrong(
+        k.vector_laplace(table, &Matrix::identity(4), 0.2)
+            .map(|_| ())
+    ));
+    assert!(wrong(privbayes_select(&k, x, 1, 0.2).map(|_| ())));
+    assert_eq!(k.budget_spent(), 0.0, "a rejected call must charge nothing");
+    // The kernel still answers, on the right source types.
+    ahp_partition(&k, x, 0.3, &AhpOptions::default()).unwrap();
+    assert!((k.budget_spent() - 0.3).abs() < 1e-12);
 }
 
 #[test]
@@ -109,8 +141,7 @@ fn invalid_partition_rejected_by_both_partition_ops() {
 /// An empty vector source — split off by a partition with an empty
 /// group, or built directly — is rejected by every data-adaptive
 /// partition selection before anything is charged, and the kernel stays
-/// usable: selecting on it would panic under the state lock and poison
-/// every later kernel call.
+/// usable: selecting on it would panic after the charge.
 #[test]
 fn empty_source_partition_selection_rejected_before_charging() {
     let k = ProtectedKernel::init_from_vector(vec![1.0, 2.0, 3.0], 1.0, 0);

@@ -9,10 +9,9 @@
 //! minimum-norm least-squares solution, so the substitution changes when
 //! the iteration stops, not what it converges to.
 
-use ektelo_matrix::{Matrix, Workspace};
+use ektelo_matrix::{kernels, Matrix, Workspace};
 
 use crate::tree::{kron_least_squares, TreeSolver};
-use crate::util::{axpy, norm2, scale, xpay};
 
 /// Stopping parameters for [`lsqr`].
 #[derive(Clone, Debug)]
@@ -169,20 +168,20 @@ fn lsqr_into(
 
     // β₁ u₁ = b
     let mut u = b.to_vec();
-    let mut beta = norm2(&u);
+    let mut beta = kernels::norm2(&u);
     if beta == 0.0 {
         return (0, 0.0);
     }
-    scale(&mut u, 1.0 / beta);
+    kernels::scale(&mut u, 1.0 / beta);
 
     // α₁ v₁ = Aᵀ u₁
     let mut v = vec![0.0; n];
     a.rmatvec_into(&u, &mut v, ws);
-    let mut alpha = norm2(&v);
+    let mut alpha = kernels::norm2(&v);
     if alpha == 0.0 {
         return (0, beta);
     }
-    scale(&mut v, 1.0 / alpha);
+    kernels::scale(&mut v, 1.0 / alpha);
 
     let mut w = v.clone();
     let mut phibar = beta;
@@ -199,16 +198,16 @@ fn lsqr_into(
         // Continue the bidiagonalization:
         //   β u = A v − α u ;  α v = Aᵀ u − β v
         a.matvec_into(&v, &mut av, ws);
-        xpay(&mut u, -alpha, &av);
-        beta = norm2(&u);
+        kernels::xpay(&mut u, -alpha, &av);
+        beta = kernels::norm2(&u);
         if beta > 0.0 {
-            scale(&mut u, 1.0 / beta);
+            kernels::scale(&mut u, 1.0 / beta);
         }
         a.rmatvec_into(&u, &mut atu, ws);
-        xpay(&mut v, -beta, &atu);
-        alpha = norm2(&v);
+        kernels::xpay(&mut v, -beta, &atu);
+        alpha = kernels::norm2(&v);
         if alpha > 0.0 {
-            scale(&mut v, 1.0 / alpha);
+            kernels::scale(&mut v, 1.0 / alpha);
         }
         norm_a = (norm_a * norm_a + beta * beta + alpha * alpha).sqrt();
 
@@ -225,8 +224,8 @@ fn lsqr_into(
         let t1 = phi / rho;
         let t2 = -theta / rho;
         // x must read w before xpay rewrites it in place.
-        axpy(x, t1, &w);
-        xpay(&mut w, t2, &v);
+        kernels::axpy(x, t1, &w);
+        kernels::xpay(&mut w, t2, &v);
 
         // ‖Aᵀ r‖ estimate = φ̄ · α · |c|; stop when it is small relative to
         // ‖A‖·‖r‖ (standard LSQR criterion).
@@ -289,7 +288,7 @@ mod tests {
         let r = lsqr(&a, &b, &LsqrOptions::default());
         let residual: Vec<f64> = a.matvec(&r.x).iter().zip(&b).map(|(p, q)| p - q).collect();
         let grad = a.rmatvec(&residual);
-        let gnorm = norm2(&grad);
+        let gnorm = kernels::norm2(&grad);
         assert!(gnorm < 1e-6, "normal equations violated: ‖Aᵀr‖ = {gnorm}");
     }
 

@@ -32,9 +32,9 @@
 //! rounding of reordered sums; `tests/mw_classes.rs` gates them at 1e-12
 //! relative.
 
-use ektelo_matrix::{Matrix, Workspace};
+use ektelo_matrix::{kernels, Matrix, Workspace};
 
-use crate::util::{normalize_class_mass, rsub};
+use crate::util::normalize_class_mass;
 
 /// Options for [`mult_weights`].
 #[derive(Clone, Debug)]
@@ -116,7 +116,7 @@ fn mw_passes(
                 m.matvec_into(&mass, &mut err, &mut ws);
             }
         }
-        rsub(&mut err, y);
+        kernels::rsub(&mut err, y);
         m.rmatvec_into(&err, &mut g, &mut ws);
         for (ui, &gi) in u.iter_mut().zip(&g) {
             // Clamp the exponent for numerical robustness on extreme

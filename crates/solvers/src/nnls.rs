@@ -8,10 +8,9 @@
 //! size comes from a power-iteration estimate of `‖A‖₂²` (the gradient's
 //! Lipschitz constant).
 
-use ektelo_matrix::{Matrix, Workspace};
+use ektelo_matrix::{kernels, Matrix, Workspace};
 
 use crate::power::spectral_norm_estimate;
-use crate::util::{axpy, norm2};
 
 /// Options for [`nnls`].
 #[derive(Clone, Debug)]
@@ -51,7 +50,7 @@ pub fn nnls(a: &Matrix, y: &[f64], opts: &NnlsOptions) -> Vec<f64> {
 
     let mut aty = vec![0.0; n];
     a.rmatvec_into(y, &mut aty, &mut ws);
-    let grad_scale = norm2(&aty);
+    let grad_scale = kernels::norm2(&aty);
     if grad_scale == 0.0 {
         return vec![0.0; n];
     }
@@ -64,7 +63,7 @@ pub fn nnls(a: &Matrix, y: &[f64], opts: &NnlsOptions) -> Vec<f64> {
     for _ in 0..opts.max_iters {
         // ∇f(z) = Aᵀ(Az − y)
         a.matvec_into(&z, &mut r, &mut ws);
-        axpy(&mut r, -1.0, y);
+        kernels::axpy(&mut r, -1.0, y);
         a.rmatvec_into(&r, &mut grad, &mut ws);
 
         // Projected gradient step from z.

@@ -1,48 +1,15 @@
-//! Small dense-vector kernels shared by every solver.
-//!
-//! These are thin re-export wrappers over [`ektelo_matrix::kernels`] — the
-//! single home of every hot vector loop; see that module's docs for the
-//! order-preserving vs reassociating kernel classes.
+//! Normalization helpers shared by the solvers. The vector loops they
+//! run are [`ektelo_matrix::kernels`], the single home of every hot
+//! vector loop; the solvers call those kernels directly.
 
 use ektelo_matrix::kernels;
-
-/// Euclidean norm `‖v‖₂`.
-pub fn norm2(v: &[f64]) -> f64 {
-    kernels::norm2(v)
-}
-
-/// Inner product `⟨a, b⟩`.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    kernels::dot(a, b)
-}
-
-/// In-place scaling `v ← c·v`.
-pub fn scale(v: &mut [f64], c: f64) {
-    kernels::scale(v, c);
-}
-
-/// `y ← y + a·x`.
-pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-    kernels::axpy(y, a, x);
-}
-
-/// `y ← x + b·y`.
-pub fn xpay(y: &mut [f64], b: f64, x: &[f64]) {
-    kernels::xpay(y, b, x);
-}
-
-/// `e ← y − e` (residual reversal).
-pub fn rsub(e: &mut [f64], y: &[f64]) {
-    kernels::rsub(e, y);
-}
 
 /// Normalizes `v` to unit Euclidean length in place, returning the original
 /// norm (leaves `v` untouched when zero).
 pub fn normalize_l2(v: &mut [f64]) -> f64 {
-    let norm = norm2(v);
+    let norm = kernels::norm2(v);
     if norm > 0.0 {
-        scale(v, 1.0 / norm);
+        kernels::scale(v, 1.0 / norm);
     }
     norm
 }
@@ -54,10 +21,10 @@ pub fn normalize_l2(v: &mut [f64]) -> f64 {
 pub fn normalize_class_mass(u: &mut [f64], sizes: Option<&[f64]>, total: f64, n: usize) {
     let mass = match sizes {
         None => kernels::sum(u),
-        Some(s) => dot(s, u),
+        Some(s) => kernels::dot(s, u),
     };
     if mass > 0.0 {
-        scale(u, total / mass);
+        kernels::scale(u, total / mass);
     } else {
         u.fill(total / n as f64);
     }
@@ -68,16 +35,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn norm_and_dot() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    #[test]
     fn normalize_unit() {
         let mut v = vec![3.0, 4.0];
         assert_eq!(normalize_l2(&mut v), 5.0);
-        assert!((norm2(&v) - 1.0).abs() < 1e-15);
+        assert!((kernels::norm2(&v) - 1.0).abs() < 1e-15);
         let mut z = vec![0.0, 0.0];
         assert_eq!(normalize_l2(&mut z), 0.0);
         assert_eq!(z, vec![0.0, 0.0]);

@@ -7,8 +7,10 @@
 //!   guard region (the hottest multi-tenant critical sections), forbid:
 //!   allocation, `pool::scope` dispatch, solver entry points, reentrant
 //!   calls into same-lock methods (`parking_lot` mutexes are not
-//!   reentrant — that is a deadlock, not a slowdown), and panics without
-//!   a justification annotation.
+//!   reentrant — that is a deadlock, not a slowdown), calls of a closure
+//!   or function value (a bare lower-case call naming no workspace
+//!   function: caller-supplied code that could panic or block under the
+//!   lock), and panics without a justification annotation.
 //! * **`warm-path-alloc`** — functions tagged `// WARM:` must have an
 //!   allocation-free *transitive* call closure. An
 //!   `xlint: allow(warm-path-alloc, ...)` on a call line severs that
@@ -122,6 +124,12 @@ const METHOD_STOPLIST: &[&str] = &[
     "cmp",
     "lock",
 ];
+
+/// Lower-case words the parser can record as a bare call without one
+/// being a closure call: the std prelude's `drop`, and keywords followed
+/// by a parenthesized pattern or expression (`for (a, b) in ..`,
+/// `match (x, y)`, `return (..)`).
+const NOT_CLOSURES: &[&str] = &["drop", "for", "in", "let", "match", "return", "break"];
 
 fn active(atoms: &[CfgAtom], config: &Config) -> bool {
     atoms.iter().all(|a| a.active(&config.features))
@@ -368,6 +376,33 @@ fn lock_discipline(files: &[AnalyzedFile], idx: &Index, config: &Config, report:
                                 "solver entry `{name}` while the {lock} lock is held: \
                                  solvers are long-running and allocate — run them outside \
                                  the critical section"
+                            ),
+                        );
+                    }
+                    // A closure or function value: a bare, single-segment,
+                    // lower-case call that names no workspace function,
+                    // keyword or prelude function. Operator code computes
+                    // on snapshots after the lock is released, never
+                    // inside it.
+                    if c.recv.is_empty()
+                        && !c.is_macro
+                        && c.path.len() == 1
+                        && name.starts_with(|ch: char| ch.is_ascii_lowercase())
+                        && !NOT_CLOSURES.contains(&name)
+                        && !idx.by_name.contains_key(name)
+                    {
+                        let allowed = af.ctx.allowed(c.line, "lock-discipline");
+                        events.push(event("closure-call", name, c.line, allowed));
+                        push_flow(
+                            report,
+                            af,
+                            c.line,
+                            "lock-discipline",
+                            format!(
+                                "call of `{name}`, which names no workspace function (a \
+                                 closure, function value or renamed import), while the {lock} \
+                                 lock is held: operator code must run on a snapshot after the \
+                                 lock is released"
                             ),
                         );
                     }

@@ -56,6 +56,10 @@ fn violations_are_detected_at_exact_lines() {
         // binding outlives it — the alloc after the block close is still
         // inside the region.
         ("crates/core/src/kernel/mod.rs", 46, "lock-discipline"),
+        // closure_under_lock: a caller-supplied closure called inside the
+        // guard. Its twin closure_after_lock calls a workspace function
+        // inside the guard and the closure after it, and stays silent.
+        ("crates/core/src/kernel/mod.rs", 56, "lock-discipline"),
         // lib.rs: bare unsafe block, library unwrap, then an arm call in
         // library code and a failpoint site outside the audited list
         // (the undeclared name also trips the SITES parity check).

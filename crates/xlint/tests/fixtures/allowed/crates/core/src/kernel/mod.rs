@@ -20,3 +20,11 @@ pub fn locked_work(&self) {
     pool::scope(|s| s.run(&scratch));
     drop(st);
 }
+
+pub fn closure_under_lock(&self, f: impl FnOnce(&St) -> f64) -> f64 {
+    let st = self.state.lock();
+    // xlint: allow(lock-discipline, reason = "fixture: the closure is a vetted constant-time read")
+    let r = f(&st);
+    drop(st);
+    r
+}

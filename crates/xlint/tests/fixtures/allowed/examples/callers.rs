@@ -9,6 +9,7 @@ fn main() {
     tagged_and_tested();
     admit();
     locked_work();
+    closure_under_lock();
     first();
     parse();
     poke();

@@ -47,3 +47,24 @@ pub fn moved_guard(&self) {
     drop(held);
     let _ = tail;
 }
+
+// A caller-supplied closure called inside the guard fires; the workspace
+// function called inside it and the closure called after the guard is
+// dropped stay silent.
+pub fn closure_under_lock(&self, f: impl FnOnce(&St) -> f64) -> f64 {
+    let st = self.state.lock();
+    let r = f(&st);
+    drop(st);
+    r
+}
+
+pub fn closure_after_lock(&self, f: impl FnOnce(f64) -> f64) -> f64 {
+    let st = self.state.lock();
+    let held = total(&st);
+    drop(st);
+    f(held)
+}
+
+fn total(st: &St) -> f64 {
+    st.reserved
+}

@@ -18,6 +18,8 @@ fn main() {
     locked_work();
     audit();
     moved_guard();
+    closure_under_lock();
+    closure_after_lock();
     first();
     parse();
     poke();

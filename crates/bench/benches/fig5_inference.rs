@@ -77,13 +77,22 @@ fn bench_ls_engines(c: &mut Criterion) {
     });
     // Plan #16's system on the 99,960-cell census domain: one scaled
     // `HB(357) ⊗ I₄ ⊗ I₇ ⊗ I₁₀` measurement, which `lsqr` solves exactly
-    // with one tree pass applied to each of the 280 fibers along the HB
-    // mode. HB-Striped (Plan #15) runs as this measurement too.
+    // with one tree pass run on the 280 fibers along the HB mode in
+    // row panels of at most 64 fibers. HB-Striped (Plan #15) runs as
+    // this measurement too.
+    let rhs = |m: usize| -> Vec<f64> { (0..m).map(|i| ((i * 7919) % 101) as f64 - 20.0).collect() };
     let a = Matrix::scaled(0.5, stripe_select(&[357, 4, 7, 10], 0, hb));
-    let y: Vec<f64> = (0..a.rows())
-        .map(|i| ((i * 7919) % 101) as f64 - 20.0)
-        .collect();
+    let y = rhs(a.rows());
     group.bench_function(BenchmarkId::new("kron_exact", a.cols()), |b| {
+        b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
+    });
+    // Two hierarchy modes on the same 99,960 cells, `HB(357) ⊗ HB(280)`:
+    // the last mode's fibers are contiguous, so its pass runs one fiber
+    // per tile; the HB(357) pass then runs on tiles of 64 of its 280
+    // fibers, and the residual takes the product `A x`.
+    let a = Matrix::scaled(0.5, Matrix::kron(hb(357), hb(280)));
+    let y = rhs(a.rows());
+    group.bench_function(BenchmarkId::new("kron_exact_2hier", a.cols()), |b| {
         b.iter(|| black_box(lsqr(&a, &y, &opts).x[0]))
     });
     group.finish();

@@ -121,7 +121,8 @@ fn bench_sensitivity(c: &mut Criterion) {
 }
 
 /// The Table 5 error check on the census `Prefix(Income)` workload
-/// (257,040 × 99,960): one product of the workload with `x − x̂`.
+/// (257,040 × 99,960): `Prefix` applied once along the income mode, then
+/// the rest of the workload streamed over its 357 row panels.
 fn bench_scaled_error(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaled_error");
     group.sample_size(20);

@@ -149,12 +149,19 @@ fn main() {
     }
 
     // Data-dependent plans: the partition stage is untouched (it has no
-    // big matrices); the measurement stage representation is forced.
-    println!("\nFig. 4a (data-dependent plans)");
+    // big matrices); the measurement stage representation is forced. The
+    // timed work runs on the partition the private selection draws, so
+    // each cell prints that partition's group count beside its time: a
+    // change to the noise stream moves the count, a speed change does not.
+    println!("\nFig. 4a (data-dependent plans; time [partition groups])");
     println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>12}",
+        "{:<14} {:>10} {:>18} {:>18} {:>18}",
         "plan", "domain", "dense", "sparse", "implicit"
     );
+    let cell = |secs: Option<f64>, groups: usize| {
+        let time = secs.map_or_else(|| "-".to_string(), fmt_secs);
+        print!(" {:>18}", format!("{time} [{groups}]"));
+    };
     for &e in &exps {
         let n = 4usize.pow(e);
         let x = shape_1d(Shape1D::Clustered, n, 1e6, 4);
@@ -165,7 +172,7 @@ fn main() {
             let p = ahp_partition(&k, root, eps / 2.0, &AhpOptions::default()).expect("ahp");
             let groups = p.rows();
             if !feasible(repr, groups, groups, groups) {
-                print!(" {:>12}", "-");
+                cell(None, groups);
                 continue;
             }
             let (_, secs) = time_it(|| {
@@ -175,7 +182,7 @@ fn main() {
                 k.vector_laplace(red, &strat, eps / 2.0).expect("measure");
                 least_squares(&k.measurements_since(start), LsSolver::Iterative)
             });
-            print!(" {:>12}", fmt_secs(secs));
+            cell(Some(secs), groups);
         }
         println!();
         // DAWA
@@ -187,7 +194,7 @@ fn main() {
             let groups = p.rows();
             let strat = greedy_h(groups, &[]);
             if !feasible(repr, strat.rows(), groups, strat.to_sparse_nnz_estimate()) {
-                print!(" {:>12}", "-");
+                cell(None, groups);
                 continue;
             }
             let (_, secs) = time_it(|| {
@@ -197,7 +204,7 @@ fn main() {
                     .expect("measure");
                 least_squares(&k.measurements_since(start), LsSolver::Iterative)
             });
-            print!(" {:>12}", fmt_secs(secs));
+            cell(Some(secs), groups);
         }
         println!();
     }

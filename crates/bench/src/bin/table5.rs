@@ -9,7 +9,8 @@
 //!
 //! Run: `cargo run --release -p ektelo-bench --bin table5 [--full]`
 
-use ektelo_bench::{full_mode, time_it, workload_scaled_error};
+use ektelo_bench::{full_mode, time_it};
+use ektelo_core::ops::inference::scaled_per_query_l2_error;
 use ektelo_core::ProtectedKernel;
 use ektelo_data::generators::census_cps_sized;
 use ektelo_data::workloads::{all_k_way_marginals, census_prefix_income};
@@ -55,6 +56,8 @@ fn main() {
     let sizes = table.schema().sizes();
     let domain: usize = sizes.iter().product();
     let x_true = ektelo_data::vectorize(&table);
+    // The error scale: the number of records.
+    let records = x_true.iter().sum::<f64>().max(1.0);
     eprintln!("census domain: {domain} cells, {rows} records");
 
     let workloads: Vec<(&str, Matrix)> = vec![
@@ -107,7 +110,8 @@ fn main() {
             });
             times[a] += secs;
             for (wi, (_, w)) in workloads.iter().enumerate() {
-                results[a][wi] += workload_scaled_error(w, &x_true, &x_hat) / trials as f64;
+                results[a][wi] +=
+                    scaled_per_query_l2_error(w, &x_true, &x_hat, records) / trials as f64;
             }
             eprintln!("  seed {seed}: {name} done ({secs:.1}s)");
         }

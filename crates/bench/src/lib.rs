@@ -4,8 +4,6 @@
 
 use std::time::{Duration, Instant};
 
-use ektelo_matrix::Matrix;
-
 /// Times a closure, returning `(result, seconds)`.
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -17,21 +15,6 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
 pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     (a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt()
-}
-
-/// Scaled per-query L2 error of workload answers (Table 5 metric): the
-/// RMSE of `W x` vs `W x̂`, divided by the dataset size.
-pub fn workload_scaled_error(w: &Matrix, x_true: &[f64], x_hat: &[f64]) -> f64 {
-    let n_records: f64 = x_true.iter().sum::<f64>().max(1.0);
-    let t = w.matvec(x_true);
-    let e = w.matvec(x_hat);
-    (t.iter()
-        .zip(&e)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        / t.len() as f64)
-        .sqrt()
-        / n_records
 }
 
 /// Mean of a slice.
@@ -145,12 +128,5 @@ mod tests {
             .run(|| std::thread::sleep(Duration::from_millis(5)))
             .is_some());
         assert!(g.run(|| ()).is_none());
-    }
-
-    #[test]
-    fn scaled_error_is_zero_for_exact_estimates() {
-        let w = Matrix::prefix(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(workload_scaled_error(&w, &x, &x), 0.0);
     }
 }

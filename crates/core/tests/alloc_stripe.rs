@@ -9,9 +9,13 @@
 //! triplet-built forms these replace allocated once per cell (about 10⁵
 //! allocations for each step) and fail both bounds by orders of
 //! magnitude.
+//!
+//! The counter is thread-local: it counts the test thread's allocations
+//! only, so the test harness or any other thread of the process cannot
+//! add to a window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ektelo_core::kernel::ProtectedKernel;
 use ektelo_core::ops::partition::stripe_partition;
@@ -22,16 +26,24 @@ const GROUPS: u64 = 5 * 7 * 4 * 2;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialised `Cell` needs no lazy set-up and no destructor,
+    // so touching it never allocates from inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed atomic counter —
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter —
 // every layout/pointer contract required of a `GlobalAlloc` is upheld by
 // forwarding the arguments unchanged, and the counter has no effect on
 // allocation behavior.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; forwarded verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same layout the caller passed in.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract; forwarded verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
         // the caller's requested size, unmodified.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -55,14 +67,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Runs `f` on this thread and returns its result with the number of
+/// allocations this thread made meanwhile.
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-// One test in this binary, so no other test thread allocates inside the
-// counting windows.
 #[test]
 fn stripe_transforms_allocate_per_group_not_per_cell() {
     let n: usize = SIZES.iter().product();

@@ -9,7 +9,7 @@ use ektelo_core::ops::inference::{
 use ektelo_core::ops::selection::{h2, hb, stripe_select};
 use ektelo_core::{MeasuredQuery, ProtectedKernel};
 use ektelo_data::generators::{shape_1d, Shape1D};
-use ektelo_matrix::{partition_from_labels, CsrMatrix, Matrix, Repr, Workspace};
+use ektelo_matrix::{partition_from_labels, ColumnRefinement, CsrMatrix, Matrix, Repr, Workspace};
 use ektelo_solvers::{lsqr, mult_weights, LsqrOptions, MwOptions};
 use std::hint::black_box;
 
@@ -157,7 +157,11 @@ fn bench_nnls_and_tree(c: &mut Criterion) {
 /// of a range query each, as one-row sparse blocks over 4096 cells, and
 /// 30 passes. `mult_weights` runs them over the columns' classes (at most
 /// 41 here), not over every cell. `column_classes_history` times the
-/// class refinement of that history on its own.
+/// class refinement of that history on its own, from scratch;
+/// `column_classes_refine` times what MWEM's loop does instead in its
+/// last round: refine the kept state of the first 19 rows by the 20th
+/// and build the classes (the state is cloned per call, which is part of
+/// the time).
 fn bench_mult_weights(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_mw");
     group.sample_size(20);
@@ -171,6 +175,9 @@ fn bench_mult_weights(c: &mut Criterion) {
             Matrix::sparse(CsrMatrix::from_triplets(1, n, &ones))
         })
         .collect();
+    let mut kept = ColumnRefinement::new(n, None);
+    kept.refine(&Matrix::vstack(rows[..19].to_vec())).unwrap();
+    let last = rows[19].clone();
     let m = Matrix::vstack(rows);
     let y: Vec<f64> = m
         .matvec(&x)
@@ -191,6 +198,13 @@ fn bench_mult_weights(c: &mut Criterion) {
     // the uniform start, over the whole 20-row history.
     group.bench_function(BenchmarkId::new("column_classes_history", n), |b| {
         b.iter(|| black_box(m.column_classes_by(&x0).map(|c| c.sizes.len())))
+    });
+    group.bench_function(BenchmarkId::new("column_classes_refine", n), |b| {
+        b.iter(|| {
+            let mut r = kept.clone();
+            r.refine(&last).unwrap();
+            black_box(r.classes().map(|c| c.sizes.len()))
+        })
     });
     group.finish();
 }

@@ -605,9 +605,15 @@ impl ProtectedKernel {
             // xlint: allow(panic-policy, reason = "phase invariant: phase 2 fills the exact answer for every request whose snapshot was Ok, and the `snap?` above already propagated the Err case")
             let mut answers = exact.expect("valid request has an exact answer");
             // Phase 2 holds the only handle, so `make_mut` never clones:
-            // the noise lands in the exact answers' own buffer.
-            for v in Arc::make_mut(&mut answers) {
-                *v += noise::laplace(&mut st.rng, scale);
+            // the noise lands in the exact answers' own buffer, a stack
+            // block of draws at a time.
+            let mut draws = [0.0; noise::LAPLACE_BLOCK];
+            for chunk in Arc::make_mut(&mut answers).chunks_mut(draws.len()) {
+                let draws = &mut draws[..chunk.len()];
+                noise::fill_laplace(&mut st.rng, scale, draws);
+                for (v, &e) in chunk.iter_mut().zip(draws.iter()) {
+                    *v += e;
+                }
             }
             if let (Some(base), Some(lineage)) =
                 // xlint: allow(lock-discipline, reason = "structural Matrix clone (shared representation); the node's lineage is only readable under the lock")

@@ -22,8 +22,39 @@ pub fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
     if scale == 0.0 {
         return 0.0;
     }
+    laplace_from_uniform(rng.random::<f64>(), scale)
+}
+
+/// Uniforms drawn per block by [`fill_laplace`].
+pub(crate) const LAPLACE_BLOCK: usize = 256;
+
+/// Fills `out` with `out.len()` draws of [`laplace`] at one `scale`: the
+/// same values, bit for bit, in the same order, from the same uniforms.
+/// The uniforms are drawn a stack block at a time and then transformed,
+/// so the generator and the transform each run in a tight loop.
+pub fn fill_laplace(rng: &mut StdRng, scale: f64, out: &mut [f64]) {
+    assert!(scale >= 0.0, "laplace scale must be non-negative");
+    if scale == 0.0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut uniforms = [0.0; LAPLACE_BLOCK];
+    for chunk in out.chunks_mut(LAPLACE_BLOCK) {
+        let uniforms = &mut uniforms[..chunk.len()];
+        for u in uniforms.iter_mut() {
+            *u = rng.random::<f64>();
+        }
+        for (o, &u) in chunk.iter_mut().zip(uniforms.iter()) {
+            *o = laplace_from_uniform(u, scale);
+        }
+    }
+}
+
+/// The inverse-CDF transform of a uniform draw in `[0, 1)` into a
+/// Laplace draw of scale `scale > 0`.
+fn laplace_from_uniform(uniform: f64, scale: f64) -> f64 {
     // u uniform in (−1/2, 1/2]; guard the log's argument away from 0.
-    let u: f64 = rng.random::<f64>() - 0.5;
+    let u = uniform - 0.5;
     let a = (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE);
     -scale * u.signum() * a.ln()
 }
@@ -128,6 +159,28 @@ mod tests {
     fn laplace_zero_scale_is_deterministic() {
         let mut r = rng();
         assert_eq!(laplace(&mut r, 0.0), 0.0);
+        let mut out = [1.0; 3];
+        fill_laplace(&mut r, 0.0, &mut out);
+        assert_eq!(out, [0.0; 3]);
+        // Neither call consumed a uniform.
+        assert_eq!(r.random::<f64>(), rng().random::<f64>());
+    }
+
+    #[test]
+    fn fill_laplace_is_the_sequence_of_single_draws() {
+        // Lengths around the block size, so partial and full blocks both
+        // run; the generator must also end in the same state.
+        for len in [0, 1, 255, 256, 257, 1000] {
+            for scale in [1.0, 0.37, 1e300] {
+                let (mut a, mut b) = (rng(), rng());
+                let mut filled = vec![f64::NAN; len];
+                fill_laplace(&mut a, scale, &mut filled);
+                let single: Vec<f64> = (0..len).map(|_| laplace(&mut b, scale)).collect();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&filled), bits(&single), "len {len}, scale {scale}");
+                assert_eq!(a.random::<u64>(), b.random::<u64>());
+            }
+        }
     }
 
     #[test]

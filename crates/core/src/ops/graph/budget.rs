@@ -297,6 +297,20 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 if op.workload.rows() == 0 {
                     return Err(EktError::InvalidArgument("empty workload".into()));
                 }
+                // A round measures the selected row alone. An all-zero row
+                // (or one holding NaN) has zero (NaN) sensitivity, which
+                // the measurement rejects only after the selection and the
+                // earlier rounds spent their budget. The workload is
+                // public, so reject the plan here: exactly those rows have
+                // a zero or NaN L1 norm in `|W|·1`.
+                let norms = op.workload.abs().matvec(&vec![1.0; op.workload.cols()]);
+                if let Some(r) = norms.iter().position(|&s| s == 0.0 || s.is_nan()) {
+                    return Err(EktError::InvalidPlan(format!(
+                        "MWEM workload row {r} has L1 norm {}: measuring it would have zero \
+                         or NaN sensitivity",
+                        norms[r]
+                    )));
+                }
                 let src = source(&vals, op.input.id)?;
                 // A zero-round loop issues no measurements (it returns
                 // the uniform estimate without consulting history).

@@ -27,7 +27,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ektelo_matrix::{CsrMatrix, Matrix};
+use ektelo_matrix::{ColumnRefinement, CsrMatrix, Matrix};
 use ektelo_solvers::NnlsOptions;
 
 use crate::kernel::{BudgetReservation, EktError, ProtectedKernel, Result, SourceVar};
@@ -137,7 +137,11 @@ impl<'k> PlanExecutor<'k> {
     /// [`EktError::ExecutionPanic`] *after* the reservation is dropped,
     /// so even a crashed plan never wedges the ledger.
     pub fn run(&self, spec: &PlanSpec, input: SourceVar) -> Result<ExecReport> {
-        let cost = spec.pre_account()?;
+        // Pre-accounting evaluates public matrices (MWEM's workload row
+        // norms), so a malformed one panics here, before anything is
+        // reserved.
+        let cost = catch_unwind(|| spec.pre_account())
+            .map_err(|payload| EktError::ExecutionPanic(panic_message(&*payload)))??;
         let path = self.kernel.stability_to_root(input);
         let reservation = if self.check_budget {
             Some(self.kernel.reserve_budget(cost.total * path)?)
@@ -489,6 +493,13 @@ impl<'k> Run<'_, 'k> {
         let x = self.source(vals, op.input.id)?;
         let n = kernel.vector_len(x)?;
         let mut x_hat = vec![op.total / n as f64; n];
+        // The column classes of the session's first `refined`
+        // measurements, kept across rounds and refined by each round's new
+        // queries only; MW starts uniform every round, so no key splits
+        // them. `reducible` turns false for good once a query has a shape
+        // the refinement does not take.
+        let mut refinement: Option<ColumnRefinement> = None;
+        let (mut refined, mut reducible) = (0, true);
         for round in 0..op.rounds {
             // SW: worst-approximated workload query (exponential
             // mechanism).
@@ -516,7 +527,22 @@ impl<'k> Run<'_, 'k> {
             let measurements = kernel.measurements_since(self.start);
             x_hat = match op.inference {
                 MwemRoundInference::MultWeights => {
-                    mult_weights_inference(&measurements, op.total, None, op.mw_iterations)
+                    for m in &measurements[refined..] {
+                        let r = refinement
+                            .get_or_insert_with(|| ColumnRefinement::new(m.query.cols(), None));
+                        reducible = reducible && r.refine(&m.query).is_some();
+                    }
+                    refined = measurements.len();
+                    let classes = refinement
+                        .as_ref()
+                        .filter(|_| reducible)
+                        .and_then(ColumnRefinement::classes);
+                    mult_weights_inference(
+                        &measurements,
+                        op.total,
+                        classes.as_ref(),
+                        op.mw_iterations,
+                    )
                 }
                 MwemRoundInference::NnlsKnownTotal => {
                     let cols = measurements[0].query.cols();
@@ -636,8 +662,8 @@ mod tests {
     fn execution_panic_reports_the_panic_message() {
         // A hand-built product whose inner dimensions disagree (4 vs 5)
         // passes every shape check on its outer shape, then panics in
-        // the engine when MWEM's selection evaluates it on the estimate,
-        // outside the kernel lock.
+        // the engine when pre-accounting first evaluates it (the
+        // workload's row norms), before anything is reserved.
         let workload = Matrix::Product(
             Box::new(Matrix::from_rows(vec![vec![1.0; 5]; 3])),
             Box::new(Matrix::ones(4, 16)),
@@ -713,6 +739,54 @@ mod tests {
             assert_eq!(report.eps_charged, report.eps_pre_accounted);
         }
         assert_eq!(k.measurement_count(), 4);
+    }
+
+    #[test]
+    fn mwem_workload_with_a_zero_row_is_rejected_before_any_charge() {
+        // Selecting the zero row used to fail the measurement after
+        // earlier rounds had spent most of the budget.
+        let zero_row = Matrix::vstack(vec![
+            Matrix::range_queries(16, vec![(0, 4)]),
+            Matrix::scaled(0.0, Matrix::total(16)),
+        ]);
+        let nan_row = Matrix::from_rows(vec![vec![1.0; 16], {
+            let mut row = vec![0.0; 16];
+            row[3] = f64::NAN;
+            row
+        }]);
+        for (workload, augment) in [(zero_row, false), (zero_row_b(), true), (nan_row, false)] {
+            let mut b = PlanBuilder::new();
+            let x = b.input();
+            let e = b.mwem_loop(MwemLoopOp {
+                input: x,
+                workload,
+                rounds: 10,
+                eps_select: 0.05,
+                eps_measure: 0.05,
+                augment,
+                inference: MwemRoundInference::MultWeights,
+                total: 160.0,
+                mw_iterations: 5,
+            });
+            let spec = b.finish(e);
+            assert!(matches!(spec.pre_account(), Err(EktError::InvalidPlan(_))));
+            for seed in 0..8 {
+                let k = ProtectedKernel::init_from_vector(vec![10.0; 16], 1.0, seed);
+                let err = PlanExecutor::new(&k).run(&spec, k.root()).unwrap_err();
+                assert!(matches!(err, EktError::InvalidPlan(_)), "{err:?}");
+                assert_eq!(k.budget_spent(), 0.0);
+                assert_eq!(k.budget_reserved(), 0.0);
+                assert_eq!(k.measurement_count(), 0);
+            }
+        }
+
+        /// Variant b's shape: a sparse zero row stored explicitly.
+        fn zero_row_b() -> Matrix {
+            Matrix::vstack(vec![
+                Matrix::prefix(16),
+                Matrix::sparse(CsrMatrix::from_triplets(1, 16, &[(0, 2, 0.0)])),
+            ])
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! measurement sets are handled by the iterative solvers' implicit
 //! minimum-norm behaviour or by multiplicative weights (objective (ii)).
 
-use ektelo_matrix::{Matrix, Workspace};
+use ektelo_matrix::{ColumnClasses, Matrix, Workspace};
 use ektelo_solvers::{
-    direct_least_squares, lsqr, mult_weights, nnls, LsqrOptions, MwOptions, NnlsOptions,
+    direct_least_squares, lsqr, mult_weights_with_classes, nnls, LsqrOptions, MwOptions,
+    NnlsOptions,
 };
 
 use crate::kernel::MeasuredQuery;
@@ -86,13 +87,22 @@ pub fn non_negative_least_squares_opts(
     nnls(&m, &y, opts)
 }
 
-/// Multiplicative-weights inference (MWEM's update; paper Table 1).
-/// `total` is the assumed dataset size; `x0` defaults to uniform when
-/// `None`.
+/// Multiplicative-weights inference (MWEM's update; paper Table 1) from
+/// the uniform start of mass `total`, the assumed dataset size.
+///
+/// `classes` are the column classes of the stacked queries, as a
+/// [`ColumnRefinement`] refined by every measurement's query gives them:
+/// the passes then run on one value per class, and the result is
+/// [`mult_weights`]'s on the stack bit for bit. MWEM's loop keeps that
+/// refinement across rounds instead of refining the whole history every
+/// round. `None` runs the passes over every cell.
+///
+/// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
+/// [`mult_weights`]: ektelo_solvers::mult_weights
 pub fn mult_weights_inference(
     measurements: &[MeasuredQuery],
     total: f64,
-    x0: Option<&[f64]>,
+    classes: Option<&ColumnClasses>,
     iterations: usize,
 ) -> Vec<f64> {
     // MW works on raw (unweighted) queries; it is scale-sensitive.
@@ -103,10 +113,8 @@ pub fn mult_weights_inference(
         .iter()
         .flat_map(|m| m.answers.iter().copied())
         .collect();
-    let x0 = x0
-        .map(<[f64]>::to_vec)
-        .unwrap_or_else(|| vec![total / n as f64; n]);
-    mult_weights(&m, &y, &x0, &MwOptions { iterations, total })
+    let x0 = vec![total / n as f64; n];
+    mult_weights_with_classes(&m, classes, &y, &x0, &MwOptions { iterations, total })
 }
 
 /// Appends a high-confidence "known total" pseudo-measurement (paper
@@ -227,6 +235,7 @@ fn streamed_split(workload: &Matrix) -> Option<(f64, &Matrix, Matrix)> {
 mod tests {
     use super::*;
     use crate::kernel::{ProtectedKernel, SourceVar};
+    use ektelo_matrix::ColumnRefinement;
 
     fn measured(query: Matrix, answers: Vec<f64>, noise_scale: f64) -> MeasuredQuery {
         MeasuredQuery {
@@ -277,6 +286,33 @@ mod tests {
         let x = mult_weights_inference(&ms, 4.0, None, 100);
         assert!((x.iter().sum::<f64>() - 4.0).abs() < 1e-9);
         assert!(x[0] > 2.0, "{x:?}");
+    }
+
+    #[test]
+    fn mw_over_kept_classes_is_mult_weights_on_the_stack() {
+        let ms = vec![
+            measured(Matrix::range_queries(8, vec![(0, 5)]), vec![6.0], 1.0),
+            measured(Matrix::range_queries(8, vec![(3, 8)]), vec![2.0], 1.0),
+        ];
+        let mut refinement = ColumnRefinement::new(8, None);
+        for m in &ms {
+            refinement.refine(&m.query).unwrap();
+        }
+        let classes = refinement.classes().unwrap();
+        let got = mult_weights_inference(&ms, 8.0, Some(&classes), 50);
+        let stack = Matrix::vstack(ms.iter().map(|m| m.query.clone()).collect());
+        let opts = MwOptions {
+            iterations: 50,
+            total: 8.0,
+        };
+        let want = ektelo_solvers::mult_weights(&stack, &[6.0, 2.0], &[1.0; 8], &opts);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // Without classes the passes run per cell, to the same estimate.
+        let per_cell = mult_weights_inference(&ms, 8.0, None, 50);
+        for (a, b) in per_cell.iter().zip(&want) {
+            assert!((a - b).abs() < 1e-12, "{per_cell:?} vs {want:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ektelo_matrix::{partition_from_labels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::kernel::noise::laplace;
+use crate::kernel::noise::fill_laplace;
 use crate::kernel::{substream_seed, ProtectedKernel, Result, SourceVar};
 
 /// Tuning constants for [`ahp_partition`] (defaults follow the AHP paper's
@@ -58,7 +58,11 @@ pub fn ahp_partition(
 /// of its arguments.
 fn cluster(x: &[f64], rng: &mut StdRng, eps: f64, opts: &AhpOptions) -> Matrix {
     let n = x.len();
-    let mut noisy: Vec<f64> = x.iter().map(|&v| v + laplace(rng, 1.0 / eps)).collect();
+    let mut noisy = vec![0.0; n];
+    fill_laplace(rng, 1.0 / eps, &mut noisy);
+    for (e, &v) in noisy.iter_mut().zip(x) {
+        *e += v;
+    }
     // Thresholding: suppress noise-dominated cells.
     let t = opts.eta * (n.max(2) as f64).ln() / eps;
     for v in noisy.iter_mut() {

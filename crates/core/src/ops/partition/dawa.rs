@@ -22,7 +22,7 @@ use ektelo_matrix::{partition_from_labels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::kernel::noise::laplace;
+use crate::kernel::noise::fill_laplace;
 use crate::kernel::{substream_seed, BudgetReservation, ProtectedKernel, Result, SourceVar};
 
 /// Options for [`dawa_partition`].
@@ -98,10 +98,11 @@ pub fn dawa_partition_batch(
 fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let eps2 = opts.eps_stage2.max(f64::MIN_POSITIVE);
-    let noisy: Vec<f64> = x
-        .iter()
-        .map(|&v| v + laplace(&mut rng, 1.0 / eps))
-        .collect();
+    let mut noisy = vec![0.0; x.len()];
+    fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
+    for (e, &v) in noisy.iter_mut().zip(x) {
+        *e += v;
+    }
     // Debias the deviation cost by the stage-1 noise variance so that
     // truly-uniform regions (whose *noisy* deviation is pure noise) cost ~0
     // and merge; DAWA's cost estimates are debiased the same way.

@@ -23,6 +23,14 @@
 //! A history of `t` intervals under a uniform key therefore refines over
 //! at most `2t + 1` segments, whatever their length, instead of touching
 //! a label per stored entry.
+//!
+//! The refinement is incremental, and this is its only form: a
+//! [`ColumnRefinement`] holds the cuts, the labels and the classified
+//! rows, and refining it by more rows adds their cuts (a segment they cut
+//! into splits into pieces of its class) and splits by those rows alone.
+//! [`Matrix::column_classes`] refines an empty state by every row; MWEM
+//! keeps one state across its rounds and refines it by each round's new
+//! rows.
 
 use crate::{CsrMatrix, Matrix, RangeQueries};
 
@@ -49,13 +57,14 @@ impl Matrix {
     /// Applies to a [`Matrix::Sparse`] or [`Matrix::Range`] leaf,
     /// optionally under [`Matrix::Scaled`], and to a [`Matrix::Union`] of
     /// such blocks — the shapes of MWEM's measurement history. Explicit
-    /// zero entries count as absent.
+    /// zero entries count as absent. This is a [`ColumnRefinement`] of no
+    /// rows refined by every row of `self`.
     ///
     /// One sequential pass reads every stored entry to classify the
     /// rows. With `t` interval rows, `q` non-zero entries in scattered
     /// rows and `s ≤ 2(t + q) + 1` segments (plus one per change of the
     /// key in [`Matrix::column_classes_by`]), the refinement then costs
-    /// `O((t + q) log(t + q) + t·s + n)` time, and `O(n + s + rows)`
+    /// `O((t + q) log(t + q) + t·s + n)` time, and `O(n + s + rows + q)`
     /// memory beyond the reduced matrix.
     ///
     /// Returns `None` for any other shape, for a sparse row whose column
@@ -86,66 +95,219 @@ impl Matrix {
     /// segment wherever the key's bit pattern changes; a key that is then
     /// constant on every class, as a uniform start is, adds no sort.
     pub fn column_classes_by(&self, key: &[f64]) -> Option<ColumnClasses> {
-        assert_eq!(key.len(), self.cols(), "column key length mismatch");
         self.classes_keyed(Some(key))
     }
 
     fn classes_keyed(&self, key: Option<&[f64]>) -> Option<ColumnClasses> {
+        let mut refinement = ColumnRefinement::new(self.cols(), key);
+        refinement.refine(self)?;
+        refinement.classes()
+    }
+}
+
+/// The column classes of a stack of rows that grows: the state of the
+/// partition refinement behind [`Matrix::column_classes`], kept so that
+/// more rows refine it further without reading the earlier ones again.
+///
+/// MWEM measures a few rows a round and runs multiplicative weights over
+/// the classes of everything measured so far. Keeping one refinement
+/// across the rounds and refining it by each round's new rows costs the
+/// new rows' entries plus the segments, where building the classes of
+/// the whole history afresh reads every stored entry of it every round.
+/// The classes after any sequence of [`ColumnRefinement::refine`] calls
+/// are those of the rows stacked in the same order, bit for bit: the
+/// partition does not depend on the order rows split it in, and the
+/// labels are numbered by first column.
+///
+/// ```
+/// use ektelo_matrix::{ColumnRefinement, Matrix};
+///
+/// let mut r = ColumnRefinement::new(6, None);
+/// r.refine(&Matrix::range_queries(6, vec![(0, 4)])).unwrap();
+/// r.refine(&Matrix::range_queries(6, vec![(2, 6)])).unwrap();
+/// let both = Matrix::range_queries(6, vec![(0, 4), (2, 6)]);
+/// assert_eq!(r.classes().unwrap().labels, both.column_classes().unwrap().labels);
+/// ```
+#[derive(Clone, Debug)]
+pub struct ColumnRefinement {
+    /// Segment `s` is the columns `cuts[s]..cuts[s + 1]`; the first cut is
+    /// 0 and the last is the column count.
+    cuts: Vec<usize>,
+    refiner: Refiner,
+    /// Every row refined so far, in order.
+    rows: Vec<Row>,
+    /// The non-zero entries of the scattered rows, as `(column, value)`.
+    entries: Vec<(u32, f64)>,
+}
+
+impl ColumnRefinement {
+    /// The classes of `n` columns and no rows: one class, split by the
+    /// bit pattern of `key` (one entry per column) when given.
+    pub fn new(n: usize, key: Option<&[f64]>) -> Self {
+        // The key cuts wherever its bit pattern changes, so it is constant
+        // on every segment, and every later segment lies inside one of
+        // these.
+        let mut cuts = vec![0];
+        if let Some(key) = key {
+            assert_eq!(key.len(), n, "column key length mismatch");
+            cuts.extend((1..n).filter(|&c| key[c].to_bits() != key[c - 1].to_bits()));
+        }
+        if n > 0 {
+            cuts.push(n);
+        }
+        let mut refiner = Refiner::new(cuts.len() - 1);
+        if let Some(key) = key {
+            refiner.split_by_key(|s| key[cuts[s]]);
+        }
+        ColumnRefinement {
+            cuts,
+            refiner,
+            rows: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Splits the classes by every row of `m`, appended after the rows
+    /// refined so far. `m` takes the shapes [`Matrix::column_classes`]
+    /// does; for any other shape, or a sparse row whose column indices
+    /// are not strictly increasing, returns `None` and leaves the state
+    /// as it was.
+    pub fn refine(&mut self, m: &Matrix) -> Option<()> {
+        assert_eq!(m.cols(), self.cols(), "refinement column count mismatch");
         let mut leaves = Vec::new();
-        collect_leaves(self, 1.0, &mut leaves)?;
-        let n = self.cols();
-        let mut rows = Vec::with_capacity(self.rows());
+        collect_leaves(m, 1.0, &mut leaves)?;
+        let (first, stored) = (self.rows.len(), self.entries.len());
         for leaf in &leaves {
-            leaf.classify(&mut rows)?;
+            if leaf.classify(&mut self.rows, &mut self.entries).is_none() {
+                self.rows.truncate(first);
+                self.entries.truncate(stored);
+                return None;
+            }
         }
 
-        // Segment `s` is the columns `cuts[s]..cuts[s + 1]`. The key cuts
-        // wherever its bit pattern changes, so it is constant on every
-        // segment too.
-        let mut cuts = vec![0, n];
-        for row in &rows {
+        // The new rows' cuts: interval ends and both sides of every
+        // scattered entry.
+        let mut fresh = Vec::new();
+        for row in &self.rows[first..] {
             match *row {
-                Row::Interval { lo, hi, .. } => cuts.extend([lo, hi]),
-                Row::Scattered(row) => cuts.extend(row.nonzeros().flat_map(|(c, _)| [c, c + 1])),
+                Row::Interval { lo, hi, .. } => fresh.extend([lo, hi]),
+                Row::Scattered { start, end } => fresh.extend(
+                    self.entries[start..end]
+                        .iter()
+                        .flat_map(|&(c, _)| [c as usize, c as usize + 1]),
+                ),
                 Row::Empty => {}
             }
         }
-        if let Some(key) = key {
-            cuts.extend((1..n).filter(|&c| key[c].to_bits() != key[c - 1].to_bits()));
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        let segment = |c: usize| cuts.partition_point(|&x| x < c);
+        self.cut(fresh);
 
-        let mut refiner = Refiner::new(cuts.len() - 1);
-        for row in &rows {
+        let ColumnRefinement {
+            cuts,
+            refiner,
+            rows,
+            entries,
+        } = self;
+        let segment = |c: usize| cuts.partition_point(|&x| x < c);
+        for row in &rows[first..] {
             match *row {
                 Row::Interval { lo, hi, .. } => refiner.split_uniform(segment(lo)..segment(hi)),
-                Row::Scattered(row) => {
+                Row::Scattered { start, end } => {
                     refiner.scratch.clear();
                     let labels = &refiner.labels;
-                    refiner.scratch.extend(row.nonzeros().map(|(c, v)| {
-                        let s = segment(c);
-                        (labels[s], v.to_bits(), s as u32)
-                    }));
+                    refiner
+                        .scratch
+                        .extend(entries[start..end].iter().map(|&(c, v)| {
+                            let s = segment(c as usize);
+                            (labels[s], v.to_bits(), s as u32)
+                        }));
                     refiner.split_sorted();
                 }
                 Row::Empty => {}
             }
         }
-        if let Some(key) = key {
-            refiner.split_by_key(|s| key[cuts[s]]);
-        }
-        if refiner.sizes.len() == n {
+        Some(())
+    }
+
+    /// The classes of every row refined so far, with those rows reduced to
+    /// one representative column per class, or `None` when every column
+    /// is its own class. Costs `O(s + n)` plus the reduced rows.
+    pub fn classes(&self) -> Option<ColumnClasses> {
+        let n = self.cols();
+        if self.refiner.sizes.len() == n {
             return None;
         }
-        let (labels, sizes, reps) = refiner.canonical(&cuts, n);
-        let matrix = Matrix::sparse(reduced_rows(&rows, &labels, &reps));
+        let (labels, sizes, reps) = self.refiner.canonical(&self.cuts, n);
+        let matrix = Matrix::sparse(self.reduced_rows(&labels, &reps));
         Some(ColumnClasses {
             labels,
             sizes,
             matrix,
         })
+    }
+
+    fn cols(&self) -> usize {
+        self.cuts[self.cuts.len() - 1]
+    }
+
+    /// Adds the cuts `fresh` (in any order, repeats allowed). A segment a
+    /// new cut falls inside splits into pieces that keep its class: no
+    /// earlier row and no key cut separates them.
+    fn cut(&mut self, mut fresh: Vec<usize>) {
+        fresh.sort_unstable();
+        fresh.dedup();
+        let mut fresh = fresh.into_iter().peekable();
+        let old = std::mem::take(&mut self.cuts);
+        let Refiner { labels, sizes, .. } = &mut self.refiner;
+        let old_labels = std::mem::take(labels);
+        let mut cuts = Vec::with_capacity(old.len() + fresh.len());
+        labels.reserve(old_labels.len() + fresh.len());
+        for (span, &l) in old.windows(2).zip(&old_labels) {
+            cuts.push(span[0]);
+            labels.push(l);
+            while fresh.next_if(|&c| c <= span[0]).is_some() {}
+            while let Some(c) = fresh.next_if(|&c| c < span[1]) {
+                cuts.push(c);
+                labels.push(l);
+                sizes[l as usize] += 1;
+            }
+        }
+        cuts.push(old[old.len() - 1]);
+        self.cuts = cuts;
+        self.refiner.grow(self.refiner.labels.len());
+    }
+
+    /// The rows over the classes with representative columns `reps`: an
+    /// interval holds its value on the run of classes whose
+    /// representatives fall inside it, and a scattered row keeps its
+    /// entries in representative columns. Both come out in ascending
+    /// class order, because classes are numbered by first column.
+    fn reduced_rows(&self, labels: &[u32], reps: &[u32]) -> CsrMatrix {
+        let mut indptr = Vec::with_capacity(self.rows.len() + 1);
+        let mut indices = Vec::new();
+        let mut data = Vec::new();
+        indptr.push(0);
+        for row in &self.rows {
+            match *row {
+                Row::Interval { lo, hi, value } => {
+                    let first = reps.partition_point(|&c| (c as usize) < lo);
+                    let end = reps.partition_point(|&c| (c as usize) < hi);
+                    indices.extend(first as u32..end as u32);
+                    data.resize(indices.len(), value);
+                }
+                Row::Scattered { start, end } => {
+                    for &(c, v) in &self.entries[start..end] {
+                        let k = labels[c as usize];
+                        if reps[k as usize] == c {
+                            indices.push(k);
+                            data.push(v);
+                        }
+                    }
+                }
+                Row::Empty => {}
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_parts(reps.len(), indptr, indices, data)
     }
 }
 
@@ -172,12 +334,13 @@ fn collect_leaves<'a>(m: &'a Matrix, scale: f64, out: &mut Vec<Leaf<'a>>) -> Opt
     Some(())
 }
 
-impl<'a> Leaf<'a> {
-    /// Appends the kind of each of the leaf's rows to `out`. `None` when
-    /// a sparse row's columns are not strictly increasing.
-    fn classify(&self, out: &mut Vec<Row<'a>>) -> Option<()> {
+impl Leaf<'_> {
+    /// Appends the kind of each of the leaf's rows to `rows`, and the
+    /// non-zero entries of its scattered rows to `entries`. `None` when a
+    /// sparse row's columns are not strictly increasing.
+    fn classify(&self, rows: &mut Vec<Row>, entries: &mut Vec<(u32, f64)>) -> Option<()> {
         match *self {
-            Leaf::Range(scale, q) => out.extend((0..q.num_queries()).map(|r| {
+            Leaf::Range(scale, q) => rows.extend((0..q.num_queries()).map(|r| {
                 if scale == 0.0 {
                     Row::Empty
                 } else {
@@ -192,12 +355,9 @@ impl<'a> Leaf<'a> {
             Leaf::Sparse(scale, s) => {
                 for r in 0..s.rows() {
                     let span = s.indptr()[r]..s.indptr()[r + 1];
-                    let row = SparseRow {
-                        scale,
-                        cols: &s.indices()[span.clone()],
-                        values: &s.values()[span],
-                    };
-                    out.push(row.classify()?);
+                    let cols = &s.indices()[span.clone()];
+                    let values = &s.values()[span];
+                    rows.push(classify_sparse_row(scale, cols, values, entries)?);
                 }
             }
         }
@@ -206,109 +366,73 @@ impl<'a> Leaf<'a> {
 }
 
 /// What refinement needs to know about one row.
-#[derive(Clone, Copy)]
-enum Row<'a> {
+#[derive(Clone, Copy, Debug)]
+enum Row {
     /// No non-zero entry.
     Empty,
     /// `value` on each column of `lo..hi`, zero elsewhere.
     Interval { lo: usize, hi: usize, value: f64 },
-    /// Any other row, refined and reduced entry by entry.
-    Scattered(SparseRow<'a>),
+    /// Any other row, refined and reduced entry by entry: its non-zero
+    /// entries are `entries[start..end]` of the refinement.
+    Scattered { start: usize, end: usize },
 }
 
-/// A stored sparse row under the product of the scales above it.
-#[derive(Clone, Copy)]
-struct SparseRow<'a> {
+/// The kind of the sparse row with stored entries `cols`/`values` under
+/// the product `scale` of the scales above it, or `None` when its columns
+/// do not ascend strictly.
+///
+/// One branch-free pass over the stored entries checks the column order
+/// and whether the entries hold one bit pattern on contiguous columns, as
+/// MWEM's rows of ones do; such a row is an interval, or empty when its
+/// value scales to zero. Every other row is scattered: its scaled
+/// non-zero entries are appended to `entries`. A scattered row whose
+/// non-zero entries happen to form an interval refines and reduces
+/// exactly as the interval would, over more segments.
+fn classify_sparse_row(
     scale: f64,
-    cols: &'a [u32],
-    values: &'a [f64],
-}
-
-impl<'a> SparseRow<'a> {
-    /// The scaled non-zero entries as `(column, value)`.
-    fn nonzeros(self) -> impl Iterator<Item = (usize, f64)> + 'a {
-        let scale = self.scale;
-        self.cols
-            .iter()
-            .zip(self.values)
-            .map(move |(&c, &v)| (c as usize, scale * v))
-            .filter(|&(_, v)| v != 0.0)
+    cols: &[u32],
+    values: &[f64],
+    entries: &mut Vec<(u32, f64)>,
+) -> Option<Row> {
+    let (Some(&lo), Some(&v0)) = (cols.first(), values.first()) else {
+        return Some(Row::Empty);
+    };
+    let bits = v0.to_bits();
+    let (mut ascending, mut interval) = (true, true);
+    for ((&a, &b), &v) in cols.iter().zip(&cols[1..]).zip(&values[1..]) {
+        ascending &= a < b;
+        interval &= (b == a.wrapping_add(1)) & (v.to_bits() == bits);
     }
-
-    /// The row's kind, or `None` when its columns do not ascend strictly.
-    ///
-    /// One branch-free pass over the stored entries checks the column
-    /// order and whether the entries hold one bit pattern on contiguous
-    /// columns, as MWEM's rows of ones do; such a row is an interval, or
-    /// empty when its value scales to zero. Every other row is scattered,
-    /// and its entries that scale to zero are dropped where it is read.
-    /// A scattered row whose non-zero entries happen to form an interval
-    /// refines and reduces exactly as the interval would, over more
-    /// segments.
-    fn classify(self) -> Option<Row<'a>> {
-        let (Some(&lo), Some(&v0)) = (self.cols.first(), self.values.first()) else {
-            return Some(Row::Empty);
-        };
-        let bits = v0.to_bits();
-        let (mut ascending, mut interval) = (true, true);
-        for ((&a, &b), &v) in self.cols.iter().zip(&self.cols[1..]).zip(&self.values[1..]) {
-            ascending &= a < b;
-            interval &= (b == a.wrapping_add(1)) & (v.to_bits() == bits);
-        }
-        if !ascending {
-            return None;
-        }
-        let value = self.scale * v0;
-        Some(if !interval {
-            Row::Scattered(self)
-        } else if value == 0.0 {
-            Row::Empty
-        } else {
-            Row::Interval {
-                lo: lo as usize,
-                hi: lo as usize + self.cols.len(),
-                value,
-            }
-        })
+    if !ascending {
+        return None;
     }
-}
-
-/// The rows over the classes with representative columns `reps`: an
-/// interval holds its value on the run of classes whose representatives
-/// fall inside it, and a scattered row keeps its entries in
-/// representative columns. Both come out in ascending class order,
-/// because classes are numbered by first column.
-fn reduced_rows(rows: &[Row], labels: &[u32], reps: &[u32]) -> CsrMatrix {
-    let mut indptr = Vec::with_capacity(rows.len() + 1);
-    let mut indices = Vec::new();
-    let mut data = Vec::new();
-    indptr.push(0);
-    for row in rows {
-        match *row {
-            Row::Interval { lo, hi, value } => {
-                let first = reps.partition_point(|&c| (c as usize) < lo);
-                let end = reps.partition_point(|&c| (c as usize) < hi);
-                indices.extend(first as u32..end as u32);
-                data.resize(indices.len(), value);
-            }
-            Row::Scattered(row) => {
-                for (c, v) in row.nonzeros() {
-                    let k = labels[c];
-                    if reps[k as usize] as usize == c {
-                        indices.push(k);
-                        data.push(v);
-                    }
-                }
-            }
-            Row::Empty => {}
+    let value = scale * v0;
+    Some(if !interval {
+        let start = entries.len();
+        entries.extend(
+            cols.iter()
+                .zip(values)
+                .map(|(&c, &v)| (c, scale * v))
+                .filter(|&(_, v)| v != 0.0),
+        );
+        Row::Scattered {
+            start,
+            end: entries.len(),
         }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_parts(reps.len(), indptr, indices, data)
+    } else if value == 0.0 {
+        Row::Empty
+    } else {
+        Row::Interval {
+            lo: lo as usize,
+            hi: lo as usize + cols.len(),
+            value,
+        }
+    })
 }
 
 /// Partition refinement state: a label per segment, a size per class in
 /// segments, and scratch for one row.
+#[derive(Clone, Debug)]
 struct Refiner {
     labels: Vec<u32>,
     sizes: Vec<usize>,
@@ -316,7 +440,8 @@ struct Refiner {
     /// row's segments, or the key's.
     scratch: Vec<(u32, u64, u32)>,
     /// Per class: segments the current row touches, then the class they
-    /// move to. Zero between rows.
+    /// move to. Zero between rows; as long as the segment count, which
+    /// bounds the class count.
     count: Vec<u32>,
     target: Vec<u32>,
     touched: Vec<u32>,
@@ -337,6 +462,12 @@ impl Refiner {
             target: vec![0; segments],
             touched: Vec::new(),
         }
+    }
+
+    /// Sizes the per-class scratch for `segments` segments.
+    fn grow(&mut self, segments: usize) {
+        self.count.resize(segments, 0);
+        self.target.resize(segments, 0);
     }
 
     /// Splits every class by whether `segments` (distinct segments
@@ -423,7 +554,7 @@ impl Refiner {
     /// columns, segment `s` standing for the columns `cuts[s]..cuts[s + 1]`.
     /// Returns the column labels, the class sizes in columns and each
     /// class's first column.
-    fn canonical(self, cuts: &[usize], n: usize) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    fn canonical(&self, cuts: &[usize], n: usize) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
         let mut renumber = vec![u32::MAX; self.sizes.len()];
         let mut sizes = Vec::with_capacity(self.sizes.len());
         let mut reps = Vec::with_capacity(self.sizes.len());

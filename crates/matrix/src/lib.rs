@@ -66,7 +66,7 @@ mod sparse;
 mod wavelet;
 mod workspace;
 
-pub use classes::ColumnClasses;
+pub use classes::{ColumnClasses, ColumnRefinement};
 pub use combine::partition_from_labels;
 pub use components::ColumnComponent;
 pub use dense::DenseMatrix;
@@ -332,13 +332,28 @@ impl Matrix {
         }
     }
 
-    /// Extracts row `i` as a dense vector via `Aᵀ eᵢ` (paper Table 1,
-    /// "Row indexing").
+    /// Extracts row `i` as a dense vector: `Aᵀ eᵢ` (paper Table 1, "Row
+    /// indexing"). `Range`, `Prefix`, `Suffix`, `Identity` and `Ones` rows
+    /// are written directly — ones on the row's columns, zeros elsewhere,
+    /// the bits `rmatvec(eᵢ)` gives — so MWEM's per-round row costs one
+    /// pass over the columns, not a product over every row.
     pub fn row(&self, i: usize) -> Vec<f64> {
         assert!(i < self.rows(), "row index {i} out of range");
-        let mut e = vec![0.0; self.rows()];
-        e[i] = 1.0;
-        self.rmatvec(&e)
+        let ones = match *self {
+            Matrix::Range(ref r) => r.range(i),
+            Matrix::Prefix { .. } => (0, i + 1),
+            Matrix::Suffix { n } => (i, n),
+            Matrix::Identity { .. } => (i, i + 1),
+            Matrix::Ones { .. } => (0, self.cols()),
+            _ => {
+                let mut e = vec![0.0; self.rows()];
+                e[i] = 1.0;
+                return self.rmatvec(&e);
+            }
+        };
+        let mut row = vec![0.0; self.cols()];
+        row[ones.0..ones.1].fill(1.0);
+        row
     }
 }
 
@@ -370,6 +385,29 @@ mod tests {
         assert_eq!(p.shape(), (1, 4));
         assert_eq!(a.transpose().shape(), (4, 4));
         assert_eq!(Matrix::prefix(5).transpose().shape(), (5, 5));
+    }
+
+    #[test]
+    fn closed_form_rows_are_the_bits_of_rmatvec() {
+        let ranges = vec![(0, 7), (3, 4), (6, 7), (2, 5), (0, 1), (3, 4)];
+        let kinds = [
+            Matrix::range_queries(7, ranges),
+            Matrix::prefix(7),
+            Matrix::suffix(7),
+            Matrix::identity(7),
+            Matrix::ones(3, 5),
+            Matrix::total(1),
+            Matrix::prefix(1),
+        ];
+        for m in &kinds {
+            for i in 0..m.rows() {
+                let mut e = vec![0.0; m.rows()];
+                e[i] = 1.0;
+                let want: Vec<u64> = m.rmatvec(&e).iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = m.row(i).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "row {i} of {m:?}");
+            }
+        }
     }
 
     #[test]

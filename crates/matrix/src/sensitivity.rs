@@ -9,16 +9,20 @@
 //! closed form.
 //!
 //! [`Matrix::l1_sensitivity`] needs only the largest column sum, and for
-//! `Identity`, `Ones`, `Prefix`, `Suffix`, `Scaled` and `Kronecker` it
-//! never builds the column-sum vector: those kinds carry the range
-//! `[min, max]` of their column sums and whether one is NaN. The core
-//! kinds know their range outright; every other kind folds its
-//! [`Matrix::abs_col_sums`]. A Kronecker column sum is the product
-//! `aᵢ·bⱼ` of two non-negative sums and a scaled one is `sᵢ·|c|`, and
-//! rounding is monotone — `x ≤ x'` and `y ≤ y'` give `fl(x·y) ≤ fl(x'·y')`
-//! for non-negative operands — so the largest product is the product of
-//! the factors' largest sums, and the smallest the product of the
-//! smallest, bit for bit the values the materialized vector holds.
+//! `Identity`, `Ones`, `Prefix`, `Suffix`, a one-row `Sparse` (MWEM's
+//! per-round strategy), `Scaled` and `Kronecker` it never builds the
+//! column-sum vector: those kinds carry the range `[min, max]` of their
+//! column sums and whether one is NaN. The core kinds know their range
+//! outright; a one-row `Sparse` over distinct columns has the sums `|v|`
+//! of its stored entries plus a 0 when it leaves a column empty, so one
+//! pass over its entries gives the range (a NaN entry still gives NaN);
+//! every other kind folds its [`Matrix::abs_col_sums`]. A Kronecker
+//! column sum is the product `aᵢ·bⱼ` of two non-negative sums and a
+//! scaled one is `sᵢ·|c|`, and rounding is monotone — `x ≤ x'` and
+//! `y ≤ y'` give `fl(x·y) ≤ fl(x'·y')` for non-negative operands — so the
+//! largest product is the product of the factors' largest sums, and the
+//! smallest the product of the smallest, bit for bit the values the
+//! materialized vector holds.
 //! Overflow to ∞ and underflow to 0 happen in the same products. A
 //! product is NaN exactly when an operand is NaN or it is `0·∞`, and a
 //! factor holds a 0 (an ∞) exactly when its minimum is 0 (its maximum is
@@ -202,7 +206,17 @@ impl Matrix {
             Matrix::Prefix { n } | Matrix::Suffix { n } => ColSumRange::span(n, 1.0, n as f64),
             Matrix::Scaled(c, ref a) => a.abs_col_sum_range().scaled(c.abs()),
             Matrix::Kronecker(ref a, ref b) => a.abs_col_sum_range().kron(b.abs_col_sum_range()),
-            _ => ColSumRange::of(&self.abs_col_sums()),
+            Matrix::Sparse(ref s) if s.rows() == 1 && strictly_ascending(s.indices()) => {
+                // One row over distinct columns: each stored entry's sum
+                // is `0 + |v|`, which is `|v|`, and every column the row
+                // stores nothing in sums to 0.
+                let gap = (s.nnz() < s.cols()).then_some(0.0);
+                ColSumRange::of(s.cols(), s.values().iter().map(|v| v.abs()).chain(gap))
+            }
+            _ => {
+                let sums = self.abs_col_sums();
+                ColSumRange::of(sums.len(), sums)
+            }
         }
     }
 
@@ -270,6 +284,12 @@ impl Matrix {
     }
 }
 
+/// Whether `cols` ascends strictly: a sparse row that stores no column
+/// twice.
+fn strictly_ascending(cols: &[u32]) -> bool {
+    cols.windows(2).all(|w| w[0] < w[1])
+}
+
 fn kron_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(a.len() * b.len());
     for &ai in a {
@@ -309,17 +329,18 @@ impl ColSumRange {
         ColSumRange::span(cols, v, v)
     }
 
-    /// The range of a materialized column-sum vector.
-    fn of(sums: &[f64]) -> ColSumRange {
+    /// The range of the column sums of `cols` columns, given each distinct
+    /// value among them at least once.
+    fn of(cols: usize, sums: impl IntoIterator<Item = f64>) -> ColSumRange {
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in sums {
+        for v in sums {
             if v.is_nan() {
                 return ColSumRange::Nan;
             }
             min = min.min(v);
             max = max.max(v);
         }
-        ColSumRange::span(sums.len(), min, max)
+        ColSumRange::span(cols, min, max)
     }
 
     /// The sums `sᵢ·k` for a scale `k = |c|`.
@@ -382,6 +403,7 @@ pub fn sens_cache_stats() -> SensCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsrMatrix;
 
     fn check_against_dense(m: &Matrix) {
         let d = m.to_dense();
@@ -447,6 +469,19 @@ mod tests {
         // Kron multiplies sensitivities.
         let k = Matrix::kron(Matrix::prefix(4), Matrix::wavelet(8));
         assert_eq!(k.l1_sensitivity(), 16.0);
+    }
+
+    #[test]
+    fn one_row_sparse_storing_a_column_twice_sums_it() {
+        // The closed form takes one row over distinct columns; a row that
+        // stores column 1 twice falls back to the scan, which adds both.
+        let dup = || [(0, 1, 1.0), (0, 1, -2.0)].into_iter();
+        let m = Matrix::sparse(CsrMatrix::bucket_rows(1, 4, dup));
+        assert_eq!(m.l1_sensitivity(), 3.0);
+        let one = Matrix::sparse(CsrMatrix::from_row(&[0.0, -2.0, 0.5, 0.0]));
+        assert_eq!(one.l1_sensitivity(), 2.0);
+        let full = Matrix::sparse(CsrMatrix::from_row(&[1.0, -2.0]));
+        assert_eq!(Matrix::scaled(0.5, full).l1_sensitivity(), 1.0);
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! column. The refinement must give the same labels and sizes, a reduced
 //! matrix equal to the dense columns at each class's first member, and
 //! `None` exactly when every column is its own class.
+//!
+//! A `ColumnRefinement` refined block by block must give, after every
+//! block, exactly what refining the stack of the blocks so far from
+//! scratch gives: the same labels and sizes and the same reduced CSR,
+//! bit for bit.
 
-use ektelo_matrix::{CsrMatrix, DenseMatrix, Matrix};
+use ektelo_matrix::{ColumnClasses, ColumnRefinement, CsrMatrix, DenseMatrix, Matrix};
 use proptest::prelude::*;
 
 /// SplitMix64: a small deterministic generator for the random unions.
@@ -185,8 +190,63 @@ fn check(a: &Matrix, key: Option<&[f64]>) -> Result<(), String> {
     Ok(())
 }
 
+/// The labels, sizes and reduced CSR arrays (values as bits) of classes.
+type ClassBits = (Vec<u32>, Vec<usize>, Vec<usize>, Vec<u32>, Vec<u64>);
+
+fn class_bits(c: Option<ColumnClasses>) -> Option<ClassBits> {
+    c.map(|c| {
+        let Matrix::Sparse(m) = &c.matrix else {
+            panic!("the reduced matrix is sparse");
+        };
+        let values = m.values().iter().map(|v| v.to_bits()).collect();
+        (
+            c.labels,
+            c.sizes,
+            m.indptr().to_vec(),
+            m.indices().to_vec(),
+            values,
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Blocks of interval and scattered rows (ranges, one-valued and
+    /// many-valued sparse rows, stored zeros, scales), sometimes a block
+    /// of a shape the refinement does not take, refined one at a time.
+    #[test]
+    fn incremental_refinement_matches_refinement_from_scratch(
+        seed in 0u64..1 << 40,
+        n in 1usize..48,
+        kind in 0u8..4,
+    ) {
+        let mut rng = Rng(seed);
+        let k = (kind < 3).then(|| key(&mut rng, kind, n));
+        let mut refinement = ColumnRefinement::new(n, k.as_deref());
+        let mut blocks = Vec::new();
+        for _ in 0..1 + rng.below(8) {
+            let prefix = rng.below(6) == 0;
+            let block = if prefix {
+                Matrix::prefix(n)
+            } else {
+                random_union(&mut rng, n)
+            };
+            // A refused block leaves the state as it was.
+            if refinement.refine(&block).is_none() {
+                prop_assert!(prefix, "refused a supported block");
+                continue;
+            }
+            prop_assert!(!prefix, "took a Prefix block");
+            blocks.push(block);
+            let stack = Matrix::vstack(blocks.clone());
+            let scratch = match &k {
+                Some(k) => stack.column_classes_by(k),
+                None => stack.column_classes(),
+            };
+            prop_assert_eq!(class_bits(refinement.classes()), class_bits(scratch));
+        }
+    }
 
     #[test]
     fn classes_match_the_dense_oracle(

@@ -16,8 +16,14 @@
 //! included, and is checked here on random nested products whose dense
 //! factors hold 0, NaN, ±∞ and values that overflow or underflow when
 //! multiplied.
+//!
+//! A one-row `Sparse` (MWEM's per-round strategy) is closed-form too: the
+//! largest `|v|` of its stored entries, with a 0 for any column it leaves
+//! empty. It must equal the scan over the same row as `Dense` bit for
+//! bit, with ±0, NaN and ±∞ entries, alone and under `Scaled` and
+//! `Kronecker`.
 
-use ektelo_matrix::{DenseMatrix, Matrix};
+use ektelo_matrix::{CsrMatrix, DenseMatrix, Matrix};
 use proptest::prelude::*;
 
 /// A small dense factor with entries in [-3, 3] (signed on purpose).
@@ -140,6 +146,49 @@ fn arb_nested_product() -> BoxedStrategy<Matrix> {
         .boxed()
 }
 
+/// A one-row `Sparse` over 1–6 columns that stores each column or not,
+/// with entries that may be +0 or −0 (stored explicitly), NaN, ±∞, tiny
+/// or ordinary; paired with the same row as `Dense`, whose sensitivity
+/// scans its materialized column sums.
+fn arb_one_row() -> BoxedStrategy<(Matrix, Matrix)> {
+    let cell = (0usize..4, 0usize..10, -3.0f64..3.0).prop_map(|(store, k, v)| {
+        let v = match k {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => 1e-300,
+            _ => v,
+        };
+        (store > 0, v)
+    });
+    (1usize..7, prop::collection::vec(cell, 6))
+        .prop_map(|(n, cells)| {
+            // `from_triplets` drops zeros, so ±0 go in as markers that
+            // `map` turns back into stored zeros.
+            let marker = |v: f64| match v {
+                0.0 if v.is_sign_positive() => 7.0,
+                0.0 => 8.0,
+                v => v,
+            };
+            let triplets: Vec<(usize, usize, f64)> = cells[..n]
+                .iter()
+                .enumerate()
+                .filter(|(_, &(store, _))| store)
+                .map(|(c, &(_, v))| (0, c, marker(v)))
+                .collect();
+            let row = CsrMatrix::from_triplets(1, n, &triplets).map(|v| match v {
+                7.0 => 0.0,
+                8.0 => -0.0,
+                v => v,
+            });
+            let dense = Matrix::dense(row.to_dense());
+            (Matrix::sparse(row), dense)
+        })
+        .boxed()
+}
+
 /// The sensitivity as the fold over the materialized column sums:
 /// the largest sum, or NaN if one is NaN.
 fn folded_l1(m: &Matrix) -> f64 {
@@ -192,6 +241,32 @@ proptest! {
     fn closed_form_l1_matches_materialized_fold(m in arb_nested_product()) {
         let (got, want) = (m.l1_sensitivity(), folded_l1(&m));
         prop_assert!(same_sensitivity(got, want), "{got:e} vs {want:e} for {m:?}");
+    }
+
+    /// A one-row sparse strategy, alone, scaled, and as a Kronecker
+    /// factor on either side: the closed form equals the scan over the
+    /// same row as `Dense`, bit for bit (NaN included), and the fold over
+    /// the materialized column sums.
+    #[test]
+    fn one_row_sparse_l1_matches_the_scan(
+        (sparse, dense) in arb_one_row(),
+        c in arb_special(),
+        f in arb_factor(),
+    ) {
+        let forms = |m: Matrix| {
+            vec![
+                m.clone(),
+                Matrix::Scaled(c, Box::new(m.clone())),
+                Matrix::kron(m.clone(), f.clone()),
+                Matrix::kron(f.clone(), m),
+            ]
+        };
+        for (s, d) in forms(sparse).into_iter().zip(forms(dense)) {
+            let (got, scan) = (s.l1_sensitivity(), d.l1_sensitivity());
+            prop_assert!(got.to_bits() == scan.to_bits(), "{got:e} vs {scan:e} for {s:?}");
+            let want = folded_l1(&s);
+            prop_assert!(same_sensitivity(got, want), "{got:e} vs {want:e} for {s:?}");
+        }
     }
 
     /// Products of signed dense factors hit the materializing fallback;

@@ -87,3 +87,50 @@ fn repeated_runs_are_bit_identical() {
     let b = run_plan_family();
     assert!(a == b, "seeded plans must be deterministic run-to-run");
 }
+
+/// FNV-1a over the little-endian bytes of every value, the digest the
+/// end-to-end benchmark reports as `x_hat_digest`.
+fn digest(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Plain MWEM and variant b on the `mwem` benchmark shape (4096
+/// income-like cells, 500 random ranges, 20 rounds of 30 passes, ε 0.1)
+/// at one kernel seed. The digests were recorded before the per-round
+/// work moved to closed-form rows, one-row sensitivity and column
+/// classes kept across rounds; any of those changing a bit of `x̂`
+/// fails here.
+#[test]
+fn mwem_estimates_match_their_recorded_digests() {
+    use ektelo_data::generators::{shape_1d, Shape1D};
+    use ektelo_data::workloads::random_range;
+
+    let n = 4096;
+    let x = shape_1d(Shape1D::IncomeLike, n, 100_000.0, 1);
+    let w = random_range(n, 500, 1);
+    let opts = MwemOptions {
+        rounds: 20,
+        total: x.iter().sum(),
+        mw_iterations: 30,
+    };
+    let (k, root) = kernel_for_histogram(&x, 0.1, 7);
+    let plain = plan_mwem(&k, root, &w, 0.1, &opts).unwrap().x_hat;
+    let (k, root) = kernel_for_histogram(&x, 0.1, 7);
+    let b = plan_mwem_variant_b(&k, root, &w, 0.1, &opts).unwrap().x_hat;
+    assert_eq!(
+        [digest(&plain), digest(&b)],
+        [PLAIN_DIGEST, VARIANT_B_DIGEST],
+        "MWEM estimates changed"
+    );
+}
+
+/// `x_hat` digests of [`mwem_estimates_match_their_recorded_digests`].
+const PLAIN_DIGEST: u64 = 0xd3fb0b88fe8b0d04;
+const VARIANT_B_DIGEST: u64 = 0x57b546d832c94b1e;

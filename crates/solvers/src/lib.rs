@@ -40,7 +40,7 @@ pub mod util;
 
 pub use cholesky::{cholesky_factor, cholesky_solve, direct_least_squares};
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult};
-pub use mw::{mult_weights, MwOptions};
+pub use mw::{mult_weights, mult_weights_with_classes, MwOptions};
 pub use nnls::{nnls, NnlsOptions};
 pub use power::spectral_norm_estimate;
 pub use tree::tree_least_squares;

@@ -22,6 +22,9 @@
 //! u_{label(i)}` at the end. A pass then costs `O(nnz(M_red) + classes)`
 //! instead of `O(nnz(M) + n)` with one `exp` per cell; MWEM's `T` one-row
 //! range measurements split a domain into at most `2T + 1` classes.
+//! [`mult_weights_with_classes`] takes the classes from the caller
+//! instead: MWEM's loop keeps an [`ektelo_matrix::ColumnRefinement`] of
+//! its history and refines it by each round's new rows only.
 //!
 //! The reduction applies to a `Sparse` or `Range` leaf, optionally under
 //! `Scaled`, and to a `Union` of such blocks (MWEM's one-row strategies
@@ -32,7 +35,7 @@
 //! rounding of reordered sums; `tests/mw_classes.rs` gates them at 1e-12
 //! relative.
 
-use ektelo_matrix::{kernels, Matrix, Workspace};
+use ektelo_matrix::{kernels, ColumnClasses, Matrix, Workspace};
 
 use crate::util::normalize_class_mass;
 
@@ -63,22 +66,78 @@ impl Default for MwOptions {
 /// when every column is its own class, or `M` has another shape, they
 /// run over every cell.
 pub fn mult_weights(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<f64> {
+    let x = mw_start(m, y, x0, opts);
+    let classes = m.column_classes_by(&x);
+    mw_run(m, classes.as_ref(), y, x, opts)
+}
+
+/// [`mult_weights`] over column classes the caller already holds, without
+/// refining `m` again: MWEM keeps a [`ColumnRefinement`] of its history
+/// across rounds and refines it by each round's new rows only.
+///
+/// `classes` must be the classes of `m`'s columns split by a key the
+/// normalized start is constant on — for a uniform `x0`, what
+/// [`ColumnRefinement::classes`] gives after refining by `m`'s rows —
+/// and then the result is [`mult_weights`]'s, bit for bit. `None` runs
+/// the passes over every cell.
+///
+/// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
+/// [`ColumnRefinement::classes`]: ektelo_matrix::ColumnRefinement::classes
+pub fn mult_weights_with_classes(
+    m: &Matrix,
+    classes: Option<&ColumnClasses>,
+    y: &[f64],
+    x0: &[f64],
+    opts: &MwOptions,
+) -> Vec<f64> {
+    let x = mw_start(m, y, x0, opts);
+    mw_run(m, classes, y, x, opts)
+}
+
+/// `x0` normalized to mass `opts.total`, after checking the shapes.
+fn mw_start(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<f64> {
     let (rows, n) = m.shape();
     assert_eq!(y.len(), rows, "mw: measurement count mismatch");
     assert_eq!(x0.len(), n, "mw: estimate length mismatch");
     assert!(opts.total > 0.0, "mw: total must be positive");
-
     let mut x = x0.to_vec();
     normalize_class_mass(&mut x, None, opts.total, n);
-    let Some(classes) = m.column_classes_by(&x) else {
+    x
+}
+
+/// The passes from the normalized start `x`: over `classes` when given,
+/// else over every cell of `m`.
+fn mw_run(
+    m: &Matrix,
+    classes: Option<&ColumnClasses>,
+    y: &[f64],
+    mut x: Vec<f64>,
+    opts: &MwOptions,
+) -> Vec<f64> {
+    let n = x.len();
+    let Some(classes) = classes else {
         mw_passes(m, None, n, y, &mut x, opts);
         return x;
     };
+    assert_eq!(classes.labels.len(), n, "mw: class labels length mismatch");
+    assert_eq!(
+        classes.matrix.rows(),
+        y.len(),
+        "mw: class matrix row count mismatch"
+    );
     let sizes: Vec<f64> = classes.sizes.iter().map(|&s| s as f64).collect();
     let mut u = vec![0.0; sizes.len()];
     for (&l, &xi) in classes.labels.iter().zip(&x) {
         u[l as usize] = xi;
     }
+    debug_assert!(
+        classes
+            .labels
+            .iter()
+            .zip(&x)
+            .all(|(&l, xi)| u[l as usize].to_bits() == xi.to_bits()),
+        "mw: the start must be constant on every class"
+    );
     mw_passes(&classes.matrix, Some(&sizes), n, y, &mut u, opts);
     for (xi, &l) in x.iter_mut().zip(&classes.labels) {
         *xi = u[l as usize];

@@ -8,6 +8,7 @@ use ektelo_core::ops::inference::{least_squares, LsSolver};
 use ektelo_core::ops::selection::{h2, hb, stripe_select};
 use ektelo_data::generators::{shape_1d, Shape1D};
 use ektelo_matrix::{Matrix, Repr};
+use ektelo_plans::striped::plan_dawa_striped;
 use ektelo_plans::util::kernel_for_histogram;
 use std::hint::black_box;
 
@@ -59,5 +60,37 @@ fn bench_striped_kron(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_h2_representations, bench_striped_kron);
+/// A whole DAWA-Striped request (fresh kernel, stage-1 partitions,
+/// per-stripe Greedy-H, measurement, least squares) on the end-to-end
+/// benchmark's two shapes, keyed by cell count: the sessions' `[32, 3, 2]`
+/// (6 stripes) and `striped_dawa`'s `[64, 5, 7, 4, 2]` (280 stripes).
+/// Its cost is per-stripe bookkeeping, so it tracks the allocation gate of
+/// `crates/plans/tests/alloc_dawa_striped.rs` in time.
+fn bench_dawa_striped(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig4_dawa_striped");
+    group.sample_size(10);
+    let shapes: [(&[usize], (usize, usize), f64); 2] = [
+        (&[32, 3, 2], (0, 16), 0.8),
+        (&[64, 5, 7, 4, 2], (0, 32), 0.1),
+    ];
+    for (sizes, range, eps) in shapes {
+        let n: usize = sizes.iter().product();
+        let x = shape_1d(Shape1D::IncomeLike, n, 10_000.0, 3);
+        group.bench_with_input(BenchmarkId::new("fig4_dawa_striped", n), &x, |b, x| {
+            b.iter(|| {
+                let (k, root) = kernel_for_histogram(x, eps, 5);
+                let out = plan_dawa_striped(&k, root, sizes, 0, &[range], eps, 0.25);
+                black_box(out.expect("DAWA-Striped runs within its budget").x_hat)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_h2_representations,
+    bench_striped_kron,
+    bench_dawa_striped
+);
 criterion_main!(benches);

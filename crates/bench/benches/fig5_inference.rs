@@ -12,6 +12,7 @@ use ektelo_data::generators::{shape_1d, Shape1D};
 use ektelo_matrix::{partition_from_labels, ColumnRefinement, CsrMatrix, Matrix, Repr, Workspace};
 use ektelo_solvers::{lsqr, mult_weights, LsqrOptions, MwOptions};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn h2_measurement(n: usize, repr: Repr) -> MeasuredQuery {
     let x = shape_1d(Shape1D::Gaussian, n, 1e6, 3);
@@ -268,7 +269,7 @@ fn bench_solver_iteration_products(c: &mut Criterion) {
             ),
             _ => ektelo_matrix::Matrix::suffix(n),
         };
-        lineage = ektelo_matrix::Matrix::Product(Box::new(next), Box::new(lineage));
+        lineage = ektelo_matrix::Matrix::Product(Arc::new(next), Arc::new(lineage));
     }
     let system = ektelo_matrix::Matrix::product(h2(n), lineage);
     let mut lws = Workspace::for_matrix(&system);

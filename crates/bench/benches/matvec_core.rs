@@ -10,6 +10,7 @@ use ektelo_core::ops::partition::stripe_partition;
 use ektelo_core::ops::selection::{hb, stripe_select};
 use ektelo_matrix::{Matrix, Repr, Workspace};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_core_matrices(c: &mut Criterion) {
     let mut group = c.benchmark_group("matvec_core");
@@ -154,7 +155,7 @@ fn seed_engine_matvec_into(m: &Matrix, x: &[f64], out: &mut [f64]) {
     match m {
         Matrix::Union(blocks) => {
             let mut offset = 0;
-            for b in blocks {
+            for b in blocks.iter() {
                 let rows = b.rows();
                 seed_engine_matvec_into(b, x, &mut out[offset..offset + rows]);
                 offset += rows;
@@ -248,7 +249,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
             1 => Matrix::diagonal((0..n).map(|i| 1.0 - (i % 5) as f64 * 0.1).collect()),
             _ => Matrix::suffix(n),
         };
-        lineage = Matrix::Product(Box::new(next), Box::new(lineage));
+        lineage = Matrix::Product(Arc::new(next), Arc::new(lineage));
     }
 
     // Shape 3 — "deep_chain": few large combinator nodes over hierarchical

@@ -66,6 +66,10 @@ fn main() {
         ("Prefix(Income)", census_prefix_income(&sizes)),
     ];
 
+    // Prefix(Income) along each stripe: the ranges that steer every
+    // stripe's Greedy-H in DAWA-Striped.
+    let income_prefixes: Vec<(usize, usize)> = (1..=sizes[0]).map(|i| (0, i)).collect();
+
     // Each algorithm runs once per seed; errors are averaged.
     let trials = if full { 3 } else { 2 };
     let algos: Vec<&str> = vec![
@@ -102,7 +106,7 @@ fn main() {
                 }
                 "Dawa-Striped" => {
                     let x = k.vectorize(k.root()).unwrap();
-                    plan_dawa_striped(&k, x, &sizes, 0, &[], eps, 0.25)
+                    plan_dawa_striped(&k, x, &sizes, 0, &income_prefixes, eps, 0.25)
                         .unwrap()
                         .x_hat
                 }

@@ -21,7 +21,7 @@
 
 use crate::kernel::{EktError, Result};
 
-use super::{MeasureOp, NodeKind, PartitionOp, PlanSpec, TransformOp};
+use super::{MeasureOp, NodeKind, PartitionOp, PlanSpec, SelectOp, TransformOp};
 
 /// The outcome of [`PlanSpec::pre_account`]: the worst-case root ε.
 #[derive(Clone, Debug)]
@@ -155,6 +155,21 @@ fn stripe_groups(sizes: &[usize], attr: usize) -> Result<usize> {
     }
 }
 
+/// The length of the stripes a `DawaEach` partition list was selected on,
+/// when its inputs are a stripe split's children.
+fn stripe_len(spec: &PlanSpec, partitions: usize) -> Option<usize> {
+    let NodeKind::Partition(PartitionOp::DawaEach { inputs, .. }) = &spec.nodes[partitions] else {
+        return None;
+    };
+    let NodeKind::Transform(TransformOp::Split { partition, .. }) = &spec.nodes[inputs.id] else {
+        return None;
+    };
+    match &spec.nodes[partition.id] {
+        NodeKind::Partition(PartitionOp::Stripe { sizes, attr }) => sizes.get(*attr).copied(),
+        _ => None,
+    }
+}
+
 /// Rejects specs whose node references do not point at strictly earlier
 /// nodes of *this* spec (a `Ref` is a bare index — one taken from a
 /// different builder, or a corrupted output index, must surface as a
@@ -234,6 +249,25 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 // malformed node surfaces as a typed error instead of an
                 // execution-time panic in `stripe_partition`.
                 stripe_groups(sizes, *attr)?;
+                ShadowVal::None
+            }
+            NodeKind::Select(SelectOp::GreedyHEach {
+                partitions, ranges, ..
+            }) => {
+                // Each range is mapped onto the buckets of its stripe's
+                // partition, which needs it non-empty and inside the
+                // stripe; the stripe length is known when the partitions
+                // were selected on a stripe split.
+                let len = stripe_len(spec, partitions.id);
+                let outside =
+                    |&&(lo, hi): &&(usize, usize)| lo >= hi || len.is_some_and(|n| hi > n);
+                if let Some((lo, hi)) = ranges.iter().find(outside) {
+                    return Err(EktError::InvalidPlan(format!(
+                        "select node #{id} has the range [{lo}, {hi}), which is empty or \
+                         outside its {} stripe",
+                        len.map_or_else(|| "unsized".to_string(), |n| format!("{n}-cell"))
+                    )));
+                }
                 ShadowVal::None
             }
             NodeKind::Select(_) => ShadowVal::None,

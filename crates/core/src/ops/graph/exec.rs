@@ -466,13 +466,14 @@ impl<'k> Run<'_, 'k> {
                     Value::Partitions(p) => p,
                     other => return Err(type_err(partitions.id, "partition list", other)),
                 };
-                let mut strategy_inputs = Vec::with_capacity(svs.len());
+                // Pure public compute, one Greedy-H per stripe.
+                let mut strategies = Vec::with_capacity(svs.len());
                 for (&sv, p) in svs.iter().zip(ps) {
                     let groups = self.kernel.vector_len(sv)?;
                     let bounds = interval_partition_bounds(p);
-                    strategy_inputs.push((groups, map_ranges_to_buckets(ranges, &bounds)));
+                    strategies.push(greedy_h(groups, &map_ranges_to_buckets(ranges, &bounds)));
                 }
-                Value::Strategies(build_greedy_strategies(&strategy_inputs))
+                Value::Strategies(strategies)
             }
             SelectOp::Fixed { matrix, .. } => Value::Strategy(matrix.clone()),
         })
@@ -512,12 +513,23 @@ impl<'k> Run<'_, 'k> {
                 op.eps_select,
                 self.res(),
             )?;
-            let row = op.workload.row(idx);
-            let selected = mwem_row_strategy(n, &row);
-            let strategy = if op.augment {
-                mwem_augment_with_level(&selected, &row, n, round)
-            } else {
-                selected
+            // A `Range` workload's row is one interval, built as CSR
+            // directly; augmentation, and every other workload, reads the
+            // dense row.
+            let strategy = match &op.workload {
+                Matrix::Range(r) if !op.augment => {
+                    let (lo, hi) = r.range(idx);
+                    Matrix::sparse(CsrMatrix::interval_row(r.domain(), lo, hi))
+                }
+                workload => {
+                    let row = workload.row(idx);
+                    let selected = mwem_row_strategy(n, &row);
+                    if op.augment {
+                        mwem_augment_with_level(&selected, &row, n, round)
+                    } else {
+                        selected
+                    }
+                }
             };
             // LM: the strategy has sensitivity 1 by construction
             // (disjoint augmentation), so measuring costs eps_measure.
@@ -602,20 +614,14 @@ pub fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: 
     }
 }
 
-/// Builds one Greedy-H strategy per stripe from `(groups, ranges)`
-/// inputs (DAWA-Striped's per-stripe selection — pure public compute).
-fn build_greedy_strategies(inputs: &[(usize, Vec<(usize, usize)>)]) -> Vec<Matrix> {
-    inputs
-        .iter()
-        .map(|(groups, ranges)| greedy_h(*groups, ranges))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::ops::graph::PlanBuilder;
     use crate::ops::inference::LsSolver;
+    use crate::ops::partition::DawaOptions;
 
     fn identity_spec(eps: f64) -> PlanSpec {
         let mut b = PlanBuilder::new();
@@ -665,8 +671,8 @@ mod tests {
         // the engine when pre-accounting first evaluates it (the
         // workload's row norms), before anything is reserved.
         let workload = Matrix::Product(
-            Box::new(Matrix::from_rows(vec![vec![1.0; 5]; 3])),
-            Box::new(Matrix::ones(4, 16)),
+            Arc::new(Matrix::from_rows(vec![vec![1.0; 5]; 3])),
+            Arc::new(Matrix::ones(4, 16)),
         );
         let mut b = PlanBuilder::new();
         let x = b.input();
@@ -787,6 +793,46 @@ mod tests {
                 Matrix::sparse(CsrMatrix::from_triplets(1, 16, &[(0, 2, 0.0)])),
             ])
         }
+    }
+
+    #[test]
+    fn malformed_stripe_ranges_are_rejected_before_any_charge() {
+        // DAWA-Striped on [32, 3, 2] at ε 0.8: stage 1 charges 0.2 before
+        // the ranges are mapped onto each stripe's buckets. An empty
+        // range used to panic there (a wrapped `hi - 1` in release), and
+        // inverted or out-of-stripe ones ran.
+        let spec = |ranges: &[(usize, usize)]| {
+            let mut b = PlanBuilder::new();
+            let x = b.input();
+            let p = b.partition_stripes(&[32, 3, 2], 0);
+            let stripes = b.transform_split(x, p);
+            let parts = b.partition_dawa_each(stripes, 0.2, DawaOptions::new(0.6));
+            let reduced = b.transform_reduce_each(stripes, parts);
+            let strats = b.select_greedy_h_each(reduced, parts, ranges);
+            b.measure_laplace_batch_each(reduced, strats, 0.6);
+            let e = b.infer_least_squares(LsSolver::Iterative);
+            b.finish(e)
+        };
+        let x: Vec<f64> = (0..192).map(|i| (i % 7) as f64).collect();
+        for ranges in [[(0, 0)], [(7, 3)], [(40, 50)]] {
+            let k = ProtectedKernel::init_from_vector(x.clone(), 1.0, 3);
+            let err = PlanExecutor::new(&k)
+                .run(&spec(&ranges), k.root())
+                .unwrap_err();
+            assert!(
+                matches!(err, EktError::InvalidPlan(_)),
+                "{ranges:?}: {err:?}"
+            );
+            assert_eq!(k.budget_spent(), 0.0, "{ranges:?} was charged");
+            assert_eq!(k.budget_reserved(), 0.0);
+            assert_eq!(k.measurement_count(), 0);
+        }
+        // Ranges that end at the stripe's end are fine.
+        let k = ProtectedKernel::init_from_vector(x, 1.0, 3);
+        let report = PlanExecutor::new(&k)
+            .run(&spec(&[(0, 32), (31, 32)]), k.root())
+            .unwrap();
+        assert_eq!(report.eps_charged, report.eps_pre_accounted);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub fn stack_measurements(measurements: &[MeasuredQuery]) -> (Matrix, Vec<f64>) 
     assert!(!measurements.is_empty(), "inference with no measurements");
     let base_cols = measurements[0].query.cols();
     let mut blocks = Vec::with_capacity(measurements.len());
-    let mut rhs = Vec::new();
+    let mut rhs = Vec::with_capacity(measurements.iter().map(|m| m.answers.len()).sum());
     for m in measurements {
         assert_eq!(
             m.query.cols(),

@@ -85,21 +85,32 @@ pub fn dawa_partition_batch(
     }
     let reqs: Vec<(SourceVar, f64)> = svs.iter().map(|&s| (s, eps)).collect();
     let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, res)?;
-    // Stripe `i` from substream `i`.
+    // Stripe `i` from substream `i`; the buffers serve every stripe.
+    let mut scratch = Segmentation::default();
     Ok(snaps
         .iter()
         .enumerate()
-        .map(|(i, x)| partition_one_stripe(x, substream_seed(base, i as u64), eps, opts))
+        .map(|(i, x)| {
+            partition_one_stripe(x, substream_seed(base, i as u64), eps, opts, &mut scratch)
+        })
         .collect())
 }
 
 /// Stage-1 selection for one stripe from its snapshot and substream seed —
-/// a pure function of its arguments.
-fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> Matrix {
+/// a pure function of its arguments (`scratch` only lends buffers).
+fn partition_one_stripe(
+    x: &[f64],
+    seed: u64,
+    eps: f64,
+    opts: &DawaOptions,
+    scratch: &mut Segmentation,
+) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let eps2 = opts.eps_stage2.max(f64::MIN_POSITIVE);
-    let mut noisy = vec![0.0; x.len()];
-    fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
+    let noisy = &mut scratch.noisy;
+    noisy.clear();
+    noisy.resize(x.len(), 0.0);
+    fill_laplace(&mut rng, 1.0 / eps, noisy);
     for (e, &v) in noisy.iter_mut().zip(x) {
         *e += v;
     }
@@ -107,76 +118,210 @@ fn partition_one_stripe(x: &[f64], seed: u64, eps: f64, opts: &DawaOptions) -> M
     // truly-uniform regions (whose *noisy* deviation is pure noise) cost ~0
     // and merge; DAWA's cost estimates are debiased the same way.
     let noise_var = if opts.debias { 2.0 / (eps * eps) } else { 0.0 };
-    let labels = segment(&noisy, 2.0 / (eps2 * eps2), noise_var);
-    let groups = labels.iter().max().map_or(1, |&m| m + 1);
-    partition_from_labels(groups, &labels)
+    let groups = scratch.segment(2.0 / (eps2 * eps2), noise_var);
+    partition_from_labels(groups, &scratch.labels)
 }
 
-/// Optimal segmentation into power-of-two-length buckets by DP.
-/// `penalty` is the per-bucket cost and `noise_var` the per-cell variance
-/// already present in `x` (subtracted from the deviation estimate, clamped
-/// at zero). Exposed for direct testing.
-pub(crate) fn segment(x: &[f64], penalty: f64, noise_var: f64) -> Vec<usize> {
-    let n = x.len();
-    assert!(n > 0, "cannot segment an empty vector");
-    // Prefix sums of x and x² for O(1) bucket deviation costs.
-    let mut s1 = vec![0.0; n + 1];
-    let mut s2 = vec![0.0; n + 1];
-    for (i, &v) in x.iter().enumerate() {
-        s1[i + 1] = s1[i] + v;
-        s2[i + 1] = s2[i] + v * v;
-    }
-    let cost = |lo: usize, hi: usize| -> f64 {
-        let len = (hi - lo) as f64;
-        let sum = s1[hi] - s1[lo];
-        let sq = s2[hi] - s2[lo];
-        // Σ(x−mean)² = Σx² − (Σx)²/len, debiased by the (len−1)·σ² the
-        // input noise contributes in expectation.
-        let dev = sq - sum * sum / len - (len - 1.0) * noise_var;
-        dev.max(0.0) + penalty
-    };
-    let mut best = vec![f64::INFINITY; n + 1];
-    let mut back = vec![0usize; n + 1];
-    best[0] = 0.0;
-    for end in 1..=n {
-        let mut len = 1usize;
-        while len <= end {
-            let start = end - len;
-            let c = best[start] + cost(start, end);
-            if c < best[end] {
-                best[end] = c;
-                back[end] = start;
-            }
-            if len > end / 2 && len < end {
-                // Next doubling would overshoot; also allow the full
-                // prefix as a bucket (non-power length) for completeness
-                // near the boundary.
-                len = end;
-            } else {
-                len *= 2;
-            }
+/// The buffers of DAWA's segmentation DP, reused from stripe to stripe.
+#[derive(Default)]
+struct Segmentation {
+    /// The noisy histogram being segmented.
+    noisy: Vec<f64>,
+    /// Prefix sums of `x` and `x²`, interleaved: entry `i` holds the sums
+    /// over `x[..i]`.
+    prefix: Vec<(f64, f64)>,
+    /// Per prefix end: the cheapest cost of segmenting `x[..end]`, and
+    /// where its last bucket starts.
+    best: Vec<(f64, usize)>,
+    /// Each cell's bucket, the result.
+    labels: Vec<usize>,
+}
+
+impl Segmentation {
+    /// Optimal segmentation of `self.noisy` into power-of-two-length
+    /// buckets by DP, into `self.labels`; returns the bucket count.
+    /// `penalty` is the per-bucket cost and `noise_var` the per-cell
+    /// variance already present in the input (subtracted from the
+    /// deviation estimate, clamped at zero).
+    fn segment(&mut self, penalty: f64, noise_var: f64) -> usize {
+        let x = &self.noisy;
+        let n = x.len();
+        assert!(n > 0, "cannot segment an empty vector");
+        // Prefix sums of x and x² for O(1) bucket deviation costs.
+        let prefix = &mut self.prefix;
+        prefix.clear();
+        prefix.push((0.0, 0.0));
+        let (mut s1, mut s2) = (0.0, 0.0);
+        for &v in x {
+            s1 += v;
+            s2 += v * v;
+            prefix.push((s1, s2));
         }
-    }
-    // Walk back to produce labels.
-    let mut cuts = Vec::new();
-    let mut pos = n;
-    while pos > 0 {
-        cuts.push((back[pos], pos));
-        pos = back[pos];
-    }
-    cuts.reverse();
-    let mut labels = vec![0usize; n];
-    for (g, &(lo, hi)) in cuts.iter().enumerate() {
-        for l in labels.iter_mut().take(hi).skip(lo) {
-            *l = g;
+        let best = &mut self.best;
+        best.clear();
+        best.push((0.0, 0));
+        for end in 1..=n {
+            let (e1, e2) = prefix[end];
+            let (mut cheapest, mut from) = (f64::INFINITY, 0);
+            let mut len = 1usize;
+            while len <= end {
+                let start = end - len;
+                let (b1, b2) = prefix[start];
+                let len_f = len as f64;
+                let sum = e1 - b1;
+                let sq = e2 - b2;
+                // Σ(x−mean)² = Σx² − (Σx)²/len, debiased by the
+                // (len−1)·σ² the input noise contributes in expectation.
+                let dev = sq - sum * sum / len_f - (len_f - 1.0) * noise_var;
+                let c = best[start].0 + (dev.max(0.0) + penalty);
+                // A select, not a branch: the comparison is data-dependent
+                // and mispredicts often.
+                let better = c < cheapest;
+                cheapest = if better { c } else { cheapest };
+                from = if better { start } else { from };
+                if len > end / 2 && len < end {
+                    // Next doubling would overshoot; also allow the full
+                    // prefix as a bucket (non-power length) for
+                    // completeness near the boundary.
+                    len = end;
+                } else {
+                    len *= 2;
+                }
+            }
+            best.push((cheapest, from));
         }
+        // Walk the cuts back from `n` twice: once to count the buckets,
+        // once to label each one's cells.
+        let mut buckets = 0;
+        let mut pos = n;
+        while pos > 0 {
+            buckets += 1;
+            pos = best[pos].1;
+        }
+        let labels = &mut self.labels;
+        labels.clear();
+        labels.resize(n, 0);
+        let (mut pos, mut g) = (n, buckets);
+        while pos > 0 {
+            g -= 1;
+            let start = best[pos].1;
+            labels[start..pos].fill(g);
+            pos = start;
+        }
+        buckets
     }
-    labels
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The segmentation of `x` with fresh buffers, checking that the
+    /// returned bucket count is the last label's successor.
+    fn segment(x: &[f64], penalty: f64, noise_var: f64) -> Vec<usize> {
+        let mut s = Segmentation {
+            noisy: x.to_vec(),
+            ..Segmentation::default()
+        };
+        let buckets = s.segment(penalty, noise_var);
+        assert_eq!(s.labels.last().map(|&l| l + 1), Some(buckets));
+        s.labels
+    }
+
+    /// The DP as first written, kept as the oracle: fresh vectors, a cost
+    /// closure, a branch on every improvement and a list of cuts per call.
+    fn segment_oracle(x: &[f64], penalty: f64, noise_var: f64) -> Vec<usize> {
+        let n = x.len();
+        let mut s1 = vec![0.0; n + 1];
+        let mut s2 = vec![0.0; n + 1];
+        for (i, &v) in x.iter().enumerate() {
+            s1[i + 1] = s1[i] + v;
+            s2[i + 1] = s2[i] + v * v;
+        }
+        let cost = |lo: usize, hi: usize| -> f64 {
+            let len = (hi - lo) as f64;
+            let sum = s1[hi] - s1[lo];
+            let sq = s2[hi] - s2[lo];
+            let dev = sq - sum * sum / len - (len - 1.0) * noise_var;
+            dev.max(0.0) + penalty
+        };
+        let mut best = vec![f64::INFINITY; n + 1];
+        let mut back = vec![0usize; n + 1];
+        best[0] = 0.0;
+        for end in 1..=n {
+            let mut len = 1usize;
+            while len <= end {
+                let start = end - len;
+                let c = best[start] + cost(start, end);
+                if c < best[end] {
+                    best[end] = c;
+                    back[end] = start;
+                }
+                if len > end / 2 && len < end {
+                    len = end;
+                } else {
+                    len *= 2;
+                }
+            }
+        }
+        let mut cuts = Vec::new();
+        let mut pos = n;
+        while pos > 0 {
+            cuts.push((back[pos], pos));
+            pos = back[pos];
+        }
+        cuts.reverse();
+        let mut labels = vec![0usize; n];
+        for (g, &(lo, hi)) in cuts.iter().enumerate() {
+            for l in labels.iter_mut().take(hi).skip(lo) {
+                *l = g;
+            }
+        }
+        labels
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The DP returns exactly the oracle's labels: on continuous
+        /// values, on small integers and constant runs (whose bucket costs
+        /// tie exactly, so the first candidate must win as before), with
+        /// zero, huge and random penalties and noise variances. One set of
+        /// buffers serves a longer input first, so stale entries would
+        /// show.
+        #[test]
+        fn segmentation_matches_the_oracle(
+            cells in prop::collection::vec((0u32..4, -50.0f64..50.0), 1..=300),
+            kind in 0u32..3,
+            penalty in (0u32..4, 0.0f64..200.0),
+            noise_var in (0u32..3, 0.0f64..100.0),
+        ) {
+            let x: Vec<f64> = cells
+                .iter()
+                .map(|&(k, v)| match kind {
+                    0 => v,
+                    1 => f64::from(k),
+                    _ => 3.0,
+                })
+                .collect();
+            let penalty = match penalty.0 {
+                0 => 0.0,
+                1 => 1e9,
+                _ => penalty.1,
+            };
+            let noise_var = if noise_var.0 == 0 { 0.0 } else { noise_var.1 };
+            let longer: Vec<f64> = x.iter().rev().chain(&x).map(|v| v * 1.5).collect();
+            let mut scratch = Segmentation::default();
+            for input in [&longer, &x] {
+                scratch.noisy.clone_from(input);
+                let buckets = scratch.segment(penalty, noise_var);
+                let want = segment_oracle(input, penalty, noise_var);
+                prop_assert_eq!(&scratch.labels, &want);
+                prop_assert_eq!(Some(buckets), want.last().map(|&l| l + 1));
+            }
+        }
+    }
 
     #[test]
     fn segmentation_labels_are_contiguous_and_increasing() {
@@ -245,8 +390,10 @@ mod tests {
             |k| {
                 let reqs: Vec<(SourceVar, f64)> = stripes(k).iter().map(|&s| (s, 0.5)).collect();
                 let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
+                let mut scratch = Segmentation::default();
                 let seq = snaps.iter().enumerate().map(|(i, x)| {
-                    partition_one_stripe(x, substream_seed(base, i as u64), 0.5, &opts)
+                    let seed = substream_seed(base, i as u64);
+                    partition_one_stripe(x, seed, 0.5, &opts, &mut scratch)
                 });
                 sparse(seq.collect())
             },

@@ -48,29 +48,32 @@ pub fn marginal_partition(sizes: &[usize], keep: &[bool]) -> Matrix {
 
 /// Extracts contiguous bucket boundaries from a 1-D interval partition
 /// matrix (as produced by DAWA): returns `buckets + 1` cut positions.
+/// A CSR partition (DAWA's) is read in place: each group's columns form
+/// one run, and the runs' first columns, ascending, are the cuts.
 /// Panics if the partition is not contiguous.
 pub fn interval_partition_bounds(p: &Matrix) -> Vec<usize> {
-    let sp = p.to_sparse();
-    let n = sp.cols();
-    let mut label_of = vec![usize::MAX; n];
-    for g in 0..sp.rows() {
-        for (c, _) in sp.row_entries(g) {
-            label_of[c] = g;
+    let owned;
+    let sp = match p {
+        Matrix::Sparse(s) => &**s,
+        other => {
+            owned = other.to_sparse();
+            &owned
         }
+    };
+    let mut bounds = Vec::with_capacity(sp.rows() + 1);
+    for run in sp.indptr().windows(2) {
+        let cols = &sp.indices()[run[0]..run[1]];
+        let (lo, hi) = cols
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+        assert!(
+            !cols.is_empty() && (hi - lo) as usize + 1 == cols.len(),
+            "partition is not a contiguous interval partition"
+        );
+        bounds.push(lo as usize);
     }
-    let mut bounds = vec![0usize];
-    for j in 1..n {
-        if label_of[j] != label_of[j - 1] {
-            bounds.push(j);
-        }
-    }
-    bounds.push(n);
-    // Verify contiguity: number of cuts must equal number of groups + 1.
-    assert_eq!(
-        bounds.len(),
-        sp.rows() + 1,
-        "partition is not a contiguous interval partition"
-    );
+    bounds.sort_unstable();
+    bounds.push(sp.cols());
     bounds
 }
 

@@ -325,7 +325,7 @@ fn collect_leaves<'a>(m: &'a Matrix, scale: f64, out: &mut Vec<Leaf<'a>>) -> Opt
         Matrix::Range(r) => out.push(Leaf::Range(scale, r)),
         Matrix::Scaled(c, a) => collect_leaves(a, scale * c, out)?,
         Matrix::Union(blocks) => {
-            for b in blocks {
+            for b in blocks.iter() {
                 collect_leaves(b, scale, out)?;
             }
         }

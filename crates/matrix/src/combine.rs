@@ -1,6 +1,8 @@
 //! Combinators: Union (vstack), Product, Kronecker, scaling, transpose and
 //! Gram matrices (paper §7.4, "Generalized matrix construction").
 
+use std::sync::Arc;
+
 use crate::{CsrMatrix, DenseMatrix, Matrix};
 
 impl Matrix {
@@ -18,19 +20,28 @@ impl Matrix {
     pub fn vstack(blocks: Vec<Matrix>) -> Matrix {
         assert!(!blocks.is_empty(), "vstack of zero blocks");
         let cols = blocks[0].cols();
-        let mut flat = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            assert_eq!(b.cols(), cols, "vstack blocks must agree on column count");
-            match b {
-                Matrix::Union(children) => flat.extend(children),
-                other => flat.push(other),
+        assert!(
+            blocks.iter().all(|b| b.cols() == cols),
+            "vstack blocks must agree on column count"
+        );
+        let nested = |b: &Matrix| matches!(b, Matrix::Union(_));
+        let mut flat = if blocks.iter().any(nested) {
+            let mut flat = Vec::with_capacity(blocks.len());
+            for b in blocks {
+                match b {
+                    Matrix::Union(children) => flat.extend(children.iter().cloned()),
+                    other => flat.push(other),
+                }
             }
-        }
+            flat
+        } else {
+            blocks
+        };
         if flat.len() == 1 {
             // xlint: allow(panic-policy, reason = "guarded by the len() == 1 check on the previous line")
             flat.pop().unwrap()
         } else {
-            Matrix::Union(flat)
+            Matrix::Union(flat.into())
         }
     }
 
@@ -52,7 +63,7 @@ impl Matrix {
         if matches!(b, Matrix::Identity { .. }) {
             return a;
         }
-        Matrix::Product(Box::new(a), Box::new(b))
+        Matrix::Product(Arc::new(a), Arc::new(b))
     }
 
     /// Kronecker product `a ⊗ b`.
@@ -81,7 +92,7 @@ impl Matrix {
                 b.shape()
             );
         }
-        Matrix::Kronecker(Box::new(a), Box::new(b))
+        Matrix::Kronecker(Arc::new(a), Arc::new(b))
     }
 
     /// Kronecker product of a list of factors, associating to the right:
@@ -101,7 +112,7 @@ impl Matrix {
     pub fn scaled(c: f64, a: Matrix) -> Matrix {
         match a {
             Matrix::Scaled(c2, inner) => Matrix::Scaled(c * c2, inner),
-            other => Matrix::Scaled(c, Box::new(other)),
+            other => Matrix::Scaled(c, Arc::new(other)),
         }
     }
 
@@ -123,7 +134,7 @@ impl Matrix {
             Matrix::Kronecker(a, b) => Matrix::kron(a.transpose(), b.transpose()),
             Matrix::Scaled(c, a) => Matrix::scaled(*c, a.transpose()),
             Matrix::Transpose(a) => (**a).clone(),
-            other => Matrix::Transpose(Box::new(other.clone())),
+            other => Matrix::Transpose(Arc::new(other.clone())),
         }
     }
 

@@ -117,26 +117,41 @@ impl Matrix {
         for (k, &r) in order.iter().enumerate() {
             comp_of_root[r] = k;
         }
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-        for (bi, &r) in roots.iter().enumerate() {
-            members[comp_of_root[r]].push(bi);
+        // Each component's blocks in parent order, as one counting sort of
+        // the blocks by component: component `k`'s are
+        // `members[start[k]..start[k + 1]]`.
+        let mut start = vec![0; order.len() + 1];
+        for &r in &roots {
+            start[comp_of_root[r] + 1] += 1;
         }
+        for k in 0..order.len() {
+            start[k + 1] += start[k];
+        }
+        let mut members = vec![0; blocks.len()];
+        // The union–find forest is spent: its buffer holds each
+        // component's next free slot.
+        let mut next = parent;
+        next[..order.len()].copy_from_slice(&start[..order.len()]);
+        for (bi, &r) in roots.iter().enumerate() {
+            let slot = &mut next[comp_of_root[r]];
+            members[*slot] = bi;
+            *slot += 1;
+        }
+        let members_of = |k: usize| &members[start[k]..start[k + 1]];
 
         // A lone one-per-row ascending selector of ones re-indexes to the
         // identity over its own columns, so its component skips the
         // remap. The others get the global → local map of their columns,
         // written over `owner`, which is no longer needed.
-        let identity: Vec<bool> = members
-            .iter()
-            .map(|m| matches!(m[..], [bi] if is_ascending_selector(leaves[bi])))
+        let identity: Vec<bool> = (0..order.len())
+            .map(|k| matches!(members_of(k), &[bi] if is_ascending_selector(leaves[bi])))
             .collect();
-        let cols: Vec<Vec<usize>> = members
-            .iter()
-            .map(|m| match m[..] {
+        let cols: Vec<Vec<usize>> = (0..order.len())
+            .map(|k| match *members_of(k) {
                 [bi] if strictly_ascending(leaves[bi]) => {
                     leaves[bi].indices().iter().map(|&c| c as usize).collect()
                 }
-                _ => {
+                ref m => {
                     let mut c: Vec<usize> = m
                         .iter()
                         .flat_map(|&bi| leaves[bi].indices().iter().map(|&c| c as usize))
@@ -154,14 +169,10 @@ impl Matrix {
             }
         }
 
-        let mut parts: Vec<(Vec<Matrix>, Vec<Range<usize>>)> =
-            vec![(Vec::new(), Vec::new()); order.len()];
+        let mut row_spans: Vec<Vec<Range<usize>>> = vec![Vec::new(); order.len()];
         let mut row = 0;
         for (bi, block) in blocks.iter().enumerate() {
-            let k = comp_of_root[roots[bi]];
-            let map = (!identity[k]).then_some(&local[..]);
-            let (blocks_k, spans) = &mut parts[k];
-            blocks_k.push(rebase(block, map, cols[k].len())?);
+            let spans = &mut row_spans[comp_of_root[roots[bi]]];
             let end = row + block.rows();
             match spans.last_mut() {
                 Some(last) if last.end == row => last.end = end,
@@ -169,16 +180,21 @@ impl Matrix {
             }
             row = end;
         }
-        Some(
-            cols.into_iter()
-                .zip(parts)
-                .map(|(cols, (blocks, row_spans))| ColumnComponent {
-                    cols,
-                    row_spans,
-                    matrix: Matrix::vstack(blocks),
-                })
-                .collect(),
-        )
+        let mut parts = Vec::with_capacity(order.len());
+        for (k, (cols, row_spans)) in cols.into_iter().zip(row_spans).enumerate() {
+            let map = (!identity[k]).then_some(&local[..]);
+            let rebased = |&bi: &usize| rebase(&blocks[bi], map, cols.len());
+            let matrix = match members_of(k) {
+                [bi] => rebased(bi)?,
+                m => Matrix::vstack(m.iter().map(rebased).collect::<Option<_>>()?),
+            };
+            parts.push(ColumnComponent {
+                cols,
+                row_spans,
+                matrix,
+            });
+        }
+        Some(parts)
     }
 }
 
@@ -228,7 +244,12 @@ fn rebase(m: &Matrix, local: Option<&[u32]>, width: usize) -> Option<Matrix> {
             }
         },
         Matrix::Scaled(c, a) => Matrix::scaled(*c, rebase(a, local, width)?),
-        Matrix::Product(a, b) => Matrix::product((**a).clone(), rebase(b, local, width)?),
+        // The left factor is shared, not copied; an identity right
+        // factor is elided as `Matrix::product` would.
+        Matrix::Product(a, b) => match rebase(b, local, width)? {
+            Matrix::Identity { .. } => (**a).clone(),
+            b => Matrix::Product(Arc::clone(a), Arc::new(b)),
+        },
         _ => return None,
     })
 }

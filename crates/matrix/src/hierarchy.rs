@@ -75,7 +75,12 @@ impl Matrix {
             },
             s => (s, None),
         };
-        let mut blocks = Vec::new();
+        // Sized for a (scaled) union of levels, the usual shape.
+        let levels = match unscale(s).1 {
+            Matrix::Union(b) => b.len(),
+            _ => 1,
+        };
+        let mut blocks = Vec::with_capacity(levels);
         interval_blocks(s, c, &mut blocks)?;
         Some(TreeShape { blocks, partition })
     }
@@ -180,7 +185,7 @@ fn interval_blocks<'a>(
         Matrix::Range(r) if (w * w).is_finite() && w * w > 0.0 => out.push((w, &**r)),
         Matrix::Scaled(c, a) => interval_blocks(a, w * c, out)?,
         Matrix::Union(blocks) => {
-            for b in blocks {
+            for b in blocks.iter() {
                 interval_blocks(b, w, out)?;
             }
         }

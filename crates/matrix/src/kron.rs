@@ -569,7 +569,7 @@ fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
         }
         Matrix::Union(blocks) => {
             let mut off = 0;
-            for b in blocks {
+            for b in blocks.iter() {
                 let m = b.rows();
                 panel_fwd(b, src, dst.rows(off, m), scratch);
                 off += m;
@@ -613,7 +613,7 @@ fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
             // Unionᵀ is a horizontal stack: blocks accumulate into zeros.
             dst.fill(0.0);
             let mut off = 0;
-            for b in blocks {
+            for b in blocks.iter() {
                 let m = b.rows();
                 panel_add(b, src.rows(off, m), dst.reborrow(), None, scratch);
                 off += m;

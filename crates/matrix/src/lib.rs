@@ -86,9 +86,15 @@ use std::sync::Arc;
 ///
 /// `Matrix` is a closed algebra: leaves are either explicit
 /// ([`Matrix::Dense`], [`Matrix::Sparse`]) or implicit core matrices, and
-/// internal nodes combine children (paper §7.4's `EMatrix` grammar). Clones
-/// are cheap: explicit payloads are shared via [`Arc`] and combinator spines
-/// are small.
+/// internal nodes combine children (paper §7.4's `EMatrix` grammar).
+///
+/// Composite nodes share their children: [`Matrix::Product`],
+/// [`Matrix::Kronecker`], [`Matrix::Scaled`] and [`Matrix::Transpose`]
+/// hold them behind [`Arc`], and [`Matrix::Union`] holds an `Arc<[Matrix]>`,
+/// as the explicit and implicit payloads do. `clone` is therefore O(1) and
+/// allocates nothing, whatever the depth of the tree: recording a
+/// strategy in the measurement history, composing it with a lineage or
+/// stacking it for inference shares the tree instead of copying it.
 #[derive(Clone, Debug)]
 pub enum Matrix {
     /// Explicit row-major dense matrix.
@@ -140,15 +146,15 @@ pub enum Matrix {
     /// grid strategies.
     Rect2D(Arc<RectQueries2D>),
     /// Vertical stacking of query sets (the paper's *Union* combinator).
-    Union(Vec<Matrix>),
+    Union(Arc<[Matrix]>),
     /// Matrix product `A·B` (the paper's *Product* combinator).
-    Product(Box<Matrix>, Box<Matrix>),
+    Product(Arc<Matrix>, Arc<Matrix>),
     /// Kronecker product `A ⊗ B` for multi-dimensional domains (§7.4).
-    Kronecker(Box<Matrix>, Box<Matrix>),
+    Kronecker(Arc<Matrix>, Arc<Matrix>),
     /// Scalar multiple `c·A`.
-    Scaled(f64, Box<Matrix>),
+    Scaled(f64, Arc<Matrix>),
     /// Lazy transpose `Aᵀ`.
-    Transpose(Box<Matrix>),
+    Transpose(Arc<Matrix>),
 }
 
 impl Matrix {

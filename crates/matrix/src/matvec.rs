@@ -241,7 +241,7 @@ impl Matrix {
             Matrix::Rect2D(r) => r.matvec_rec(x, out, scratch),
             Matrix::Union(blocks) => {
                 let mut offset = 0;
-                for b in blocks {
+                for b in blocks.iter() {
                     let m = b.rows();
                     b.matvec_rec(x, &mut out[offset..offset + m], scratch);
                     offset += m;
@@ -283,7 +283,7 @@ impl Matrix {
                 // for striped plans whose unions have hundreds of blocks.
                 out.fill(0.0);
                 let mut offset = 0;
-                for b in blocks {
+                for b in blocks.iter() {
                     let m = b.rows();
                     b.rmatvec_add_rec(&y[offset..offset + m], out, scratch);
                     offset += m;
@@ -331,7 +331,7 @@ impl Matrix {
             }
             Matrix::Union(blocks) => {
                 let mut offset = 0;
-                for b in blocks {
+                for b in blocks.iter() {
                     let m = b.rows();
                     b.rmatvec_add_rec(&y[offset..offset + m], out, scratch);
                     offset += m;
@@ -526,6 +526,7 @@ fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn x5() -> Vec<f64> {
         vec![1.0, 2.0, 3.0, 4.0, 5.0]
@@ -568,7 +569,7 @@ mod tests {
             Matrix::product(Matrix::total(3), Matrix::select_rows(5, &[0, 2, 4])),
             Matrix::vstack(vec![Matrix::identity(5), Matrix::total(5)]),
             Matrix::prefix(5).transpose().transpose(),
-            Matrix::Transpose(Box::new(Matrix::wavelet(5))),
+            Matrix::Transpose(Arc::new(Matrix::wavelet(5))),
         ];
         for m in cases {
             let y: Vec<f64> = (0..m.rows()).map(|i| i as f64 - 1.5).collect();
@@ -614,7 +615,7 @@ mod tests {
         ];
         let mut chain = factors[factors.len() - 1].clone();
         for f in factors[..factors.len() - 1].iter().rev() {
-            chain = Matrix::Product(Box::new(f.clone()), Box::new(chain.clone()));
+            chain = Matrix::Product(Arc::new(f.clone()), Arc::new(chain.clone()));
         }
         let x: Vec<f64> = (0..n).map(|i| i as f64 - 2.0).collect();
         // Reference: apply factors innermost-first, one at a time.
@@ -649,7 +650,7 @@ mod tests {
         let n = 64;
         let mut chain = Matrix::prefix(n);
         for _ in 0..7 {
-            chain = Matrix::Product(Box::new(Matrix::suffix(n)), Box::new(chain));
+            chain = Matrix::Product(Arc::new(Matrix::suffix(n)), Arc::new(chain));
         }
         let mut ws = Workspace::for_matrix(&chain);
         // 7 products: the nested recursion would need 7n for matvec; the
@@ -686,7 +687,7 @@ mod tests {
     fn scaled_and_transpose() {
         let m = Matrix::scaled(2.0, Matrix::prefix(5));
         assert_eq!(m.matvec(&x5()), vec![2.0, 6.0, 12.0, 20.0, 30.0]);
-        let t = Matrix::Transpose(Box::new(Matrix::prefix(5)));
+        let t = Matrix::Transpose(Arc::new(Matrix::prefix(5)));
         assert_eq!(t.matvec(&x5()), Matrix::suffix(5).matvec(&x5()));
     }
 

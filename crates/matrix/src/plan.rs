@@ -573,7 +573,7 @@ pub(crate) fn fingerprint(m: &Matrix) -> u64 {
             Matrix::Ones { rows, cols } => mix(mix(h, *rows as u64), *cols as u64),
             Matrix::Union(blocks) => {
                 h = mix(h, blocks.len() as u64);
-                for b in blocks {
+                for b in blocks.iter() {
                     h = rec(b, h);
                 }
                 h
@@ -623,7 +623,7 @@ mod tests {
         let n = 72;
         let mut m = Matrix::prefix(n);
         for _ in 0..4 {
-            m = Matrix::Product(Box::new(Matrix::suffix(n)), Box::new(m));
+            m = Matrix::Product(Arc::new(Matrix::suffix(n)), Arc::new(m));
         }
         let plan = EvalPlan::cached(&m);
         match &plan.root {
@@ -766,8 +766,8 @@ mod tests {
     fn planner_rejects_overflowing_raw_kron() {
         // Built from the raw enum, bypassing `Matrix::kron`'s check.
         let m = Matrix::Kronecker(
-            Box::new(Matrix::identity(1 << 33)),
-            Box::new(Matrix::prefix(1 << 33)),
+            Arc::new(Matrix::identity(1 << 33)),
+            Arc::new(Matrix::prefix(1 << 33)),
         );
         let _ = EvalPlan::cached(&m);
     }

@@ -20,7 +20,7 @@ pub struct RangeQueries {
 
 impl RangeQueries {
     /// Builds a range workload; panics on empty or out-of-bounds intervals.
-    pub fn new(n: usize, ranges: Vec<(usize, usize)>) -> Self {
+    pub fn new(n: usize, ranges: impl IntoIterator<Item = (usize, usize)>) -> Self {
         assert!(n <= u32::MAX as usize, "domain too large for u32 indices");
         let ranges = ranges
             .into_iter()
@@ -53,7 +53,7 @@ impl RangeQueries {
     }
 
     /// The half-open interval of query `k`.
-    pub(crate) fn range(&self, k: usize) -> (usize, usize) {
+    pub fn range(&self, k: usize) -> (usize, usize) {
         let (lo, hi) = self.ranges[k];
         (lo as usize, hi as usize)
     }
@@ -108,18 +108,27 @@ impl RangeQueries {
     /// Exact column sums (all entries are 0/1, so |W| = W = W²) in
     /// `O(n + m)`.
     pub fn col_sums(&self) -> Vec<f64> {
-        let mut diff = vec![0.0; self.n + 1];
-        for &(lo, hi) in &self.ranges {
-            diff[lo as usize] += 1.0;
-            diff[hi as usize] -= 1.0;
-        }
         let mut out = vec![0.0; self.n];
+        self.col_sums_into(&mut out);
+        out
+    }
+
+    /// [`Self::col_sums`] written over `out` (`n` scalars). The difference
+    /// array is built in `out` itself and then summed in place; a range
+    /// ending at `n` marks nothing the sum reads.
+    pub(crate) fn col_sums_into(&self, out: &mut [f64]) {
+        out.fill(0.0);
+        for &(lo, hi) in &self.ranges {
+            out[lo as usize] += 1.0;
+            if let Some(d) = out.get_mut(hi as usize) {
+                *d -= 1.0;
+            }
+        }
         let mut acc = 0.0;
-        for (o, d) in out.iter_mut().zip(&diff[..self.n]) {
-            acc += d;
+        for o in out {
+            acc += *o;
             *o = acc;
         }
-        out
     }
 }
 

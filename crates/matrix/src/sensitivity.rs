@@ -29,6 +29,8 @@
 //! ∞), so the range classifies NaN exactly too: a `0` column sum next to
 //! an `∞` one gives NaN, as the materialized fold does.
 
+use std::sync::Arc;
+
 use crate::wavelet::wavelet_abs_col_sums;
 use crate::Matrix;
 
@@ -48,9 +50,12 @@ impl Matrix {
             Matrix::Range(r) => r.col_sums(),
             Matrix::Rect2D(r) => r.col_sums(),
             Matrix::Union(blocks) => {
+                // One buffer holds each block's sums in turn.
                 let mut sums = vec![0.0; self.cols()];
-                for b in blocks {
-                    for (s, v) in sums.iter_mut().zip(b.abs_col_sums()) {
+                let mut block = vec![0.0; self.cols()];
+                for b in blocks.iter() {
+                    b.abs_col_sums_into(&mut block);
+                    for (s, v) in sums.iter_mut().zip(&block) {
                         *s += v;
                     }
                 }
@@ -76,6 +81,21 @@ impl Matrix {
                 sums
             }
             Matrix::Transpose(a) => a.abs_row_sums(),
+        }
+    }
+
+    /// [`Matrix::abs_col_sums`] written over `out`: a `Range` block, bare
+    /// or scaled (a Greedy-H level), needs no vector of its own.
+    fn abs_col_sums_into(&self, out: &mut [f64]) {
+        match self {
+            Matrix::Range(r) => r.col_sums_into(out),
+            Matrix::Scaled(c, a) => {
+                a.abs_col_sums_into(out);
+                for s in out.iter_mut() {
+                    *s *= c.abs();
+                }
+            }
+            other => out.copy_from_slice(&other.abs_col_sums()),
         }
     }
 
@@ -152,7 +172,7 @@ impl Matrix {
             | Matrix::Rect2D(..) => self.abs_col_sums(),
             Matrix::Union(blocks) => {
                 let mut sums = vec![0.0; self.cols()];
-                for b in blocks {
+                for b in blocks.iter() {
                     for (s, v) in sums.iter_mut().zip(b.sqr_col_sums()) {
                         *s += v;
                     }
@@ -244,7 +264,7 @@ impl Matrix {
             Matrix::Union(blocks) => Matrix::Union(blocks.iter().map(Matrix::abs).collect()),
             Matrix::Kronecker(a, b) => Matrix::kron(a.abs(), b.abs()),
             Matrix::Scaled(c, a) => Matrix::scaled(c.abs(), a.abs()),
-            Matrix::Transpose(a) => Matrix::Transpose(Box::new(a.abs())),
+            Matrix::Transpose(a) => Matrix::Transpose(Arc::new(a.abs())),
             // Wavelet and possibly-negative products: materialize.
             _ => Matrix::sparse(self.to_sparse().map(f64::abs)),
         }
@@ -268,7 +288,7 @@ impl Matrix {
             Matrix::Union(blocks) => Matrix::Union(blocks.iter().map(Matrix::sqr).collect()),
             Matrix::Kronecker(a, b) => Matrix::kron(a.sqr(), b.sqr()),
             Matrix::Scaled(c, a) => Matrix::scaled(c * c, a.sqr()),
-            Matrix::Transpose(a) => Matrix::Transpose(Box::new(a.sqr())),
+            Matrix::Transpose(a) => Matrix::Transpose(Arc::new(a.sqr())),
             Matrix::Product(..) => Matrix::sparse(self.to_sparse().map(|v| v * v)),
         }
     }
@@ -454,7 +474,7 @@ mod tests {
             Matrix::from_rows(vec![vec![1.0, -1.0]]),
             Matrix::prefix(2),
         ));
-        check_against_dense(&Matrix::Transpose(Box::new(Matrix::wavelet(4))));
+        check_against_dense(&Matrix::Transpose(Arc::new(Matrix::wavelet(4))));
     }
 
     #[test]

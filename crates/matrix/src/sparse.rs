@@ -102,6 +102,17 @@ impl CsrMatrix {
         CsrMatrix::bucket_rows(1, row.len(), nonzeros)
     }
 
+    /// The `1 × cols` row of ones over `[lo, hi)`: equal to
+    /// [`CsrMatrix::from_row`] of that row, built without it.
+    pub fn interval_row(cols: usize, lo: usize, hi: usize) -> Self {
+        assert!(
+            lo <= hi && hi <= cols && cols <= u32::MAX as usize,
+            "interval [{lo}, {hi}) out of range for domain {cols}"
+        );
+        let indices = (lo..hi).map(|c| c as u32).collect();
+        CsrMatrix::from_parts(cols, vec![0, hi - lo], indices, vec![1.0; hi - lo])
+    }
+
     /// Assembles a matrix from CSR arrays that already hold sorted,
     /// distinct columns per row.
     pub(crate) fn from_parts(
@@ -419,18 +430,17 @@ impl CsrMatrix {
     /// [`crate::Matrix::is_partition`] in one pass: the same |v| and v²
     /// column sums, accumulated in the same order, so the same verdict.
     pub(crate) fn is_partition(&self) -> bool {
-        let mut abs = vec![0.0; self.cols];
-        let mut sq = vec![0.0; self.cols];
+        // Each column's (|v| sum, v² sum), side by side in one buffer.
+        let mut sums = vec![(0.0, 0.0); self.cols];
         for (&c, &v) in self.indices.iter().zip(&self.data) {
             if v.is_nan() || v < 0.0 {
                 return false;
             }
-            abs[c as usize] += v.abs();
-            sq[c as usize] += v * v;
+            let (abs, sq) = &mut sums[c as usize];
+            *abs += v.abs();
+            *sq += v * v;
         }
-        abs.iter()
-            .zip(&sq)
-            .all(|(&a, &s)| a == 1.0 && (a - s).abs() < 1e-12)
+        sums.iter().all(|&(a, s)| a == 1.0 && (a - s).abs() < 1e-12)
     }
 
     /// Converts to dense form.
@@ -472,6 +482,26 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interval_row_is_from_row_of_the_dense_row() {
+        for (cols, lo, hi) in [
+            (1, 0, 1),
+            (7, 0, 7),
+            (7, 2, 5),
+            (7, 6, 7),
+            (7, 3, 3),
+            (0, 0, 0),
+        ] {
+            let mut row = vec![0.0; cols];
+            row[lo..hi].fill(1.0);
+            assert_eq!(
+                CsrMatrix::interval_row(cols, lo, hi),
+                CsrMatrix::from_row(&row),
+                "[{lo}, {hi}) over {cols}"
+            );
+        }
+    }
 
     fn sample() -> CsrMatrix {
         // [[1 0 2], [0 3 0]]

@@ -5,6 +5,8 @@
 //! wrappers, so even the floating-point operation order must agree), and
 //! `rmatvec_add` must accumulate exactly `rmatvec`'s output.
 
+use std::sync::Arc;
+
 use ektelo_matrix::{Matrix, Workspace};
 use proptest::prelude::*;
 
@@ -223,7 +225,7 @@ fn kron_factor(kind: usize, n: usize, m: usize, seed: u64) -> Matrix {
         12 => Matrix::wavelet(n),
         13 => Matrix::range_queries(n, vec![(0, n), (n / 2, n), (0, n.div_ceil(2))]),
         14 => Matrix::product(Matrix::prefix(n), Matrix::wavelet(n)),
-        15 => Matrix::Transpose(Box::new(Matrix::wavelet(n))),
+        15 => Matrix::Transpose(Arc::new(Matrix::wavelet(n))),
         16 => Matrix::vstack(vec![
             Matrix::range_queries(n, (0..n).map(|i| (i, i + 1)).collect()),
             Matrix::scaled(rng.value() + 0.5, Matrix::range_queries(n, vec![(0, n)])),

@@ -23,6 +23,8 @@
 //! bit, with ±0, NaN and ±∞ entries, alone and under `Scaled` and
 //! `Kronecker`.
 
+use std::sync::Arc;
+
 use ektelo_matrix::{CsrMatrix, DenseMatrix, Matrix};
 use proptest::prelude::*;
 
@@ -140,7 +142,7 @@ fn arb_nested_product() -> BoxedStrategy<Matrix> {
         .prop_recursive(3, 12, 2, |inner| {
             prop_oneof![
                 (inner.clone(), inner.clone()).prop_map(|(a, b)| Matrix::kron(a, b)),
-                (arb_special(), inner).prop_map(|(c, a)| Matrix::Scaled(c, Box::new(a))),
+                (arb_special(), inner).prop_map(|(c, a)| Matrix::Scaled(c, Arc::new(a))),
             ]
         })
         .boxed()
@@ -256,7 +258,7 @@ proptest! {
         let forms = |m: Matrix| {
             vec![
                 m.clone(),
-                Matrix::Scaled(c, Box::new(m.clone())),
+                Matrix::Scaled(c, Arc::new(m.clone())),
                 Matrix::kron(m.clone(), f.clone()),
                 Matrix::kron(f.clone(), m),
             ]

@@ -121,19 +121,26 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let mut tree = TreeSolver::default();
     let mut iterations = 0;
     let mut residual_sq = 0.0;
+    // A component's right-hand side is borrowed from `b` when its rows are
+    // one span and gathered otherwise; both buffers serve every component.
+    let (mut gathered, mut xc) = (Vec::new(), Vec::new());
     for c in &components {
-        let bc: Vec<f64> = c
-            .row_spans
-            .iter()
-            .flat_map(|r| b[r.clone()].iter().copied())
-            .collect();
-        let mut xc = vec![0.0; c.cols.len()];
-        if let Some(r_sq) = tree.solve(&c.matrix, &bc, &mut xc) {
+        let bc = match &c.row_spans[..] {
+            [rows] => &b[rows.clone()],
+            spans => {
+                gathered.clear();
+                gathered.extend(spans.iter().flat_map(|r| &b[r.clone()]));
+                &gathered[..]
+            }
+        };
+        xc.clear();
+        xc.resize(c.cols.len(), 0.0);
+        if let Some(r_sq) = tree.solve(&c.matrix, bc, &mut xc) {
             // An exact component passes the solver fault site once.
             ektelo_matrix::failpoints::panic_if("solver::iteration");
             residual_sq += r_sq;
         } else {
-            let (it, phibar) = lsqr_into(&c.matrix, &bc, &mut xc, &mut ws, opts);
+            let (it, phibar) = lsqr_into(&c.matrix, bc, &mut xc, &mut ws, opts);
             iterations += it;
             residual_sq += phibar * phibar;
         }

@@ -4,6 +4,8 @@
 //! that the split solve is the least-squares solution of the whole
 //! system, and the edge cases of the split itself.
 
+use std::sync::Arc;
+
 use ektelo_matrix::{partition_from_labels, CsrMatrix, Matrix};
 use ektelo_solvers::{direct_least_squares, lsqr, LsqrOptions};
 
@@ -115,7 +117,7 @@ fn random_rhs(rng: &mut Rng, m: usize) -> Vec<f64> {
 /// The same system hidden behind a double transpose, which
 /// `column_components` does not look through: LSQR over the whole matrix.
 fn unsplit(a: &Matrix) -> Matrix {
-    Matrix::Transpose(Box::new(a.transpose()))
+    Matrix::Transpose(Arc::new(a.transpose()))
 }
 
 #[test]

@@ -8,6 +8,8 @@
 //! of identity and hierarchy factors, and that every shape it cannot
 //! decide exactly returns `None` and takes LSQR.
 
+use std::sync::Arc;
+
 use ektelo_matrix::{CsrMatrix, Matrix};
 use ektelo_solvers::{direct_least_squares, lsqr, tree_least_squares, LsqrOptions};
 use proptest::prelude::*;
@@ -184,7 +186,7 @@ fn random_hierarchy_system(rng: &mut Rng, grouped: bool) -> (Matrix, Vec<f64>, V
     let Matrix::Scaled(c, s) = cs else {
         unreachable!("scaled above")
     };
-    let a = Matrix::scaled(c, Matrix::product(*s, part));
+    let a = Matrix::scaled(c, Matrix::product((*s).clone(), part));
     (a, b, expand(&z, &group_of))
 }
 
@@ -384,7 +386,7 @@ fn rejected_shapes_take_lsqr() {
         let r = lsqr(&union, &rhs, &tight());
         assert!(r.iterations > 0, "{name}: did not take LSQR");
         let whole = lsqr(
-            &Matrix::Transpose(Box::new(union.transpose())),
+            &Matrix::Transpose(Arc::new(union.transpose())),
             &rhs,
             &tight(),
         );

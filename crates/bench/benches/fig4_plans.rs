@@ -7,7 +7,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ektelo_core::ops::inference::{least_squares, LsSolver};
 use ektelo_core::ops::selection::{h2, hb, stripe_select};
 use ektelo_data::generators::{shape_1d, Shape1D};
+use ektelo_data::workloads::random_range;
 use ektelo_matrix::{Matrix, Repr};
+use ektelo_plans::mwem::{plan_mwem, MwemOptions};
 use ektelo_plans::striped::plan_dawa_striped;
 use ektelo_plans::util::kernel_for_histogram;
 use std::hint::black_box;
@@ -87,10 +89,45 @@ fn bench_dawa_striped(c: &mut Criterion) {
     group.finish();
 }
 
+/// A whole MWEM request (fresh kernel, every round's selection,
+/// measurement and MW inference) on the end-to-end benchmark's two MWEM
+/// shapes, keyed by cell count: `mwem`'s 4,096 cells with 500
+/// `random_range` queries, 20 rounds of 30 passes, and the sessions' MWEM
+/// step, a 192-cell prefix workload, 2 rounds of 8 passes. Most of a
+/// round's cost is per-round set-up, so it tracks the allocation gate of
+/// `crates/plans/tests/alloc_mwem.rs` in time.
+fn bench_mwem(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig4_mwem");
+    group.sample_size(10);
+    let n = 4096;
+    let mwem_x = shape_1d(Shape1D::IncomeLike, n, 100_000.0, 1);
+    let sessions_x: Vec<f64> = (0..192).map(|i| ((i * 31) % 23) as f64 + 1.0).collect();
+    let shapes = [
+        (mwem_x, random_range(n, 500, 1), 0.1, 20, 30),
+        (sessions_x, Matrix::prefix(192), 0.8, 2, 8),
+    ];
+    for (x, workload, eps, rounds, mw_iterations) in shapes {
+        let opts = MwemOptions {
+            rounds,
+            total: x.iter().sum(),
+            mw_iterations,
+        };
+        group.bench_with_input(BenchmarkId::new("fig4_mwem", x.len()), &x, |b, x| {
+            b.iter(|| {
+                let (k, root) = kernel_for_histogram(x, eps, 5);
+                let out = plan_mwem(&k, root, &workload, eps, &opts);
+                black_box(out.expect("MWEM runs within its budget").x_hat)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_h2_representations,
     bench_striped_kron,
-    bench_dawa_striped
+    bench_dawa_striped,
+    bench_mwem
 );
 criterion_main!(benches);

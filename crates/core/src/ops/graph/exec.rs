@@ -28,7 +28,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ektelo_matrix::{ColumnRefinement, CsrMatrix, Matrix};
-use ektelo_solvers::NnlsOptions;
+use ektelo_solvers::{mw_uniform_start, NnlsOptions};
 
 use crate::kernel::{BudgetReservation, EktError, ProtectedKernel, Result, SourceVar};
 use crate::ops::inference::{
@@ -38,7 +38,7 @@ use crate::ops::inference::{
 use crate::ops::partition::{
     dawa_partition_batch, interval_partition_bounds, map_ranges_to_buckets, stripe_partition,
 };
-use crate::ops::selection::{self, greedy_h, stripe_select, worst_approx};
+use crate::ops::selection::{self, greedy_h, stripe_select, WorstApprox};
 
 use super::{
     InferOp, MeasureOp, MwemLoopOp, MwemRoundInference, NodeKind, PartitionOp, PlanSpec,
@@ -494,6 +494,14 @@ impl<'k> Run<'_, 'k> {
         let x = self.source(vals, op.input.id)?;
         let n = kernel.vector_len(x)?;
         let mut x_hat = vec![op.total / n as f64; n];
+        // MW restarts from the uniform estimate every round: its
+        // normalized value per cell is computed once for the plan, and the
+        // passes expand their result into `x_hat` in place.
+        let mw_start = mw_uniform_start(n, op.total);
+        // The selection state keeps the truth answers `W·x` while the
+        // rounds' snapshots are the same source data; it is dropped, with
+        // them, when the loop returns.
+        let mut select = WorstApprox::new(&op.workload);
         // The column classes of the session's first `refined`
         // measurements, kept across rounds and refined by each round's new
         // queries only; MW starts uniform every round, so no key splits
@@ -504,15 +512,7 @@ impl<'k> Run<'_, 'k> {
         for round in 0..op.rounds {
             // SW: worst-approximated workload query (exponential
             // mechanism).
-            let idx = worst_approx(
-                kernel,
-                x,
-                &op.workload,
-                &x_hat,
-                1.0,
-                op.eps_select,
-                self.res(),
-            )?;
+            let idx = select.select(kernel, x, &x_hat, 1.0, op.eps_select, self.res())?;
             // A `Range` workload's row is one interval, built as CSR
             // directly; augmentation, and every other workload, reads the
             // dense row.
@@ -537,7 +537,7 @@ impl<'k> Run<'_, 'k> {
 
             // Per-round inference over all session measurements so far.
             let measurements = kernel.measurements_since(self.start);
-            x_hat = match op.inference {
+            match op.inference {
                 MwemRoundInference::MultWeights => {
                     for m in &measurements[refined..] {
                         let r = refinement
@@ -552,9 +552,11 @@ impl<'k> Run<'_, 'k> {
                     mult_weights_inference(
                         &measurements,
                         op.total,
+                        mw_start,
                         classes.as_ref(),
                         op.mw_iterations,
-                    )
+                        &mut x_hat,
+                    );
                 }
                 MwemRoundInference::NnlsKnownTotal => {
                     let cols = measurements[0].query.cols();
@@ -566,15 +568,15 @@ impl<'k> Run<'_, 'k> {
                         session_input,
                         scale,
                     ));
-                    non_negative_least_squares_opts(
+                    x_hat = non_negative_least_squares_opts(
                         &ms,
                         &NnlsOptions {
                             max_iters: 600,
                             tol: 1e-7,
                         },
-                    )
+                    );
                 }
-            };
+            }
         }
         Ok(x_hat)
     }

@@ -13,7 +13,7 @@
 
 use ektelo_matrix::{ColumnClasses, Matrix, Workspace};
 use ektelo_solvers::{
-    direct_least_squares, lsqr, mult_weights_with_classes, nnls, LsqrOptions, MwOptions,
+    direct_least_squares, lsqr, mult_weights_uniform_into, nnls, LsqrOptions, MwOptions,
     NnlsOptions,
 };
 
@@ -88,33 +88,39 @@ pub fn non_negative_least_squares_opts(
 }
 
 /// Multiplicative-weights inference (MWEM's update; paper Table 1) from
-/// the uniform start of mass `total`, the assumed dataset size.
+/// the uniform start of mass `total`, the assumed dataset size, written
+/// into `x_hat`.
 ///
-/// `classes` are the column classes of the stacked queries, as a
+/// `start` is [`mw_uniform_start`]`(n, total)`, the value every cell of
+/// the normalized uniform start takes; MWEM's loop computes it once per
+/// plan. `classes` are the column classes of the stacked queries, as a
 /// [`ColumnRefinement`] refined by every measurement's query gives them:
-/// the passes then run on one value per class, and the result is
-/// [`mult_weights`]'s on the stack bit for bit. MWEM's loop keeps that
-/// refinement across rounds instead of refining the whole history every
-/// round. `None` runs the passes over every cell.
+/// the passes then run on one value per class, and `x_hat` ends as
+/// [`mult_weights`] on the stack from the uniform start returns it, bit
+/// for bit. MWEM's loop keeps that refinement across rounds instead of
+/// refining the whole history every round. `None` runs the passes over
+/// every cell.
 ///
 /// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
 /// [`mult_weights`]: ektelo_solvers::mult_weights
+/// [`mw_uniform_start`]: ektelo_solvers::mw_uniform_start
 pub fn mult_weights_inference(
     measurements: &[MeasuredQuery],
     total: f64,
+    start: f64,
     classes: Option<&ColumnClasses>,
     iterations: usize,
-) -> Vec<f64> {
+    x_hat: &mut [f64],
+) {
     // MW works on raw (unweighted) queries; it is scale-sensitive.
     assert!(!measurements.is_empty(), "inference with no measurements");
-    let n = measurements[0].query.cols();
     let m = Matrix::vstack(measurements.iter().map(|m| m.query.clone()).collect());
     let y: Vec<f64> = measurements
         .iter()
         .flat_map(|m| m.answers.iter().copied())
         .collect();
-    let x0 = vec![total / n as f64; n];
-    mult_weights_with_classes(&m, classes, &y, &x0, &MwOptions { iterations, total })
+    let opts = MwOptions { iterations, total };
+    mult_weights_uniform_into(&m, classes, &y, start, x_hat, &opts);
 }
 
 /// Appends a high-confidence "known total" pseudo-measurement (paper
@@ -236,6 +242,7 @@ mod tests {
     use super::*;
     use crate::kernel::{ProtectedKernel, SourceVar};
     use ektelo_matrix::ColumnRefinement;
+    use ektelo_solvers::mw_uniform_start;
 
     fn measured(query: Matrix, answers: Vec<f64>, noise_scale: f64) -> MeasuredQuery {
         MeasuredQuery {
@@ -283,7 +290,8 @@ mod tests {
     #[test]
     fn mw_respects_total() {
         let ms = vec![measured(Matrix::identity(4), vec![4.0, 0.0, 0.0, 0.0], 1.0)];
-        let x = mult_weights_inference(&ms, 4.0, None, 100);
+        let mut x = vec![0.0; 4];
+        mult_weights_inference(&ms, 4.0, mw_uniform_start(4, 4.0), None, 100, &mut x);
         assert!((x.iter().sum::<f64>() - 4.0).abs() < 1e-9);
         assert!(x[0] > 2.0, "{x:?}");
     }
@@ -299,7 +307,9 @@ mod tests {
             refinement.refine(&m.query).unwrap();
         }
         let classes = refinement.classes().unwrap();
-        let got = mult_weights_inference(&ms, 8.0, Some(&classes), 50);
+        let start = mw_uniform_start(8, 8.0);
+        let mut got = vec![f64::NAN; 8];
+        mult_weights_inference(&ms, 8.0, start, Some(&classes), 50, &mut got);
         let stack = Matrix::vstack(ms.iter().map(|m| m.query.clone()).collect());
         let opts = MwOptions {
             iterations: 50,
@@ -309,7 +319,8 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
         // Without classes the passes run per cell, to the same estimate.
-        let per_cell = mult_weights_inference(&ms, 8.0, None, 50);
+        let mut per_cell = vec![f64::NAN; 8];
+        mult_weights_inference(&ms, 8.0, start, None, 50, &mut per_cell);
         for (a, b) in per_cell.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12, "{per_cell:?} vs {want:?}");
         }

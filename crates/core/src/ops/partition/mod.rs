@@ -79,9 +79,17 @@ pub fn interval_partition_bounds(p: &Matrix) -> Vec<usize> {
 
 /// Maps 1-D range queries on the original domain onto bucket indices of a
 /// contiguous partition (for running Greedy-H on DAWA's reduced domain).
+///
+/// `bounds` are a partition's cut positions, as
+/// [`interval_partition_bounds`] returns them. Each half-open range is
+/// first intersected with the domain `[0, bounds.last())`; a range left
+/// empty — `lo >= hi`, or wholly past the domain — maps to nothing, so
+/// the result can be shorter than `ranges`.
 pub fn map_ranges_to_buckets(ranges: &[(usize, usize)], bounds: &[usize]) -> Vec<(usize, usize)> {
+    let n = bounds.last().copied().unwrap_or(0);
     let bucket_of = |cell: usize| -> usize {
-        // bounds is sorted; find the bucket containing `cell`.
+        // bounds is sorted and starts at 0; find the bucket containing
+        // `cell < n`.
         match bounds.binary_search(&cell) {
             Ok(i) => i.min(bounds.len() - 2),
             Err(i) => i - 1,
@@ -89,17 +97,61 @@ pub fn map_ranges_to_buckets(ranges: &[(usize, usize)], bounds: &[usize]) -> Vec
     };
     ranges
         .iter()
-        .map(|&(lo, hi)| {
-            let b_lo = bucket_of(lo);
-            let b_hi = bucket_of(hi - 1) + 1;
-            (b_lo, b_hi)
-        })
+        .map(|&(lo, hi)| (lo, hi.min(n)))
+        .filter(|&(lo, hi)| lo < hi)
+        .map(|(lo, hi)| (bucket_of(lo), bucket_of(hi - 1) + 1))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bounds of a 32-cell partition into buckets `[0, 4)`, `[4, 10)`,
+    /// `[10, 11)`, `[11, 20)` and `[20, 32)`.
+    const BOUNDS: [usize; 6] = [0, 4, 10, 11, 20, 32];
+
+    #[test]
+    fn valid_ranges_map_to_the_buckets_they_touch() {
+        let ranges = [
+            (0, 32),
+            (0, 1),
+            (3, 5),
+            (4, 10),
+            (10, 11),
+            (12, 19),
+            (31, 32),
+        ];
+        let want = [(0, 5), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)];
+        assert_eq!(map_ranges_to_buckets(&ranges, &BOUNDS), want);
+        // Every valid range maps as the mapping did before ranges were
+        // intersected with the domain: bucket of `lo`, one past the
+        // bucket of `hi - 1`.
+        let bucket_before = |cell: usize| match BOUNDS.binary_search(&cell) {
+            Ok(i) => i.min(BOUNDS.len() - 2),
+            Err(i) => i - 1,
+        };
+        for lo in 0..32 {
+            for hi in lo + 1..=32 {
+                let before = (bucket_before(lo), bucket_before(hi - 1) + 1);
+                assert_eq!(map_ranges_to_buckets(&[(lo, hi)], &BOUNDS), [before]);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_out_of_domain_ranges_map_to_nothing() {
+        for bad in [(0, 0), (7, 3), (40, 50), (32, 33)] {
+            assert_eq!(map_ranges_to_buckets(&[bad], &BOUNDS), [], "{bad:?}");
+        }
+        // A range running past the domain is cut at its end; the empty
+        // ones around it are dropped and the rest keep their order.
+        let ranges = [(0, 0), (25, 50), (7, 3), (2, 5), (40, 50)];
+        assert_eq!(map_ranges_to_buckets(&ranges, &BOUNDS), [(4, 5), (0, 2)]);
+        // No buckets at all: every range is empty once intersected.
+        assert_eq!(map_ranges_to_buckets(&[(0, 4)], &[0]), []);
+        assert_eq!(map_ranges_to_buckets(&[(0, 4)], &[]), []);
+    }
 
     #[test]
     fn marginal_partition_is_a_partition() {

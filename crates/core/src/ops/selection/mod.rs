@@ -20,6 +20,7 @@ pub use hier::{h2, hb};
 pub use privbayes::{privbayes_select, BayesNet, Clique};
 pub use stripe::stripe_select;
 pub use worst_approx::worst_approx;
+pub(crate) use worst_approx::WorstApprox;
 
 use ektelo_matrix::Matrix;
 

@@ -22,9 +22,6 @@
 //! u_{label(i)}` at the end. A pass then costs `O(nnz(M_red) + classes)`
 //! instead of `O(nnz(M) + n)` with one `exp` per cell; MWEM's `T` one-row
 //! range measurements split a domain into at most `2T + 1` classes.
-//! [`mult_weights_with_classes`] takes the classes from the caller
-//! instead: MWEM's loop keeps an [`ektelo_matrix::ColumnRefinement`] of
-//! its history and refines it by each round's new rows only.
 //!
 //! The reduction applies to a `Sparse` or `Range` leaf, optionally under
 //! `Scaled`, and to a `Union` of such blocks (MWEM's one-row strategies
@@ -34,6 +31,21 @@
 //! per-cell update. The reduced results differ from it only by the
 //! rounding of reordered sums; `tests/mw_classes.rs` gates them at 1e-12
 //! relative.
+//!
+//! # The per-class start
+//!
+//! MWEM starts every round's passes from the same uniform estimate of
+//! mass `N`, and a uniform start is one value on every class.
+//! [`mult_weights_uniform_into`] therefore takes that value, not an
+//! `n`-cell `x0`: the caller computes it once per plan with
+//! [`mw_uniform_start`] (the `n`-cell normalization [`mult_weights`]
+//! runs, so the bits agree), the passes start from it on each class, and
+//! the expansion `x_i = u_{label(i)}` is written into the caller's
+//! estimate buffer. It also takes the classes from the caller: MWEM's
+//! loop keeps an [`ektelo_matrix::ColumnRefinement`] of its history and
+//! refines it by each round's new rows only. Both entry points run the
+//! same pass loop; only where the start comes from differs, so a round
+//! costs the passes plus one `n`-cell expansion.
 
 use ektelo_matrix::{kernels, ColumnClasses, Matrix, Workspace};
 
@@ -66,58 +78,82 @@ impl Default for MwOptions {
 /// when every column is its own class, or `M` has another shape, they
 /// run over every cell.
 pub fn mult_weights(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<f64> {
-    let x = mw_start(m, y, x0, opts);
-    let classes = m.column_classes_by(&x);
-    mw_run(m, classes.as_ref(), y, x, opts)
-}
-
-/// [`mult_weights`] over column classes the caller already holds, without
-/// refining `m` again: MWEM keeps a [`ColumnRefinement`] of its history
-/// across rounds and refines it by each round's new rows only.
-///
-/// `classes` must be the classes of `m`'s columns split by a key the
-/// normalized start is constant on — for a uniform `x0`, what
-/// [`ColumnRefinement::classes`] gives after refining by `m`'s rows —
-/// and then the result is [`mult_weights`]'s, bit for bit. `None` runs
-/// the passes over every cell.
-///
-/// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
-/// [`ColumnRefinement::classes`]: ektelo_matrix::ColumnRefinement::classes
-pub fn mult_weights_with_classes(
-    m: &Matrix,
-    classes: Option<&ColumnClasses>,
-    y: &[f64],
-    x0: &[f64],
-    opts: &MwOptions,
-) -> Vec<f64> {
-    let x = mw_start(m, y, x0, opts);
-    mw_run(m, classes, y, x, opts)
-}
-
-/// `x0` normalized to mass `opts.total`, after checking the shapes.
-fn mw_start(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<f64> {
-    let (rows, n) = m.shape();
-    assert_eq!(y.len(), rows, "mw: measurement count mismatch");
-    assert_eq!(x0.len(), n, "mw: estimate length mismatch");
-    assert!(opts.total > 0.0, "mw: total must be positive");
+    let n = x0.len();
+    mw_check(m, y, n, opts);
     let mut x = x0.to_vec();
     normalize_class_mass(&mut x, None, opts.total, n);
+    let classes = m.column_classes_by(&x);
+    mw_run(m, classes.as_ref(), y, None, &mut x, opts);
     x
 }
 
-/// The passes from the normalized start `x`: over `classes` when given,
-/// else over every cell of `m`.
+/// The value every cell of [`mult_weights`]'s normalized start takes
+/// when `x0` is uniform, `total / n` on each of `n` cells. It is computed
+/// as [`mult_weights`] computes it — summing the `n` cells and scaling —
+/// not in closed form: the sequential sum rounds, and the start must be
+/// the same bits for [`mult_weights_uniform_into`] to equal
+/// [`mult_weights`].
+pub fn mw_uniform_start(n: usize, total: f64) -> f64 {
+    let mut x = vec![total / n as f64; n];
+    normalize_class_mass(&mut x, None, total, n);
+    x.first().copied().unwrap_or(total)
+}
+
+/// [`mult_weights`] from the uniform start, over column classes the
+/// caller already holds, written into `x`. MWEM keeps a
+/// [`ColumnRefinement`] of its history across rounds and refines it by
+/// each round's new rows only, computes `start` once per plan with
+/// [`mw_uniform_start`], and lends its own estimate buffer as `x`.
+///
+/// `classes` must be the classes of `m`'s columns — what
+/// [`ColumnRefinement::classes`] gives after refining by `m`'s rows —
+/// and `start` must be [`mw_uniform_start`]`(x.len(), opts.total)`; then
+/// `x` ends as [`mult_weights`] from `x0 = [total / n; n]` returns it,
+/// bit for bit. The passes begin from `start` on every class, so the
+/// start is never built cell by cell. `None` runs the passes over every
+/// cell. `x`'s contents on entry are ignored.
+///
+/// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
+/// [`ColumnRefinement::classes`]: ektelo_matrix::ColumnRefinement::classes
+pub fn mult_weights_uniform_into(
+    m: &Matrix,
+    classes: Option<&ColumnClasses>,
+    y: &[f64],
+    start: f64,
+    x: &mut [f64],
+    opts: &MwOptions,
+) {
+    mw_check(m, y, x.len(), opts);
+    mw_run(m, classes, y, Some(start), x, opts);
+}
+
+/// The shape and option checks every entry point makes.
+fn mw_check(m: &Matrix, y: &[f64], n: usize, opts: &MwOptions) {
+    let (rows, cols) = m.shape();
+    assert_eq!(y.len(), rows, "mw: measurement count mismatch");
+    assert_eq!(n, cols, "mw: estimate length mismatch");
+    assert!(opts.total > 0.0, "mw: total must be positive");
+}
+
+/// The passes, over `classes` when given, else over every cell of `m`,
+/// with the result in `x`. They start from `uniform` on every class (or
+/// cell) when given; otherwise `x` holds the normalized start on entry,
+/// constant on every class.
 fn mw_run(
     m: &Matrix,
     classes: Option<&ColumnClasses>,
     y: &[f64],
-    mut x: Vec<f64>,
+    uniform: Option<f64>,
+    x: &mut [f64],
     opts: &MwOptions,
-) -> Vec<f64> {
+) {
     let n = x.len();
     let Some(classes) = classes else {
-        mw_passes(m, None, n, y, &mut x, opts);
-        return x;
+        if let Some(u0) = uniform {
+            x.fill(u0);
+        }
+        mw_passes(m, None, n, y, x, opts);
+        return;
     };
     assert_eq!(classes.labels.len(), n, "mw: class labels length mismatch");
     assert_eq!(
@@ -126,23 +162,28 @@ fn mw_run(
         "mw: class matrix row count mismatch"
     );
     let sizes: Vec<f64> = classes.sizes.iter().map(|&s| s as f64).collect();
-    let mut u = vec![0.0; sizes.len()];
-    for (&l, &xi) in classes.labels.iter().zip(&x) {
-        u[l as usize] = xi;
-    }
-    debug_assert!(
-        classes
-            .labels
-            .iter()
-            .zip(&x)
-            .all(|(&l, xi)| u[l as usize].to_bits() == xi.to_bits()),
-        "mw: the start must be constant on every class"
-    );
+    let mut u = match uniform {
+        Some(u0) => vec![u0; sizes.len()],
+        None => {
+            let mut u = vec![0.0; sizes.len()];
+            for (&l, &xi) in classes.labels.iter().zip(x.iter()) {
+                u[l as usize] = xi;
+            }
+            debug_assert!(
+                classes
+                    .labels
+                    .iter()
+                    .zip(x.iter())
+                    .all(|(&l, xi)| u[l as usize].to_bits() == xi.to_bits()),
+                "mw: the start must be constant on every class"
+            );
+            u
+        }
+    };
     mw_passes(&classes.matrix, Some(&sizes), n, y, &mut u, opts);
     for (xi, &l) in x.iter_mut().zip(&classes.labels) {
         *xi = u[l as usize];
     }
-    x
 }
 
 /// `opts.iterations` MW passes on `u`, one value per column of `m`, over

@@ -5,8 +5,8 @@
 //! to 1e-12 relative, and that systems without a reduction run the
 //! per-cell loop bit for bit.
 
-use ektelo_matrix::{kernels, CsrMatrix, Matrix, Workspace};
-use ektelo_solvers::{mult_weights, MwOptions};
+use ektelo_matrix::{kernels, ColumnRefinement, CsrMatrix, Matrix, Workspace};
+use ektelo_solvers::{mult_weights, mult_weights_uniform_into, mw_uniform_start, MwOptions};
 use proptest::prelude::*;
 
 /// SplitMix64: a small deterministic generator for the random systems.
@@ -266,4 +266,58 @@ fn systems_without_a_reduction_run_the_per_cell_loop_bit_for_bit() {
         mult_weights(&ranges, &y[..1], &distinct, &opts),
         per_cell_loop(&ranges, &y[..1], &distinct, &opts)
     );
+}
+
+/// MWEM's MW step: from one start value per class, expanded into the
+/// caller's buffer, the estimate is `mult_weights` on the stack from the
+/// uniform `x0`, bit for bit — with kept classes, and per cell without
+/// them. The totals make the `n`-cell sum of the start round, so a
+/// closed-form start would differ.
+#[test]
+fn per_class_start_in_place_is_mult_weights_from_the_uniform_start() {
+    for n in [192, 300, 4096] {
+        let total = 0.1 * n as f64 + 1.0 / 3.0;
+        let start = mw_uniform_start(n, total);
+        assert_ne!(start, total / n as f64, "the start must round at n = {n}");
+        let x0 = vec![total / n as f64; n];
+        let opts = MwOptions {
+            iterations: 30,
+            total,
+        };
+        // Eight rounds of one-row interval measurements, and variant b's
+        // range augmentation on the last.
+        let mut rng = Rng(n as u64);
+        let mut blocks: Vec<Matrix> = (0..8)
+            .map(|_| {
+                let lo = rng.below(n);
+                let hi = lo + 1 + rng.below(n - lo);
+                Matrix::sparse(CsrMatrix::interval_row(n, lo, hi))
+            })
+            .collect();
+        blocks.push(Matrix::range_queries(n, vec![(0, n / 4), (n / 2, n)]));
+        let mut refinement = ColumnRefinement::new(n, None);
+        for b in &blocks {
+            refinement.refine(b).expect("interval rows refine");
+        }
+        let classes = refinement.classes().expect("the rows leave classes");
+        let stack = Matrix::vstack(blocks);
+        let y = answers(&mut rng, &stack);
+        let want = mult_weights(&stack, &y, &x0, &opts);
+        let mut got = vec![f64::NAN; n];
+        mult_weights_uniform_into(&stack, Some(&classes), &y, start, &mut got, &opts);
+        assert_eq!(bits(&got), bits(&want), "classes, n = {n}");
+
+        // Without classes the passes run per cell, as `mult_weights` runs
+        // them on a system it cannot reduce.
+        let prefix = Matrix::prefix(n);
+        let y = answers(&mut rng, &prefix);
+        let want = mult_weights(&prefix, &y, &x0, &opts);
+        let mut got = vec![f64::NAN; n];
+        mult_weights_uniform_into(&prefix, None, &y, start, &mut got, &opts);
+        assert_eq!(bits(&got), bits(&want), "per cell, n = {n}");
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
 }

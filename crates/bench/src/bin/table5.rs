@@ -33,10 +33,11 @@ fn rebin_income(t: &Table, bins: usize) -> Table {
         ("gender", sizes[4]),
     ]);
     let mut out = Table::empty(schema);
+    let mut rows = out.appender();
     for i in 0..t.num_rows() {
         let mut row = t.row(i);
         row[0] = (row[0] as usize / factor).min(bins - 1) as u32;
-        out.push_row(&row);
+        rows.push(&row);
     }
     out
 }

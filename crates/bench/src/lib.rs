@@ -101,10 +101,11 @@ pub fn rebin_census_income(t: &ektelo_data::Table, bins: usize) -> ektelo_data::
         ("gender", sizes[4]),
     ]);
     let mut out = Table::empty(schema);
+    let mut rows = out.appender();
     for i in 0..t.num_rows() {
         let mut row = t.row(i);
         row[0] = (row[0] as usize / factor).min(bins - 1) as u32;
-        out.push_row(&row);
+        rows.push(&row);
     }
     out
 }

@@ -27,7 +27,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ektelo_matrix::{ColumnRefinement, CsrMatrix, Matrix};
+use ektelo_matrix::{ColumnClasses, ColumnRefinement, CsrMatrix, Matrix};
 use ektelo_solvers::{mw_uniform_start, NnlsOptions};
 
 use crate::kernel::{BudgetReservation, EktError, ProtectedKernel, Result, SourceVar};
@@ -506,8 +506,10 @@ impl<'k> Run<'_, 'k> {
         // measurements, kept across rounds and refined by each round's new
         // queries only; MW starts uniform every round, so no key splits
         // them. `reducible` turns false for good once a query has a shape
-        // the refinement does not take.
+        // the refinement does not take. `classes` is one value refreshed
+        // in place each round, so the `n` labels are not copied anew.
         let mut refinement: Option<ColumnRefinement> = None;
+        let mut classes: Option<ColumnClasses> = None;
         let (mut refined, mut reducible) = (0, true);
         for round in 0..op.rounds {
             // SW: worst-approximated workload query (exponential
@@ -545,10 +547,10 @@ impl<'k> Run<'_, 'k> {
                         reducible = reducible && r.refine(&m.query).is_some();
                     }
                     refined = measurements.len();
-                    let classes = refinement
-                        .as_ref()
-                        .filter(|_| reducible)
-                        .and_then(ColumnRefinement::classes);
+                    match refinement.as_ref().filter(|_| reducible) {
+                        Some(r) => r.refresh_classes(&mut classes),
+                        None => classes = None,
+                    }
                     mult_weights_inference(
                         &measurements,
                         op.total,

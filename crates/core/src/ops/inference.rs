@@ -10,11 +10,23 @@
 //! by the inverse of its noise scale (objective (i) of §5.5); incomplete
 //! measurement sets are handled by the iterative solvers' implicit
 //! minimum-norm behaviour or by multiplicative weights (objective (ii)).
+//!
+//! Iterative least squares reads each measurement's answers in place, the
+//! buffer the kernel's history shares ([`MeasuredQuery::answers`]): the
+//! solver applies the weight `w` where it reads an answer `a`, as the
+//! f64 product `a * w` that [`stack_measurements`] would store, so the
+//! estimate is bit-identical and no weighted copy of the answers is made.
+//! The direct, tree and non-negative solvers take the stacked copy.
+//!
+//! The Table 5 error check ([`scaled_per_query_l2_error`]) streams the
+//! census-style workloads `c · (F₀ ⊗ R)`: with `F₀` a `Prefix`, `Suffix`
+//! or `Identity`, it forms neither `x − x̂` nor `W (x − x̂)`, only
+//! vectors of `R`'s size.
 
 use ektelo_matrix::{ColumnClasses, Matrix, Workspace};
 use ektelo_solvers::{
-    direct_least_squares, lsqr, mult_weights_uniform_into, nnls, LsqrOptions, MwOptions,
-    NnlsOptions,
+    direct_least_squares, lsqr_weighted, mult_weights_uniform_into, nnls, LsqrOptions, MwOptions,
+    NnlsOptions, WeightedRhs,
 };
 
 use crate::kernel::MeasuredQuery;
@@ -32,29 +44,57 @@ pub enum LsSolver {
 /// `(W·M) x ≈ W·y` with `W = diag(1/noise_scale)`, so that unequally-noisy
 /// measurements contribute proportionally to their precision.
 pub fn stack_measurements(measurements: &[MeasuredQuery]) -> (Matrix, Vec<f64>) {
+    let m = stack_queries(measurements);
+    let mut rhs = Vec::with_capacity(measurements.iter().map(|m| m.answers.len()).sum());
+    for m in measurements {
+        let w = weight(m);
+        rhs.extend(m.answers.iter().map(|&a| a * w));
+    }
+    (m, rhs)
+}
+
+/// The left side of [`stack_measurements`]: each query scaled by its
+/// measurement's weight, stacked.
+fn stack_queries(measurements: &[MeasuredQuery]) -> Matrix {
     assert!(!measurements.is_empty(), "inference with no measurements");
     let base_cols = measurements[0].query.cols();
     let mut blocks = Vec::with_capacity(measurements.len());
-    let mut rhs = Vec::with_capacity(measurements.iter().map(|m| m.answers.len()).sum());
     for m in measurements {
         assert_eq!(
             m.query.cols(),
             base_cols,
             "measurements span different base domains; run inference per base"
         );
-        let w = 1.0 / m.noise_scale.max(f64::MIN_POSITIVE);
-        blocks.push(Matrix::scaled(w, m.query.clone()));
-        rhs.extend(m.answers.iter().map(|&a| a * w));
+        blocks.push(Matrix::scaled(weight(m), m.query.clone()));
     }
-    (Matrix::vstack(blocks), rhs)
+    Matrix::vstack(blocks)
+}
+
+/// A measurement's row weight: the inverse of its noise scale.
+fn weight(m: &MeasuredQuery) -> f64 {
+    1.0 / m.noise_scale.max(f64::MIN_POSITIVE)
 }
 
 /// Ordinary least squares over the measurement history (paper Def. 5.1).
+///
+/// The iterative solver reads every measurement's answers in place with
+/// its weight (see the module docs); the direct solver stacks them.
 pub fn least_squares(measurements: &[MeasuredQuery], solver: LsSolver) -> Vec<f64> {
-    let (m, y) = stack_measurements(measurements);
     match solver {
-        LsSolver::Iterative => lsqr(&m, &y, &LsqrOptions::default()).x,
-        LsSolver::Direct => direct_least_squares(&m, &y),
+        LsSolver::Iterative => {
+            let m = stack_queries(measurements);
+            let rhs = WeightedRhs::new(
+                measurements
+                    .iter()
+                    .map(|m| (&m.answers[..], weight(m)))
+                    .collect(),
+            );
+            lsqr_weighted(&m, &rhs, &LsqrOptions::default()).x
+        }
+        LsSolver::Direct => {
+            let (m, y) = stack_measurements(measurements);
+            direct_least_squares(&m, &y)
+        }
     }
 }
 
@@ -174,53 +214,76 @@ pub fn thresholding(measurements: &[MeasuredQuery], threshold: f64) -> Vec<f64> 
 /// `‖W x − W x̂‖₂ / (√m · scale)`, the root-mean-square query error over
 /// `scale` — the metric of the paper's Table 5.
 ///
-/// `W` is linear, so this evaluates `W (x − x̂)` with `d = x − x̂`
-/// formed once. A (scaled) Kronecker workload `c · (F₀ ⊗ R)` whose rest
-/// `R` has at least as many rows as columns (such as the census
-/// `Prefix(Income)`, `Prefix ⊗ [Total; I] ⊗ …`) is streamed, never
-/// forming `W d`: `F₀` is applied once along mode 0, `C = (F₀ ⊗ I) d`
-/// with `rows(F₀) · cols(R)` values, and then each row `Cᵢ` adds
-/// `‖c · R Cᵢ‖²` to the total through one workspace sized for `R`. Every
-/// other workload takes one product `W d` through a workspace that
-/// reserves scratch for `W·v` alone.
+/// `W` is linear, so this evaluates `W d` with `d = x − x̂`. A (scaled)
+/// Kronecker workload `c · (F₀ ⊗ R)` whose rest `R` has at least as many
+/// rows as columns (such as the census `Prefix(Income)`,
+/// `Prefix ⊗ [Total; I] ⊗ …`) is streamed, never forming `W d`: each
+/// block `Cᵢ` of `C = (F₀ ⊗ I) d`, `cols(R)` values, adds `‖c · R Cᵢ‖²`
+/// to the total through one workspace sized for `R`.
 ///
-/// The value equals the two-product form up to rounding: the difference
-/// of the cell values is rounded instead of the difference of the
-/// answers, and the streamed form applies the modes in another order
-/// (its squares are still summed in row order). Both agree with
-/// `‖W x − W x̂‖` to a relative 1e-12, and a workload that is not
-/// streamed gets exactly the bits of `‖W d‖`.
+/// * With `F₀` a `Prefix`, `Suffix` or `Identity`, optionally scaled,
+///   `Cᵢ` is built from `x` and `x̂` directly, in one running-sum buffer
+///   (`acc += t − e`, the operation sequence the Kronecker engine's
+///   running-sum kernel applies to `d`; an identity takes `t − e`), and
+///   neither `d` nor `C` is formed. A `Suffix` runs from the last block
+///   to the first, so its squares are summed in that order.
+/// * With any other `F₀`, `d` and `C` are formed once each, with
+///   `rows(F₀) · cols(R)` values for `C`, and the blocks are taken in
+///   order.
+///
+/// Every other workload takes one product `W d` through a workspace that
+/// reserves scratch for `W·v` alone. The value equals the two-product
+/// form up to rounding: the difference of the cell values is rounded
+/// instead of the difference of the answers, and the streamed form
+/// applies the modes in another order. Both agree with `‖W x − W x̂‖` to a
+/// relative 1e-12, and a workload that is not streamed gets exactly the
+/// bits of `‖W d‖`.
+///
+/// # Panics
+///
+/// If `x_true` and `x_hat` differ in length, or their length is not the
+/// workload's column count.
 pub fn scaled_per_query_l2_error(
     workload: &Matrix,
     x_true: &[f64],
     x_hat: &[f64],
     scale: f64,
 ) -> f64 {
-    let diff: Vec<f64> = x_true.iter().zip(x_hat).map(|(t, e)| t - e).collect();
+    assert_eq!(
+        x_true.len(),
+        x_hat.len(),
+        "error check: x and x̂ differ in length"
+    );
+    assert_eq!(
+        x_true.len(),
+        workload.cols(),
+        "error check: x does not match the workload's columns"
+    );
+    let diff = || -> Vec<f64> { x_true.iter().zip(x_hat).map(|(t, e)| t - e).collect() };
     let sq = match streamed_split(workload) {
         Some((c, f0, rest)) => {
-            let cols = rest.cols();
-            let mut panel = vec![0.0; f0.rows() * cols];
-            Matrix::kron(f0.clone(), Matrix::identity(cols)).matvec_into(
-                &diff,
-                &mut panel,
-                &mut Workspace::new(),
-            );
-            let mut answers = vec![0.0; rest.rows()];
-            let mut ws = Workspace::new();
-            let mut sq = 0.0;
-            for row in panel.chunks_exact(cols) {
-                rest.matvec_into(row, &mut answers, &mut ws);
-                for &a in &answers {
-                    let e = a * c;
-                    sq += e * e;
+            let mut blocks = RestSquares::new(c, rest);
+            let mut scales = Vec::new();
+            match running_first(f0, &mut scales) {
+                Some(first) => blocks.add_running(first, &scales, x_true, x_hat),
+                None => {
+                    let cols = blocks.rest.cols();
+                    let mut panel = vec![0.0; f0.rows() * cols];
+                    Matrix::kron(f0.clone(), Matrix::identity(cols)).matvec_into(
+                        &diff(),
+                        &mut panel,
+                        &mut Workspace::new(),
+                    );
+                    for block in panel.chunks_exact(cols) {
+                        blocks.add(block);
+                    }
                 }
             }
-            sq
+            blocks.sq
         }
         None => {
             let mut err = vec![0.0; workload.rows()];
-            workload.matvec_into(&diff, &mut err, &mut Workspace::new());
+            workload.matvec_into(&diff(), &mut err, &mut Workspace::new());
             err.iter().map(|d| d * d).sum()
         }
     };
@@ -235,6 +298,105 @@ fn streamed_split(workload: &Matrix) -> Option<(f64, &Matrix, Matrix)> {
     let (&f0, rest) = factors.split_first()?;
     let rest = Matrix::kron_list(rest.iter().map(|&f| f.clone()).collect());
     (rest.cols() > 0 && rest.rows() >= rest.cols()).then_some((c, f0, rest))
+}
+
+/// A first factor whose blocks `Cᵢ` the error check builds from `x` and
+/// `x̂` in one running buffer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RunningFirst {
+    /// `Cᵢ = Σ_{j ≤ i} dⱼ`.
+    Prefix,
+    /// `Cᵢ = Σ_{j ≥ i} dⱼ`, built from the last block.
+    Suffix,
+    /// `Cᵢ = dᵢ`.
+    Identity,
+}
+
+/// The kind of `f0` if it is a `Prefix`, `Suffix` or `Identity` under
+/// any number of scalings, whose scales are appended to `scales`
+/// innermost first (the order the engine applies them in); `None` for
+/// any other factor.
+fn running_first(f0: &Matrix, scales: &mut Vec<f64>) -> Option<RunningFirst> {
+    match f0 {
+        Matrix::Prefix { .. } => Some(RunningFirst::Prefix),
+        Matrix::Suffix { .. } => Some(RunningFirst::Suffix),
+        Matrix::Identity { .. } => Some(RunningFirst::Identity),
+        Matrix::Scaled(c, a) => {
+            let kind = running_first(a, scales)?;
+            scales.push(*c);
+            Some(kind)
+        }
+        _ => None,
+    }
+}
+
+/// The streamed check's sum `Σᵢ ‖c · R Cᵢ‖²`, one block `Cᵢ` at a time.
+struct RestSquares {
+    c: f64,
+    rest: Matrix,
+    /// `R Cᵢ`.
+    answers: Vec<f64>,
+    ws: Workspace,
+    sq: f64,
+}
+
+impl RestSquares {
+    fn new(c: f64, rest: Matrix) -> Self {
+        RestSquares {
+            c,
+            answers: vec![0.0; rest.rows()],
+            rest,
+            ws: Workspace::new(),
+            sq: 0.0,
+        }
+    }
+
+    /// Adds `‖c · R block‖²`, squares summed in row order.
+    fn add(&mut self, block: &[f64]) {
+        self.rest
+            .matvec_into(block, &mut self.answers, &mut self.ws);
+        for &a in &self.answers {
+            let e = a * self.c;
+            self.sq += e * e;
+        }
+    }
+
+    /// Adds every block of `(F₀ ⊗ I) (x − x̂)` for a first factor of kind
+    /// `first` under `scales`, building each block from `x` and `x̂` in
+    /// one running buffer with the engine's operation sequence: the
+    /// running sum starts from `0.0` and adds `t − e` (an identity takes
+    /// `t − e` alone), and each scale then multiplies a copy of it.
+    fn add_running(&mut self, first: RunningFirst, scales: &[f64], x_true: &[f64], x_hat: &[f64]) {
+        let cols = self.rest.cols();
+        let blocks = x_true.len() / cols;
+        let mut acc = vec![0.0; cols];
+        let mut scaled = vec![0.0; if scales.is_empty() { 0 } else { cols }];
+        for step in 0..blocks {
+            let i = match first {
+                RunningFirst::Suffix => blocks - 1 - step,
+                _ => step,
+            };
+            let (t, e) = (&x_true[i * cols..][..cols], &x_hat[i * cols..][..cols]);
+            if first == RunningFirst::Identity {
+                for ((a, &t), &e) in acc.iter_mut().zip(t).zip(e) {
+                    *a = t - e;
+                }
+            } else {
+                for ((a, &t), &e) in acc.iter_mut().zip(t).zip(e) {
+                    *a += t - e;
+                }
+            }
+            if scales.is_empty() {
+                self.add(&acc);
+            } else {
+                scaled.copy_from_slice(&acc);
+                for &c in scales {
+                    ektelo_matrix::kernels::scale(&mut scaled, c);
+                }
+                self.add(&scaled);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

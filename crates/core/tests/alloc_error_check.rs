@@ -2,9 +2,13 @@
 //! (`scaled_per_query_l2_error`) over the census `Prefix(Income)`
 //! workload on the 357×5×7×4×2 domain (257,040 queries over 99,960
 //! cells): the check is streamed, so it never allocates a buffer as
-//! large as the workload's answers, `rows(W) · 8` bytes. Its largest
-//! allocations are `x − x̂` and the mode-0 panel `(Prefix ⊗ I) (x − x̂)`,
-//! one domain vector each. Forming `W (x − x̂)` whole fails the gate.
+//! large as the workload's answers, `rows(W) · 8` bytes, nor one as
+//! large as a domain vector, `cols(W) · 8` bytes. With a `Prefix` first
+//! factor it builds each block of `(Prefix ⊗ I) (x − x̂)` from `x` and
+//! `x̂` in one running-sum buffer of `cols(R)` values, so its largest
+//! allocations are sized by the rest `R = [Total; I] ⊗ …` (280 columns,
+//! 720 rows). Forming `x − x̂`, the mode-0 panel or `W (x − x̂)` whole
+//! fails the gate.
 //!
 //! The allocator records the largest allocation of the test thread
 //! only, so other threads of the process cannot disturb the window.
@@ -73,6 +77,7 @@ fn census_prefix_income_check_allocates_no_answer_sized_buffer() {
     let w = census_prefix_income(&SIZES);
     let n = w.cols();
     let answer_bytes = w.rows() * std::mem::size_of::<f64>();
+    let domain_bytes = n * std::mem::size_of::<f64>();
     let x: Vec<f64> = (0..n).map(|i| (i % 11) as f64).collect();
     let x_hat: Vec<f64> = x
         .iter()
@@ -85,12 +90,17 @@ fn census_prefix_income_check_allocates_no_answer_sized_buffer() {
         let (err, largest) = largest_during(|| scaled_per_query_l2_error(&w, &x, &x_hat, 1e4));
         assert!(err.is_finite() && err > 0.0);
         assert!(
-            largest < answer_bytes,
-            "{pass} check allocated {largest} bytes at once; the answers take {answer_bytes}"
+            largest < domain_bytes,
+            "{pass} check allocated {largest} bytes at once; a domain vector takes \
+             {domain_bytes} and the answers {answer_bytes}"
         );
     }
 
-    // The gate sees an answer-sized buffer when one is made.
+    // The gate sees a domain-sized buffer, and an answer-sized one, when
+    // one is made.
+    let (_, largest) =
+        largest_during(|| x.iter().zip(&x_hat).map(|(t, e)| t - e).collect::<Vec<_>>());
+    assert!(largest >= domain_bytes);
     let (_, largest) = largest_during(|| w.matvec(&x));
     assert!(largest >= answer_bytes);
 }

@@ -40,6 +40,7 @@ pub fn census_cps_sized(rows: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xce9505);
     let schema = census_schema();
     let mut table = Table::empty(schema);
+    let mut out = table.appender();
 
     for _ in 0..rows {
         let gender = rng.random_range(0..2u32);
@@ -71,7 +72,7 @@ pub fn census_cps_sized(rows: usize, seed: u64) -> Table {
         let income_dollars = (base + sigma * z).exp().min(749_999.0);
         let income_bin = (income_dollars / 150.0) as u32;
 
-        table.push_row(&[income_bin.min(4999), age, marital, race, gender]);
+        out.push(&[income_bin.min(4999), age, marital, race, gender]);
     }
     table
 }

@@ -38,6 +38,7 @@ pub fn credit_default_sized(rows: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc4ed17);
     let schema = credit_schema();
     let mut table = Table::empty(schema);
+    let mut out = table.appender();
 
     for _ in 0..rows {
         let x3 = sample_categorical(&mut rng, &[0.35, 0.30, 0.20, 0.08, 0.04, 0.02, 0.01]);
@@ -65,7 +66,7 @@ pub fn credit_default_sized(rows: usize, seed: u64) -> Table {
         let p = 1.0 / (1.0 + (-score).exp());
         let default = u32::from(rng.random::<f64>() < p);
 
-        table.push_row(&[default, x3.min(6), x4, x5.min(55), x6.min(10)]);
+        out.push(&[default, x3.min(6), x4, x5.min(55), x6.min(10)]);
     }
     table
 }

@@ -27,5 +27,5 @@ pub mod workloads;
 
 pub use predicate::Predicate;
 pub use schema::{Attribute, Schema};
-pub use table::Table;
+pub use table::{RowAppender, Table};
 pub use vectorize::vectorize;

@@ -5,50 +5,66 @@
 //! `GroupBy` is 2-stable. The kernel in `ektelo-core` tracks these; the
 //! operations themselves are ordinary relational code and live here so
 //! they can be tested without any privacy machinery.
+//!
+//! **Shared columns.** A table holds each column as a shared, immutable
+//! `Arc<Vec<u32>>`, so many analyses can start from one source table
+//! without copying it (the protected kernel wraps one table per
+//! analysis). [`Table::clone`] and [`Table::select`] copy no column, only
+//! the schema and one reference per column. [`Table::push_row`] copies on
+//! write: it copies a column only when another table still shares it, so
+//! appending to a clone never changes the table it was cloned from, nor a
+//! kernel that holds that table. A [`RowAppender`] makes that check once
+//! for many rows, so a loop that builds a table pays no per-row check.
+
+use std::sync::Arc;
 
 use crate::predicate::Predicate;
 use crate::schema::Schema;
 
 /// A single-relation table in columnar form. Values are attribute codes
-/// (`0..attribute.size()`).
+/// (`0..attribute.size()`). Cloning shares the columns (see the module
+/// docs).
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,
-    /// One `Vec<u32>` per attribute, all of equal length.
-    columns: Vec<Vec<u32>>,
+    /// One shared column per attribute, all of equal length.
+    columns: Vec<Arc<Vec<u32>>>,
 }
 
 impl Table {
     /// An empty table over `schema`.
     pub fn empty(schema: Schema) -> Self {
-        let columns = vec![Vec::new(); schema.arity()];
+        let columns = (0..schema.arity()).map(|_| Arc::default()).collect();
         Table { schema, columns }
     }
 
     /// Builds a table from rows; validates every value against the schema.
     pub fn from_rows(schema: Schema, rows: &[Vec<u32>]) -> Self {
         let mut t = Table::empty(schema);
+        let mut out = t.appender();
         for row in rows {
-            t.push_row(row);
+            out.push(row);
         }
         t
     }
 
-    /// Appends one row.
+    /// Appends one row, validated against the schema. A column another
+    /// table shares is copied first (copy on write), so no other table
+    /// sees the row.
     pub fn push_row(&mut self, row: &[u32]) {
-        assert_eq!(row.len(), self.schema.arity(), "row arity mismatch");
-        for ((col, &v), attr) in self
-            .columns
-            .iter_mut()
-            .zip(row)
-            .zip(self.schema.attributes())
-        {
-            assert!(
-                (v as usize) < attr.size(),
-                "value {v} out of domain for attribute '{}'",
-                attr.name()
-            );
-            col.push(v);
+        check_row(&self.schema, row);
+        for (col, &v) in self.columns.iter_mut().zip(row) {
+            Arc::make_mut(col).push(v);
+        }
+    }
+
+    /// A writer that appends many rows: it copies each column another
+    /// table shares once, when made, and then pushes straight into the
+    /// columns.
+    pub fn appender(&mut self) -> RowAppender<'_> {
+        RowAppender {
+            schema: &self.schema,
+            columns: self.columns.iter_mut().map(Arc::make_mut).collect(),
         }
     }
 
@@ -59,7 +75,7 @@ impl Table {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Row `i` as an owned vector.
@@ -68,7 +84,7 @@ impl Table {
     }
 
     /// Every column, in schema order.
-    pub(crate) fn columns(&self) -> &[Vec<u32>] {
+    pub(crate) fn columns(&self) -> &[Arc<Vec<u32>>] {
         &self.columns
     }
 
@@ -80,25 +96,26 @@ impl Table {
     /// `Where`: keeps rows satisfying `pred`. 1-stable.
     pub fn filter(&self, pred: &Predicate) -> Table {
         let mut out = Table::empty(self.schema.clone());
+        let mut kept = out.appender();
         let mut row = vec![0u32; self.schema.arity()];
         for i in 0..self.num_rows() {
             for (slot, col) in row.iter_mut().zip(&self.columns) {
                 *slot = col[i];
             }
             if pred.eval(&self.schema, &row) {
-                out.push_row(&row);
+                kept.push(&row);
             }
         }
         out
     }
 
     /// `Select`: projects onto the named attributes (in the given order).
-    /// 1-stable.
+    /// 1-stable. The result shares the selected columns with `self`.
     pub fn select(&self, names: &[&str]) -> Table {
         let schema = self.schema.project(names);
         let columns = names
             .iter()
-            .map(|n| self.columns[self.schema.require(n)].clone())
+            .map(|n| Arc::clone(&self.columns[self.schema.require(n)]))
             .collect();
         Table { schema, columns }
     }
@@ -110,13 +127,44 @@ impl Table {
         let projected = self.select(names);
         let mut seen = std::collections::HashSet::new();
         let mut out = Table::empty(projected.schema.clone());
+        let mut groups = out.appender();
         for i in 0..projected.num_rows() {
             let row = projected.row(i);
             if seen.insert(row.clone()) {
-                out.push_row(&row);
+                groups.push(&row);
             }
         }
         out
+    }
+}
+
+/// Appends rows to one table, holding each of its columns uniquely
+/// ([`Table::appender`]).
+pub struct RowAppender<'a> {
+    schema: &'a Schema,
+    columns: Vec<&'a mut Vec<u32>>,
+}
+
+impl RowAppender<'_> {
+    /// Appends one row, validated against the schema.
+    pub fn push(&mut self, row: &[u32]) {
+        check_row(self.schema, row);
+        for (col, &v) in self.columns.iter_mut().zip(row) {
+            col.push(v);
+        }
+    }
+}
+
+/// Panics unless `row` has the schema's arity and every value lies in
+/// its attribute's domain.
+fn check_row(schema: &Schema, row: &[u32]) {
+    assert_eq!(row.len(), schema.arity(), "row arity mismatch");
+    for (&v, attr) in row.iter().zip(schema.attributes()) {
+        assert!(
+            (v as usize) < attr.size(),
+            "value {v} out of domain for attribute '{}'",
+            attr.name()
+        );
     }
 }
 
@@ -159,6 +207,66 @@ mod tests {
         let t = sample();
         let g = t.group_by(&["sex"]);
         assert_eq!(g.num_rows(), 2);
+    }
+
+    #[test]
+    fn clone_and_select_share_columns() {
+        let t = sample();
+        let c = t.clone();
+        let s = t.select(&["salary", "age"]);
+        for (a, b) in t.columns().iter().zip(c.columns()) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        assert!(Arc::ptr_eq(&s.columns()[0], &t.columns()[2]));
+        assert!(Arc::ptr_eq(&s.columns()[1], &t.columns()[0]));
+    }
+
+    #[test]
+    fn push_row_to_a_clone_copies_on_write() {
+        let t = sample();
+        let before: Vec<Vec<u32>> = (0..t.num_rows()).map(|i| t.row(i)).collect();
+        let mut c = t.clone();
+        c.push_row(&[3, 0, 1]);
+        assert_eq!(c.num_rows(), 6);
+        assert_eq!(c.row(5), vec![3, 0, 1]);
+        // The original keeps its rows and its row count.
+        assert_eq!(t.num_rows(), 5);
+        assert_eq!(
+            (0..t.num_rows()).map(|i| t.row(i)).collect::<Vec<_>>(),
+            before
+        );
+        // The clone now owns its columns; the original's stay unshared.
+        for (a, b) in t.columns().iter().zip(c.columns()) {
+            assert!(!Arc::ptr_eq(a, b));
+            assert_eq!(Arc::strong_count(a), 1);
+        }
+        // A projection of the original is untouched by the clone's row too.
+        let mut s = t.select(&["sex"]);
+        s.push_row(&[1]);
+        assert_eq!(t.column("sex"), &[0, 1, 1, 0, 1]);
+        assert_eq!(s.column("sex"), &[0, 1, 1, 0, 1, 1]);
+    }
+
+    #[test]
+    fn appender_on_a_clone_copies_on_write() {
+        let t = sample();
+        let mut c = t.clone();
+        let mut rows = c.appender();
+        rows.push(&[3, 0, 1]);
+        rows.push(&[4, 1, 3]);
+        assert_eq!(c.num_rows(), 7);
+        assert_eq!(c.row(6), vec![4, 1, 3]);
+        assert_eq!(t.num_rows(), 5);
+        assert_eq!(t.column("age"), &[0, 1, 2, 2, 4]);
+    }
+
+    #[test]
+    fn push_row_to_an_unshared_table_appends_in_place() {
+        let mut t = sample();
+        let ptrs: Vec<*const Vec<u32>> = t.columns().iter().map(Arc::as_ptr).collect();
+        t.push_row(&[1, 0, 0]);
+        let after: Vec<*const Vec<u32>> = t.columns().iter().map(Arc::as_ptr).collect();
+        assert_eq!(ptrs, after);
     }
 
     #[test]

@@ -232,17 +232,32 @@ impl ColumnRefinement {
     /// one representative column per class, or `None` when every column
     /// is its own class. Costs `O(s + n)` plus the reduced rows.
     pub fn classes(&self) -> Option<ColumnClasses> {
+        let mut classes = None;
+        self.refresh_classes(&mut classes);
+        classes
+    }
+
+    /// Writes [`Self::classes`] into `classes`, reusing the label and
+    /// size buffers of the value it holds: a loop that reads the classes
+    /// after every refinement (MWEM's rounds) keeps one value instead of
+    /// building an `n`-label copy each time. Leaves `None` when every
+    /// column is its own class.
+    pub fn refresh_classes(&self, classes: &mut Option<ColumnClasses>) {
         let n = self.cols();
+        let kept = classes.take();
         if self.refiner.sizes.len() == n {
-            return None;
+            return;
         }
-        let (labels, sizes, reps) = self.refiner.canonical(&self.cuts, n);
+        let (mut labels, mut sizes) = kept.map_or_else(Default::default, |c| (c.labels, c.sizes));
+        let reps = self
+            .refiner
+            .canonical(&self.cuts, n, &mut labels, &mut sizes);
         let matrix = Matrix::sparse(self.reduced_rows(&labels, &reps));
-        Some(ColumnClasses {
+        *classes = Some(ColumnClasses {
             labels,
             sizes,
             matrix,
-        })
+        });
     }
 
     fn cols(&self) -> usize {
@@ -552,13 +567,22 @@ impl Refiner {
 
     /// Renumbers the classes by first column and expands them to the `n`
     /// columns, segment `s` standing for the columns `cuts[s]..cuts[s + 1]`.
-    /// Returns the column labels, the class sizes in columns and each
-    /// class's first column.
-    fn canonical(&self, cuts: &[usize], n: usize) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    /// Writes the column labels to `labels` and the class sizes in columns
+    /// to `sizes` (both cleared first, their buffers reused) and returns
+    /// each class's first column.
+    fn canonical(
+        &self,
+        cuts: &[usize],
+        n: usize,
+        labels: &mut Vec<u32>,
+        sizes: &mut Vec<usize>,
+    ) -> Vec<u32> {
         let mut renumber = vec![u32::MAX; self.sizes.len()];
-        let mut sizes = Vec::with_capacity(self.sizes.len());
+        sizes.clear();
+        sizes.reserve(self.sizes.len());
         let mut reps = Vec::with_capacity(self.sizes.len());
-        let mut labels = Vec::with_capacity(n);
+        labels.clear();
+        labels.reserve(n);
         for (&l, span) in self.labels.iter().zip(cuts.windows(2)) {
             let k = &mut renumber[l as usize];
             if *k == u32::MAX {
@@ -570,7 +594,7 @@ impl Refiner {
             sizes[*k as usize] += len;
             labels.resize(labels.len() + len, *k);
         }
-        (labels, sizes, reps)
+        reps
     }
 }
 

@@ -215,6 +215,8 @@ proptest! {
     /// Blocks of interval and scattered rows (ranges, one-valued and
     /// many-valued sparse rows, stored zeros, scales), sometimes a block
     /// of a shape the refinement does not take, refined one at a time.
+    /// One value refreshed in place after every block
+    /// (`refresh_classes`) holds the same classes as a new one.
     #[test]
     fn incremental_refinement_matches_refinement_from_scratch(
         seed in 0u64..1 << 40,
@@ -224,6 +226,7 @@ proptest! {
         let mut rng = Rng(seed);
         let k = (kind < 3).then(|| key(&mut rng, kind, n));
         let mut refinement = ColumnRefinement::new(n, k.as_deref());
+        let mut kept = None;
         let mut blocks = Vec::new();
         for _ in 0..1 + rng.below(8) {
             let prefix = rng.below(6) == 0;
@@ -244,7 +247,10 @@ proptest! {
                 Some(k) => stack.column_classes_by(k),
                 None => stack.column_classes(),
             };
-            prop_assert_eq!(class_bits(refinement.classes()), class_bits(scratch));
+            let want = class_bits(scratch);
+            prop_assert_eq!(class_bits(refinement.classes()), want.clone());
+            refinement.refresh_classes(&mut kept);
+            prop_assert_eq!(class_bits(kept.clone()), want);
         }
     }
 

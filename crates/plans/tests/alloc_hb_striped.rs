@@ -2,21 +2,21 @@
 //! paper Algorithm 5 run as Algorithm 6): the shared-strategy batch is
 //! lowered to one `I ⊗ HB ⊗ I` measurement and solved exactly, mode by
 //! mode. On the `[64, 4, 3]` domain striped along attribute 0, a warm run
-//! performs exactly three data-sized allocations (at least one domain
+//! performs exactly two data-sized allocations (at least one domain
 //! vector's bytes), in this order:
 //!
 //! 1. the exact answers, one shared buffer per measurement (`Arc<[f64]>`,
 //!    one row per strategy row) that the noise is added to in place and
 //!    that the history record and `measurements_since` share;
-//! 2. the scaled right-hand side `y / noise_scale` that inference stacks;
-//! 3. the output of the HB mode's tree pass, which is the estimate.
+//! 2. the output of the HB mode's tree pass, which is the estimate.
 //!
 //! Nothing else on the path is sized by the data: the sensitivity of the
 //! Kronecker strategy is a product of its factors' column-sum maxima, and
-//! with one hierarchy mode the residual is the sum of the passes' own.
-//! Copying the answers into the history or out of it, building the
-//! strategy's column-sum vector, or forming the residual product `A·x̂`
-//! again each adds an allocation and fails the gate.
+//! the tree pass reads the answers in place, forming each weighted value
+//! `y / noise_scale` where it reads it. Copying the answers into the
+//! history or out of it, stacking a weighted right-hand side, building
+//! the strategy's column-sum vector, or forming a residual product `A·x̂`
+//! each adds an allocation and fails the gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -91,7 +91,7 @@ fn data_sized_allocations<T>(f: impl FnOnce() -> T) -> (T, Vec<usize>) {
 }
 
 #[test]
-fn warm_hb_striped_run_allocates_only_answers_rhs_and_estimate() {
+fn warm_hb_striped_run_allocates_only_answers_and_estimate() {
     let x: Vec<f64> = (0..CELLS).map(|i| ((i * 13) % 17) as f64).collect();
     let (k, root) = kernel_for_histogram(&x, 10.0, 5);
     // Warm-up: evaluation plans and the kernel's workspace arena.
@@ -106,7 +106,6 @@ fn warm_hb_striped_run_allocates_only_answers_rhs_and_estimate() {
     let arc_header = 2 * std::mem::size_of::<usize>();
     let expected = vec![
         arc_header + f64s(rows), // exact answers, noise added in place
-        f64s(rows),              // scaled right-hand side
         f64s(CELLS),             // the tree pass's output: the estimate
     ];
     assert_eq!(

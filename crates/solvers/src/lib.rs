@@ -18,7 +18,9 @@
 //!   systems, such as the striped plans' stacked measurements, are solved
 //!   one column component at a time, and a component that is a weighted
 //!   interval hierarchy (optionally behind a partition) is solved exactly
-//!   by the tree pass instead of iterating;
+//!   by the tree pass instead of iterating. [`lsqr_weighted`] reads a
+//!   right-hand side of weighted measurement answers in place
+//!   ([`WeightedRhs`]) instead of a stacked, weighted copy;
 //! * [`tree_least_squares`] — the tree-based least squares of Hay et al.
 //!   (2010): the exact `O(nodes)` minimum-norm solution for a weighted
 //!   interval hierarchy, the specialised inference of Fig. 5;
@@ -39,7 +41,7 @@ pub mod tree;
 pub mod util;
 
 pub use cholesky::{cholesky_factor, cholesky_solve, direct_least_squares};
-pub use lsqr::{lsqr, LsqrOptions, LsqrResult};
+pub use lsqr::{lsqr, lsqr_weighted, LsqrOptions, LsqrResult, WeightedRhs};
 pub use mw::{mult_weights, mult_weights_uniform_into, mw_uniform_start, MwOptions};
 pub use nnls::{nnls, NnlsOptions};
 pub use power::spectral_norm_estimate;

@@ -9,6 +9,8 @@
 //! minimum-norm least-squares solution, so the substitution changes when
 //! the iteration stops, not what it converges to.
 
+use std::ops::Range;
+
 use ektelo_matrix::{kernels, Matrix, Workspace};
 
 use crate::tree::{kron_least_squares, TreeSolver};
@@ -46,15 +48,76 @@ pub struct LsqrResult {
     /// a component solved exactly by the tree pass adds 0, and an exact
     /// Kronecker solve reports 0.
     pub iterations: usize,
-    /// Final residual norm estimate `‖Ax − b‖₂`. For a system solved one
-    /// column component at a time this is `√(Σ rₖ²)` over the components'
-    /// residuals rₖ (their row sets partition the rows of `A`): LSQR's
-    /// estimate φ̄ₖ, or the exact `‖Aₖxₖ − bₖ‖` of a component the tree
-    /// pass solved.
-    pub residual_norm: f64,
 }
 
-/// Solves `min_x ‖Ax − b‖₂` with LSQR.
+/// A right-hand side held in place as blocks of answers, each read with
+/// its weight: `b = [w₀·a₀; w₁·a₁; …]`, the stacked form of measurements
+/// weighted by their inverse noise scales (paper §5.5).
+///
+/// A solve forms each value as `a * w` where it reads it, the same f64
+/// product a stacked, weighted copy holds, so [`lsqr_weighted`] returns
+/// the bits [`lsqr`] returns on that copy without the copy being made.
+#[derive(Clone, Debug)]
+pub struct WeightedRhs<'a> {
+    /// Each block's answers and weight, in row order.
+    blocks: Vec<(&'a [f64], f64)>,
+    /// Each block's first row, then the total row count.
+    starts: Vec<usize>,
+}
+
+impl<'a> WeightedRhs<'a> {
+    /// The right-hand side stacking `blocks` of `(answers, weight)` in
+    /// order.
+    pub fn new(blocks: Vec<(&'a [f64], f64)>) -> Self {
+        let mut starts = Vec::with_capacity(blocks.len() + 1);
+        let mut rows = 0;
+        starts.push(rows);
+        for (answers, _) in &blocks {
+            rows += answers.len();
+            starts.push(rows);
+        }
+        WeightedRhs { blocks, starts }
+    }
+
+    /// The number of rows.
+    fn rows(&self) -> usize {
+        self.starts[self.blocks.len()]
+    }
+
+    /// The answers and weight of a right-hand side of one block.
+    pub(crate) fn single(&self) -> Option<(&'a [f64], f64)> {
+        match self.blocks[..] {
+            [block] => Some(block),
+            _ => None,
+        }
+    }
+
+    /// Every row, weighted, as one vector.
+    pub(crate) fn to_vec(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.rows());
+        self.extend_rows(0..self.rows(), &mut out);
+        out
+    }
+
+    /// Appends rows `rows`, each formed as `a * w`, to `out`.
+    fn extend_rows(&self, rows: Range<usize>, out: &mut Vec<f64>) {
+        // The last block starting at or before `rows.start` holds it
+        // (empty blocks before it share its start).
+        let mut k = self.starts.partition_point(|&s| s <= rows.start) - 1;
+        let mut r = rows.start;
+        while r < rows.end {
+            let (answers, w) = self.blocks[k];
+            let start = self.starts[k];
+            let end = rows.end.min(self.starts[k + 1]);
+            out.extend(answers[r - start..end - start].iter().map(|&a| a * w));
+            r = end;
+            k += 1;
+        }
+    }
+}
+
+/// Solves `min_x ‖Ax − b‖₂` with LSQR: [`lsqr_weighted`] on `b` as one
+/// block of weight 1 (`b * 1.0` is `b` bit for bit).
 ///
 /// A single (scaled) Kronecker measurement whose factors are each an
 /// identity or a weighted interval hierarchy — HB-Striped's
@@ -92,27 +155,31 @@ pub struct LsqrResult {
 /// assert!((r.x[0] - 1.0).abs() < 1e-8 && (r.x[1] - 2.0).abs() < 1e-8);
 /// ```
 pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
-    let (m, n) = a.shape();
-    assert_eq!(b.len(), m, "lsqr: rhs length mismatch");
+    lsqr_weighted(a, &WeightedRhs::new(vec![(b, 1.0)]), opts)
+}
 
-    if let Some((x, residual_sq)) = kron_least_squares(a, b) {
+/// [`lsqr`] with the right-hand side read in place from weighted blocks
+/// of answers ([`WeightedRhs`]): the result is [`lsqr`]'s on the stacked,
+/// weighted copy, bit for bit.
+///
+/// The exact Kronecker pass reads a one-block right-hand side where it
+/// lies. Every other path forms only the vector it works on: the loop's
+/// starting vector `u₁ ∝ b` over the whole system, or one component's
+/// rows at a time in a buffer all components share.
+pub fn lsqr_weighted(a: &Matrix, b: &WeightedRhs<'_>, opts: &LsqrOptions) -> LsqrResult {
+    let (m, n) = a.shape();
+    assert_eq!(b.rows(), m, "lsqr: rhs length mismatch");
+
+    if let Some(x) = kron_least_squares(a, b) {
         // The exact pass passes the solver fault site once.
         ektelo_matrix::failpoints::panic_if("solver::iteration");
-        return LsqrResult {
-            x,
-            iterations: 0,
-            residual_norm: residual_sq.sqrt(),
-        };
+        return LsqrResult { x, iterations: 0 };
     }
     let mut x = vec![0.0; n];
     let Some(components) = a.column_components() else {
-        let (iterations, residual_norm) =
-            lsqr_into(a, b, &mut x, &mut Workspace::for_matrix(a), opts);
-        return LsqrResult {
-            x,
-            iterations,
-            residual_norm,
-        };
+        let mut u = b.to_vec();
+        let iterations = lsqr_into(a, &mut u, &mut x, &mut Workspace::for_matrix(a), opts);
+        return LsqrResult { x, iterations };
     };
 
     // One workspace for every component: its arena grows to the largest
@@ -120,51 +187,39 @@ pub fn lsqr(a: &Matrix, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let mut ws = Workspace::new();
     let mut tree = TreeSolver::default();
     let mut iterations = 0;
-    let mut residual_sq = 0.0;
-    // A component's right-hand side is borrowed from `b` when its rows are
-    // one span and gathered otherwise; both buffers serve every component.
-    let (mut gathered, mut xc) = (Vec::new(), Vec::new());
+    // A component's right-hand side, gathered from its row spans, and its
+    // solution; both buffers serve every component.
+    let (mut bc, mut xc) = (Vec::new(), Vec::new());
     for c in &components {
-        let bc = match &c.row_spans[..] {
-            [rows] => &b[rows.clone()],
-            spans => {
-                gathered.clear();
-                gathered.extend(spans.iter().flat_map(|r| &b[r.clone()]));
-                &gathered[..]
-            }
-        };
+        bc.clear();
+        for rows in &c.row_spans {
+            b.extend_rows(rows.clone(), &mut bc);
+        }
         xc.clear();
         xc.resize(c.cols.len(), 0.0);
-        if let Some(r_sq) = tree.solve(&c.matrix, bc, &mut xc) {
+        if tree.solve(&c.matrix, &bc, &mut xc).is_some() {
             // An exact component passes the solver fault site once.
             ektelo_matrix::failpoints::panic_if("solver::iteration");
-            residual_sq += r_sq;
         } else {
-            let (it, phibar) = lsqr_into(&c.matrix, bc, &mut xc, &mut ws, opts);
-            iterations += it;
-            residual_sq += phibar * phibar;
+            iterations += lsqr_into(&c.matrix, &mut bc, &mut xc, &mut ws, opts);
         }
         for (&j, &v) in c.cols.iter().zip(&xc) {
             x[j] = v;
         }
     }
-    LsqrResult {
-        x,
-        iterations,
-        residual_norm: residual_sq.sqrt(),
-    }
+    LsqrResult { x, iterations }
 }
 
 /// The LSQR loop on one system: solves `min ‖Ax − b‖` into `x` (which
-/// must be zero on entry) and returns `(iterations, φ̄)`, φ̄ being the
-/// final residual-norm estimate.
+/// must be zero on entry) and returns the number of iterations. `u`
+/// holds `b` on entry and serves as the loop's `u` vector.
 fn lsqr_into(
     a: &Matrix,
-    b: &[f64],
+    u: &mut [f64],
     x: &mut [f64],
     ws: &mut Workspace,
     opts: &LsqrOptions,
-) -> (usize, f64) {
+) -> usize {
     let (m, n) = a.shape();
 
     // Fixed iteration buffers plus the caller's workspace: the inner loop
@@ -174,19 +229,18 @@ fn lsqr_into(
     let mut atu = vec![0.0; n];
 
     // β₁ u₁ = b
-    let mut u = b.to_vec();
-    let mut beta = kernels::norm2(&u);
+    let mut beta = kernels::norm2(u);
     if beta == 0.0 {
-        return (0, 0.0);
+        return 0;
     }
-    kernels::scale(&mut u, 1.0 / beta);
+    kernels::scale(u, 1.0 / beta);
 
     // α₁ v₁ = Aᵀ u₁
     let mut v = vec![0.0; n];
-    a.rmatvec_into(&u, &mut v, ws);
+    a.rmatvec_into(u, &mut v, ws);
     let mut alpha = kernels::norm2(&v);
     if alpha == 0.0 {
-        return (0, beta);
+        return 0;
     }
     kernels::scale(&mut v, 1.0 / alpha);
 
@@ -205,12 +259,12 @@ fn lsqr_into(
         // Continue the bidiagonalization:
         //   β u = A v − α u ;  α v = Aᵀ u − β v
         a.matvec_into(&v, &mut av, ws);
-        kernels::xpay(&mut u, -alpha, &av);
-        beta = kernels::norm2(&u);
+        kernels::xpay(u, -alpha, &av);
+        beta = kernels::norm2(u);
         if beta > 0.0 {
-            kernels::scale(&mut u, 1.0 / beta);
+            kernels::scale(u, 1.0 / beta);
         }
-        a.rmatvec_into(&u, &mut atu, ws);
+        a.rmatvec_into(u, &mut atu, ws);
         kernels::xpay(&mut v, -beta, &atu);
         alpha = kernels::norm2(&v);
         if alpha > 0.0 {
@@ -242,7 +296,7 @@ fn lsqr_into(
         }
     }
 
-    (iterations, phibar)
+    iterations
 }
 
 #[cfg(test)]
@@ -273,11 +327,14 @@ mod tests {
 
     #[test]
     fn least_squares_of_inconsistent_system() {
-        // Two measurements of the same scalar: x=1 and x=3 → LS solution 2.
+        // Two measurements of the same scalar: x=1 and x=3 → LS solution 2,
+        // whose residual is √((2 − 1)² + (2 − 3)²) = √2.
         let a = Matrix::from_rows(vec![vec![1.0], vec![1.0]]);
-        let r = lsqr(&a, &[1.0, 3.0], &LsqrOptions::default());
+        let b = [1.0, 3.0];
+        let r = lsqr(&a, &b, &LsqrOptions::default());
         assert!((r.x[0] - 2.0).abs() < 1e-10);
-        assert!((r.residual_norm - 2.0_f64.sqrt()).abs() < 1e-8);
+        let residual: Vec<f64> = a.matvec(&r.x).iter().zip(&b).map(|(p, q)| p - q).collect();
+        assert!((kernels::norm2(&residual) - 2.0_f64.sqrt()).abs() < 1e-8);
     }
 
     #[test]
@@ -343,15 +400,19 @@ mod tests {
             let b: Vec<f64> = (0..a.rows())
                 .map(|i| ((i * 37) % 11) as f64 - 4.0)
                 .collect();
-            assert!(kron_least_squares(a, &b).is_none(), "{a:?}");
+            assert!(kron_least_squares(a, &WeightedRhs::new(vec![(&b, 1.0)])).is_none());
             let opts = LsqrOptions::default();
             let r = lsqr(a, &b, &opts);
             let mut x = vec![0.0; a.cols()];
-            let (iterations, phibar) =
-                lsqr_into(a, &b, &mut x, &mut Workspace::for_matrix(a), &opts);
+            let iterations = lsqr_into(
+                a,
+                &mut b.clone(),
+                &mut x,
+                &mut Workspace::for_matrix(a),
+                &opts,
+            );
             assert!(iterations > 0);
             assert_eq!(r.iterations, iterations);
-            assert_eq!(r.residual_norm.to_bits(), phibar.to_bits());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&r.x), bits(&x), "{a:?}");
         }

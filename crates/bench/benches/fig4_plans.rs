@@ -4,13 +4,15 @@
 //! `fig4` binary; criterion gives statistically robust per-point numbers.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ektelo_bench::rebin_census_income;
+use ektelo_core::kernel::ProtectedKernel;
 use ektelo_core::ops::inference::{least_squares, LsSolver};
 use ektelo_core::ops::selection::{h2, hb, stripe_select};
-use ektelo_data::generators::{shape_1d, Shape1D};
+use ektelo_data::generators::{census_cps_sized, shape_1d, Shape1D};
 use ektelo_data::workloads::random_range;
 use ektelo_matrix::{Matrix, Repr};
 use ektelo_plans::mwem::{plan_mwem, MwemOptions};
-use ektelo_plans::striped::plan_dawa_striped;
+use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped};
 use ektelo_plans::util::kernel_for_histogram;
 use std::hint::black_box;
 
@@ -59,6 +61,28 @@ fn bench_striped_kron(c: &mut Criterion) {
             b.iter(|| black_box(run_plan(&x, s, 0.1)))
         });
     }
+    group.finish();
+}
+
+/// A whole HB-Striped request as the end-to-end benchmark's `striped_hb`
+/// runs it: a fresh kernel over a clone of the census table rebinned to
+/// 357 income bins (99,960 cells), `vectorize`, and the plan. The table's
+/// count vector is shared by every kernel built from it, so after the
+/// first sample `vectorize` counts no rows.
+fn bench_hb_striped(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig4_hb_striped");
+    group.sample_size(10);
+    let table = rebin_census_income(&census_cps_sized(49_436, 1), 357);
+    let sizes = table.schema().sizes();
+    let n: usize = sizes.iter().product();
+    group.bench_with_input(BenchmarkId::new("fig4_hb_striped", n), &table, |b, t| {
+        b.iter(|| {
+            let k = ProtectedKernel::init(t.clone(), 0.1, 5);
+            let x = k.vectorize(k.root()).expect("a table source vectorizes");
+            let out = plan_hb_striped(&k, x, &sizes, 0, 0.1);
+            black_box(out.expect("HB-Striped runs within its budget").x_hat)
+        })
+    });
     group.finish();
 }
 
@@ -127,6 +151,7 @@ criterion_group!(
     benches,
     bench_h2_representations,
     bench_striped_kron,
+    bench_hb_striped,
     bench_dawa_striped,
     bench_mwem
 );

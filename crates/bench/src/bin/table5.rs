@@ -9,38 +9,15 @@
 //!
 //! Run: `cargo run --release -p ektelo-bench --bin table5 [--full]`
 
-use ektelo_bench::{full_mode, time_it};
+use ektelo_bench::{full_mode, rebin_census_income, time_it};
 use ektelo_core::ops::inference::scaled_per_query_l2_error;
 use ektelo_core::ProtectedKernel;
 use ektelo_data::generators::census_cps_sized;
 use ektelo_data::workloads::{all_k_way_marginals, census_prefix_income};
-use ektelo_data::{Schema, Table};
 use ektelo_matrix::Matrix;
 use ektelo_plans::baseline::plan_identity;
 use ektelo_plans::privbayes::{plan_privbayes, plan_privbayes_ls, PrivBayesOptions};
 use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped};
-
-/// Rebins the income attribute so reduced mode stays fast.
-fn rebin_income(t: &Table, bins: usize) -> Table {
-    let old = t.schema();
-    let sizes = old.sizes();
-    let factor = sizes[0].div_ceil(bins);
-    let schema = Schema::from_sizes(&[
-        ("income", bins),
-        ("age", sizes[1]),
-        ("marital", sizes[2]),
-        ("race", sizes[3]),
-        ("gender", sizes[4]),
-    ]);
-    let mut out = Table::empty(schema);
-    let mut rows = out.appender();
-    for i in 0..t.num_rows() {
-        let mut row = t.row(i);
-        row[0] = (row[0] as usize / factor).min(bins - 1) as u32;
-        rows.push(&row);
-    }
-    out
-}
 
 fn main() {
     let full = full_mode();
@@ -51,7 +28,7 @@ fn main() {
         if full {
             t
         } else {
-            rebin_income(&t, income_bins)
+            rebin_census_income(&t, income_bins)
         }
     };
     let sizes = table.schema().sizes();

@@ -17,7 +17,7 @@ pub use state::MeasuredQuery;
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use ektelo_data::{vectorize as t_vectorize, Predicate, Schema, Table};
+use ektelo_data::{Predicate, Schema, Table};
 use ektelo_matrix::{failpoints, CsrMatrix, Matrix, Workspace};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -323,15 +323,15 @@ impl ProtectedKernel {
 
     /// `T-Vectorize`: turns a table source into its count vector over the
     /// full schema domain. 1-stable. The output becomes a *base* vector:
-    /// downstream measurements are mapped back onto it for inference.
+    /// downstream measurements are mapped back onto it for inference. It is
+    /// the table's shared [`Table::count_vector`], counted once for all clones.
     pub fn vectorize(&self, sv: SourceVar) -> Result<SourceVar> {
         let t: Arc<Table> = self.state.lock().snapshot(sv.0)?;
-        let x = t_vectorize(&t);
+        let x = t.count_vector();
         let lineage = Some(Matrix::identity(x.len()));
-        let data = NodeData::Vector(Arc::new(x));
         let mut st = self.state.lock();
         let id = st.add_node(Node {
-            data,
+            data: NodeData::Vector(x),
             parent: Some(sv.0),
             stability: 1.0,
             budget: 0.0,

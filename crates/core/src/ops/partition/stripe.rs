@@ -6,39 +6,39 @@
 //! `attr` for that fixed combination — the input to the per-stripe
 //! subplans of `HB-Striped` / `DAWA-Striped` (Algorithm 5).
 
-use ektelo_matrix::{partition_from_labels, Matrix};
-
-/// Per-cell stripe labels: cell → index of its non-`attr` value
-/// combination.
-fn stripe_partition_labels(sizes: &[usize], attr: usize) -> Vec<usize> {
-    assert!(attr < sizes.len(), "stripe attribute out of range");
-    let n: usize = sizes.iter().product();
-    // Cells are mixed-radix with the first attribute most significant
-    // (`Schema::cell_index`), so `cell = (outer·sizes[attr] + a)·inner + i`
-    // with `inner = ∏_{j>attr} sizes[j]`; the label drops the digit `a`.
-    let inner: usize = sizes[attr + 1..].iter().product();
-    let span = sizes[attr] * inner;
-    (0..n)
-        .map(|cell| (cell / span) * inner + cell % inner)
-        .collect()
-}
+use ektelo_matrix::{strided_partition, Matrix};
 
 /// The stripe partition matrix: `(∏_{i≠attr} sizes[i]) × ∏ sizes[i]`.
+///
+/// Cells are mixed-radix with the first attribute most significant
+/// (`Schema::cell_index`), so `cell = (outer·sizes[attr] + a)·inner + i`
+/// with `inner = ∏_{j>attr} sizes[j]`: the stripe of `(outer, i)` is the
+/// cells of `a` in `0..sizes[attr]`, in ascending order, and the matrix is
+/// written from that arithmetic without a per-cell label.
 pub fn stripe_partition(sizes: &[usize], attr: usize) -> Matrix {
-    let groups: usize = sizes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != attr)
-        .map(|(_, &s)| s)
-        .product();
-    partition_from_labels(groups.max(1), &stripe_partition_labels(sizes, attr))
+    assert!(attr < sizes.len(), "stripe attribute out of range");
+    let outer = sizes[..attr].iter().product();
+    let inner = sizes[attr + 1..].iter().product();
+    strided_partition(outer, sizes[attr], inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ektelo_matrix::partition_from_labels;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// Per-cell stripe labels, cell → index of its non-`attr` value
+    /// combination: the oracle for [`stripe_partition`]'s direct build.
+    fn stripe_partition_labels(sizes: &[usize], attr: usize) -> Vec<usize> {
+        let n: usize = sizes.iter().product();
+        let inner: usize = sizes[attr + 1..].iter().product();
+        let span = sizes[attr] * inner;
+        (0..n)
+            .map(|cell| (cell / span) * inner + cell % inner)
+            .collect()
+    }
 
     /// The mixed-radix decode the arithmetic labels replaced: decode every
     /// coordinate, then re-encode all but `attr`.
@@ -73,6 +73,27 @@ mod tests {
                 assert_eq!(
                     stripe_partition_labels(&sizes, attr),
                     labels_by_decode(&sizes, attr),
+                    "sizes {sizes:?}, attr {attr}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn direct_build_matches_the_labelled_partition() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut shapes: Vec<Vec<usize>> = vec![vec![64, 5, 7, 4, 2], vec![357, 5, 7, 4, 2]];
+        shapes.extend((0..200).map(|_| {
+            let dims = rng.random_range(1..6);
+            (0..dims).map(|_| rng.random_range(1..8)).collect()
+        }));
+        for sizes in &shapes {
+            let groups = |attr| sizes.iter().product::<usize>() / sizes[attr];
+            for attr in 0..sizes.len() {
+                let labels = stripe_partition_labels(sizes, attr);
+                assert_eq!(
+                    stripe_partition(sizes, attr).to_sparse(),
+                    partition_from_labels(groups(attr), &labels).to_sparse(),
                     "sizes {sizes:?}, attr {attr}"
                 );
             }

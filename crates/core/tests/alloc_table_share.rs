@@ -1,15 +1,17 @@
-//! Counting-allocator gate on shared table columns (paper §4, §5.1: the
-//! protected kernel wraps one private table per analysis, and many
-//! analyses start from one source table).
+//! Counting-allocator gate on shared table columns and the shared count
+//! vector (paper §4, §5.1: the protected kernel wraps one private table
+//! per analysis, and many analyses start from one source table).
 //!
-//! A `Table` holds its columns as shared `Arc` buffers, so handing a
-//! kernel a clone of a table copies no column: `ProtectedKernel::init(
+//! A `Table` holds its columns as shared `Arc` buffers and keeps its count
+//! vector, once computed, in a slot its clones share. So handing a kernel
+//! a clone of a table copies no column: the first `ProtectedKernel::init(
 //! t.clone())` followed by `vectorize` performs exactly one data-sized
-//! allocation, the count vector itself. `Table::select`, and the kernel's
-//! `transform_select` built on it, share the selected columns and
-//! allocate none. A column is 16,000 bytes here and the vector 32,768;
-//! every allocation of at least a column's bytes is data-sized, so a
-//! copied column fails the gate.
+//! allocation, the count vector itself, and every later kernel over a
+//! clone of `t` performs none and holds that same vector.
+//! `Table::select`, and the kernel's `transform_select` built on it, share
+//! the selected columns and allocate none. A column is 16,000 bytes here
+//! and the vector 32,768; every allocation of at least a column's bytes is
+//! data-sized, so a copied column or a recounted vector fails the gate.
 //!
 //! The counter is thread-local: it sees the test thread's allocations
 //! only, so the test harness or any other thread of the process cannot
@@ -17,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use ektelo_core::ProtectedKernel;
 use ektelo_data::{Schema, Table};
@@ -83,11 +86,12 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Runs `f` on this thread and returns its result with the sizes of the
 /// data-sized allocations it made, in order.
 fn data_sized_allocations<T>(f: impl FnOnce() -> T) -> (T, Vec<usize>) {
-    let before = DATA_SIZED.with(Cell::get);
+    // The log restarts with each window.
+    DATA_SIZED.with(|n| n.set(0));
     let out = f();
-    let after = DATA_SIZED.with(Cell::get);
-    assert!(after <= LOGGED, "more than {LOGGED} data-sized allocations");
-    let sizes = LOG.with(|log| log[before..after].iter().map(Cell::get).collect());
+    let made = DATA_SIZED.with(Cell::get);
+    assert!(made <= LOGGED, "more than {LOGGED} data-sized allocations");
+    let sizes = LOG.with(|log| log[..made].iter().map(Cell::get).collect());
     (out, sizes)
 }
 
@@ -100,24 +104,26 @@ fn table() -> Table {
     t
 }
 
+/// A kernel over a clone of `t`, vectorized.
+fn vectorized_kernel(t: &Table, seed: u64) -> ProtectedKernel {
+    let kernel = ProtectedKernel::init(t.clone(), 1.0, seed);
+    let x = kernel.vectorize(kernel.root()).unwrap();
+    assert_eq!(kernel.vector_len(x).unwrap(), CELLS);
+    kernel
+}
+
 #[test]
 fn kernel_over_a_cloned_table_allocates_only_the_vector() {
-    let t = table();
-    // Warm-up: any lazily built process state.
-    let warm = ProtectedKernel::init(t.clone(), 1.0, 1);
-    warm.vectorize(warm.root()).unwrap();
+    // Warm-up on another table: any lazily built process state.
+    vectorized_kernel(&table(), 1);
 
-    let ((kernel, x), sizes) = data_sized_allocations(|| {
-        let kernel = ProtectedKernel::init(t.clone(), 1.0, 2);
-        let x = kernel.vectorize(kernel.root()).unwrap();
-        (kernel, x)
-    });
+    let t = table();
+    let (kernel, sizes) = data_sized_allocations(|| vectorized_kernel(&t, 2));
     assert_eq!(
         sizes,
         vec![CELLS * std::mem::size_of::<f64>()],
         "data-sized allocations of init(clone) + vectorize (bytes, in order)"
     );
-    assert_eq!(kernel.vector_len(x).unwrap(), CELLS);
 
     // The kernel's projection shares the columns as well.
     let (selected, sizes) =
@@ -128,6 +134,26 @@ fn kernel_over_a_cloned_table_allocates_only_the_vector() {
         Vec::<usize>::new(),
         "transform_select copied a column"
     );
+}
+
+#[test]
+fn second_kernel_over_a_clone_shares_the_vector() {
+    let t = table();
+    let _first = vectorized_kernel(&t, 1);
+    let (second, sizes) = data_sized_allocations(|| vectorized_kernel(&t, 2));
+    assert_eq!(
+        sizes,
+        Vec::<usize>::new(),
+        "a kernel over a clone of a vectorized table recounted it"
+    );
+    // Both kernels hold the table's one vector: its refcount counts the
+    // table's slot, each kernel's vector node and this handle. A vector
+    // of its own in either kernel would leave the count lower.
+    let x = t.count_vector();
+    assert_eq!(Arc::strong_count(&x), 4);
+    assert_eq!(*x, ektelo_data::vectorize(&t));
+    drop(second);
+    assert_eq!(Arc::strong_count(&x), 3);
 }
 
 #[test]

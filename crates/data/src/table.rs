@@ -15,27 +15,62 @@
 //! appending to a clone never changes the table it was cloned from, nor a
 //! kernel that holds that table. A [`RowAppender`] makes that check once
 //! for many rows, so a loop that builds a table pays no per-row check.
+//! [`Table::map_column`] recodes one column into a new attribute size and
+//! shares every other column.
+//!
+//! **A shared count vector.** [`Table::count_vector`] computes the
+//! table's `T-Vectorize` output once and keeps it in a slot that every
+//! clone shares, so many kernels built from one source table hold one
+//! vector between them. The vector lives as long as any clone of the
+//! table, or any kernel holding it. Every table made by a constructor or
+//! a transformation (`empty`, `select`, `filter`, `group_by`,
+//! `map_column`) starts with an empty slot. [`Table::push_row`] and
+//! [`Table::appender`] empty the table's slot before they write, taking a
+//! fresh one when a clone shares it, so a clone never sees a stale vector
+//! and a vector already handed out never changes.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::predicate::Predicate;
-use crate::schema::Schema;
+use crate::schema::{Attribute, Schema};
+use crate::vectorize::vectorize;
 
 /// A single-relation table in columnar form. Values are attribute codes
-/// (`0..attribute.size()`). Cloning shares the columns (see the module
-/// docs).
-#[derive(Clone, Debug)]
+/// (`0..attribute.size()`). Cloning shares the columns and the count
+/// vector (see the module docs).
+#[derive(Clone)]
 pub struct Table {
     schema: Schema,
     /// One shared column per attribute, all of equal length.
     columns: Vec<Arc<Vec<u32>>>,
+    /// The count vector once computed, shared by every clone.
+    counts: Arc<OnceLock<Arc<Vec<f64>>>>,
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("columns", &self.columns)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Table {
     /// An empty table over `schema`.
     pub fn empty(schema: Schema) -> Self {
         let columns = (0..schema.arity()).map(|_| Arc::default()).collect();
-        Table { schema, columns }
+        Table::from_columns(schema, columns)
+    }
+
+    /// A table over shared `columns`, with an empty count-vector slot.
+    fn from_columns(schema: Schema, columns: Vec<Arc<Vec<u32>>>) -> Self {
+        Table {
+            schema,
+            columns,
+            counts: Arc::default(),
+        }
     }
 
     /// Builds a table from rows; validates every value against the schema.
@@ -53,6 +88,7 @@ impl Table {
     /// sees the row.
     pub fn push_row(&mut self, row: &[u32]) {
         check_row(&self.schema, row);
+        self.clear_counts();
         for (col, &v) in self.columns.iter_mut().zip(row) {
             Arc::make_mut(col).push(v);
         }
@@ -62,9 +98,19 @@ impl Table {
     /// table shares once, when made, and then pushes straight into the
     /// columns.
     pub fn appender(&mut self) -> RowAppender<'_> {
+        self.clear_counts();
         RowAppender {
             schema: &self.schema,
             columns: self.columns.iter_mut().map(Arc::make_mut).collect(),
+        }
+    }
+
+    /// Empties this table's count-vector slot before a write: in place
+    /// when no clone shares the slot, else by taking a fresh one.
+    fn clear_counts(&mut self) {
+        match Arc::get_mut(&mut self.counts) {
+            Some(slot) => drop(slot.take()),
+            None => self.counts = Arc::default(),
         }
     }
 
@@ -76,6 +122,13 @@ impl Table {
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.columns.first().map_or(0, |c| c.len())
+    }
+
+    /// The table's count vector (`T-Vectorize`, [`vectorize`]), computed
+    /// on the first call and shared with every clone (see the module
+    /// docs): later calls, on this table or a clone, bump a refcount.
+    pub fn count_vector(&self) -> Arc<Vec<f64>> {
+        Arc::clone(self.counts.get_or_init(|| Arc::new(vectorize(self))))
     }
 
     /// Row `i` as an owned vector.
@@ -117,7 +170,24 @@ impl Table {
             .iter()
             .map(|n| Arc::clone(&self.columns[self.schema.require(n)]))
             .collect();
-        Table { schema, columns }
+        Table::from_columns(schema, columns)
+    }
+
+    /// Recodes attribute `name` through `f` into an attribute of `size`
+    /// values, keeping its name and place. Only that column is computed;
+    /// the result shares every other column with `self`. Panics if `f`
+    /// maps a value to `size` or beyond.
+    pub fn map_column(&self, name: &str, size: usize, f: impl Fn(u32) -> u32) -> Table {
+        let idx = self.schema.require(name);
+        let mut attrs = self.schema.attributes().to_vec();
+        attrs[idx] = Attribute::new(name, size);
+        let mapped: Vec<u32> = self.columns[idx].iter().map(|&v| f(v)).collect();
+        if let Some(v) = mapped.iter().find(|&&v| v as usize >= size) {
+            panic!("value {v} out of domain for attribute '{name}'");
+        }
+        let mut columns = self.columns.clone();
+        columns[idx] = Arc::new(mapped);
+        Table::from_columns(Schema::new(attrs), columns)
     }
 
     /// `GroupBy`: one output row per distinct combination of the named
@@ -267,6 +337,65 @@ mod tests {
         t.push_row(&[1, 0, 0]);
         let after: Vec<*const Vec<u32>> = t.columns().iter().map(Arc::as_ptr).collect();
         assert_eq!(ptrs, after);
+    }
+
+    #[test]
+    fn clones_share_one_count_vector() {
+        let t = sample();
+        let c = t.clone();
+        let x = t.count_vector();
+        assert_eq!(*x, vectorize(&t));
+        assert!(Arc::ptr_eq(&x, &c.count_vector()));
+        assert!(Arc::ptr_eq(&x, &t.clone().count_vector()));
+        // Debug shows the data, not the cached vector.
+        assert!(!format!("{t:?}").contains("counts"));
+    }
+
+    #[test]
+    fn writes_replace_the_count_vector() {
+        let mut t = sample();
+        let c = t.clone();
+        let x = c.count_vector();
+        t.push_row(&[3, 0, 1]);
+        let y = t.count_vector();
+        assert!(!Arc::ptr_eq(&x, &y));
+        assert_eq!(*y, vectorize(&t));
+        // The clone, and the vector it handed out, are unchanged.
+        assert!(Arc::ptr_eq(&x, &c.count_vector()));
+        assert_eq!(*x, vectorize(&c));
+        // An unshared table empties its own slot; a held vector survives.
+        let held = y.to_vec();
+        t.appender().push(&[4, 1, 3]);
+        assert_eq!(*t.count_vector(), vectorize(&t));
+        assert_eq!(*y, held);
+    }
+
+    #[test]
+    fn map_column_recodes_one_column_and_shares_the_rest() {
+        let t = sample();
+        let m = t.map_column("age", 3, |v| v / 2);
+        assert_eq!(m.schema().sizes(), vec![3, 2, 4]);
+        assert_eq!(m.schema().attributes()[0].name(), "age");
+        assert_eq!(m.column("age"), &[0, 0, 1, 1, 2]);
+        assert!(Arc::ptr_eq(&m.columns()[1], &t.columns()[1]));
+        assert!(Arc::ptr_eq(&m.columns()[2], &t.columns()[2]));
+        let by_rows = Table::from_rows(
+            m.schema().clone(),
+            &(0..t.num_rows())
+                .map(|i| {
+                    let mut row = t.row(i);
+                    row[0] /= 2;
+                    row
+                })
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(vectorize(&m), vectorize(&by_rows));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of domain for attribute 'age'")]
+    fn map_column_rejects_values_beyond_the_new_size() {
+        sample().map_column("age", 2, |v| v / 2);
     }
 
     #[test]

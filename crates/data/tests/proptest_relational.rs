@@ -2,6 +2,8 @@
 //! predicates, tables, vectorization, and linear queries (paper §3's
 //! declarative-vs-vector equivalence, Def. 3.1/3.2).
 
+use std::sync::Arc;
+
 use ektelo_data::{vectorize, Predicate, Schema, Table};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
@@ -43,8 +45,101 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
     })
 }
 
+/// One step of a table history: on the table it picks, or deriving a
+/// new table from it.
+#[derive(Clone, Debug)]
+enum Step {
+    Clone,
+    Push(Vec<u32>),
+    Append(Vec<Vec<u32>>),
+    Select,
+    Filter(u32),
+    CountVector,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let row = || prop::collection::vec(0u32..16, 3);
+    prop_oneof![
+        Just(Step::Clone),
+        row().prop_map(Step::Push),
+        prop::collection::vec(row(), 0..4).prop_map(Step::Append),
+        Just(Step::Select),
+        (0u32..4).prop_map(Step::Filter),
+        Just(Step::CountVector),
+    ]
+}
+
+/// `raw` cut to `t`'s arity, each value folded into its domain.
+fn fit(t: &Table, raw: &[u32]) -> Vec<u32> {
+    raw.iter()
+        .zip(t.schema().sizes())
+        .map(|(&v, s)| v % s as u32)
+        .collect()
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The shared count vector tracks every write: after any history of
+    /// clones, pushes, appends, selections and filters, each table's
+    /// `count_vector` equals `vectorize` bit for bit, and a table that
+    /// was not written keeps the very vector it handed out, whatever was
+    /// pushed to the tables it shares columns with.
+    #[test]
+    fn count_vector_tracks_every_write(
+        schema in arb_schema(),
+        steps in prop::collection::vec((arb_step(), 0usize..8), 1..24),
+    ) {
+        let mut runner = proptest::test_runner::TestRunner::deterministic();
+        let first = arb_table(schema, 20).new_tree(&mut runner).unwrap().current();
+        let mut tables = vec![first];
+        // The vector each table's slot held when last asked, until a write.
+        let mut held: Vec<Option<Arc<Vec<f64>>>> = vec![None];
+        for (step, pick) in steps {
+            let i = pick % tables.len();
+            match step {
+                Step::Clone => {
+                    tables.push(tables[i].clone());
+                    held.push(held[i].clone());
+                }
+                Step::Push(raw) => {
+                    let row = fit(&tables[i], &raw);
+                    tables[i].push_row(&row);
+                    held[i] = None;
+                }
+                Step::Append(rows) => {
+                    let rows: Vec<Vec<u32>> = rows.iter().map(|r| fit(&tables[i], r)).collect();
+                    let mut out = tables[i].appender();
+                    for row in &rows {
+                        out.push(row);
+                    }
+                    held[i] = None;
+                }
+                Step::Select => {
+                    tables.push(tables[i].select(&["c", "a"]));
+                    held.push(None);
+                }
+                Step::Filter(v) => {
+                    tables.push(tables[i].filter(&Predicate::eq("a", v)));
+                    held.push(None);
+                }
+                Step::CountVector => held[i] = Some(tables[i].count_vector()),
+            }
+            for (t, h) in tables.iter().zip(&held) {
+                if let Some(h) = h {
+                    prop_assert!(Arc::ptr_eq(h, &t.count_vector()), "a table lost its vector");
+                    prop_assert_eq!(bits(h), bits(&vectorize(t)));
+                }
+            }
+        }
+        for t in &tables {
+            prop_assert_eq!(bits(&t.count_vector()), bits(&vectorize(t)));
+        }
+    }
 
     /// Paper Def. 3.1 ≡ Def. 3.2: counting rows matching φ equals the dot
     /// product of φ's indicator vector with the vectorized table.

@@ -215,6 +215,30 @@ pub fn partition_from_labels(num_groups: usize, labels: &[usize]) -> Matrix {
     Matrix::sparse(CsrMatrix::bucket_rows(num_groups, labels.len(), entries))
 }
 
+/// The partition of `outer · len · inner` cells into `outer · inner`
+/// groups of `len` cells each, one per `(o, i)`: group `o·inner + i` holds
+/// cells `(o·len + a)·inner + i` for `a` in `0..len`, ascending. These are
+/// the mixed-radix cells that differ only in a middle digit of radix `len`
+/// (a stripe). Equal to [`partition_from_labels`] over the labels
+/// `cell ↦ (cell / (len·inner))·inner + cell % inner`, with the CSR arrays
+/// written directly: no per-cell division and no counting sort.
+pub fn strided_partition(outer: usize, len: usize, inner: usize) -> Matrix {
+    let groups = outer.saturating_mul(inner);
+    let n = groups.saturating_mul(len);
+    assert!(
+        groups.max(n) <= u32::MAX as usize,
+        "strided partition of {outer}·{len}·{inner} cells exceeds u32 column indices"
+    );
+    let indptr = (0..=groups).map(|g| g * len).collect();
+    let mut indices = Vec::with_capacity(n);
+    for o in 0..outer {
+        for i in 0..inner {
+            indices.extend((0..len).map(|a| ((o * len + a) * inner + i) as u32));
+        }
+    }
+    Matrix::sparse(CsrMatrix::from_parts(n, indptr, indices, vec![1.0; n]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

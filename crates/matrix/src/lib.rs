@@ -67,7 +67,7 @@ mod wavelet;
 mod workspace;
 
 pub use classes::{ColumnClasses, ColumnRefinement};
-pub use combine::partition_from_labels;
+pub use combine::{partition_from_labels, strided_partition};
 pub use components::ColumnComponent;
 pub use dense::DenseMatrix;
 pub use hierarchy::{TreeNode, TreeShape};

@@ -11,29 +11,17 @@
 use ektelo::core::kernel::ProtectedKernel;
 use ektelo::data::generators::census_cps_sized;
 use ektelo::data::workloads::census_prefix_income;
-use ektelo::data::{Schema, Table};
+use ektelo::data::Table;
 use ektelo::plans::baseline::plan_identity;
 use ektelo::plans::striped::{plan_dawa_striped, plan_hb_striped_kron};
 
 /// Coarsen income so the example runs in seconds (500 bins instead of
 /// 5000; the full-scale run lives in `ektelo-bench --bin table5`).
 fn rebin(t: &Table, bins: usize) -> Table {
-    let sizes = t.schema().sizes();
-    let factor = sizes[0].div_ceil(bins);
-    let schema = Schema::from_sizes(&[
-        ("income", bins),
-        ("age", sizes[1]),
-        ("marital", sizes[2]),
-        ("race", sizes[3]),
-        ("gender", sizes[4]),
-    ]);
-    let mut out = Table::empty(schema);
-    for i in 0..t.num_rows() {
-        let mut row = t.row(i);
-        row[0] = (row[0] as usize / factor).min(bins - 1) as u32;
-        out.push_row(&row);
-    }
-    out
+    let factor = t.schema().sizes()[0].div_ceil(bins);
+    t.map_column("income", bins, |v| {
+        (v as usize / factor).min(bins - 1) as u32
+    })
 }
 
 fn main() {

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use ektelo_data::Table;
+use ektelo_data::{vectorize, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -137,26 +137,17 @@ fn mutual_information(table: &Table, child: usize, parents: &[usize]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let schema = table.schema();
-    let names: Vec<&str> = schema.attributes().iter().map(|a| a.name()).collect();
-    let child_col = table.column(names[child]);
-    let parent_cols: Vec<&[u32]> = parents.iter().map(|&p| table.column(names[p])).collect();
-    let parent_sizes: Vec<usize> = parents
+    // Joint histogram over (Π, X): the count vector of the projection
+    // onto the parents then the child, so cell `π·|X| + x`.
+    let attrs = table.schema().attributes();
+    let child_size = attrs[child].size();
+    let names: Vec<&str> = parents
         .iter()
-        .map(|&p| schema.attributes()[p].size())
+        .chain([&child])
+        .map(|&a| attrs[a].name())
         .collect();
-    let child_size = schema.attributes()[child].size();
-
-    // Joint histogram over (Π, X).
-    let parent_domain: usize = parent_sizes.iter().product();
-    let mut joint = vec![0.0f64; parent_domain * child_size];
-    for i in 0..n {
-        let mut pidx = 0usize;
-        for (col, &size) in parent_cols.iter().zip(&parent_sizes) {
-            pidx = pidx * size + col[i] as usize;
-        }
-        joint[pidx * child_size + child_col[i] as usize] += 1.0;
-    }
+    let joint = vectorize(&table.select(&names));
+    let parent_domain = joint.len() / child_size;
     let nf = n as f64;
     // Marginals.
     let mut px = vec![0.0; child_size];

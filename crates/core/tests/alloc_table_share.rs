@@ -9,8 +9,9 @@
 //! allocation, the count vector itself, and every later kernel over a
 //! clone of `t` performs none and holds that same vector.
 //! `Table::select`, and the kernel's `transform_select` built on it, share
-//! the selected columns and allocate none. A column is 16,000 bytes here
-//! and the vector 32,768; every allocation of at least a column's bytes is
+//! the selected columns and allocate none. A column stores its codes at
+//! its domain's width, one byte per row here, so it is 4,000 bytes and the
+//! vector 32,768; every allocation of at least a column's bytes is
 //! data-sized, so a copied column or a recounted vector fails the gate.
 //!
 //! The counter is thread-local: it sees the test thread's allocations
@@ -28,7 +29,9 @@ const ROWS: usize = 4_000;
 const SIZES: [(&str, usize); 3] = [("a", 64), ("b", 8), ("c", 8)];
 const CELLS: usize = 64 * 8 * 8;
 /// Bytes of one column: an allocation at least this large is data-sized.
-const COLUMN_BYTES: usize = ROWS * std::mem::size_of::<u32>();
+/// Every attribute here has at most 256 values, so a column stores one
+/// `u8` code per row; a copied column of any width reaches this size.
+const COLUMN_BYTES: usize = ROWS * std::mem::size_of::<u8>();
 /// How many data-sized allocation sizes are kept.
 const LOGGED: usize = 8;
 
@@ -166,6 +169,6 @@ fn select_allocates_no_column() {
     assert_eq!(s.row(11), vec![t.row(11)[2], t.row(11)[0]]);
 
     // The gate sees a copied column when one is made.
-    let (_, sizes) = data_sized_allocations(|| t.column("b").to_vec());
+    let (_, sizes) = data_sized_allocations(|| t.column("b").clone());
     assert_eq!(sizes, vec![COLUMN_BYTES]);
 }

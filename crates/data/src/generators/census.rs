@@ -41,6 +41,7 @@ pub fn census_cps_sized(rows: usize, seed: u64) -> Table {
     let schema = census_schema();
     let mut table = Table::empty(schema);
     let mut out = table.appender();
+    out.reserve(rows);
 
     for _ in 0..rows {
         let gender = rng.random_range(0..2u32);
@@ -125,9 +126,9 @@ mod tests {
         let mean_income = |bucket: u32| {
             let vals: Vec<f64> = income
                 .iter()
-                .zip(age)
-                .filter(|&(_, &a)| a == bucket)
-                .map(|(&i, _)| i as f64)
+                .zip(age.iter())
+                .filter(|&(_, a)| a == bucket)
+                .map(|(i, _)| i as f64)
                 .collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
@@ -153,7 +154,7 @@ mod tests {
         let marital = t.column("marital");
         let never_married_rate = |bucket: u32| {
             let (mut num, mut den) = (0.0, 0.0);
-            for (&a, &m) in age.iter().zip(marital) {
+            for (a, m) in age.iter().zip(marital.iter()) {
                 if a == bucket {
                     den += 1.0;
                     if m == 0 {

@@ -39,6 +39,7 @@ pub fn credit_default_sized(rows: usize, seed: u64) -> Table {
     let schema = credit_schema();
     let mut table = Table::empty(schema);
     let mut out = table.appender();
+    out.reserve(rows);
 
     for _ in 0..rows {
         let x3 = sample_categorical(&mut rng, &[0.35, 0.30, 0.20, 0.08, 0.04, 0.02, 0.01]);
@@ -98,7 +99,7 @@ mod tests {
     #[test]
     fn label_rate_is_plausible() {
         let t = credit_default_sized(30_000, 1);
-        let rate = t.column("default").iter().map(|&v| v as f64).sum::<f64>() / t.num_rows() as f64;
+        let rate = t.column("default").iter().map(f64::from).sum::<f64>() / t.num_rows() as f64;
         // UCI data has ~22% default rate; accept a broad band.
         assert!(rate > 0.10 && rate < 0.40, "default rate {rate}");
     }
@@ -110,7 +111,7 @@ mod tests {
         let x6 = t.column("x6");
         let rate_given = |delayed: bool| {
             let (mut num, mut den) = (0.0, 0.0);
-            for (&l, &v) in label.iter().zip(x6) {
+            for (l, v) in label.iter().zip(x6.iter()) {
                 if (v >= 4) == delayed {
                     den += 1.0;
                     num += l as f64;

@@ -11,6 +11,7 @@
 //!
 //! * [`schema`] — attributes, schemas and the row-major cell encoding;
 //! * [`table`] — a columnar table with the PINQ-style transformations;
+//! * [`codes`] — a column's codes at the narrowest width its domain needs;
 //! * [`predicate`] — condition formulas `ϕ` for `Where` (paper Def. 3.1);
 //! * [`vectorize()`] — `T-Vectorize`: table → data vector (paper §5.1);
 //! * [`generators`] — synthetic datasets standing in for the paper's
@@ -18,6 +19,7 @@
 //!   each generator module documents its substitution rationale);
 //! * [`workloads`] — the workload matrices used across the evaluation.
 
+pub mod codes;
 pub mod generators;
 pub mod predicate;
 pub mod schema;
@@ -25,6 +27,7 @@ pub mod table;
 pub mod vectorize;
 pub mod workloads;
 
+pub use codes::Codes;
 pub use predicate::Predicate;
 pub use schema::{Attribute, Schema};
 pub use table::{RowAppender, Table};

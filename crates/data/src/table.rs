@@ -6,8 +6,20 @@
 //! operations themselves are ordinary relational code and live here so
 //! they can be tested without any privacy machinery.
 //!
+//! **Storage widths.** A table holds each column as [`Codes`]: the
+//! attribute's codes at the narrowest integer width that holds its domain
+//! (`u8` up to 256 values, `u16` up to 65,536, else `u32`). Rows go in and
+//! come out as `u32` values; only the storage is narrow. The census table's
+//! five attributes (income rebinned to 64 or 357 bins, then 5, 7, 4 and 2
+//! values) take 5 or 6 bytes a row instead of 20. `from_rows`, the
+//! generators and every transformation build columns of exact capacity;
+//! [`RowAppender::reserve`] does the same for a loop that knows its row
+//! count. `Where` evaluates its predicate column by column into a keep
+//! mask and gathers each column; `GroupBy` keys each row by its cell index
+//! over the grouped attributes and keeps the first row of each key.
+//!
 //! **Shared columns.** A table holds each column as a shared, immutable
-//! `Arc<Vec<u32>>`, so many analyses can start from one source table
+//! `Arc<Codes>`, so many analyses can start from one source table
 //! without copying it (the protected kernel wraps one table per
 //! analysis). [`Table::clone`] and [`Table::select`] copy no column, only
 //! the schema and one reference per column. [`Table::push_row`] copies on
@@ -29,21 +41,23 @@
 //! fresh one when a clone shares it, so a clone never sees a stale vector
 //! and a vector already handed out never changes.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use crate::codes::Codes;
 use crate::predicate::Predicate;
 use crate::schema::{Attribute, Schema};
 use crate::vectorize::vectorize;
 
 /// A single-relation table in columnar form. Values are attribute codes
-/// (`0..attribute.size()`). Cloning shares the columns and the count
-/// vector (see the module docs).
+/// (`0..attribute.size()`), stored at their domain's width. Cloning
+/// shares the columns and the count vector (see the module docs).
 #[derive(Clone)]
 pub struct Table {
     schema: Schema,
     /// One shared column per attribute, all of equal length.
-    columns: Vec<Arc<Vec<u32>>>,
+    columns: Vec<Arc<Codes>>,
     /// The count vector once computed, shared by every clone.
     counts: Arc<OnceLock<Arc<Vec<f64>>>>,
 }
@@ -60,12 +74,16 @@ impl fmt::Debug for Table {
 impl Table {
     /// An empty table over `schema`.
     pub fn empty(schema: Schema) -> Self {
-        let columns = (0..schema.arity()).map(|_| Arc::default()).collect();
+        let columns = schema
+            .attributes()
+            .iter()
+            .map(|a| Arc::new(Codes::with_capacity(a.size(), 0)))
+            .collect();
         Table::from_columns(schema, columns)
     }
 
     /// A table over shared `columns`, with an empty count-vector slot.
-    fn from_columns(schema: Schema, columns: Vec<Arc<Vec<u32>>>) -> Self {
+    fn from_columns(schema: Schema, columns: Vec<Arc<Codes>>) -> Self {
         Table {
             schema,
             columns,
@@ -77,6 +95,7 @@ impl Table {
     pub fn from_rows(schema: Schema, rows: &[Vec<u32>]) -> Self {
         let mut t = Table::empty(schema);
         let mut out = t.appender();
+        out.reserve(rows.len());
         for row in rows {
             out.push(row);
         }
@@ -133,33 +152,35 @@ impl Table {
 
     /// Row `i` as an owned vector.
     pub fn row(&self, i: usize) -> Vec<u32> {
-        self.columns.iter().map(|c| c[i]).collect()
+        self.columns.iter().map(|c| c.get(i)).collect()
     }
 
     /// Every column, in schema order.
-    pub(crate) fn columns(&self) -> &[Arc<Vec<u32>>] {
+    pub(crate) fn columns(&self) -> &[Arc<Codes>] {
         &self.columns
     }
 
-    /// Column for attribute `name`.
-    pub fn column(&self, name: &str) -> &[u32] {
+    /// The codes of attribute `name`, one per row.
+    pub fn column(&self, name: &str) -> &Codes {
         &self.columns[self.schema.require(name)]
     }
 
-    /// `Where`: keeps rows satisfying `pred`. 1-stable.
+    /// `Where`: keeps rows satisfying `pred`. 1-stable. Evaluates `pred`
+    /// column by column into a keep mask, then gathers each column; panics
+    /// when `pred` names an attribute the schema lacks.
     pub fn filter(&self, pred: &Predicate) -> Table {
-        let mut out = Table::empty(self.schema.clone());
-        let mut kept = out.appender();
-        let mut row = vec![0u32; self.schema.arity()];
-        for i in 0..self.num_rows() {
-            for (slot, col) in row.iter_mut().zip(&self.columns) {
-                *slot = col[i];
-            }
-            if pred.eval(&self.schema, &row) {
-                kept.push(&row);
-            }
-        }
-        out
+        self.gather(&pred.mask(self))
+    }
+
+    /// The rows `keep` marks, in order, in columns of exact capacity.
+    fn gather(&self, keep: &[bool]) -> Table {
+        let kept = keep.iter().filter(|&&k| k).count();
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Arc::new(c.gather(keep, kept)))
+            .collect();
+        Table::from_columns(self.schema.clone(), columns)
     }
 
     /// `Select`: projects onto the named attributes (in the given order).
@@ -174,37 +195,46 @@ impl Table {
     }
 
     /// Recodes attribute `name` through `f` into an attribute of `size`
-    /// values, keeping its name and place. Only that column is computed;
-    /// the result shares every other column with `self`. Panics if `f`
-    /// maps a value to `size` or beyond.
+    /// values, keeping its name and place. Only that column is computed,
+    /// at the new size's width; the result shares every other column with
+    /// `self`. Panics if `f` maps a value to `size` or beyond.
     pub fn map_column(&self, name: &str, size: usize, f: impl Fn(u32) -> u32) -> Table {
         let idx = self.schema.require(name);
         let mut attrs = self.schema.attributes().to_vec();
         attrs[idx] = Attribute::new(name, size);
-        let mapped: Vec<u32> = self.columns[idx].iter().map(|&v| f(v)).collect();
-        if let Some(v) = mapped.iter().find(|&&v| v as usize >= size) {
-            panic!("value {v} out of domain for attribute '{name}'");
-        }
+        let mapped = Codes::collect(
+            size,
+            self.columns[idx].iter().map(|v| {
+                let m = f(v);
+                assert!(
+                    (m as usize) < size,
+                    "value {m} out of domain for attribute '{name}'"
+                );
+                m
+            }),
+        );
         let mut columns = self.columns.clone();
         columns[idx] = Arc::new(mapped);
         Table::from_columns(Schema::new(attrs), columns)
     }
 
     /// `GroupBy`: one output row per distinct combination of the named
-    /// attributes. 2-stable (adding/removing one input row changes at most
-    /// one group's presence plus one group's contents — see PINQ).
+    /// attributes, in the order the combinations first appear. 2-stable
+    /// (adding/removing one input row changes at most one group's
+    /// presence plus one group's contents — see PINQ). A row's group is
+    /// its cell index over the grouped attributes; panics when that
+    /// domain overflows `usize`.
     pub fn group_by(&self, names: &[&str]) -> Table {
         let projected = self.select(names);
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Table::empty(projected.schema.clone());
-        let mut groups = out.appender();
-        for i in 0..projected.num_rows() {
-            let row = projected.row(i);
-            if seen.insert(row.clone()) {
-                groups.push(&row);
-            }
+        // Panics before a key could overflow.
+        projected.schema.domain_size();
+        let mut keys = vec![0usize; projected.num_rows()];
+        for (col, attr) in projected.columns.iter().zip(projected.schema.attributes()) {
+            col.fold_cells(0, &mut keys, attr.size());
         }
-        out
+        let mut seen = HashSet::new();
+        let first: Vec<bool> = keys.into_iter().map(|k| seen.insert(k)).collect();
+        projected.gather(&first)
     }
 }
 
@@ -212,10 +242,18 @@ impl Table {
 /// ([`Table::appender`]).
 pub struct RowAppender<'a> {
     schema: &'a Schema,
-    columns: Vec<&'a mut Vec<u32>>,
+    columns: Vec<&'a mut Codes>,
 }
 
 impl RowAppender<'_> {
+    /// Makes room for `rows` more rows, exactly, so a table built to a
+    /// known size carries no growth slack.
+    pub fn reserve(&mut self, rows: usize) {
+        for col in &mut self.columns {
+            col.reserve(rows);
+        }
+    }
+
     /// Appends one row, validated against the schema.
     pub fn push(&mut self, row: &[u32]) {
         check_row(self.schema, row);
@@ -241,6 +279,11 @@ fn check_row(schema: &Schema, row: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn values(c: &Codes) -> Vec<u32> {
+        c.iter().collect()
+    }
 
     fn sample() -> Table {
         let schema = Schema::from_sizes(&[("age", 5), ("sex", 2), ("salary", 4)]);
@@ -261,7 +304,7 @@ mod tests {
         let t = sample();
         let f = t.filter(&Predicate::eq("sex", 1));
         assert_eq!(f.num_rows(), 3);
-        assert!(f.column("sex").iter().all(|&v| v == 1));
+        assert!(f.column("sex").iter().all(|v| v == 1));
     }
 
     #[test]
@@ -313,8 +356,8 @@ mod tests {
         // A projection of the original is untouched by the clone's row too.
         let mut s = t.select(&["sex"]);
         s.push_row(&[1]);
-        assert_eq!(t.column("sex"), &[0, 1, 1, 0, 1]);
-        assert_eq!(s.column("sex"), &[0, 1, 1, 0, 1, 1]);
+        assert_eq!(values(t.column("sex")), [0, 1, 1, 0, 1]);
+        assert_eq!(values(s.column("sex")), [0, 1, 1, 0, 1, 1]);
     }
 
     #[test]
@@ -327,15 +370,15 @@ mod tests {
         assert_eq!(c.num_rows(), 7);
         assert_eq!(c.row(6), vec![4, 1, 3]);
         assert_eq!(t.num_rows(), 5);
-        assert_eq!(t.column("age"), &[0, 1, 2, 2, 4]);
+        assert_eq!(values(t.column("age")), [0, 1, 2, 2, 4]);
     }
 
     #[test]
     fn push_row_to_an_unshared_table_appends_in_place() {
         let mut t = sample();
-        let ptrs: Vec<*const Vec<u32>> = t.columns().iter().map(Arc::as_ptr).collect();
+        let ptrs: Vec<*const Codes> = t.columns().iter().map(Arc::as_ptr).collect();
         t.push_row(&[1, 0, 0]);
-        let after: Vec<*const Vec<u32>> = t.columns().iter().map(Arc::as_ptr).collect();
+        let after: Vec<*const Codes> = t.columns().iter().map(Arc::as_ptr).collect();
         assert_eq!(ptrs, after);
     }
 
@@ -376,7 +419,7 @@ mod tests {
         let m = t.map_column("age", 3, |v| v / 2);
         assert_eq!(m.schema().sizes(), vec![3, 2, 4]);
         assert_eq!(m.schema().attributes()[0].name(), "age");
-        assert_eq!(m.column("age"), &[0, 0, 1, 1, 2]);
+        assert_eq!(values(m.column("age")), [0, 0, 1, 1, 2]);
         assert!(Arc::ptr_eq(&m.columns()[1], &t.columns()[1]));
         assert!(Arc::ptr_eq(&m.columns()[2], &t.columns()[2]));
         let by_rows = Table::from_rows(
@@ -396,6 +439,139 @@ mod tests {
     #[should_panic(expected = "out of domain for attribute 'age'")]
     fn map_column_rejects_values_beyond_the_new_size() {
         sample().map_column("age", 2, |v| v / 2);
+    }
+
+    fn rows(t: &Table) -> Vec<Vec<u32>> {
+        (0..t.num_rows()).map(|i| t.row(i)).collect()
+    }
+
+    /// `rows` pseudo-random rows over `a`, `b` and `c` of the given sizes
+    /// (deterministic in `seed`). Values are drawn from `0..12` and folded
+    /// into each domain, so small predicate constants match on every
+    /// width.
+    fn random_table(sizes: [usize; 3], rows: usize, seed: u64) -> Table {
+        let schema = Schema::from_sizes(&[("a", sizes[0]), ("b", sizes[1]), ("c", sizes[2])]);
+        let mut state = seed;
+        let mut next = |size: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % 12) as u32 % size as u32
+        };
+        let raw: Vec<Vec<u32>> = (0..rows)
+            .map(|_| sizes.iter().map(|&s| next(s)).collect())
+            .collect();
+        Table::from_rows(schema, &raw)
+    }
+
+    /// Sizes of `a`, `b` and `c`: `c` is stored at all three widths.
+    fn arb_sizes() -> impl Strategy<Value = [usize; 3]> {
+        (
+            1usize..6,
+            1usize..6,
+            prop_oneof![Just(5), Just(300), Just(70_000)],
+        )
+            .prop_map(|(a, b, c)| [a, b, c])
+    }
+
+    fn arb_predicate() -> impl Strategy<Value = Predicate> {
+        let attr = || prop_oneof![Just("a"), Just("b"), Just("c")];
+        let leaf = prop_oneof![
+            Just(Predicate::True),
+            (attr(), 0u32..12).prop_map(|(a, v)| Predicate::eq(a, v)),
+            (attr(), prop::collection::vec(0u32..12, 0..4))
+                .prop_map(|(a, vs)| Predicate::is_in(a, vs)),
+            (attr(), 0u32..12, 1u32..6).prop_map(|(a, lo, w)| Predicate::range(a, lo, lo + w)),
+        ];
+        leaf.prop_recursive(3, 16, 2, |inner| {
+            prop_oneof![
+                inner.clone(),
+                (inner.clone(), inner.clone()).prop_map(|(x, y)| x.and(y)),
+                (inner.clone(), inner.clone()).prop_map(|(x, y)| x.or(y)),
+                inner.prop_map(|x| x.not()),
+            ]
+        })
+    }
+
+    /// The row-by-row `GroupBy` the column-wise one replaced: one owned
+    /// row and one `HashSet<Vec<u32>>` insert per row.
+    fn group_by_by_rows(t: &Table, names: &[&str]) -> Table {
+        let projected = t.select(names);
+        let mut seen = HashSet::new();
+        let mut out = Table::empty(projected.schema().clone());
+        let mut groups = out.appender();
+        for i in 0..projected.num_rows() {
+            let row = projected.row(i);
+            if seen.insert(row.clone()) {
+                groups.push(&row);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The column-wise `Where` keeps exactly the rows, in order, that
+        /// the row-wise `Predicate::eval` accepts.
+        #[test]
+        fn filter_matches_rowwise_eval(
+            sizes in arb_sizes(),
+            n in 0usize..300,
+            seed in 0u64..u64::MAX,
+            pred in arb_predicate(),
+        ) {
+            let t = random_table(sizes, n, seed);
+            let expected: Vec<Vec<u32>> = rows(&t)
+                .into_iter()
+                .filter(|row| pred.eval(t.schema(), row))
+                .collect();
+            let f = t.filter(&pred);
+            prop_assert_eq!(f.schema(), t.schema());
+            prop_assert_eq!(rows(&f), expected);
+        }
+
+        /// The key-based `GroupBy` returns the row-by-row one's rows in the
+        /// same first-seen order.
+        #[test]
+        fn group_by_matches_the_row_by_row_group_by(
+            sizes in arb_sizes(),
+            n in 0usize..300,
+            seed in 0u64..u64::MAX,
+            pick in 0usize..5,
+        ) {
+            let names: &[&str] = [
+                &["a"][..],
+                &["c"],
+                &["b", "a"],
+                &["c", "a", "b"],
+                &["a", "c"],
+            ][pick];
+            let t = random_table(sizes, n, seed);
+            let g = t.group_by(names);
+            let oracle = group_by_by_rows(&t, names);
+            prop_assert_eq!(g.schema(), oracle.schema());
+            prop_assert_eq!(rows(&g), rows(&oracle));
+        }
+    }
+
+    #[test]
+    fn built_columns_have_exact_capacity() {
+        let t = random_table([3, 300, 70_000], 1000, 7);
+        let f = t.filter(&Predicate::range("a", 1, 3));
+        let g = t.group_by(&["b", "a"]);
+        let m = t.map_column("c", 4, |v| v % 4);
+        for table in [&t, &f, &g, &m] {
+            for col in table.columns() {
+                let cap = match &**col {
+                    Codes::U8(c) => c.capacity(),
+                    Codes::U16(c) => c.capacity(),
+                    Codes::U32(c) => c.capacity(),
+                };
+                assert_eq!(cap, table.num_rows());
+            }
+        }
+        assert!(matches!(*m.columns()[2], Codes::U8(_)));
     }
 
     #[test]

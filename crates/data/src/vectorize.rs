@@ -23,17 +23,15 @@ pub fn vectorize(table: &Table) -> Vec<f64> {
     let mut x = vec![0.0; n];
     // Cell indices of a block of rows, accumulated column by column in
     // `Schema::cell_index`'s mixed-radix order (first attribute most
-    // significant); no per-row allocation.
+    // significant), one loop per column at its stored width; no per-row
+    // allocation.
     let mut cells = [0usize; BLOCK];
     let rows = table.num_rows();
     for start in (0..rows).step_by(BLOCK) {
         let cells = &mut cells[..BLOCK.min(rows - start)];
         cells.fill(0);
         for (col, attr) in table.columns().iter().zip(schema.attributes()) {
-            let size = attr.size();
-            for (c, &v) in cells.iter_mut().zip(&col[start..]) {
-                *c = *c * size + v as usize;
-            }
+            col.fold_cells(start, cells, attr.size());
         }
         for &c in cells.iter() {
             x[c] += 1.0;

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ektelo_data::{vectorize, Predicate, Schema, Table};
+use ektelo_data::{vectorize, Codes, Predicate, Schema, Table};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 
@@ -139,6 +139,57 @@ proptest! {
         for t in &tables {
             prop_assert_eq!(bits(&t.count_vector()), bits(&vectorize(t)));
         }
+    }
+
+    /// Columns at each width boundary: an attribute of 1, 255, 256, 257,
+    /// 65,536 or 65,537 values stores its codes in 1, 1, 1, 2, 2 and 4
+    /// bytes, and every code, the largest included, reads back unchanged
+    /// through `row`, `select`, `filter`, `group_by`, `map_column` and
+    /// `vectorize`.
+    #[test]
+    fn codes_round_trip_at_width_boundaries(
+        pick in 0usize..6,
+        raw in prop::collection::vec(0u32..u32::MAX, 0..40),
+    ) {
+        let (size, width) = [(1, 1), (255, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)][pick];
+        let top = size as u32 - 1;
+        let mut input = vec![vec![top, 1], vec![0, 0]];
+        input.extend(raw.iter().map(|&x| vec![x % size as u32, x & 1]));
+        let schema = Schema::from_sizes(&[("v", size), ("w", 2)]);
+        let t = Table::from_rows(schema.clone(), &input);
+        let stored = match t.column("v") {
+            Codes::U8(_) => 1,
+            Codes::U16(_) => 2,
+            Codes::U32(_) => 4,
+        };
+        prop_assert_eq!(stored, width);
+        let rows = |t: &Table| (0..t.num_rows()).map(|i| t.row(i)).collect::<Vec<_>>();
+        prop_assert_eq!(rows(&t), input.clone());
+        let swapped: Vec<Vec<u32>> = input.iter().map(|r| vec![r[1], r[0]]).collect();
+        prop_assert_eq!(rows(&t.select(&["w", "v"])), swapped);
+
+        let upper = Predicate::range("v", top / 2, top + 1);
+        let kept: Vec<Vec<u32>> = input.iter().filter(|r| r[0] >= top / 2).cloned().collect();
+        prop_assert_eq!(rows(&t.filter(&upper)), kept);
+
+        let mut distinct: Vec<Vec<u32>> = Vec::new();
+        for r in &input {
+            if !distinct.contains(&vec![r[0]]) {
+                distinct.push(vec![r[0]]);
+            }
+        }
+        prop_assert_eq!(rows(&t.group_by(&["v"])), distinct);
+
+        let flipped = t.map_column("v", size, |v| top - v);
+        prop_assert_eq!(flipped.column("v").get(0), 0);
+        let back = flipped.map_column("v", size, |v| top - v);
+        prop_assert_eq!(back.column("v"), t.column("v"));
+
+        let mut counts = vec![0.0; schema.domain_size()];
+        for r in &input {
+            counts[schema.cell_index(r)] += 1.0;
+        }
+        prop_assert_eq!(bits(&vectorize(&t)), bits(&counts));
     }
 
     /// Paper Def. 3.1 ≡ Def. 3.2: counting rows matching φ equals the dot

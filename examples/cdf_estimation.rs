@@ -31,9 +31,8 @@ fn main() {
     let pred = Predicate::eq("sex", 0).and(Predicate::range("age", 30, 40));
     let group = table.filter(&pred);
     let mut true_cdf = vec![0.0f64; 64];
-    for i in 0..group.num_rows() {
-        let s = group.row(i)[2] as usize;
-        for c in true_cdf.iter_mut().skip(s) {
+    for s in group.column("salary").iter() {
+        for c in true_cdf.iter_mut().skip(s as usize) {
             *c += 1.0;
         }
     }

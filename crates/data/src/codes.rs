@@ -4,10 +4,9 @@
 //! An attribute of `size` values has codes `0..size`. [`Codes`] keeps
 //! them as `u8` when `size ≤ 256`, as `u16` when `size ≤ 65,536` and as
 //! `u32` otherwise, and widens every code it hands out to `u32`. The loops
-//! that scan a whole column (the cell indices of `vectorize` and
-//! `GroupBy`, the gather of kept rows, and a consuming pass over
-//! [`Codes::iter`], as `Where` makes) choose the width once, outside the
-//! loop.
+//! that scan a whole column (the cell indices of `vectorize` and a
+//! consuming pass over [`Codes::iter`], as `map_column` makes) choose the
+//! width once, outside the loop.
 
 /// A column of attribute codes at the narrowest width that holds its
 /// attribute's domain (see the module docs). Columns of one attribute
@@ -109,21 +108,6 @@ impl Codes {
         each_width!(self, c => c.reserve_exact(rows))
     }
 
-    /// The codes of the rows `keep` marks, in order, at this column's
-    /// width and with capacity `kept` (the number of marked rows).
-    pub(crate) fn gather(&self, keep: &[bool], kept: usize) -> Codes {
-        fn pick<T: Copy>(codes: &[T], keep: &[bool], kept: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(kept);
-            out.extend(codes.iter().zip(keep).filter(|(_, &k)| k).map(|(&v, _)| v));
-            out
-        }
-        match self {
-            Codes::U8(c) => Codes::U8(pick(c, keep, kept)),
-            Codes::U16(c) => Codes::U16(pick(c, keep, kept)),
-            Codes::U32(c) => Codes::U32(pick(c, keep, kept)),
-        }
-    }
-
     /// Folds the codes of rows `start..start + cells.len()` into mixed-radix
     /// cell indices: `cell = cell · size + code` for an attribute of
     /// `size` values.
@@ -163,8 +147,6 @@ mod tests {
             let mut cells = [1usize; 2];
             c.fold_cells(1, &mut cells, size);
             assert_eq!(cells, [size + top as usize, size + 7]);
-            let keep: Vec<bool> = c.iter().map(|v| v != 7).collect();
-            assert_eq!(c.gather(&keep, 2).iter().collect::<Vec<_>>(), vec![0, top]);
         }
     }
 }

@@ -6,7 +6,6 @@
 //! (paper Def. 3.2: `qᵢ = c₁ϕ₁(i) + … + c_kϕ_k(i)`).
 
 use crate::schema::Schema;
-use crate::table::Table;
 
 /// A boolean condition over a single row.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,37 +75,6 @@ impl Predicate {
             Predicate::And(a, b) => a.eval(schema, row) && b.eval(schema, row),
             Predicate::Or(a, b) => a.eval(schema, row) || b.eval(schema, row),
             Predicate::Not(a) => !a.eval(schema, row),
-        }
-    }
-
-    /// Whether each row of `table` satisfies the condition, evaluated
-    /// column by column: each leaf resolves its attribute once and tests
-    /// that column's codes. Panics when a leaf names an attribute the
-    /// table lacks.
-    pub(crate) fn mask(&self, table: &Table) -> Vec<bool> {
-        let combine = |a: &Predicate, b: &Predicate, op: fn(bool, bool) -> bool| {
-            let mut m = a.mask(table);
-            for (x, y) in m.iter_mut().zip(b.mask(table)) {
-                *x = op(*x, y);
-            }
-            m
-        };
-        match self {
-            Predicate::True => vec![true; table.num_rows()],
-            Predicate::Eq(attr, v) => table.column(attr).iter().map(|c| c == *v).collect(),
-            Predicate::In(attr, vs) => table.column(attr).iter().map(|c| vs.contains(&c)).collect(),
-            Predicate::Range(attr, lo, hi) => table
-                .column(attr)
-                .iter()
-                .map(|c| *lo <= c && c < *hi)
-                .collect(),
-            Predicate::And(a, b) => combine(a, b, |x, y| x && y),
-            Predicate::Or(a, b) => combine(a, b, |x, y| x || y),
-            Predicate::Not(a) => {
-                let mut m = a.mask(table);
-                m.iter_mut().for_each(|x| *x = !*x);
-                m
-            }
         }
     }
 

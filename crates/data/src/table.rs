@@ -12,11 +12,10 @@
 //! come out as `u32` values; only the storage is narrow. The census table's
 //! five attributes (income rebinned to 64 or 357 bins, then 5, 7, 4 and 2
 //! values) take 5 or 6 bytes a row instead of 20. `from_rows`, the
-//! generators and every transformation build columns of exact capacity;
-//! [`RowAppender::reserve`] does the same for a loop that knows its row
-//! count. `Where` evaluates its predicate column by column into a keep
-//! mask and gathers each column; `GroupBy` keys each row by its cell index
-//! over the grouped attributes and keeps the first row of each key.
+//! generators and `map_column` build columns of exact capacity through
+//! [`RowAppender::reserve`] or a sized collect. `Where` and `GroupBy`
+//! read and append rows one at a time, as `u32` values, so their output
+//! columns grow by doubling.
 //!
 //! **Shared columns.** A table holds each column as a shared, immutable
 //! `Arc<Codes>`, so many analyses can start from one source table
@@ -41,7 +40,6 @@
 //! fresh one when a clone shares it, so a clone never sees a stale vector
 //! and a vector already handed out never changes.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -165,22 +163,20 @@ impl Table {
         &self.columns[self.schema.require(name)]
     }
 
-    /// `Where`: keeps rows satisfying `pred`. 1-stable. Evaluates `pred`
-    /// column by column into a keep mask, then gathers each column; panics
-    /// when `pred` names an attribute the schema lacks.
+    /// `Where`: keeps rows satisfying `pred`. 1-stable.
     pub fn filter(&self, pred: &Predicate) -> Table {
-        self.gather(&pred.mask(self))
-    }
-
-    /// The rows `keep` marks, in order, in columns of exact capacity.
-    fn gather(&self, keep: &[bool]) -> Table {
-        let kept = keep.iter().filter(|&&k| k).count();
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.gather(keep, kept)))
-            .collect();
-        Table::from_columns(self.schema.clone(), columns)
+        let mut out = Table::empty(self.schema.clone());
+        let mut kept = out.appender();
+        let mut row = vec![0u32; self.schema.arity()];
+        for i in 0..self.num_rows() {
+            for (slot, col) in row.iter_mut().zip(&self.columns) {
+                *slot = col.get(i);
+            }
+            if pred.eval(&self.schema, &row) {
+                kept.push(&row);
+            }
+        }
+        out
     }
 
     /// `Select`: projects onto the named attributes (in the given order).
@@ -219,22 +215,20 @@ impl Table {
     }
 
     /// `GroupBy`: one output row per distinct combination of the named
-    /// attributes, in the order the combinations first appear. 2-stable
-    /// (adding/removing one input row changes at most one group's
-    /// presence plus one group's contents — see PINQ). A row's group is
-    /// its cell index over the grouped attributes; panics when that
-    /// domain overflows `usize`.
+    /// attributes. 2-stable (adding/removing one input row changes at most
+    /// one group's presence plus one group's contents — see PINQ).
     pub fn group_by(&self, names: &[&str]) -> Table {
         let projected = self.select(names);
-        // Panics before a key could overflow.
-        projected.schema.domain_size();
-        let mut keys = vec![0usize; projected.num_rows()];
-        for (col, attr) in projected.columns.iter().zip(projected.schema.attributes()) {
-            col.fold_cells(0, &mut keys, attr.size());
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Table::empty(projected.schema.clone());
+        let mut groups = out.appender();
+        for i in 0..projected.num_rows() {
+            let row = projected.row(i);
+            if seen.insert(row.clone()) {
+                groups.push(&row);
+            }
         }
-        let mut seen = HashSet::new();
-        let first: Vec<bool> = keys.into_iter().map(|k| seen.insert(k)).collect();
-        projected.gather(&first)
+        out
     }
 }
 
@@ -279,7 +273,6 @@ fn check_row(schema: &Schema, row: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn values(c: &Codes) -> Vec<u32> {
         c.iter().collect()
@@ -464,104 +457,37 @@ mod tests {
         Table::from_rows(schema, &raw)
     }
 
-    /// Sizes of `a`, `b` and `c`: `c` is stored at all three widths.
-    fn arb_sizes() -> impl Strategy<Value = [usize; 3]> {
-        (
-            1usize..6,
-            1usize..6,
-            prop_oneof![Just(5), Just(300), Just(70_000)],
-        )
-            .prop_map(|(a, b, c)| [a, b, c])
+    #[test]
+    fn filter_short_circuits_like_eval() {
+        // `eval` never reads the second operand of a decided `Or`/`And`, so
+        // a missing attribute there is not looked up; nor is it on an empty
+        // table.
+        let t = sample();
+        let all = t.filter(&Predicate::True.or(Predicate::eq("missing", 0)));
+        assert_eq!(rows(&all), rows(&t));
+        let none = t.filter(&Predicate::eq("sex", 9).and(Predicate::eq("missing", 0)));
+        assert_eq!(none.num_rows(), 0);
+        let empty = Table::empty(t.schema().clone()).filter(&Predicate::eq("missing", 0));
+        assert_eq!(empty.num_rows(), 0);
     }
 
-    fn arb_predicate() -> impl Strategy<Value = Predicate> {
-        let attr = || prop_oneof![Just("a"), Just("b"), Just("c")];
-        let leaf = prop_oneof![
-            Just(Predicate::True),
-            (attr(), 0u32..12).prop_map(|(a, v)| Predicate::eq(a, v)),
-            (attr(), prop::collection::vec(0u32..12, 0..4))
-                .prop_map(|(a, vs)| Predicate::is_in(a, vs)),
-            (attr(), 0u32..12, 1u32..6).prop_map(|(a, lo, w)| Predicate::range(a, lo, lo + w)),
-        ];
-        leaf.prop_recursive(3, 16, 2, |inner| {
-            prop_oneof![
-                inner.clone(),
-                (inner.clone(), inner.clone()).prop_map(|(x, y)| x.and(y)),
-                (inner.clone(), inner.clone()).prop_map(|(x, y)| x.or(y)),
-                inner.prop_map(|x| x.not()),
-            ]
-        })
-    }
-
-    /// The row-by-row `GroupBy` the column-wise one replaced: one owned
-    /// row and one `HashSet<Vec<u32>>` insert per row.
-    fn group_by_by_rows(t: &Table, names: &[&str]) -> Table {
-        let projected = t.select(names);
-        let mut seen = HashSet::new();
-        let mut out = Table::empty(projected.schema().clone());
-        let mut groups = out.appender();
-        for i in 0..projected.num_rows() {
-            let row = projected.row(i);
-            if seen.insert(row.clone()) {
-                groups.push(&row);
-            }
-        }
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The column-wise `Where` keeps exactly the rows, in order, that
-        /// the row-wise `Predicate::eval` accepts.
-        #[test]
-        fn filter_matches_rowwise_eval(
-            sizes in arb_sizes(),
-            n in 0usize..300,
-            seed in 0u64..u64::MAX,
-            pred in arb_predicate(),
-        ) {
-            let t = random_table(sizes, n, seed);
-            let expected: Vec<Vec<u32>> = rows(&t)
-                .into_iter()
-                .filter(|row| pred.eval(t.schema(), row))
-                .collect();
-            let f = t.filter(&pred);
-            prop_assert_eq!(f.schema(), t.schema());
-            prop_assert_eq!(rows(&f), expected);
-        }
-
-        /// The key-based `GroupBy` returns the row-by-row one's rows in the
-        /// same first-seen order.
-        #[test]
-        fn group_by_matches_the_row_by_row_group_by(
-            sizes in arb_sizes(),
-            n in 0usize..300,
-            seed in 0u64..u64::MAX,
-            pick in 0usize..5,
-        ) {
-            let names: &[&str] = [
-                &["a"][..],
-                &["c"],
-                &["b", "a"],
-                &["c", "a", "b"],
-                &["a", "c"],
-            ][pick];
-            let t = random_table(sizes, n, seed);
-            let g = t.group_by(names);
-            let oracle = group_by_by_rows(&t, names);
-            prop_assert_eq!(g.schema(), oracle.schema());
-            prop_assert_eq!(rows(&g), rows(&oracle));
-        }
+    #[test]
+    fn group_by_over_a_domain_wider_than_usize() {
+        // 2⁹⁰ combinations: grouping keys rows by their values, never by a
+        // cell index, so the product of the sizes may overflow.
+        let big = 1usize << 30;
+        let schema = Schema::from_sizes(&[("a", big), ("b", big), ("c", big)]);
+        let top = big as u32 - 1;
+        let t = Table::from_rows(schema, &[vec![7, 1, top], vec![0, 0, 0], vec![7, 1, top]]);
+        let g = t.group_by(&["a", "b", "c"]);
+        assert_eq!(rows(&g), [vec![7, 1, top], vec![0, 0, 0]]);
     }
 
     #[test]
     fn built_columns_have_exact_capacity() {
         let t = random_table([3, 300, 70_000], 1000, 7);
-        let f = t.filter(&Predicate::range("a", 1, 3));
-        let g = t.group_by(&["b", "a"]);
         let m = t.map_column("c", 4, |v| v % 4);
-        for table in [&t, &f, &g, &m] {
+        for table in [&t, &m] {
             for col in table.columns() {
                 let cap = match &**col {
                     Codes::U8(c) => c.capacity(),

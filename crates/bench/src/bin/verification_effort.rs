@@ -3,95 +3,35 @@
 //! guarantee?
 //!
 //! In EKTELO's trust model only the privacy-critical surface needs review:
-//! the kernel (budget accounting, stability, noise) and the
-//! Private→Public operators. Plans, inference, workloads, generators and
-//! the matrix engine are untrusted client-space code — bugs there cost
-//! accuracy, never privacy. This binary walks the workspace sources and
-//! prints the split (the paper's analogous numbers: 517 privacy-critical
-//! lines vs 1837 for vetting the monolithic DPBench implementations).
+//! the kernel (budget accounting, stability, noise, and the two
+//! primitives through which the Private→Public operators reach the data)
+//! and the operators whose score code feeds the kernel's exponential
+//! mechanism. Plans, inference, workloads, generators and the matrix
+//! engine are untrusted client-space code — bugs there cost accuracy,
+//! never privacy. So are AHP's clustering and DAWA's segmentation: the
+//! kernel's noisy-histogram release draws their noise, and what they do
+//! with its output is post-processing. The file list and the counting
+//! rule live in `ektelo_bench::vetted`, shared with the `vetted_surface`
+//! test that gates the count. This binary walks the workspace sources
+//! and prints the split (the paper's analogous numbers: 517
+//! privacy-critical lines vs 1837 for vetting the monolithic DPBench
+//! implementations).
 //!
 //! Run: `cargo run --release -p ektelo-bench --bin verification_effort`
 
-use std::fs;
-use std::path::{Path, PathBuf};
-
-/// Modules whose correctness the privacy proof depends on.
-const PRIVACY_CRITICAL: &[&str] = &[
-    "crates/core/src/kernel/mod.rs",
-    "crates/core/src/kernel/state.rs",
-    "crates/core/src/kernel/noise.rs",
-    "crates/core/src/kernel/error.rs",
-    "crates/core/src/ops/partition/ahp.rs",
-    "crates/core/src/ops/partition/dawa.rs",
-    "crates/core/src/ops/selection/worst_approx.rs",
-    "crates/core/src/ops/selection/privbayes.rs",
-    // Stability bookkeeping depends on exact sensitivity computation:
-    "crates/matrix/src/sensitivity.rs",
-];
-
-fn code_lines(path: &Path) -> usize {
-    let Ok(src) = fs::read_to_string(path) else {
-        return 0;
-    };
-    let mut in_tests = false;
-    let mut count = 0;
-    for line in src.lines() {
-        let t = line.trim();
-        if t.starts_with("#[cfg(test)]") {
-            in_tests = true;
-        }
-        if in_tests {
-            continue; // tests don't need privacy vetting
-        }
-        if t.is_empty() || t.starts_with("//") {
-            continue;
-        }
-        count += 1;
-    }
-    count
-}
-
-/// Directories holding no library code: build output, test suites,
-/// benches, and the linter's fixture trees (deliberate violations shaped
-/// like library files).
-const NOT_LIBRARY: &[&str] = &["target", "tests", "benches", "fixtures"];
-
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for e in entries.flatten() {
-        let p = e.path();
-        if p.is_dir() {
-            if p.file_name()
-                .is_some_and(|n| NOT_LIBRARY.iter().any(|x| n == *x))
-            {
-                continue;
-            }
-            walk(&p, out);
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
-        }
-    }
-}
+use ektelo_bench::vetted::{file_code_lines, library_files, workspace_root, PRIVACY_CRITICAL};
 
 fn main() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut files = Vec::new();
-    walk(&root.join("crates"), &mut files);
-    walk(&root.join("src"), &mut files);
-
+    let root = workspace_root();
     let mut critical = 0usize;
     let mut total = 0usize;
     println!("\nPrivacy-critical modules (must be vetted once):");
-    for f in &files {
-        let lines = code_lines(f);
+    for rel in library_files(&root) {
+        let lines = file_code_lines(&root, &rel);
         total += lines;
-        let rel = f.strip_prefix(&root).unwrap_or(f);
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if PRIVACY_CRITICAL.contains(&rel_str.as_str()) {
+        if PRIVACY_CRITICAL.contains(&rel.as_str()) {
             critical += lines;
-            println!("  {rel_str:<55} {lines:>6}");
+            println!("  {rel:<55} {lines:>6}");
         }
     }
     println!("\n{:<57} {critical:>6}", "privacy-critical lines");

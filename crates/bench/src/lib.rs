@@ -99,6 +99,8 @@ pub fn rebin_census_income(t: &ektelo_data::Table, bins: usize) -> ektelo_data::
     })
 }
 
+pub mod vetted;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,10 +5,13 @@
 //! vectors never leave the kernel. Transformations derive new sources and
 //! record their stability; query operators draw calibrated noise and charge
 //! the budget through Algorithm 2 (see the private `state` module's
-//! `request`).
+//! `request`). The Private→Public operators reach the data through two
+//! crate-private primitives, a noisy-histogram release and an
+//! exponential-mechanism selection; the noise samplers stay private to
+//! this module.
 
 mod error;
-pub mod noise;
+mod noise;
 mod state;
 
 pub use error::{EktError, Result};
@@ -23,7 +26,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use state::{checked_eps_total, validate_eps, KernelState, Node, NodeData, SourceData};
+use state::{
+    checked_eps_total, validate_eps, KernelState, Node, NodeData, NonEmptyVector, SourceData,
+};
 
 /// An opaque handle to a protected data source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -531,26 +536,12 @@ impl ProtectedKernel {
     ) -> Result<Vec<Arc<[f64]>>> {
         let res = self.res_slot(res)?;
         // Phase 0 (public, no lock): each request's sensitivity, a pure
-        // function of its public matrix, memoized per distinct matrix
-        // reference: striped plans pass one shared strategy for every
-        // stripe, so the column-norm pass runs once per batch instead of
-        // once per stripe. A zero, NaN or infinite sensitivity becomes the
-        // request's error here, before any charge and before a NaN scale
-        // could reach `noise::laplace`.
-        let mut sens_memo: Vec<(*const Matrix, f64)> = Vec::new();
+        // function of its public matrix. A zero, NaN or infinite
+        // sensitivity becomes the request's error here, before any charge
+        // and before a NaN scale could reach `noise::fill_laplace`.
         let sensitivities: Vec<Result<f64>> = reqs
             .iter()
-            .map(|&(_, m, _)| {
-                let s = match sens_memo.iter().find(|&&(p, _)| std::ptr::eq(p, m)) {
-                    Some(&(_, s)) => s,
-                    None => {
-                        let s = m.l1_sensitivity();
-                        sens_memo.push((m as *const Matrix, s));
-                        s
-                    }
-                };
-                measurement_sensitivity(s)
-            })
+            .map(|&(_, m, _)| measurement_sensitivity(m.l1_sensitivity()))
             .collect();
 
         // Phase 1 (no privacy side effects): snapshot each source vector —
@@ -649,17 +640,6 @@ impl ProtectedKernel {
         Ok(count + noise::laplace(&mut st.rng, 1.0 / eps))
     }
 
-    /// Hardened integer count using the two-sided geometric mechanism
-    /// (extension; see [`noise`] module docs on the floating-point attack).
-    // xlint: allow(dead-pub, reason = "the integer-count mechanism that the planned exact-noise sampler (ROADMAP item 5) replaces or promotes")
-    pub fn noisy_count_geometric(&self, sv: SourceVar, eps: f64) -> Result<i64> {
-        validate_eps(eps)?;
-        let count = self.count(sv)?.round() as i64;
-        let mut st = self.state.lock();
-        st.request(sv.0, eps, None, None)?;
-        Ok(count + noise::two_sided_geometric(&mut st.rng, eps))
-    }
-
     /// The exact count behind the noisy counts: a table's row count, or a
     /// vector's sum, summed after the lock is released.
     fn count(&self, sv: SourceVar) -> Result<f64> {
@@ -700,22 +680,85 @@ impl ProtectedKernel {
     }
 
     // ------------------------------------------------------------------
-    // Vetted internal access for privacy-critical operators
+    // The two privacy primitives of the Private→Public operators
     // ------------------------------------------------------------------
     //
-    // The paper's trust model: privacy-critical operators (AHP/DAWA
-    // partition selection, Worst-approx, PrivBayes select) are vetted once
-    // and live inside the trusted codebase. `charge_and_snapshot` is their
-    // one way to the data, and plans in other crates can only call the
-    // operators' public entry points.
+    // The paper's trust model: only the kernel and the Private→Public
+    // operators need a privacy review. Those operators reach the data
+    // through exactly two primitives, both built on `charge_and_snapshot`:
+    //
+    // * `noisy_histograms` releases a Laplace-noised copy of vector
+    //   sources. AHP and DAWA stage 1 cluster or segment that copy, which
+    //   is post-processing, so their modules are client code.
+    // * `exponential_selection` runs the caller's score code on a snapshot
+    //   and lets it pick through the exponential mechanism. Worst-approx
+    //   and PrivBayes select use it; their score functions, declared
+    //   sensitivities and per-pick budget split stay vetted.
+    //
+    // Caller code runs only after the state lock is released, and only
+    // these two methods call `charge_and_snapshot` and `substream_seed`.
 
-    /// Charge + snapshot for the vetted Private→Public operators. Under
-    /// **one** lock acquisition it checks every source's type, charges
-    /// every `(source, ε)` request in order through Algorithm 2, takes a
+    /// Noisy-histogram release: for each request `(sv, ε)`, the vector
+    /// source `sv` plus i.i.d. `Laplace(1/ε)` noise per cell, handed to
+    /// `release` in request order; returns what `release` returned for
+    /// each. One buffer holds every request's noisy copy in turn, so a
+    /// batch over many stripes allocates it once.
+    ///
+    /// The charges, the snapshots and the draw of one substream base run
+    /// under one lock (see `charge_and_snapshot`), which also rejects an
+    /// empty source with [`EktError::InvalidArgument`] and a non-vector one
+    /// with [`EktError::WrongSourceType`] before anything is charged.
+    /// Request `i`'s noise then comes from substream `i` of that base,
+    /// outside the lock. The histogram has sensitivity 1, so scale `1/ε`
+    /// is ε-DP for the source, and Algorithm 2 charges the root through
+    /// the source's stability.
+    pub(crate) fn noisy_histograms<T>(
+        &self,
+        reqs: &[(SourceVar, f64)],
+        res: Option<&BudgetReservation<'_>>,
+        mut release: impl FnMut(&[f64]) -> T,
+    ) -> Result<Vec<T>> {
+        let (base, snaps) = self.charge_and_snapshot::<NonEmptyVector>(reqs, res)?;
+        let mut out = Vec::with_capacity(snaps.len());
+        let mut noisy = Vec::new();
+        for (i, (NonEmptyVector(x), &(_, eps))) in snaps.iter().zip(reqs).enumerate() {
+            let mut rng = StdRng::seed_from_u64(substream_seed(base, i as u64));
+            noisy.clear();
+            noisy.resize(x.len(), 0.0);
+            noise::fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
+            for (e, &v) in noisy.iter_mut().zip(x.iter()) {
+                *e += v;
+            }
+            out.push(release(&noisy));
+        }
+        Ok(out)
+    }
+
+    /// Exponential-mechanism selection: charges `eps` to source `sv`
+    /// (through `charge_and_snapshot`, which rejects a source that is not
+    /// a `D` before the charge), then runs `select` on the snapshot with a
+    /// [`Picker`] on substream 0 of the drawn base, outside the lock.
+    /// `select` releases only what its picks decide; the ε of its picks
+    /// must sum to at most `eps`, which its vetted module guarantees.
+    pub(crate) fn exponential_selection<D: SourceData, T>(
+        &self,
+        sv: SourceVar,
+        eps: f64,
+        res: Option<&BudgetReservation<'_>>,
+        select: impl FnOnce(&D, &mut Picker) -> T,
+    ) -> Result<T> {
+        let (base, snaps) = self.charge_and_snapshot::<D>(&[(sv, eps)], res)?;
+        let mut picker = Picker(StdRng::seed_from_u64(substream_seed(base, 0)));
+        Ok(select(&snaps[0], &mut picker))
+    }
+
+    /// Charge + snapshot for the two primitives. Under **one** lock
+    /// acquisition it checks every source's type, charges every
+    /// `(source, ε)` request in order through Algorithm 2, takes a
     /// refcount snapshot of each source (a vector or a table, as `D`
     /// says) and draws one `u64` from the privacy stream. That draw is the
-    /// base of the operators' counter-based substreams: request `i`'s
-    /// computation runs on `StdRng::seed_from_u64(substream_seed(base, i))`
+    /// base of the primitives' counter-based substreams: request `i`'s
+    /// draws come from `StdRng::seed_from_u64(substream_seed(base, i))`
     /// after the lock is released, so no operator code runs under the
     /// lock and a panicking operator leaves it unpoisoned.
     ///
@@ -724,7 +767,7 @@ impl ProtectedKernel {
     /// charge fails, requests `0..k` have been charged, as `k` sequential
     /// operator calls would leave behind. On any failure no randomness has
     /// been consumed: the base is drawn only after every charge succeeded.
-    pub(crate) fn charge_and_snapshot<D: SourceData>(
+    fn charge_and_snapshot<D: SourceData>(
         &self,
         reqs: &[(SourceVar, f64)],
         res: Option<&BudgetReservation<'_>>,
@@ -753,12 +796,26 @@ impl ProtectedKernel {
     }
 }
 
+/// The exponential mechanism on one selection's substream, as
+/// [`ProtectedKernel::exponential_selection`] hands it to the caller's
+/// score code.
+pub(crate) struct Picker(StdRng);
+
+impl Picker {
+    /// An index into `scores` drawn with probability
+    /// `∝ exp(eps · score / (2 · sensitivity))`: `eps`-DP when one record
+    /// moves every score by at most `sensitivity`.
+    pub(crate) fn pick(&mut self, scores: &[f64], sensitivity: f64, eps: f64) -> usize {
+        noise::exponential_mechanism(&mut self.0, scores, sensitivity, eps)
+    }
+}
+
 /// The seed of substream `counter` under `base`: SplitMix64 of
 /// `base + counter·γ`, the same finalizer the rand shim uses for seed
 /// expansion, so substreams are as well mixed as top-level seeds. A pure
-/// function of (base, counter): an operator's draws depend only on the
-/// base [`ProtectedKernel::charge_and_snapshot`] returned and its index.
-pub(crate) fn substream_seed(base: u64, counter: u64) -> u64 {
+/// function of (base, counter): a primitive's draws depend only on the
+/// base `charge_and_snapshot` returned and the request's index.
+fn substream_seed(base: u64, counter: u64) -> u64 {
     let mut z = base.wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -899,6 +956,23 @@ fn fill_exact_answers(
 pub(crate) mod tests {
     use super::*;
     use ektelo_matrix::partition_from_labels;
+
+    pub(crate) use super::noise::{exponential_mechanism, fill_laplace};
+
+    /// The operators' old-versus-new tests inline the privileged sequence
+    /// they ran before the two primitives; these expose its private steps
+    /// to them.
+    pub(crate) fn charge_and_snapshot<D: SourceData>(
+        k: &ProtectedKernel,
+        reqs: &[(SourceVar, f64)],
+    ) -> Result<(u64, Vec<D>)> {
+        k.charge_and_snapshot(reqs, None)
+    }
+
+    /// See [`charge_and_snapshot`].
+    pub(crate) fn substream_seed(base: u64, counter: u64) -> u64 {
+        super::substream_seed(base, counter)
+    }
 
     /// Test oracle: `a` on a kernel from `make` and `b` on a twin from
     /// `make` return the same value, spend the same budget and leave the
@@ -1114,12 +1188,76 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn geometric_count_is_integral() {
-        let k = simple_kernel(1.0);
-        let c = k.noisy_count_geometric(k.root(), 0.5).unwrap();
-        // i64 by construction; just verify budget accounting.
-        let _ = c;
-        assert!((k.budget_spent() - 0.5).abs() < 1e-12);
+    #[should_panic(expected = "positive and finite")]
+    fn init_rejects_an_infinite_budget() {
+        let schema = Schema::from_sizes(&[("v", 2)]);
+        ProtectedKernel::init(Table::from_rows(schema, &[vec![0]]), f64::INFINITY, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn init_rejects_a_nan_budget() {
+        let schema = Schema::from_sizes(&[("v", 2)]);
+        ProtectedKernel::init(Table::from_rows(schema, &[vec![0]]), f64::NAN, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn init_from_vector_rejects_an_infinite_budget() {
+        ProtectedKernel::init_from_vector(vec![1.0], f64::INFINITY, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn init_from_vector_rejects_a_nan_budget() {
+        ProtectedKernel::init_from_vector(vec![1.0], f64::NAN, 0);
+    }
+
+    /// The noisy histogram's noise has the Laplace(1/ε) calibration its
+    /// privacy proof assumes, per request of a batch: over 24,000 cells of
+    /// the root and of a `reduce_by_partition` child, each at its own ε,
+    /// the sample mean of `noisy − x` is within five standard errors of 0
+    /// and the sample variance within five standard errors of `2/ε²` (the
+    /// standard errors taken from the sample's own second and fourth
+    /// moments). The root is charged each request's ε times its source's
+    /// stability to the root.
+    #[test]
+    fn noisy_histogram_noise_is_laplace_at_one_over_eps() {
+        let n = 48_000;
+        let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 97) as f64).collect();
+        let pairs = partition_from_labels(n / 2, &(0..n).map(|i| i / 2).collect::<Vec<_>>());
+        let reduced = pairs.matvec(&x);
+        for (seed, eps_root, eps_child) in [(1, 0.5, 2.0), (2, 1.0, 0.25), (3, 4.0, 1.0)] {
+            let k = ProtectedKernel::init_from_vector(x.clone(), 10.0, seed);
+            let child = k.reduce_by_partition(k.root(), &pairs).unwrap();
+            let reqs = [(k.root(), eps_root), (child, eps_child)];
+            let noise = k
+                .noisy_histograms(&reqs, None, |noisy| noisy.to_vec())
+                .unwrap();
+            for ((noisy, exact), &(_, eps)) in noise.iter().zip([&x, &reduced]).zip(&reqs) {
+                let m = noisy.len() as f64;
+                assert!(m >= 20_000.0);
+                let e: Vec<f64> = noisy.iter().zip(exact.iter()).map(|(a, b)| a - b).collect();
+                let mean = e.iter().sum::<f64>() / m;
+                let var = e.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (m - 1.0);
+                let m4 = e.iter().map(|v| (v - mean).powi(4)).sum::<f64>() / m;
+                let (mean_se, var_se) = ((var / m).sqrt(), ((m4 - var * var) / m).sqrt());
+                let want = 2.0 / (eps * eps);
+                assert!(
+                    mean.abs() <= 5.0 * mean_se,
+                    "ε {eps}: mean {mean} ± {mean_se}"
+                );
+                assert!(
+                    (var - want).abs() <= 5.0 * var_se,
+                    "ε {eps}: variance {var} ± {var_se}, want {want}"
+                );
+            }
+            let charged: f64 = reqs
+                .iter()
+                .map(|&(sv, eps)| eps * k.stability_to_root(sv))
+                .sum();
+            assert_eq!(k.budget_spent(), charged);
+        }
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Noise primitives used by the kernel's Private→Public operators.
+//! Noise samplers behind the kernel's Private→Public operators, private
+//! to the kernel: operators reach them only through the kernel's
+//! measurements and its two primitives (the noisy histogram and the
+//! exponential-mechanism selection).
 //!
 //! All randomness used for privacy flows through these functions with an
 //! explicitly seeded RNG owned by the kernel — experiments are exactly
@@ -6,18 +9,16 @@
 //!
 //! **Floating-point caveat** (paper §1, citing Mironov 2012): textbook
 //! sampling of the Laplace distribution with `f64` arithmetic leaks
-//! information through the low-order bits of the output. Production
-//! deployments should prefer the discrete/snapped mechanisms; we expose
-//! [`two_sided_geometric`] for integer-valued counts as the hardened
-//! alternative and keep the continuous sampler for fidelity with the
-//! paper's experiments.
+//! information through the low-order bits of the output. The samplers
+//! here keep the continuous construction for fidelity with the paper's
+//! experiments; an exact discrete sampler is planned work.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 /// A draw from the Laplace distribution with density
 /// `exp(−|x|/scale) / (2·scale)` (inverse-CDF sampling).
-pub fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
+pub(crate) fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
     assert!(scale >= 0.0, "laplace scale must be non-negative");
     if scale == 0.0 {
         return 0.0;
@@ -32,7 +33,7 @@ pub(crate) const LAPLACE_BLOCK: usize = 256;
 /// same values, bit for bit, in the same order, from the same uniforms.
 /// The uniforms are drawn a stack block at a time and then transformed,
 /// so the generator and the transform each run in a tight loop.
-pub fn fill_laplace(rng: &mut StdRng, scale: f64, out: &mut [f64]) {
+pub(crate) fn fill_laplace(rng: &mut StdRng, scale: f64, out: &mut [f64]) {
     assert!(scale >= 0.0, "laplace scale must be non-negative");
     if scale == 0.0 {
         out.fill(0.0);
@@ -70,7 +71,7 @@ fn gumbel(rng: &mut StdRng) -> f64 {
 /// The exponential mechanism over `scores` with quality sensitivity
 /// `sensitivity`, at privacy level `eps`: returns an index sampled with
 /// probability ∝ `exp(eps · score / (2 · sensitivity))`.
-pub fn exponential_mechanism(
+pub(crate) fn exponential_mechanism(
     rng: &mut StdRng,
     scores: &[f64],
     sensitivity: f64,
@@ -101,36 +102,6 @@ pub fn exponential_mechanism(
         }
     }
     best
-}
-
-/// A draw from the two-sided geometric distribution with parameter
-/// `alpha = exp(−eps/sensitivity)`: the discrete analogue of the Laplace
-/// mechanism, immune to the floating-point attack for integer counts.
-///
-/// Construction: the **difference of two i.i.d. one-sided geometrics**,
-/// `X = G₁ − G₂` with `P(G = k) = (1 − α) αᵏ` for `k ≥ 0`. The difference
-/// is symmetric with `P(X = k) ∝ α^|k|` and variance `2α / (1 − α)²`
-/// (twice the one-sided variance `α / (1 − α)²`), which the distribution
-/// test checks against the sample variance.
-pub fn two_sided_geometric(rng: &mut StdRng, eps_over_sens: f64) -> i64 {
-    // xlint: allow(budget-chokepoint, reason = "sampler precondition on already-admitted parameters, not a budget admission decision")
-    assert!(eps_over_sens > 0.0);
-    // Mathematically alpha = exp(−x) < 1 for x > 0, but for
-    // x ≲ 1.1e-16 the f64 result rounds to exactly 1.0, making
-    // ln(alpha) = 0 and the geometric draws collapse to a deterministic
-    // zero — i.e. *no noise at essentially zero epsilon*. Clamp just
-    // below 1 so the sampler degrades to astronomically wide (not
-    // absent) noise instead.
-    let alpha = (-eps_over_sens).exp().min(1.0 - f64::EPSILON);
-    let g1 = one_sided_geometric(rng, alpha);
-    let g2 = one_sided_geometric(rng, alpha);
-    g1 - g2
-}
-
-fn one_sided_geometric(rng: &mut StdRng, alpha: f64) -> i64 {
-    // P(G = k) = (1 − alpha) alpha^k for k ≥ 0.
-    let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    (u.ln() / alpha.ln()).floor() as i64
 }
 
 #[cfg(test)]
@@ -206,51 +177,6 @@ mod tests {
         }
         let frac = hits as f64 / 2000.0;
         assert!((frac - 0.5).abs() < 0.05, "fraction {frac}");
-    }
-
-    #[test]
-    fn geometric_is_integer_and_symmetric() {
-        let mut r = rng();
-        let n = 100_000;
-        let sum: i64 = (0..n).map(|_| two_sided_geometric(&mut r, 0.5)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_variance_matches_difference_construction() {
-        // Var(G₁ − G₂) = 2α/(1−α)² for the difference-of-geometrics
-        // construction; a sign-and-magnitude sampler that double-counted
-        // zero (what the doc comment used to describe) would disagree.
-        let mut r = rng();
-        let n = 200_000usize;
-        for eps_over_sens in [0.25f64, 0.5, 1.0] {
-            let alpha = (-eps_over_sens).exp();
-            let expect = 2.0 * alpha / ((1.0 - alpha) * (1.0 - alpha));
-            let samples: Vec<f64> = (0..n)
-                .map(|_| two_sided_geometric(&mut r, eps_over_sens) as f64)
-                .collect();
-            let mean = samples.iter().sum::<f64>() / n as f64;
-            let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
-            assert!(
-                (var - expect).abs() < 0.05 * expect,
-                "eps/sens {eps_over_sens}: sample variance {var} vs expected {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn geometric_still_noisy_at_vanishing_epsilon() {
-        // exp(-1e-17) rounds to 1.0 in f64; without the clamp the sampler
-        // would return exactly 0 forever — zero noise at zero epsilon.
-        let mut r = rng();
-        let draws: Vec<i64> = (0..10)
-            .map(|_| two_sided_geometric(&mut r, 1e-17))
-            .collect();
-        assert!(
-            draws.iter().any(|&d| d != 0),
-            "vanishing epsilon must give (huge) noise, not none: {draws:?}"
-        );
     }
 
     #[test]

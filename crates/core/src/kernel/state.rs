@@ -39,9 +39,14 @@ pub(crate) fn validate_eps(eps: f64) -> Result<()> {
 /// passes it through. Construction takes a trusted curator-supplied
 /// budget, so a bad value is a programming error (panic), not a runtime
 /// `Result` — but the comparison still lives here in the budget
-/// chokepoint module, not at the call sites.
+/// chokepoint module, not at the call sites. The budget must be finite
+/// as well as positive: `+∞` passes `> 0`, and no admission would ever
+/// refuse after it; NaN fails every comparison.
 pub(crate) fn checked_eps_total(eps_total: f64) -> f64 {
-    assert!(eps_total > 0.0, "privacy budget must be positive");
+    assert!(
+        eps_total.is_finite() && eps_total > 0.0,
+        "privacy budget must be positive and finite, got {eps_total}"
+    );
     eps_total
 }
 
@@ -346,6 +351,24 @@ impl SourceData for Arc<Vec<f64>> {
             NodeData::Vector(v) => Ok(Arc::clone(v)),
             _ => Err(EktError::WrongSourceType { expected: "vector" }),
         }
+    }
+}
+
+/// A vector source with at least one cell: the snapshot the noisy
+/// histogram releases. An empty source is rejected before anything is
+/// charged, since the operators that group its cells would panic on it
+/// after the charge.
+pub(crate) struct NonEmptyVector(pub Arc<Vec<f64>>);
+
+impl SourceData for NonEmptyVector {
+    fn of(data: &NodeData) -> Result<Self> {
+        let v: Arc<Vec<f64>> = SourceData::of(data)?;
+        if v.is_empty() {
+            return Err(EktError::InvalidArgument(
+                "cannot release a histogram of an empty vector source".into(),
+            ));
+        }
+        Ok(NonEmptyVector(v))
     }
 }
 

@@ -7,15 +7,13 @@
 //! is balanced against per-cluster noise. Cells are sorted by noisy value
 //! and greedily grouped while the cluster's spread stays under the
 //! threshold — matching AHP's sort-and-cluster stage.
-
-use std::sync::Arc;
+//!
+//! The kernel's noisy-histogram release draws the noise; everything in
+//! this module is post-processing of its output.
 
 use ektelo_matrix::{partition_from_labels, Matrix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::kernel::noise::fill_laplace;
-use crate::kernel::{substream_seed, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{ProtectedKernel, Result, SourceVar};
 
 /// Tuning constants for [`ahp_partition`] (defaults follow the AHP paper's
 /// recommendations).
@@ -39,51 +37,41 @@ impl Default for AhpOptions {
 }
 
 /// Computes a data-adaptive partition of vector source `sv`, spending
-/// `eps`. An empty source is rejected with `InvalidArgument` before
-/// anything is charged. The noisy histogram is drawn from substream 0 of
-/// the base the charge returns, after the kernel lock is released.
+/// `eps` on the kernel's noisy histogram of it. An empty source is
+/// rejected with `InvalidArgument` before anything is charged.
 pub fn ahp_partition(
     kernel: &ProtectedKernel,
     sv: SourceVar,
     eps: f64,
     opts: &AhpOptions,
 ) -> Result<Matrix> {
-    super::reject_empty_source(kernel, sv)?;
-    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&[(sv, eps)], None)?;
-    let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-    Ok(cluster(&snaps[0], &mut rng, eps, opts))
+    // A release that returns `Ok` holds one partition per request.
+    kernel
+        .noisy_histograms(&[(sv, eps)], None, |noisy| cluster(noisy, eps, opts))
+        .map(|mut parts| parts.swap_remove(0))
 }
 
-/// AHP's selection on a snapshot `x` with its own RNG — a pure function
-/// of its arguments.
-fn cluster(x: &[f64], rng: &mut StdRng, eps: f64, opts: &AhpOptions) -> Matrix {
-    let n = x.len();
-    let mut noisy = vec![0.0; n];
-    fill_laplace(rng, 1.0 / eps, &mut noisy);
-    for (e, &v) in noisy.iter_mut().zip(x) {
-        *e += v;
-    }
-    // Thresholding: suppress noise-dominated cells.
+/// AHP's selection on the noisy histogram `noisy` released at `eps` — a
+/// pure function of its arguments.
+fn cluster(noisy: &[f64], eps: f64, opts: &AhpOptions) -> Matrix {
+    let n = noisy.len();
+    // Thresholding: noise-dominated cells count as empty.
     let t = opts.eta * (n.max(2) as f64).ln() / eps;
-    for v in noisy.iter_mut() {
-        if *v < t {
-            *v = 0.0;
-        }
-    }
-    // Sort cells by noisy value, then greedily cluster.
+    let value = |cell: usize| if noisy[cell] < t { 0.0 } else { noisy[cell] };
+    // Sort cells by thresholded value, then greedily cluster.
     let mut order: Vec<usize> = (0..n).collect();
     // total_cmp: no unwrap on a partial order — NaN (impossible for
     // finite data + Laplace draws, but cheap to be total about) sorts
     // last instead of panicking.
-    order.sort_by(|&a, &b| noisy[a].total_cmp(&noisy[b]));
+    order.sort_by(|&a, &b| value(a).total_cmp(&value(b)));
     let spread_cap = opts.gamma / eps;
     let mut labels = vec![0usize; n];
     let mut group = 0usize;
-    let mut cluster_min = noisy[order[0]];
+    let mut cluster_min = value(order[0]);
     for (rank, &cell) in order.iter().enumerate() {
-        if rank > 0 && noisy[cell] - cluster_min > spread_cap {
+        if rank > 0 && value(cell) - cluster_min > spread_cap {
             group += 1;
-            cluster_min = noisy[cell];
+            cluster_min = value(cell);
         }
         labels[cell] = group;
     }
@@ -137,21 +125,62 @@ mod tests {
         assert!((k.budget_spent() - 0.3).abs() < 1e-12);
     }
 
-    /// The operator is its selection run by hand on the snapshot and
-    /// substream 0 that `charge_and_snapshot` returns.
+    /// The operator as it was before the kernel's noisy histogram: the
+    /// charge and snapshot, substream 0, the noise drawn here and the
+    /// clustering thresholding its own copy in place.
+    fn ahp_by_hand(k: &ProtectedKernel, sv: SourceVar, eps: f64, opts: &AhpOptions) -> Matrix {
+        use crate::kernel::tests::{charge_and_snapshot, fill_laplace, substream_seed};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        let (base, snaps) = charge_and_snapshot::<Arc<Vec<f64>>>(k, &[(sv, eps)]).unwrap();
+        let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+        let x = &snaps[0];
+        let n = x.len();
+        let mut noisy = vec![0.0; n];
+        fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
+        for (e, &v) in noisy.iter_mut().zip(x.iter()) {
+            *e += v;
+        }
+        let t = opts.eta * (n.max(2) as f64).ln() / eps;
+        for v in noisy.iter_mut() {
+            if *v < t {
+                *v = 0.0;
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| noisy[a].total_cmp(&noisy[b]));
+        let spread_cap = opts.gamma / eps;
+        let mut labels = vec![0usize; n];
+        let mut group = 0usize;
+        let mut cluster_min = noisy[order[0]];
+        for (rank, &cell) in order.iter().enumerate() {
+            if rank > 0 && noisy[cell] - cluster_min > spread_cap {
+                group += 1;
+                cluster_min = noisy[cell];
+            }
+            labels[cell] = group;
+        }
+        partition_from_labels(group + 1, &labels)
+    }
+
+    /// The operator on the kernel's noisy histogram selects, spends and
+    /// draws as the operator that drew its own noise, at several seeds,
+    /// budgets and thresholds (so some cells fall under the threshold
+    /// and some clusters close).
     #[test]
     fn partition_is_its_snapshot_under_substream_zero() {
         let x: Vec<f64> = (0..48).map(|i| ((i * 13) % 7) as f64 * 20.0).collect();
-        let opts = AhpOptions::default();
-        crate::kernel::tests::assert_twins(
-            || ProtectedKernel::init_from_vector(x.clone(), 2.0, 31),
-            |k| ahp_partition(k, k.root(), 0.5, &opts).unwrap().to_sparse(),
-            |k| {
-                let reqs = [(k.root(), 0.5)];
-                let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
-                let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-                cluster(&snaps[0], &mut rng, 0.5, &opts).to_sparse()
-            },
-        );
+        for (seed, eps, eta) in [(31, 0.5, 0.35), (32, 0.05, 0.35), (33, 2.0, 4.0)] {
+            let opts = AhpOptions {
+                eta,
+                ..AhpOptions::default()
+            };
+            crate::kernel::tests::assert_twins(
+                || ProtectedKernel::init_from_vector(x.clone(), 4.0, seed),
+                |k| ahp_partition(k, k.root(), eps, &opts).unwrap().to_sparse(),
+                |k| ahp_by_hand(k, k.root(), eps, &opts).to_sparse(),
+            );
+        }
     }
 }

@@ -9,21 +9,18 @@
 //! `O(n log n)`.
 //!
 //! Faithfulness note: DAWA perturbs interval *costs*; we spend the stage-1
-//! budget on a noisy histogram and compute exact costs on it, which has
-//! the same ε₁-DP guarantee (post-processing) and the same adaptive
-//! behaviour. We use the squared-deviation bucket cost
+//! budget on the kernel's noisy histogram (its noisy-histogram release,
+//! which draws the noise) and compute exact costs on it. Everything in
+//! this module is post-processing of that release, so it has the same
+//! ε₁-DP guarantee and the same adaptive behaviour, and it needs no
+//! privacy review of its own. We use the squared-deviation bucket cost
 //! `Σ(x̃ᵢ − mean)² + 2/ε₂²` — the expected *squared* error of a uniform
 //! bucket under stage-2 Laplace noise — rather than DAWA's L1 variant; the
 //! minimizing segmentations agree on uniform-vs-varied regions.
 
-use std::sync::Arc;
-
 use ektelo_matrix::{partition_from_labels, Matrix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::kernel::noise::fill_laplace;
-use crate::kernel::{substream_seed, BudgetReservation, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{BudgetReservation, ProtectedKernel, Result, SourceVar};
 
 /// Options for [`dawa_partition`].
 #[derive(Clone, Debug)]
@@ -62,17 +59,14 @@ pub fn dawa_partition(
 }
 
 /// Batched stage-1 partition selection over many disjoint sources (the
-/// stripes of DAWA-Striped), with **counter-based per-stripe RNG
-/// substreams**: one `charge_and_snapshot` call charges every stripe in
-/// stripe order and draws one base, and stripe `i` then runs the
-/// noisy-histogram + segmentation computation outside the lock on its own
-/// RNG seeded by `substream_seed(base, i)` — a pure function of its
-/// snapshot, the base and its index. Budget-wise this is a loop of
-/// single-stripe selections: same charges, same order, same parallel
-/// composition across sibling stripes; each stripe's histogram gets fresh
-/// Laplace noise at scale `1/ε`. An empty source is rejected with
-/// `InvalidArgument`, and a non-vector one with `WrongSourceType`, before
-/// anything is charged.
+/// stripes of DAWA-Striped): one noisy-histogram release charges every
+/// stripe in stripe order, and stripe `i`'s histogram, drawn from the
+/// release's substream `i`, is segmented outside the kernel lock.
+/// Budget-wise this is a loop of single-stripe selections: same charges,
+/// same order, same parallel composition across sibling stripes; each
+/// stripe's histogram gets fresh Laplace noise at scale `1/ε`. An empty
+/// source is rejected with `InvalidArgument`, and a non-vector one with
+/// `WrongSourceType`, before anything is charged.
 pub fn dawa_partition_batch(
     kernel: &ProtectedKernel,
     svs: &[SourceVar],
@@ -80,53 +74,35 @@ pub fn dawa_partition_batch(
     opts: &DawaOptions,
     res: Option<&BudgetReservation<'_>>,
 ) -> Result<Vec<Matrix>> {
-    for &sv in svs {
-        super::reject_empty_source(kernel, sv)?;
-    }
     let reqs: Vec<(SourceVar, f64)> = svs.iter().map(|&s| (s, eps)).collect();
-    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, res)?;
-    // Stripe `i` from substream `i`; the buffers serve every stripe.
+    // The buffers serve every stripe.
     let mut scratch = Segmentation::default();
-    Ok(snaps
-        .iter()
-        .enumerate()
-        .map(|(i, x)| {
-            partition_one_stripe(x, substream_seed(base, i as u64), eps, opts, &mut scratch)
-        })
-        .collect())
+    kernel.noisy_histograms(&reqs, res, |noisy| {
+        partition_one_stripe(noisy, eps, opts, &mut scratch)
+    })
 }
 
-/// Stage-1 selection for one stripe from its snapshot and substream seed —
-/// a pure function of its arguments (`scratch` only lends buffers).
+/// Stage-1 selection for one stripe from its noisy histogram, released at
+/// `eps` — a pure function of its arguments (`scratch` only lends
+/// buffers).
 fn partition_one_stripe(
-    x: &[f64],
-    seed: u64,
+    noisy: &[f64],
     eps: f64,
     opts: &DawaOptions,
     scratch: &mut Segmentation,
 ) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
     let eps2 = opts.eps_stage2.max(f64::MIN_POSITIVE);
-    let noisy = &mut scratch.noisy;
-    noisy.clear();
-    noisy.resize(x.len(), 0.0);
-    fill_laplace(&mut rng, 1.0 / eps, noisy);
-    for (e, &v) in noisy.iter_mut().zip(x) {
-        *e += v;
-    }
     // Debias the deviation cost by the stage-1 noise variance so that
     // truly-uniform regions (whose *noisy* deviation is pure noise) cost ~0
     // and merge; DAWA's cost estimates are debiased the same way.
     let noise_var = if opts.debias { 2.0 / (eps * eps) } else { 0.0 };
-    let groups = scratch.segment(2.0 / (eps2 * eps2), noise_var);
+    let groups = scratch.segment(noisy, 2.0 / (eps2 * eps2), noise_var);
     partition_from_labels(groups, &scratch.labels)
 }
 
 /// The buffers of DAWA's segmentation DP, reused from stripe to stripe.
 #[derive(Default)]
 struct Segmentation {
-    /// The noisy histogram being segmented.
-    noisy: Vec<f64>,
     /// Prefix sums of `x` and `x²`, interleaved: entry `i` holds the sums
     /// over `x[..i]`.
     prefix: Vec<(f64, f64)>,
@@ -138,13 +114,12 @@ struct Segmentation {
 }
 
 impl Segmentation {
-    /// Optimal segmentation of `self.noisy` into power-of-two-length
-    /// buckets by DP, into `self.labels`; returns the bucket count.
+    /// Optimal segmentation of `x` into power-of-two-length buckets by
+    /// DP, into `self.labels`; returns the bucket count.
     /// `penalty` is the per-bucket cost and `noise_var` the per-cell
     /// variance already present in the input (subtracted from the
     /// deviation estimate, clamped at zero).
-    fn segment(&mut self, penalty: f64, noise_var: f64) -> usize {
-        let x = &self.noisy;
+    fn segment(&mut self, x: &[f64], penalty: f64, noise_var: f64) -> usize {
         let n = x.len();
         assert!(n > 0, "cannot segment an empty vector");
         // Prefix sums of x and x² for O(1) bucket deviation costs.
@@ -220,11 +195,8 @@ mod tests {
     /// The segmentation of `x` with fresh buffers, checking that the
     /// returned bucket count is the last label's successor.
     fn segment(x: &[f64], penalty: f64, noise_var: f64) -> Vec<usize> {
-        let mut s = Segmentation {
-            noisy: x.to_vec(),
-            ..Segmentation::default()
-        };
-        let buckets = s.segment(penalty, noise_var);
+        let mut s = Segmentation::default();
+        let buckets = s.segment(x, penalty, noise_var);
         assert_eq!(s.labels.last().map(|&l| l + 1), Some(buckets));
         s.labels
     }
@@ -314,8 +286,7 @@ mod tests {
             let longer: Vec<f64> = x.iter().rev().chain(&x).map(|v| v * 1.5).collect();
             let mut scratch = Segmentation::default();
             for input in [&longer, &x] {
-                scratch.noisy.clone_from(input);
-                let buckets = scratch.segment(penalty, noise_var);
+                let buckets = scratch.segment(input, penalty, noise_var);
                 let want = segment_oracle(input, penalty, noise_var);
                 prop_assert_eq!(&scratch.labels, &want);
                 prop_assert_eq!(Some(buckets), want.last().map(|&l| l + 1));
@@ -365,12 +336,18 @@ mod tests {
         assert_eq!(labels, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// The batch must be **bit-identical** to an explicit sequential loop
-    /// over the same counter-based substreams — charge order, base draw,
-    /// per-stripe partitions and total budget all agree. This pins the
-    /// substream protocol, which is DAWA-Striped's noise contract.
+    /// The batch must be **bit-identical** to the batch as it was before
+    /// the kernel's noisy histogram: one charge and snapshot, then per
+    /// stripe its counter-based substream, the noise drawn here and the
+    /// segmentation — charge order, base draw, per-stripe partitions and
+    /// total budget all agree. This pins the substream protocol, which is
+    /// DAWA-Striped's noise contract.
     #[test]
     fn batch_is_bit_identical_to_sequential_substream_loop() {
+        use crate::kernel::tests::{charge_and_snapshot, fill_laplace, substream_seed};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
         let x: Vec<f64> = (0..96)
             .map(|i| {
                 if (i / 24) % 2 == 0 {
@@ -380,24 +357,37 @@ mod tests {
                 }
             })
             .collect();
-        let p = partition_from_labels(4, &(0..96).map(|i| i / 24).collect::<Vec<_>>());
+        // Stripes of unequal length, so the reused buffers shrink and grow.
+        let labels: Vec<usize> = (0..96).map(|i| [0, 1, 1, 2, 3, 3][i / 16]).collect();
+        let p = partition_from_labels(4, &labels);
         let stripes = |k: &ProtectedKernel| k.split_by_partition(k.root(), &p).unwrap();
-        let opts = DawaOptions::new(0.5);
         let sparse = |parts: Vec<Matrix>| parts.iter().map(Matrix::to_sparse).collect::<Vec<_>>();
-        crate::kernel::tests::assert_twins(
-            || ProtectedKernel::init_from_vector(x.clone(), 10.0, 42),
-            |k| sparse(dawa_partition_batch(k, &stripes(k), 0.5, &opts, None).unwrap()),
-            |k| {
-                let reqs: Vec<(SourceVar, f64)> = stripes(k).iter().map(|&s| (s, 0.5)).collect();
-                let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
-                let mut scratch = Segmentation::default();
-                let seq = snaps.iter().enumerate().map(|(i, x)| {
-                    let seed = substream_seed(base, i as u64);
-                    partition_one_stripe(x, seed, 0.5, &opts, &mut scratch)
-                });
-                sparse(seq.collect())
-            },
-        );
+        for (seed, eps, debias) in [(42, 0.5, true), (43, 2.0, true), (44, 0.5, false)] {
+            let opts = DawaOptions {
+                debias,
+                ..DawaOptions::new(0.5)
+            };
+            crate::kernel::tests::assert_twins(
+                || ProtectedKernel::init_from_vector(x.clone(), 10.0, seed),
+                |k| sparse(dawa_partition_batch(k, &stripes(k), eps, &opts, None).unwrap()),
+                |k| {
+                    let reqs: Vec<(SourceVar, f64)> =
+                        stripes(k).iter().map(|&s| (s, eps)).collect();
+                    let (base, snaps) = charge_and_snapshot::<Arc<Vec<f64>>>(k, &reqs).unwrap();
+                    let mut scratch = Segmentation::default();
+                    let seq = snaps.iter().enumerate().map(|(i, x)| {
+                        let mut rng = StdRng::seed_from_u64(substream_seed(base, i as u64));
+                        let mut noisy = vec![0.0; x.len()];
+                        fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
+                        for (e, &v) in noisy.iter_mut().zip(x.iter()) {
+                            *e += v;
+                        }
+                        partition_one_stripe(&noisy, eps, &opts, &mut scratch)
+                    });
+                    sparse(seq.collect())
+                },
+            );
+        }
     }
 
     /// A failing batch leaves the kernel as a sequential loop of

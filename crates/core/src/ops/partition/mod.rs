@@ -6,8 +6,9 @@
 //! groups independently under parallel composition).
 //!
 //! [`ahp_partition`] and [`dawa_partition`] are *data-adaptive*
-//! (Private→Public): they inspect a noisy copy of the data to find nearly
-//! uniform regions. The rest are Public.
+//! (Private→Public): they inspect a noisy copy of the data, the kernel's
+//! noisy-histogram release, to find nearly uniform regions. The rest are
+//! Public.
 
 mod ahp;
 mod dawa;
@@ -20,21 +21,6 @@ pub use stripe::stripe_partition;
 pub use workload_based::{workload_based_partition, workload_reduction};
 
 use ektelo_matrix::Matrix;
-
-use crate::kernel::{EktError, ProtectedKernel, Result, SourceVar};
-
-/// Rejects an empty vector source before a data-adaptive selection
-/// charges for it: an empty vector has no cell to group, and selecting on
-/// it would panic after the charge. Other source errors are left to the
-/// operator's own checks, in their usual order.
-fn reject_empty_source(kernel: &ProtectedKernel, sv: SourceVar) -> Result<()> {
-    if matches!(kernel.vector_len(sv), Ok(0)) {
-        return Err(EktError::InvalidArgument(
-            "cannot select a partition of an empty vector source".into(),
-        ));
-    }
-    Ok(())
-}
 
 /// The marginal partition over the attributes flagged `true` in `keep`:
 /// reduces the data vector to the marginal sub-vector (paper §5.4,
@@ -151,6 +137,19 @@ mod tests {
         // No buckets at all: every range is empty once intersected.
         assert_eq!(map_ranges_to_buckets(&[(0, 4)], &[0]), []);
         assert_eq!(map_ranges_to_buckets(&[(0, 4)], &[]), []);
+    }
+
+    #[test]
+    fn bounds_of_contiguous_partition() {
+        let p = ektelo_matrix::partition_from_labels(3, &[0, 0, 1, 1, 1, 2]);
+        assert_eq!(interval_partition_bounds(&p), vec![0, 2, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a contiguous")]
+    fn non_contiguous_partition_rejected() {
+        let p = ektelo_matrix::partition_from_labels(2, &[0, 1, 0, 1]);
+        interval_partition_bounds(&p);
     }
 
     #[test]

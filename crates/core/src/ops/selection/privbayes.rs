@@ -16,11 +16,8 @@
 use std::sync::Arc;
 
 use ektelo_data::{vectorize, Table};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::kernel::noise::exponential_mechanism;
-use crate::kernel::{substream_seed, EktError, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{EktError, Picker, ProtectedKernel, Result, SourceVar};
 
 /// One node of the learned network: `child` with its `parents`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,8 +63,8 @@ fn mi_sensitivity(n: usize) -> f64 {
 
 /// Privately selects a Bayesian network with at most `max_parents` parents
 /// per node, spending `eps` (split evenly over the `d − 1` exponential-
-/// mechanism selections). The selections draw from substream 0 of the
-/// base the charge returns, after the kernel lock is released.
+/// mechanism selections), through the kernel's exponential-mechanism
+/// selection: the network grows outside the kernel lock.
 pub fn privbayes_select(
     kernel: &ProtectedKernel,
     sv: SourceVar,
@@ -80,14 +77,15 @@ pub fn privbayes_select(
             "PrivBayes needs at least two attributes".into(),
         ));
     }
-    let (base, snaps) = kernel.charge_and_snapshot::<Arc<Table>>(&[(sv, eps)], None)?;
-    let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-    Ok(grow(&snaps[0], max_parents, eps, &mut rng))
+    kernel.exponential_selection(sv, eps, None, |table: &Arc<Table>, picker| {
+        grow(table, max_parents, eps, picker)
+    })
 }
 
-/// Grows the network on a snapshot `table` with its own RNG — a pure
-/// function of its arguments.
-fn grow(table: &Table, max_parents: usize, eps: f64, rng: &mut StdRng) -> BayesNet {
+/// Grows the network on a snapshot `table`, picking with `picker` — a
+/// pure function of its arguments. It picks `d` times: once uniformly
+/// (all scores 0), which spends nothing, and `d − 1` times at `eps/(d−1)`.
+fn grow(table: &Table, max_parents: usize, eps: f64, picker: &mut Picker) -> BayesNet {
     let d = table.schema().arity();
     let eps_step = eps / (d as f64 - 1.0);
     let n = table.num_rows().max(2);
@@ -97,7 +95,7 @@ fn grow(table: &Table, max_parents: usize, eps: f64, rng: &mut StdRng) -> BayesN
     // follow PrivBayes in picking it uniformly at random.
     let first = {
         let scores = vec![0.0; d];
-        exponential_mechanism(rng, &scores, 1.0, eps_step.max(f64::MIN_POSITIVE))
+        picker.pick(&scores, 1.0, eps_step.max(f64::MIN_POSITIVE))
     };
     let mut order = vec![first];
     let mut cliques = vec![Clique {
@@ -120,7 +118,7 @@ fn grow(table: &Table, max_parents: usize, eps: f64, rng: &mut StdRng) -> BayesN
             .iter()
             .map(|c| mutual_information(table, c.child, &c.parents))
             .collect();
-        let idx = exponential_mechanism(rng, &scores, sens, eps_step);
+        let idx = picker.pick(&scores, sens, eps_step);
         let chosen = candidates.swap_remove(idx);
         order.push(chosen.child);
         cliques.push(chosen);
@@ -190,7 +188,8 @@ fn subsets_up_to(set: &[usize], k: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use ektelo_data::{Schema, Table};
-    use rand::RngExt;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// A table where b is a noisy copy of a, and c is independent noise.
     fn correlated_table(rows: usize, seed: u64) -> Table {
@@ -266,21 +265,71 @@ mod tests {
         }
     }
 
-    /// The operator is its network grown by hand on the snapshot and
-    /// substream 0 that `charge_and_snapshot` returns.
+    /// The operator as it was before the kernel's selection primitive: the
+    /// charge and snapshot, then the network grown here on substream 0 of
+    /// the base with the exponential mechanism called directly.
+    fn privbayes_by_hand(k: &ProtectedKernel, max_parents: usize, eps: f64) -> BayesNet {
+        use crate::kernel::tests::{charge_and_snapshot, exponential_mechanism, substream_seed};
+        let (base, snaps) = charge_and_snapshot::<Arc<Table>>(k, &[(k.root(), eps)]).unwrap();
+        let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+        let table = &snaps[0];
+        let d = table.schema().arity();
+        let eps_step = eps / (d as f64 - 1.0);
+        let sens = mi_sensitivity(table.num_rows().max(2));
+        let scores = vec![0.0; d];
+        let first = exponential_mechanism(&mut rng, &scores, 1.0, eps_step.max(f64::MIN_POSITIVE));
+        let mut order = vec![first];
+        let mut cliques = vec![Clique {
+            child: first,
+            parents: Vec::new(),
+        }];
+        while order.len() < d {
+            let mut candidates: Vec<Clique> = Vec::new();
+            for x in (0..d).filter(|x| !order.contains(x)) {
+                for parents in subsets_up_to(&order, max_parents) {
+                    candidates.push(Clique { child: x, parents });
+                }
+            }
+            let scores: Vec<f64> = candidates
+                .iter()
+                .map(|c| mutual_information(table, c.child, &c.parents))
+                .collect();
+            let idx = exponential_mechanism(&mut rng, &scores, sens, eps_step);
+            let chosen = candidates.swap_remove(idx);
+            order.push(chosen.child);
+            cliques.push(chosen);
+        }
+        BayesNet { order, cliques }
+    }
+
+    /// The operator on the kernel's selection primitive grows, spends and
+    /// draws as the operator that drew its own picks, on three and four
+    /// attributes at several seeds and parent bounds.
     #[test]
     fn network_is_its_snapshot_under_substream_zero() {
         let run = |net: BayesNet| (net.order, net.cliques);
-        crate::kernel::tests::assert_twins(
-            || ProtectedKernel::init(correlated_table(400, 5), 4.0, 5),
-            |k| run(privbayes_select(k, k.root(), 2, 1.0).unwrap()),
-            |k| {
-                let reqs = [(k.root(), 1.0)];
-                let (base, snaps) = k.charge_and_snapshot::<Arc<Table>>(&reqs, None).unwrap();
-                let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-                run(grow(&snaps[0], 2, 1.0, &mut rng))
-            },
-        );
+        let wider = |seed| {
+            let t = correlated_table(300, seed);
+            let schema = Schema::from_sizes(&[("a", 4), ("b", 4), ("c", 4), ("d", 3)]);
+            let mut out = Table::empty(schema);
+            for i in 0..t.num_rows() {
+                let mut row = t.row(i);
+                row.push((row[0] + row[2]) % 3);
+                out.push_row(&row);
+            }
+            out
+        };
+        for (table, seed, max_parents, eps) in [
+            (correlated_table(400, 5), 5, 2, 1.0),
+            (correlated_table(200, 6), 6, 1, 0.3),
+            (wider(7), 7, 2, 2.0),
+        ] {
+            crate::kernel::tests::assert_twins(
+                || ProtectedKernel::init(table.clone(), 4.0, seed),
+                |k| run(privbayes_select(k, k.root(), max_parents, eps).unwrap()),
+                |k| run(privbayes_by_hand(k, max_parents, eps)),
+            );
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   while the answers exist. Any other snapshot is evaluated afresh.
 //! * **the answers stay private to the operator.** They live in a
 //!   `pub(crate)` state no plan can read: every round still validates its
-//!   arguments before it charges, charges through
-//!   `charge_and_snapshot`, and releases only the exponential mechanism's
-//!   index, drawn from substream 0 of its own base — the same release,
+//!   arguments before it charges, charges through the kernel's
+//!   exponential-mechanism selection, and releases only the index its
+//!   picker draws from substream 0 of its own base — the same release,
 //!   budget and stream position as a fresh [`worst_approx`] call.
 //! * **they are dropped with the loop.** The state is a local of the
 //!   loop that owns it, so the answers and the snapshot `Arc` are freed
@@ -34,20 +34,15 @@
 use std::sync::Arc;
 
 use ektelo_matrix::{Matrix, Workspace};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::kernel::noise::exponential_mechanism;
-use crate::kernel::{
-    substream_seed, BudgetReservation, EktError, ProtectedKernel, Result, SourceVar,
-};
+use crate::kernel::{BudgetReservation, EktError, ProtectedKernel, Result, SourceVar};
 
 /// Selects the index of the workload row worst-approximated by `x_hat`,
 /// spending `eps`. `score_sensitivity` bounds how much one record can move
 /// any single query's score — 1 for counting queries with 0/1
 /// coefficients (all workloads in the paper's MWEM experiments). The
-/// exponential mechanism draws from substream 0 of the base the charge
-/// returns, after the kernel lock is released.
+/// kernel's exponential-mechanism selection charges `eps` and picks once
+/// with it, on the scores computed outside the kernel lock.
 ///
 /// When `res` is given, the charge is redeemed from that reservation's
 /// hold (the plan executor's path); with `None` it competes for open
@@ -125,20 +120,16 @@ impl<'w> WorstApprox<'w> {
                 found: workload.cols(),
             });
         }
-        let (base, snaps) = kernel.charge_and_snapshot::<Arc<Vec<f64>>>(&[(sv, eps)], res)?;
-        // The workload evaluations go through the kernel's idle workspace,
-        // returned before the round's measurement checks it out, so the
-        // round loop reuses one warm arena instead of rebuilding it.
-        let mut ws = kernel.workspace_checkout();
-        self.score(&snaps[0], x_hat, &mut ws);
-        kernel.workspace_restore(ws);
-        let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-        Ok(exponential_mechanism(
-            &mut rng,
-            &self.scores,
-            score_sensitivity,
-            eps,
-        ))
+        kernel.exponential_selection(sv, eps, res, |x: &Arc<Vec<f64>>, picker| {
+            // The workload evaluations go through the kernel's idle
+            // workspace, returned before the round's measurement checks it
+            // out, so the round loop reuses one warm arena instead of
+            // rebuilding it.
+            let mut ws = kernel.workspace_checkout();
+            self.score(x, x_hat, &mut ws);
+            kernel.workspace_restore(ws);
+            picker.pick(&self.scores, score_sensitivity, eps)
+        })
     }
 
     /// Each workload query's deviation `|W x − W x̂|` on the snapshot `x`,
@@ -195,8 +186,27 @@ mod tests {
         assert!(worst_approx(&k, k.root(), &w, &[0.0; 4], 1.0, 1.0, None).is_err());
     }
 
-    /// The operator is its selection run by hand on the snapshot and
-    /// substream 0 that `charge_and_snapshot` returns.
+    /// One round as it was before the kernel's selection primitive: the
+    /// charge and snapshot, the scores, and the exponential mechanism on
+    /// substream 0 of the base.
+    fn worst_approx_by_hand(
+        k: &ProtectedKernel,
+        w: &Matrix,
+        x_hat: &[f64],
+        sensitivity: f64,
+        eps: f64,
+    ) -> usize {
+        use crate::kernel::tests::{charge_and_snapshot, exponential_mechanism, substream_seed};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let reqs = [(k.root(), eps)];
+        let (base, snaps) = charge_and_snapshot::<Arc<Vec<f64>>>(k, &reqs).unwrap();
+        let (truth, est) = (w.matvec(&snaps[0]), w.matvec(x_hat));
+        let scores: Vec<f64> = truth.iter().zip(&est).map(|(t, e)| (t - e).abs()).collect();
+        let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
+        exponential_mechanism(&mut rng, &scores, sensitivity, eps)
+    }
+
     #[test]
     fn selection_is_its_snapshot_under_substream_zero() {
         let x: Vec<f64> = (0..32).map(|i| ((i * 11) % 5) as f64 * 3.0).collect();
@@ -204,25 +214,18 @@ mod tests {
         crate::kernel::tests::assert_twins(
             || ProtectedKernel::init_from_vector(x.clone(), 4.0, 21),
             |k| worst_approx(k, k.root(), &w, &x_hat, 1.0, 0.4, None).unwrap(),
-            |k| {
-                let reqs = [(k.root(), 0.4)];
-                let (base, snaps) = k.charge_and_snapshot::<Arc<Vec<f64>>>(&reqs, None).unwrap();
-                let (truth, est) = (w.matvec(&snaps[0]), w.matvec(&x_hat));
-                let scores: Vec<f64> = truth.iter().zip(&est).map(|(t, e)| (t - e).abs()).collect();
-                let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-                exponential_mechanism(&mut rng, &scores, 1.0, 0.4)
-            },
+            |k| worst_approx_by_hand(k, &w, &x_hat, 1.0, 0.4),
         );
     }
 
     /// Over rounds whose `x̂` changes, the state that keeps the truth
-    /// answers picks what a fresh [`worst_approx`] picks each round, and
-    /// spends and draws the same.
+    /// answers picks what the operator before the selection primitive
+    /// picked each round, and spends and draws the same.
     #[test]
     fn kept_truth_answers_select_as_fresh_calls() {
         let x: Vec<f64> = (0..64).map(|i| ((i * 37) % 11) as f64 * 5.0).collect();
         let w = Matrix::range_queries(64, (0..40).map(|i| (i, i + 1 + (i * 7) % 24)).collect());
-        let x_hats: Vec<Vec<f64>> = (0..5)
+        let x_hats: Vec<Vec<f64>> = (0..6)
             .map(|r| (0..64).map(|i| ((i + 3 * r) % 9) as f64 * 1.5).collect())
             .collect();
         crate::kernel::tests::assert_twins(
@@ -245,7 +248,7 @@ mod tests {
             |k| {
                 x_hats
                     .iter()
-                    .map(|x_hat| worst_approx(k, k.root(), &w, x_hat, 1.0, 0.3, None).unwrap())
+                    .map(|x_hat| worst_approx_by_hand(k, &w, x_hat, 1.0, 0.3))
                     .collect::<Vec<_>>()
             },
         );

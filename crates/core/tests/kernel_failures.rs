@@ -114,7 +114,7 @@ fn non_positive_epsilon_rejected_everywhere() {
 #[test]
 fn zero_sensitivity_strategy_rejected() {
     let k = ProtectedKernel::init_from_vector(vec![1.0; 4], 1.0, 0);
-    let zero = Matrix::sparse(ektelo_matrix::CsrMatrix::zeros(2, 4));
+    let zero = Matrix::sparse(ektelo_matrix::CsrMatrix::from_triplets(2, 4, &[]));
     assert!(matches!(
         k.vector_laplace(k.root(), &zero, 0.5),
         Err(EktError::InvalidArgument(_))
@@ -179,7 +179,7 @@ fn empty_source_partition_selection_rejected_before_charging() {
 #[test]
 fn worst_approx_on_empty_workload_fails() {
     let k = ProtectedKernel::init_from_vector(vec![1.0; 4], 1.0, 0);
-    let empty = Matrix::sparse(ektelo_matrix::CsrMatrix::zeros(0, 4));
+    let empty = Matrix::sparse(ektelo_matrix::CsrMatrix::from_triplets(0, 4, &[]));
     assert!(worst_approx(&k, k.root(), &empty, &[0.0; 4], 1.0, 0.1, None).is_err());
 }
 

@@ -476,7 +476,7 @@ mod tests {
         assert!(one.column_components().is_none(), "one component");
         let dense_leaf = Matrix::vstack(vec![s.clone(), Matrix::total(4)]);
         assert!(dense_leaf.column_components().is_none(), "non-sparse spine");
-        let empty = Matrix::vstack(vec![s, Matrix::sparse(CsrMatrix::zeros(1, 4))]);
+        let empty = Matrix::vstack(vec![s, Matrix::sparse(CsrMatrix::from_triplets(1, 4, &[]))]);
         assert!(empty.column_components().is_none(), "block with no entries");
     }
 

@@ -156,7 +156,8 @@ impl Matrix {
         }
     }
 
-    /// Column sums of `A∘A` (element-wise square), for L2 sensitivity.
+    /// Column sums of `A∘A` (element-wise square): `is_partition` compares
+    /// them with the column sums of `|A|` to check that `A` is binary.
     pub fn sqr_col_sums(&self) -> Vec<f64> {
         match self {
             Matrix::Dense(d) => d.abs_pow_col_sums(2),
@@ -238,15 +239,6 @@ impl Matrix {
                 ColSumRange::of(sums.len(), sums)
             }
         }
-    }
-
-    /// The L2 sensitivity `‖A‖₂` = max column norm (NaN-propagating, like
-    /// [`Matrix::l1_sensitivity`]).
-    pub fn l2_sensitivity(&self) -> f64 {
-        self.sqr_col_sums()
-            .into_iter()
-            .fold(0.0, max_keeping_nan)
-            .sqrt()
     }
 
     /// Element-wise absolute value as a new matrix. A no-op (clone) for
@@ -505,12 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_of_identity_union() {
-        let m = Matrix::vstack(vec![Matrix::identity(4), Matrix::identity(4)]);
-        assert!((m.l2_sensitivity() - 2.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn abs_of_wavelet_materializes_correctly() {
         let a = Matrix::wavelet(4).abs();
         let expect = Matrix::wavelet(4).to_dense().map(f64::abs);
@@ -521,7 +507,6 @@ mod tests {
     fn scaled_sensitivity() {
         let m = Matrix::scaled(-3.0, Matrix::identity(4));
         assert_eq!(m.l1_sensitivity(), 3.0);
-        assert_eq!(m.l2_sensitivity(), 3.0);
     }
 
     #[test]
@@ -530,7 +515,6 @@ mod tests {
         // column 1's sum of 1 and underestimate the noise scale 5×.
         let m = Matrix::from_rows(vec![vec![f64::NAN, 1.0], vec![5.0, 0.0]]);
         assert!(m.l1_sensitivity().is_nan());
-        assert!(m.l2_sensitivity().is_nan());
         // NaN in a later column, and through a combinator.
         let late = Matrix::from_rows(vec![vec![5.0, f64::NAN]]);
         assert!(late.l1_sensitivity().is_nan());

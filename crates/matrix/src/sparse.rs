@@ -22,18 +22,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// An empty (all-zero) matrix.
-    // xlint: allow(dead-pub, reason = "all-zero constructor the matrix and solver edge-case tests build from")
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CsrMatrix {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            data: Vec::new(),
-        }
-    }
-
     /// Builds from `(row, col, value)` triplets. Duplicate coordinates are
     /// summed; explicit zeros are dropped.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> Self {

@@ -7,14 +7,14 @@
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
 use ektelo_core::ops::inference::LsSolver;
-use ektelo_core::ops::partition::{ahp_partition, dawa_partition, AhpOptions, DawaOptions};
+use ektelo_core::ops::partition::{
+    ahp_partition, dawa_partition, interval_partition_bounds, map_ranges_to_buckets, AhpOptions,
+    DawaOptions,
+};
 use ektelo_core::ops::selection;
 use ektelo_matrix::Matrix;
 
-use crate::util::{
-    infer_ls, interval_partition_bounds, map_ranges_to_buckets, split_budget, workload_ranges,
-    PlanOutcome, PlanResult,
-};
+use crate::util::{infer_ls, split_budget, workload_ranges, PlanOutcome, PlanResult};
 
 /// Plan #8 — AHP (Zhang et al. 2014): `PA TR SI LM LS`.
 /// `rho` is the budget share spent on partition selection (0.5 default in

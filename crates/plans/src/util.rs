@@ -1,4 +1,5 @@
-//! Shared plan plumbing: plan-scoped inference and partition helpers.
+//! Shared plan plumbing: plan-scoped inference, budget splits and
+//! workload helpers.
 
 use ektelo_core::kernel::{ProtectedKernel, Result, SourceVar};
 use ektelo_core::ops::inference::{self, LsSolver};
@@ -15,11 +16,6 @@ pub fn infer_nnls(kernel: &ProtectedKernel, history_start: usize) -> Vec<f64> {
     inference::non_negative_least_squares(&kernel.measurements_since(history_start))
 }
 
-// Partition-bucket helpers moved into the trusted operator library so
-// the plan-graph executor (ektelo-core) can share them; re-exported here
-// for the imperative plans and downstream users.
-pub use ektelo_core::ops::partition::{interval_partition_bounds, map_ranges_to_buckets};
-
 /// Extracts the interval list of a range-query workload, if it is one.
 pub fn workload_ranges(w: &Matrix) -> Option<Vec<(usize, usize)>> {
     match w {
@@ -27,10 +23,6 @@ pub fn workload_ranges(w: &Matrix) -> Option<Vec<(usize, usize)>> {
         _ => None,
     }
 }
-
-// Known-total helpers moved into `ektelo_core::ops::inference` (the
-// plan-graph MWEM loop needs them); re-exported for compatibility.
-pub use ektelo_core::ops::inference::{known_total_measurement, relative_total_scale};
 
 /// Splits a privacy budget into labelled shares that sum to the original
 /// (guards against silent over/under-spending in multi-stage plans).
@@ -51,8 +43,8 @@ pub fn kernel_for_histogram(x: &[f64], eps: f64, seed: u64) -> (ProtectedKernel,
     (k, root)
 }
 
-/// A plan outcome: the estimate plus the measurements' history span
-/// (handy for composing plans and for debugging budget use).
+/// A plan outcome: the estimate over the base domain of the plan's
+/// source.
 pub struct PlanOutcome {
     /// Estimated data vector over the base domain of the plan's source.
     pub x_hat: Vec<f64>,
@@ -64,27 +56,6 @@ pub type PlanResult = Result<PlanOutcome>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ektelo_matrix::partition_from_labels;
-
-    #[test]
-    fn bounds_of_contiguous_partition() {
-        let p = partition_from_labels(3, &[0, 0, 1, 1, 1, 2]);
-        assert_eq!(interval_partition_bounds(&p), vec![0, 2, 5, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a contiguous")]
-    fn non_contiguous_partition_rejected() {
-        let p = partition_from_labels(2, &[0, 1, 0, 1]);
-        interval_partition_bounds(&p);
-    }
-
-    #[test]
-    fn range_mapping_covers_buckets() {
-        let bounds = vec![0, 2, 5, 6];
-        let mapped = map_ranges_to_buckets(&[(0, 2), (1, 6), (5, 6)], &bounds);
-        assert_eq!(mapped, vec![(0, 1), (0, 3), (2, 3)]);
-    }
 
     #[test]
     fn budget_split_sums_to_eps() {

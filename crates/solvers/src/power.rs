@@ -68,7 +68,10 @@ mod tests {
 
     #[test]
     fn zero_matrix() {
-        let s = spectral_norm_estimate(&Matrix::sparse(ektelo_matrix::CsrMatrix::zeros(3, 3)), 10);
+        let s = spectral_norm_estimate(
+            &Matrix::sparse(ektelo_matrix::CsrMatrix::from_triplets(3, 3, &[])),
+            10,
+        );
         assert_eq!(s, 0.0);
     }
 }

@@ -83,8 +83,6 @@ proptest! {
         let d = m.to_dense();
         let brute_l1 = d.map(f64::abs).abs_pow_col_sums(1).into_iter().fold(0.0, f64::max);
         prop_assert!((m.l1_sensitivity() - brute_l1).abs() < 1e-9);
-        let brute_l2 = d.abs_pow_col_sums(2).into_iter().fold(0.0, f64::max).sqrt();
-        prop_assert!((m.l2_sensitivity() - brute_l2).abs() < 1e-9);
     }
 
     /// abs/sqr are exact element-wise transforms.

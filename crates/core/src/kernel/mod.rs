@@ -959,9 +959,8 @@ pub(crate) mod tests {
 
     pub(crate) use super::noise::{exponential_mechanism, fill_laplace};
 
-    /// The operators' old-versus-new tests inline the privileged sequence
-    /// they ran before the two primitives; these expose its private steps
-    /// to them.
+    /// The operators' reference tests inline the privileged steps behind
+    /// the two primitives; these expose the private ones to them.
     pub(crate) fn charge_and_snapshot<D: SourceData>(
         k: &ProtectedKernel,
         reqs: &[(SourceVar, f64)],

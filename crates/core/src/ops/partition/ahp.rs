@@ -125,9 +125,9 @@ mod tests {
         assert!((k.budget_spent() - 0.3).abs() < 1e-12);
     }
 
-    /// The operator as it was before the kernel's noisy histogram: the
-    /// charge and snapshot, substream 0, the noise drawn here and the
-    /// clustering thresholding its own copy in place.
+    /// Reference: the operator with the kernel's privileged steps inlined
+    /// — the charge and snapshot, substream 0, the noise drawn here — and
+    /// a clustering that thresholds its own copy in place.
     fn ahp_by_hand(k: &ProtectedKernel, sv: SourceVar, eps: f64, opts: &AhpOptions) -> Matrix {
         use crate::kernel::tests::{charge_and_snapshot, fill_laplace, substream_seed};
         use rand::rngs::StdRng;
@@ -165,7 +165,7 @@ mod tests {
     }
 
     /// The operator on the kernel's noisy histogram selects, spends and
-    /// draws as the operator that drew its own noise, at several seeds,
+    /// draws as the reference that draws its own noise, at several seeds,
     /// budgets and thresholds (so some cells fall under the threshold
     /// and some clusters close).
     #[test]

@@ -336,11 +336,11 @@ mod tests {
         assert_eq!(labels, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// The batch must be **bit-identical** to the batch as it was before
-    /// the kernel's noisy histogram: one charge and snapshot, then per
-    /// stripe its counter-based substream, the noise drawn here and the
-    /// segmentation — charge order, base draw, per-stripe partitions and
-    /// total budget all agree. This pins the substream protocol, which is
+    /// The batch must be **bit-identical** to a reference with the
+    /// kernel's privileged steps inlined: one charge and snapshot, then
+    /// per stripe its counter-based substream, the noise drawn here and
+    /// the segmentation — charge order, base draw, per-stripe partitions
+    /// and total budget all agree. This pins the substream protocol, which is
     /// DAWA-Striped's noise contract.
     #[test]
     fn batch_is_bit_identical_to_sequential_substream_loop() {

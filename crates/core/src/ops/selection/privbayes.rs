@@ -265,9 +265,10 @@ mod tests {
         }
     }
 
-    /// The operator as it was before the kernel's selection primitive: the
-    /// charge and snapshot, then the network grown here on substream 0 of
-    /// the base with the exponential mechanism called directly.
+    /// Reference: the operator with the kernel's privileged steps inlined
+    /// — the charge and snapshot, then the network grown here on
+    /// substream 0 of the base with the exponential mechanism called
+    /// directly.
     fn privbayes_by_hand(k: &ProtectedKernel, max_parents: usize, eps: f64) -> BayesNet {
         use crate::kernel::tests::{charge_and_snapshot, exponential_mechanism, substream_seed};
         let (base, snaps) = charge_and_snapshot::<Arc<Table>>(k, &[(k.root(), eps)]).unwrap();
@@ -303,7 +304,7 @@ mod tests {
     }
 
     /// The operator on the kernel's selection primitive grows, spends and
-    /// draws as the operator that drew its own picks, on three and four
+    /// draws as the reference that draws its own picks, on three and four
     /// attributes at several seeds and parent bounds.
     #[test]
     fn network_is_its_snapshot_under_substream_zero() {

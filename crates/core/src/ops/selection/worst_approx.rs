@@ -186,9 +186,9 @@ mod tests {
         assert!(worst_approx(&k, k.root(), &w, &[0.0; 4], 1.0, 1.0, None).is_err());
     }
 
-    /// One round as it was before the kernel's selection primitive: the
-    /// charge and snapshot, the scores, and the exponential mechanism on
-    /// substream 0 of the base.
+    /// Reference: one round with the kernel's privileged steps inlined —
+    /// the charge and snapshot, the scores, and the exponential mechanism
+    /// on substream 0 of the base.
     fn worst_approx_by_hand(
         k: &ProtectedKernel,
         w: &Matrix,
@@ -219,8 +219,8 @@ mod tests {
     }
 
     /// Over rounds whose `x̂` changes, the state that keeps the truth
-    /// answers picks what the operator before the selection primitive
-    /// picked each round, and spends and draws the same.
+    /// answers picks what the reference picks each round, and spends and
+    /// draws the same.
     #[test]
     fn kept_truth_answers_select_as_fresh_calls() {
         let x: Vec<f64> = (0..64).map(|i| ((i * 37) % 11) as f64 * 5.0).collect();

@@ -139,92 +139,18 @@ fn bench_scaled_error(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed repository's evaluation strategy, reconstructed as a reference
-/// "before": every combinator node allocates a fresh `Vec` per call
-/// (`Product` its intermediate, `Range` its prefix array, the wrapper its
-/// output), exactly as the pre-workspace engine did. Leaves evaluate
-/// through the current kernels (leaves need no scratch, so this isolates
-/// the per-node allocation cost being benchmarked).
-fn seed_engine_matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; m.rows()];
-    seed_engine_matvec_into(m, x, &mut out);
-    out
-}
-
-fn seed_engine_matvec_into(m: &Matrix, x: &[f64], out: &mut [f64]) {
-    match m {
-        Matrix::Union(blocks) => {
-            let mut offset = 0;
-            for b in blocks.iter() {
-                let rows = b.rows();
-                seed_engine_matvec_into(b, x, &mut out[offset..offset + rows]);
-                offset += rows;
-            }
-        }
-        Matrix::Product(a, b) => {
-            let t = seed_engine_matvec(b, x);
-            seed_engine_matvec_into(a, &t, out);
-        }
-        Matrix::Scaled(c, a) => {
-            seed_engine_matvec_into(a, x, out);
-            for o in out.iter_mut() {
-                *o *= c;
-            }
-        }
-        Matrix::Range(r) => r.matvec_into(x, out), // allocates its prefix array
-        other => other.matvec_into(x, out, &mut Workspace::new()),
-    }
-}
-
-/// PR 1's workspace engine, reconstructed for product-chain shapes: the
-/// nested recursion carved **one intermediate per `Product`** off a
-/// pre-sized arena (`matvec_scratch`), so a k-product lineage dragged k
-/// live n-buffers through every call. PR 2's chain plan ping-pongs two.
-/// Leaf kernels are identical to the library's, so the delta isolates the
-/// buffer-assignment change.
-fn pr1_engine_matvec(m: &Matrix, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-    match m {
-        Matrix::Product(a, b) => {
-            let (t, rest) = scratch.split_at_mut(b.rows());
-            pr1_engine_matvec(b, x, t, rest);
-            pr1_engine_matvec(a, t, out, rest);
-        }
-        Matrix::Diagonal(d) => {
-            for ((o, &di), &xi) in out.iter_mut().zip(d.iter()).zip(x) {
-                *o = di * xi;
-            }
-        }
-        Matrix::Prefix { .. } => {
-            let mut acc = 0.0;
-            for (o, &xi) in out.iter_mut().zip(x) {
-                acc += xi;
-                *o = acc;
-            }
-        }
-        Matrix::Suffix { .. } => {
-            let mut acc = 0.0;
-            for (o, &xi) in out.iter_mut().rev().zip(x.iter().rev()) {
-                acc += xi;
-                *o = acc;
-            }
-        }
-        other => panic!("pr1 engine reconstruction covers lineage shapes only, got {other:?}"),
-    }
-}
-
-/// The allocation-free engine claim (paper §7 / ISSUE 1 acceptance): a
-/// combinator tree at n = 2^16 evaluated three ways — the seed engine
-/// (fresh `Vec` at every combinator node), the current allocating wrapper
-/// (one fresh arena per call), and `matvec_into` with a pre-planned
-/// reusable [`Workspace`].
+/// The allocation-free engine (paper §7): a combinator tree at n = 2^16
+/// evaluated through the allocating wrapper (one fresh arena per call),
+/// through `matvec_into` with a pre-planned reusable [`Workspace`], and
+/// with a planning pass forced on every call.
 fn bench_workspace_reuse(c: &mut Criterion) {
     let n = 1usize << 16;
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64).collect();
 
     // Shape 1 — "striped": the union-of-narrow-product-blocks shape the
     // striped and marginal plans produce (hundreds of blocks, little work
-    // per block). This is where the seed engine's per-node allocations
-    // dominated the actual arithmetic.
+    // per block), where per-node allocations would dominate the
+    // arithmetic.
     let stripes = 1024;
     let width = n / stripes;
     let striped = Matrix::vstack(
@@ -239,9 +165,8 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     // Shape 2 — "lineage": a transformation-lineage product chain
     // (alternating reweightings and hierarchical transforms), the shape
     // every kernel-transformed source drags through inference. Each node
-    // is cheap relative to the O(n) buffer the seed engine allocated and
-    // zeroed for it, so this is where the workspace engine pays off most
-    // (≥2x is the ISSUE 1 acceptance bar).
+    // is cheap relative to an O(n) buffer allocated and zeroed for it, so
+    // this is where the workspace pays off most.
     let mut lineage = Matrix::diagonal((0..n).map(|i| 1.0 + (i % 3) as f64 * 0.25).collect());
     for k in 0..8 {
         let next = match k % 3 {
@@ -271,11 +196,6 @@ fn bench_workspace_reuse(c: &mut Criterion) {
         ("deep_chain", &chain),
     ] {
         group.bench_with_input(
-            BenchmarkId::new(format!("{shape}/seed_engine"), n),
-            tree,
-            |b, m| b.iter(|| black_box(seed_engine_matvec(m, &x))),
-        );
-        group.bench_with_input(
             BenchmarkId::new(format!("{shape}/allocating"), n),
             tree,
             |b, m| b.iter(|| black_box(m.matvec(&x))),
@@ -292,40 +212,10 @@ fn bench_workspace_reuse(c: &mut Criterion) {
                 })
             },
         );
-        // PR 1 engine reference on the lineage shape (same run, same
-        // machine — the honest before/after for the ISSUE 2 acceptance:
-        // cached-plan matvec vs the one-intermediate-per-product engine).
-        if shape == "lineage" {
-            let mut pr1_scratch = vec![0.0; tree.matvec_scratch()];
-            group.bench_with_input(
-                BenchmarkId::new(format!("{shape}/pr1_workspace_engine"), n),
-                tree,
-                |b, m| {
-                    b.iter(|| {
-                        pr1_engine_matvec(m, &x, &mut out, &mut pr1_scratch);
-                        black_box(out[0])
-                    })
-                },
-            );
-        }
-        // Explicit cached-plan entry (ISSUE 2): identical to `workspace`
-        // now that plans are memoized, named separately so the cross-PR
-        // trajectory can track the planned engine from this PR onward.
-        group.bench_with_input(
-            BenchmarkId::new(format!("{shape}/cached_plan"), n),
-            tree,
-            |b, m| {
-                b.iter(|| {
-                    m.matvec_into(&x, &mut out, &mut ws);
-                    black_box(out[0])
-                })
-            },
-        );
         // The anti-benchmark: force a planning pass on every call to
-        // price what the cache removes from solver inner loops. Since
-        // ISSUE 3 the plans live in a process-wide cache, so pricing a
-        // replan takes clearing both the global cache and the workspace
-        // fast path.
+        // price what the cache removes from solver inner loops. Plans live
+        // in a process-wide cache, so pricing a replan takes clearing both
+        // the global cache and the workspace fast path.
         group.bench_with_input(
             BenchmarkId::new(format!("{shape}/replan_every_call"), n),
             tree,
@@ -363,7 +253,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
 /// Transpose/scatter-direction benches: a striped union through one
 /// planned `rmatvec_into`, against the same scatter driven block by block
 /// (`serial_blocks`), and a large Kronecker.
-fn bench_parallel_rmatvec(c: &mut Criterion) {
+fn bench_union_rmatvec(c: &mut Criterion) {
     let n = 1usize << 16;
     let stripes = 64;
     let width = n / stripes;
@@ -376,7 +266,7 @@ fn bench_parallel_rmatvec(c: &mut Criterion) {
     let union = Matrix::vstack(blocks.clone());
     let y: Vec<f64> = (0..union.rows()).map(|i| (i % 7) as f64 - 3.0).collect();
 
-    let mut group = c.benchmark_group("parallel_rmatvec");
+    let mut group = c.benchmark_group("union_rmatvec");
     group.sample_size(30);
 
     let mut ws = Workspace::for_matrix(&union);
@@ -596,15 +486,10 @@ fn bench_stripe_split(c: &mut Criterion) {
     group.finish();
 }
 
-// `bench_workspace_reuse` must run first: the seed engine's dominant cost
-// is mmap/munmap churn on its large per-node temporaries (glibc unmaps
-// >128 KiB frees while the dynamic mmap threshold is cold — exactly the
-// state a fresh solver process is in). Benches that run earlier warm the
-// threshold and mask that cost.
 criterion_group!(
     benches,
     bench_workspace_reuse,
-    bench_parallel_rmatvec,
+    bench_union_rmatvec,
     bench_plan_cache,
     bench_core_matrices,
     bench_kron,

@@ -24,14 +24,39 @@ pub const PRIVACY_CRITICAL: &[&str] = &[
 /// data around the two primitives.
 pub const PRIVILEGED_NAMES: &[&str] = &["charge_and_snapshot", "substream_seed", "noise::"];
 
-/// The lines of `src` a review reads: every line before the first
-/// `#[cfg(test)]` (tests need no privacy vetting) that is neither blank
-/// nor a comment.
+/// The lines of `src` a review reads: every line that is neither blank
+/// nor a comment, except the items annotated `#[cfg(test)]` (tests need
+/// no privacy vetting). Such an item ends at its first `;` outside braces
+/// or where its braced block closes, counted by brace depth; the code
+/// after it is counted again.
 pub fn code_lines(src: &str) -> impl Iterator<Item = &str> {
+    // Brace depth inside the test item being skipped, and whether its
+    // block has opened yet.
+    let mut test_item: Option<(usize, bool)> = None;
     src.lines()
         .map(str::trim)
-        .take_while(|t| !t.starts_with("#[cfg(test)]"))
         .filter(|t| !t.is_empty() && !t.starts_with("//"))
+        .filter(move |t| {
+            let rest = match (test_item, t.strip_prefix("#[cfg(test)]")) {
+                (Some(_), _) => *t,
+                (None, Some(rest)) => rest.trim_start(),
+                (None, None) => return true,
+            };
+            let (mut depth, mut opened) = test_item.unwrap_or((0, false));
+            for c in rest.chars() {
+                match c {
+                    '{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    '}' => depth = depth.saturating_sub(1),
+                    _ => {}
+                }
+            }
+            let done = depth == 0 && (opened || rest.ends_with(';'));
+            test_item = (!done).then_some((depth, opened));
+            false
+        })
 }
 
 /// Directories holding no library code: build output, test suites,
@@ -83,4 +108,42 @@ pub fn workspace_root() -> PathBuf {
 /// The number of code lines of `root`'s file `rel` (0 if unreadable).
 pub fn file_code_lines(root: &Path, rel: &str) -> usize {
     fs::read_to_string(root.join(rel)).map_or(0, |src| code_lines(&src).count())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::code_lines;
+
+    #[test]
+    fn a_test_item_hides_only_itself() {
+        let src = "\
+//! Module docs.
+fn a() {}
+#[cfg(test)]
+use std::fmt;
+
+fn b() {
+    // a comment
+    let c = 1;
+}
+#[cfg(test)] use std::io;
+#[cfg(test)]
+#[allow(dead_code)]
+fn helper() -> u8 {
+    let x = { 1 };
+    x
+}
+fn d() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+        let lines: Vec<&str> = code_lines(src).collect();
+        assert_eq!(
+            lines,
+            ["fn a() {}", "fn b() {", "let c = 1;", "}", "fn d() {}"]
+        );
+    }
 }

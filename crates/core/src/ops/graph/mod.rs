@@ -96,11 +96,6 @@ pub trait Operator {
     fn class(&self) -> OpClass;
     /// The Fig. 2 signature token (e.g. `"SI"`, `"LM"`, `"PD"`).
     fn token(&self) -> &'static str;
-    /// True when this node consumes privacy budget at execution time
-    /// (Private→Public operators).
-    fn charges_budget(&self) -> bool {
-        false
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -282,9 +277,6 @@ impl Operator for PartitionOp {
             PartitionOp::DawaEach { .. } => "PD",
         }
     }
-    fn charges_budget(&self) -> bool {
-        matches!(self, PartitionOp::DawaEach { .. })
-    }
 }
 
 /// Query selection nodes (all Public; the private selection of MWEM
@@ -408,9 +400,6 @@ impl Operator for MeasureOp {
     fn token(&self) -> &'static str {
         "LM"
     }
-    fn charges_budget(&self) -> bool {
-        true
-    }
 }
 
 /// Inference nodes (Public). They consume the *session's* measurement
@@ -517,20 +506,6 @@ impl NodeKind {
             NodeKind::Measure(op) => Some(op.class()),
             NodeKind::Infer(op) => Some(op.class()),
             NodeKind::AdaptiveMwem(_) => Some(OpClass::Measure),
-        }
-    }
-
-    /// True when executing this node charges privacy budget.
-    // xlint: allow(dead-pub, reason = "plan inspection beside `class()`: which nodes of a built spec spend budget (Private→Public operators)")
-    pub fn charges_budget(&self) -> bool {
-        match self {
-            NodeKind::Input => false,
-            NodeKind::Transform(op) => op.charges_budget(),
-            NodeKind::Partition(op) => op.charges_budget(),
-            NodeKind::Select(op) => op.charges_budget(),
-            NodeKind::Measure(op) => op.charges_budget(),
-            NodeKind::Infer(op) => op.charges_budget(),
-            NodeKind::AdaptiveMwem(_) => true,
         }
     }
 
@@ -920,8 +895,6 @@ mod tests {
         assert_eq!(spec.nodes().len(), 4);
         assert_eq!(spec.nodes()[1].class(), Some(OpClass::Select));
         assert_eq!(spec.nodes()[2].class(), Some(OpClass::Measure));
-        assert!(spec.nodes()[2].charges_budget());
-        assert!(!spec.nodes()[3].charges_budget());
     }
 
     #[test]

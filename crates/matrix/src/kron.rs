@@ -11,9 +11,10 @@
 //! each mode's geometry and its ping-pong buffer; [`kron_apply`] walks it.
 //!
 //! * **Order.** Factors apply from last to first in both directions —
-//!   the order the binary recursion (`kron_matvec`, the unplanned
-//!   reference engine) uses — so every output element is produced by the
-//!   same arithmetic as the reference.
+//!   the order of the binary vec-trick recursion (apply `B` to every row
+//!   of the reshaped input, then `A` to every column) — so every output
+//!   element is produced by the same arithmetic as that recursion, which
+//!   `tests/proptest_into.rs` replays as the reference.
 //! * **Panel kernels.** A factor built from `Identity`, `Ones`, `Prefix`,
 //!   `Suffix`, `Diagonal`, `Dense`, `Sparse`, `Range`, `Scaled` and
 //!   `Union` leaves is applied to a whole mode in one call: rows of length
@@ -271,8 +272,8 @@ pub(crate) fn kron_apply(
         // Every factor was an identity.
         (Dir::BwdAdd, Slot::In) => kernels::add_assign(out, x),
         (_, Slot::In) => out.copy_from_slice(x),
-        // `K` was evaluated into scratch; accumulate it, exactly as the
-        // reference's dense temporary does.
+        // `K` was evaluated into scratch; accumulate it, exactly as a
+        // dense temporary of `Kᵀ·y` added to `out` does.
         (Dir::BwdAdd, Slot::A) => kernels::add_assign(out, &a[..out.len()]),
         (Dir::BwdAdd, Slot::B) => kernels::add_assign(out, &b[..out.len()]),
         _ => debug_assert_eq!(src, Slot::Out, "the last mode writes out"),
@@ -579,7 +580,8 @@ fn panel_fwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
     }
 }
 
-/// `dst = fᵀ · src` per column, mirroring `rmatvec_rec`.
+/// `dst = fᵀ · src` per column, mirroring the leaf kernels of
+/// `Matrix::rmatvec_plan`.
 ///
 /// CLASS: order-preserving (`Ones` rows follow the `sum` order, as in
 /// [`panel_fwd`])
@@ -624,7 +626,7 @@ fn panel_bwd(f: &Matrix, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f64]) {
 }
 
 /// `dst += fᵀ · (c·src)` per column for a `Union` block, mirroring
-/// `rmatvec_add_rec` (and the `Scaled` arm's pre-scaled input when `c` is
+/// `Matrix::rmatvec_add_plan` (and the `Scaled` arm's pre-scaled input when `c` is
 /// set). Kinds whose vector path accumulates through a dense temporary
 /// build that temporary one stack tile at a time.
 ///
@@ -802,7 +804,7 @@ fn running(src: Src<'_>, mut dst: Dst<'_>, rev: bool) {
 /// `dst = R · src` for interval rows `R`: per column tile, prefix sums
 /// down the rows from `0.0` (as `kernels::prefix_sum_into` runs them
 /// along a vector, behind a leading `0.0`), then each interval's
-/// difference `P[hi] − P[lo]`, as `RangeQueries::matvec_rec` does.
+/// difference `P[hi] − P[lo]`, as `RangeQueries::matvec_into` does.
 /// `scratch` holds `(n + 1) · min(width, TILE)` scalars.
 ///
 /// CLASS: order-preserving
@@ -830,7 +832,7 @@ fn range_fwd(r: &RangeQueries, src: Src<'_>, mut dst: Dst<'_>, scratch: &mut [f6
 }
 
 /// `dst += Rᵀ · (c·src)`: the difference array of
-/// `RangeQueries::rmatvec_rec` (an interval ending at `n` drops its end
+/// `RangeQueries::rmatvec_into` (an interval ending at `n` drops its end
 /// mark, which the vector kernel writes but never reads) and its running
 /// sums from `0.0`, built one column tile at a time in `scratch` (the
 /// vector path's dense temporary), then added to `dst`. `scratch` holds

@@ -7,6 +7,9 @@
 //! direction's full scratch requirement up front, and then recurse over the
 //! combinator tree guided by the plan's per-node records — no
 //! `rows()`/scratch recomputation, no arena growth, no allocator traffic.
+//! It is the only engine: every product runs through a plan, and a leaf
+//! (a core or explicit matrix, planned as `NodePlan::Leaf`) runs its
+//! kernel directly inside the planned workers.
 //! Right-nested `Product` chains (transformation lineages) evaluate through
 //! two ping-pong buffers instead of one intermediate per product, shrinking
 //! the hot working set, and chains of nested `Kronecker` nodes evaluate as
@@ -106,7 +109,8 @@ impl Matrix {
 
     /// Planned worker for `out = A·x`. `scratch` must hold the plan's
     /// `mv_scratch` scalars; combinator nodes read split offsets from
-    /// `plan` instead of re-deriving them from the tree.
+    /// `plan` instead of re-deriving them from the tree, and leaves run
+    /// their kernels directly.
     pub(crate) fn matvec_plan(
         &self,
         plan: &NodePlan,
@@ -115,7 +119,16 @@ impl Matrix {
         scratch: &mut [f64],
     ) {
         match (self, plan) {
-            (m, NodePlan::Leaf) => m.matvec_rec(x, out, scratch),
+            (Matrix::Dense(d), NodePlan::Leaf) => d.matvec_into(x, out),
+            (Matrix::Sparse(s), NodePlan::Leaf) => s.matvec_into(x, out),
+            (Matrix::Diagonal(d), NodePlan::Leaf) => kernels::mul_into(out, d, x),
+            (Matrix::Identity { .. }, NodePlan::Leaf) => out.copy_from_slice(x),
+            (Matrix::Ones { .. }, NodePlan::Leaf) => out.fill(kernels::sum(x)),
+            (Matrix::Prefix { .. }, NodePlan::Leaf) => kernels::prefix_sum_into(out, x),
+            (Matrix::Suffix { .. }, NodePlan::Leaf) => kernels::suffix_sum_into(out, x),
+            (Matrix::Wavelet { .. }, NodePlan::Leaf) => wavelet_matvec(x, out),
+            (Matrix::Range(r), NodePlan::Leaf) => r.matvec_into(x, out, scratch),
+            (Matrix::Rect2D(r), NodePlan::Leaf) => r.matvec_into(x, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
                 let mut offset = 0;
                 for ((b, bp), &m) in blocks.iter().zip(&up.blocks).zip(&up.block_rows) {
@@ -149,7 +162,17 @@ impl Matrix {
         scratch: &mut [f64],
     ) {
         match (self, plan) {
-            (m, NodePlan::Leaf) => m.rmatvec_rec(y, out, scratch),
+            (Matrix::Dense(d), NodePlan::Leaf) => d.rmatvec_into(y, out),
+            (Matrix::Sparse(s), NodePlan::Leaf) => s.rmatvec_into(y, out),
+            (Matrix::Diagonal(d), NodePlan::Leaf) => kernels::mul_into(out, d, y),
+            (Matrix::Identity { .. }, NodePlan::Leaf) => out.copy_from_slice(y),
+            (Matrix::Ones { .. }, NodePlan::Leaf) => out.fill(kernels::sum(y)),
+            // Prefixᵀ behaves like Suffix and vice versa.
+            (Matrix::Prefix { .. }, NodePlan::Leaf) => kernels::suffix_sum_into(out, y),
+            (Matrix::Suffix { .. }, NodePlan::Leaf) => kernels::prefix_sum_into(out, y),
+            (Matrix::Wavelet { .. }, NodePlan::Leaf) => wavelet_rmatvec(y, out),
+            (Matrix::Range(r), NodePlan::Leaf) => r.rmatvec_into(y, out, scratch),
+            (Matrix::Rect2D(r), NodePlan::Leaf) => r.rmatvec_into(y, out, scratch),
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
                 // Unionᵀ is a horizontal stack: contributions accumulate.
                 out.fill(0.0);
@@ -187,7 +210,27 @@ impl Matrix {
         scratch: &mut [f64],
     ) {
         match (self, plan) {
-            (m, NodePlan::Leaf) => m.rmatvec_add_rec(y, out, scratch),
+            (Matrix::Sparse(s), NodePlan::Leaf) => {
+                for (i, &yi) in y.iter().enumerate() {
+                    if yi == 0.0 {
+                        continue;
+                    }
+                    for (c, v) in s.row_entries(i) {
+                        out[c] += yi * v;
+                    }
+                }
+            }
+            (Matrix::Identity { .. }, NodePlan::Leaf) => kernels::add_assign(out, y),
+            (Matrix::Diagonal(d), NodePlan::Leaf) => kernels::mul_add_assign(out, d, y),
+            // Dense blocks and the remaining implicit leaves touch all of
+            // `out` anyway; a dense temporary costs nothing extra
+            // asymptotically. (A combinator never carries a leaf plan, so
+            // it falls through `rmatvec_plan` to the collision arm.)
+            (m, NodePlan::Leaf) => {
+                let (tmp, rest) = scratch.split_at_mut(out.len());
+                m.rmatvec_plan(plan, y, tmp, rest);
+                kernels::add_assign(out, tmp);
+            }
             (Matrix::Union(blocks), NodePlan::Union(up)) => {
                 let mut offset = 0;
                 for ((b, bp), &m) in blocks.iter().zip(&up.blocks).zip(&up.block_rows) {
@@ -218,141 +261,6 @@ impl Matrix {
             ),
         }
     }
-
-    // ------------------------------------------------------------------
-    // Unplanned serial recursion: leaf kernels and the sizing reference
-    // ------------------------------------------------------------------
-
-    /// Recursive worker for `out = A·x`. `scratch` must hold at least
-    /// [`Matrix::matvec_scratch`] scalars; nodes carve what they need off
-    /// the front and pass the rest down. This is the serial reference
-    /// engine: the planned path delegates leaf evaluation here.
-    pub(crate) fn matvec_rec(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            Matrix::Dense(d) => d.matvec_into(x, out),
-            Matrix::Sparse(s) => s.matvec_into(x, out),
-            Matrix::Diagonal(d) => kernels::mul_into(out, d, x),
-            Matrix::Identity { .. } => out.copy_from_slice(x),
-            Matrix::Ones { .. } => out.fill(kernels::sum(x)),
-            Matrix::Prefix { .. } => kernels::prefix_sum_into(out, x),
-            Matrix::Suffix { .. } => kernels::suffix_sum_into(out, x),
-            Matrix::Wavelet { .. } => wavelet_matvec(x, out),
-            Matrix::Range(r) => r.matvec_rec(x, out, scratch),
-            Matrix::Rect2D(r) => r.matvec_rec(x, out, scratch),
-            Matrix::Union(blocks) => {
-                let mut offset = 0;
-                for b in blocks.iter() {
-                    let m = b.rows();
-                    b.matvec_rec(x, &mut out[offset..offset + m], scratch);
-                    offset += m;
-                }
-            }
-            Matrix::Product(a, b) => {
-                let (t, rest) = scratch.split_at_mut(b.rows());
-                b.matvec_rec(x, t, rest);
-                a.matvec_rec(t, out, rest);
-            }
-            Matrix::Kronecker(a, b) => kron_matvec(a, b, x, out, scratch),
-            Matrix::Scaled(c, a) => {
-                a.matvec_rec(x, out, scratch);
-                kernels::scale(out, *c);
-            }
-            Matrix::Transpose(a) => a.rmatvec_rec(x, out, scratch),
-        }
-    }
-
-    /// Recursive worker for `out = Aᵀ·y`; `scratch` must hold at least
-    /// [`Matrix::rmatvec_scratch`] scalars.
-    pub(crate) fn rmatvec_rec(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            Matrix::Dense(d) => d.rmatvec_into(y, out),
-            Matrix::Sparse(s) => s.rmatvec_into(y, out),
-            Matrix::Diagonal(d) => kernels::mul_into(out, d, y),
-            Matrix::Identity { .. } => out.copy_from_slice(y),
-            Matrix::Ones { .. } => out.fill(kernels::sum(y)),
-            // Prefixᵀ behaves like Suffix and vice versa.
-            Matrix::Prefix { .. } => kernels::suffix_sum_into(out, y),
-            Matrix::Suffix { .. } => kernels::prefix_sum_into(out, y),
-            Matrix::Wavelet { .. } => wavelet_rmatvec(y, out),
-            Matrix::Range(r) => r.rmatvec_rec(y, out, scratch),
-            Matrix::Rect2D(r) => r.rmatvec_rec(y, out, scratch),
-            Matrix::Union(blocks) => {
-                // Unionᵀ is a horizontal stack: contributions accumulate.
-                // Scatter-adding per block keeps the cost proportional to
-                // each block's own work instead of O(blocks · n) — vital
-                // for striped plans whose unions have hundreds of blocks.
-                out.fill(0.0);
-                let mut offset = 0;
-                for b in blocks.iter() {
-                    let m = b.rows();
-                    b.rmatvec_add_rec(&y[offset..offset + m], out, scratch);
-                    offset += m;
-                }
-            }
-            Matrix::Product(a, b) => {
-                let (t, rest) = scratch.split_at_mut(b.rows());
-                a.rmatvec_rec(y, t, rest);
-                b.rmatvec_rec(t, out, rest);
-            }
-            Matrix::Kronecker(a, b) => kron_rmatvec(a, b, y, out, scratch),
-            Matrix::Scaled(c, a) => {
-                a.rmatvec_rec(y, out, scratch);
-                kernels::scale(out, *c);
-            }
-            Matrix::Transpose(a) => a.matvec_rec(y, out, scratch),
-        }
-    }
-
-    /// Recursive worker for `out += Aᵀ·y`; `scratch` must hold at least
-    /// [`Matrix::rmatvec_add_scratch`] scalars.
-    pub(crate) fn rmatvec_add_rec(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            Matrix::Sparse(s) => {
-                for (i, &yi) in y.iter().enumerate() {
-                    if yi == 0.0 {
-                        continue;
-                    }
-                    for (c, v) in s.row_entries(i) {
-                        out[c] += yi * v;
-                    }
-                }
-            }
-            Matrix::Identity { .. } => kernels::add_assign(out, y),
-            Matrix::Diagonal(d) => kernels::mul_add_assign(out, d, y),
-            Matrix::Product(a, b) => {
-                let (t, rest) = scratch.split_at_mut(b.rows());
-                a.rmatvec_rec(y, t, rest);
-                b.rmatvec_add_rec(t, out, rest);
-            }
-            Matrix::Scaled(c, a) => {
-                let (scaled, rest) = scratch.split_at_mut(y.len());
-                kernels::scale_into(scaled, *c, y);
-                a.rmatvec_add_rec(scaled, out, rest);
-            }
-            Matrix::Union(blocks) => {
-                let mut offset = 0;
-                for b in blocks.iter() {
-                    let m = b.rows();
-                    b.rmatvec_add_rec(&y[offset..offset + m], out, scratch);
-                    offset += m;
-                }
-            }
-            Matrix::Transpose(a) => {
-                // (Aᵀ)ᵀ y = A y, accumulated.
-                let (t, rest) = scratch.split_at_mut(a.rows());
-                a.matvec_rec(y, t, rest);
-                kernels::add_assign(out, t);
-            }
-            // Dense blocks and the remaining implicit types touch all of
-            // `out` anyway; a dense temporary costs nothing extra
-            // asymptotically.
-            _ => {
-                let (tmp, rest) = scratch.split_at_mut(out.len());
-                self.rmatvec_rec(y, tmp, rest);
-                kernels::add_assign(out, tmp);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -360,10 +268,9 @@ impl Matrix {
 // ---------------------------------------------------------------------
 
 /// `out = f_0 · f_1 · … · f_m · x` over a planned chain, using the plan's
-/// ping-pong buffers. The arithmetic sequence is identical to the nested
-/// recursion (each factor applied once, innermost first), so results are
-/// bit-identical — only the intermediate *storage* changes: `min(m, 2)`
-/// buffers instead of `m`.
+/// ping-pong buffers. Each factor is applied once, innermost first — the
+/// arithmetic of evaluating the products one at a time — but the chain
+/// holds `min(m, 2)` intermediate buffers instead of one per product.
 fn chain_matvec(node: &Matrix, cp: &ChainPlan, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
     let (b0, rest) = scratch.split_at_mut(cp.buf_len);
     let (b1, rest) = rest.split_at_mut(if cp.bufs == 2 { cp.buf_len } else { 0 });
@@ -471,55 +378,6 @@ fn chain_bwd(
         cur.rmatvec_add_plan(&cp.factors[last].root, src, out, rest);
     } else {
         cur.rmatvec_plan(&cp.factors[last].root, src, out, rest);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Kronecker: the unplanned reference engine (planned: `crate::kron`)
-// ---------------------------------------------------------------------
-
-/// Unplanned serial Kronecker forward product (reference engine): the
-/// vec-trick, reshaping `x` as an `nA×nB` matrix `X`, applying `B` to every
-/// row (`T = X·Bᵀ`), then `A` to every column of `T`. Cost
-/// `nA·Time(B) + mB·Time(A)` (paper Table 3).
-fn kron_matvec(a: &Matrix, b: &Matrix, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-    let (ma, na) = a.shape();
-    let (mb, nb) = b.shape();
-    let (t, rest) = scratch.split_at_mut(na * mb);
-    for i in 0..na {
-        b.matvec_rec(&x[i * nb..(i + 1) * nb], &mut t[i * mb..(i + 1) * mb], rest);
-    }
-    let (col, rest) = rest.split_at_mut(na);
-    let (ocol, rest) = rest.split_at_mut(ma);
-    for q in 0..mb {
-        for i in 0..na {
-            col[i] = t[i * mb + q];
-        }
-        a.matvec_rec(col, ocol, rest);
-        for p in 0..ma {
-            out[p * mb + q] = ocol[p];
-        }
-    }
-}
-
-/// Unplanned serial Kronecker transpose product (reference engine).
-fn kron_rmatvec(a: &Matrix, b: &Matrix, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-    let (ma, na) = a.shape();
-    let (mb, nb) = b.shape();
-    let (t, rest) = scratch.split_at_mut(ma * nb);
-    for p in 0..ma {
-        b.rmatvec_rec(&y[p * mb..(p + 1) * mb], &mut t[p * nb..(p + 1) * nb], rest);
-    }
-    let (col, rest) = rest.split_at_mut(ma);
-    let (ocol, rest) = rest.split_at_mut(na);
-    for j in 0..nb {
-        for p in 0..ma {
-            col[p] = t[p * nb + j];
-        }
-        a.rmatvec_rec(col, ocol, rest);
-        for i in 0..na {
-            out[i * nb + j] = ocol[i];
-        }
     }
 }
 
@@ -653,14 +511,14 @@ mod tests {
             chain = Matrix::Product(Arc::new(Matrix::suffix(n)), Arc::new(chain));
         }
         let mut ws = Workspace::for_matrix(&chain);
-        // 7 products: the nested recursion would need 7n for matvec; the
-        // ping-pong plan needs 2n (the arena itself covers the widest of
-        // the three directions, still well under the nested requirement).
+        // 7 products: a nested recursion carving one intermediate per
+        // product would need 7n for matvec; the ping-pong plan needs 2n
+        // (the arena itself covers the widest of the three directions,
+        // still well under the nested requirement).
         let plan = ws.plan_for(&chain);
         assert_eq!(plan.mv_scratch, 2 * n);
         assert_eq!(plan.rmv_scratch, 2 * n);
-        assert!(chain.matvec_scratch() >= 7 * n);
-        assert!(ws.capacity() < chain.matvec_scratch());
+        assert!(ws.capacity() < 7 * n);
     }
 
     #[test]
@@ -774,34 +632,6 @@ mod tests {
         assert_eq!(got, out);
         u.rmatvec_into(&y, &mut out, &mut ws);
         assert_eq!(got, out, "workspace reuse changed the scatter result");
-    }
-
-    /// The mode-by-mode engine reproduces the unplanned binary recursion
-    /// (`kron_matvec` / `kron_rmatvec`) bit for bit on the census
-    /// `Prefix(Income)` workload, whose `Ones` rows follow the `sum` order.
-    #[test]
-    fn census_kron_matches_reference_engine() {
-        let tot_id = |n| Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)]);
-        let k = Matrix::kron_list(vec![
-            Matrix::prefix(357),
-            tot_id(5),
-            tot_id(7),
-            tot_id(4),
-            tot_id(2),
-        ]);
-        let x: Vec<f64> = (0..k.cols())
-            .map(|i| ((i * 37) % 41) as f64 - 20.5)
-            .collect();
-        let y: Vec<f64> = (0..k.rows())
-            .map(|i| ((i * 13) % 29) as f64 - 14.0)
-            .collect();
-        let mut want = vec![0.0; k.rows()];
-        k.matvec_rec(&x, &mut want, &mut vec![0.0; k.matvec_scratch()]);
-        let mut want_t = vec![0.0; k.cols()];
-        k.rmatvec_rec(&y, &mut want_t, &mut vec![0.0; k.rmatvec_scratch()]);
-        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits());
-        assert!(same(&k.matvec(&x), &want), "census matvec diverged");
-        assert!(same(&k.rmatvec(&y), &want_t), "census rmatvec diverged");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Cached evaluation plans for the combinator tree.
 //!
-//! PR 1's engine removed per-call heap allocations but still re-ran the
-//! *planning pass* — the `O(tree)` recursion computing scratch sizes, split
-//! offsets and shapes — on every `matvec_into` call. An [`EvalPlan`] runs
-//! that pass **once** and records everything evaluation needs:
+//! Evaluating a product needs scratch sizes, split offsets and shapes,
+//! and computing them is an `O(tree)` *planning pass*. An [`EvalPlan`]
+//! runs that pass **once** per shape and records everything evaluation
+//! needs; it is the only sizing authority for combinators (a leaf's own
+//! kernel scratch comes from `Matrix::leaf_scratch`):
 //!
 //! * per-node **split offsets** (block row ranges of a `Union`,
 //!   intermediate lengths of a `Product` chain),
@@ -17,9 +18,9 @@
 //!   up front and never grows mid-evaluation, and
 //! * a **ping-pong buffer assignment** for right-nested `Product` chains:
 //!   a chain of `k` products needs only `min(k, 2)` intermediate buffers
-//!   instead of the `k` the nested recursion carved, shrinking the working
-//!   set of lineage-shaped trees (the shape every kernel-transformed
-//!   source drags through inference) by up to `k/2`×.
+//!   instead of one per product, shrinking the working set of
+//!   lineage-shaped trees (the shape every kernel-transformed source drags
+//!   through inference) by up to `k/2`×.
 //!
 //! Plans are shared through the **process-wide cache** of
 //! [`crate::plan_cache`] (one mutex-guarded map), keyed purely by the
@@ -135,7 +136,7 @@ impl EvalPlan {
 
 /// The per-node evaluation record. Variants mirror the combinator arms of
 /// [`Matrix`]; every leaf (explicit or implicit core matrix) is
-/// [`NodePlan::Leaf`] and evaluates through the unplanned serial kernels.
+/// [`NodePlan::Leaf`], and the planned workers run its kernel directly.
 #[derive(Debug)]
 pub(crate) enum NodePlan {
     /// Core/explicit matrices: no tree structure below, `O(1)` planning.
@@ -238,8 +239,7 @@ pub(crate) struct ChainPlan {
 struct Info {
     rows: usize,
     cols: usize,
-    /// `matvec` scratch of the *planned* evaluation (≤ the unplanned
-    /// recursion's requirement; chains shrink it).
+    /// `matvec` scratch.
     mv: usize,
     /// `rmatvec` scratch.
     rmv: usize,
@@ -258,16 +258,19 @@ fn plan_node(m: &Matrix) -> (NodePlan, Info) {
         | Matrix::Suffix { .. }
         | Matrix::Wavelet { .. }
         | Matrix::Range(..)
-        | Matrix::Rect2D(..) => (
-            NodePlan::Leaf,
-            Info {
-                rows: m.rows(),
-                cols: m.cols(),
-                mv: m.matvec_scratch(),
-                rmv: m.rmatvec_scratch(),
-                rmva: m.rmatvec_add_scratch(),
-            },
-        ),
+        | Matrix::Rect2D(..) => {
+            let (mv, rmv, rmva) = m.leaf_scratch();
+            (
+                NodePlan::Leaf,
+                Info {
+                    rows: m.rows(),
+                    cols: m.cols(),
+                    mv,
+                    rmv,
+                    rmva,
+                },
+            )
+        }
         Matrix::Union(blocks) => plan_union(blocks),
         Matrix::Product(..) => plan_chain(m),
         Matrix::Kronecker(..) => plan_modes(m),
@@ -618,8 +621,8 @@ mod tests {
 
     #[test]
     fn chain_folds_right_spine_and_halves_scratch() {
-        // 4 products over n=72: nested recursion would need 4 intermediate
-        // buffers; the chain plan ping-pongs two.
+        // 4 products over n=72: one intermediate buffer per product would
+        // be 4; the chain plan ping-pongs two.
         let n = 72;
         let mut m = Matrix::prefix(n);
         for _ in 0..4 {
@@ -635,18 +638,6 @@ mod tests {
             other => panic!("expected chain plan, got {other:?}"),
         }
         assert_eq!(plan.mv_scratch, 2 * n);
-        assert!(
-            plan.mv_scratch < m.matvec_scratch(),
-            "plan should beat the nested recursion"
-        );
-    }
-
-    #[test]
-    fn single_product_matches_unplanned_requirement() {
-        let m = Matrix::product(Matrix::prefix(56), Matrix::wavelet(56));
-        let plan = EvalPlan::cached(&m);
-        assert_eq!(plan.mv_scratch, m.matvec_scratch());
-        assert_eq!(plan.rmv_scratch, m.rmatvec_scratch());
     }
 
     #[test]

@@ -64,16 +64,9 @@ impl RangeQueries {
         self.n + 1
     }
 
-    /// `out[k] = Σ_{i ∈ [lo_k, hi_k)} x[i]` via one prefix-sum pass.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        // xlint: allow(warm-path-alloc, reason = "ad-hoc entry point that owns its scratch; the planned evaluator reaches this type via the allocation-free matvec_rec variant")
-        let mut scratch = vec![0.0; self.scratch_len()];
-        self.matvec_rec(x, out, &mut scratch);
-    }
-
-    /// [`Self::matvec_into`] with caller-provided scratch (≥
-    /// [`Self::scratch_len`] scalars); performs no allocation.
-    pub(crate) fn matvec_rec(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    /// `out[k] = Σ_{i ∈ [lo_k, hi_k)} x[i]` via one prefix-sum pass in
+    /// caller-provided scratch (≥ [`Self::scratch_len`] scalars).
+    pub(crate) fn matvec_into(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(x.len(), self.n, "matvec dimension mismatch");
         assert_eq!(out.len(), self.ranges.len(), "matvec output mismatch");
         let prefix = &mut scratch[..self.n + 1];
@@ -84,16 +77,9 @@ impl RangeQueries {
         }
     }
 
-    /// `out = Wᵀ y` via a difference array.
-    pub fn rmatvec_into(&self, y: &[f64], out: &mut [f64]) {
-        // xlint: allow(warm-path-alloc, reason = "ad-hoc entry point that owns its scratch; the planned evaluator reaches this type via the allocation-free rmatvec_rec variant")
-        let mut scratch = vec![0.0; self.scratch_len()];
-        self.rmatvec_rec(y, out, &mut scratch);
-    }
-
-    /// [`Self::rmatvec_into`] with caller-provided scratch (≥
-    /// [`Self::scratch_len`] scalars); performs no allocation.
-    pub(crate) fn rmatvec_rec(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    /// `out = Wᵀ y` via a difference array in caller-provided scratch (≥
+    /// [`Self::scratch_len`] scalars).
+    pub(crate) fn rmatvec_into(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(y.len(), self.ranges.len(), "rmatvec dimension mismatch");
         assert_eq!(out.len(), self.n, "rmatvec output mismatch");
         let diff = &mut scratch[..self.n + 1];
@@ -135,29 +121,37 @@ impl RangeQueries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
+
+    const SAMPLE: [(usize, usize); 4] = [(1, 4), (3, 5), (0, 4), (1, 2)];
 
     fn sample() -> RangeQueries {
-        RangeQueries::new(5, vec![(1, 4), (3, 5), (0, 4), (1, 2)])
+        RangeQueries::new(5, SAMPLE)
+    }
+
+    /// The sample workload as an implicit matrix and in its CSR form.
+    fn implicit_and_csr() -> (Matrix, Matrix) {
+        let w = Matrix::range_queries(5, SAMPLE.to_vec());
+        let csr = Matrix::sparse(w.to_sparse());
+        (w, csr)
     }
 
     #[test]
     fn matvec_matches_manual_sums() {
-        let w = sample();
+        let (w, csr) = implicit_and_csr();
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut y = vec![0.0; 4];
-        w.matvec_into(&x, &mut y);
-        assert_eq!(y, vec![9.0, 9.0, 10.0, 2.0]);
+        assert_eq!(w.matvec(&x), vec![9.0, 9.0, 10.0, 2.0]);
+        assert_eq!(w.matvec(&x), csr.matvec(&x));
     }
 
     #[test]
     fn rmatvec_matches_dense_transpose() {
-        let w = sample();
+        let (w, csr) = implicit_and_csr();
         let y = [1.0, -1.0, 0.5, 2.0];
-        let mut x = vec![0.0; 5];
-        w.rmatvec_into(&y, &mut x);
         // Dense W: rows over [1,4),[3,5),[0,4),[1,2)
         // col sums of diag(y)·W: col0: 0.5; col1: 1+0.5+2; col2: 1+0.5; col3: 1-1+0.5; col4: -1
-        assert_eq!(x, vec![0.5, 3.5, 1.5, 0.5, -1.0]);
+        assert_eq!(w.rmatvec(&y), vec![0.5, 3.5, 1.5, 0.5, -1.0]);
+        assert_eq!(w.rmatvec(&y), csr.rmatvec(&y));
     }
 
     #[test]

@@ -57,16 +57,9 @@ impl RectQueries2D {
         (self.rows + 1) * (self.cols + 1)
     }
 
-    /// `out[k] = Σ x[rect_k]` via one 2-D prefix-sum pass.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        // xlint: allow(warm-path-alloc, reason = "ad-hoc entry point that owns its scratch; the planned evaluator reaches this type via the allocation-free matvec_rec variant")
-        let mut scratch = vec![0.0; self.scratch_len()];
-        self.matvec_rec(x, out, &mut scratch);
-    }
-
-    /// [`Self::matvec_into`] with caller-provided scratch (≥
-    /// [`Self::scratch_len`] scalars); performs no allocation.
-    pub(crate) fn matvec_rec(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    /// `out[k] = Σ x[rect_k]` via one 2-D prefix-sum pass in
+    /// caller-provided scratch (≥ [`Self::scratch_len`] scalars).
+    pub(crate) fn matvec_into(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(x.len(), self.domain(), "matvec dimension mismatch");
         assert_eq!(out.len(), self.rects.len(), "matvec output mismatch");
         let (r, c) = (self.rows, self.cols);
@@ -88,16 +81,9 @@ impl RectQueries2D {
         }
     }
 
-    /// `out = Wᵀ y` via a 2-D difference array.
-    pub fn rmatvec_into(&self, y: &[f64], out: &mut [f64]) {
-        // xlint: allow(warm-path-alloc, reason = "ad-hoc entry point that owns its scratch; the planned evaluator reaches this type via the allocation-free rmatvec_rec variant")
-        let mut scratch = vec![0.0; self.scratch_len()];
-        self.rmatvec_rec(y, out, &mut scratch);
-    }
-
-    /// [`Self::rmatvec_into`] with caller-provided scratch (≥
-    /// [`Self::scratch_len`] scalars); performs no allocation.
-    pub(crate) fn rmatvec_rec(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    /// `out = Wᵀ y` via a 2-D difference array in caller-provided scratch
+    /// (≥ [`Self::scratch_len`] scalars).
+    pub(crate) fn rmatvec_into(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(y.len(), self.rects.len(), "rmatvec dimension mismatch");
         assert_eq!(out.len(), self.domain(), "rmatvec output mismatch");
         self.accumulate(y.iter().copied(), out, scratch);
@@ -155,14 +141,21 @@ impl RectQueries2D {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CsrMatrix;
+    use crate::{CsrMatrix, Matrix};
+
+    fn rects() -> Vec<(usize, usize, usize, usize)> {
+        vec![(0, 2, 0, 2), (1, 4, 2, 5), (0, 4, 0, 5), (2, 3, 1, 2)]
+    }
 
     fn sample() -> RectQueries2D {
-        RectQueries2D::new(
-            4,
-            5,
-            vec![(0, 2, 0, 2), (1, 4, 2, 5), (0, 4, 0, 5), (2, 3, 1, 2)],
-        )
+        RectQueries2D::new(4, 5, rects())
+    }
+
+    /// The sample workload as an implicit matrix and in its CSR form.
+    fn implicit_and_csr() -> (Matrix, Matrix) {
+        let w = Matrix::rect_queries(4, 5, rects());
+        let csr = Matrix::sparse(w.to_sparse());
+        (w, csr)
     }
 
     fn x20() -> Vec<f64> {
@@ -171,25 +164,17 @@ mod tests {
 
     #[test]
     fn matvec_matches_materialized() {
-        let w = sample();
-        let csr = CsrMatrix::from_triplets(w.num_queries(), w.domain(), &w.triplets());
+        let (w, csr) = implicit_and_csr();
         let x = x20();
-        let mut got = vec![0.0; 4];
-        w.matvec_into(&x, &mut got);
-        let mut expect = vec![0.0; 4];
-        csr.matvec_into(&x, &mut expect);
-        assert_eq!(got, expect);
+        assert_eq!(w.matvec(&x), csr.matvec(&x));
     }
 
     #[test]
     fn rmatvec_matches_materialized() {
-        let w = sample();
-        let csr = CsrMatrix::from_triplets(w.num_queries(), w.domain(), &w.triplets());
+        let (w, csr) = implicit_and_csr();
         let y = [1.0, -2.0, 0.5, 3.0];
-        let mut got = vec![0.0; 20];
-        w.rmatvec_into(&y, &mut got);
-        let mut expect = vec![0.0; 20];
-        csr.rmatvec_into(&y, &mut expect);
+        let got = w.rmatvec(&y);
+        let expect = csr.rmatvec(&y);
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-12, "{got:?} vs {expect:?}");
         }

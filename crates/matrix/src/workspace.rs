@@ -1,16 +1,17 @@
 //! Scratch-space planning for allocation-free matrix evaluation.
 //!
 //! Every combinator in the [`Matrix`] algebra needs transient storage to
-//! evaluate a product: `Product` stores the intermediate vector, `Kronecker`
-//! stores the reshaped partial products, `Range`/`Rect2D` need a prefix-sum
-//! or difference array, and the accumulating transpose product needs
-//! per-node temporaries. The original engine allocated these with `Vec` at
-//! every tree node on every call — thousands of allocator round-trips per
-//! solver iteration. Instead, a [`Workspace`] owns one flat `f64` arena
-//! sized by a one-time *planning pass* over the combinator tree
-//! ([`Matrix::matvec_scratch`] / [`Matrix::rmatvec_scratch`]); evaluation
-//! then carves disjoint sub-slices off that arena with `split_at_mut` as it
-//! recurses, so the steady state performs **zero heap allocations**.
+//! evaluate a product: a `Product` chain stores its intermediate vectors,
+//! a `Kronecker` chain its mode-by-mode partial products, `Range`/`Rect2D`
+//! need a prefix-sum or difference array, and the accumulating transpose
+//! product needs per-node temporaries. Allocating these with `Vec` at
+//! every tree node on every call would cost thousands of allocator
+//! round-trips per solver iteration. Instead, a [`Workspace`] owns one
+//! flat `f64` arena sized by the evaluation plan (the private `plan`
+//! module, which records each direction's requirement once per shape);
+//! evaluation then carves disjoint sub-slices off that arena with
+//! `split_at_mut` as it recurses, so the steady state performs **zero heap
+//! allocations**.
 //! An arena only grows; code that wants to bound idle memory drops the
 //! whole workspace (the protected kernel keeps one idle workspace and
 //! drops any arena over 32 MiB).
@@ -168,87 +169,23 @@ impl Workspace {
 }
 
 impl Matrix {
-    /// Scalars of scratch space the *unplanned serial recursion* needs for
-    /// `A·x` — `O(tree size)` to compute. The planned engine (the private
-    /// `plan` module) sizes its own buffers: less on product chains, and
-    /// Kronecker chains ping-pong between the output and at most two
-    /// buffers. These functions remain the sizing authority for leaf nodes
-    /// and for sub-evaluations that run without a plan.
-    pub fn matvec_scratch(&self) -> usize {
-        match self {
-            Matrix::Dense(..)
-            | Matrix::Sparse(..)
-            | Matrix::Diagonal(..)
-            | Matrix::Identity { .. }
-            | Matrix::Ones { .. }
-            | Matrix::Prefix { .. }
-            | Matrix::Suffix { .. }
-            | Matrix::Wavelet { .. } => 0,
+    /// Scratch scalars a leaf's kernels draw, per product direction:
+    /// `(matvec, rmatvec, rmatvec_add)`. `Range`/`Rect2D` need a
+    /// prefix-sum or difference array; the accumulating transpose product
+    /// of a leaf without a scatter kernel computes into a dense temporary
+    /// of the full output width, then adds it. The planner reads this for
+    /// `NodePlan::Leaf` nodes only; it sizes every combinator itself.
+    pub(crate) fn leaf_scratch(&self) -> (usize, usize, usize) {
+        let product = match self {
             Matrix::Range(r) => r.scratch_len(),
             Matrix::Rect2D(r) => r.scratch_len(),
-            Matrix::Union(blocks) => blocks.iter().map(Matrix::matvec_scratch).max().unwrap_or(0),
-            // t = B·x (len = B.rows), then A applied to t.
-            Matrix::Product(a, b) => b.rows() + a.matvec_scratch().max(b.matvec_scratch()),
-            // t: na×mb partials, then per-output-column gather/apply
-            // buffers col (na) and ocol (ma) while A runs.
-            Matrix::Kronecker(a, b) => {
-                let (ma, na) = a.shape();
-                let mb = b.rows();
-                na * mb + b.matvec_scratch().max(na + ma + a.matvec_scratch())
-            }
-            Matrix::Scaled(_, a) => a.matvec_scratch(),
-            Matrix::Transpose(a) => a.rmatvec_scratch(),
-        }
-    }
-
-    /// Scalars of scratch space [`Matrix::rmatvec_into`] needs.
-    pub fn rmatvec_scratch(&self) -> usize {
-        match self {
-            Matrix::Dense(..)
-            | Matrix::Sparse(..)
-            | Matrix::Diagonal(..)
-            | Matrix::Identity { .. }
-            | Matrix::Ones { .. }
-            | Matrix::Prefix { .. }
-            | Matrix::Suffix { .. }
-            | Matrix::Wavelet { .. } => 0,
-            Matrix::Range(r) => r.scratch_len(),
-            Matrix::Rect2D(r) => r.scratch_len(),
-            // Unionᵀ scatter-adds per block.
-            Matrix::Union(blocks) => blocks
-                .iter()
-                .map(Matrix::rmatvec_add_scratch)
-                .max()
-                .unwrap_or(0),
-            // t = Aᵀ·y (len = A.cols = B.rows), then Bᵀ applied to t.
-            Matrix::Product(a, b) => b.rows() + a.rmatvec_scratch().max(b.rmatvec_scratch()),
-            // Mirror of the matvec case with shapes transposed.
-            Matrix::Kronecker(a, b) => {
-                let (ma, na) = a.shape();
-                let nb = b.cols();
-                ma * nb + b.rmatvec_scratch().max(ma + na + a.rmatvec_scratch())
-            }
-            Matrix::Scaled(_, a) => a.rmatvec_scratch(),
-            Matrix::Transpose(a) => a.matvec_scratch(),
-        }
-    }
-
-    /// Scalars of scratch space [`Matrix::rmatvec_add`] needs.
-    pub(crate) fn rmatvec_add_scratch(&self) -> usize {
-        match self {
+            _ => 0,
+        };
+        let add = match self {
             Matrix::Sparse(..) | Matrix::Identity { .. } | Matrix::Diagonal(..) => 0,
-            Matrix::Product(a, b) => b.rows() + a.rmatvec_scratch().max(b.rmatvec_add_scratch()),
-            Matrix::Scaled(_, a) => self.rows() + a.rmatvec_add_scratch(),
-            Matrix::Union(blocks) => blocks
-                .iter()
-                .map(Matrix::rmatvec_add_scratch)
-                .max()
-                .unwrap_or(0),
-            Matrix::Transpose(a) => a.rows() + a.matvec_scratch(),
-            // Remaining shapes compute into a dense temporary of the full
-            // output width, then accumulate.
-            _ => self.cols() + self.rmatvec_scratch(),
-        }
+            _ => self.cols() + product,
+        };
+        (product, product, add)
     }
 }
 
@@ -261,26 +198,33 @@ mod tests {
     // concurrently, so reusing a shape another test builds would turn this
     // workspace's "build" into a "hit" and flake the counter assertions.
 
+    /// The plan's `(matvec, rmatvec)` scratch for `m`.
+    fn scratch(m: &Matrix) -> (usize, usize) {
+        let plan = Workspace::new().plan_for(m);
+        (plan.mv_scratch, plan.rmv_scratch)
+    }
+
     #[test]
     fn leaves_need_no_scratch() {
-        assert_eq!(Matrix::identity(64).matvec_scratch(), 0);
-        assert_eq!(Matrix::prefix(64).rmatvec_scratch(), 0);
-        assert_eq!(Matrix::wavelet(64).matvec_scratch(), 0);
+        assert_eq!(scratch(&Matrix::identity(64)), (0, 0));
+        assert_eq!(scratch(&Matrix::prefix(64)), (0, 0));
+        assert_eq!(scratch(&Matrix::wavelet(64)), (0, 0));
+        // Interval queries need their n + 1 prefix-sum array.
+        assert_eq!(scratch(&Matrix::range_queries(64, vec![(0, 64)])), (65, 65));
     }
 
     #[test]
     fn product_needs_intermediate() {
         let m = Matrix::product(Matrix::prefix(8), Matrix::wavelet(8));
-        assert_eq!(m.matvec_scratch(), 8);
-        assert_eq!(m.rmatvec_scratch(), 8);
+        assert_eq!(scratch(&m), (8, 8));
     }
 
     #[test]
     fn nested_products_take_max_of_children() {
-        // A·(B·C): outer needs rows(B·C)=8 plus inner's 8.
+        // A·(B·C): a chain of two products ping-pongs two 8-buffers.
         let inner = Matrix::product(Matrix::prefix(8), Matrix::wavelet(8));
         let m = Matrix::product(Matrix::suffix(8), inner);
-        assert_eq!(m.matvec_scratch(), 16);
+        assert_eq!(scratch(&m).0, 16);
     }
 
     #[test]
@@ -290,7 +234,7 @@ mod tests {
             Matrix::product(Matrix::suffix(8), Matrix::wavelet(8)),
             Matrix::identity(8),
         ]);
-        assert_eq!(m.matvec_scratch(), 8);
+        assert_eq!(scratch(&m).0, 8);
     }
 
     #[test]
@@ -306,8 +250,9 @@ mod tests {
     fn for_matrix_covers_both_directions() {
         let m = Matrix::kron(Matrix::prefix(4), Matrix::ones(2, 8));
         let ws = Workspace::for_matrix(&m);
-        assert!(ws.capacity() >= m.matvec_scratch());
-        assert!(ws.capacity() >= m.rmatvec_scratch());
+        let (mv, rmv) = scratch(&m);
+        assert!(mv > 0 && rmv > 0);
+        assert!(ws.capacity() >= mv.max(rmv));
     }
 
     #[test]

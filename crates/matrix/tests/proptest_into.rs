@@ -2,38 +2,69 @@
 //! generated combinator trees, `matvec_into` / `rmatvec_into` with a
 //! shared [`Workspace`] must produce **bit-identical** results to the
 //! allocating `matvec` / `rmatvec` wrappers (they are required to be thin
-//! wrappers, so even the floating-point operation order must agree), and
+//! wrappers, so even the floating-point operation order must agree), both
+//! directions must agree with the dense materialization, and
 //! `rmatvec_add` must accumulate exactly `rmatvec`'s output.
 
 use std::sync::Arc;
 
-use ektelo_matrix::{Matrix, Workspace};
+use ektelo_matrix::{CsrMatrix, Matrix, Workspace};
 use proptest::prelude::*;
 
 /// Random combinator trees over a fixed column count so compositions
-/// typecheck: implicit leaves, ranges, diagonals, then unions / products /
-/// scalings / transposes stacked `depth` levels deep.
+/// typecheck: every leaf kind the planned workers dispatch (`Rect2D` over
+/// a 2×3 grid when `cols = 6`), then unions / products / scalings /
+/// transposes stacked `depth` levels deep.
 fn arb_tree(cols: usize, depth: u32) -> BoxedStrategy<Matrix> {
-    let leaf = prop_oneof![
-        Just(Matrix::identity(cols)),
-        Just(Matrix::prefix(cols)),
-        Just(Matrix::suffix(cols)),
-        Just(Matrix::wavelet(cols)),
-        (1usize..=3).prop_map(move |m| Matrix::ones(m, cols)),
-        prop::collection::vec((0usize..cols, 1usize..=cols), 1..6).prop_map(move |pairs| {
-            let ranges: Vec<(usize, usize)> = pairs
-                .into_iter()
-                .map(|(lo, len)| (lo.min(cols - 1), (lo + len).clamp(lo + 1, cols).min(cols)))
-                .filter(|&(lo, hi)| lo < hi)
-                .collect();
-            if ranges.is_empty() {
-                Matrix::total(cols)
-            } else {
-                Matrix::range_queries(cols, ranges)
-            }
-        }),
-        prop::collection::vec(-2.0f64..2.0, cols).prop_map(Matrix::diagonal),
+    let mut leaves = vec![
+        Just(Matrix::identity(cols)).boxed(),
+        Just(Matrix::prefix(cols)).boxed(),
+        Just(Matrix::suffix(cols)).boxed(),
+        Just(Matrix::wavelet(cols)).boxed(),
+        (1usize..=3)
+            .prop_map(move |m| Matrix::ones(m, cols))
+            .boxed(),
+        prop::collection::vec((0usize..cols, 1usize..=cols), 1..6)
+            .prop_map(move |pairs| {
+                let ranges: Vec<(usize, usize)> = pairs
+                    .into_iter()
+                    .map(|(lo, len)| (lo.min(cols - 1), (lo + len).clamp(lo + 1, cols).min(cols)))
+                    .filter(|&(lo, hi)| lo < hi)
+                    .collect();
+                if ranges.is_empty() {
+                    Matrix::total(cols)
+                } else {
+                    Matrix::range_queries(cols, ranges)
+                }
+            })
+            .boxed(),
+        prop::collection::vec(-2.0f64..2.0, cols)
+            .prop_map(Matrix::diagonal)
+            .boxed(),
+        (1usize..=3, prop::collection::vec(-2.0f64..2.0, 3 * cols))
+            .prop_map(move |(m, v)| {
+                Matrix::from_rows(v.chunks(cols).take(m).map(<[f64]>::to_vec).collect())
+            })
+            .boxed(),
+        // Three CSR rows, some of them empty.
+        prop::collection::vec((0usize..3, 0usize..cols, -2.0f64..2.0), 1..8)
+            .prop_map(move |triplets| Matrix::sparse(CsrMatrix::from_triplets(3, cols, &triplets)))
+            .boxed(),
     ];
+    if cols == 6 {
+        leaves.push(
+            prop::collection::vec((0usize..2, 1usize..=2, 0usize..3, 1usize..=3), 1..5)
+                .prop_map(|rects| {
+                    let rects = rects
+                        .into_iter()
+                        .map(|(r, dr, c, dc)| (r, (r + dr).min(2), c, (c + dc).min(3)))
+                        .collect();
+                    Matrix::rect_queries(2, 3, rects)
+                })
+                .boxed(),
+        );
+    }
+    let leaf = prop::strategy::Union::new(leaves);
     if depth == 0 {
         return leaf.boxed();
     }
@@ -91,6 +122,25 @@ proptest! {
         prop_assert_eq!(&got, &expect, "rmatvec_into diverged on {:?}", m);
         m.rmatvec_into(&y, &mut got, &mut ws);
         prop_assert_eq!(&got, &expect, "warm-workspace re-evaluation diverged");
+    }
+
+    /// Both directions agree with the product of the dense
+    /// materialization, which is built without the evaluation engine.
+    #[test]
+    fn matches_dense_materialization(m in arb_tree(6, 2)) {
+        let d = m.to_dense();
+        let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64) * 0.43 - 1.1).collect();
+        let y: Vec<f64> = (0..m.rows()).map(|i| 0.8 - (i as f64) * 0.29).collect();
+        let mut want = vec![0.0; m.rows()];
+        d.matvec_into(&x, &mut want);
+        let mut want_t = vec![0.0; m.cols()];
+        d.rmatvec_into(&y, &mut want_t);
+        for (got, want) in [(m.matvec(&x), want), (m.rmatvec(&y), want_t)] {
+            let tol = 1e-9 * (1.0 + want.iter().fold(0.0f64, |a, v| a.max(v.abs())));
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g - w).abs() <= tol, "dense mismatch on {:?}: {} vs {}", m, g, w);
+            }
+        }
     }
 
     /// rmatvec_add accumulates exactly rmatvec's output on top of the
@@ -256,10 +306,11 @@ fn nestings(fs: &[Matrix], seed: u64) -> [Matrix; 3] {
     ]
 }
 
-/// The binary vec-trick recursion (`kron_matvec` in the crate, the
-/// unplanned reference engine), written against the public API: non-
-/// Kronecker factors go through their own `matvec`, which runs the same
-/// leaf kernels, so this reproduces the reference arithmetic exactly.
+/// The binary vec-trick recursion, the reference for the crate's
+/// mode-by-mode engine: reshape `x` as an `nA×nB` matrix `X`, apply `B`
+/// to every row (`T = X·Bᵀ`), then `A` to every column of `T` (paper
+/// Table 3). Non-Kronecker factors go through their own `matvec`, which
+/// runs the same leaf kernels.
 fn reference_matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
     let Matrix::Kronecker(a, b) = m else {
         return m.matvec(x);
@@ -279,7 +330,7 @@ fn reference_matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Transpose-direction mirror of [`reference_matvec`] (`kron_rmatvec`).
+/// Transpose-direction mirror of [`reference_matvec`].
 fn reference_rmatvec(m: &Matrix, y: &[f64]) -> Vec<f64> {
     let Matrix::Kronecker(a, b) = m else {
         return m.rmatvec(y);
@@ -335,7 +386,7 @@ fn assert_dense(got: &[f64], rows: &[Vec<f64>], v: &[f64], what: &str) {
     }
 }
 
-/// Bit-equality with the reference engine: the panel kernels run each
+/// Bit-equality with the reference recursion: the panel kernels run each
 /// vector kernel's operation sequence, so no entry may differ by rounding.
 fn assert_reference(got: &[f64], want: &[f64], what: &str) {
     for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
@@ -413,7 +464,7 @@ proptest! {
 
 /// `Range` panels across several column tiles: an HB-like hierarchy
 /// (alone, scaled, and as union blocks) along a mode of 150 columns, and
-/// behind one. Every direction matches the reference engine bit for bit.
+/// behind one. Every direction matches the reference recursion bit for bit.
 #[test]
 fn range_panels_match_reference_across_tiles() {
     let n = 23;
@@ -458,7 +509,7 @@ fn range_panels_match_reference_across_tiles() {
 
 /// A large five-factor Kronecker: the prefix, union and range modes run
 /// the panel kernels, the wavelet mode the fiber walk. Results must
-/// match the reference engine bit for bit and stay bit-identical on a
+/// match the reference recursion bit for bit and stay bit-identical on a
 /// warm re-run.
 #[test]
 fn threaded_nary_kron_matches_reference() {
@@ -488,4 +539,27 @@ fn threaded_nary_kron_matches_reference() {
     k.rmatvec_into(&y, &mut rmv, &mut ws);
     assert_eq!(mv, mv0, "warm re-run changed the matvec");
     assert_eq!(rmv, rmv0, "warm re-run changed the rmatvec");
+}
+
+/// The mode-by-mode engine reproduces the binary recursion bit for bit on
+/// the census `Prefix(Income)` workload, whose `Ones` rows follow the
+/// `sum` order.
+#[test]
+fn census_kron_matches_reference_engine() {
+    let tot_id = |n| Matrix::vstack(vec![Matrix::total(n), Matrix::identity(n)]);
+    let k = Matrix::kron_list(vec![
+        Matrix::prefix(357),
+        tot_id(5),
+        tot_id(7),
+        tot_id(4),
+        tot_id(2),
+    ]);
+    let x: Vec<f64> = (0..k.cols())
+        .map(|i| ((i * 37) % 41) as f64 - 20.5)
+        .collect();
+    let y: Vec<f64> = (0..k.rows())
+        .map(|i| ((i * 13) % 29) as f64 - 14.0)
+        .collect();
+    assert_reference(&k.matvec(&x), &reference_matvec(&k, &x), "census matvec");
+    assert_reference(&k.rmatvec(&y), &reference_rmatvec(&k, &y), "census rmatvec");
 }

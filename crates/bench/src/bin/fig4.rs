@@ -17,15 +17,14 @@ use std::time::Duration;
 use ektelo_bench::{fmt_secs, full_mode, rebin_census_income, time_it, SweepGuard};
 use ektelo_core::kernel::ProtectedKernel;
 use ektelo_core::ops::inference::{least_squares, LsSolver};
-use ektelo_core::ops::partition::{ahp_partition, dawa_partition, AhpOptions, DawaOptions};
+use ektelo_core::ops::partition::{ahp_partition, dawa_partition, DawaOptions};
 use ektelo_core::ops::selection::{
     greedy_h, h2, hb, hdmm_1d, quad_tree, stripe_select, uniform_grid, uniform_grid_size,
-    HdmmOptions,
 };
 use ektelo_data::generators::{census_cps_sized, gauss_blobs_2d, shape_1d, Shape1D};
 use ektelo_data::workloads::random_range;
 use ektelo_matrix::{Matrix, Repr};
-use ektelo_plans::privbayes::{plan_privbayes_ls, PrivBayesOptions};
+use ektelo_plans::privbayes::plan_privbayes_ls;
 use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped};
 use ektelo_plans::util::kernel_for_histogram;
 
@@ -122,7 +121,7 @@ fn main() {
         (
             "HDMM",
             false,
-            Box::new(|n, _, _| hdmm_1d(&Matrix::prefix(n), &HdmmOptions::default())),
+            Box::new(|n, _, _| hdmm_1d(&Matrix::prefix(n))),
         ),
     ];
 
@@ -169,7 +168,7 @@ fn main() {
         print!("{:<14} {n:>10}", "AHP");
         for (repr, _) in REPRS {
             let (k, root) = kernel_for_histogram(&x, eps, 5);
-            let p = ahp_partition(&k, root, eps / 2.0, &AhpOptions::default()).expect("ahp");
+            let p = ahp_partition(&k, root, eps / 2.0).expect("ahp");
             let groups = p.rows();
             if !feasible(repr, groups, groups, groups) {
                 cell(None, groups);
@@ -250,9 +249,7 @@ fn main() {
                         .unwrap();
                 }
                 _ => {
-                    plan_privbayes_ls(&k, k.root(), eps, &PrivBayesOptions::default())
-                        .map(|_| ())
-                        .unwrap();
+                    plan_privbayes_ls(&k, k.root(), eps).map(|_| ()).unwrap();
                 }
             });
             match secs {

@@ -16,7 +16,7 @@ use ektelo_data::generators::census_cps_sized;
 use ektelo_data::workloads::{all_k_way_marginals, census_prefix_income};
 use ektelo_matrix::Matrix;
 use ektelo_plans::baseline::plan_identity;
-use ektelo_plans::privbayes::{plan_privbayes, plan_privbayes_ls, PrivBayesOptions};
+use ektelo_plans::privbayes::{plan_privbayes, plan_privbayes_ls};
 use ektelo_plans::striped::{plan_dawa_striped, plan_hb_striped};
 
 fn main() {
@@ -68,16 +68,8 @@ fn main() {
                     let x = k.vectorize(k.root()).unwrap();
                     plan_identity(&k, x, eps).unwrap().x_hat
                 }
-                "PrivBayes" => {
-                    plan_privbayes(&k, k.root(), eps, &PrivBayesOptions::default())
-                        .unwrap()
-                        .x_hat
-                }
-                "PrivBayesLS" => {
-                    plan_privbayes_ls(&k, k.root(), eps, &PrivBayesOptions::default())
-                        .unwrap()
-                        .x_hat
-                }
+                "PrivBayes" => plan_privbayes(&k, k.root(), eps).unwrap().x_hat,
+                "PrivBayesLS" => plan_privbayes_ls(&k, k.root(), eps).unwrap().x_hat,
                 "Hb-Striped" => {
                     let x = k.vectorize(k.root()).unwrap();
                     plan_hb_striped(&k, x, &sizes, 0, eps).unwrap().x_hat

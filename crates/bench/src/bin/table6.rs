@@ -17,9 +17,7 @@
 use ektelo_bench::{full_mode, mean, time_it};
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
 use ektelo_core::ops::inference::{least_squares, LsSolver};
-use ektelo_core::ops::partition::{
-    ahp_partition, dawa_partition, workload_reduction, AhpOptions, DawaOptions,
-};
+use ektelo_core::ops::partition::{ahp_partition, dawa_partition, workload_reduction, DawaOptions};
 use ektelo_core::ops::selection::{greedy_h, hb};
 use ektelo_data::generators::{gauss_blobs_2d, shape_1d, Shape1D};
 use ektelo_data::workloads::{random_range_2d, random_range_small};
@@ -68,8 +66,7 @@ fn run_reduced(k: &ProtectedKernel, red: SourceVar, algo: Algo, p: &Matrix, eps:
             let norm = Matrix::diagonal(sizes.iter().map(|&s| 1.0 / s).collect());
             let norm_view = k.transform_linear(red, &norm).expect("normalize");
             if algo == Algo::Ahp {
-                let p2 = ahp_partition(k, norm_view, eps / 2.0, &AhpOptions::default())
-                    .expect("ahp partition");
+                let p2 = ahp_partition(k, norm_view, eps / 2.0).expect("ahp partition");
                 let red2 = k.reduce_by_partition(red, &p2).expect("reduce2");
                 k.vector_laplace(red2, &Matrix::identity(p2.rows()), eps / 2.0)
                     .expect("measure");

@@ -16,8 +16,10 @@ use ektelo_bench::vetted::{
     code_lines, file_code_lines, library_files, workspace_root, PRIVACY_CRITICAL, PRIVILEGED_NAMES,
 };
 
-/// The most privacy-critical lines the surface may hold.
-const CEILING: usize = 1_381;
+/// The most privacy-critical lines the surface may hold: 1,381, plus the
+/// 8 lines of `split_by_partition`'s check that no cell lies in two
+/// groups, which parallel composition of the children needs.
+const CEILING: usize = 1_389;
 
 #[test]
 fn privacy_critical_lines_stay_under_the_ceiling() {

@@ -412,6 +412,16 @@ impl ProtectedKernel {
             Matrix::Sparse(s) => Cow::Borrowed(&**s),
             other => Cow::Owned(other.to_sparse()),
         };
+        // Children compose in parallel only if no cell is in two of them:
+        // `is_partition` tolerates a column split by a tiny weight.
+        let mut seen = vec![false; p.cols()];
+        for &c in groups.indices() {
+            if std::mem::replace(&mut seen[c as usize], true) {
+                return Err(EktError::InvalidPartition(format!(
+                    "column {c} is in two groups"
+                )));
+            }
+        }
         let (x, base, parent_lineage) = self.transform_input(sv, p.cols())?;
         let n = x.len();
         let cells = |g: usize| &groups.indices()[groups.indptr()[g]..groups.indptr()[g + 1]];

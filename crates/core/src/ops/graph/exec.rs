@@ -61,17 +61,13 @@ pub struct ExecReport {
     /// never contaminate the figure. It equals `eps_pre_accounted` bit
     /// for bit — the pre-accounting replays the kernel's exact charge
     /// arithmetic and the ledger accumulates the same root increments
-    /// in the same order. (The [`PlanExecutor::unchecked`] path runs
-    /// without a reservation and falls back to the global-ledger delta
-    /// across the run, which is per-plan only on single-session
-    /// kernels.)
+    /// in the same order.
     pub eps_charged: f64,
 }
 
 /// Runs [`PlanSpec`]s against a [`ProtectedKernel`].
 pub struct PlanExecutor<'k> {
     kernel: &'k ProtectedKernel,
-    check_budget: bool,
 }
 
 /// Execution-time value of a spec node.
@@ -103,25 +99,10 @@ fn type_err(id: usize, want: &str, got: &Value) -> EktError {
 }
 
 impl<'k> PlanExecutor<'k> {
-    /// An executor with static pre-accounting **on**: over-budget specs
-    /// are rejected before any kernel call.
+    /// An executor over `kernel`. Every run is pre-accounted: an
+    /// over-budget spec is rejected before any kernel call.
     pub fn new(kernel: &'k ProtectedKernel) -> Self {
-        PlanExecutor {
-            kernel,
-            check_budget: true,
-        }
-    }
-
-    /// An executor that skips the admission check (budget exhaustion
-    /// then surfaces *mid-plan* as the typed kernel error of whichever
-    /// operator hits it — the pre-graph behaviour, kept for comparison
-    /// and for failure-path tests).
-    // xlint: allow(dead-pub, reason = "the unchecked execution path that the one-plan-path work (ROADMAP item 10) removes")
-    pub fn unchecked(kernel: &'k ProtectedKernel) -> Self {
-        PlanExecutor {
-            kernel,
-            check_budget: false,
-        }
+        PlanExecutor { kernel }
     }
 
     /// Executes `spec` with `input` bound to the spec's input node.
@@ -143,12 +124,7 @@ impl<'k> PlanExecutor<'k> {
         let cost = catch_unwind(|| spec.pre_account())
             .map_err(|payload| EktError::ExecutionPanic(panic_message(&*payload)))??;
         let path = self.kernel.stability_to_root(input);
-        let reservation = if self.check_budget {
-            Some(self.kernel.reserve_budget(cost.total * path)?)
-        } else {
-            None
-        };
-        let spent_before = self.kernel.budget_spent();
+        let reservation = self.kernel.reserve_budget(cost.total * path)?;
         let run = Run {
             kernel: self.kernel,
             spec,
@@ -175,15 +151,11 @@ impl<'k> PlanExecutor<'k> {
                 return Err(EktError::ExecutionPanic(panic_message(&*payload)));
             }
         };
-        let eps_charged = match &run.reservation {
-            Some(res) => res.charged(),
-            None => self.kernel.budget_spent() - spent_before,
-        };
         Ok(ExecReport {
             x_hat,
             signature: spec.signature(),
             eps_pre_accounted: cost.total * path,
-            eps_charged,
+            eps_charged: run.reservation.charged(),
         })
     }
 }
@@ -242,18 +214,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 struct Run<'a, 'k> {
     kernel: &'k ProtectedKernel,
     spec: &'a PlanSpec,
-    reservation: Option<BudgetReservation<'k>>,
+    reservation: BudgetReservation<'k>,
     /// Measurement-history index at session start; inference nodes see
     /// only this session's measurements.
     start: usize,
 }
 
 impl<'k> Run<'_, 'k> {
-    /// The reservation every charging kernel call redeems against
-    /// (`None` on the unchecked path — charges then compete for open
-    /// budget like imperative plans).
+    /// The reservation every charging kernel call redeems against.
     fn res(&self) -> Option<&BudgetReservation<'k>> {
-        self.reservation.as_ref()
+        Some(&self.reservation)
     }
 
     fn source(&self, vals: &[Value], id: usize) -> Result<SourceVar> {
@@ -481,9 +451,7 @@ impl<'k> Run<'_, 'k> {
 
     /// MWEM's adaptive loop — an exact port of the imperative
     /// `plan_mwem` body, with every round's charges redeemed from the
-    /// plan reservation. Budget exhaustion inside the loop (only
-    /// reachable without pre-accounting or under external drain)
-    /// surfaces as the selection or measurement operator's typed error.
+    /// plan reservation.
     fn run_mwem_loop(
         &self,
         vals: &[Value],
@@ -656,16 +624,6 @@ mod tests {
         assert_eq!(k.measurement_count(), 0, "no kernel history entries");
         assert_eq!(k.budget_spent(), 0.0);
         assert_eq!(k.budget_reserved(), 0.0, "failed admission holds nothing");
-    }
-
-    #[test]
-    fn unchecked_executor_hits_the_kernel_error_mid_plan() {
-        let k = ProtectedKernel::init_from_vector(vec![10.0; 16], 0.5, 9);
-        let spec = identity_spec(0.75);
-        let err = PlanExecutor::unchecked(&k)
-            .run(&spec, k.root())
-            .unwrap_err();
-        assert!(matches!(err, EktError::BudgetExceeded { .. }));
     }
 
     #[test]

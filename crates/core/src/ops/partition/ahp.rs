@@ -15,48 +15,30 @@ use ektelo_matrix::{partition_from_labels, Matrix};
 
 use crate::kernel::{ProtectedKernel, Result, SourceVar};
 
-/// Tuning constants for [`ahp_partition`] (defaults follow the AHP paper's
-/// recommendations).
-#[derive(Clone, Debug)]
-pub struct AhpOptions {
-    /// Threshold multiplier η: cells with noisy count below `η·ln(n)/ε`
-    /// are treated as empty.
-    pub eta: f64,
-    /// Cluster spread multiplier: a cluster is closed once
-    /// `max − min > gamma/ε`.
-    pub gamma: f64,
-}
+/// Threshold multiplier η (the AHP paper's recommended value): cells with
+/// noisy count below `η·ln(n)/ε` are treated as empty.
+const ETA: f64 = 0.35;
 
-impl Default for AhpOptions {
-    fn default() -> Self {
-        AhpOptions {
-            eta: 0.35,
-            gamma: 2.0,
-        }
-    }
-}
+/// Cluster spread multiplier γ (the AHP paper's recommended value): a
+/// cluster is closed once `max − min > γ/ε`.
+const GAMMA: f64 = 2.0;
 
 /// Computes a data-adaptive partition of vector source `sv`, spending
 /// `eps` on the kernel's noisy histogram of it. An empty source is
 /// rejected with `InvalidArgument` before anything is charged.
-pub fn ahp_partition(
-    kernel: &ProtectedKernel,
-    sv: SourceVar,
-    eps: f64,
-    opts: &AhpOptions,
-) -> Result<Matrix> {
+pub fn ahp_partition(kernel: &ProtectedKernel, sv: SourceVar, eps: f64) -> Result<Matrix> {
     // A release that returns `Ok` holds one partition per request.
     kernel
-        .noisy_histograms(&[(sv, eps)], None, |noisy| cluster(noisy, eps, opts))
+        .noisy_histograms(&[(sv, eps)], None, |noisy| cluster(noisy, eps))
         .map(|mut parts| parts.swap_remove(0))
 }
 
 /// AHP's selection on the noisy histogram `noisy` released at `eps` — a
 /// pure function of its arguments.
-fn cluster(noisy: &[f64], eps: f64, opts: &AhpOptions) -> Matrix {
+fn cluster(noisy: &[f64], eps: f64) -> Matrix {
     let n = noisy.len();
     // Thresholding: noise-dominated cells count as empty.
-    let t = opts.eta * (n.max(2) as f64).ln() / eps;
+    let t = ETA * (n.max(2) as f64).ln() / eps;
     let value = |cell: usize| if noisy[cell] < t { 0.0 } else { noisy[cell] };
     // Sort cells by thresholded value, then greedily cluster.
     let mut order: Vec<usize> = (0..n).collect();
@@ -64,7 +46,7 @@ fn cluster(noisy: &[f64], eps: f64, opts: &AhpOptions) -> Matrix {
     // finite data + Laplace draws, but cheap to be total about) sorts
     // last instead of panicking.
     order.sort_by(|&a, &b| value(a).total_cmp(&value(b)));
-    let spread_cap = opts.gamma / eps;
+    let spread_cap = GAMMA / eps;
     let mut labels = vec![0usize; n];
     let mut group = 0usize;
     let mut cluster_min = value(order[0]);
@@ -86,7 +68,7 @@ mod tests {
     fn produces_valid_partition() {
         let x: Vec<f64> = (0..64).map(|i| (i / 16) as f64 * 50.0).collect();
         let k = ProtectedKernel::init_from_vector(x, 10.0, 5);
-        let p = ahp_partition(&k, k.root(), 5.0, &AhpOptions::default()).unwrap();
+        let p = ahp_partition(&k, k.root(), 5.0).unwrap();
         assert!(p.is_partition());
         assert_eq!(p.cols(), 64);
     }
@@ -95,7 +77,7 @@ mod tests {
     fn uniform_data_collapses_to_few_groups() {
         let x = vec![100.0; 128];
         let k = ProtectedKernel::init_from_vector(x, 10.0, 6);
-        let p = ahp_partition(&k, k.root(), 5.0, &AhpOptions::default()).unwrap();
+        let p = ahp_partition(&k, k.root(), 5.0).unwrap();
         assert!(
             p.rows() <= 16,
             "uniform data should form few clusters, got {}",
@@ -111,7 +93,7 @@ mod tests {
             *v = 1000.0;
         }
         let k = ProtectedKernel::init_from_vector(x, 100.0, 7);
-        let p = ahp_partition(&k, k.root(), 50.0, &AhpOptions::default()).unwrap();
+        let p = ahp_partition(&k, k.root(), 50.0).unwrap();
         let dense = p.to_dense();
         // Find groups of cell 0 and cell 63; they must differ.
         let group_of = |j: usize| (0..p.rows()).find(|&g| dense.get(g, j) == 1.0).unwrap();
@@ -121,14 +103,15 @@ mod tests {
     #[test]
     fn charges_exactly_eps() {
         let k = ProtectedKernel::init_from_vector(vec![1.0; 16], 1.0, 8);
-        ahp_partition(&k, k.root(), 0.3, &AhpOptions::default()).unwrap();
+        ahp_partition(&k, k.root(), 0.3).unwrap();
         assert!((k.budget_spent() - 0.3).abs() < 1e-12);
     }
 
     /// Reference: the operator with the kernel's privileged steps inlined
     /// — the charge and snapshot, substream 0, the noise drawn here — and
-    /// a clustering that thresholds its own copy in place.
-    fn ahp_by_hand(k: &ProtectedKernel, sv: SourceVar, eps: f64, opts: &AhpOptions) -> Matrix {
+    /// a clustering that thresholds its own copy in place. Also returns
+    /// how many cells fell under the threshold.
+    fn ahp_by_hand(k: &ProtectedKernel, sv: SourceVar, eps: f64) -> (Matrix, usize) {
         use crate::kernel::tests::{charge_and_snapshot, fill_laplace, substream_seed};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -142,15 +125,17 @@ mod tests {
         for (e, &v) in noisy.iter_mut().zip(x.iter()) {
             *e += v;
         }
-        let t = opts.eta * (n.max(2) as f64).ln() / eps;
+        let t = ETA * (n.max(2) as f64).ln() / eps;
+        let mut under = 0;
         for v in noisy.iter_mut() {
             if *v < t {
                 *v = 0.0;
+                under += 1;
             }
         }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| noisy[a].total_cmp(&noisy[b]));
-        let spread_cap = opts.gamma / eps;
+        let spread_cap = GAMMA / eps;
         let mut labels = vec![0usize; n];
         let mut group = 0usize;
         let mut cluster_min = noisy[order[0]];
@@ -161,26 +146,31 @@ mod tests {
             }
             labels[cell] = group;
         }
-        partition_from_labels(group + 1, &labels)
+        (partition_from_labels(group + 1, &labels), under)
     }
 
     /// The operator on the kernel's noisy histogram selects, spends and
-    /// draws as the reference that draws its own noise, at several seeds,
-    /// budgets and thresholds (so some cells fall under the threshold
-    /// and some clusters close).
+    /// draws as the reference that draws its own noise, at several seeds
+    /// and budgets. Every case puts some cells under the threshold and
+    /// closes at least one cluster, so both branches are compared.
     #[test]
     fn partition_is_its_snapshot_under_substream_zero() {
+        use std::cell::Cell;
         let x: Vec<f64> = (0..48).map(|i| ((i * 13) % 7) as f64 * 20.0).collect();
-        for (seed, eps, eta) in [(31, 0.5, 0.35), (32, 0.05, 0.35), (33, 2.0, 4.0)] {
-            let opts = AhpOptions {
-                eta,
-                ..AhpOptions::default()
-            };
+        for (seed, eps) in [(31, 0.5), (32, 0.05), (33, 2.0)] {
+            let (under, groups) = (Cell::new(0), Cell::new(0));
             crate::kernel::tests::assert_twins(
                 || ProtectedKernel::init_from_vector(x.clone(), 4.0, seed),
-                |k| ahp_partition(k, k.root(), eps, &opts).unwrap().to_sparse(),
-                |k| ahp_by_hand(k, k.root(), eps, &opts).to_sparse(),
+                |k| ahp_partition(k, k.root(), eps).unwrap().to_sparse(),
+                |k| {
+                    let (p, cells) = ahp_by_hand(k, k.root(), eps);
+                    under.set(cells);
+                    groups.set(p.rows());
+                    p.to_sparse()
+                },
             );
+            assert!(under.get() > 0, "seed {seed}: no cell under the threshold");
+            assert!(groups.get() > 1, "seed {seed}: no cluster closed");
         }
     }
 }

@@ -6,37 +6,41 @@
 //! Finding identical columns without materializing `W` uses a randomized
 //! sketch (Algorithm 4): `h = Wᵀ v` for random `v` groups columns by the
 //! value of `h`; identical columns always collide, distinct columns
-//! collide with probability ≈ 0. We run the sketch `k` times (default 2)
-//! to push the failure probability below ~10⁻³².
+//! collide with probability ≈ 0. We run the sketch twice to push the
+//! failure probability below ~10⁻³².
 
 use ektelo_matrix::{partition_from_labels, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 
-/// Computes the workload-based reduction matrix `P` (Algorithm 4) with `k`
-/// independent sketch repetitions.
+/// Independent sketch repetitions per column signature (Algorithm 4): two
+/// push the false-collision probability of distinct columns to ~10⁻²²
+/// (see [`workload_based_partition`]).
+const SKETCHES: usize = 2;
+
+/// Computes the workload-based reduction matrix `P` (Algorithm 4) from
+/// two independent sketch repetitions.
 ///
 /// Columns are compared after quantizing the sketch to an absolute grid
 /// (10⁻¹¹ of the sketch's range): implicit evaluation (prefix sums,
 /// difference arrays) reaches mathematically identical columns along
 /// different floating-point accumulation paths, so bit-exact comparison
 /// would spuriously split them. Quantization keeps the false-collision
-/// probability of *distinct* columns at ~10⁻¹¹ per sketch (~10⁻²² with
-/// the default k = 2) while absorbing the absolute accumulation error.
-pub fn workload_based_partition(workload: &Matrix, seed: u64, k: usize) -> Matrix {
+/// probability of *distinct* columns at ~10⁻¹¹ per sketch (~10⁻²² over
+/// both) while absorbing the absolute accumulation error.
+pub fn workload_based_partition(workload: &Matrix, seed: u64) -> Matrix {
     let n = workload.cols();
     let m = workload.rows();
-    let k = k.max(1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x8a17);
-    // Column signatures: k quantized sketch values per column. The grid
-    // step is absolute (10⁻¹¹ of the sketch's dynamic range) because the
-    // accumulation error of implicit evaluation is absolute too — e.g. a
-    // zero column downstream of cancelling prefix sums carries ~1e-16
+    // Column signatures: SKETCHES quantized sketch values per column. The
+    // grid step is absolute (10⁻¹¹ of the sketch's dynamic range) because
+    // the accumulation error of implicit evaluation is absolute too — e.g.
+    // a zero column downstream of cancelling prefix sums carries ~1e-16
     // residue that a relative comparison could never match with an exact
     // zero.
-    let mut signatures: Vec<Vec<i64>> = vec![Vec::with_capacity(k); n];
-    for _ in 0..k {
+    let mut signatures: Vec<Vec<i64>> = vec![Vec::with_capacity(SKETCHES); n];
+    for _ in 0..SKETCHES {
         let v: Vec<f64> = (0..m).map(|_| rng.random::<f64>()).collect();
         let h = workload.rmatvec(&v);
         let max_abs = h.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
@@ -58,7 +62,7 @@ pub fn workload_based_partition(workload: &Matrix, seed: u64, k: usize) -> Matri
 /// Convenience: the full reduction of paper Prop. 8.3 — returns
 /// `(P, W' = W·P⁺)` so plans can transform both the data and the workload.
 pub fn workload_reduction(workload: &Matrix, seed: u64) -> (Matrix, Matrix) {
-    let p = workload_based_partition(workload, seed, 2);
+    let p = workload_based_partition(workload, seed);
     let w_reduced = Matrix::product(workload.clone(), p.partition_pinv());
     (p, w_reduced)
 }
@@ -73,7 +77,7 @@ mod tests {
         // 4-cell domain (salary≤?, sex) the workload needs only the cells
         // it touches; untouched cells share the all-zero column group.
         let w = Matrix::from_rows(vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.0, 0.0, 1.0]]);
-        let p = workload_based_partition(&w, 0, 2);
+        let p = workload_based_partition(&w, 0);
         // Groups: {cell0}, {cell1, cell2}, {cell3} → 3 groups.
         assert_eq!(p.rows(), 3);
     }
@@ -82,7 +86,7 @@ mod tests {
     fn marginal_workload_admits_no_reduction() {
         // All 1-way marginals distinguish every cell (paper Example 8.1).
         let w = ektelo_data::workloads::all_k_way_marginals(&[3, 4], 1);
-        let p = workload_based_partition(&w, 1, 2);
+        let p = workload_based_partition(&w, 1);
         assert_eq!(p.rows(), 12);
     }
 
@@ -106,14 +110,14 @@ mod tests {
     #[test]
     fn total_workload_reduces_to_one_group() {
         let w = Matrix::total(100);
-        let p = workload_based_partition(&w, 3, 2);
+        let p = workload_based_partition(&w, 3);
         assert_eq!(p.rows(), 1);
     }
 
     #[test]
     fn identity_workload_reduces_nothing() {
         let w = Matrix::identity(32);
-        let p = workload_based_partition(&w, 4, 2);
+        let p = workload_based_partition(&w, 4);
         assert_eq!(p.rows(), 32);
     }
 
@@ -124,7 +128,7 @@ mod tests {
             Matrix::prefix(64),
             Matrix::vstack(vec![Matrix::total(4), Matrix::identity(4)]),
         );
-        let p = workload_based_partition(&w, 5, 2);
+        let p = workload_based_partition(&w, 5);
         // This workload distinguishes all cells.
         assert_eq!(p.rows(), 256);
         assert!(p.is_partition());

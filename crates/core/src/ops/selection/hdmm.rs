@@ -16,55 +16,48 @@
 use ektelo_matrix::{DenseMatrix, Matrix};
 use ektelo_solvers::{cholesky_factor, cholesky_solve};
 
-/// Options for the HDMM optimizer.
-#[derive(Clone, Debug)]
-pub struct HdmmOptions {
-    /// Coordinate-descent passes over the weight vector.
-    pub passes: usize,
-    /// Domains larger than this are optimized on a coarsened copy and the
-    /// learned level weights are stretched back (dense `O(n³)` algebra
-    /// bounds the exact optimization).
-    pub max_opt_domain: usize,
-}
+/// Coordinate-descent passes over the weight vector.
+const PASSES: usize = 3;
 
-impl Default for HdmmOptions {
-    fn default() -> Self {
-        HdmmOptions {
-            passes: 3,
-            max_opt_domain: 256,
-        }
-    }
-}
+/// Domains larger than this are optimized on a coarsened copy and the
+/// learned level weights are stretched back: the dense `O(n³)` algebra
+/// bounds the exact optimization.
+const MAX_OPT_DOMAIN: usize = 256;
 
 /// Optimizes a 1-D strategy for `workload` (n columns). Returns the
 /// weighted strategy matrix.
-pub fn hdmm_1d(workload: &Matrix, opts: &HdmmOptions) -> Matrix {
-    let n = workload.cols();
-    assert!(n > 0, "hdmm over empty domain");
-    if n <= opts.max_opt_domain {
-        let weights = optimize_weights(workload, n, opts.passes);
-        weighted_strategy(n, &weights)
-    } else {
-        // Coarsen: optimize level weights on a uniformly reduced domain,
-        // then stretch the learned weight profile to the full tree depth.
-        let b = opts.max_opt_domain;
-        let p = uniform_partition(n, b);
-        let pinv = p.partition_pinv();
-        let coarse_w = Matrix::product(workload.clone(), pinv);
-        let coarse_weights = optimize_weights(&coarse_w, b, opts.passes);
-        let full_depth = depth_of(n) + 1; // + identity block
-        let weights = stretch(&coarse_weights, full_depth);
-        weighted_strategy(n, &weights)
-    }
+pub fn hdmm_1d(workload: &Matrix) -> Matrix {
+    optimize_strategy(workload, PASSES, MAX_OPT_DOMAIN)
 }
 
 /// Per-factor HDMM for Kronecker workloads: optimizes each 1-D factor
 /// independently and returns the Kronecker product of the learned
 /// strategies (HDMM's OPT_⊗ decomposition).
-pub fn hdmm_kron(factors: &[Matrix], opts: &HdmmOptions) -> Matrix {
+pub fn hdmm_kron(factors: &[Matrix]) -> Matrix {
     assert!(!factors.is_empty());
-    let strategies = factors.iter().map(|f| hdmm_1d(f, opts)).collect();
-    Matrix::kron_list(strategies)
+    Matrix::kron_list(factors.iter().map(hdmm_1d).collect())
+}
+
+/// [`hdmm_1d`] with `passes` coordinate-descent passes, on a coarsened
+/// copy once the domain exceeds `max_opt_domain` cells.
+fn optimize_strategy(workload: &Matrix, passes: usize, max_opt_domain: usize) -> Matrix {
+    let n = workload.cols();
+    assert!(n > 0, "hdmm over empty domain");
+    if n <= max_opt_domain {
+        let weights = optimize_weights(workload, n, passes);
+        weighted_strategy(n, &weights)
+    } else {
+        // Coarsen: optimize level weights on a uniformly reduced domain,
+        // then stretch the learned weight profile to the full tree depth.
+        let b = max_opt_domain;
+        let p = uniform_partition(n, b);
+        let pinv = p.partition_pinv();
+        let coarse_w = Matrix::product(workload.clone(), pinv);
+        let coarse_weights = optimize_weights(&coarse_w, b, passes);
+        let full_depth = depth_of(n) + 1; // + identity block
+        let weights = stretch(&coarse_weights, full_depth);
+        weighted_strategy(n, &weights)
+    }
 }
 
 /// The parameterized strategy: binary-hierarchy levels (root .. depth) each
@@ -263,7 +256,7 @@ mod tests {
     fn beats_identity_on_range_workloads() {
         let n = 32;
         let w = Matrix::prefix(n);
-        let a = hdmm_1d(&w, &HdmmOptions::default());
+        let a = hdmm_1d(&w);
         let err_hdmm = expected_error(&w, &a);
         let err_id = expected_error(&w, &Matrix::identity(n));
         assert!(
@@ -278,7 +271,7 @@ mod tests {
         // the optimizer should not be much worse than identity itself.
         let n = 16;
         let w = Matrix::identity(n);
-        let a = hdmm_1d(&w, &HdmmOptions::default());
+        let a = hdmm_1d(&w);
         let err_hdmm = expected_error(&w, &a);
         let err_id = expected_error(&w, &Matrix::identity(n));
         assert!(err_hdmm <= err_id * 1.3, "{err_hdmm} vs {err_id}");
@@ -288,13 +281,8 @@ mod tests {
     fn large_domain_uses_coarsening() {
         let n = 2048;
         let w = Matrix::prefix(n);
-        let a = hdmm_1d(
-            &w,
-            &HdmmOptions {
-                passes: 1,
-                max_opt_domain: 64,
-            },
-        );
+        // One pass on a 64-cell copy keeps the test fast.
+        let a = optimize_strategy(&w, 1, 64);
         assert_eq!(a.cols(), n);
         // Full-rank: the identity block guarantees solvability.
         let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
@@ -306,13 +294,7 @@ mod tests {
     fn kron_strategy_matches_factor_shapes() {
         let f1 = Matrix::prefix(8);
         let f2 = Matrix::identity(4);
-        let a = hdmm_kron(
-            &[f1, f2],
-            &HdmmOptions {
-                passes: 1,
-                max_opt_domain: 64,
-            },
-        );
+        let a = hdmm_kron(&[f1, f2]);
         assert_eq!(a.cols(), 32);
     }
 

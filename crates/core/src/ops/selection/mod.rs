@@ -15,7 +15,7 @@ mod worst_approx;
 
 pub use greedy_h::greedy_h;
 pub use grids::{adaptive_grid_round2, quad_tree, uniform_grid, uniform_grid_size};
-pub use hdmm::{hdmm_1d, hdmm_kron, HdmmOptions};
+pub use hdmm::{hdmm_1d, hdmm_kron};
 pub use hier::{h2, hb};
 pub use privbayes::{privbayes_select, BayesNet, Clique};
 pub use stripe::stripe_select;

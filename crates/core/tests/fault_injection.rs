@@ -1,7 +1,8 @@
 //! Deterministic fault-injection sweep (robustness acceptance gate).
 //!
 //! For each representative plan shape (baseline identity, HB, DAWA-Striped
-//! with its batched measure, adaptive MWEM), a clean run
+//! with its batched measure, adaptive MWEM), and for kernel calls issued
+//! directly without a reservation, a clean run
 //! first records how often every failpoint site is passed; the sweep then
 //! re-runs the plan on a fresh equally-seeded kernel with "fail at the
 //! k-th hit of site S" armed, for several k per site, and asserts the
@@ -22,6 +23,7 @@
 
 #![cfg(feature = "failpoints")]
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
 use ektelo_core::kernel::{EktError, ProtectedKernel};
@@ -29,7 +31,7 @@ use ektelo_core::ops::graph::{
     MwemLoopOp, MwemRoundInference, PlanBuilder, PlanExecutor, PlanSpec,
 };
 use ektelo_core::ops::inference::LsSolver;
-use ektelo_core::ops::partition::DawaOptions;
+use ektelo_core::ops::partition::{ahp_partition, DawaOptions};
 use ektelo_matrix::{failpoints, Matrix};
 
 /// The failpoint registry is process-global; tests in this binary must
@@ -117,16 +119,35 @@ fn kernel() -> ProtectedKernel {
     ProtectedKernel::init_from_vector(x, EPS_TOTAL, SEED)
 }
 
-/// The hit counts a clean run of `spec` accrues at every site.
-fn baseline_hits(spec: &PlanSpec, checked: bool) -> Vec<(&'static str, u64)> {
+/// A run the sweep repeats on fresh kernels.
+type Runner<'a> = &'a dyn Fn(&ProtectedKernel) -> Result<(), EktError>;
+
+/// Runs `spec` through the executor, which redeems every charge from the
+/// plan's reservation.
+fn execute(spec: &PlanSpec) -> impl Fn(&ProtectedKernel) -> Result<(), EktError> + '_ {
+    move |k| PlanExecutor::new(k).run(spec, k.root()).map(|_| ())
+}
+
+/// Kernel calls issued directly, with no reservation, so every charge
+/// takes the unattributed `state::charge` path: AHP's partition
+/// selection, then its buckets measured. A panic is reported as the
+/// executor reports one.
+fn direct_calls(k: &ProtectedKernel) -> Result<(), EktError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let p = ahp_partition(k, k.root(), 0.2)?;
+        let buckets = k.reduce_by_partition(k.root(), &p)?;
+        let groups = k.vector_len(buckets)?;
+        k.vector_laplace(buckets, &Matrix::identity(groups), 0.4)?;
+        Ok(())
+    }))
+    .unwrap_or_else(|_| Err(EktError::ExecutionPanic("direct kernel call".into())))
+}
+
+/// The hit counts a clean `run` accrues at every site.
+fn baseline_hits(run: Runner) -> Vec<(&'static str, u64)> {
     failpoints::clear();
     let k = kernel();
-    let exec = if checked {
-        PlanExecutor::new(&k)
-    } else {
-        PlanExecutor::unchecked(&k)
-    };
-    exec.run(spec, k.root()).expect("clean baseline run");
+    run(&k).expect("clean baseline run");
     SITES.iter().map(|&s| (s, failpoints::hits(s))).collect()
 }
 
@@ -170,9 +191,9 @@ fn assert_fault_contract(name: &str, site: &str, nth: u64, k: &ProtectedKernel, 
 }
 
 /// Sweep "fail at hit k of site s" for k ∈ {1, 2, h/2, h} over every site
-/// the plan actually passes.
-fn sweep(name: &str, spec: &PlanSpec, checked: bool) {
-    for (site, h) in baseline_hits(spec, checked) {
+/// the run actually passes.
+fn sweep(name: &str, run: Runner) {
+    for (site, h) in baseline_hits(run) {
         if h == 0 {
             continue;
         }
@@ -183,14 +204,7 @@ fn sweep(name: &str, spec: &PlanSpec, checked: bool) {
             failpoints::clear();
             failpoints::arm(site, nth);
             let k = kernel();
-            let exec = if checked {
-                PlanExecutor::new(&k)
-            } else {
-                PlanExecutor::unchecked(&k)
-            };
-            let err = exec
-                .run(spec, k.root())
-                .expect_err("an armed in-range site must fail the plan");
+            let err = run(&k).expect_err("an armed in-range site must fail the plan");
             assert_fault_contract(name, site, nth, &k, err);
         }
     }
@@ -201,26 +215,23 @@ fn sweep(name: &str, spec: &PlanSpec, checked: bool) {
 fn fault_sweep_over_representative_plans() {
     let _guard = serial();
     for (name, spec) in plans() {
-        sweep(name, &spec, true);
+        sweep(name, &execute(&spec));
     }
 }
 
 #[test]
 fn fault_sweep_without_preaccounting_hits_the_unattributed_charge_path() {
-    // The unchecked executor charges without a reservation, so this is
-    // the only sweep that exercises the `state::charge` site (checked
-    // plans always redeem via `state::redeem`).
+    // Direct kernel calls charge without a reservation, so this is the
+    // only sweep that exercises the `state::charge` site (executor runs
+    // always redeem via `state::redeem`).
     let _guard = serial();
-    let spec = identity_spec(0.6);
     assert!(
-        baseline_hits(&spec, false)
+        baseline_hits(&direct_calls)
             .iter()
             .any(|&(s, h)| s == "state::charge" && h > 0),
-        "unchecked runs must pass the unattributed charge site"
+        "direct calls must pass the unattributed charge site"
     );
-    for (name, spec) in plans() {
-        sweep(name, &spec, false);
-    }
+    sweep("direct calls", &direct_calls);
 }
 
 #[test]
@@ -233,7 +244,7 @@ fn single_measurement_plans_pass_the_batch_sites() {
         ("identity", identity_spec(0.6)),
         ("mwem", mwem_spec(4, 0.6)),
     ] {
-        let hits = baseline_hits(&spec, true);
+        let hits = baseline_hits(&execute(&spec));
         for site in ["kernel::batch_stripe", "kernel::batch_exact"] {
             assert!(
                 hits.iter().any(|&(s, h)| s == site && h > 0),
@@ -251,7 +262,7 @@ fn striped_inference_passes_the_solver_site() {
     // exact stripe still passes the solver site once, so the sweep keeps
     // failing a striped inference there.
     let _guard = serial();
-    let hits = baseline_hits(&dawa_striped_spec(0.15, 0.45), true);
+    let hits = baseline_hits(&execute(&dawa_striped_spec(0.15, 0.45)));
     assert!(
         hits.iter().any(|&(s, h)| s == "solver::iteration" && h > 0),
         "dawa-striped must pass solver::iteration: {hits:?}"

@@ -6,19 +6,22 @@
 //!   **bit for bit**, and renders its Fig. 2 signature;
 //! * an over-budget spec is rejected *before any kernel call* — zero
 //!   measurement-history entries, zero budget spent, nothing reserved;
-//! * when pre-accounting is bypassed (`PlanExecutor::unchecked`), budget
-//!   exhaustion mid-plan surfaces as a typed [`EktError`] — never a
-//!   panic — from every operator class that charges: Measure (Vector
-//!   Laplace, single and batched), Partition selection (DAWA stage 1),
-//!   and query Selection inside the MWEM adaptive loop; stability-scaled
-//!   Transform chains are accounted and enforced too.
+//! * the executor reserves a plan's whole pre-accounted ε up front, so
+//!   no plan run through it exhausts the budget mid-plan; issued directly,
+//!   as an imperative plan issues them, the same kernel calls surface
+//!   exhaustion mid-plan as a typed [`EktError`] — never a panic — from
+//!   every operator class that charges: Measure (Vector Laplace, single
+//!   and batched), Partition selection (DAWA stage 1), and query
+//!   Selection inside the MWEM adaptive loop; stability-scaled Transform
+//!   chains are accounted and enforced too.
 
 use ektelo_core::kernel::{EktError, ProtectedKernel};
 use ektelo_core::ops::graph::{
     MwemLoopOp, MwemRoundInference, PlanBuilder, PlanExecutor, PlanSpec,
 };
 use ektelo_core::ops::inference::LsSolver;
-use ektelo_core::ops::partition::DawaOptions;
+use ektelo_core::ops::partition::{dawa_partition_batch, stripe_partition, DawaOptions};
+use ektelo_core::ops::selection::{hb, stripe_select, worst_approx};
 use ektelo_matrix::Matrix;
 
 fn identity_spec(eps: f64) -> PlanSpec {
@@ -215,6 +218,34 @@ fn nan_epsilon_cannot_poison_budget_enforcement() {
 // Mid-plan budget exhaustion: typed errors from every charging class
 // -------------------------------------------------------------------
 
+/// The executor turns `spec` away at admission, with no kernel effect:
+/// it never starts a plan whose pre-accounted ε is not free.
+fn assert_rejected_at_admission(k: &ProtectedKernel, spec: &PlanSpec) {
+    let err = PlanExecutor::new(k).run(spec, k.root()).unwrap_err();
+    assert!(matches!(err, EktError::BudgetExceeded { .. }));
+    assert_eq!(k.measurement_count(), 0);
+    assert_eq!(k.budget_spent(), 0.0);
+    assert_eq!(k.budget_reserved(), 0.0);
+    assert_eq!(k.active_reservations(), 0);
+}
+
+/// One round of `mwem_spec`'s loop issued directly: the worst-approx
+/// selection (the exponential mechanism's charge), then the chosen row
+/// measured. The estimate stays uniform; it moves no charge.
+fn mwem_round(
+    k: &ProtectedKernel,
+    workload: &Matrix,
+    eps_select: f64,
+    eps_measure: f64,
+) -> Result<(), EktError> {
+    let n = workload.cols();
+    let x_hat = vec![500.0 / n as f64; n];
+    let idx = worst_approx(k, k.root(), workload, &x_hat, 1.0, eps_select, None)?;
+    let row = Matrix::from_rows(vec![workload.row(idx)]);
+    k.vector_laplace(k.root(), &row, eps_measure)?;
+    Ok(())
+}
+
 #[test]
 fn measure_class_exhaustion_is_typed_mid_plan() {
     // Two measure nodes; the kernel can only afford the first.
@@ -228,9 +259,11 @@ fn measure_class_exhaustion_is_typed_mid_plan() {
     let spec = b.finish(e);
 
     let k = vector_kernel(16, 0.5, 1);
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
-        .unwrap_err();
+    assert_rejected_at_admission(&k, &spec);
+    // Issued directly, the second measurement hits the exhausted budget.
+    k.vector_laplace(k.root(), &Matrix::identity(16), 0.4)
+        .unwrap();
+    let err = k.vector_laplace(k.root(), &hb(16), 0.4).unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
     // The first measurement went through before the failure.
     assert_eq!(k.measurement_count(), 1);
@@ -249,9 +282,14 @@ fn batched_measure_exhaustion_is_typed_mid_plan() {
     let spec = b.finish(e);
 
     let k = vector_kernel(48, 0.5, 2);
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
-        .unwrap_err();
+    assert_rejected_at_admission(&k, &spec);
+    // Issued directly, the per-stripe batch the spec lowers fails typed.
+    let stripes = k
+        .split_by_partition(k.root(), &stripe_partition(&[16, 3], 0))
+        .unwrap();
+    let s = hb(16);
+    let reqs: Vec<_> = stripes.iter().map(|&sv| (sv, &s, 0.8)).collect();
+    let err = k.vector_laplace_batch(&reqs).unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
     assert_eq!(
         k.measurement_count(),
@@ -261,9 +299,10 @@ fn batched_measure_exhaustion_is_typed_mid_plan() {
 }
 
 /// A shared-strategy stripe batch runs as one Kronecker measurement of
-/// the split's input. When ε runs out it fails with the same typed error
-/// and charges and records nothing; with enough ε it records one
-/// measurement and charges exactly the pre-accounted ε.
+/// the split's input. Without the ε for it the plan is refused at
+/// admission, and that measurement issued directly fails with the same
+/// typed error and charges and records nothing; with enough ε it records
+/// one measurement and charges exactly the pre-accounted ε.
 #[test]
 fn lowered_stripe_batch_exhaustion_charges_nothing() {
     let mut b = PlanBuilder::new();
@@ -276,14 +315,12 @@ fn lowered_stripe_batch_exhaustion_charges_nothing() {
     let spec = b.finish(e);
 
     let k = vector_kernel(48, 0.5, 2);
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
-        .unwrap_err();
+    assert_rejected_at_admission(&k, &spec);
+    let lowered = stripe_select(&[16, 3], 0, hb);
+    let err = k.vector_laplace(k.root(), &lowered, 0.8).unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
     assert_eq!(k.measurement_count(), 0);
     assert_eq!(k.budget_spent(), 0.0);
-    assert_eq!(k.budget_reserved(), 0.0);
-    assert_eq!(k.active_reservations(), 0);
 
     let k = vector_kernel(48, 1.0, 2);
     let report = PlanExecutor::new(&k).run(&spec, k.root()).unwrap();
@@ -299,9 +336,12 @@ fn lowered_stripe_batch_exhaustion_charges_nothing() {
 fn partition_class_exhaustion_is_typed_mid_plan() {
     let spec = dawa_striped_spec(&[16, 3], 0, 0.25, 0.75);
     let k = vector_kernel(48, 0.2, 3); // < DAWA's stage-1 share
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
-        .unwrap_err();
+    assert_rejected_at_admission(&k, &spec);
+    // Issued directly, DAWA's stage 1 over the stripes fails typed.
+    let stripes = k
+        .split_by_partition(k.root(), &stripe_partition(&[16, 3], 0))
+        .unwrap();
+    let err = dawa_partition_batch(&k, &stripes, 0.25, &DawaOptions::new(0.75), None).unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
     assert_eq!(k.measurement_count(), 0);
 }
@@ -313,9 +353,10 @@ fn select_class_exhaustion_inside_mwem_loop_is_typed() {
     // operator — the exponential mechanism's charge — with a typed error.
     let spec = mwem_spec(32, 3, 0.9);
     let k = vector_kernel(32, 0.4, 4);
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
-        .unwrap_err();
+    assert_rejected_at_admission(&k, &spec);
+    let w = Matrix::prefix(32);
+    mwem_round(&k, &w, 0.15, 0.15).unwrap();
+    let err = mwem_round(&k, &w, 0.15, 0.15).unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
     assert_eq!(
         k.measurement_count(),
@@ -346,9 +387,10 @@ fn mwem_measure_exhaustion_mid_round_is_typed() {
     });
     let spec = b.finish(e);
     let k = vector_kernel(32, 0.35, 5);
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
-        .unwrap_err();
+    assert_rejected_at_admission(&k, &spec);
+    let w = Matrix::prefix(32);
+    mwem_round(&k, &w, 0.05, 0.25).unwrap();
+    let err = mwem_round(&k, &w, 0.05, 0.25).unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
     assert_eq!(k.measurement_count(), 1);
 }
@@ -381,13 +423,17 @@ fn stability_scaled_transform_is_pre_accounted_and_enforced() {
     assert_eq!(k.measurement_count(), 0);
     assert_eq!(k.budget_spent(), 0.0);
 
-    // Unchecked, the same spec dies inside the measure operator with a
-    // typed error — the Transform node itself is free but its stability
-    // scales the downstream charge.
-    let err = PlanExecutor::unchecked(&k)
-        .run(&spec, k.root())
+    // Issued directly, the same calls die inside the measure operator
+    // with a typed error — the Transform itself is free but its
+    // stability scales the downstream charge.
+    let doubled = k
+        .transform_linear(k.root(), &Matrix::scaled(2.0, Matrix::identity(16)))
+        .unwrap();
+    let err = k
+        .vector_laplace(doubled, &Matrix::identity(16), 0.4)
         .unwrap_err();
     assert!(matches!(err, EktError::BudgetExceeded { .. }));
+    assert_eq!(k.budget_spent(), 0.0);
 
     // With enough budget it runs, charging exactly the pre-account.
     let k = vector_kernel(16, 1.0, 7);

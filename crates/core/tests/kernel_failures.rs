@@ -3,7 +3,7 @@
 
 use ektelo_core::kernel::{EktError, ProtectedKernel};
 use ektelo_core::ops::partition::{
-    ahp_partition, dawa_partition, dawa_partition_batch, AhpOptions, DawaOptions,
+    ahp_partition, dawa_partition, dawa_partition_batch, DawaOptions,
 };
 use ektelo_core::ops::selection::{privbayes_select, worst_approx};
 use ektelo_data::{Predicate, Schema, Table};
@@ -58,9 +58,7 @@ fn wrong_source_type_rejected_before_charging() {
     let table = k.root();
     let x = k.vectorize(table).unwrap();
     let wrong = |r| matches!(r, Err(EktError::WrongSourceType { .. }));
-    assert!(wrong(
-        ahp_partition(&k, table, 0.3, &AhpOptions::default()).map(|_| ())
-    ));
+    assert!(wrong(ahp_partition(&k, table, 0.3).map(|_| ())));
     assert!(wrong(
         dawa_partition(&k, table, 0.2, &DawaOptions::new(0.1)).map(|_| ())
     ));
@@ -77,7 +75,7 @@ fn wrong_source_type_rejected_before_charging() {
     assert!(wrong(privbayes_select(&k, x, 1, 0.2).map(|_| ())));
     assert_eq!(k.budget_spent(), 0.0, "a rejected call must charge nothing");
     // The kernel still answers, on the right source types.
-    ahp_partition(&k, x, 0.3, &AhpOptions::default()).unwrap();
+    ahp_partition(&k, x, 0.3).unwrap();
     assert!((k.budget_spent() - 0.3).abs() < 1e-12);
 }
 
@@ -104,7 +102,7 @@ fn non_positive_epsilon_rejected_everywhere() {
             k.noisy_count(k.root(), eps),
             Err(EktError::InvalidArgument(_))
         ));
-        assert!(ahp_partition(&k, k.root(), eps, &AhpOptions::default()).is_err());
+        assert!(ahp_partition(&k, k.root(), eps).is_err());
         assert!(dawa_partition(&k, k.root(), eps, &DawaOptions::new(0.1)).is_err());
     }
     // Nothing above should have consumed any budget.
@@ -138,6 +136,34 @@ fn invalid_partition_rejected_by_both_partition_ops() {
     }
 }
 
+/// A column split across two groups by a weight too small for
+/// `is_partition`'s tolerance would put that cell's count in both
+/// children, whose measurements then compose in parallel while both read
+/// it. The split is rejected before any node is added: nothing is spent
+/// or recorded, and the kernel stays usable.
+#[test]
+fn split_rejects_a_column_in_two_groups() {
+    let k = ProtectedKernel::init_from_vector(vec![5.0, 7.0], 2.0, 0);
+    k.vector_laplace(k.root(), &Matrix::identity(2), 0.5)
+        .unwrap();
+    let near = Matrix::sparse(ektelo_matrix::CsrMatrix::from_triplets(
+        2,
+        2,
+        &[(0, 0, 1.0 - 1e-14), (0, 1, 1.0), (1, 0, 1e-14)],
+    ));
+    assert!(near.is_partition(), "inside the 1e-12 tolerance");
+    assert!(matches!(
+        k.split_by_partition(k.root(), &near),
+        Err(EktError::InvalidPartition(_))
+    ));
+    assert_eq!(k.budget_spent(), 0.5);
+    assert_eq!(k.measurement_count(), 1);
+    let parts = k
+        .split_by_partition(k.root(), &Matrix::identity(2))
+        .unwrap();
+    assert_eq!(parts.len(), 2);
+}
+
 /// An empty vector source — split off by a partition with an empty
 /// group, or built directly — is rejected by every data-adaptive
 /// partition selection before anything is charged, and the kernel stays
@@ -152,7 +178,7 @@ fn empty_source_partition_selection_rejected_before_charging() {
     let k0 = ProtectedKernel::init_from_vector(vec![], 1.0, 0);
     for (k, empty, sibling) in [(&k, empty, Some(parts[0])), (&k0, k0.root(), None)] {
         assert!(matches!(
-            ahp_partition(k, empty, 0.1, &AhpOptions::default()),
+            ahp_partition(k, empty, 0.1),
             Err(EktError::InvalidArgument(_))
         ));
         assert!(matches!(

@@ -98,7 +98,7 @@ pub fn plan_hdmm(
     workload: &Matrix,
     eps: f64,
 ) -> PlanResult {
-    let strategy = selection::hdmm_1d(workload, &selection::HdmmOptions::default());
+    let strategy = selection::hdmm_1d(workload);
     run(kernel, x, |b, _| b.select_fixed(strategy, "SHD"), eps)
 }
 
@@ -111,7 +111,7 @@ pub fn plan_hdmm_kron(
     factors: &[Matrix],
     eps: f64,
 ) -> PlanResult {
-    let strategy = selection::hdmm_kron(factors, &selection::HdmmOptions::default());
+    let strategy = selection::hdmm_kron(factors);
     run(kernel, x, |b, _| b.select_fixed(strategy, "SHD"), eps)
 }
 

@@ -4,7 +4,7 @@
 //! Identity/Laplace(ε/2) → NNLS → Prefix·x̂.
 
 use ektelo_core::kernel::{ProtectedKernel, Result, SourceVar};
-use ektelo_core::ops::partition::{ahp_partition, AhpOptions};
+use ektelo_core::ops::partition::ahp_partition;
 use ektelo_data::Predicate;
 use ektelo_matrix::Matrix;
 
@@ -28,7 +28,7 @@ pub fn cdf_estimator(
     let start = kernel.measurement_count();
 
     // Line 5: AHPpartition with ε/2.
-    let p = ahp_partition(kernel, x, eps / 2.0, &AhpOptions::default())?;
+    let p = ahp_partition(kernel, x, eps / 2.0)?;
     // Line 6: V-ReduceByPartition.
     let reduced = kernel.reduce_by_partition(x, &p)?;
     // Lines 7–8: Identity selection + Vector Laplace with ε/2.

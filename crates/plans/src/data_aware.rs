@@ -8,8 +8,7 @@
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
 use ektelo_core::ops::inference::LsSolver;
 use ektelo_core::ops::partition::{
-    ahp_partition, dawa_partition, interval_partition_bounds, map_ranges_to_buckets, AhpOptions,
-    DawaOptions,
+    ahp_partition, dawa_partition, interval_partition_bounds, map_ranges_to_buckets, DawaOptions,
 };
 use ektelo_core::ops::selection;
 use ektelo_matrix::Matrix;
@@ -22,7 +21,7 @@ use crate::util::{infer_ls, split_budget, workload_ranges, PlanOutcome, PlanResu
 pub fn plan_ahp(kernel: &ProtectedKernel, x: SourceVar, eps: f64, rho: f64) -> PlanResult {
     let shares = split_budget(eps, &[rho, 1.0 - rho]);
     let start = kernel.measurement_count();
-    let p = ahp_partition(kernel, x, shares[0], &AhpOptions::default())?;
+    let p = ahp_partition(kernel, x, shares[0])?;
     let reduced = kernel.reduce_by_partition(x, &p)?;
     let groups = kernel.vector_len(reduced)?;
     kernel.vector_laplace(reduced, &selection::identity(groups), shares[1])?;

@@ -22,7 +22,7 @@ use ektelo_data::workloads::marginal;
 use ektelo_data::Table;
 use ektelo_matrix::Matrix;
 
-use crate::select_ls::{plan_select_ls, SelectLsOptions};
+use crate::select_ls::plan_select_ls;
 use crate::util::infer_ls;
 
 /// The sufficient statistics of a binary-label Naive-Bayes model:
@@ -138,7 +138,7 @@ pub fn plan_nb_select_ls(
     let sizes = kernel.schema(table)?.sizes();
     let x = kernel.vectorize(table)?;
     let specs = nb_specs(sizes.len());
-    let out = plan_select_ls(kernel, x, &sizes, &specs, eps, &SelectLsOptions::default())?;
+    let out = plan_select_ls(kernel, x, &sizes, &specs, eps)?;
     Ok(histograms_from_vector(&out.x_hat, &sizes))
 }
 

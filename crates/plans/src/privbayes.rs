@@ -11,30 +11,18 @@
 
 use ektelo_core::kernel::{ProtectedKernel, Result, SourceVar};
 use ektelo_core::ops::inference::LsSolver;
-use ektelo_core::ops::selection::{privbayes_select, BayesNet};
+use ektelo_core::ops::selection::{privbayes_select, BayesNet, Clique};
 use ektelo_data::workloads::marginal;
 use ektelo_matrix::Matrix;
 
 use crate::util::{infer_ls, split_budget, PlanOutcome, PlanResult};
 
-/// Options for the PrivBayes plans.
-#[derive(Clone, Debug)]
-pub struct PrivBayesOptions {
-    /// Maximum parents per node (the network's degree bound).
-    pub max_parents: usize,
-    /// Budget share for structure selection (the PrivBayes paper uses
-    /// 0.3–0.5; we default to 0.3 so most budget goes to measurement).
-    pub select_share: f64,
-}
+/// Maximum parents per node: the network's degree bound, PrivBayes's `k`.
+const MAX_PARENTS: usize = 2;
 
-impl Default for PrivBayesOptions {
-    fn default() -> Self {
-        PrivBayesOptions {
-            max_parents: 2,
-            select_share: 0.3,
-        }
-    }
-}
+/// Budget share for structure selection. The PrivBayes paper uses 0.3–0.5;
+/// 0.3 leaves most of the budget to measurement.
+const SELECT_SHARE: f64 = 0.3;
 
 /// The shared front half: select the network, vectorize, and measure the
 /// clique marginals. Returns the net, the vector source, and the history
@@ -43,12 +31,11 @@ fn select_and_measure(
     kernel: &ProtectedKernel,
     table: SourceVar,
     eps: f64,
-    opts: &PrivBayesOptions,
 ) -> Result<(BayesNet, SourceVar, usize, Vec<usize>)> {
     let schema = kernel.schema(table)?;
     let sizes = schema.sizes();
-    let shares = split_budget(eps, &[opts.select_share, 1.0 - opts.select_share]);
-    let net = privbayes_select(kernel, table, opts.max_parents, shares[0])?;
+    let shares = split_budget(eps, &[SELECT_SHARE, 1.0 - SELECT_SHARE]);
+    let net = privbayes_select(kernel, table, MAX_PARENTS, shares[0])?;
     let x = kernel.vectorize(table)?;
     let start = kernel.measurement_count();
     let blocks: Vec<Matrix> = net
@@ -67,13 +54,8 @@ fn select_and_measure(
 
 /// Original PrivBayes (Zhang et al. 2017): model-based inference.
 /// Returns the estimated full-domain vector.
-pub fn plan_privbayes(
-    kernel: &ProtectedKernel,
-    table: SourceVar,
-    eps: f64,
-    opts: &PrivBayesOptions,
-) -> PlanResult {
-    let (net, _x, start, sizes) = select_and_measure(kernel, table, eps, opts)?;
+pub fn plan_privbayes(kernel: &ProtectedKernel, table: SourceVar, eps: f64) -> PlanResult {
+    let (net, _x, start, sizes) = select_and_measure(kernel, table, eps)?;
     let measurements = kernel.measurements_since(start);
     // Split the single union answer back into per-clique marginals.
     let answers = &measurements[0].answers;
@@ -91,13 +73,8 @@ pub fn plan_privbayes(
 
 /// Plan #17 — PrivBayesLS (Algorithm 7): same measurements, generic
 /// least-squares inference.
-pub fn plan_privbayes_ls(
-    kernel: &ProtectedKernel,
-    table: SourceVar,
-    eps: f64,
-    opts: &PrivBayesOptions,
-) -> PlanResult {
-    let (_net, _x, start, _sizes) = select_and_measure(kernel, table, eps, opts)?;
+pub fn plan_privbayes_ls(kernel: &ProtectedKernel, table: SourceVar, eps: f64) -> PlanResult {
+    let (_net, _x, start, _sizes) = select_and_measure(kernel, table, eps)?;
     Ok(PlanOutcome {
         x_hat: infer_ls(kernel, start, LsSolver::Iterative),
     })
@@ -118,11 +95,14 @@ fn bn_joint_estimate(
         .sum::<f64>()
         .max(1.0);
 
-    // CPDs per clique: P(child = v | parents = u), Laplace-smoothed.
-    // Stored as lookup over the clique's joint assignment.
-    let smoothed: Vec<Vec<f64>> = marginals
+    // Each clique's log CPD, over its joint assignments: computed once,
+    // so each cell below is one lookup per clique.
+    let log_cpds: Vec<Vec<f64>> = net
+        .cliques
         .iter()
-        .map(|m| m.iter().map(|&v| v.max(0.0) + 1e-3).collect())
+        .zip(sets)
+        .zip(marginals)
+        .map(|((clique, set), m)| log_cpd(clique, set, sizes, m))
         .collect();
 
     let n: usize = sizes.iter().product();
@@ -136,27 +116,13 @@ fn bn_joint_estimate(
             rest /= sizes[i];
         }
         let mut log_p = 0.0;
-        for (clique, set) in net.cliques.iter().zip(sets) {
-            let m = &smoothed[net
-                .cliques
-                .iter()
-                .position(|c| c.child == clique.child)
-                // xlint: allow(panic-policy, reason = "the position scan runs over the same clique list the loop iterates, so at minimum the current clique matches itself")
-                .expect("clique indexes itself")];
-            // Index of the full-clique assignment and of the parents-only
-            // slice (sum over the child's values).
+        for (set, table) in sets.iter().zip(&log_cpds) {
+            // Index of the full-clique assignment.
             let mut joint_idx = 0usize;
             for &a in set {
                 joint_idx = joint_idx * sizes[a] + coords[a];
             }
-            let joint = m[joint_idx];
-            let parent_sum: f64 = if clique.parents.is_empty() {
-                m.iter().sum()
-            } else {
-                // Sum over the child's values with parents fixed.
-                sum_over_child(m, set, clique.child, sizes, &coords)
-            };
-            log_p += (joint / parent_sum.max(f64::MIN_POSITIVE)).max(1e-12).ln();
+            log_p += table[joint_idx];
         }
         *out = n_total * log_p.exp();
     }
@@ -171,30 +137,36 @@ fn bn_joint_estimate(
     x_hat
 }
 
-/// Sums a clique marginal over the child's values, holding the parents at
-/// the assignment in `coords`.
-fn sum_over_child(
-    m: &[f64],
-    set: &[usize],
-    child: usize,
-    sizes: &[usize],
-    coords: &[usize],
-) -> f64 {
-    let child_pos = set
-        .iter()
-        .position(|&a| a == child)
-        // xlint: allow(panic-policy, reason = "construction invariant: a clique's attribute set always contains its child (parents + child)")
-        .expect("child in its own clique");
-    let mut total = 0.0;
-    for v in 0..sizes[child] {
-        let mut idx = 0usize;
-        for (pos, &a) in set.iter().enumerate() {
-            let c = if pos == child_pos { v } else { coords[a] };
-            idx = idx * sizes[a] + c;
-        }
-        total += m[idx];
+/// `ln P(child = v | parents = u)` of one clique at each of its joint
+/// assignments, Laplace-smoothed, from its noisy marginal `m` (mixed radix
+/// over the sorted attribute set `set`). A parentless clique divides by
+/// the whole marginal's sum; otherwise each parent assignment's sum adds
+/// the child's values in order.
+fn log_cpd(clique: &Clique, set: &[usize], sizes: &[usize], m: &[f64]) -> Vec<f64> {
+    let smoothed: Vec<f64> = m.iter().map(|&v| v.max(0.0) + 1e-3).collect();
+    let ln_ratio =
+        |joint: f64, parent_sum: f64| (joint / parent_sum.max(f64::MIN_POSITIVE)).max(1e-12).ln();
+    if clique.parents.is_empty() {
+        let total: f64 = smoothed.iter().sum();
+        return smoothed.iter().map(|&v| ln_ratio(v, total)).collect();
     }
-    total
+    let child_pos = set.partition_point(|&a| a < clique.child);
+    let stride: usize = set.iter().skip(child_pos + 1).map(|&a| sizes[a]).product();
+    let arity = sizes[clique.child];
+    let mut out = vec![0.0; smoothed.len()];
+    // A parent assignment's entries sit `stride` apart, from the one whose
+    // child value is 0.
+    for first in (0..smoothed.len()).filter(|&j| (j / stride).is_multiple_of(arity)) {
+        let entries = || (0..arity).map(|v| first + v * stride);
+        let mut parent_sum = 0.0;
+        for j in entries() {
+            parent_sum += smoothed[j];
+        }
+        for j in entries() {
+            out[j] = ln_ratio(smoothed[j], parent_sum);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -222,6 +194,133 @@ mod tests {
         (t, x)
     }
 
+    /// The per-cell model estimate `bn_joint_estimate` replaced: it finds
+    /// each clique's table by a scan and re-sums the parents' slice at
+    /// every cell.
+    fn bn_joint_estimate_by_cell(
+        net: &BayesNet,
+        sizes: &[usize],
+        sets: &[Vec<usize>],
+        marginals: &[Vec<f64>],
+    ) -> Vec<f64> {
+        let d = sizes.len();
+        let n_total: f64 = marginals[0]
+            .iter()
+            .map(|&v| v.max(0.0))
+            .sum::<f64>()
+            .max(1.0);
+        let smoothed: Vec<Vec<f64>> = marginals
+            .iter()
+            .map(|m| m.iter().map(|&v| v.max(0.0) + 1e-3).collect())
+            .collect();
+        let n: usize = sizes.iter().product();
+        let mut x_hat = vec![0.0; n];
+        let mut coords = vec![0usize; d];
+        for (cell, out) in x_hat.iter_mut().enumerate() {
+            let mut rest = cell;
+            for i in (0..d).rev() {
+                coords[i] = rest % sizes[i];
+                rest /= sizes[i];
+            }
+            let mut log_p = 0.0;
+            for (clique, set) in net.cliques.iter().zip(sets) {
+                let m = &smoothed[net
+                    .cliques
+                    .iter()
+                    .position(|c| c.child == clique.child)
+                    .unwrap()];
+                let mut joint_idx = 0usize;
+                for &a in set {
+                    joint_idx = joint_idx * sizes[a] + coords[a];
+                }
+                let joint = m[joint_idx];
+                let parent_sum: f64 = if clique.parents.is_empty() {
+                    m.iter().sum()
+                } else {
+                    sum_over_child(m, set, clique.child, sizes, &coords)
+                };
+                log_p += (joint / parent_sum.max(f64::MIN_POSITIVE)).max(1e-12).ln();
+            }
+            *out = n_total * log_p.exp();
+        }
+        let s: f64 = x_hat.iter().sum();
+        if s > 0.0 {
+            let scale = n_total / s;
+            for v in x_hat.iter_mut() {
+                *v *= scale;
+            }
+        }
+        x_hat
+    }
+
+    /// Sums a clique marginal over the child's values, holding the
+    /// parents at the assignment in `coords`.
+    fn sum_over_child(
+        m: &[f64],
+        set: &[usize],
+        child: usize,
+        sizes: &[usize],
+        coords: &[usize],
+    ) -> f64 {
+        let child_pos = set.iter().position(|&a| a == child).unwrap();
+        let mut total = 0.0;
+        for v in 0..sizes[child] {
+            let mut idx = 0usize;
+            for (pos, &a) in set.iter().enumerate() {
+                let c = if pos == child_pos { v } else { coords[a] };
+                idx = idx * sizes[a] + c;
+            }
+            total += m[idx];
+        }
+        total
+    }
+
+    /// The model estimate equals the per-cell oracle bit for bit on small
+    /// random networks: random attribute orders, up to two parents each,
+    /// and noisy marginals with negative entries.
+    #[test]
+    fn joint_estimate_matches_the_per_cell_oracle() {
+        let mut rng = StdRng::seed_from_u64(20);
+        for _ in 0..40 {
+            let d = rng.random_range(1..5usize);
+            let sizes: Vec<usize> = (0..d).map(|_| rng.random_range(1..6usize)).collect();
+            let mut order: Vec<usize> = (0..d).collect();
+            for i in (1..d).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            let cliques = order
+                .iter()
+                .enumerate()
+                .map(|(i, &child)| {
+                    let mut earlier = order[..i].to_vec();
+                    let keep = rng.random_range(0..=earlier.len().min(2));
+                    for j in 0..keep {
+                        let pick = rng.random_range(j..earlier.len());
+                        earlier.swap(j, pick);
+                    }
+                    earlier.truncate(keep);
+                    Clique {
+                        child,
+                        parents: earlier,
+                    }
+                })
+                .collect();
+            let net = BayesNet { order, cliques };
+            let sets = net.measured_attribute_sets();
+            let marginals: Vec<Vec<f64>> = sets
+                .iter()
+                .map(|set| {
+                    let len: usize = set.iter().map(|&a| sizes[a]).product();
+                    (0..len).map(|_| rng.random_range(-20.0..200.0)).collect()
+                })
+                .collect();
+            let fast = bn_joint_estimate(&net, &sizes, &sets, &marginals);
+            let oracle = bn_joint_estimate_by_cell(&net, &sizes, &sets, &marginals);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&oracle), "sizes {sizes:?}, net {net:?}");
+        }
+    }
+
     fn rmse(a: &[f64], b: &[f64]) -> f64 {
         (a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt()
     }
@@ -230,7 +329,7 @@ mod tests {
     fn privbayes_estimates_have_right_total_and_domain() {
         let (t, x_true) = correlated_table(5000, 1);
         let k = ProtectedKernel::init(t, 2.0, 1);
-        let out = plan_privbayes(&k, k.root(), 2.0, &PrivBayesOptions::default()).unwrap();
+        let out = plan_privbayes(&k, k.root(), 2.0).unwrap();
         assert_eq!(out.x_hat.len(), x_true.len());
         let total: f64 = out.x_hat.iter().sum();
         assert!((total - 5000.0).abs() / 5000.0 < 0.2, "total {total}");
@@ -241,7 +340,7 @@ mod tests {
     fn privbayes_ls_runs_and_spends_eps() {
         let (t, _) = correlated_table(2000, 2);
         let k = ProtectedKernel::init(t, 1.0, 2);
-        plan_privbayes_ls(&k, k.root(), 1.0, &PrivBayesOptions::default()).unwrap();
+        plan_privbayes_ls(&k, k.root(), 1.0).unwrap();
         assert!((k.budget_spent() - 1.0).abs() < 1e-9);
     }
 
@@ -251,7 +350,7 @@ mod tests {
         // clearly more mass on the diagonal than independence would (~0.25).
         let (t, _) = correlated_table(20_000, 3);
         let k = ProtectedKernel::init(t, 5.0, 3);
-        let out = plan_privbayes(&k, k.root(), 5.0, &PrivBayesOptions::default()).unwrap();
+        let out = plan_privbayes(&k, k.root(), 5.0).unwrap();
         let total: f64 = out.x_hat.iter().sum();
         let mut diag = 0.0;
         // cell = (a*4 + b)*3 + c
@@ -267,7 +366,7 @@ mod tests {
     fn ls_variant_is_consistent_with_truth_at_high_eps() {
         let (t, x_true) = correlated_table(20_000, 4);
         let k = ProtectedKernel::init(t, 50.0, 4);
-        let out = plan_privbayes_ls(&k, k.root(), 50.0, &PrivBayesOptions::default()).unwrap();
+        let out = plan_privbayes_ls(&k, k.root(), 50.0).unwrap();
         // Marginal errors should be small even though the joint is
         // underdetermined: check the (a,b) marginal.
         let w = marginal(&[4, 4, 3], &[true, true, false]);

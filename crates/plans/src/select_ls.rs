@@ -16,24 +16,13 @@ use ektelo_matrix::Matrix;
 
 use crate::util::{infer_ls, split_budget, PlanOutcome, PlanResult};
 
-/// Options for [`plan_select_ls`].
-#[derive(Clone, Debug)]
-pub struct SelectLsOptions {
-    /// Domain-size threshold between the Identity and DAWA branches
-    /// (80 in Algorithm 8).
-    pub small_domain: usize,
-    /// DAWA stage-1 share inside the large-domain branch.
-    pub dawa_rho: f64,
-}
+/// Domain-size threshold between the Identity and DAWA branches (80 in
+/// Algorithm 8).
+const SMALL_DOMAIN: usize = 80;
 
-impl Default for SelectLsOptions {
-    fn default() -> Self {
-        SelectLsOptions {
-            small_domain: 80,
-            dawa_rho: 0.25,
-        }
-    }
-}
+/// DAWA's stage-1 budget share inside the large-domain branch: 0.25, the
+/// DAWA paper's value (Li et al. 2014).
+const DAWA_RHO: f64 = 0.25;
 
 /// Runs Algorithm 8 over the marginal masks in `specs` (one bool per
 /// attribute; `true` = kept). Each spec gets an `eps / specs.len()` share
@@ -45,7 +34,6 @@ pub fn plan_select_ls(
     sizes: &[usize],
     specs: &[Vec<bool>],
     eps: f64,
-    opts: &SelectLsOptions,
 ) -> PlanResult {
     assert!(
         !specs.is_empty(),
@@ -57,9 +45,9 @@ pub fn plan_select_ls(
         let p = marginal_partition(sizes, keep);
         let reduced = kernel.reduce_by_partition(x, &p)?;
         let m = kernel.vector_len(reduced)?;
-        if m > opts.small_domain {
+        if m > SMALL_DOMAIN {
             // DAWA branch: partition the marginal, measure buckets.
-            let shares = split_budget(per_spec, &[opts.dawa_rho, 1.0 - opts.dawa_rho]);
+            let shares = split_budget(per_spec, &[DAWA_RHO, 1.0 - DAWA_RHO]);
             let bucket_p =
                 dawa_partition(kernel, reduced, shares[0], &DawaOptions::new(shares[1]))?;
             let buckets = kernel.reduce_by_partition(reduced, &bucket_p)?;
@@ -103,7 +91,7 @@ mod tests {
         let (k, x, _, sizes) = setup(5000, 1);
         // (y,a) = 12 cells → identity; (y,b) = 400 cells → DAWA branch.
         let specs = vec![vec![true, true, false], vec![true, false, true]];
-        let out = plan_select_ls(&k, x, &sizes, &specs, 1.0, &SelectLsOptions::default()).unwrap();
+        let out = plan_select_ls(&k, x, &sizes, &specs, 1.0).unwrap();
         assert_eq!(out.x_hat.len(), 2 * 6 * 200);
         assert!((k.budget_spent() - 1.0).abs() < 1e-9);
         // The DAWA branch produces ≥ 2 measurements (buckets), identity 1.
@@ -114,7 +102,7 @@ mod tests {
     fn marginal_estimates_are_consistent_with_truth_at_high_eps() {
         let (k, x, truth, sizes) = setup(20_000, 2);
         let specs = vec![vec![true, true, false], vec![true, false, true]];
-        let out = plan_select_ls(&k, x, &sizes, &specs, 8.0, &SelectLsOptions::default()).unwrap();
+        let out = plan_select_ls(&k, x, &sizes, &specs, 8.0).unwrap();
         let w = ektelo_data::workloads::marginal(&sizes, &[true, true, false]);
         let e: f64 = w
             .matvec(&truth)

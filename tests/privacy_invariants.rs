@@ -2,7 +2,7 @@
 //! exercised through the public façade with randomized operator sequences.
 
 use ektelo::core::kernel::{EktError, ProtectedKernel};
-use ektelo::core::ops::partition::{ahp_partition, dawa_partition, AhpOptions, DawaOptions};
+use ektelo::core::ops::partition::{ahp_partition, dawa_partition, DawaOptions};
 use ektelo::matrix::{partition_from_labels, Matrix};
 use proptest::prelude::*;
 
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let n = data.len();
         let k = ProtectedKernel::init_from_vector(data, 1.0, seed);
-        let p1 = ahp_partition(&k, k.root(), 0.25, &AhpOptions::default()).unwrap();
+        let p1 = ahp_partition(&k, k.root(), 0.25).unwrap();
         prop_assert!(p1.is_partition());
         prop_assert_eq!(p1.cols(), n);
         let p2 = dawa_partition(&k, k.root(), 0.25, &DawaOptions::new(0.5)).unwrap();

@@ -44,7 +44,7 @@ proptest! {
     /// brute-force column comparison on the dense form).
     #[test]
     fn algorithm_4_matches_bruteforce(w in arb_range_workload(16)) {
-        let p = workload_based_partition(&w, 9, 2);
+        let p = workload_based_partition(&w, 9);
         let d = w.to_dense();
         // Brute force: group columns by exact equality.
         let mut seen: Vec<Vec<f64>> = Vec::new();

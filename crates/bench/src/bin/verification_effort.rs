@@ -3,23 +3,26 @@
 //! guarantee?
 //!
 //! In EKTELO's trust model only the privacy-critical surface needs review:
-//! the kernel (budget accounting, stability, noise, and the two
-//! primitives through which the Private→Public operators reach the data)
-//! and the operators whose score code feeds the kernel's exponential
-//! mechanism. Plans, inference, workloads, generators and the matrix
-//! engine are untrusted client-space code — bugs there cost accuracy,
-//! never privacy. So are AHP's clustering and DAWA's segmentation: the
-//! kernel's noisy-histogram release draws their noise, and what they do
-//! with its output is post-processing. The file list and the counting
-//! rule live in `ektelo_bench::vetted`, shared with the `vetted_surface`
-//! test that gates the count. This binary walks the workspace sources
+//! the kernel crate (`crates/kernel`: budget accounting, stability, noise,
+//! the two primitives through which the Private→Public operators reach
+//! the data, and the two selection scores its exponential mechanism picks
+//! by) plus the listed files outside it (the L1 sensitivities). The crate
+//! boundary is the containment: no code outside it can name a private
+//! snapshot or the samplers. Plans, inference, workloads, generators and
+//! the matrix engine are untrusted client-space code — bugs there cost
+//! accuracy, never privacy. So are the selection operators' modules:
+//! AHP's clustering and DAWA's segmentation post-process the kernel's
+//! noisy-histogram release, and Worst-approx and PrivBayes only choose
+//! among the kernel's picks. The surface and the counting rule live in
+//! `ektelo_bench::vetted`, shared with the `vetted_surface` test that
+//! gates the count. This binary walks the workspace sources
 //! and prints the split (the paper's analogous numbers: 517
 //! privacy-critical lines vs 1837 for vetting the monolithic DPBench
 //! implementations).
 //!
 //! Run: `cargo run --release -p ektelo-bench --bin verification_effort`
 
-use ektelo_bench::vetted::{file_code_lines, library_files, workspace_root, PRIVACY_CRITICAL};
+use ektelo_bench::vetted::{file_code_lines, is_vetted, library_files, workspace_root};
 
 fn main() {
     let root = workspace_root();
@@ -29,7 +32,7 @@ fn main() {
     for rel in library_files(&root) {
         let lines = file_code_lines(&root, &rel);
         total += lines;
-        if PRIVACY_CRITICAL.contains(&rel.as_str()) {
+        if is_vetted(&rel) {
             critical += lines;
             println!("  {rel:<55} {lines:>6}");
         }

@@ -1,7 +1,9 @@
 #![deny(missing_docs)]
 //! # ektelo-core
 //!
-//! The EKTELO protected kernel and operator library (paper §4–§5, §8).
+//! The EKTELO operator library, plan graph and inference (paper §5, §8),
+//! over the protected kernel of the `ektelo-kernel` crate, re-exported
+//! here as [`kernel`].
 //!
 //! ## Architecture
 //!
@@ -19,6 +21,10 @@
 //!   algorithm (paper Algorithm 2).
 //! * **Public** operators (workload construction, inference in
 //!   [`ops::inference`]) never touch the kernel.
+//!
+//! The kernel crate holds everything the privacy proof reads (§6.3); the
+//! operators here reach private data only through its public methods, so
+//! the compiler, not a review of this crate, keeps the data in.
 //!
 //! The kernel tracks, per data source: its *transformation lineage*, its
 //! *stability* (paper Def. 3.4), and its *budget consumption*; the special
@@ -46,7 +52,7 @@
 //! assert!(kernel.vector_laplace(x, &Matrix::identity(8), 0.1).is_err());
 //! ```
 
-pub mod kernel;
 pub mod ops;
 
+pub use ektelo_kernel as kernel;
 pub use kernel::{EktError, MeasuredQuery, ProtectedKernel, SourceVar};

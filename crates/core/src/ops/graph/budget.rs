@@ -12,14 +12,15 @@
 //!   confined to *matrix contents* (which cells a DAWA bucket covers),
 //!   never to how many sources exist or how often they are charged.
 //! * **Charges are declared.** Every budget-consuming node carries its ε
-//!   in the spec. The shadow replay applies the *same* floating-point
-//!   arithmetic as `KernelState::request` — including the partition
-//!   variable's max-difference rule — so the pre-accounted total equals
-//!   the root budget the kernel will actually charge, bit for bit, when
-//!   the plan runs on a source whose ancestry carries no prior
+//!   in the spec. The shadow replays each charge through the kernel's own
+//!   charge propagation ([`kernel::charge`], which the kernel's ledger
+//!   runs too) — stability scaling and the partition variable's
+//!   max-difference rule — so the pre-accounted total equals the root
+//!   budget the kernel will actually charge, bit for bit, when the plan
+//!   runs on a source whose ancestry carries no prior
 //!   parallel-composition credit (an upper bound otherwise).
 
-use crate::kernel::{EktError, Result};
+use crate::kernel::{self, EktError, Result, SourceTree};
 
 use super::{MeasureOp, NodeKind, PartitionOp, PlanSpec, SelectOp, TransformOp};
 
@@ -60,24 +61,31 @@ impl Shadow {
         self.parent.len() - 1
     }
 
-    /// Replays `KernelState::request`; a charge passes no child.
-    fn request(&mut self, sv: usize, sigma: f64, from_child: Option<usize>) {
-        match self.parent[sv] {
-            None => self.budget[sv] += sigma,
-            Some(parent) => {
-                if self.dummy[sv] {
-                    // xlint: allow(panic-policy, reason = "mirror of KernelState::request: dummy nodes are only reached via the recursive call, which always passes Some(child)")
-                    let child = from_child.expect("partition variable reached without child");
-                    let r = (self.budget[child] + sigma - self.budget[sv]).max(0.0);
-                    self.request(parent, r, Some(sv));
-                    self.budget[sv] += r;
-                } else {
-                    let s = self.stability[sv];
-                    self.request(parent, s * sigma, Some(sv));
-                    self.budget[sv] += sigma;
-                }
-            }
-        }
+    /// Charges `sigma` at `sv` as the kernel would; the root admits
+    /// every cost.
+    fn request(&mut self, sv: usize, sigma: f64) -> Result<()> {
+        kernel::charge(self, sv, sigma, |shadow, root, cost| {
+            shadow.budget[root] += cost;
+            Ok(())
+        })
+    }
+}
+
+impl SourceTree for Shadow {
+    fn parent(&self, sv: usize) -> Option<usize> {
+        self.parent[sv]
+    }
+
+    fn stability(&self, sv: usize) -> f64 {
+        self.stability[sv]
+    }
+
+    fn is_partition_variable(&self, sv: usize) -> bool {
+        self.dummy[sv]
+    }
+
+    fn budget(&mut self, sv: usize) -> &mut f64 {
+        &mut self.budget[sv]
     }
 }
 
@@ -240,7 +248,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
             NodeKind::Partition(PartitionOp::DawaEach { inputs, eps, .. }) => {
                 let eps = positive_eps(*eps)?;
                 for s in sources(&vals, inputs.id)? {
-                    shadow.request(s, eps, None);
+                    shadow.request(s, eps)?;
                 }
                 ShadowVal::None
             }
@@ -287,7 +295,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
             NodeKind::Measure(MeasureOp::Laplace { input, eps, .. }) => {
                 let eps = positive_eps(*eps)?;
                 let src = source(&vals, input.id)?;
-                shadow.request(src, eps, None);
+                shadow.request(src, eps)?;
                 measured = true;
                 ShadowVal::None
             }
@@ -305,7 +313,7 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 // a downstream Infer node's need for history.
                 measured |= !srcs.is_empty();
                 for s in srcs {
-                    shadow.request(s, eps, None);
+                    shadow.request(s, eps)?;
                 }
                 ShadowVal::None
             }
@@ -352,8 +360,8 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 for _ in 0..op.rounds {
                     // Declared per-round budgets: one selection charge,
                     // one measurement charge — Algorithm 2 order.
-                    shadow.request(src, op.eps_select, None);
-                    shadow.request(src, op.eps_measure, None);
+                    shadow.request(src, op.eps_select)?;
+                    shadow.request(src, op.eps_measure)?;
                 }
                 ShadowVal::None
             }

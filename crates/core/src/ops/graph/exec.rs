@@ -30,7 +30,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ektelo_matrix::{ColumnClasses, ColumnRefinement, CsrMatrix, Matrix};
 use ektelo_solvers::{mw_uniform_start, NnlsOptions};
 
-use crate::kernel::{BudgetReservation, EktError, ProtectedKernel, Result, SourceVar};
+use crate::kernel::{
+    BudgetReservation, EktError, ProtectedKernel, Result, SourceVar, WorstApproxScores,
+};
 use crate::ops::inference::{
     known_total_measurement, least_squares, mult_weights_inference,
     non_negative_least_squares_opts, relative_total_scale,
@@ -38,7 +40,7 @@ use crate::ops::inference::{
 use crate::ops::partition::{
     dawa_partition_batch, interval_partition_bounds, map_ranges_to_buckets, stripe_partition,
 };
-use crate::ops::selection::{self, greedy_h, stripe_select, WorstApprox};
+use crate::ops::selection::{self, greedy_h, select_worst_approx, stripe_select};
 
 use super::{
     InferOp, MeasureOp, MwemLoopOp, MwemRoundInference, NodeKind, PartitionOp, PlanSpec,
@@ -466,10 +468,10 @@ impl<'k> Run<'_, 'k> {
         // normalized value per cell is computed once for the plan, and the
         // passes expand their result into `x_hat` in place.
         let mw_start = mw_uniform_start(n, op.total);
-        // The selection state keeps the truth answers `W·x` while the
-        // rounds' snapshots are the same source data; it is dropped, with
-        // them, when the loop returns.
-        let mut select = WorstApprox::new(&op.workload);
+        // The kernel's scoring state keeps the truth answers `W·x` while
+        // the rounds' snapshots are the same source data; it is dropped,
+        // with them, when the loop returns.
+        let mut scores = WorstApproxScores::new(&op.workload);
         // The column classes of the session's first `refined`
         // measurements, kept across rounds and refined by each round's new
         // queries only; MW starts uniform every round, so no key splits
@@ -482,7 +484,15 @@ impl<'k> Run<'_, 'k> {
         for round in 0..op.rounds {
             // SW: worst-approximated workload query (exponential
             // mechanism).
-            let idx = select.select(kernel, x, &x_hat, 1.0, op.eps_select, self.res())?;
+            let idx = select_worst_approx(
+                kernel,
+                x,
+                &mut scores,
+                &x_hat,
+                1.0,
+                op.eps_select,
+                self.res(),
+            )?;
             // A `Range` workload's row is one interval, built as CSR
             // directly; augmentation, and every other workload, reads the
             // dense row.
@@ -563,8 +573,7 @@ pub fn mwem_row_strategy(n: usize, row: &[f64]) -> Matrix {
 /// of length `2^r` that do not intersect the selected query's support.
 /// The union still has L1 sensitivity 1 (disjoint supports), so the
 /// measurement is free relative to the un-augmented plan.
-// xlint: allow(dead-pub, reason = "the plans crate's MWEM tests pin its sensitivity at one")
-pub fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: usize) -> Matrix {
+fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: usize) -> Matrix {
     let len = 1usize << round.min(62);
     if len > n {
         return selected.clone();
@@ -594,6 +603,21 @@ mod tests {
     use crate::ops::graph::PlanBuilder;
     use crate::ops::inference::LsSolver;
     use crate::ops::partition::DawaOptions;
+
+    /// The augmented strategy keeps L1 sensitivity one in every round: the
+    /// dyadic intervals it adds miss the selected row's support.
+    #[test]
+    fn augmentation_keeps_sensitivity_one() {
+        let n = 32;
+        let mut row = vec![0.0; n];
+        row[4..12].fill(1.0);
+        let selected = mwem_row_strategy(n, &row);
+        for round in 0..6 {
+            let m = mwem_augment_with_level(&selected, &row, n, round);
+            let s = m.l1_sensitivity();
+            assert!((s - 1.0).abs() < 1e-12, "round {round} sensitivity {s}");
+        }
+    }
 
     fn identity_spec(eps: f64) -> PlanSpec {
         let mut b = PlanBuilder::new();

@@ -54,7 +54,7 @@ mod budget;
 mod exec;
 
 pub use budget::PlanCost;
-pub use exec::{mwem_augment_with_level, mwem_row_strategy};
+pub use exec::mwem_row_strategy;
 pub use exec::{ExecReport, PlanExecutor};
 
 use std::marker::PhantomData;

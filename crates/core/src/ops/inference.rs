@@ -402,13 +402,13 @@ impl RestSquares {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ProtectedKernel, SourceVar};
+    use crate::kernel::ProtectedKernel;
     use ektelo_matrix::ColumnRefinement;
     use ektelo_solvers::mw_uniform_start;
 
     fn measured(query: Matrix, answers: Vec<f64>, noise_scale: f64) -> MeasuredQuery {
         MeasuredQuery {
-            base: SourceVar(0),
+            base: ProtectedKernel::init_from_vector(vec![0.0], 1.0, 0).root(),
             query,
             answers: answers.into(),
             noise_scale,

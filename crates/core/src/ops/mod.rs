@@ -26,3 +26,23 @@ pub mod graph;
 pub mod inference;
 pub mod partition;
 pub mod selection;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use crate::ProtectedKernel;
+
+    /// Test oracle: `a` on a kernel from `make` and `b` on a twin from
+    /// `make` return the same value, spend the same budget and leave the
+    /// kernel stream at the same place.
+    pub(crate) fn assert_twins<T: PartialEq + std::fmt::Debug>(
+        make: impl Fn() -> ProtectedKernel,
+        a: impl FnOnce(&ProtectedKernel) -> T,
+        b: impl FnOnce(&ProtectedKernel) -> T,
+    ) {
+        let (k1, k2) = (make(), make());
+        assert_eq!(a(&k1), b(&k2));
+        assert_eq!(k1.budget_spent(), k2.budget_spent());
+        let next = |k: &ProtectedKernel| k.noisy_count(k.root(), 1e-3).unwrap();
+        assert_eq!(next(&k1), next(&k2), "the kernel stream diverged");
+    }
+}

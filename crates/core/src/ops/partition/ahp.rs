@@ -107,24 +107,11 @@ mod tests {
         assert!((k.budget_spent() - 0.3).abs() < 1e-12);
     }
 
-    /// Reference: the operator with the kernel's privileged steps inlined
-    /// — the charge and snapshot, substream 0, the noise drawn here — and
-    /// a clustering that thresholds its own copy in place. Also returns
-    /// how many cells fell under the threshold.
-    fn ahp_by_hand(k: &ProtectedKernel, sv: SourceVar, eps: f64) -> (Matrix, usize) {
-        use crate::kernel::tests::{charge_and_snapshot, fill_laplace, substream_seed};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use std::sync::Arc;
-        let (base, snaps) = charge_and_snapshot::<Arc<Vec<f64>>>(k, &[(sv, eps)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-        let x = &snaps[0];
-        let n = x.len();
-        let mut noisy = vec![0.0; n];
-        fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
-        for (e, &v) in noisy.iter_mut().zip(x.iter()) {
-            *e += v;
-        }
+    /// Reference: the clustering as first written, thresholding its own
+    /// copy of the released histogram in place. Also returns how many
+    /// cells fell under the threshold.
+    fn cluster_by_hand(mut noisy: Vec<f64>, eps: f64) -> (Matrix, usize) {
+        let n = noisy.len();
         let t = ETA * (n.max(2) as f64).ln() / eps;
         let mut under = 0;
         for v in noisy.iter_mut() {
@@ -149,21 +136,23 @@ mod tests {
         (partition_from_labels(group + 1, &labels), under)
     }
 
-    /// The operator on the kernel's noisy histogram selects, spends and
-    /// draws as the reference that draws its own noise, at several seeds
-    /// and budgets. Every case puts some cells under the threshold and
-    /// closes at least one cluster, so both branches are compared.
+    /// The operator selects and spends as the reference clustering of the
+    /// kernel's release on a twin (the kernel's own tests pin the release
+    /// to its private steps), at several seeds and budgets. Every case
+    /// puts some cells under the threshold and closes at least one
+    /// cluster, so both branches are compared.
     #[test]
     fn partition_is_its_snapshot_under_substream_zero() {
         use std::cell::Cell;
         let x: Vec<f64> = (0..48).map(|i| ((i * 13) % 7) as f64 * 20.0).collect();
         for (seed, eps) in [(31, 0.5), (32, 0.05), (33, 2.0)] {
             let (under, groups) = (Cell::new(0), Cell::new(0));
-            crate::kernel::tests::assert_twins(
+            crate::ops::tests::assert_twins(
                 || ProtectedKernel::init_from_vector(x.clone(), 4.0, seed),
                 |k| ahp_partition(k, k.root(), eps).unwrap().to_sparse(),
                 |k| {
-                    let (p, cells) = ahp_by_hand(k, k.root(), eps);
+                    let release = k.noisy_histograms(&[(k.root(), eps)], None, |n| n.to_vec());
+                    let (p, cells) = cluster_by_hand(release.unwrap().swap_remove(0), eps);
                     under.set(cells);
                     groups.set(p.rows());
                     p.to_sparse()

@@ -336,18 +336,13 @@ mod tests {
         assert_eq!(labels, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// The batch must be **bit-identical** to a reference with the
-    /// kernel's privileged steps inlined: one charge and snapshot, then
-    /// per stripe its counter-based substream, the noise drawn here and
-    /// the segmentation — charge order, base draw, per-stripe partitions
-    /// and total budget all agree. This pins the substream protocol, which is
-    /// DAWA-Striped's noise contract.
+    /// The batch segments each stripe's release as a fresh single-stripe
+    /// selection would, bit for bit: on a twin, the kernel's release of
+    /// every stripe (its own tests pin the release to its private steps),
+    /// each segmented with fresh buffers. Stripes of unequal length, so
+    /// the batch's reused buffers shrink and grow.
     #[test]
     fn batch_is_bit_identical_to_sequential_substream_loop() {
-        use crate::kernel::tests::{charge_and_snapshot, fill_laplace, substream_seed};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use std::sync::Arc;
         let x: Vec<f64> = (0..96)
             .map(|i| {
                 if (i / 24) % 2 == 0 {
@@ -357,7 +352,6 @@ mod tests {
                 }
             })
             .collect();
-        // Stripes of unequal length, so the reused buffers shrink and grow.
         let labels: Vec<usize> = (0..96).map(|i| [0, 1, 1, 2, 3, 3][i / 16]).collect();
         let p = partition_from_labels(4, &labels);
         let stripes = |k: &ProtectedKernel| k.split_by_partition(k.root(), &p).unwrap();
@@ -367,24 +361,16 @@ mod tests {
                 debias,
                 ..DawaOptions::new(0.5)
             };
-            crate::kernel::tests::assert_twins(
+            crate::ops::tests::assert_twins(
                 || ProtectedKernel::init_from_vector(x.clone(), 10.0, seed),
                 |k| sparse(dawa_partition_batch(k, &stripes(k), eps, &opts, None).unwrap()),
                 |k| {
                     let reqs: Vec<(SourceVar, f64)> =
                         stripes(k).iter().map(|&s| (s, eps)).collect();
-                    let (base, snaps) = charge_and_snapshot::<Arc<Vec<f64>>>(k, &reqs).unwrap();
-                    let mut scratch = Segmentation::default();
-                    let seq = snaps.iter().enumerate().map(|(i, x)| {
-                        let mut rng = StdRng::seed_from_u64(substream_seed(base, i as u64));
-                        let mut noisy = vec![0.0; x.len()];
-                        fill_laplace(&mut rng, 1.0 / eps, &mut noisy);
-                        for (e, &v) in noisy.iter_mut().zip(x.iter()) {
-                            *e += v;
-                        }
-                        partition_one_stripe(&noisy, eps, &opts, &mut scratch)
-                    });
-                    sparse(seq.collect())
+                    let fresh = |noisy: &[f64]| {
+                        partition_one_stripe(noisy, eps, &opts, &mut Segmentation::default())
+                    };
+                    sparse(k.noisy_histograms(&reqs, None, fresh).unwrap())
                 },
             );
         }
@@ -453,7 +439,7 @@ mod tests {
             .map(|i| if i < 24 { 4.0 } else { (i % 9) as f64 })
             .collect();
         let opts = DawaOptions::new(0.5);
-        crate::kernel::tests::assert_twins(
+        crate::ops::tests::assert_twins(
             || ProtectedKernel::init_from_vector(x.clone(), 2.0, 17),
             |k| vec![dawa_partition(k, k.root(), 0.5, &opts).unwrap().to_sparse()],
             |k| {

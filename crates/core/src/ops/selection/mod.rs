@@ -19,8 +19,8 @@ pub use hdmm::{hdmm_1d, hdmm_kron};
 pub use hier::{h2, hb};
 pub use privbayes::{privbayes_select, BayesNet, Clique};
 pub use stripe::stripe_select;
+pub(crate) use worst_approx::select_worst_approx;
 pub use worst_approx::worst_approx;
-pub(crate) use worst_approx::WorstApprox;
 
 use ektelo_matrix::Matrix;
 

@@ -53,8 +53,9 @@ pub enum EktError {
 
 impl fmt::Display for EktError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use EktError::*;
         match self {
-            EktError::BudgetExceeded {
+            BudgetExceeded {
                 requested,
                 remaining,
             } => write!(
@@ -62,21 +63,15 @@ impl fmt::Display for EktError {
                 "privacy budget exceeded: request costs {requested} at the root but only \
                  {remaining} remains"
             ),
-            EktError::WrongSourceType { expected } => {
-                write!(f, "operator requires a {expected} source")
-            }
-            EktError::InvalidPartition(msg) => write!(f, "invalid partition matrix: {msg}"),
-            EktError::ShapeMismatch { expected, found } => {
+            WrongSourceType { expected } => write!(f, "operator requires a {expected} source"),
+            InvalidPartition(msg) => write!(f, "invalid partition matrix: {msg}"),
+            ShapeMismatch { expected, found } => {
                 write!(f, "shape mismatch: expected {expected}, found {found}")
             }
-            EktError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
-            EktError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
-            EktError::FaultInjected(site) => {
-                write!(f, "injected fault at failpoint {site}")
-            }
-            EktError::ExecutionPanic(msg) => {
-                write!(f, "plan execution panicked: {msg}")
-            }
+            InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
+            FaultInjected(site) => write!(f, "injected fault at failpoint {site}"),
+            ExecutionPanic(msg) => write!(f, "plan execution panicked: {msg}"),
         }
     }
 }

@@ -17,7 +17,9 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 /// A draw from the Laplace distribution with density
-/// `exp(−|x|/scale) / (2·scale)` (inverse-CDF sampling).
+/// `exp(−|x|/scale) / (2·scale)` (inverse-CDF sampling): the single draw
+/// [`fill_laplace`] repeats, kept as the tests' reference.
+#[cfg(test)]
 pub(crate) fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
     assert!(scale >= 0.0, "laplace scale must be non-negative");
     if scale == 0.0 {
@@ -29,8 +31,9 @@ pub(crate) fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
 /// Uniforms drawn per block by [`fill_laplace`].
 pub(crate) const LAPLACE_BLOCK: usize = 256;
 
-/// Fills `out` with `out.len()` draws of [`laplace`] at one `scale`: the
-/// same values, bit for bit, in the same order, from the same uniforms.
+/// Fills `out` with `out.len()` Laplace draws of one `scale` (density
+/// `exp(−|x|/scale) / (2·scale)`, by inverse-CDF sampling), one uniform
+/// per draw, in order.
 /// The uniforms are drawn a stack block at a time and then transformed,
 /// so the generator and the transform each run in a tight loop.
 pub(crate) fn fill_laplace(rng: &mut StdRng, scale: f64, out: &mut [f64]) {

@@ -1,6 +1,6 @@
 //! Kernel state: the data-source environment, transformation graph,
 //! stability tracker and the budget `Request` algorithm (paper §4.4 and
-//! Algorithm 2).
+//! Algorithm 2), whose charge propagation the plan pre-accountant shares.
 
 use std::sync::Arc;
 
@@ -57,7 +57,7 @@ pub(crate) fn checked_eps_total(eps_total: f64) -> f64 {
 /// operator that reads data snapshots it under the kernel lock with a
 /// refcount bump and computes on it after the lock is released.
 #[derive(Debug)]
-pub(crate) enum NodeData {
+pub enum NodeData {
     /// A relational table (immutable, shareable by refcount).
     Table(Arc<Table>),
     /// A data vector (immutable, shareable by refcount).
@@ -142,94 +142,58 @@ impl KernelState {
         self.nodes[0].budget
     }
 
-    /// The budget `Request` procedure (paper Algorithm 2). `from_child`
-    /// carries the child identity needed by the partition-variable case.
-    /// `res` attributes the charge to a live reservation slot: the root
-    /// case then *redeems* the charge from that reservation's hold — hold
+    /// The budget `Request` procedure (paper Algorithm 2): [`charge`] over
+    /// the source tree, with the root admitting its share. `res`
+    /// attributes the charge to a live reservation slot: the root then
+    /// *redeems* the charge from that reservation's hold — hold
     /// consumption and the root charge commit atomically under the one
     /// state lock, which is what makes an admitted plan's budget
     /// unstealable by concurrent sessions. Returns `Ok(())` and updates
     /// trackers if the request fits; returns a typed error (leaving all
     /// trackers untouched) otherwise.
-    pub fn request(
-        &mut self,
-        sv: usize,
-        sigma: f64,
-        from_child: Option<usize>,
-        res: Option<usize>,
-    ) -> Result<()> {
-        // Every charge in the kernel funnels through here, so this is the
-        // last line of defense against NaN/∞ costs: all comparisons on
-        // NaN are false, so a NaN sigma would sail past the admission
-        // check and poison the trackers (after which every later check is
-        // vacuously satisfied). The check recurses with the request, so a
-        // non-finite stability product is caught at the parent level too.
-        if !sigma.is_finite() || sigma < 0.0 {
-            return Err(EktError::InvalidArgument(format!(
-                "budget request must be a non-negative finite number, got {sigma}"
-            )));
+    pub fn request(&mut self, sv: usize, sigma: f64, res: Option<usize>) -> Result<()> {
+        charge(self, sv, sigma, |st, root, sigma| {
+            st.charge_root(root, sigma, res)
+        })
+    }
+
+    /// Algorithm 2's root case: the only place the ledger's root tracker
+    /// moves, so the charging-class failpoints live here, *before* any
+    /// mutation: an injected fault is a clean typed rejection,
+    /// indistinguishable from an admission failure as far as the ledger
+    /// is concerned.
+    fn charge_root(&mut self, root: usize, sigma: f64, res: Option<usize>) -> Result<()> {
+        let site = if res.is_some() {
+            "state::redeem"
+        } else {
+            "state::charge"
+        };
+        if failpoints::triggered(site) {
+            return Err(EktError::FaultInjected(site));
         }
-        match self.nodes[sv].parent {
-            None => {
-                // Case 1: sv is the root — the only place ledger trackers
-                // actually move, so the charging-class failpoints live
-                // here, *before* any mutation: an injected fault is a
-                // clean typed rejection, indistinguishable from an
-                // admission failure as far as the ledger is concerned.
-                let site = if res.is_some() {
-                    "state::redeem"
-                } else {
-                    "state::charge"
-                };
-                if failpoints::triggered(site) {
-                    return Err(EktError::FaultInjected(site));
-                }
-                // A reservation-attributed charge redeems its own hold
-                // first; only the part not covered by the hold competes
-                // for unreserved budget.
-                let take = res.map_or(0.0, |id| {
-                    sigma.min(self.reservations[id].map_or(0.0, |e| e.held))
-                });
-                let avail = self.eps_total - (self.reserved - take);
-                let b = self.nodes[sv].budget;
-                if b + sigma > avail * (1.0 + EPS_TOL) + EPS_TOL {
-                    Err(EktError::BudgetExceeded {
-                        requested: sigma,
-                        remaining: (avail - b).max(0.0),
-                    })
-                } else {
-                    if let Some(entry) = res.and_then(|id| self.reservations[id].as_mut()) {
-                        // `take ≤ held` exactly, so the hold never goes
-                        // negative; the aggregate is clamped because it
-                        // sums many entries and may carry last-ulp drift.
-                        entry.held -= take;
-                        entry.charged += sigma;
-                        self.reserved = (self.reserved - take).max(0.0);
-                    }
-                    self.nodes[sv].budget += sigma;
-                    Ok(())
-                }
-            }
-            Some(parent) => {
-                if matches!(self.nodes[sv].data, NodeData::PartitionDummy) {
-                    // Case 2: sv is a partition variable; the request came
-                    // from `from_child` with stability-scaled cost sigma.
-                    let child =
-                        // xlint: allow(panic-policy, reason = "unreachable from public API: partition-dummy SourceVars are never handed to callers, so a dummy is only reached by the recursive call which always passes Some(child)")
-                        from_child.expect("partition variable reached without child context");
-                    let r = (self.nodes[child].budget + sigma - self.nodes[sv].budget).max(0.0);
-                    self.request(parent, r, Some(sv), res)?;
-                    self.nodes[sv].budget += r;
-                    Ok(())
-                } else {
-                    // Case 3: ordinary derived source; scale by stability.
-                    let s = self.nodes[sv].stability;
-                    self.request(parent, s * sigma, Some(sv), res)?;
-                    self.nodes[sv].budget += sigma;
-                    Ok(())
-                }
-            }
+        // A reservation-attributed charge redeems its own hold first; only
+        // the part not covered by the hold competes for unreserved budget.
+        let take = res.map_or(0.0, |id| {
+            sigma.min(self.reservations[id].map_or(0.0, |e| e.held))
+        });
+        let avail = self.eps_total - (self.reserved - take);
+        let b = self.nodes[root].budget;
+        if b + sigma > avail * (1.0 + EPS_TOL) + EPS_TOL {
+            return Err(EktError::BudgetExceeded {
+                requested: sigma,
+                remaining: (avail - b).max(0.0),
+            });
         }
+        if let Some(entry) = res.and_then(|id| self.reservations[id].as_mut()) {
+            // `take ≤ held` exactly, so the hold never goes negative; the
+            // aggregate is clamped because it sums many entries and may
+            // carry last-ulp drift.
+            entry.held -= take;
+            entry.charged += sigma;
+            self.reserved = (self.reserved - take).max(0.0);
+        }
+        self.nodes[root].budget += sigma;
+        Ok(())
     }
 
     /// Admits a budget reservation of `eps` at the root and returns its
@@ -339,9 +303,97 @@ impl KernelState {
     }
 }
 
+impl SourceTree for KernelState {
+    fn parent(&self, sv: usize) -> Option<usize> {
+        self.nodes[sv].parent
+    }
+
+    fn stability(&self, sv: usize) -> f64 {
+        self.nodes[sv].stability
+    }
+
+    fn is_partition_variable(&self, sv: usize) -> bool {
+        matches!(self.nodes[sv].data, NodeData::PartitionDummy)
+    }
+
+    fn budget(&mut self, sv: usize) -> &mut f64 {
+        &mut self.nodes[sv].budget
+    }
+}
+
+/// What Algorithm 2 reads and moves of a source tree: parent links,
+/// stabilities, the partition variables and the budget trackers `B(sv)`.
+/// The kernel's state is one such tree; the plan pre-accountant's shadow
+/// of a spec is the other, so both charge by the one rule, [`charge`].
+pub trait SourceTree {
+    /// The parent of node `sv`; `None` at the root.
+    fn parent(&self, sv: usize) -> Option<usize>;
+    /// The stability of the transformation that derived `sv` (paper
+    /// Def. 3.4).
+    fn stability(&self, sv: usize) -> f64;
+    /// Whether `sv` is the partition variable a split introduces.
+    fn is_partition_variable(&self, sv: usize) -> bool;
+    /// The budget tracker `B(sv)` (paper §4.4).
+    fn budget(&mut self, sv: usize) -> &mut f64;
+}
+
+/// The charge propagation of the budget `Request` procedure (paper
+/// Algorithm 2): a charge of `sigma` at `sv` moves up the tree, scaled by
+/// each ordinary node's stability; a partition variable passes on only
+/// what its child's new total exceeds its own (the max-difference rule
+/// that makes siblings compose in parallel). `charge_root(tree, root,
+/// cost)` admits or refuses the root's cost; the trackers below the root
+/// move only after it succeeds, so a refused or invalid charge (a NaN,
+/// infinite or negative cost at any level) leaves every tracker as it
+/// was.
+pub fn charge<T: SourceTree + ?Sized>(
+    tree: &mut T,
+    sv: usize,
+    sigma: f64,
+    charge_root: impl FnOnce(&mut T, usize, f64) -> Result<()>,
+) -> Result<()> {
+    propagate(tree, sv, sigma, None, charge_root)
+}
+
+/// [`charge`] at `sv`, reached from `from_child` (the child a partition
+/// variable's rule reads).
+fn propagate<T: SourceTree + ?Sized>(
+    tree: &mut T,
+    sv: usize,
+    sigma: f64,
+    from_child: Option<usize>,
+    charge_root: impl FnOnce(&mut T, usize, f64) -> Result<()>,
+) -> Result<()> {
+    // All comparisons on NaN are false, so a NaN sigma would sail past
+    // the admission check and poison the trackers (after which every
+    // later check is vacuously satisfied). The check runs at every level,
+    // so a non-finite stability product is caught at the parent too.
+    if !sigma.is_finite() || sigma < 0.0 {
+        return Err(EktError::InvalidArgument(format!(
+            "budget request must be a non-negative finite number, got {sigma}"
+        )));
+    }
+    let Some(parent) = tree.parent(sv) else {
+        return charge_root(tree, sv, sigma);
+    };
+    let (passed, own) = if tree.is_partition_variable(sv) {
+        let child =
+            // xlint: allow(panic-policy, reason = "unreachable from public API: partition-dummy SourceVars are never handed to callers, so a dummy is only reached by the recursive call which always passes Some(child)")
+            from_child.expect("partition variable reached without child context");
+        let r = (*tree.budget(child) + sigma - *tree.budget(sv)).max(0.0);
+        (r, r)
+    } else {
+        (tree.stability(sv) * sigma, sigma)
+    };
+    propagate(tree, parent, passed, Some(sv), charge_root)?;
+    *tree.budget(sv) += own;
+    Ok(())
+}
+
 /// A source payload an operator can snapshot: a refcount bump of a
 /// node's immutable data, valid after the kernel lock is released.
-pub(crate) trait SourceData: Sized {
+pub trait SourceData: Sized {
+    /// The snapshot of `data`, or `WrongSourceType`.
     fn of(data: &NodeData) -> Result<Self>;
 }
 
@@ -358,7 +410,7 @@ impl SourceData for Arc<Vec<f64>> {
 /// histogram releases. An empty source is rejected before anything is
 /// charged, since the operators that group its cells would panic on it
 /// after the charge.
-pub(crate) struct NonEmptyVector(pub Arc<Vec<f64>>);
+pub struct NonEmptyVector(pub Arc<Vec<f64>>);
 
 impl SourceData for NonEmptyVector {
     fn of(data: &NodeData) -> Result<Self> {
@@ -438,7 +490,7 @@ mod tests {
         let mut s = state(1.0);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
             assert!(matches!(
-                s.request(0, bad, None, None),
+                s.request(0, bad, None),
                 Err(EktError::InvalidArgument(_))
             ));
         }
@@ -447,21 +499,21 @@ mod tests {
         // (the check recurses with the request).
         let c = add_child(&mut s, 0, 2.0);
         assert!(matches!(
-            s.request(c, f64::NAN, None, None),
+            s.request(c, f64::NAN, None),
             Err(EktError::InvalidArgument(_))
         ));
         assert_eq!(s.spent(), 0.0);
         // Enforcement still works after the rejected requests.
-        assert!(s.request(0, 1.0, None, None).is_ok());
-        assert!(s.request(0, 0.1, None, None).is_err());
+        assert!(s.request(0, 1.0, None).is_ok());
+        assert!(s.request(0, 0.1, None).is_err());
     }
 
     #[test]
     fn sequential_composition_adds_up() {
         let mut s = state(1.0);
-        assert!(s.request(0, 0.5, None, None).is_ok());
-        assert!(s.request(0, 0.5, None, None).is_ok());
-        assert!(s.request(0, 0.1, None, None).is_err());
+        assert!(s.request(0, 0.5, None).is_ok());
+        assert!(s.request(0, 0.5, None).is_ok());
+        assert!(s.request(0, 0.1, None).is_err());
         assert_eq!(s.spent(), 1.0);
     }
 
@@ -469,10 +521,10 @@ mod tests {
     fn stability_scales_cost() {
         let mut s = state(1.0);
         let c = add_child(&mut s, 0, 2.0); // e.g. a GroupBy output
-        assert!(s.request(c, 0.4, None, None).is_ok());
+        assert!(s.request(c, 0.4, None).is_ok());
         assert_eq!(s.spent(), 0.8);
         assert!(
-            s.request(c, 0.2, None, None).is_err(),
+            s.request(c, 0.2, None).is_err(),
             "0.2·2 = 0.4 > remaining 0.2"
         );
     }
@@ -482,7 +534,7 @@ mod tests {
         let mut s = state(1.0);
         let (_, kids) = add_partition(&mut s, 0, 3);
         for &k in &kids {
-            assert!(s.request(k, 0.6, None, None).is_ok());
+            assert!(s.request(k, 0.6, None).is_ok());
         }
         // All three siblings asked for 0.6, but the root is charged the max.
         assert!((s.spent() - 0.6).abs() < 1e-12);
@@ -492,16 +544,16 @@ mod tests {
     fn repeated_queries_on_one_child_accumulate() {
         let mut s = state(1.0);
         let (_, kids) = add_partition(&mut s, 0, 2);
-        assert!(s.request(kids[0], 0.4, None, None).is_ok());
-        assert!(s.request(kids[0], 0.4, None, None).is_ok());
+        assert!(s.request(kids[0], 0.4, None).is_ok());
+        assert!(s.request(kids[0], 0.4, None).is_ok());
         assert!((s.spent() - 0.8).abs() < 1e-12);
         // The sibling can still query up to 0.8 for free…
-        assert!(s.request(kids[1], 0.8, None, None).is_ok());
+        assert!(s.request(kids[1], 0.8, None).is_ok());
         assert!((s.spent() - 0.8).abs() < 1e-12);
         // …but going beyond the current max costs the difference.
-        assert!(s.request(kids[1], 0.2, None, None).is_ok());
+        assert!(s.request(kids[1], 0.2, None).is_ok());
         assert!((s.spent() - 1.0).abs() < 1e-12);
-        assert!(s.request(kids[0], 0.3, None, None).is_err());
+        assert!(s.request(kids[0], 0.3, None).is_err());
     }
 
     #[test]
@@ -512,7 +564,7 @@ mod tests {
         let (_, inner1) = add_partition(&mut s, outer[1], 2);
         // Query every leaf at 0.5: all shares collapse to 0.5 at the root.
         for &leaf in inner0.iter().chain(&inner1) {
-            assert!(s.request(leaf, 0.5, None, None).is_ok());
+            assert!(s.request(leaf, 0.5, None).is_ok());
         }
         assert!((s.spent() - 0.5).abs() < 1e-12);
     }
@@ -521,9 +573,9 @@ mod tests {
     fn failed_request_leaves_root_tracker_unchanged() {
         let mut s = state(1.0);
         let c = add_child(&mut s, 0, 1.0);
-        assert!(s.request(c, 0.9, None, None).is_ok());
+        assert!(s.request(c, 0.9, None).is_ok());
         let before = s.spent();
-        assert!(s.request(c, 0.5, None, None).is_err());
+        assert!(s.request(c, 0.5, None).is_err());
         assert_eq!(s.spent(), before);
     }
 
@@ -559,13 +611,13 @@ mod tests {
         assert_eq!(s.active_reservations(), 0);
         // Admitted reservations shrink what unattributed requests can see…
         let id = s.reserve(0.6).unwrap();
-        assert!(s.request(0, 0.5, None, None).is_err());
+        assert!(s.request(0, 0.5, None).is_err());
         // …and releasing restores it; a double release credits nothing.
         s.release_entry(id);
         s.release_entry(id);
         assert_eq!(s.reserved, 0.0);
         assert_eq!(s.active_reservations(), 0);
-        assert!(s.request(0, 0.5, None, None).is_ok());
+        assert!(s.request(0, 0.5, None).is_ok());
     }
 
     #[test]
@@ -574,14 +626,14 @@ mod tests {
         let id = s.reserve(0.6).unwrap();
         // Attributed charges are admitted *through* the hold — the same
         // charge that an unattributed session is refused.
-        assert!(s.request(0, 0.5, None, Some(id)).is_ok());
+        assert!(s.request(0, 0.5, Some(id)).is_ok());
         assert!((s.reservation_remaining(id) - 0.1).abs() < 1e-15);
         assert!((s.reservation_charged(id) - 0.5).abs() < 1e-15);
         assert!((s.reserved - 0.1).abs() < 1e-15);
         // The hold still shields its remainder from other sessions…
-        assert!(s.request(0, 0.45, None, None).is_err());
+        assert!(s.request(0, 0.45, None).is_err());
         // …while the holder can spend past its hold into open budget.
-        assert!(s.request(0, 0.3, None, Some(id)).is_ok());
+        assert!(s.request(0, 0.3, Some(id)).is_ok());
         assert_eq!(s.reservation_remaining(id), 0.0);
         assert!((s.reservation_charged(id) - 0.8).abs() < 1e-15);
         assert!((s.spent() - 0.8).abs() < 1e-15);
@@ -596,7 +648,7 @@ mod tests {
         // Even crediting the full 0.4 hold back, 1.1 exceeds the 1.0
         // total — the rejection must leave every tracker untouched.
         assert!(matches!(
-            s.request(0, 1.1, None, Some(id)),
+            s.request(0, 1.1, Some(id)),
             Err(EktError::BudgetExceeded { .. })
         ));
         assert_eq!(s.spent(), 0.0);
@@ -611,7 +663,7 @@ mod tests {
         let c = add_child(&mut s, 0, 2.0);
         let id = s.reserve(0.8).unwrap();
         // Stability scales the root cost; the *root* cost redeems the hold.
-        assert!(s.request(c, 0.4, None, Some(id)).is_ok());
+        assert!(s.request(c, 0.4, Some(id)).is_ok());
         assert_eq!(s.reservation_remaining(id), 0.0);
         assert!((s.reservation_charged(id) - 0.8).abs() < 1e-15);
         assert!((s.spent() - 0.8).abs() < 1e-15);
@@ -637,8 +689,8 @@ mod tests {
     fn exact_full_budget_is_allowed() {
         let mut s = state(0.3);
         for _ in 0..3 {
-            assert!(s.request(0, 0.1, None, None).is_ok());
+            assert!(s.request(0, 0.1, None).is_ok());
         }
-        assert!(s.request(0, 1e-6, None, None).is_err());
+        assert!(s.request(0, 1e-6, None).is_err());
     }
 }

@@ -148,14 +148,6 @@ mod imp {
         );
     }
 
-    /// Arms every entry of a `site=nth;site=nth` schedule string (the same
-    /// grammar as the `EKTELO_FAILPOINTS` env schedule, which is parsed at
-    /// first registry use). Test/ops surface only.
-    // xlint: allow(dead-pub, reason = "fault-injection surface for tests; failpoint-sites forbids arming from library code")
-    pub fn arm_schedule(spec: &str) {
-        arm_into(&mut lock(), spec);
-    }
-
     /// Disarms every site and resets all hit counters.
     pub fn clear() {
         lock().clear();
@@ -224,7 +216,7 @@ mod imp {
         fn schedule_grammar_parses_and_ignores_malformed_entries() {
             let _g = serial();
             clear();
-            arm_schedule("t::a=2; t::b = 1 ;bogus;t::c=;t::d=0;=3");
+            arm_into(&mut lock(), "t::a=2; t::b = 1 ;bogus;t::c=;t::d=0;=3");
             assert!(!triggered("t::a"));
             assert!(triggered("t::a"));
             assert!(triggered("t::b"));

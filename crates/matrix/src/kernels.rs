@@ -21,8 +21,8 @@
 //!   mul-then-add). Any other loop that performs the same per-element
 //!   sequence — such as the N-ary Kronecker panel kernels in `kron.rs` —
 //!   is **bit-identical** to them.
-//! * **Reassociating** reductions ([`dot`], [`sum`], [`sumsq`] and
-//!   [`norm2`] built on them) produce a result that depends on the
+//! * **Reassociating** reductions ([`dot`], [`sum`], the private `sumsq`
+//!   and [`norm2`] built on it) produce a result that depends on the
 //!   summation order. All of them sum left to right, on the caller.
 //!   Changing any reduction's order is a tolerance change: declare it
 //!   here and test it in `proptest_kernels.rs`.
@@ -48,12 +48,12 @@ pub fn sum(v: &[f64]) -> f64 {
     v.iter().sum()
 }
 
-/// Sum of squares, left to right.
+/// Sum of squares, left to right: [`norm2`]'s reduction, pinned bit for
+/// bit by this module's tests.
 ///
 /// CLASS: reassociating
 #[inline]
-// xlint: allow(dead-pub, reason = "kernel-class requires every public kernel to be pinned by proptest_kernels.rs")
-pub fn sumsq(v: &[f64]) -> f64 {
+fn sumsq(v: &[f64]) -> f64 {
     v.iter().map(|&x| x * x).sum()
 }
 
@@ -146,7 +146,8 @@ pub fn rsub(e: &mut [f64], y: &[f64]) {
     }
 }
 
-/// Euclidean norm `‖v‖₂`, the square root of [`sumsq`].
+/// Euclidean norm `‖v‖₂`, the square root of the sum of squares taken
+/// left to right.
 ///
 /// CLASS: reassociating
 #[inline]

@@ -78,7 +78,7 @@ pub use range::RangeQueries;
 pub use rect::RectQueries2D;
 pub use sensitivity::{sens_cache_stats, SensCacheStats};
 pub use sparse::CsrMatrix;
-pub use workspace::Workspace;
+pub use workspace::{IdleWorkspace, Workspace};
 
 use std::sync::Arc;
 

@@ -29,7 +29,7 @@
 //! assert_eq!(out[0], 10.0);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::plan::{fingerprint, EvalPlan};
 use crate::{plan_cache, Matrix};
@@ -102,9 +102,9 @@ impl Workspace {
     }
 
     /// Total scalars of heap storage this workspace currently pins (the
-    /// arena's capacity). The figure the kernel's idle-workspace bound
+    /// arena's capacity). The figure [`IdleWorkspace::restore`]'s bound
     /// applies to.
-    pub fn resident_scalars(&self) -> usize {
+    pub(crate) fn resident_scalars(&self) -> usize {
         self.buf.capacity()
     }
 
@@ -186,6 +186,53 @@ impl Matrix {
             _ => self.cols() + product,
         };
         (product, product, add)
+    }
+}
+
+/// One idle [`Workspace`], kept between calls that each check one out,
+/// evaluate through it and restore it, so the next call finds the arena
+/// and the plan fast path warm (the protected kernel's batch measurement
+/// and scored selection use one). Evaluation is single-threaded, so one
+/// slot covers the traffic: a checkout while the slot is empty gets a
+/// fresh workspace, and a restore that finds the slot taken drops its
+/// workspace. The slot's lock is held only for the take or the put.
+#[derive(Debug, Default)]
+pub struct IdleWorkspace {
+    idle: Mutex<Option<Workspace>>,
+}
+
+impl IdleWorkspace {
+    /// Takes the idle workspace, or a fresh one when the slot is empty.
+    pub fn checkout(&self) -> Workspace {
+        self.slot().take().unwrap_or_default()
+    }
+
+    /// Keeps `ws` as the idle workspace if the slot is empty and its
+    /// arena is at most `max_bytes`; otherwise drops it (after the slot's
+    /// lock is released).
+    pub fn restore(&self, ws: Workspace, max_bytes: usize) {
+        if ws.resident_scalars() * std::mem::size_of::<f64>() > max_bytes {
+            return;
+        }
+        let mut idle = self.slot();
+        if idle.is_none() {
+            *idle = Some(ws);
+        }
+    }
+
+    /// Heap bytes pinned by the idle workspace's arena (0 when none is
+    /// idle).
+    pub fn resident_bytes(&self) -> usize {
+        self.slot()
+            .as_ref()
+            .map_or(0, |ws| ws.resident_scalars() * std::mem::size_of::<f64>())
+    }
+
+    /// The slot. A panic while it was held cannot leave it inconsistent
+    /// (it holds a whole workspace or none), so a poisoned lock is used
+    /// as is.
+    fn slot(&self) -> MutexGuard<'_, Option<Workspace>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

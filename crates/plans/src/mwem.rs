@@ -241,23 +241,30 @@ mod tests {
         );
     }
 
+    /// Variant b's augmented strategy has L1 sensitivity one in every
+    /// round, so augmenting is free: every query it records, over the base
+    /// domain, has sensitivity one and all are answered at one noise
+    /// scale, and augmentation added rows in some round.
     #[test]
     fn augmentation_has_sensitivity_one() {
-        use ektelo_core::ops::graph::{mwem_augment_with_level, mwem_row_strategy};
-        let n = 32;
-        let mut row = vec![0.0; n];
-        for r in row.iter_mut().take(12).skip(4) {
-            *r = 1.0;
-        }
-        let selected = mwem_row_strategy(n, &row);
-        for round in 0..5 {
-            let m = mwem_augment_with_level(&selected, &row, n, round);
-            assert!(
-                (m.l1_sensitivity() - 1.0).abs() < 1e-12,
-                "round {round} sensitivity {}",
-                m.l1_sensitivity()
+        let x = shape_1d(Shape1D::Gaussian, 64, 1_000.0, 0);
+        let w = random_range(64, 32, 0);
+        let (k, root) = kernel_for_histogram(&x, 1.0, 0);
+        plan_mwem_variant_b(&k, root, &w, 1.0, &opts(1000.0)).unwrap();
+        let ms = k.measurements();
+        assert_eq!(ms.len(), 6, "one measurement per round");
+        for (round, m) in ms.iter().enumerate() {
+            let s = m.query.l1_sensitivity();
+            assert!((s - 1.0).abs() < 1e-12, "round {round} sensitivity {s}");
+            assert_eq!(
+                m.noise_scale, ms[0].noise_scale,
+                "round {round} noise scale"
             );
         }
+        assert!(
+            ms.iter().any(|m| m.query.rows() > 1),
+            "nothing was augmented"
+        );
     }
 
     #[test]

@@ -651,7 +651,7 @@ fn determinism_transitive(
 // ---------------------------------------------------------------------------
 
 /// Library crates whose public functions must each have a caller.
-const DEAD_PUB_CRATES: &[&str] = &["core", "matrix", "solvers", "plans", "data"];
+const DEAD_PUB_CRATES: &[&str] = &["kernel", "core", "matrix", "solvers", "plans", "data"];
 
 /// Which code in a file keeps a library `pub fn` alive.
 #[derive(Clone, Copy, PartialEq)]

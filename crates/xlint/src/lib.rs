@@ -32,10 +32,11 @@
 //!   reassociating` tag in its doc block (the ROADMAP standing note,
 //!   machine-checked) and must be exercised by name from
 //!   `crates/matrix/tests/proptest_kernels.rs`.
-//! * `budget-chokepoint` — inside `crates/core/src/kernel/`, raw `f64`
-//!   comparisons on `eps`-named values and mutations of the `reserved` /
-//!   `budget` / `held` / `charged` trackers are only legal in `state.rs`
-//!   (or a future `budget.rs`) — the `KernelState::request` chokepoint.
+//! * `budget-chokepoint` — inside the kernel crate (`crates/kernel/src/`),
+//!   raw `f64` comparisons on `eps`-named values and mutations of the
+//!   `reserved` / `budget` / `held` / `charged` trackers are only legal in
+//!   `state.rs` (or a future `budget.rs`) — the `KernelState::request`
+//!   chokepoint.
 //!   Scattered epsilon guards are how the PR-4 NaN-bypass class of bug
 //!   gets reintroduced, and reservation-ledger fields mutated outside
 //!   the chokepoint are how redemption atomicity silently breaks.
@@ -50,7 +51,7 @@
 //!   adjacent `// SAFETY:` comment (same line or within the five lines
 //!   above). `--inventory` reports every site with its justification.
 //! * `panic-policy` — `.unwrap()` / `.expect(...)` / `panic!` in
-//!   library code of core/matrix/solvers/plans (`src/`, outside
+//!   library code of kernel/core/matrix/solvers/plans (`src/`, outside
 //!   `#[cfg(test)]` modules) must be converted to typed `EktError` paths
 //!   or carry an explicit justification allowlist comment.
 //!
@@ -89,7 +90,7 @@
 //!   declared in `failpoints.rs`'s `SITES` list and vice versa (an
 //!   orphaned declaration is a chaos schedule that silently arms
 //!   nothing).
-//! * `dead-pub` — every `pub fn` in `crates/{core,matrix,solvers,plans,
+//! * `dead-pub` — every `pub fn` in `crates/{kernel,core,matrix,solvers,plans,
 //!   data}/src` needs a caller outside its own file and outside test
 //!   code. Callers are other library files (the bench bins and the
 //!   benchmark package included), `crates/bench/benches`, `examples/`
@@ -918,10 +919,10 @@ fn lint_file(ctx: &FileCtx, report: &mut Report) {
             | "crates/matrix/src/kernels.rs"
             | "crates/matrix/src/plan.rs"
     );
-    let budget_scoped = ctx.rel.starts_with("crates/core/src/kernel/")
+    let budget_scoped = ctx.rel.starts_with("crates/kernel/src/")
         && !ctx.rel.ends_with("/state.rs")
         && !ctx.rel.ends_with("/budget.rs");
-    let panic_scoped = ["core", "matrix", "solvers", "plans"]
+    let panic_scoped = ["kernel", "core", "matrix", "solvers", "plans"]
         .iter()
         .any(|c| ctx.rel.starts_with(&format!("crates/{c}/src/")));
     // The audited fault-injection surface: every file allowed to host a
@@ -930,8 +931,8 @@ fn lint_file(ctx: &FileCtx, report: &mut Report) {
     let failpoint_site_file = matches!(
         ctx.rel.as_str(),
         "crates/matrix/src/failpoints.rs"
-            | "crates/core/src/kernel/state.rs"
-            | "crates/core/src/kernel/mod.rs"
+            | "crates/kernel/src/kernel/state.rs"
+            | "crates/kernel/src/kernel/mod.rs"
             | "crates/solvers/src/lsqr.rs"
     );
     let failpoints_module = ctx.rel == "crates/matrix/src/failpoints.rs";

@@ -37,29 +37,6 @@ fn keys(report: &xlint::Report) -> Vec<(String, usize, &'static str)> {
 fn violations_are_detected_at_exact_lines() {
     let report = xlint::lint_root(&fixture("violations")).expect("fixture tree scans");
     let expected: Vec<(String, usize, &str)> = [
-        // mod.rs: raw eps comparison + reserved mutation outside state.rs,
-        // then the reservation-ledger fields (held/charged) likewise.
-        ("crates/core/src/kernel/mod.rs", 6, "budget-chokepoint"),
-        ("crates/core/src/kernel/mod.rs", 9, "budget-chokepoint"),
-        ("crates/core/src/kernel/mod.rs", 14, "budget-chokepoint"),
-        ("crates/core/src/kernel/mod.rs", 15, "budget-chokepoint"),
-        // locked_work: allocation, pool dispatch, solver entry and
-        // reentrant self-call inside a live KernelState guard, then a
-        // panic that fires under both the flow and the line rule.
-        ("crates/core/src/kernel/mod.rs", 25, "lock-discipline"),
-        ("crates/core/src/kernel/mod.rs", 26, "lock-discipline"),
-        ("crates/core/src/kernel/mod.rs", 27, "lock-discipline"),
-        ("crates/core/src/kernel/mod.rs", 28, "lock-discipline"),
-        ("crates/core/src/kernel/mod.rs", 29, "lock-discipline"),
-        ("crates/core/src/kernel/mod.rs", 29, "panic-policy"),
-        // moved_guard: the guard is assigned in a nested block but the
-        // binding outlives it — the alloc after the block close is still
-        // inside the region.
-        ("crates/core/src/kernel/mod.rs", 46, "lock-discipline"),
-        // closure_under_lock: a caller-supplied closure called inside the
-        // guard. Its twin closure_after_lock calls a workspace function
-        // inside the guard and the closure after it, and stays silent.
-        ("crates/core/src/kernel/mod.rs", 56, "lock-discipline"),
         // lib.rs: bare unsafe block, library unwrap, then an arm call in
         // library code and a failpoint site outside the audited list
         // (the undeclared name also trips the SITES parity check).
@@ -68,6 +45,30 @@ fn violations_are_detected_at_exact_lines() {
         ("crates/core/src/lib.rs", 19, "failpoint-sites"),
         ("crates/core/src/lib.rs", 20, "cfg-parity"),
         ("crates/core/src/lib.rs", 20, "failpoint-sites"),
+        // kernel/mod.rs, in the kernel crate: raw eps comparison +
+        // reserved mutation outside state.rs, then the reservation-ledger
+        // fields (held/charged) likewise.
+        ("crates/kernel/src/kernel/mod.rs", 6, "budget-chokepoint"),
+        ("crates/kernel/src/kernel/mod.rs", 9, "budget-chokepoint"),
+        ("crates/kernel/src/kernel/mod.rs", 14, "budget-chokepoint"),
+        ("crates/kernel/src/kernel/mod.rs", 15, "budget-chokepoint"),
+        // locked_work: allocation, pool dispatch, solver entry and
+        // reentrant self-call inside a live KernelState guard, then a
+        // panic that fires under both the flow and the line rule.
+        ("crates/kernel/src/kernel/mod.rs", 25, "lock-discipline"),
+        ("crates/kernel/src/kernel/mod.rs", 26, "lock-discipline"),
+        ("crates/kernel/src/kernel/mod.rs", 27, "lock-discipline"),
+        ("crates/kernel/src/kernel/mod.rs", 28, "lock-discipline"),
+        ("crates/kernel/src/kernel/mod.rs", 29, "lock-discipline"),
+        ("crates/kernel/src/kernel/mod.rs", 29, "panic-policy"),
+        // moved_guard: the guard is assigned in a nested block but the
+        // binding outlives it — the alloc after the block close is still
+        // inside the region.
+        ("crates/kernel/src/kernel/mod.rs", 46, "lock-discipline"),
+        // closure_under_lock: a caller-supplied closure called inside the
+        // guard. Its twin closure_after_lock calls a workspace function
+        // inside the guard and the closure after it, and stays silent.
+        ("crates/kernel/src/kernel/mod.rs", 56, "lock-discipline"),
         // failpoints.rs: `ghost::site` is declared but used nowhere.
         ("crates/matrix/src/failpoints.rs", 6, "cfg-parity"),
         // graph.rs: hash use visible only transitively from matvec_into.

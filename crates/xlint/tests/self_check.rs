@@ -75,7 +75,7 @@ fn workspace_inventory_is_sound() {
         report
             .lock_regions
             .iter()
-            .any(|r| r.file.ends_with("core/src/kernel/mod.rs") && r.kind == "KernelState"),
+            .any(|r| r.file.ends_with("kernel/src/kernel/mod.rs") && r.kind == "KernelState"),
         "no KernelState guard regions found in the kernel"
     );
     let warm: Vec<&str> = report.warm_roots.iter().map(|w| w.name.as_str()).collect();

@@ -3,7 +3,8 @@
 //!
 //! Two deliberate differences from upstream criterion:
 //!
-//! * Measurement is simple wall-clock best/mean-of-N rather than full
+//! * Measurement is simple wall-clock statistics of N timed iterations
+//!   (mean, best, and the median with a p10–p90 band) rather than full
 //!   statistical analysis — adequate for the before/after trajectory this
 //!   repo tracks.
 //! * On exit every bench target writes a machine-readable summary,
@@ -30,6 +31,13 @@ pub struct Record {
     pub mean_ns: f64,
     /// Fastest observed iteration, nanoseconds.
     pub min_ns: f64,
+    /// Median iteration, nanoseconds.
+    pub median_ns: f64,
+    /// 10th and 90th percentile iterations, nanoseconds: the spread a
+    /// change must leave to count.
+    pub p10_ns: f64,
+    /// See [`Record::p10_ns`].
+    pub p90_ns: f64,
     /// Number of timed iterations.
     pub iters: u64,
 }
@@ -75,11 +83,15 @@ impl Criterion {
         let mut out = String::from("[\n");
         for (i, r) in self.records.iter().enumerate() {
             out.push_str(&format!(
-                "  {{\"group\": {}, \"bench\": {}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"iters\": {}}}{}\n",
+                "  {{\"group\": {}, \"bench\": {}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \
+                 \"median_ns\": {:.1}, \"p10_ns\": {:.1}, \"p90_ns\": {:.1}, \"iters\": {}}}{}\n",
                 json_str(&r.group),
                 json_str(&r.id),
                 r.mean_ns,
                 r.min_ns,
+                r.median_ns,
+                r.p10_ns,
+                r.p90_ns,
                 r.iters,
                 if i + 1 == self.records.len() { "" } else { "," }
             ));
@@ -222,18 +234,29 @@ fn run_bench(group: &str, id: &str, sample_size: u64, f: &mut dyn FnMut(&mut Ben
     f(&mut bencher);
     let n = bencher.timings_ns.len().max(1) as f64;
     let mean = bencher.timings_ns.iter().sum::<f64>() / n;
-    let min = bencher
-        .timings_ns
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
+    let mut sorted = bencher.timings_ns;
+    sorted.sort_by(f64::total_cmp);
     Record {
         group: group.to_string(),
         id: id.to_string(),
         mean_ns: mean,
-        min_ns: if min.is_finite() { min } else { 0.0 },
-        iters: bencher.timings_ns.len() as u64,
+        min_ns: quantile(&sorted, 0.0),
+        median_ns: quantile(&sorted, 0.5),
+        p10_ns: quantile(&sorted, 0.1),
+        p90_ns: quantile(&sorted, 0.9),
+        iters: sorted.len() as u64,
     }
+}
+
+/// The `p`-quantile of ascending `sorted`, interpolated linearly between
+/// the two nearest ranks (0 when there are no timings).
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let pos = p * last as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 fn json_str(s: &str) -> String {
@@ -304,4 +327,19 @@ macro_rules! criterion_main {
             criterion.finalize();
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quantile;
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 10.0];
+        assert_eq!(quantile(&sorted, 0.0), 1.0);
+        assert_eq!(quantile(&sorted, 0.5), 3.0);
+        assert!((quantile(&sorted, 0.9) - 7.6).abs() < 1e-12);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+        assert_eq!(quantile(&[], 0.5), 0.0);
+    }
 }

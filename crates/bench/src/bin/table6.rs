@@ -145,8 +145,8 @@ fn main() {
             let (k, root) = kernel_for_histogram(&case.x, eps, 300 + seed);
             let (out, secs) = time_it(|| {
                 match case.algo {
-                    Algo::Ahp => plan_ahp(&k, root, eps, 0.5),
-                    Algo::Dawa => plan_dawa(&k, root, &case.w, eps, 0.25),
+                    Algo::Ahp => plan_ahp(&k, root, eps),
+                    Algo::Dawa => plan_dawa(&k, root, &case.w, eps),
                     Algo::Identity => plan_identity(&k, root, eps),
                     Algo::Hb => plan_hb(&k, root, eps),
                 }

@@ -14,8 +14,12 @@ use ektelo_bench::vetted::{
     file_code_lines, is_vetted, library_files, workspace_root, KERNEL_CRATE, LISTED,
 };
 
-/// The most privacy-critical lines the surface may hold.
-const CEILING: usize = 1_297;
+/// The most privacy-critical lines the surface may hold. Raised from
+/// 1,297 by the 34 lines with which the kernel derives Worst-approx's
+/// score sensitivity from the workload (`Matrix::max_abs_entry` in
+/// `sensitivity.rs`, and the picker calibrating with it in the kernel's
+/// `select.rs`) instead of trusting the caller's declared value.
+const CEILING: usize = 1_331;
 
 #[test]
 fn privacy_critical_lines_stay_under_the_ceiling() {

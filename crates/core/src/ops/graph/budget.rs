@@ -20,9 +20,11 @@
 //!   runs on a source whose ancestry carries no prior
 //!   parallel-composition credit (an upper bound otherwise).
 
+use ektelo_matrix::Matrix;
+
 use crate::kernel::{self, EktError, Result, SourceTree};
 
-use super::{MeasureOp, NodeKind, PartitionOp, PlanSpec, SelectOp, TransformOp};
+use super::{MeasureOp, NodeKind, PartitionOp, PlanSpec, SelectOp, StrategySource, TransformOp};
 
 /// The outcome of [`PlanSpec::pre_account`]: the worst-case root ε.
 #[derive(Clone, Debug)]
@@ -118,8 +120,10 @@ fn source(vals: &[ShadowVal], id: usize) -> Result<usize> {
     }
 }
 
+/// The sources of a list node; a single source is a list of one.
 fn sources(vals: &[ShadowVal], id: usize) -> Result<Vec<usize>> {
     match &vals[id] {
+        ShadowVal::Source(s) => Ok(vec![*s]),
         ShadowVal::Sources(s) => Ok(s.clone()),
         other => Err(EktError::InvalidPlan(format!(
             "node #{id} is not a source list (found {other:?})"
@@ -245,7 +249,9 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 }
                 ShadowVal::Source(shadow.add(src, stability, false))
             }
-            NodeKind::Partition(PartitionOp::DawaEach { inputs, eps, .. }) => {
+            NodeKind::Partition(
+                PartitionOp::AhpEach { inputs, eps } | PartitionOp::DawaEach { inputs, eps, .. },
+            ) => {
                 let eps = positive_eps(*eps)?;
                 for s in sources(&vals, inputs.id)? {
                     shadow.request(s, eps)?;
@@ -278,6 +284,31 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                 }
                 ShadowVal::None
             }
+            NodeKind::Select(SelectOp::AdaptiveGrid { coarse, .. }) => {
+                // Round 2 subdivides a fixed rectangle grid measured on one
+                // source: reject anything else before round 1 is charged.
+                let grid = match &spec.nodes[coarse.id] {
+                    NodeKind::Measure(MeasureOp::LaplaceBatch {
+                        inputs,
+                        strategies: StrategySource::Shared(s),
+                        ..
+                    }) if matches!(vals[inputs.id], ShadowVal::Source(_)) => &spec.nodes[s.id],
+                    _ => &NodeKind::Input,
+                };
+                if !matches!(
+                    grid,
+                    NodeKind::Select(SelectOp::Fixed {
+                        matrix: Matrix::Rect2D(_),
+                        ..
+                    })
+                ) {
+                    return Err(EktError::InvalidPlan(format!(
+                        "select node #{id} does not subdivide a fixed rectangle grid measured \
+                         on one source"
+                    )));
+                }
+                ShadowVal::None
+            }
             NodeKind::Select(_) => ShadowVal::None,
             NodeKind::Infer(_) => {
                 // An Infer node fits the measurements recorded so far; a
@@ -290,13 +321,6 @@ pub(super) fn pre_account(spec: &PlanSpec) -> Result<PlanCost> {
                          node, so it would run over an empty measurement history"
                     )));
                 }
-                ShadowVal::None
-            }
-            NodeKind::Measure(MeasureOp::Laplace { input, eps, .. }) => {
-                let eps = positive_eps(*eps)?;
-                let src = source(&vals, input.id)?;
-                shadow.request(src, eps)?;
-                measured = true;
                 ShadowVal::None
             }
             NodeKind::Measure(MeasureOp::LaplaceBatch {
@@ -382,7 +406,6 @@ mod tests {
     use crate::ops::graph::{MwemLoopOp, MwemRoundInference, PlanBuilder};
     use crate::ops::inference::LsSolver;
     use crate::ops::partition::DawaOptions;
-    use ektelo_matrix::Matrix;
 
     #[test]
     fn sequential_measurements_add_up() {
@@ -457,6 +480,32 @@ mod tests {
         let e = b.infer_least_squares(LsSolver::Iterative);
         let cost = b.finish(e).pre_account().unwrap();
         assert!((cost.total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn adaptive_grid_needs_a_rectangle_grid_measured_on_one_source() {
+        let spec = |grid: Matrix, striped: bool| {
+            let mut b = PlanBuilder::new();
+            let x = b.input();
+            let coarse = b.select_fixed(grid, "SU");
+            let y1 = if striped {
+                let p = b.partition_stripes(&[4, 4], 0);
+                let stripes = b.transform_split(x, p);
+                b.measure_laplace_batch_shared(stripes, coarse, 0.5)
+            } else {
+                b.measure_laplace(x, coarse, 0.5)
+            };
+            let fine = b.select_adaptive_grid(y1, 0.5);
+            b.measure_laplace(x, fine, 0.5);
+            let e = b.infer_least_squares(LsSolver::Iterative);
+            b.finish(e)
+        };
+        let grid = || Matrix::rect_queries(4, 4, vec![(0, 2, 0, 4), (2, 4, 0, 4)]);
+        let cost = spec(grid(), false).pre_account().unwrap();
+        assert_eq!(cost.total, 1.0);
+        for bad in [spec(Matrix::identity(16), false), spec(grid(), true)] {
+            assert!(matches!(bad.pre_account(), Err(EktError::InvalidPlan(_))));
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The plan executor: runs a [`PlanSpec`] against a kernel session.
 //!
-//! Execution order is the spec's node order, and each node issues
-//! *exactly* the kernel calls the imperative plan functions issue — same
-//! charges, same privacy-RNG consumption, same measurement history — so
-//! a migrated plan is bit-identical to its imperative ancestor given the
-//! same kernel seed. One exception: a stripe split read only by one
+//! Execution order is the spec's node order, and each node issues a
+//! fixed sequence of kernel calls — its charges, privacy-RNG consumption
+//! and measurement history depend only on the node and its inputs — so a
+//! spec is bit-identical to hand-written code that makes the same calls
+//! given the same kernel seed (the plans' tests keep the bodies the specs
+//! replaced as oracles). A single source is a list of one for the
+//! element-wise nodes, and a single measurement is a batch of one. One
+//! exception: a stripe split read only by one
 //! shared-strategy batch (HB-Striped, `PS TP[ SHB LM ] LS`) runs as a
 //! single Kronecker measurement of the split's input (see [`lowers`]),
 //! with the same rows, sensitivity and charge as the per-stripe batch and
@@ -26,6 +29,7 @@
 //! nothing else is held.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use ektelo_matrix::{ColumnClasses, ColumnRefinement, CsrMatrix, Matrix};
 use ektelo_solvers::{mw_uniform_start, NnlsOptions};
@@ -38,13 +42,16 @@ use crate::ops::inference::{
     non_negative_least_squares_opts, relative_total_scale,
 };
 use crate::ops::partition::{
-    dawa_partition_batch, interval_partition_bounds, map_ranges_to_buckets, stripe_partition,
+    ahp_partition_batch, dawa_partition_batch, interval_partition_bounds, map_ranges_to_buckets,
+    stripe_partition,
 };
-use crate::ops::selection::{self, greedy_h, select_worst_approx, stripe_select};
+use crate::ops::selection::{
+    self, adaptive_grid_round2, greedy_h, select_worst_approx, stripe_select,
+};
 
 use super::{
-    InferOp, MeasureOp, MwemLoopOp, MwemRoundInference, NodeKind, PartitionOp, PlanSpec,
-    SelectDomain, SelectOp, StrategySource, TransformOp,
+    InferOp, MeasureOp, MwemLoopOp, MwemRoundInference, NodeKind, PartitionOp, PlanSpec, SelectOp,
+    SourceListRef, StrategySource, TransformOp,
 };
 
 /// What executing a plan produced, plus the budget ledger a service logs.
@@ -93,6 +100,8 @@ enum Value {
         attr: usize,
     },
     Partitions(Vec<Matrix>),
+    /// A measurement's released answers, one vector per source.
+    Answers(Vec<Arc<[f64]>>),
     Estimate(Vec<f64>),
 }
 
@@ -235,24 +244,24 @@ impl<'k> Run<'_, 'k> {
         }
     }
 
+    /// The sources of a list node; a single source is a list of one.
     fn sources<'v>(&self, vals: &'v [Value], id: usize) -> Result<&'v [SourceVar]> {
         match &vals[id] {
+            Value::Source(sv) => Ok(std::slice::from_ref(sv)),
             Value::Sources(s) => Ok(s),
             other => Err(type_err(id, "source list", other)),
         }
     }
 
-    fn domain_len(&self, vals: &[Value], domain: &SelectDomain) -> Result<usize> {
-        let sv = match domain {
-            SelectDomain::Source(r) => self.source(vals, r.id)?,
-            SelectDomain::FirstOf(r) => match &vals[r.id] {
-                // Every stripe has `sizes[attr]` cells.
-                Value::LoweredSplit { sizes, attr, .. } => return Ok(sizes[*attr]),
-                _ => *self
-                    .sources(vals, r.id)?
-                    .first()
-                    .ok_or_else(|| EktError::InvalidPlan("empty source list".into()))?,
-            },
+    /// The length of the first source in `domain`.
+    fn domain_len(&self, vals: &[Value], domain: &SourceListRef) -> Result<usize> {
+        let sv = match &vals[domain.id] {
+            // Every stripe has `sizes[attr]` cells.
+            Value::LoweredSplit { sizes, attr, .. } => return Ok(sizes[*attr]),
+            _ => *self
+                .sources(vals, domain.id)?
+                .first()
+                .ok_or_else(|| EktError::InvalidPlan("empty source list".into()))?,
         };
         self.kernel.vector_len(sv)
     }
@@ -268,9 +277,13 @@ impl<'k> Run<'_, 'k> {
                     sizes: sizes.clone(),
                     attr: *attr,
                 },
+                NodeKind::Partition(PartitionOp::AhpEach { inputs, eps }) => {
+                    let svs = self.sources(&vals, inputs.id)?;
+                    Value::Partitions(ahp_partition_batch(kernel, svs, *eps, self.res())?)
+                }
                 NodeKind::Partition(PartitionOp::DawaEach { inputs, eps, opts }) => {
-                    let svs = self.sources(&vals, inputs.id)?.to_vec();
-                    Value::Partitions(dawa_partition_batch(kernel, &svs, *eps, opts, self.res())?)
+                    let svs = self.sources(&vals, inputs.id)?;
+                    Value::Partitions(dawa_partition_batch(kernel, svs, *eps, opts, self.res())?)
                 }
 
                 NodeKind::Transform(TransformOp::Split { input, partition }) => {
@@ -317,75 +330,56 @@ impl<'k> Run<'_, 'k> {
 
                 NodeKind::Select(op) => self.eval_select(&vals, op)?,
 
-                NodeKind::Measure(MeasureOp::Laplace {
-                    input,
-                    strategy,
-                    eps,
-                }) => {
-                    let sv = self.source(&vals, input.id)?;
-                    let m = match &vals[strategy.id] {
-                        Value::Strategy(m) => m,
-                        other => return Err(type_err(strategy.id, "strategy", other)),
-                    };
-                    kernel.vector_laplace_batch_in(&[(sv, m, *eps)], self.res())?;
-                    Value::None
-                }
                 NodeKind::Measure(MeasureOp::LaplaceBatch {
                     inputs,
                     strategies,
                     eps,
-                }) => {
-                    match strategies {
-                        StrategySource::Shared(s) => {
-                            let m = match &vals[s.id] {
-                                Value::Strategy(m) => m,
-                                other => return Err(type_err(s.id, "strategy", other)),
-                            };
-                            if let Value::LoweredSplit { input, sizes, attr } = &vals[inputs.id] {
-                                // Every stripe's rows, in Kronecker order:
-                                // one measurement of the split's input. The
-                                // kernel checks the input against
-                                // `∏ sizes` once the strategy fits a stripe.
-                                if m.cols() != sizes[*attr] {
-                                    return Err(EktError::ShapeMismatch {
-                                        expected: sizes[*attr],
-                                        found: m.cols(),
-                                    });
-                                }
-                                let kron = stripe_select(sizes, *attr, |_| m.clone());
-                                kernel.vector_laplace_batch_in(
-                                    &[(*input, &kron, *eps)],
-                                    self.res(),
-                                )?;
-                            } else {
-                                let reqs: Vec<(SourceVar, &Matrix, f64)> = self
-                                    .sources(&vals, inputs.id)?
-                                    .iter()
-                                    .map(|&sv| (sv, m, *eps))
-                                    .collect();
-                                kernel.vector_laplace_batch_in(&reqs, self.res())?;
+                }) => Value::Answers(match strategies {
+                    StrategySource::Shared(s) => {
+                        let m = match &vals[s.id] {
+                            Value::Strategy(m) => m,
+                            other => return Err(type_err(s.id, "strategy", other)),
+                        };
+                        if let Value::LoweredSplit { input, sizes, attr } = &vals[inputs.id] {
+                            // Every stripe's rows, in Kronecker order: one
+                            // measurement of the split's input. The kernel
+                            // checks the input against `∏ sizes` once the
+                            // strategy fits a stripe.
+                            if m.cols() != sizes[*attr] {
+                                return Err(EktError::ShapeMismatch {
+                                    expected: sizes[*attr],
+                                    found: m.cols(),
+                                });
                             }
-                        }
-                        StrategySource::PerSource(s) => {
-                            let svs = self.sources(&vals, inputs.id)?;
-                            let ms = match &vals[s.id] {
-                                Value::Strategies(ms) => ms,
-                                other => return Err(type_err(s.id, "strategy list", other)),
-                            };
-                            if svs.len() != ms.len() {
-                                return Err(EktError::InvalidPlan(format!(
-                                    "batch over {} sources but {} strategies",
-                                    svs.len(),
-                                    ms.len()
-                                )));
-                            }
-                            let reqs: Vec<(SourceVar, &Matrix, f64)> =
-                                svs.iter().zip(ms).map(|(&sv, m)| (sv, m, *eps)).collect();
-                            kernel.vector_laplace_batch_in(&reqs, self.res())?;
+                            let kron = stripe_select(sizes, *attr, |_| m.clone());
+                            kernel.vector_laplace_batch_in(&[(*input, &kron, *eps)], self.res())?
+                        } else {
+                            let reqs: Vec<(SourceVar, &Matrix, f64)> = self
+                                .sources(&vals, inputs.id)?
+                                .iter()
+                                .map(|&sv| (sv, m, *eps))
+                                .collect();
+                            kernel.vector_laplace_batch_in(&reqs, self.res())?
                         }
                     }
-                    Value::None
-                }
+                    StrategySource::PerSource(s) => {
+                        let svs = self.sources(&vals, inputs.id)?;
+                        let ms = match &vals[s.id] {
+                            Value::Strategies(ms) => ms,
+                            other => return Err(type_err(s.id, "strategy list", other)),
+                        };
+                        if svs.len() != ms.len() {
+                            return Err(EktError::InvalidPlan(format!(
+                                "batch over {} sources but {} strategies",
+                                svs.len(),
+                                ms.len()
+                            )));
+                        }
+                        let reqs: Vec<(SourceVar, &Matrix, f64)> =
+                            svs.iter().zip(ms).map(|(&sv, m)| (sv, m, *eps)).collect();
+                        kernel.vector_laplace_batch_in(&reqs, self.res())?
+                    }
+                }),
 
                 NodeKind::Infer(InferOp::LeastSquares { solver }) => Value::Estimate(
                     least_squares(&kernel.measurements_since(self.start), *solver),
@@ -447,12 +441,39 @@ impl<'k> Run<'_, 'k> {
                 }
                 Value::Strategies(strategies)
             }
+            SelectOp::AdaptiveGrid { coarse, eps } => {
+                // Pre-accounting checked that `coarse` measured one source
+                // with a fixed rectangle grid.
+                let (
+                    Value::Answers(answers),
+                    NodeKind::Measure(MeasureOp::LaplaceBatch {
+                        strategies: StrategySource::Shared(s),
+                        ..
+                    }),
+                ) = (&vals[coarse.id], &self.spec.nodes[coarse.id])
+                else {
+                    return Err(type_err(
+                        coarse.id,
+                        "coarse grid measurement",
+                        &vals[coarse.id],
+                    ));
+                };
+                let Value::Strategy(Matrix::Rect2D(grid)) = &vals[s.id] else {
+                    return Err(type_err(s.id, "rectangle grid", &vals[s.id]));
+                };
+                // Each coarse block is subdivided by its noisy count.
+                let mut rects = Vec::new();
+                for (block, &count) in grid.rects().zip(answers[0].iter()) {
+                    rects.extend(adaptive_grid_round2(block, count, *eps));
+                }
+                let (rows, cols) = grid.shape();
+                Value::Strategy(Matrix::rect_queries(rows, cols, rects))
+            }
             SelectOp::Fixed { matrix, .. } => Value::Strategy(matrix.clone()),
         })
     }
 
-    /// MWEM's adaptive loop — an exact port of the imperative
-    /// `plan_mwem` body, with every round's charges redeemed from the
+    /// MWEM's adaptive loop, with every round's charges redeemed from the
     /// plan reservation.
     fn run_mwem_loop(
         &self,
@@ -484,15 +505,8 @@ impl<'k> Run<'_, 'k> {
         for round in 0..op.rounds {
             // SW: worst-approximated workload query (exponential
             // mechanism).
-            let idx = select_worst_approx(
-                kernel,
-                x,
-                &mut scores,
-                &x_hat,
-                1.0,
-                op.eps_select,
-                self.res(),
-            )?;
+            let idx =
+                select_worst_approx(kernel, x, &mut scores, &x_hat, op.eps_select, self.res())?;
             // A `Range` workload's row is one interval, built as CSR
             // directly; augmentation, and every other workload, reads the
             // dense row.
@@ -597,8 +611,6 @@ fn mwem_augment_with_level(selected: &Matrix, row: &[f64], n: usize, round: usiz
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::ops::graph::PlanBuilder;
     use crate::ops::inference::LsSolver;

@@ -3,11 +3,10 @@
 //! EKTELO's central claim is that DP computations should be *plans* —
 //! inspectable compositions of vetted operators from five fixed classes
 //! (Transformation, Query, Query selection, Partition selection,
-//! Inference). The imperative plan functions in `ektelo-plans` realize
-//! that claim operationally, but each one is opaque Rust: nothing can
-//! introspect, cost or validate a plan before it touches the kernel.
-//!
-//! This module makes plans first-class data:
+//! Inference). A plan written as Rust that calls the kernel is opaque:
+//! nothing can introspect, cost or validate it before it touches the
+//! kernel. This module makes plans first-class data, and every vector
+//! plan in `ektelo-plans` is built with it:
 //!
 //! * [`PlanSpec`] — a DAG of class-tagged operator nodes, built through
 //!   the typed [`PlanBuilder`] (references are type-checked at compile
@@ -151,6 +150,17 @@ pub enum EstimateTag {}
 
 /// Reference to a protected source.
 pub type SourceRef = Ref<SourceTag>;
+
+impl SourceRef {
+    /// The source as a list of one, for the element-wise operators
+    /// (partition selection, reduce, per-source selection and the batched
+    /// measurement), so a single-source plan uses the nodes a striped one
+    /// does.
+    pub fn as_list(self) -> SourceListRef {
+        Ref::new(self.id)
+    }
+}
+
 /// Reference to a list of protected sources.
 pub type SourceListRef = Ref<SourceListTag>;
 /// Reference to a strategy matrix.
@@ -165,28 +175,6 @@ pub type PartitionListRef = Ref<PartitionListTag>;
 pub type MeasureRef = Ref<MeasureTag>;
 /// Reference to an estimate.
 pub type EstimateRef = Ref<EstimateTag>;
-
-/// The domain a size-parameterized selection operator reads its `n`
-/// from: a single source, or the first source of a list (all stripes of
-/// a stripe split share one length).
-#[derive(Clone, Copy, Debug)]
-pub enum SelectDomain {
-    /// Domain size of one source.
-    Source(SourceRef),
-    /// Domain size of the first source in a list (stripe splits produce
-    /// equal-length groups).
-    FirstOf(SourceListRef),
-}
-
-impl SelectDomain {
-    /// The node the domain size is read from.
-    fn id(&self) -> usize {
-        match self {
-            SelectDomain::Source(r) => r.id,
-            SelectDomain::FirstOf(r) => r.id,
-        }
-    }
-}
 
 /// Where a batched measurement takes its strategies from.
 #[derive(Clone, Copy, Debug)]
@@ -254,6 +242,14 @@ pub enum PartitionOp {
         /// The striped attribute.
         attr: usize,
     },
+    /// AHP's data-adaptive partition, element-wise over a source list
+    /// (Private→Public: charges `eps` per source). Token `PA`.
+    AhpEach {
+        /// Sources to partition (one AHP selection per source).
+        inputs: SourceListRef,
+        /// Budget charged to every source.
+        eps: f64,
+    },
     /// DAWA's data-adaptive stage-1 partition, element-wise over a
     /// source list (Private→Public: charges `eps` per source, composing
     /// in parallel across split siblings). Token `PD`.
@@ -274,6 +270,7 @@ impl Operator for PartitionOp {
     fn token(&self) -> &'static str {
         match self {
             PartitionOp::Stripe { .. } => "PS",
+            PartitionOp::AhpEach { .. } => "PA",
             PartitionOp::DawaEach { .. } => "PD",
         }
     }
@@ -285,33 +282,33 @@ impl Operator for PartitionOp {
 pub enum SelectOp {
     /// Identity strategy. Token `SI`.
     Identity {
-        /// Domain the strategy covers.
-        domain: SelectDomain,
+        /// Sources whose (shared) domain the strategy covers.
+        domain: SourceListRef,
     },
     /// Total (single sum) strategy. Token `ST`.
     Total {
-        /// Domain the strategy covers.
-        domain: SelectDomain,
+        /// Sources whose (shared) domain the strategy covers.
+        domain: SourceListRef,
     },
     /// Privelet / Haar wavelet strategy. Token `SP`.
     Privelet {
-        /// Domain the strategy covers.
-        domain: SelectDomain,
+        /// Sources whose (shared) domain the strategy covers.
+        domain: SourceListRef,
     },
     /// Hierarchical H2 strategy. Token `SH2`.
     H2 {
-        /// Domain the strategy covers.
-        domain: SelectDomain,
+        /// Sources whose (shared) domain the strategy covers.
+        domain: SourceListRef,
     },
     /// Hierarchical HB strategy (optimized branching). Token `SHB`.
     Hb {
-        /// Domain the strategy covers.
-        domain: SelectDomain,
+        /// Sources whose (shared) domain the strategy covers.
+        domain: SourceListRef,
     },
     /// Greedy-H strategy adapted to a range workload. Token `SG`.
     GreedyH {
-        /// Domain the strategy covers.
-        domain: SelectDomain,
+        /// Sources whose (shared) domain the strategy covers.
+        domain: SourceListRef,
         /// Range queries of interest (empty for uniform weights).
         ranges: Vec<(usize, usize)>,
     },
@@ -326,6 +323,17 @@ pub enum SelectOp {
         /// Ranges on the original per-stripe domain.
         ranges: Vec<(usize, usize)>,
     },
+    /// AdaptiveGrid's second round: each block of the coarse grid that
+    /// `coarse` measured is subdivided by its released noisy count, and
+    /// the finer rectangles form the strategy (public post-processing of
+    /// the answers). Token `SA`.
+    AdaptiveGrid {
+        /// The measurement of a coarse rectangle grid on one source.
+        coarse: MeasureRef,
+        /// The budget the finer rectangles will be measured with (it sizes
+        /// each block's subdivision).
+        eps: f64,
+    },
     /// A pre-built strategy carried in the spec (HDMM's optimized
     /// output, Kronecker stripe strategies, …) with its own token.
     Fixed {
@@ -337,8 +345,10 @@ pub enum SelectOp {
 }
 
 impl SelectOp {
-    /// The domain a size-parameterized selection reads its `n` from.
-    pub(crate) fn domain(&self) -> Option<&SelectDomain> {
+    /// The sources a size-parameterized selection reads its `n` from: the
+    /// length of the first (a stripe split's children share one length,
+    /// and a single source is a list of one).
+    pub(crate) fn domain(&self) -> Option<&SourceListRef> {
         match self {
             SelectOp::Identity { domain }
             | SelectOp::Total { domain }
@@ -346,7 +356,9 @@ impl SelectOp {
             | SelectOp::H2 { domain }
             | SelectOp::Hb { domain }
             | SelectOp::GreedyH { domain, .. } => Some(domain),
-            SelectOp::GreedyHEach { .. } | SelectOp::Fixed { .. } => None,
+            SelectOp::GreedyHEach { .. }
+            | SelectOp::AdaptiveGrid { .. }
+            | SelectOp::Fixed { .. } => None,
         }
     }
 }
@@ -363,26 +375,20 @@ impl Operator for SelectOp {
             SelectOp::H2 { .. } => "SH2",
             SelectOp::Hb { .. } => "SHB",
             SelectOp::GreedyH { .. } | SelectOp::GreedyHEach { .. } => "SG",
+            SelectOp::AdaptiveGrid { .. } => "SA",
             SelectOp::Fixed { token, .. } => token,
         }
     }
 }
 
-/// Query (measurement) nodes — Private→Public, budget-consuming.
+/// Query (measurement) nodes — Private→Public, budget-consuming. A
+/// node's value is the noisy answers the kernel released, one vector per
+/// source, which later selection nodes may read.
 #[derive(Clone, Debug)]
 pub enum MeasureOp {
-    /// `Vector Laplace` on one source. Token `LM`.
-    Laplace {
-        /// Source to measure.
-        input: SourceRef,
-        /// Strategy to measure it with.
-        strategy: StrategyRef,
-        /// Budget charged to the source.
-        eps: f64,
-    },
     /// Batched `Vector Laplace` over a source list (parallel composition
-    /// across split siblings; bit-identical to a sequential loop). Token
-    /// `LM`.
+    /// across split siblings; bit-identical to a sequential loop). A
+    /// single measurement is a batch of one. Token `LM`.
     LaplaceBatch {
         /// Sources to measure.
         inputs: SourceListRef,
@@ -403,9 +409,8 @@ impl Operator for MeasureOp {
 }
 
 /// Inference nodes (Public). They consume the *session's* measurement
-/// history — every measurement this plan execution recorded so far —
-/// exactly as the imperative plans run inference over
-/// `measurements_since(start)`.
+/// history — every measurement this plan execution recorded so far, the
+/// kernel's `measurements_since(start)`.
 #[derive(Clone, Debug)]
 pub enum InferOp {
     /// Weighted least squares. Token `LS`.
@@ -523,11 +528,11 @@ impl NodeKind {
                 inputs, partitions, ..
             }) => vec![inputs.id, partitions.id],
             NodeKind::Transform(TransformOp::Linear { input, .. }) => vec![input.id],
-            NodeKind::Partition(PartitionOp::DawaEach { inputs, .. }) => vec![inputs.id],
-            NodeKind::Select(op) => op.domain().map(SelectDomain::id).into_iter().collect(),
-            NodeKind::Measure(MeasureOp::Laplace {
-                input, strategy, ..
-            }) => vec![input.id, strategy.id],
+            NodeKind::Partition(
+                PartitionOp::AhpEach { inputs, .. } | PartitionOp::DawaEach { inputs, .. },
+            ) => vec![inputs.id],
+            NodeKind::Select(SelectOp::AdaptiveGrid { coarse, .. }) => vec![coarse.id],
+            NodeKind::Select(op) => op.domain().map(|r| r.id).into_iter().collect(),
             NodeKind::Measure(MeasureOp::LaplaceBatch {
                 inputs, strategies, ..
             }) => {
@@ -541,21 +546,15 @@ impl NodeKind {
         }
     }
 
-    /// Whether this node operates element-wise over a source *list*
-    /// (drives the `TP[ … ]` bracket in signature rendering).
-    fn is_striped(&self) -> bool {
-        match self {
-            NodeKind::Select(op) => {
-                matches!(op, SelectOp::GreedyHEach { .. })
-                    || matches!(op.domain(), Some(SelectDomain::FirstOf(_)))
-            }
-            _ => matches!(
-                self,
-                NodeKind::Partition(PartitionOp::DawaEach { .. })
-                    | NodeKind::Transform(TransformOp::ReduceEach { .. })
-                    | NodeKind::Measure(MeasureOp::LaplaceBatch { .. })
-            ),
-        }
+    /// Whether this node's value is a list with one entry per source
+    /// (sources, partitions or strategies).
+    fn is_list(&self) -> bool {
+        matches!(
+            self,
+            NodeKind::Transform(TransformOp::Split { .. } | TransformOp::ReduceEach { .. })
+                | NodeKind::Partition(PartitionOp::AhpEach { .. } | PartitionOp::DawaEach { .. })
+                | NodeKind::Select(SelectOp::GreedyHEach { .. })
+        )
     }
 }
 
@@ -600,7 +599,13 @@ impl PlanSpec {
         let mut out: Vec<String> = Vec::new();
         let mut bracket_open = false;
         for node in &self.nodes {
-            if bracket_open && !node.is_striped() {
+            // A node that reads a list runs element-wise over a split's
+            // children, inside the `TP[ … ]` bracket.
+            let striped = node
+                .refs()
+                .iter()
+                .any(|&r| self.nodes.get(r).is_some_and(NodeKind::is_list));
+            if bracket_open && !striped {
                 out.push("]".into());
                 bracket_open = false;
             }
@@ -690,6 +695,12 @@ impl PlanBuilder {
         }))
     }
 
+    /// AHP partition selection over every source in `inputs`, charging
+    /// `eps` per source (Private→Public).
+    pub fn partition_ahp_each(&mut self, inputs: SourceListRef, eps: f64) -> PartitionListRef {
+        self.push(NodeKind::Partition(PartitionOp::AhpEach { inputs, eps }))
+    }
+
     /// DAWA stage-1 partition selection over every source in `inputs`,
     /// charging `eps` per source (Private→Public).
     pub fn partition_dawa_each(
@@ -736,50 +747,54 @@ impl PlanBuilder {
     /// Identity strategy over `input`'s domain.
     pub fn select_identity(&mut self, input: SourceRef) -> StrategyRef {
         self.push(NodeKind::Select(SelectOp::Identity {
-            domain: SelectDomain::Source(input),
+            domain: input.as_list(),
         }))
+    }
+
+    /// Identity strategy over the (shared) domain of the sources in
+    /// `inputs` — AHP's strategy on its reduced source.
+    pub fn select_identity_shared(&mut self, inputs: SourceListRef) -> StrategyRef {
+        self.push(NodeKind::Select(SelectOp::Identity { domain: inputs }))
     }
 
     /// Total strategy over `input`'s domain.
     pub fn select_total(&mut self, input: SourceRef) -> StrategyRef {
         self.push(NodeKind::Select(SelectOp::Total {
-            domain: SelectDomain::Source(input),
+            domain: input.as_list(),
         }))
     }
 
     /// Privelet (wavelet) strategy over `input`'s domain.
     pub fn select_privelet(&mut self, input: SourceRef) -> StrategyRef {
         self.push(NodeKind::Select(SelectOp::Privelet {
-            domain: SelectDomain::Source(input),
+            domain: input.as_list(),
         }))
     }
 
     /// H2 strategy over `input`'s domain.
     pub fn select_h2(&mut self, input: SourceRef) -> StrategyRef {
         self.push(NodeKind::Select(SelectOp::H2 {
-            domain: SelectDomain::Source(input),
+            domain: input.as_list(),
         }))
     }
 
     /// HB strategy over `input`'s domain.
     pub fn select_hb(&mut self, input: SourceRef) -> StrategyRef {
         self.push(NodeKind::Select(SelectOp::Hb {
-            domain: SelectDomain::Source(input),
+            domain: input.as_list(),
         }))
     }
 
     /// HB strategy over the (shared) domain of the sources in `inputs` —
     /// the per-stripe strategy of HB-Striped.
     pub fn select_hb_shared(&mut self, inputs: SourceListRef) -> StrategyRef {
-        self.push(NodeKind::Select(SelectOp::Hb {
-            domain: SelectDomain::FirstOf(inputs),
-        }))
+        self.push(NodeKind::Select(SelectOp::Hb { domain: inputs }))
     }
 
     /// Greedy-H strategy over `input`'s domain, adapted to `ranges`.
     pub fn select_greedy_h(&mut self, input: SourceRef, ranges: &[(usize, usize)]) -> StrategyRef {
         self.push(NodeKind::Select(SelectOp::GreedyH {
-            domain: SelectDomain::Source(input),
+            domain: input.as_list(),
             ranges: ranges.to_vec(),
         }))
     }
@@ -799,6 +814,13 @@ impl PlanBuilder {
         }))
     }
 
+    /// AdaptiveGrid's second-round strategy, from the released answers of
+    /// `coarse` (a measurement of a fixed rectangle grid on one source);
+    /// `eps` is the budget the result will be measured with.
+    pub fn select_adaptive_grid(&mut self, coarse: MeasureRef, eps: f64) -> StrategyRef {
+        self.push(NodeKind::Select(SelectOp::AdaptiveGrid { coarse, eps }))
+    }
+
     /// A pre-built strategy carried in the spec, rendered with `token`
     /// (e.g. HDMM's optimized strategy as `"SHD"`).
     pub fn select_fixed(&mut self, matrix: Matrix, token: &'static str) -> StrategyRef {
@@ -807,18 +829,15 @@ impl PlanBuilder {
 
     // --- Query (measurement) ---------------------------------------
 
-    /// Measures `input` with `strategy` at `eps` (Vector Laplace).
+    /// Measures `input` with `strategy` at `eps` (Vector Laplace): a
+    /// shared-strategy batch of one.
     pub fn measure_laplace(
         &mut self,
         input: SourceRef,
         strategy: StrategyRef,
         eps: f64,
     ) -> MeasureRef {
-        self.push(NodeKind::Measure(MeasureOp::Laplace {
-            input,
-            strategy,
-            eps,
-        }))
+        self.measure_laplace_batch_shared(input.as_list(), strategy, eps)
     }
 
     /// Measures every source in `inputs` with one shared strategy at

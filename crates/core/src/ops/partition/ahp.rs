@@ -13,7 +13,7 @@
 
 use ektelo_matrix::{partition_from_labels, Matrix};
 
-use crate::kernel::{ProtectedKernel, Result, SourceVar};
+use crate::kernel::{BudgetReservation, ProtectedKernel, Result, SourceVar};
 
 /// Threshold multiplier η (the AHP paper's recommended value): cells with
 /// noisy count below `η·ln(n)/ε` are treated as empty.
@@ -24,13 +24,26 @@ const ETA: f64 = 0.35;
 const GAMMA: f64 = 2.0;
 
 /// Computes a data-adaptive partition of vector source `sv`, spending
-/// `eps` on the kernel's noisy histogram of it. An empty source is
-/// rejected with `InvalidArgument` before anything is charged.
+/// `eps` on the kernel's noisy histogram of it: a batch of one, see
+/// [`ahp_partition_batch`]. An empty source is rejected with
+/// `InvalidArgument` before anything is charged.
 pub fn ahp_partition(kernel: &ProtectedKernel, sv: SourceVar, eps: f64) -> Result<Matrix> {
-    // A release that returns `Ok` holds one partition per request.
-    kernel
-        .noisy_histograms(&[(sv, eps)], None, |noisy| cluster(noisy, eps))
-        .map(|mut parts| parts.swap_remove(0))
+    // A batch that returns `Ok` holds one partition per source.
+    ahp_partition_batch(kernel, &[sv], eps, None).map(|mut parts| parts.swap_remove(0))
+}
+
+/// AHP partition selection over many sources: one noisy-histogram
+/// release charges `eps` to every source in order, and each source's
+/// histogram is clustered on its own. With `res`, the charges are
+/// redeemed from that reservation.
+pub fn ahp_partition_batch(
+    kernel: &ProtectedKernel,
+    svs: &[SourceVar],
+    eps: f64,
+    res: Option<&BudgetReservation<'_>>,
+) -> Result<Vec<Matrix>> {
+    let reqs: Vec<(SourceVar, f64)> = svs.iter().map(|&s| (s, eps)).collect();
+    kernel.noisy_histograms(&reqs, res, |noisy| cluster(noisy, eps))
 }
 
 /// AHP's selection on the noisy histogram `noisy` released at `eps` — a

@@ -15,7 +15,7 @@ mod dawa;
 mod stripe;
 mod workload_based;
 
-pub use ahp::ahp_partition;
+pub use ahp::{ahp_partition, ahp_partition_batch};
 pub use dawa::{dawa_partition, dawa_partition_batch, DawaOptions};
 pub use stripe::stripe_partition;
 pub use workload_based::{workload_based_partition, workload_reduction};

@@ -18,11 +18,14 @@ use crate::kernel::{
 };
 
 /// Selects the index of the workload row worst-approximated by `x_hat`,
-/// spending `eps`. `score_sensitivity` bounds how much one record can move
-/// any single query's score — 1 for counting queries with 0/1
-/// coefficients (all workloads in the paper's MWEM experiments). The
-/// kernel's exponential-mechanism selection charges `eps` and picks once
-/// with it, on the scores computed outside the kernel lock.
+/// spending `eps`. The kernel derives the score sensitivity from the
+/// workload, `Δ = max |Wᵢⱼ|` (1 for counting queries with 0/1
+/// coefficients, all workloads in the paper's MWEM experiments), and
+/// calibrates with it. `score_sensitivity` is the caller's declared bound:
+/// it must be positive, finite and at least `Δ`, else the call is
+/// `InvalidArgument` before anything is charged. The kernel's
+/// exponential-mechanism selection charges `eps` and picks once with it,
+/// on the scores computed outside the kernel lock.
 ///
 /// When `res` is given, the charge is redeemed from that reservation's
 /// hold (the plan executor's path); with `None` it competes for open
@@ -37,7 +40,15 @@ pub fn worst_approx(
     res: Option<&BudgetReservation<'_>>,
 ) -> Result<usize> {
     let mut scores = WorstApproxScores::new(workload);
-    select_worst_approx(kernel, sv, &mut scores, x_hat, score_sensitivity, eps, res)
+    // A NaN `Δ` is rejected below, with the other malformed workloads.
+    if !score_sensitivity.is_finite() || score_sensitivity < scores.sensitivity() {
+        return Err(EktError::InvalidArgument(format!(
+            "score sensitivity must be finite and at least the workload's {}, got \
+             {score_sensitivity}",
+            scores.sensitivity()
+        )));
+    }
+    select_worst_approx(kernel, sv, &mut scores, x_hat, eps, res)
 }
 
 /// One round of [`worst_approx`] on `scores`' workload: the same pick,
@@ -48,7 +59,6 @@ pub(crate) fn select_worst_approx(
     sv: SourceVar,
     scores: &mut WorstApproxScores<'_>,
     x_hat: &[f64],
-    score_sensitivity: f64,
     eps: f64,
     res: Option<&BudgetReservation<'_>>,
 ) -> Result<usize> {
@@ -65,9 +75,10 @@ pub(crate) fn select_worst_approx(
     // The exponential mechanism and the truth evaluation assert on these
     // after the charge: reject them (and a wrong source type) before
     // anything is charged.
-    if !score_sensitivity.is_finite() || score_sensitivity <= 0.0 {
+    let sensitivity = scores.sensitivity();
+    if !sensitivity.is_finite() || sensitivity <= 0.0 {
         return Err(EktError::InvalidArgument(format!(
-            "score sensitivity must be positive and finite, got {score_sensitivity}"
+            "workload score sensitivity must be positive and finite, got {sensitivity}"
         )));
     }
     if let Some(v) = x_hat.iter().find(|v| !v.is_finite()) {
@@ -83,7 +94,7 @@ pub(crate) fn select_worst_approx(
         });
     }
     kernel.exponential_selection(sv, eps, 1, res, |picker: &mut Picker<'_, Arc<Vec<f64>>>| {
-        picker.pick_worst_approx(scores, x_hat, score_sensitivity)
+        picker.pick_worst_approx(scores, x_hat)
     })?
 }
 
@@ -133,7 +144,7 @@ mod tests {
             |k| {
                 let mut scores = WorstApproxScores::new(&w);
                 k.exponential_selection(k.root(), 0.4, 1, None, |p: &mut Picker<'_, _>| {
-                    p.pick_worst_approx(&mut scores, &x_hat, 1.0)
+                    p.pick_worst_approx(&mut scores, &x_hat)
                 })
                 .unwrap()
                 .unwrap()
@@ -158,8 +169,7 @@ mod tests {
                 x_hats
                     .iter()
                     .map(|x_hat| {
-                        select_worst_approx(k, k.root(), &mut scores, x_hat, 1.0, 0.3, None)
-                            .unwrap()
+                        select_worst_approx(k, k.root(), &mut scores, x_hat, 0.3, None).unwrap()
                     })
                     .collect::<Vec<_>>()
             },
@@ -170,6 +180,22 @@ mod tests {
                     .collect::<Vec<_>>()
             },
         );
+    }
+
+    /// A declared score sensitivity below the workload's `max |Wᵢⱼ|` is
+    /// refused before the charge: calibrating a 0/1 range workload with
+    /// 0.1 would spend 10× the stated ε per pick.
+    #[test]
+    fn declared_sensitivity_below_the_workloads_is_rejected_before_charging() {
+        let k = ProtectedKernel::init_from_vector(vec![3.0; 16], 1.0, 4);
+        let w = Matrix::range_queries(16, vec![(0, 4), (3, 16), (7, 8)]);
+        let err = worst_approx(&k, k.root(), &w, &[1.0; 16], 0.1, 0.2, None).unwrap_err();
+        assert!(matches!(err, EktError::InvalidArgument(_)), "{err:?}");
+        assert_eq!(k.budget_spent(), 0.0);
+        // A declared bound at or above it is accepted, and charges.
+        worst_approx(&k, k.root(), &w, &[1.0; 16], 1.0, 0.2, None).unwrap();
+        worst_approx(&k, k.root(), &w, &[1.0; 16], 2.0, 0.2, None).unwrap();
+        assert!((k.budget_spent() - 0.4).abs() < 1e-12);
     }
 
     #[test]

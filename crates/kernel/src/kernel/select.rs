@@ -51,16 +51,21 @@ impl<D> Picker<'_, D> {
 impl Picker<'_, Arc<Vec<f64>>> {
     /// Worst-approx: the index of the workload query that `x_hat`
     /// approximates worst on the snapshot, drawn with probability
-    /// `∝ exp(ε · |W·x − W·x̂| / (2 · sensitivity))`. `sensitivity` bounds
-    /// how much one record moves any query's score (1 for counting
-    /// queries with 0/1 coefficients). The workload evaluations go through
-    /// the kernel's idle workspace.
+    /// `∝ exp(ε · |W·x − W·x̂| / (2Δ))`, where `Δ` is the workload's
+    /// score sensitivity ([`WorstApproxScores::sensitivity`]). A workload
+    /// whose `Δ` is not positive and finite is `InvalidArgument`. The
+    /// workload evaluations go through the kernel's idle workspace.
     pub fn pick_worst_approx(
         &mut self,
         scores: &mut WorstApproxScores<'_>,
         x_hat: &[f64],
-        sensitivity: f64,
     ) -> Result<usize> {
+        let sensitivity = scores.sensitivity;
+        if !sensitivity.is_finite() || sensitivity <= 0.0 {
+            return Err(EktError::InvalidArgument(format!(
+                "workload score sensitivity must be positive and finite, got {sensitivity}"
+            )));
+        }
         let eps = self.spend()?;
         let mut ws = self.kernel.workspace_checkout();
         scores.score(self.source, x_hat, &mut ws);
@@ -119,6 +124,8 @@ impl Picker<'_, Arc<Table>> {
 /// * **they are dropped with the loop** that owns the state.
 pub struct WorstApproxScores<'w> {
     workload: &'w Matrix,
+    /// `Δ = max |Wᵢⱼ|`: one record moves any score by at most this.
+    sensitivity: f64,
     /// The snapshot last scored and the workload's answers on it, `W·x`.
     truth: Option<(Arc<Vec<f64>>, Vec<f64>)>,
     /// The workload's answers on `x̂`, then the scores.
@@ -126,10 +133,12 @@ pub struct WorstApproxScores<'w> {
 }
 
 impl<'w> WorstApproxScores<'w> {
-    /// A state over `workload` that has scored nothing yet.
+    /// A state over `workload` that has scored nothing yet; derives the
+    /// score sensitivity from the workload's entries.
     pub fn new(workload: &'w Matrix) -> Self {
         WorstApproxScores {
             workload,
+            sensitivity: workload.max_abs_entry(),
             truth: None,
             scores: Vec::new(),
         }
@@ -138,6 +147,13 @@ impl<'w> WorstApproxScores<'w> {
     /// The workload this state scores.
     pub fn workload(&self) -> &'w Matrix {
         self.workload
+    }
+
+    /// The score sensitivity `Δ = max |Wᵢⱼ|` the picks calibrate with:
+    /// adding or removing one record in cell `j` moves `(W·x)ᵢ`, so score
+    /// `i`, by at most `|Wᵢⱼ|`.
+    pub fn sensitivity(&self) -> f64 {
+        self.sensitivity
     }
 
     /// Each workload query's deviation `|W x − W x̂|` on the snapshot `x`,
@@ -226,7 +242,7 @@ mod tests {
             0.3,
             1,
             None,
-            |p: &mut Picker<'_, Arc<Vec<f64>>>| p.pick_worst_approx(scores, x_hat, 1.0),
+            |p: &mut Picker<'_, Arc<Vec<f64>>>| p.pick_worst_approx(scores, x_hat),
         )
         .unwrap()
         .unwrap()
@@ -234,15 +250,53 @@ mod tests {
 
     /// Reference: one Worst-approx round with the privileged steps inlined
     /// — the charge and snapshot, the scores, and the exponential mechanism
-    /// on substream 0 of the base.
+    /// on substream 0 of the base, calibrated to the 0/1 workloads' score
+    /// sensitivity 1.
     fn worst_approx_by_hand(k: &ProtectedKernel, w: &Matrix, x_hat: &[f64], eps: f64) -> usize {
+        worst_approx_by_hand_at(k, w, x_hat, eps, 1.0)
+    }
+
+    /// [`worst_approx_by_hand`] calibrated to `sensitivity`.
+    fn worst_approx_by_hand_at(
+        k: &ProtectedKernel,
+        w: &Matrix,
+        x_hat: &[f64],
+        eps: f64,
+        sensitivity: f64,
+    ) -> usize {
         let (base, snaps) = k
             .charge_and_snapshot::<Arc<Vec<f64>>>(&[(k.root(), eps)], None)
             .unwrap();
         let (truth, est) = (w.matvec(&snaps[0]), w.matvec(x_hat));
         let scores: Vec<f64> = truth.iter().zip(&est).map(|(t, e)| (t - e).abs()).collect();
         let mut rng = StdRng::seed_from_u64(substream_seed(base, 0));
-        exponential_mechanism(&mut rng, &scores, 1.0, eps)
+        exponential_mechanism(&mut rng, &scores, sensitivity, eps)
+    }
+
+    /// The picker calibrates with the workload's largest entry magnitude,
+    /// whatever its scale: a workload of ranges weighted 3 (or 0.25) picks
+    /// as the reference at sensitivity 3 (0.25), and a workload without a
+    /// nonzero entry is refused.
+    #[test]
+    fn picks_calibrate_with_the_largest_workload_entry() {
+        let x: Vec<f64> = (0..32).map(|i| ((i * 7) % 5) as f64 * 4.0).collect();
+        let ranges = Matrix::range_queries(32, (0..20).map(|i| (i, i + 1 + i % 9)).collect());
+        let x_hat = vec![2.0; 32];
+        for (c, seed) in [(3.0, 1), (0.25, 2)] {
+            let w = Matrix::scaled(c, ranges.clone());
+            assert_eq!(WorstApproxScores::new(&w).sensitivity(), c);
+            assert_twins(
+                || ProtectedKernel::init_from_vector(x.clone(), 4.0, seed),
+                |k| pick(k, &mut WorstApproxScores::new(&w), &x_hat),
+                |k| worst_approx_by_hand_at(k, &w, &x_hat, 0.3, c),
+            );
+        }
+        let zero = Matrix::scaled(0.0, ranges);
+        let k = ProtectedKernel::init_from_vector(x, 4.0, 3);
+        let refused = k.exponential_selection(k.root(), 0.3, 1, None, |p: &mut Picker<'_, _>| {
+            p.pick_worst_approx(&mut WorstApproxScores::new(&zero), &x_hat)
+        });
+        assert!(matches!(refused, Ok(Err(EktError::InvalidArgument(_)))));
     }
 
     /// Over six rounds whose `x̂` changes, the state that keeps the truth
@@ -316,8 +370,8 @@ mod tests {
                 None,
                 |p: &mut Picker<'_, Arc<Vec<f64>>>| {
                     p.pick_uniform(3);
-                    p.pick_worst_approx(&mut scores, &[0.0; 4], 1.0).unwrap();
-                    p.pick_worst_approx(&mut scores, &[0.0; 4], 1.0)
+                    p.pick_worst_approx(&mut scores, &[0.0; 4]).unwrap();
+                    p.pick_worst_approx(&mut scores, &[0.0; 4])
                 },
             )
             .unwrap();

@@ -37,7 +37,7 @@
 //! let mut scores = WorstApproxScores::new(&w);
 //! let pick = k
 //!     .exponential_selection(k.root(), 1.0, 1, None, |p: &mut Picker<'_, Arc<Vec<f64>>>| {
-//!         p.pick_worst_approx(&mut scores, &[1.0; 3], 1.0)
+//!         p.pick_worst_approx(&mut scores, &[1.0; 3])
 //!     })
 //!     .unwrap()
 //!     .unwrap();

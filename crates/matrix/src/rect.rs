@@ -34,6 +34,11 @@ impl RectQueries2D {
         RectQueries2D { rows, cols, rects }
     }
 
+    /// The grid's `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
     /// Flattened domain size.
     pub fn domain(&self) -> usize {
         self.rows * self.cols

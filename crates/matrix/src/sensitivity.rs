@@ -218,6 +218,38 @@ impl Matrix {
         }
     }
 
+    /// The largest entry magnitude `max |Aᵢⱼ|`: how far one record can
+    /// move any single answer, so the sensitivity of a per-query score
+    /// such as Worst-approx's. Closed-form for the implicit kinds (their
+    /// entries are 0 and ±1), a scan for the stored ones, and for a
+    /// `Product` `AB` the upper bound `max |A| · ‖B‖₁`. NaN when an entry
+    /// is NaN, and 0 for a matrix without a nonzero entry.
+    pub fn max_abs_entry(&self) -> f64 {
+        let max_abs = |vs: &[f64]| vs.iter().map(|v| v.abs()).fold(0.0, max_keeping_nan);
+        let unit = |nonempty: bool| if nonempty { 1.0 } else { 0.0 };
+        match self {
+            Matrix::Dense(d) => max_abs(d.values()),
+            Matrix::Sparse(s) => max_abs(s.values()),
+            Matrix::Diagonal(d) => max_abs(d),
+            Matrix::Identity { n }
+            | Matrix::Prefix { n }
+            | Matrix::Suffix { n }
+            | Matrix::Wavelet { n } => unit(*n > 0),
+            Matrix::Ones { rows, cols } => unit(*rows > 0 && *cols > 0),
+            // Every stored range and rectangle is non-empty.
+            Matrix::Range(r) => unit(r.num_queries() > 0),
+            Matrix::Rect2D(r) => unit(r.num_queries() > 0),
+            Matrix::Union(blocks) => blocks
+                .iter()
+                .map(Matrix::max_abs_entry)
+                .fold(0.0, max_keeping_nan),
+            Matrix::Product(a, b) => a.max_abs_entry() * b.l1_sensitivity(),
+            Matrix::Kronecker(a, b) => a.max_abs_entry() * b.max_abs_entry(),
+            Matrix::Scaled(c, a) => c.abs() * a.max_abs_entry(),
+            Matrix::Transpose(a) => a.max_abs_entry(),
+        }
+    }
+
     /// The range of the column sums of `|A|`, in closed form where the
     /// module docs give one.
     fn abs_col_sum_range(&self) -> ColSumRange {
@@ -416,6 +448,48 @@ pub fn sens_cache_stats() -> SensCacheStats {
 mod tests {
     use super::*;
     use crate::CsrMatrix;
+
+    /// `max_abs_entry` equals a scan of the materialized entries for every
+    /// kind but `Product`, which it bounds from above; NaN propagates.
+    #[test]
+    fn max_abs_entry_matches_a_dense_scan() {
+        let scan = |m: &Matrix| {
+            m.to_dense()
+                .values()
+                .iter()
+                .fold(0.0, |a: f64, v| a.max(v.abs()))
+        };
+        let signed = Matrix::from_rows(vec![vec![0.5, -2.5, 0.0], vec![1.0, 0.0, -0.75]]);
+        let exact = [
+            signed.clone(),
+            Matrix::sparse(CsrMatrix::from_triplets(2, 3, &[(0, 1, -4.0), (1, 2, 3.5)])),
+            Matrix::diagonal(vec![0.5, -1.5, 1.0]),
+            Matrix::identity(4),
+            Matrix::ones(2, 3),
+            Matrix::prefix(5),
+            Matrix::suffix(5),
+            Matrix::wavelet(6),
+            Matrix::range_queries(8, vec![(0, 3), (2, 8)]),
+            Matrix::rect_queries(3, 3, vec![(0, 2, 1, 3)]),
+            Matrix::vstack(vec![
+                Matrix::identity(3),
+                Matrix::scaled(-2.0, Matrix::total(3)),
+            ]),
+            Matrix::kron(signed.clone(), Matrix::scaled(1.5, Matrix::identity(2))),
+            Matrix::Transpose(Arc::new(signed.clone())),
+            Matrix::range_queries(8, vec![]),
+            Matrix::identity(0),
+        ];
+        for m in &exact {
+            assert_eq!(m.max_abs_entry(), scan(m), "{m:?}");
+        }
+        let product = Matrix::product(signed.clone(), Matrix::prefix(3));
+        assert!(product.max_abs_entry() >= scan(&product));
+        let nan = Matrix::from_rows(vec![vec![1.0, f64::NAN]]);
+        assert!(Matrix::vstack(vec![nan, Matrix::identity(2)])
+            .max_abs_entry()
+            .is_nan());
+    }
 
     fn check_against_dense(m: &Matrix) {
         let d = m.to_dense();

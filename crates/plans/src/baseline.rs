@@ -3,21 +3,22 @@
 //! All share the idiom the paper highlights: *Query selection → Query (LM)
 //! → Inference (LS)*, differing only in the selection operator. Since the
 //! operator-graph migration each plan is expressed as a [`PlanSpec`]
-//! (signature `S· LM LS`) and executed through [`PlanExecutor`], which
+//! (signature `S· LM LS`) and executed through
+//! [`PlanExecutor`](ektelo_core::ops::graph::PlanExecutor), which
 //! pre-accounts the exact ε before the kernel is touched; the functions
 //! here remain the stable entry points.
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
-use ektelo_core::ops::graph::{PlanBuilder, PlanExecutor, PlanSpec, SourceRef, StrategyRef};
+use ektelo_core::ops::graph::{PlanBuilder, PlanSpec, SourceRef, StrategyRef};
 use ektelo_core::ops::inference::LsSolver;
 use ektelo_core::ops::selection;
 use ektelo_matrix::Matrix;
 
-use crate::util::{workload_ranges, PlanOutcome, PlanResult};
+use crate::util::{run_spec, workload_ranges, PlanResult};
 
 /// Builds the shared `select → measure → infer-LS` spec with the
 /// selection node supplied by `select`.
-fn select_measure_infer_spec(
+pub(crate) fn select_measure_infer_spec(
     select: impl FnOnce(&mut PlanBuilder, SourceRef) -> StrategyRef,
     eps: f64,
 ) -> PlanSpec {
@@ -29,17 +30,14 @@ fn select_measure_infer_spec(
     b.finish(e)
 }
 
-fn run(
+/// Runs the [`select_measure_infer_spec`] of `select` on `x`.
+pub(crate) fn run(
     kernel: &ProtectedKernel,
     x: SourceVar,
     select: impl FnOnce(&mut PlanBuilder, SourceRef) -> StrategyRef,
     eps: f64,
 ) -> PlanResult {
-    let spec = select_measure_infer_spec(select, eps);
-    let report = PlanExecutor::new(kernel).run(&spec, x)?;
-    Ok(PlanOutcome {
-        x_hat: report.x_hat,
-    })
+    run_spec(kernel, x, &select_measure_infer_spec(select, eps))
 }
 
 /// Plan #1 — Identity (Dwork et al. 2006): `SI LM LS`.

@@ -11,12 +11,14 @@
 //! enforced entirely by the kernel (paper Theorem 4.1), so none of this
 //! code is trusted.
 //!
-//! Plans migrated to the operator-graph API
-//! ([`ektelo_core::ops::graph`]) build a typed `PlanSpec`, whose Fig. 2
+//! Every plan whose input is a vector source builds a typed `PlanSpec`
+//! with the operator-graph API ([`ektelo_core::ops::graph`]): its Fig. 2
 //! signature below is *rendered from the graph* (`PlanSpec::signature`,
-//! pinned by tests) and whose worst-case ε is statically pre-accounted
-//! before any kernel call; the rest still drive the kernel imperatively
-//! (signatures from the paper shown for reference).
+//! pinned by tests), and its worst-case ε is statically pre-accounted and
+//! reserved before any kernel call, so an over-budget call fails having
+//! spent nothing. The table-source plans (PrivBayesLS, the CDF estimator
+//! and Naive Bayes) still drive the kernel directly (signature from the
+//! paper shown for reference).
 //!
 //! | Fig. 2 ID | Plan | Function | Signature |
 //! |-----------|------|----------|-----------|
@@ -27,16 +29,16 @@
 //! | 5  | Greedy-H | [`baseline::plan_greedy_h`] | `SG LM LS` |
 //! | 6  | Uniform | [`baseline::plan_uniform`] | `ST LM LS` |
 //! | 7  | MWEM | [`mwem::plan_mwem`] | `I:( SW LM MW )` |
-//! | 8  | AHP | [`data_aware::plan_ahp`] | `PA TR LM LS` (imperative) |
-//! | 9  | DAWA | [`data_aware::plan_dawa`] | `PD TR SG LM LS` (imperative) |
-//! | 10 | QuadTree | [`grids::plan_quad_tree`] | `SQ LM LS` (imperative) |
-//! | 11 | UniformGrid | [`grids::plan_uniform_grid`] | `SU LM LS` (imperative) |
-//! | 12 | AdaptiveGrid | [`grids::plan_adaptive_grid`] | `SU LM SA LM LS` (imperative) |
+//! | 8  | AHP | [`data_aware::plan_ahp`] | `PA TR SI LM LS` |
+//! | 9  | DAWA | [`data_aware::plan_dawa`] | `PD TR SG LM LS` |
+//! | 10 | QuadTree | [`grids::plan_quad_tree`] | `SQ LM LS` |
+//! | 11 | UniformGrid | [`grids::plan_uniform_grid`] | `SU LM LS` |
+//! | 12 | AdaptiveGrid | [`grids::plan_adaptive_grid`] | `SU LM SA LM LS` |
 //! | 13 | HDMM | [`baseline::plan_hdmm`] | `SHD LM LS` |
 //! | 14 | DAWA-Striped | [`striped::plan_dawa_striped`] | `PS TP[ PD TR SG LM ] LS` |
 //! | 15 | HB-Striped | [`striped::plan_hb_striped`] | `PS TP[ SHB LM ] LS` |
 //! | 16 | HB-Striped_kron | [`striped::plan_hb_striped_kron`] | `SS LM LS` |
-//! | 17 | PrivBayesLS | [`privbayes::plan_privbayes_ls`] | `SPB LM LS` (imperative) |
+//! | 17 | PrivBayesLS | [`privbayes::plan_privbayes_ls`] | `SPB LM LS` (direct) |
 //! | 18 | MWEM variant b | [`mwem::plan_mwem_variant_b`] | `I:( SW SH2 LM MW )` |
 //! | 19 | MWEM variant c | [`mwem::plan_mwem_variant_c`] | `I:( SW LM NLS )` |
 //! | 20 | MWEM variant d | [`mwem::plan_mwem_variant_d`] | `I:( SW SH2 LM NLS )` |

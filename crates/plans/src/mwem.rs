@@ -21,11 +21,11 @@
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
 use ektelo_core::ops::graph::{
-    MwemLoopOp, MwemRoundInference as MwemInference, PlanBuilder, PlanExecutor, PlanSpec,
+    MwemLoopOp, MwemRoundInference as MwemInference, PlanBuilder, PlanSpec,
 };
 use ektelo_matrix::Matrix;
 
-use crate::util::{PlanOutcome, PlanResult};
+use crate::util::{run_spec, PlanResult};
 
 /// Options shared by the MWEM family.
 #[derive(Clone, Debug)]
@@ -162,17 +162,14 @@ fn mwem_impl(
     augment: bool,
     infer: MwemInference,
 ) -> PlanResult {
-    let spec = mwem_spec(workload, eps, opts, augment, infer);
-    let report = PlanExecutor::new(kernel).run(&spec, x)?;
-    Ok(PlanOutcome {
-        x_hat: report.x_hat,
-    })
+    run_spec(kernel, x, &mwem_spec(workload, eps, opts, augment, infer))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::kernel_for_histogram;
+    use ektelo_core::ops::graph::PlanExecutor;
     use ektelo_data::generators::{shape_1d, Shape1D};
     use ektelo_data::workloads::random_range;
 

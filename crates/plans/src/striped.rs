@@ -53,12 +53,12 @@
 //! stripe's selection is a pure function of (snapshot, substream).
 
 use ektelo_core::kernel::{ProtectedKernel, SourceVar};
-use ektelo_core::ops::graph::{PlanBuilder, PlanExecutor, PlanSpec};
+use ektelo_core::ops::graph::{PlanBuilder, PlanSpec};
 use ektelo_core::ops::inference::LsSolver;
 use ektelo_core::ops::partition::DawaOptions;
 use ektelo_core::ops::selection::{hb, stripe_select};
 
-use crate::util::{split_budget, PlanOutcome, PlanResult};
+use crate::util::{run_spec, split_budget, PlanResult};
 
 /// The HB-Striped spec: `PS TP[ SHB LM ] LS`.
 fn hb_striped_spec(sizes: &[usize], attr: usize, eps: f64) -> PlanSpec {
@@ -86,11 +86,7 @@ pub fn plan_hb_striped(
     attr: usize,
     eps: f64,
 ) -> PlanResult {
-    let spec = hb_striped_spec(sizes, attr, eps);
-    let report = PlanExecutor::new(kernel).run(&spec, x)?;
-    Ok(PlanOutcome {
-        x_hat: report.x_hat,
-    })
+    run_spec(kernel, x, &hb_striped_spec(sizes, attr, eps))
 }
 
 /// The DAWA-Striped spec: `PS TP[ PD TR SG LM ] LS`.
@@ -131,10 +127,7 @@ pub fn plan_dawa_striped(
     rho: f64,
 ) -> PlanResult {
     let spec = dawa_striped_spec(sizes, attr, stripe_ranges, eps, rho);
-    let report = PlanExecutor::new(kernel).run(&spec, x)?;
-    Ok(PlanOutcome {
-        x_hat: report.x_hat,
-    })
+    run_spec(kernel, x, &spec)
 }
 
 /// The HB-Striped_kron spec: `SS LM LS`.
@@ -157,17 +150,14 @@ pub fn plan_hb_striped_kron(
     attr: usize,
     eps: f64,
 ) -> PlanResult {
-    let spec = hb_striped_kron_spec(sizes, attr, eps);
-    let report = PlanExecutor::new(kernel).run(&spec, x)?;
-    Ok(PlanOutcome {
-        x_hat: report.x_hat,
-    })
+    run_spec(kernel, x, &hb_striped_kron_spec(sizes, attr, eps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ektelo_core::kernel::{MeasuredQuery, ProtectedKernel};
+    use ektelo_core::ops::graph::PlanExecutor;
     use ektelo_core::ops::inference::least_squares;
     use ektelo_core::ops::partition::stripe_partition;
     use ektelo_data::{Schema, Table};

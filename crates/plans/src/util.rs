@@ -2,6 +2,7 @@
 //! workload helpers.
 
 use ektelo_core::kernel::{ProtectedKernel, Result, SourceVar};
+use ektelo_core::ops::graph::{PlanExecutor, PlanSpec};
 use ektelo_core::ops::inference::{self, LsSolver};
 use ektelo_matrix::Matrix;
 
@@ -53,9 +54,37 @@ pub struct PlanOutcome {
 /// Result alias re-exported for plan signatures.
 pub type PlanResult = Result<PlanOutcome>;
 
+/// Runs `spec` on `x` through the plan executor, which pre-accounts it
+/// and admits it before any kernel call.
+pub(crate) fn run_spec(kernel: &ProtectedKernel, x: SourceVar, spec: &PlanSpec) -> PlanResult {
+    let report = PlanExecutor::new(kernel).run(spec, x)?;
+    Ok(PlanOutcome {
+        x_hat: report.x_hat,
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test oracle for a migrated plan: `a` on a kernel and source from
+    /// `make` and `b` on a twin from `make` return the same estimate bits,
+    /// spend the same budget, record as many measurements and leave the
+    /// kernel stream at the same place.
+    pub(crate) fn assert_twins(
+        make: impl Fn() -> (ProtectedKernel, SourceVar),
+        a: impl FnOnce(&ProtectedKernel, SourceVar) -> PlanResult,
+        b: impl FnOnce(&ProtectedKernel, SourceVar) -> Vec<f64>,
+    ) {
+        let ((k1, x1), (k2, x2)) = (make(), make());
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let planned = a(&k1, x1).unwrap().x_hat;
+        assert_eq!(bits(planned), bits(b(&k2, x2)), "the estimates differ");
+        assert_eq!(k1.budget_spent(), k2.budget_spent());
+        assert_eq!(k1.measurement_count(), k2.measurement_count());
+        let next = |k: &ProtectedKernel| k.noisy_count(k.root(), 1e-3).unwrap();
+        assert_eq!(next(&k1), next(&k2), "the kernel stream diverged");
+    }
 
     #[test]
     fn budget_split_sums_to_eps() {

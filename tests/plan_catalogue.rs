@@ -3,7 +3,7 @@
 //! budget, and produces a finite estimate of the right dimension.
 
 use ektelo::core::kernel::ProtectedKernel;
-use ektelo::core::SourceVar;
+use ektelo::core::{EktError, SourceVar};
 use ektelo::data::generators::{gauss_blobs_2d, shape_1d, Shape1D};
 use ektelo::data::workloads::random_range;
 use ektelo::matrix::Matrix;
@@ -11,6 +11,7 @@ use ektelo::plans::baseline::*;
 use ektelo::plans::data_aware::*;
 use ektelo::plans::grids::*;
 use ektelo::plans::mwem::*;
+use ektelo::plans::select_ls::plan_select_ls;
 use ektelo::plans::striped::*;
 use ektelo::plans::util::{kernel_for_histogram, PlanResult};
 
@@ -61,10 +62,10 @@ fn all_1d_plans_run_and_spend_exactly() {
             let o = mwem_opts.clone();
             Box::new(move |k, x| plan_mwem(k, x, &w, eps, &o))
         }),
-        ("8 ahp", Box::new(move |k, x| plan_ahp(k, x, eps, 0.5))),
+        ("8 ahp", Box::new(move |k, x| plan_ahp(k, x, eps))),
         ("9 dawa", {
             let w = w.clone();
-            Box::new(move |k, x| plan_dawa(k, x, &w, eps, 0.25))
+            Box::new(move |k, x| plan_dawa(k, x, &w, eps))
         }),
         ("13 hdmm", {
             let w = w.clone();
@@ -193,5 +194,91 @@ fn estimates_beat_the_zero_baseline() {
             err < zero_err / 10.0,
             "plan barely beats zero estimate: {err} vs {zero_err}"
         );
+    }
+}
+
+/// Every vector plan of Fig. 2, and SelectLS, is admitted before it
+/// touches the kernel: asked for more ε than the kernel has left, each
+/// fails with `BudgetExceeded` having spent nothing and recorded no
+/// measurement (a plan that ran its first stage before failing would
+/// leave both behind).
+#[test]
+fn over_budget_plans_are_rejected_before_any_charge() {
+    let (eps, left) = (1.0, 0.5);
+    let n = 256;
+    let x = shape_1d(Shape1D::Bimodal, n, 50_000.0, 3);
+    let w = random_range(n, 64, 4);
+    let o = MwemOptions {
+        rounds: 4,
+        total: x.iter().sum(),
+        mw_iterations: 20,
+    };
+    type Plan<'a> = Box<dyn Fn(&ProtectedKernel, SourceVar) -> PlanResult + 'a>;
+    let sizes = [16usize, 4, 4];
+    let marginals = vec![vec![true, true, false], vec![true, false, true]];
+    let plans: Vec<(&str, Plan)> = vec![
+        ("1 identity", Box::new(|k, x| plan_identity(k, x, eps))),
+        ("2 privelet", Box::new(|k, x| plan_privelet(k, x, eps))),
+        ("3 h2", Box::new(|k, x| plan_h2(k, x, eps))),
+        ("4 hb", Box::new(|k, x| plan_hb(k, x, eps))),
+        ("5 greedy-h", Box::new(|k, x| plan_greedy_h(k, x, &w, eps))),
+        ("6 uniform", Box::new(|k, x| plan_uniform(k, x, eps))),
+        ("7 mwem", Box::new(|k, x| plan_mwem(k, x, &w, eps, &o))),
+        ("8 ahp", Box::new(|k, x| plan_ahp(k, x, eps))),
+        ("9 dawa", Box::new(|k, x| plan_dawa(k, x, &w, eps))),
+        (
+            "10 quadtree",
+            Box::new(|k, x| plan_quad_tree(k, x, (16, 16), eps)),
+        ),
+        (
+            "11 uniform-grid",
+            Box::new(|k, x| plan_uniform_grid(k, x, (16, 16), 5e4, eps)),
+        ),
+        (
+            "12 adaptive-grid",
+            Box::new(|k, x| plan_adaptive_grid(k, x, (16, 16), 5e4, eps)),
+        ),
+        ("13 hdmm", Box::new(|k, x| plan_hdmm(k, x, &w, eps))),
+        (
+            "14 dawa-striped",
+            Box::new(|k, x| plan_dawa_striped(k, x, &sizes, 0, &[(0, 8)], eps, 0.25)),
+        ),
+        (
+            "15 hb-striped",
+            Box::new(|k, x| plan_hb_striped(k, x, &sizes, 0, eps)),
+        ),
+        (
+            "16 hb-striped-kron",
+            Box::new(|k, x| plan_hb_striped_kron(k, x, &sizes, 0, eps)),
+        ),
+        (
+            "18 mwem-b",
+            Box::new(|k, x| plan_mwem_variant_b(k, x, &w, eps, &o)),
+        ),
+        (
+            "19 mwem-c",
+            Box::new(|k, x| plan_mwem_variant_c(k, x, &w, eps, &o)),
+        ),
+        (
+            "20 mwem-d",
+            Box::new(|k, x| plan_mwem_variant_d(k, x, &w, eps, &o)),
+        ),
+        (
+            "select-ls",
+            Box::new(|k, x| plan_select_ls(k, x, &sizes, &marginals, eps)),
+        ),
+    ];
+    for (name, plan) in plans {
+        let (k, root) = kernel_for_histogram(&x, left, 7);
+        let err = plan(&k, root)
+            .err()
+            .unwrap_or_else(|| panic!("{name} ran over budget"));
+        assert!(
+            matches!(err, EktError::BudgetExceeded { .. }),
+            "{name}: {err}"
+        );
+        assert_eq!(k.budget_spent(), 0.0, "{name} spent before failing");
+        assert_eq!(k.measurement_count(), 0, "{name} recorded a measurement");
+        assert_eq!(k.budget_reserved(), 0.0, "{name} left budget held");
     }
 }

@@ -8,7 +8,7 @@ use ektelo_core::kernel::ProtectedKernel;
 use ektelo_core::ops::inference::scaled_per_query_l2_error;
 use ektelo_core::ops::partition::stripe_partition;
 use ektelo_core::ops::selection::{hb, stripe_select};
-use ektelo_matrix::{Matrix, Repr, Workspace};
+use ektelo_matrix::{CsrMatrix, Matrix, Repr, Workspace};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -117,6 +117,12 @@ fn bench_sensitivity(c: &mut Criterion) {
     let stripe = stripe_select(&[357, 5, 7, 4, 2], 0, hb);
     group.bench_function(BenchmarkId::new("stripe_kron", stripe.cols()), |b| {
         b.iter(|| black_box(stripe.l1_sensitivity()))
+    });
+    // The sensitivity one MWEM round's measurement computes: a one-row
+    // interval of ones over half of a 4,096-cell domain, stored as CSR.
+    let interval = Matrix::sparse(CsrMatrix::interval_row(4096, 1024, 3072));
+    group.bench_function(BenchmarkId::new("interval_row", interval.cols()), |b| {
+        b.iter(|| black_box(interval.l1_sensitivity()))
     });
     group.finish();
 }

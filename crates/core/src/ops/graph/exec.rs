@@ -31,15 +31,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ektelo_matrix::{ColumnClasses, ColumnRefinement, CsrMatrix, Matrix};
+use ektelo_matrix::{CsrMatrix, Matrix};
 use ektelo_solvers::{mw_uniform_start, NnlsOptions};
 
 use crate::kernel::{
     BudgetReservation, EktError, ProtectedKernel, Result, SourceVar, WorstApproxScores,
 };
 use crate::ops::inference::{
-    known_total_measurement, least_squares, mult_weights_inference,
-    non_negative_least_squares_opts, relative_total_scale,
+    known_total_measurement, least_squares, non_negative_least_squares_opts, relative_total_scale,
+    MwHistory,
 };
 use crate::ops::partition::{
     ahp_partition_batch, dawa_partition_batch, interval_partition_bounds, map_ranges_to_buckets,
@@ -493,36 +493,33 @@ impl<'k> Run<'_, 'k> {
         // the rounds' snapshots are the same source data; it is dropped,
         // with them, when the loop returns.
         let mut scores = WorstApproxScores::new(&op.workload);
-        // The column classes of the session's first `refined`
-        // measurements, kept across rounds and refined by each round's new
-        // queries only; MW starts uniform every round, so no key splits
-        // them. `reducible` turns false for good once a query has a shape
-        // the refinement does not take. `classes` is one value refreshed
-        // in place each round, so the `n` labels are not copied anew.
-        let mut refinement: Option<ColumnRefinement> = None;
-        let mut classes: Option<ColumnClasses> = None;
-        let (mut refined, mut reducible) = (0, true);
+        // The session's measurements so far, with their column classes
+        // refined by each round's new queries only; MW starts uniform
+        // every round, so no key splits them.
+        let mut history = MwHistory::default();
         for round in 0..op.rounds {
             // SW: worst-approximated workload query (exponential
             // mechanism).
             let idx =
                 select_worst_approx(kernel, x, &mut scores, &x_hat, op.eps_select, self.res())?;
             // A `Range` workload's row is one interval, built as CSR
-            // directly; augmentation, and every other workload, reads the
-            // dense row.
-            let strategy = match &op.workload {
+            // directly, and its public bounds refine the classes;
+            // augmentation, and every other workload, reads the dense row.
+            let (strategy, interval) = match &op.workload {
                 Matrix::Range(r) if !op.augment => {
                     let (lo, hi) = r.range(idx);
-                    Matrix::sparse(CsrMatrix::interval_row(r.domain(), lo, hi))
+                    let row = CsrMatrix::interval_row(r.domain(), lo, hi);
+                    (Matrix::sparse(row), Some((lo, hi)))
                 }
                 workload => {
                     let row = workload.row(idx);
                     let selected = mwem_row_strategy(n, &row);
-                    if op.augment {
+                    let strategy = if op.augment {
                         mwem_augment_with_level(&selected, &row, n, round)
                     } else {
                         selected
-                    }
+                    };
+                    (strategy, None)
                 }
             };
             // LM: the strategy has sensitivity 1 by construction
@@ -533,24 +530,8 @@ impl<'k> Run<'_, 'k> {
             let measurements = kernel.measurements_since(self.start);
             match op.inference {
                 MwemRoundInference::MultWeights => {
-                    for m in &measurements[refined..] {
-                        let r = refinement
-                            .get_or_insert_with(|| ColumnRefinement::new(m.query.cols(), None));
-                        reducible = reducible && r.refine(&m.query).is_some();
-                    }
-                    refined = measurements.len();
-                    match refinement.as_ref().filter(|_| reducible) {
-                        Some(r) => r.refresh_classes(&mut classes),
-                        None => classes = None,
-                    }
-                    mult_weights_inference(
-                        &measurements,
-                        op.total,
-                        mw_start,
-                        classes.as_ref(),
-                        op.mw_iterations,
-                        &mut x_hat,
-                    );
+                    history.extend(&measurements, interval);
+                    history.infer(op.total, mw_start, op.mw_iterations, &mut x_hat);
                 }
                 MwemRoundInference::NnlsKnownTotal => {
                     let cols = measurements[0].query.cols();

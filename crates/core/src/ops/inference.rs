@@ -23,10 +23,10 @@
 //! or `Identity`, it forms neither `x − x̂` nor `W (x − x̂)`, only
 //! vectors of `R`'s size.
 
-use ektelo_matrix::{ColumnClasses, Matrix, Workspace};
+use ektelo_matrix::{ColumnClasses, ColumnRefinement, Matrix, Workspace};
 use ektelo_solvers::{
-    direct_least_squares, lsqr_weighted, mult_weights_uniform_into, nnls, LsqrOptions, MwOptions,
-    NnlsOptions, WeightedRhs,
+    direct_least_squares, lsqr_weighted, mult_weights_classes_into, mult_weights_uniform_into,
+    nnls, LsqrOptions, MwOptions, NnlsOptions, WeightedRhs,
 };
 
 use crate::kernel::MeasuredQuery;
@@ -127,40 +127,97 @@ pub fn non_negative_least_squares_opts(
     nnls(&m, &y, opts)
 }
 
-/// Multiplicative-weights inference (MWEM's update; paper Table 1) from
-/// the uniform start of mass `total`, the assumed dataset size, written
-/// into `x_hat`.
+/// Multiplicative-weights inference (MWEM's update; paper Table 1) over a
+/// measurement history that grows round by round, from the uniform start
+/// of mass `total`, the assumed dataset size.
 ///
-/// `start` is [`mw_uniform_start`]`(n, total)`, the value every cell of
-/// the normalized uniform start takes; MWEM's loop computes it once per
-/// plan. `classes` are the column classes of the stacked queries, as a
-/// [`ColumnRefinement`] refined by every measurement's query gives them:
-/// the passes then run on one value per class, and `x_hat` ends as
-/// [`mult_weights`] on the stack from the uniform start returns it, bit
-/// for bit. MWEM's loop keeps that refinement across rounds instead of
-/// refining the whole history every round. `None` runs the passes over
-/// every cell.
+/// MWEM re-infers after every round's measurement. This state keeps,
+/// across the rounds, the column classes of the queries taken in so far
+/// — a [`ColumnRefinement`] refined by each new query only — and their
+/// answers stacked in order. While there are classes, a round neither
+/// stacks the history into a union nor gathers its answers again: the
+/// passes run on one value per class over the classes' reduced matrix,
+/// and `x̂` ends as [`mult_weights`] on the stacked history from the
+/// uniform start returns it, bit for bit. A query of a shape the
+/// refinement does not take turns the classes off for the rest of the
+/// history; without classes (that, or every column its own class) the
+/// passes run over every cell of the stacked queries, to the same bits
+/// as [`mult_weights`] too.
 ///
 /// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
 /// [`mult_weights`]: ektelo_solvers::mult_weights
-/// [`mw_uniform_start`]: ektelo_solvers::mw_uniform_start
-pub fn mult_weights_inference(
-    measurements: &[MeasuredQuery],
-    total: f64,
-    start: f64,
-    classes: Option<&ColumnClasses>,
-    iterations: usize,
-    x_hat: &mut [f64],
-) {
-    // MW works on raw (unweighted) queries; it is scale-sensitive.
-    assert!(!measurements.is_empty(), "inference with no measurements");
-    let m = Matrix::vstack(measurements.iter().map(|m| m.query.clone()).collect());
-    let y: Vec<f64> = measurements
-        .iter()
-        .flat_map(|m| m.answers.iter().copied())
-        .collect();
-    let opts = MwOptions { iterations, total };
-    mult_weights_uniform_into(&m, classes, &y, start, x_hat, &opts);
+#[derive(Debug, Default)]
+pub struct MwHistory {
+    /// The classes' state, from the first query on; `None` before it.
+    refinement: Option<ColumnRefinement>,
+    /// Whether some query had a shape the refinement does not take: the
+    /// classes are off for good.
+    irreducible: bool,
+    /// The classes of the queries so far, one value refreshed in place
+    /// each round, so the `n` labels are not copied anew.
+    classes: Option<ColumnClasses>,
+    /// The queries and their answers so far, in order.
+    queries: Vec<Matrix>,
+    answers: Vec<f64>,
+}
+
+impl MwHistory {
+    /// Takes in the new measurements of `history`, the whole history a
+    /// loop reads each round (`ProtectedKernel::measurements_since` of
+    /// one start): those past the ones earlier calls took in.
+    ///
+    /// `interval` is `Some((lo, hi))` when the last new measurement's
+    /// query is the one-row interval of ones on `lo..hi`
+    /// ([`CsrMatrix::interval_row`], MWEM's strategy on a range
+    /// workload). The refinement then reads those public bounds instead
+    /// of the row's stored entries; the classes are the same.
+    ///
+    /// [`CsrMatrix::interval_row`]: ektelo_matrix::CsrMatrix::interval_row
+    pub fn extend(&mut self, history: &[MeasuredQuery], interval: Option<(usize, usize)>) {
+        let new = &history[self.queries.len()..];
+        for (k, m) in new.iter().enumerate() {
+            self.queries.push(m.query.clone());
+            self.answers.extend(m.answers.iter().copied());
+            if self.irreducible {
+                continue;
+            }
+            let r = self
+                .refinement
+                .get_or_insert_with(|| ColumnRefinement::new(m.query.cols(), None));
+            match interval.filter(|_| k + 1 == new.len()) {
+                Some((lo, hi)) => r.refine_interval(lo, hi),
+                None => self.irreducible = r.refine(&m.query).is_none(),
+            }
+        }
+        match self.refinement.as_ref().filter(|_| !self.irreducible) {
+            Some(r) => r.refresh_classes(&mut self.classes),
+            None => self.classes = None,
+        }
+    }
+
+    /// The passes over the history taken in so far, from the uniform
+    /// start, written into `x_hat`. `start` is
+    /// [`mw_uniform_start`]`(n, total)`, the value every cell of the
+    /// normalized uniform start takes; MWEM's loop computes it once per
+    /// plan.
+    ///
+    /// # Panics
+    ///
+    /// If no measurement has been taken in.
+    ///
+    /// [`mw_uniform_start`]: ektelo_solvers::mw_uniform_start
+    pub fn infer(&self, total: f64, start: f64, iterations: usize, x_hat: &mut [f64]) {
+        // MW works on raw (unweighted) queries; it is scale-sensitive.
+        assert!(!self.queries.is_empty(), "inference with no measurements");
+        let opts = MwOptions { iterations, total };
+        match &self.classes {
+            Some(classes) => mult_weights_classes_into(classes, &self.answers, start, x_hat, &opts),
+            None => {
+                let m = Matrix::vstack(self.queries.clone());
+                mult_weights_uniform_into(&m, &self.answers, start, x_hat, &opts);
+            }
+        }
+    }
 }
 
 /// Appends a high-confidence "known total" pseudo-measurement (paper
@@ -403,7 +460,7 @@ impl RestSquares {
 mod tests {
     use super::*;
     use crate::kernel::ProtectedKernel;
-    use ektelo_matrix::ColumnRefinement;
+    use ektelo_matrix::CsrMatrix;
     use ektelo_solvers::mw_uniform_start;
 
     fn measured(query: Matrix, answers: Vec<f64>, noise_scale: f64) -> MeasuredQuery {
@@ -453,39 +510,61 @@ mod tests {
     fn mw_respects_total() {
         let ms = vec![measured(Matrix::identity(4), vec![4.0, 0.0, 0.0, 0.0], 1.0)];
         let mut x = vec![0.0; 4];
-        mult_weights_inference(&ms, 4.0, mw_uniform_start(4, 4.0), None, 100, &mut x);
+        let mut history = MwHistory::default();
+        history.extend(&ms, None);
+        history.infer(4.0, mw_uniform_start(4, 4.0), 100, &mut x);
         assert!((x.iter().sum::<f64>() - 4.0).abs() < 1e-9);
         assert!(x[0] > 2.0, "{x:?}");
     }
 
+    /// A history taken in round by round — by its queries, or by the
+    /// public bounds of a last interval row — infers what `mult_weights`
+    /// on the stack infers, bit for bit. So does a history that a query
+    /// without classes turns to the per-cell loop.
     #[test]
     fn mw_over_kept_classes_is_mult_weights_on_the_stack() {
-        let ms = vec![
+        let ms = [
             measured(Matrix::range_queries(8, vec![(0, 5)]), vec![6.0], 1.0),
             measured(Matrix::range_queries(8, vec![(3, 8)]), vec![2.0], 1.0),
+            measured(
+                Matrix::sparse(CsrMatrix::interval_row(8, 1, 4)),
+                vec![3.5],
+                1.0,
+            ),
         ];
-        let mut refinement = ColumnRefinement::new(8, None);
-        for m in &ms {
-            refinement.refine(&m.query).unwrap();
-        }
-        let classes = refinement.classes().unwrap();
         let start = mw_uniform_start(8, 8.0);
-        let mut got = vec![f64::NAN; 8];
-        mult_weights_inference(&ms, 8.0, start, Some(&classes), 50, &mut got);
-        let stack = Matrix::vstack(ms.iter().map(|m| m.query.clone()).collect());
         let opts = MwOptions {
             iterations: 50,
             total: 8.0,
         };
-        let want = ektelo_solvers::mult_weights(&stack, &[6.0, 2.0], &[1.0; 8], &opts);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want));
-        // Without classes the passes run per cell, to the same estimate.
-        let mut per_cell = vec![f64::NAN; 8];
-        mult_weights_inference(&ms, 8.0, start, None, 50, &mut per_cell);
-        for (a, b) in per_cell.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-12, "{per_cell:?} vs {want:?}");
+        for rounds in 1..=ms.len() {
+            let stack = Matrix::vstack(ms[..rounds].iter().map(|m| m.query.clone()).collect());
+            let y: Vec<f64> = ms[..rounds].iter().map(|m| m.answers[0]).collect();
+            let want = ektelo_solvers::mult_weights(&stack, &y, &[1.0; 8], &opts);
+            for interval in [None, Some((1, 4))] {
+                let mut history = MwHistory::default();
+                for r in 1..=rounds {
+                    history.extend(&ms[..r], interval.filter(|_| r == 3));
+                }
+                let mut got = vec![f64::NAN; 8];
+                history.infer(8.0, start, 50, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{rounds} rounds, {interval:?}");
+            }
         }
+        // A `Prefix` query has no classes: the passes run per cell, as
+        // `mult_weights` runs them on the stack.
+        let prefix = measured(Matrix::prefix(8), (1..=8).map(f64::from).collect(), 1.0);
+        let ms = [ms[0].clone(), prefix];
+        let mut history = MwHistory::default();
+        history.extend(&ms[..1], None);
+        history.extend(&ms, None);
+        let mut got = vec![f64::NAN; 8];
+        history.infer(8.0, start, 50, &mut got);
+        let stack = Matrix::vstack(ms.iter().map(|m| m.query.clone()).collect());
+        let y: Vec<f64> = ms.iter().flat_map(|m| m.answers.iter().copied()).collect();
+        let want = ektelo_solvers::mult_weights(&stack, &y, &[1.0; 8], &opts);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

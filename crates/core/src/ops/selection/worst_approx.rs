@@ -81,9 +81,13 @@ pub(crate) fn select_worst_approx(
             "workload score sensitivity must be positive and finite, got {sensitivity}"
         )));
     }
-    if let Some(v) = x_hat.iter().find(|v| !v.is_finite()) {
+    // Checked every round, in one pass without a branch; the offending
+    // entry is looked up only to report it.
+    if !all_finite(x_hat) {
+        let v = x_hat.iter().find(|v| !v.is_finite()).copied();
         return Err(EktError::InvalidArgument(format!(
-            "x_hat must be finite, got an entry {v}"
+            "x_hat must be finite, got an entry {}",
+            v.unwrap_or(f64::NAN)
         )));
     }
     let n = kernel.vector_len(sv)?;
@@ -96,6 +100,23 @@ pub(crate) fn select_worst_approx(
     kernel.exponential_selection(sv, eps, 1, res, |picker: &mut Picker<'_, Arc<Vec<f64>>>| {
         picker.pick_worst_approx(scores, x_hat)
     })?
+}
+
+/// Whether every entry of `v` is finite: one pass without a branch, in
+/// four independent lanes.
+fn all_finite(v: &[f64]) -> bool {
+    let mut ok = [true; 4];
+    let lanes = v.chunks_exact(4);
+    let rest = lanes
+        .remainder()
+        .iter()
+        .fold(true, |ok, v| ok & v.is_finite());
+    lanes.for_each(|l| {
+        l.iter()
+            .zip(&mut ok)
+            .for_each(|(v, ok)| *ok &= v.is_finite())
+    });
+    ok.iter().fold(rest, |all, &ok| all & ok)
 }
 
 #[cfg(test)]
@@ -196,6 +217,31 @@ mod tests {
         worst_approx(&k, k.root(), &w, &[1.0; 16], 1.0, 0.2, None).unwrap();
         worst_approx(&k, k.root(), &w, &[1.0; 16], 2.0, 0.2, None).unwrap();
         assert!((k.budget_spent() - 0.4).abs() < 1e-12);
+    }
+
+    /// A NaN or an infinity anywhere in `x̂` (in any of the check's four
+    /// lanes, or among the last entries that fill no lane) is refused
+    /// before the charge, and the error names it.
+    #[test]
+    fn non_finite_estimates_are_rejected_before_charging() {
+        let k = ProtectedKernel::init_from_vector(vec![2.0; 11], 1.0, 6);
+        let w = Matrix::range_queries(11, vec![(0, 5), (4, 11)]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 3, 5, 6, 10] {
+                let mut x_hat = vec![1.0; 11];
+                x_hat[at] = bad;
+                let err = worst_approx(&k, k.root(), &w, &x_hat, 1.0, 0.2, None).unwrap_err();
+                let EktError::InvalidArgument(msg) = &err else {
+                    panic!("{err:?}");
+                };
+                assert!(msg.ends_with(&format!("entry {bad}")), "{msg}");
+            }
+        }
+        assert_eq!(k.budget_spent(), 0.0);
+        // Finite extremes are accepted.
+        let mut x_hat = vec![1.0; 11];
+        x_hat[..5].copy_from_slice(&[1e300, -1e300, f64::MIN_POSITIVE, -0.0, 0.0]);
+        worst_approx(&k, k.root(), &w, &x_hat, 1.0, 0.2, None).unwrap();
     }
 
     #[test]

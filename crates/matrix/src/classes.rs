@@ -45,6 +45,13 @@ pub struct ColumnClasses {
     /// The number of columns in each class; they sum to the parent's
     /// column count.
     pub sizes: Vec<usize>,
+    /// The columns as runs of one class, in column order: `(end, class)`
+    /// labels the columns from the previous run's end (0 for the first)
+    /// up to `end`. Neighbouring runs differ in class. There are at most
+    /// as many runs as segments of the refinement, so writing a value per
+    /// class out to the columns run by run fills slices instead of
+    /// reading a label per column.
+    pub runs: Vec<(usize, u32)>,
     /// The parent's rows over the classes: column `k` is the parent's
     /// column at the first member of class `k`, which every member
     /// shares. A [`Matrix::Sparse`] of shape `rows × sizes.len()`.
@@ -184,7 +191,39 @@ impl ColumnRefinement {
                 return None;
             }
         }
+        self.split_rows_from(first);
+        Some(())
+    }
 
+    /// Splits the classes by the row of ones on the columns `lo..hi`,
+    /// appended after the rows refined so far: what
+    /// [`ColumnRefinement::refine`] does with that row stored as a
+    /// [`CsrMatrix::interval_row`], read from its two bounds instead of
+    /// its `hi - lo` stored entries. MWEM's loop refines by each round's
+    /// public interval this way, at a cost in the classes, not in the
+    /// interval's length.
+    ///
+    /// # Panics
+    ///
+    /// If `lo > hi` or `hi` exceeds the column count.
+    pub fn refine_interval(&mut self, lo: usize, hi: usize) {
+        let n = self.cols();
+        assert!(
+            lo <= hi && hi <= n,
+            "interval [{lo}, {hi}) out of range for {n} columns"
+        );
+        let first = self.rows.len();
+        self.rows.push(if lo == hi {
+            Row::Empty
+        } else {
+            Row::Interval { lo, hi, value: 1.0 }
+        });
+        self.split_rows_from(first);
+    }
+
+    /// Adds the cuts of the rows from `first` on and splits the classes
+    /// by each of them in turn.
+    fn split_rows_from(&mut self, first: usize) {
         // The new rows' cuts: interval ends and both sides of every
         // scattered entry.
         let mut fresh = Vec::new();
@@ -225,7 +264,6 @@ impl ColumnRefinement {
                 Row::Empty => {}
             }
         }
-        Some(())
     }
 
     /// The classes of every row refined so far, with those rows reduced to
@@ -248,14 +286,16 @@ impl ColumnRefinement {
         if self.refiner.sizes.len() == n {
             return;
         }
-        let (mut labels, mut sizes) = kept.map_or_else(Default::default, |c| (c.labels, c.sizes));
+        let (mut labels, mut sizes, mut runs) =
+            kept.map_or_else(Default::default, |c| (c.labels, c.sizes, c.runs));
         let reps = self
             .refiner
-            .canonical(&self.cuts, n, &mut labels, &mut sizes);
+            .canonical(&self.cuts, &mut labels, &mut sizes, &mut runs);
         let matrix = Matrix::sparse(self.reduced_rows(&labels, &reps));
         *classes = Some(ColumnClasses {
             labels,
             sizes,
+            runs,
             matrix,
         });
     }
@@ -565,24 +605,25 @@ impl Refiner {
         self.split_sorted();
     }
 
-    /// Renumbers the classes by first column and expands them to the `n`
+    /// Renumbers the classes by first column and expands them to the
     /// columns, segment `s` standing for the columns `cuts[s]..cuts[s + 1]`.
-    /// Writes the column labels to `labels` and the class sizes in columns
-    /// to `sizes` (both cleared first, their buffers reused) and returns
-    /// each class's first column.
+    /// Writes the column labels to `labels`, the class sizes in columns
+    /// to `sizes` and the runs of one class to `runs` (all cleared first,
+    /// their buffers reused) and returns each class's first column.
     fn canonical(
         &self,
         cuts: &[usize],
-        n: usize,
         labels: &mut Vec<u32>,
         sizes: &mut Vec<usize>,
+        runs: &mut Vec<(usize, u32)>,
     ) -> Vec<u32> {
         let mut renumber = vec![u32::MAX; self.sizes.len()];
         sizes.clear();
         sizes.reserve(self.sizes.len());
         let mut reps = Vec::with_capacity(self.sizes.len());
         labels.clear();
-        labels.reserve(n);
+        labels.reserve(cuts[cuts.len() - 1]);
+        runs.clear();
         for (&l, span) in self.labels.iter().zip(cuts.windows(2)) {
             let k = &mut renumber[l as usize];
             if *k == u32::MAX {
@@ -593,6 +634,10 @@ impl Refiner {
             let len = span[1] - span[0];
             sizes[*k as usize] += len;
             labels.resize(labels.len() + len, *k);
+            match runs.last_mut() {
+                Some(run) if run.1 == *k => run.0 = span[1],
+                _ => runs.push((span[1], *k)),
+            }
         }
         reps
     }

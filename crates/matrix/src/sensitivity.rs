@@ -263,13 +263,9 @@ impl Matrix {
                 // One row over distinct columns: each stored entry's sum
                 // is `0 + |v|`, which is `|v|`, and every column the row
                 // stores nothing in sums to 0.
-                let gap = (s.nnz() < s.cols()).then_some(0.0);
-                ColSumRange::of(s.cols(), s.values().iter().map(|v| v.abs()).chain(gap))
+                ColSumRange::of(s.cols(), s.values(), s.nnz() < s.cols())
             }
-            _ => {
-                let sums = self.abs_col_sums();
-                ColSumRange::of(sums.len(), sums)
-            }
+            _ => ColSumRange::of(self.cols(), &self.abs_col_sums(), false),
         }
     }
 
@@ -329,9 +325,10 @@ impl Matrix {
 }
 
 /// Whether `cols` ascends strictly: a sparse row that stores no column
-/// twice.
+/// twice. One pass without a branch over the neighbouring pairs.
 fn strictly_ascending(cols: &[u32]) -> bool {
-    cols.windows(2).all(|w| w[0] < w[1])
+    let next = cols.get(1..).unwrap_or_default();
+    cols.iter().zip(next).fold(true, |ok, (a, b)| ok & (a < b))
 }
 
 fn kron_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -374,17 +371,28 @@ impl ColSumRange {
     }
 
     /// The range of the column sums of `cols` columns, given each distinct
-    /// value among them at least once.
-    fn of(cols: usize, sums: impl IntoIterator<Item = f64>) -> ColSumRange {
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in sums {
-            if v.is_nan() {
-                return ColSumRange::Nan;
-            }
-            min = min.min(v);
-            max = max.max(v);
-        }
-        ColSumRange::span(cols, min, max)
+    /// value among them at least once: `|v|` for each `v` of `sums`, and
+    /// a 0 when `zero`. (A sum of `|A|` is `|v|` itself, or a NaN.)
+    ///
+    /// One pass without a branch over the bit patterns: those of
+    /// non-negative values order like the values, and a NaN is any
+    /// pattern above +∞'s, which [`ColSumRange::span`] reads back as a
+    /// NaN. Dropping the sign bit makes every `v` count as `|v|`, so −0
+    /// counts as +0 and a NaN of either sign stays a NaN. Four lanes
+    /// keep the integer minima and maxima independent, so they are not
+    /// one chain of dependent steps.
+    fn of(cols: usize, sums: &[f64], zero: bool) -> ColSumRange {
+        let (mut min, mut max) = ([if zero { 0 } else { f64::INFINITY.to_bits() }; 4], [0; 4]);
+        let mut fold = |k: usize, v: &f64| {
+            let bits = v.to_bits() & !(1 << 63);
+            (min[k], max[k]) = (min[k].min(bits), max[k].max(bits));
+        };
+        let lanes = sums.chunks_exact(4);
+        lanes.remainder().iter().for_each(|v| fold(0, v));
+        lanes.for_each(|l| l.iter().enumerate().for_each(|(k, v)| fold(k, v)));
+        let min = min.into_iter().fold(u64::MAX, u64::min);
+        let max = max.into_iter().fold(0, u64::max);
+        ColSumRange::span(cols, f64::from_bits(min), f64::from_bits(max))
     }
 
     /// The sums `sᵢ·k` for a scale `k = |c|`.
@@ -568,6 +576,49 @@ mod tests {
         assert_eq!(one.l1_sensitivity(), 2.0);
         let full = Matrix::sparse(CsrMatrix::from_row(&[1.0, -2.0]));
         assert_eq!(Matrix::scaled(0.5, full).l1_sensitivity(), 1.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// A one-row `Sparse` whose stored columns repeat or descend (no
+        /// public constructor builds one) takes the scan: its sensitivity
+        /// is the largest column sum of `|A|`, each stored `|v|` added to
+        /// its column in storage order, bit for bit, NaN included.
+        #[test]
+        fn one_row_sparse_with_repeated_or_descending_columns_matches_the_scan(
+            n in 1usize..6,
+            cells in proptest::collection::vec((0usize..6, 0usize..8, -3.0f64..3.0), 2..7),
+            descending in 0u8..2,
+        ) {
+            let value = |k: usize, v: f64| match k {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => -0.0,
+                3 => -f64::from_bits(7),
+                _ => v,
+            };
+            let mut entries: Vec<(usize, u32, f64)> = cells
+                .iter()
+                .map(|&(c, k, v)| (0, (c % n) as u32, value(k, v)))
+                .collect();
+            if descending == 1 {
+                // Distinct columns, stored from the last to the first.
+                entries.sort_by_key(|&(_, c, _)| std::cmp::Reverse(c));
+                entries.dedup_by_key(|e| e.1);
+            }
+            let row = CsrMatrix::bucket_rows(1, n, || entries.iter().copied());
+            let mut sums = vec![0.0; n];
+            for &(_, c, v) in &entries {
+                sums[c as usize] += v.abs();
+            }
+            let scan = sums.into_iter().fold(0.0, max_keeping_nan);
+            let got = Matrix::sparse(row).l1_sensitivity();
+            proptest::prop_assert!(
+                got.to_bits() == scan.to_bits() || (got.is_nan() && scan.is_nan()),
+                "{got:e} vs {scan:e} for {entries:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! A `ColumnRefinement` refined block by block must give, after every
 //! block, exactly what refining the stack of the blocks so far from
 //! scratch gives: the same labels and sizes and the same reduced CSR,
-//! bit for bit.
+//! bit for bit. Refining by an interval's bounds must give what refining
+//! by the same interval stored as a one-row CSR gives.
 
 use ektelo_matrix::{ColumnClasses, ColumnRefinement, CsrMatrix, DenseMatrix, Matrix};
 use proptest::prelude::*;
@@ -179,6 +180,7 @@ fn check(a: &Matrix, key: Option<&[f64]>) -> Result<(), String> {
     };
     prop_assert!(sizes.len() < a.cols(), "every column distinct, yet Some");
     prop_assert_eq!(&got.labels, &labels);
+    prop_assert_eq!(run_labels(&got.runs), labels.clone());
     prop_assert_eq!(&got.sizes, &sizes);
     let mut reduced = DenseMatrix::zeros(a.rows(), sizes.len());
     for (j, &l) in labels.iter().enumerate().rev() {
@@ -190,23 +192,48 @@ fn check(a: &Matrix, key: Option<&[f64]>) -> Result<(), String> {
     Ok(())
 }
 
-/// The labels, sizes and reduced CSR arrays (values as bits) of classes.
-type ClassBits = (Vec<u32>, Vec<usize>, Vec<usize>, Vec<u32>, Vec<u64>);
+/// The labels, sizes, runs and reduced CSR arrays (values as bits) of
+/// classes.
+type ClassBits = (
+    Vec<u32>,
+    Vec<usize>,
+    Vec<(usize, u32)>,
+    Vec<usize>,
+    Vec<u32>,
+    Vec<u64>,
+);
 
 fn class_bits(c: Option<ColumnClasses>) -> Option<ClassBits> {
     c.map(|c| {
         let Matrix::Sparse(m) = &c.matrix else {
             panic!("the reduced matrix is sparse");
         };
+        assert_eq!(run_labels(&c.runs), c.labels, "runs of {:?}", c.runs);
         let values = m.values().iter().map(|v| v.to_bits()).collect();
         (
             c.labels,
             c.sizes,
+            c.runs,
             m.indptr().to_vec(),
             m.indices().to_vec(),
             values,
         )
     })
+}
+
+/// The column labels `runs` stand for; neighbouring runs must differ in
+/// class, and the first starts at column 0.
+fn run_labels(runs: &[(usize, u32)]) -> Vec<u32> {
+    let mut labels = Vec::new();
+    for (r, &(end, k)) in runs.iter().enumerate() {
+        assert!(end > labels.len(), "an empty run");
+        assert!(
+            r == 0 || runs[r - 1].1 != k,
+            "neighbouring runs share a class"
+        );
+        labels.resize(end, k);
+    }
+    labels
 }
 
 proptest! {
@@ -300,6 +327,52 @@ proptest! {
                 return Err("reduced matrices are sparse".to_string());
             };
             prop_assert_eq!(sm, rm);
+        }
+    }
+
+    /// MWEM-like histories: rounds of one interval row of ones (empty
+    /// now and then), sometimes with variant b's range augmentation or a
+    /// scattered row beside it. Refining by each interval's bounds
+    /// (`refine_interval`) gives, after every round, the labels, sizes
+    /// and reduced CSR bits that refining by the stored
+    /// `CsrMatrix::interval_row` gives, and so does one value refreshed
+    /// in place.
+    #[test]
+    fn refining_by_interval_bounds_matches_refining_by_the_row(
+        seed in 0u64..1 << 40,
+        n in 1usize..300,
+        rounds in 1usize..24,
+    ) {
+        let mut rng = Rng(seed);
+        let mut by_row = ColumnRefinement::new(n, None);
+        let mut by_bounds = ColumnRefinement::new(n, None);
+        let mut kept = None;
+        for _ in 0..rounds {
+            let (lo, hi) = match rng.below(8) {
+                0 => {
+                    let c = rng.below(n + 1);
+                    (c, c)
+                }
+                _ => rng.interval(n),
+            };
+            let row = Matrix::sparse(CsrMatrix::interval_row(n, lo, hi));
+            prop_assert!(by_row.refine(&row).is_some(), "an interval row refines");
+            by_bounds.refine_interval(lo, hi);
+            // The rest of the round's measurements, if any, refine both
+            // the same way.
+            let extra = match rng.below(4) {
+                0 => Some(range_block(&mut rng, n)),
+                1 => Some(sparse_block(&mut rng, n)),
+                _ => None,
+            };
+            if let Some(block) = extra {
+                prop_assert!(by_row.refine(&block).is_some());
+                prop_assert!(by_bounds.refine(&block).is_some());
+            }
+            let want = class_bits(by_row.classes());
+            prop_assert_eq!(class_bits(by_bounds.classes()), want.clone());
+            by_bounds.refresh_classes(&mut kept);
+            prop_assert_eq!(class_bits(kept.clone()), want);
         }
     }
 }

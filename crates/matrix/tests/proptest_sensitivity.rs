@@ -21,7 +21,10 @@
 //! largest `|v|` of its stored entries, with a 0 for any column it leaves
 //! empty. It must equal the scan over the same row as `Dense` bit for
 //! bit, with ±0, NaN and ±∞ entries, alone and under `Scaled` and
-//! `Kronecker`.
+//! `Kronecker`; and so on the edges of its integer pass: subnormal
+//! entries, rows of zeros only, and rows that store every column. (A row
+//! whose columns repeat or descend takes the scan instead; no public
+//! constructor builds one, so `sensitivity.rs`'s own tests check it.)
 
 use std::sync::Arc;
 
@@ -166,29 +169,91 @@ fn arb_one_row() -> BoxedStrategy<(Matrix, Matrix)> {
         (store > 0, v)
     });
     (1usize..7, prop::collection::vec(cell, 6))
-        .prop_map(|(n, cells)| {
-            // `from_triplets` drops zeros, so ±0 go in as markers that
-            // `map` turns back into stored zeros.
-            let marker = |v: f64| match v {
-                0.0 if v.is_sign_positive() => 7.0,
-                0.0 => 8.0,
-                v => v,
-            };
-            let triplets: Vec<(usize, usize, f64)> = cells[..n]
-                .iter()
-                .enumerate()
-                .filter(|(_, &(store, _))| store)
-                .map(|(c, &(_, v))| (0, c, marker(v)))
-                .collect();
-            let row = CsrMatrix::from_triplets(1, n, &triplets).map(|v| match v {
-                7.0 => 0.0,
-                8.0 => -0.0,
-                v => v,
-            });
-            let dense = Matrix::dense(row.to_dense());
-            (Matrix::sparse(row), dense)
-        })
+        .prop_map(|(n, cells)| one_row(&cells[..n]))
         .boxed()
+}
+
+/// The rows at the edges of the closed form, paired as in
+/// [`arb_one_row`]: entries of subnormal magnitude (either sign, beside
+/// zeros and ordinary values), rows of zeros only (±0 stored, or nothing
+/// stored at all), and rows that store every column, so no column sums
+/// to the gap's 0 (with NaN, ±∞ and subnormals among the entries).
+fn arb_edge_row() -> BoxedStrategy<(Matrix, Matrix)> {
+    let subnormal = (0usize..6, 1u64..1 << 52, -3.0f64..3.0).prop_map(|(k, bits, v)| match k {
+        0 => f64::from_bits(bits),
+        1 => -f64::from_bits(bits),
+        2 => f64::from_bits(1),
+        3 => -0.0,
+        _ => v,
+    });
+    let zero = || (0usize..2).prop_map(|k| if k == 0 { 0.0 } else { -0.0 });
+    let special = (0usize..8, 1u64..1 << 52, -3.0f64..3.0).prop_map(|(k, bits, v)| match k {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -f64::from_bits(bits),
+        4 => 0.0,
+        _ => v,
+    });
+    let stored = |value: BoxedStrategy<f64>| (0usize..4, value).prop_map(|(s, v)| (s > 0, v));
+    let every = |value: BoxedStrategy<f64>| value.prop_map(|v| (true, v));
+    let rows = prop_oneof![
+        prop::collection::vec(stored(subnormal.boxed()), 1..7),
+        prop::collection::vec(stored(zero().boxed()), 1..7),
+        prop::collection::vec(every(zero().boxed()), 1..7),
+        prop::collection::vec(every(special.boxed()), 1..7),
+    ];
+    rows.prop_map(|cells| one_row(&cells)).boxed()
+}
+
+/// The row storing `v` at each column whose cell is `(true, v)`, as
+/// `Sparse` and as `Dense`.
+fn one_row(cells: &[(bool, f64)]) -> (Matrix, Matrix) {
+    // `from_triplets` drops zeros, so ±0 go in as markers that `map`
+    // turns back into stored zeros.
+    let marker = |v: f64| match v {
+        0.0 if v.is_sign_positive() => 7.0,
+        0.0 => 8.0,
+        v => v,
+    };
+    let triplets: Vec<(usize, usize, f64)> = cells
+        .iter()
+        .enumerate()
+        .filter(|(_, &(store, _))| store)
+        .map(|(c, &(_, v))| (0, c, marker(v)))
+        .collect();
+    let row = CsrMatrix::from_triplets(1, cells.len(), &triplets).map(|v| match v {
+        7.0 => 0.0,
+        8.0 => -0.0,
+        v => v,
+    });
+    let dense = Matrix::dense(row.to_dense());
+    (Matrix::sparse(row), dense)
+}
+
+/// A one-row sparse strategy, alone, scaled by `c`, and as a Kronecker
+/// factor of `f` on either side: the closed form equals the scan over
+/// the same row as `Dense`, bit for bit (NaN included), and the fold
+/// over the materialized column sums.
+fn check_one_row(sparse: Matrix, dense: Matrix, c: f64, f: &Matrix) -> Result<(), String> {
+    let forms = |m: Matrix| {
+        vec![
+            m.clone(),
+            Matrix::Scaled(c, Arc::new(m.clone())),
+            Matrix::kron(m.clone(), f.clone()),
+            Matrix::kron(f.clone(), m),
+        ]
+    };
+    for (s, d) in forms(sparse).into_iter().zip(forms(dense)) {
+        let (got, scan) = (s.l1_sensitivity(), d.l1_sensitivity());
+        prop_assert!(
+            got.to_bits() == scan.to_bits(),
+            "{got:e} vs {scan:e} for {s:?}"
+        );
+        let want = folded_l1(&s);
+        prop_assert!(same_sensitivity(got, want), "{got:e} vs {want:e} for {s:?}");
+    }
+    Ok(())
 }
 
 /// The sensitivity as the fold over the materialized column sums:
@@ -255,20 +320,18 @@ proptest! {
         c in arb_special(),
         f in arb_factor(),
     ) {
-        let forms = |m: Matrix| {
-            vec![
-                m.clone(),
-                Matrix::Scaled(c, Arc::new(m.clone())),
-                Matrix::kron(m.clone(), f.clone()),
-                Matrix::kron(f.clone(), m),
-            ]
-        };
-        for (s, d) in forms(sparse).into_iter().zip(forms(dense)) {
-            let (got, scan) = (s.l1_sensitivity(), d.l1_sensitivity());
-            prop_assert!(got.to_bits() == scan.to_bits(), "{got:e} vs {scan:e} for {s:?}");
-            let want = folded_l1(&s);
-            prop_assert!(same_sensitivity(got, want), "{got:e} vs {want:e} for {s:?}");
-        }
+        check_one_row(sparse, dense, c, &f)?;
+    }
+
+    /// The same on the edge rows: subnormal entries, rows of zeros, and
+    /// rows that store every column.
+    #[test]
+    fn edge_one_row_sparse_l1_matches_the_scan(
+        (sparse, dense) in arb_edge_row(),
+        c in arb_special(),
+        f in arb_factor(),
+    ) {
+        check_one_row(sparse, dense, c, &f)?;
     }
 
     /// Products of signed dense factors hit the materializing fallback;

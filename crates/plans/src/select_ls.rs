@@ -10,7 +10,7 @@
 //! public marginal sizes, so the whole plan is one [`PlanSpec`],
 //! pre-accounted before any marginal is measured.
 
-use ektelo_core::kernel::{ProtectedKernel, SourceVar};
+use ektelo_core::kernel::{EktError, ProtectedKernel, SourceVar};
 use ektelo_core::ops::graph::{PlanBuilder, PlanSpec};
 use ektelo_core::ops::inference::LsSolver;
 use ektelo_core::ops::partition::{marginal_partition, DawaOptions};
@@ -62,6 +62,9 @@ fn select_ls_spec(sizes: &[usize], specs: &[Vec<bool>], eps: f64) -> PlanSpec {
 /// attribute; `true` = kept). Each spec gets an `eps / specs.len()` share
 /// (sequential composition across overlapping marginals). Returns the
 /// estimate over the full domain.
+///
+/// No spec, or a mask whose length is not the number of attributes in
+/// `sizes`, is `InvalidArgument` before anything is charged.
 pub fn plan_select_ls(
     kernel: &ProtectedKernel,
     x: SourceVar,
@@ -69,10 +72,18 @@ pub fn plan_select_ls(
     specs: &[Vec<bool>],
     eps: f64,
 ) -> PlanResult {
-    assert!(
-        !specs.is_empty(),
-        "SelectLS needs at least one marginal spec"
-    );
+    if specs.is_empty() {
+        return Err(EktError::InvalidArgument(
+            "SelectLS needs at least one marginal spec".into(),
+        ));
+    }
+    if let Some(keep) = specs.iter().find(|keep| keep.len() != sizes.len()) {
+        return Err(EktError::InvalidArgument(format!(
+            "a SelectLS marginal mask has {} entries for {} attributes",
+            keep.len(),
+            sizes.len()
+        )));
+    }
     run_spec(kernel, x, &select_ls_spec(sizes, specs, eps))
 }
 
@@ -162,6 +173,28 @@ mod tests {
                 |k, x| select_ls_by_hand(k, x, &sizes, &specs, eps),
             );
         }
+    }
+
+    /// Malformed specs are refused before the spec is built: no spec, a
+    /// mask shorter than the attributes and one longer charge nothing
+    /// and record nothing.
+    #[test]
+    fn malformed_specs_are_rejected_before_any_charge() {
+        let (k, x, _, sizes) = setup(100, 3);
+        let malformed = [
+            vec![],
+            vec![vec![true, false]],
+            vec![vec![true, true, false], vec![true, false, true, false]],
+        ];
+        for specs in &malformed {
+            let out = plan_select_ls(&k, x, &sizes, specs, 1.0);
+            assert!(
+                matches!(out, Err(EktError::InvalidArgument(_))),
+                "{specs:?}"
+            );
+        }
+        assert_eq!(k.budget_spent(), 0.0);
+        assert_eq!(k.measurement_count(), 0);
     }
 
     #[test]

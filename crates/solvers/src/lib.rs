@@ -42,7 +42,9 @@ pub mod util;
 
 pub use cholesky::{cholesky_factor, cholesky_solve, direct_least_squares};
 pub use lsqr::{lsqr, lsqr_weighted, LsqrOptions, LsqrResult, WeightedRhs};
-pub use mw::{mult_weights, mult_weights_uniform_into, mw_uniform_start, MwOptions};
+pub use mw::{
+    mult_weights, mult_weights_classes_into, mult_weights_uniform_into, mw_uniform_start, MwOptions,
+};
 pub use nnls::{nnls, NnlsOptions};
 pub use power::spectral_norm_estimate;
 pub use tree::tree_least_squares;

@@ -36,16 +36,24 @@
 //!
 //! MWEM starts every round's passes from the same uniform estimate of
 //! mass `N`, and a uniform start is one value on every class.
-//! [`mult_weights_uniform_into`] therefore takes that value, not an
+//! [`mult_weights_classes_into`] therefore takes that value, not an
 //! `n`-cell `x0`: the caller computes it once per plan with
 //! [`mw_uniform_start`] (the `n`-cell normalization [`mult_weights`]
 //! runs, so the bits agree), the passes start from it on each class, and
 //! the expansion `x_i = u_{label(i)}` is written into the caller's
-//! estimate buffer. It also takes the classes from the caller: MWEM's
-//! loop keeps an [`ektelo_matrix::ColumnRefinement`] of its history and
-//! refines it by each round's new rows only. Both entry points run the
+//! estimate buffer. It also takes the classes from the caller, and no
+//! matrix: MWEM's loop keeps an [`ektelo_matrix::ColumnRefinement`] of
+//! its history, refines it by each round's new rows only, and never
+//! stacks the history while it has classes. Both entry points run the
 //! same pass loop; only where the start comes from differs, so a round
-//! costs the passes plus one `n`-cell expansion.
+//! costs the passes plus one `n`-cell expansion. A history without
+//! classes takes [`mult_weights_uniform_into`], the per-cell loop from
+//! the same start.
+//!
+//! The reduced matrix of the classes is always a [`Matrix::Sparse`], and
+//! the passes run its CSR kernels directly: they are the kernels its
+//! evaluation plan's leaf runs, so the bits are the same, without a plan
+//! lookup per product or a workspace per call.
 
 use ektelo_matrix::{kernels, ColumnClasses, Matrix, Workspace};
 
@@ -79,11 +87,21 @@ impl Default for MwOptions {
 /// run over every cell.
 pub fn mult_weights(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<f64> {
     let n = x0.len();
-    mw_check(m, y, n, opts);
+    mw_check(m.shape(), y, n, opts);
     let mut x = x0.to_vec();
     normalize_class_mass(&mut x, None, opts.total, n);
-    let classes = m.column_classes_by(&x);
-    mw_run(m, classes.as_ref(), y, None, &mut x, opts);
+    match m.column_classes_by(&x) {
+        Some(classes) => {
+            // The normalized start is constant on every class (the
+            // classes are split by its bits): any member gives the value.
+            let mut u = vec![0.0; classes.sizes.len()];
+            for (&l, &xi) in classes.labels.iter().zip(&x) {
+                u[l as usize] = xi;
+            }
+            mw_classes(&classes, y, u, &mut x, opts);
+        }
+        None => mw_passes(m, None, n, y, &mut x, opts),
+    }
     x
 }
 
@@ -91,8 +109,8 @@ pub fn mult_weights(m: &Matrix, y: &[f64], x0: &[f64], opts: &MwOptions) -> Vec<
 /// when `x0` is uniform, `total / n` on each of `n` cells. It is computed
 /// as [`mult_weights`] computes it — summing the `n` cells and scaling —
 /// not in closed form: the sequential sum rounds, and the start must be
-/// the same bits for [`mult_weights_uniform_into`] to equal
-/// [`mult_weights`].
+/// the same bits for [`mult_weights_classes_into`] and
+/// [`mult_weights_uniform_into`] to equal [`mult_weights`].
 pub fn mw_uniform_start(n: usize, total: f64) -> f64 {
     let mut x = vec![total / n as f64; n];
     normalize_class_mass(&mut x, None, total, n);
@@ -105,90 +123,86 @@ pub fn mw_uniform_start(n: usize, total: f64) -> f64 {
 /// each round's new rows only, computes `start` once per plan with
 /// [`mw_uniform_start`], and lends its own estimate buffer as `x`.
 ///
-/// `classes` must be the classes of `m`'s columns — what
-/// [`ColumnRefinement::classes`] gives after refining by `m`'s rows —
-/// and `start` must be [`mw_uniform_start`]`(x.len(), opts.total)`; then
-/// `x` ends as [`mult_weights`] from `x0 = [total / n; n]` returns it,
-/// bit for bit. The passes begin from `start` on every class, so the
-/// start is never built cell by cell. `None` runs the passes over every
-/// cell. `x`'s contents on entry are ignored.
+/// `classes` must be the column classes of the stacked measurements `M`
+/// that `y` answers — what [`ColumnRefinement::classes`] gives after
+/// refining by `M`'s rows — and `start` must be
+/// [`mw_uniform_start`]`(x.len(), opts.total)`; then `x` ends as
+/// [`mult_weights`] on `M` from `x0 = [total / n; n]` returns it, bit for
+/// bit. `M` itself is never read: the passes begin from `start` on every
+/// class and run over the classes' reduced matrix, so the start is never
+/// built cell by cell. `x`'s contents on entry are ignored.
 ///
 /// [`ColumnRefinement`]: ektelo_matrix::ColumnRefinement
 /// [`ColumnRefinement::classes`]: ektelo_matrix::ColumnRefinement::classes
-pub fn mult_weights_uniform_into(
-    m: &Matrix,
-    classes: Option<&ColumnClasses>,
+pub fn mult_weights_classes_into(
+    classes: &ColumnClasses,
     y: &[f64],
     start: f64,
     x: &mut [f64],
     opts: &MwOptions,
 ) {
-    mw_check(m, y, x.len(), opts);
-    mw_run(m, classes, y, Some(start), x, opts);
+    mw_check(
+        (classes.matrix.rows(), classes.labels.len()),
+        y,
+        x.len(),
+        opts,
+    );
+    mw_classes(classes, y, vec![start; classes.sizes.len()], x, opts);
 }
 
-/// The shape and option checks every entry point makes.
-fn mw_check(m: &Matrix, y: &[f64], n: usize, opts: &MwOptions) {
-    let (rows, cols) = m.shape();
+/// [`mult_weights`] on `m` from the uniform start, with its passes over
+/// every cell: the path of a history without column classes. `start` must
+/// be [`mw_uniform_start`]`(x.len(), opts.total)`; then `x` ends as
+/// [`mult_weights`] from `x0 = [total / n; n]` returns it when `m` has no
+/// classes, bit for bit. `x`'s contents on entry are ignored.
+pub fn mult_weights_uniform_into(
+    m: &Matrix,
+    y: &[f64],
+    start: f64,
+    x: &mut [f64],
+    opts: &MwOptions,
+) {
+    mw_check(m.shape(), y, x.len(), opts);
+    x.fill(start);
+    mw_passes(m, None, x.len(), y, x, opts);
+}
+
+/// The shape and option checks every entry point makes, for a system of
+/// `(rows, cols)`.
+fn mw_check((rows, cols): (usize, usize), y: &[f64], n: usize, opts: &MwOptions) {
     assert_eq!(y.len(), rows, "mw: measurement count mismatch");
     assert_eq!(n, cols, "mw: estimate length mismatch");
     assert!(opts.total > 0.0, "mw: total must be positive");
 }
 
-/// The passes, over `classes` when given, else over every cell of `m`,
-/// with the result in `x`. They start from `uniform` on every class (or
-/// cell) when given; otherwise `x` holds the normalized start on entry,
-/// constant on every class.
-fn mw_run(
-    m: &Matrix,
-    classes: Option<&ColumnClasses>,
+/// The passes over `classes` from `u`, one start value per class, with
+/// the expansion `x_i = u_{label(i)}` written into `x`, one slice fill per
+/// run of a class.
+fn mw_classes(
+    classes: &ColumnClasses,
     y: &[f64],
-    uniform: Option<f64>,
+    mut u: Vec<f64>,
     x: &mut [f64],
     opts: &MwOptions,
 ) {
     let n = x.len();
-    let Some(classes) = classes else {
-        if let Some(u0) = uniform {
-            x.fill(u0);
-        }
-        mw_passes(m, None, n, y, x, opts);
-        return;
-    };
-    assert_eq!(classes.labels.len(), n, "mw: class labels length mismatch");
-    assert_eq!(
-        classes.matrix.rows(),
-        y.len(),
-        "mw: class matrix row count mismatch"
-    );
     let sizes: Vec<f64> = classes.sizes.iter().map(|&s| s as f64).collect();
-    let mut u = match uniform {
-        Some(u0) => vec![u0; sizes.len()],
-        None => {
-            let mut u = vec![0.0; sizes.len()];
-            for (&l, &xi) in classes.labels.iter().zip(x.iter()) {
-                u[l as usize] = xi;
-            }
-            debug_assert!(
-                classes
-                    .labels
-                    .iter()
-                    .zip(x.iter())
-                    .all(|(&l, xi)| u[l as usize].to_bits() == xi.to_bits()),
-                "mw: the start must be constant on every class"
-            );
-            u
-        }
-    };
     mw_passes(&classes.matrix, Some(&sizes), n, y, &mut u, opts);
-    for (xi, &l) in x.iter_mut().zip(&classes.labels) {
-        *xi = u[l as usize];
+    let mut from = 0;
+    for &(end, k) in &classes.runs {
+        x[from..end].fill(u[k as usize]);
+        from = end;
     }
 }
 
 /// `opts.iterations` MW passes on `u`, one value per column of `m`, over
 /// an `n`-cell domain. Column `j` stands for `sizes[j]` cells, or one cell
 /// when `sizes` is `None`.
+///
+/// A [`Matrix::Sparse`] `m` — the reduced matrix of column classes
+/// always is one — runs its CSR kernels directly, the kernels its plan's
+/// leaf runs, with no plan lookup and no workspace. Any other `m` runs
+/// through one workspace, planned once for every pass.
 fn mw_passes(
     m: &Matrix,
     sizes: Option<&[f64]>,
@@ -197,10 +211,57 @@ fn mw_passes(
     u: &mut [f64],
     opts: &MwOptions,
 ) {
-    // One workspace + fixed buffers: each MW pass is allocation-free (MWEM
-    // re-runs this loop every round, so the savings compound).
-    let mut ws = Workspace::for_matrix(m);
-    let mut err = vec![0.0; m.rows()];
+    match m {
+        Matrix::Sparse(s) => mw_loop(
+            m.rows(),
+            |transpose, v, out| {
+                if transpose {
+                    s.rmatvec_into(v, out)
+                } else {
+                    s.matvec_into(v, out)
+                }
+            },
+            sizes,
+            n,
+            y,
+            u,
+            opts,
+        ),
+        _ => {
+            let mut ws = Workspace::for_matrix(m);
+            mw_loop(
+                m.rows(),
+                |transpose, v, out| {
+                    if transpose {
+                        m.rmatvec_into(v, out, &mut ws)
+                    } else {
+                        m.matvec_into(v, out, &mut ws)
+                    }
+                },
+                sizes,
+                n,
+                y,
+                u,
+                opts,
+            )
+        }
+    }
+}
+
+/// The passes of [`mw_passes`], with `apply(false, v, out)` writing
+/// `M v` and `apply(true, v, out)` writing `Mᵀ v` for an `M` of `rows`
+/// rows. Each pass is allocation-free: MWEM re-runs this loop every
+/// round, so the savings compound.
+fn mw_loop(
+    rows: usize,
+    mut apply: impl FnMut(bool, &[f64], &mut [f64]),
+    sizes: Option<&[f64]>,
+    n: usize,
+    y: &[f64],
+    u: &mut [f64],
+    opts: &MwOptions,
+) {
+    let mut err = vec![0.0; rows];
     let mut g = vec![0.0; u.len()];
     // The cell mass of each class, `sizes ⊙ u`: what `m` multiplies.
     let mut mass = vec![0.0; sizes.map_or(0, <[f64]>::len)];
@@ -208,16 +269,16 @@ fn mw_passes(
     for _ in 0..opts.iterations {
         // Batched update (paper Table 1): g = Mᵀ(y − M x̂) scaled by 1/(2N).
         match sizes {
-            None => m.matvec_into(u, &mut err, &mut ws),
+            None => apply(false, u, &mut err),
             Some(s) => {
                 for ((mi, &si), &ui) in mass.iter_mut().zip(s).zip(u.iter()) {
                     *mi = si * ui;
                 }
-                m.matvec_into(&mass, &mut err, &mut ws);
+                apply(false, &mass, &mut err);
             }
         }
         kernels::rsub(&mut err, y);
-        m.rmatvec_into(&err, &mut g, &mut ws);
+        apply(true, &err, &mut g);
         for (ui, &gi) in u.iter_mut().zip(&g) {
             // Clamp the exponent for numerical robustness on extreme
             // residuals (matches practical MWEM implementations).

@@ -6,7 +6,9 @@
 //! per-cell loop bit for bit.
 
 use ektelo_matrix::{kernels, ColumnRefinement, CsrMatrix, Matrix, Workspace};
-use ektelo_solvers::{mult_weights, mult_weights_uniform_into, mw_uniform_start, MwOptions};
+use ektelo_solvers::{
+    mult_weights, mult_weights_classes_into, mult_weights_uniform_into, mw_uniform_start, MwOptions,
+};
 use proptest::prelude::*;
 
 /// SplitMix64: a small deterministic generator for the random systems.
@@ -304,7 +306,7 @@ fn per_class_start_in_place_is_mult_weights_from_the_uniform_start() {
         let y = answers(&mut rng, &stack);
         let want = mult_weights(&stack, &y, &x0, &opts);
         let mut got = vec![f64::NAN; n];
-        mult_weights_uniform_into(&stack, Some(&classes), &y, start, &mut got, &opts);
+        mult_weights_classes_into(&classes, &y, start, &mut got, &opts);
         assert_eq!(bits(&got), bits(&want), "classes, n = {n}");
 
         // Without classes the passes run per cell, as `mult_weights` runs
@@ -313,7 +315,7 @@ fn per_class_start_in_place_is_mult_weights_from_the_uniform_start() {
         let y = answers(&mut rng, &prefix);
         let want = mult_weights(&prefix, &y, &x0, &opts);
         let mut got = vec![f64::NAN; n];
-        mult_weights_uniform_into(&prefix, None, &y, start, &mut got, &opts);
+        mult_weights_uniform_into(&prefix, &y, start, &mut got, &opts);
         assert_eq!(bits(&got), bits(&want), "per cell, n = {n}");
     }
 }
